@@ -115,6 +115,13 @@ cargo build --workspace --release --offline
 step "tests (offline)"
 cargo test -q --workspace --offline
 
+step "perfbench smoke test: the traced mirror reproduces the engine's fingerprints"
+# perfbench is a package of its own (outside the workspace), so the
+# workspace tests never reach it. Its smoke test runs every benchmark
+# workload untraced and traced and fails when the mirror's fingerprints
+# differ from the engine's.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "determinism gate: two full Workload 1 runs, bit-identical output"
 cargo test --release --offline --test determinism -- --include-ignored
 

@@ -7,7 +7,9 @@
 //! * **Gate** (`--gate <factor>`): exits 1 when any case present in both
 //!   files regressed by more than `factor`× on `min_ns_per_iter` — the
 //!   CI perf-regression gate. Cases that appear only on one side are
-//!   reported but never gate (new benchmarks must be able to land).
+//!   reported as `(new)`/`(gone)` but never gate (new benchmarks must be
+//!   able to land); a counter that disappears does fail the gate, since
+//!   a vanished tally would otherwise hide any growth.
 //!   Smoke-mode files (`--smoke` runs, one untrusted sample per case)
 //!   are refused: gating on them would be noise.
 //!
@@ -28,7 +30,7 @@
 //!
 //! Deltas are computed on `min_ns_per_iter` (the least noise-sensitive
 //! statistic); median is shown alongside for context. A negative delta is
-//! a speedup.
+//! a speedup; a zero baseline has no relative delta and shows `n/a`.
 
 use iosched_simkit::json::{self, Value};
 use std::process::ExitCode;
@@ -114,6 +116,112 @@ fn load(path: &str) -> Result<Suite, String> {
     })
 }
 
+/// Percent change from `before` to `after`; `n/a` when the baseline is 0.
+fn pct(before: f64, after: f64) -> String {
+    if before == 0.0 {
+        "n/a".to_string()
+    } else {
+        format!("{:+.1}%", 100.0 * (after - before) / before)
+    }
+}
+
+/// The report table comparing `before` with `after`, and the gate
+/// failures under `gate`. Entries on one side only are listed as `(new)`
+/// or `(gone)`; a gated counter that disappeared fails the gate.
+fn compare(
+    before: &Suite,
+    after: &Suite,
+    gate: Option<f64>,
+    counters_only: bool,
+) -> (Vec<String>, Vec<String>) {
+    let mut lines = vec![format!(
+        "{:<44} {:>14} {:>14} {:>9} {:>9}",
+        "name", "before min ns", "after min ns", "dmin", "dmedian"
+    )];
+    let mut regressions: Vec<String> = Vec::new();
+    for a in &after.cases {
+        match before.cases.iter().find(|b| b.name == a.name) {
+            Some(b) => {
+                lines.push(format!(
+                    "{:<44} {:>14.1} {:>14.1} {:>9} {:>9}",
+                    a.name,
+                    b.min_ns,
+                    a.min_ns,
+                    pct(b.min_ns, a.min_ns),
+                    pct(b.median_ns, a.median_ns)
+                ));
+                if let Some(factor) = gate {
+                    if !counters_only && a.min_ns > b.min_ns * factor {
+                        regressions.push(format!(
+                            "{}: {:.1} ns -> {:.1} ns ({:.2}x > {factor}x allowed)",
+                            a.name,
+                            b.min_ns,
+                            a.min_ns,
+                            a.min_ns / b.min_ns
+                        ));
+                    }
+                }
+            }
+            None => lines.push(format!(
+                "{:<44} {:>14} {:>14.1} {:>9} {:>9}",
+                a.name, "(new)", a.min_ns, "-", "-"
+            )),
+        }
+    }
+    for b in &before.cases {
+        if !after.cases.iter().any(|a| a.name == b.name) {
+            lines.push(format!(
+                "{:<44} {:>14.1} {:>14} {:>9} {:>9}",
+                b.name, b.min_ns, "(gone)", "-", "-"
+            ));
+        }
+    }
+    // Deterministic counters: same table, gated on increase by the same
+    // factor (they carry no timing noise, so any growth is algorithmic).
+    for (name, av) in &after.counters {
+        match before.counters.iter().find(|(bn, _)| bn == name) {
+            Some((_, bv)) => {
+                lines.push(format!(
+                    "counter {name:<36} {bv:>14.1} {av:>14.1} {:>9}",
+                    pct(*bv, *av)
+                ));
+                if let Some(factor) = gate {
+                    if *av > bv * factor {
+                        regressions.push(format!(
+                            "counter {name}: {bv:.1} -> {av:.1} ({:.2}x > {factor}x allowed)",
+                            av / bv
+                        ));
+                    }
+                }
+            }
+            None => lines.push(format!("counter {name:<36} {:>14} {av:>14.1}", "(new)")),
+        }
+    }
+    for (name, bv) in &before.counters {
+        if !after.counters.iter().any(|(an, _)| an == name) {
+            lines.push(format!("counter {name:<36} {bv:>14.1} {:>14}", "(gone)"));
+            if gate.is_some() {
+                regressions.push(format!("counter {name}: {bv:.1} -> (gone)"));
+            }
+        }
+    }
+    for (name, av) in &after.meta {
+        let delta = before
+            .meta
+            .iter()
+            .find(|(bn, _)| bn == name)
+            .map(|(_, bv)| format!(" ({} vs {bv:.1})", pct(*bv, *av)))
+            .unwrap_or_default();
+        lines.push(format!("meta {name} = {av:.1}{delta}"));
+    }
+    for (name, bv) in &before.meta {
+        if !after.meta.iter().any(|(an, _)| an == name) {
+            lines.push(format!("meta {name} (gone, was {bv:.1})"));
+        }
+    }
+    (lines, regressions)
+}
+
 fn usage() -> ExitCode {
     eprintln!("usage: bench_diff [--gate <factor> [--counters-only]] <before.json> <after.json>");
     eprintln!("  compares two BENCH_*.json suite files (report-only by default;");
@@ -197,73 +305,12 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "bench diff `{}`: {before_path} -> {after_path}\n\
-         {:<44} {:>14} {:>14} {:>9} {:>9}",
-        after.suite, "name", "before min ns", "after min ns", "dmin", "dmedian"
+        "bench diff `{}`: {before_path} -> {after_path}",
+        after.suite
     );
-    let mut regressions: Vec<String> = Vec::new();
-    for a in &after.cases {
-        match before.cases.iter().find(|b| b.name == a.name) {
-            Some(b) => {
-                let dmin = 100.0 * (a.min_ns - b.min_ns) / b.min_ns;
-                let dmed = 100.0 * (a.median_ns - b.median_ns) / b.median_ns;
-                println!(
-                    "{:<44} {:>14.1} {:>14.1} {:>+8.1}% {:>+8.1}%",
-                    a.name, b.min_ns, a.min_ns, dmin, dmed
-                );
-                if let Some(factor) = gate {
-                    if !counters_only && a.min_ns > b.min_ns * factor {
-                        regressions.push(format!(
-                            "{}: {:.1} ns -> {:.1} ns ({:.2}x > {factor}x allowed)",
-                            a.name,
-                            b.min_ns,
-                            a.min_ns,
-                            a.min_ns / b.min_ns
-                        ));
-                    }
-                }
-            }
-            None => println!(
-                "{:<44} {:>14} {:>14.1} {:>9} {:>9}",
-                a.name, "(new)", a.min_ns, "-", "-"
-            ),
-        }
-    }
-    for b in &before.cases {
-        if !after.cases.iter().any(|a| a.name == b.name) {
-            println!(
-                "{:<44} {:>14.1} {:>14} {:>9} {:>9}",
-                b.name, b.min_ns, "(gone)", "-", "-"
-            );
-        }
-    }
-    // Deterministic counters: same table, gated on increase by the same
-    // factor (they carry no timing noise, so any growth is algorithmic).
-    for (name, av) in &after.counters {
-        match before.counters.iter().find(|(bn, _)| bn == name) {
-            Some((_, bv)) => {
-                let d = 100.0 * (av - bv) / bv;
-                println!("counter {name:<36} {bv:>14.1} {av:>14.1} {d:>+8.1}%");
-                if let Some(factor) = gate {
-                    if *av > bv * factor {
-                        regressions.push(format!(
-                            "counter {name}: {bv:.1} -> {av:.1} ({:.2}x > {factor}x allowed)",
-                            av / bv
-                        ));
-                    }
-                }
-            }
-            None => println!("counter {name:<36} {:>14} {av:>14.1}", "(new)"),
-        }
-    }
-    for (name, av) in &after.meta {
-        let delta = before
-            .meta
-            .iter()
-            .find(|(bn, _)| bn == name)
-            .map(|(_, bv)| format!(" ({:+.1}% vs {bv:.1})", 100.0 * (av - bv) / bv))
-            .unwrap_or_default();
-        println!("meta {name} = {av:.1}{delta}");
+    let (lines, regressions) = compare(&before, &after, gate, counters_only);
+    for line in &lines {
+        println!("{line}");
     }
     if let Some(factor) = gate {
         if regressions.is_empty() {
@@ -277,4 +324,50 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn suite(counters: &[(&str, f64)], meta: &[(&str, f64)]) -> Suite {
+        let kv = |v: &[(&str, f64)]| v.iter().map(|&(n, x)| (n.to_string(), x)).collect();
+        Suite {
+            suite: "t".to_string(),
+            smoke: true,
+            cases: Vec::new(),
+            counters: kv(counters),
+            meta: kv(meta),
+        }
+    }
+
+    #[test]
+    fn baseline_only_entries_are_reported_gone_and_fail_the_gate() {
+        let before = suite(&[("events/a", 10.0), ("events/b", 5.0)], &[("eps", 2.0)]);
+        let after = suite(&[("events/a", 10.0)], &[]);
+        let (lines, regressions) = compare(&before, &after, None, false);
+        assert!(regressions.is_empty(), "report mode never gates");
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("counter events/b") && l.contains("(gone)")));
+        assert!(lines.iter().any(|l| l == "meta eps (gone, was 2.0)"));
+
+        let (_, regressions) = compare(&before, &after, Some(2.0), true);
+        assert_eq!(regressions, vec!["counter events/b: 5.0 -> (gone)"]);
+    }
+
+    #[test]
+    fn zero_baselines_print_n_a_instead_of_inf_or_nan() {
+        let before = suite(&[("pruned/x", 0.0), ("idle/y", 0.0)], &[("ratio", 0.0)]);
+        let after = suite(&[("pruned/x", 3.0), ("idle/y", 0.0)], &[("ratio", 1.5)]);
+        let (lines, _) = compare(&before, &after, None, false);
+        for l in &lines {
+            assert!(!l.contains("inf") && !l.contains("NaN"), "{l}");
+        }
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("counter pruned/x") && l.ends_with("n/a")));
+        assert!(lines.iter().any(|l| l == "meta ratio = 1.5 (n/a vs 0.0)"));
+        assert_eq!(pct(4.0, 5.0), "+25.0%");
+    }
 }

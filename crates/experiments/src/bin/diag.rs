@@ -1,39 +1,28 @@
 //! Diagnostic dump: run one scheduler over a workload and print periodic
 //! state (busy nodes, streams, throughput, fatigue) to understand the
-//! congestion dynamics. Usage: `diag <w1|w2> <default|io20|io15|ad20|ad15>` plus an optional seed.
+//! congestion dynamics. Usage: `diag <w1|w2> <scheduler label> [seed]`,
+//! where the label is one of the figure labels (`default`, `io-aware-20`,
+//! `io-aware-15`, `adaptive-20`, `adaptive-15`, …).
 use iosched_experiments::driver::{run_experiment, ExperimentConfig, SchedulerKind};
 use iosched_simkit::time::SimTime;
-use iosched_simkit::units::{gibps, to_gibps};
+use iosched_simkit::units::to_gibps;
 use iosched_workloads::{workload_1, workload_2, PaperParams};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let wl = args.get(1).map(|s| s.as_str()).unwrap_or("w2");
-    let sched = args.get(2).map(|s| s.as_str()).unwrap_or("io15");
+    let sched = args.get(2).map(|s| s.as_str()).unwrap_or("io-aware-15");
     let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
     let workload = if wl == "w1" {
         workload_1(&PaperParams::default())
     } else {
         workload_2(&PaperParams::default())
     };
-    let kind = match sched {
-        "default" => SchedulerKind::DefaultBackfill,
-        "io20" => SchedulerKind::IoAware {
-            limit_bps: gibps(20.0),
-        },
-        "io15" => SchedulerKind::IoAware {
-            limit_bps: gibps(15.0),
-        },
-        "ad20" => SchedulerKind::Adaptive {
-            limit_bps: gibps(20.0),
-            two_group: true,
-        },
-        "ad15" => SchedulerKind::Adaptive {
-            limit_bps: gibps(15.0),
-            two_group: true,
-        },
-        other => panic!("unknown scheduler {other}"),
-    };
+    let kind = SchedulerKind::from_label(sched).unwrap_or_else(|e| {
+        eprintln!("diag: {e}");
+        eprintln!("usage: diag <w1|w2> <scheduler label> [seed]");
+        std::process::exit(2);
+    });
     let cfg = ExperimentConfig::paper(kind, seed);
     let res = run_experiment(&cfg, &workload);
     println!("makespan {:.0} s", res.makespan_secs);

@@ -30,7 +30,8 @@
 //!
 //! Unknown keys are rejected (typos should fail loudly).
 
-use crate::driver::{ExperimentConfig, SchedulerKind};
+use crate::driver::ExperimentConfig;
+use crate::grid::PolicyFamily;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::{gib, gibps};
@@ -105,26 +106,13 @@ pub fn parse_run_spec(text: &str) -> Result<RunSpec, String> {
 
     // ── [experiment] ──
     let mut exp = sections.remove("experiment").unwrap_or_default();
-    let limit = gibps(
-        take(&mut exp, "limit_gibps")
-            .map(|v| parse_f64(&v, "limit_gibps"))
-            .transpose()?
-            .unwrap_or(20.0),
-    );
-    let scheduler = match take(&mut exp, "scheduler").as_deref().unwrap_or("default") {
-        "default" => SchedulerKind::DefaultBackfill,
-        "io-aware" => SchedulerKind::IoAware { limit_bps: limit },
-        "adaptive" => SchedulerKind::Adaptive {
-            limit_bps: limit,
-            two_group: true,
-        },
-        "adaptive-naive" => SchedulerKind::Adaptive {
-            limit_bps: limit,
-            two_group: false,
-        },
-        "packing" => SchedulerKind::Packing { limit_bps: limit },
-        other => return Err(format!("unknown scheduler `{other}`")),
-    };
+    let limit_gibps = take(&mut exp, "limit_gibps")
+        .map(|v| parse_f64(&v, "limit_gibps"))
+        .transpose()?
+        .unwrap_or(20.0);
+    let scheduler =
+        PolicyFamily::from_name(take(&mut exp, "scheduler").as_deref().unwrap_or("default"))?
+            .scheduler(limit_gibps);
     let seed = take(&mut exp, "seed")
         .map(|v| {
             v.parse::<u64>()
@@ -255,6 +243,7 @@ pub fn parse_run_spec(text: &str) -> Result<RunSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::SchedulerKind;
     use iosched_simkit::units::to_gibps;
 
     #[test]

@@ -1,41 +1,22 @@
-//! The experiment event loop.
+//! Experiment configuration and the batch entry point.
 //!
 //! One [`run_experiment`] call reproduces one panel of the paper's Fig. 3
 //! or Fig. 5: a full workload scheduled to completion under a chosen
 //! scheduler configuration, with monitoring traces recorded along the way.
-//!
-//! Event loop structure (all simulated time):
-//!
-//! * the **cluster** advances through stream completions and phase ends;
-//! * the **monitoring daemon** samples throughput and allocation at a
-//!   fixed cadence (1 s, like the paper's LDMS setup);
-//! * the **scheduler** runs a backfill pass periodically (`sched_period`,
-//!   Slurm's backfill interval) and after job completions, subject to a
-//!   minimum interval (Slurm's `sched_min_interval`);
-//! * completions are reported to the **analytics**, which update the
-//!   persistent [`EstimateBook`] entries for similar jobs.
-//!
-//! The control-plane data path is allocation-free in steady state: job
-//! names are interned once at submission, the estimate book persists
-//! across rounds (inserted at submission, refreshed on completion,
-//! removed when jobs finish), and every per-pass buffer — queue ids,
-//! queue refs, running views, the scheduling outcome — is reused.
+//! It runs the crate's only event loop (the private `engine`) over the
+//! whole workload, keeping every [`JobRecord`] and the sampled traces.
 
-use iosched_analytics::service::{AnalyticsConfig, AnalyticsService};
-use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion};
-use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
-use iosched_ldms::LdmsDaemon;
-use iosched_lustre::LustreConfig;
+use crate::engine::{self, JobSource, Recorder};
+use iosched_analytics::service::AnalyticsConfig;
+use iosched_cluster::ClusterSim;
+use iosched_lustre::{FsSnapshot, LustreConfig};
 use iosched_simkit::ids::JobId;
-use iosched_simkit::rng::SimRng;
 use iosched_simkit::series::TimeSeries;
 use iosched_simkit::time::{SimDuration, SimTime};
-use iosched_slurm::policy::NodePolicy;
-use iosched_slurm::{
-    backfill_pass_into, BackfillConfig, JobRegistry, PassStats, PriorityPolicy, RunningView,
-    SchedJob, SchedulingOutcome,
-};
+use iosched_slurm::{PriorityPolicy, SchedJob};
 use iosched_workloads::JobSubmission;
+
+pub use crate::engine::RunScratch;
 
 /// Which scheduler to run — the five configurations of the paper's
 /// evaluation plus the naïve-adaptive ablation.
@@ -57,30 +38,6 @@ iosched_simkit::impl_json_enum!(SchedulerKind {
     Adaptive { limit_bps, two_group },
     Packing { limit_bps },
 });
-
-impl SchedulerKind {
-    /// Short human-readable label used in figure outputs.
-    pub fn label(&self) -> String {
-        use iosched_simkit::units::to_gibps;
-        match self {
-            SchedulerKind::DefaultBackfill => "default".to_string(),
-            SchedulerKind::IoAware { limit_bps } => {
-                format!("io-aware-{:.0}", to_gibps(*limit_bps))
-            }
-            SchedulerKind::Adaptive {
-                limit_bps,
-                two_group,
-            } => format!(
-                "adaptive{}-{:.0}",
-                if *two_group { "" } else { "-naive" },
-                to_gibps(*limit_bps)
-            ),
-            SchedulerKind::Packing { limit_bps } => {
-                format!("packing-{:.0}", to_gibps(*limit_bps))
-            }
-        }
-    }
-}
 
 /// Full configuration of one experiment run.
 #[derive(Clone, Debug)]
@@ -220,10 +177,9 @@ pub struct ExperimentResult {
     /// Of [`Self::sched_passes`], rounds whose queue walk was elided
     /// because the previous outcome provably still held.
     pub rounds_elided: u64,
-    /// Event-loop iterations executed (the loop's `guard` counter): a
-    /// deterministic proxy for event count, recorded by the campaign
-    /// bench so an event blowup fails the perf gate even when wall-time
-    /// noise hides it.
+    /// Event-loop iterations executed: a deterministic proxy for event
+    /// count, recorded by the campaign bench so an event blowup fails the
+    /// perf gate even when wall-time noise hides it.
     pub loop_iterations: u64,
     /// Scheduler label (for reports).
     pub label: String,
@@ -243,538 +199,83 @@ impl ExperimentResult {
     }
 }
 
-/// The scheduler-policy dispatch (static enum rather than trait objects:
-/// `SchedulingPolicy` has an associated tracker type). Shared with the
-/// streaming replay driver ([`crate::streaming`]).
-// One instance per experiment run; the adaptive variant carries its
-// pooled scratch inline so rounds stay allocation-free — boxing it
-// would trade a one-off stack cost for a pointer chase per round.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum PolicyImpl {
-    Default(NodePolicy),
-    IoAware(IoAwarePolicy),
-    Adaptive(AdaptivePolicy),
-    Packing(iosched_core::PackingConfig),
-}
-
-impl PolicyImpl {
-    pub(crate) fn new(kind: SchedulerKind, qos_fraction: f64) -> Self {
-        match kind {
-            SchedulerKind::DefaultBackfill => PolicyImpl::Default(NodePolicy::default()),
-            SchedulerKind::IoAware { limit_bps } => {
-                PolicyImpl::IoAware(IoAwarePolicy::new(IoAwareConfig { limit_bps }))
-            }
-            SchedulerKind::Adaptive {
-                limit_bps,
-                two_group,
-            } => PolicyImpl::Adaptive(AdaptivePolicy::new(AdaptiveConfig {
-                limit_bps,
-                two_group,
-                qos_fraction,
-            })),
-            SchedulerKind::Packing { limit_bps } => {
-                PolicyImpl::Packing(iosched_core::PackingConfig { limit_bps })
-            }
-        }
-    }
-
-    /// One scheduling round. The driver's persistent book is lent to the
-    /// I/O-aware policies for the duration of the round (`begin_round` /
-    /// `take_book`), so no estimate map is rebuilt or cloned per pass.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_pass(
-        &mut self,
-        book: &mut EstimateBook,
-        running: &[RunningView<'_>],
-        queue: &[&SchedJob],
-        now: SimTime,
-        total_nodes: usize,
-        bf: &BackfillConfig,
-        outcome: &mut SchedulingOutcome,
-    ) -> PassStats {
-        match self {
-            PolicyImpl::Default(p) => {
-                backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome)
-            }
-            PolicyImpl::IoAware(p) => {
-                p.begin_round(std::mem::take(book));
-                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
-                *book = p.take_book();
-                stats
-            }
-            PolicyImpl::Adaptive(p) => {
-                p.begin_round(std::mem::take(book));
-                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
-                *book = p.take_book();
-                stats
-            }
-            PolicyImpl::Packing(cfg) => {
-                *outcome = iosched_core::packing_pass(book, running, queue, now, total_nodes, cfg);
-                // `next_possible_start = ZERO` means `now < horizon` is
-                // never true: packing rounds are never elided (the pass
-                // has no fixpoint horizon to reuse).
-                PassStats {
-                    next_possible_start: SimTime::ZERO,
-                    pruned: 0,
-                }
-            }
-        }
-    }
-
-    /// True when this policy's tracker build depends only on the running
-    /// set and queue — not on `now` or freshly measured load — so a round
-    /// with identical inputs at a later `now` (before any reservation
-    /// horizon) must decide identically. The elision precondition.
-    pub(crate) fn round_is_time_invariant(
-        &self,
-        book: &EstimateBook,
-        running: &[(JobId, SimTime)],
-        measured_bps: f64,
-    ) -> bool {
-        match self {
-            // Node/license profiles are built from started/limit pairs;
-            // reservation ends past `now` only move for overrunning jobs,
-            // which the driver's `next_limit_expiry` guard excludes.
-            PolicyImpl::Default(_) => true,
-            // The LT build adds an "unaccounted" term
-            // `measured − Σ r̂` pinned to `[now, now + window)` whenever
-            // measured load exceeds the running jobs' estimates; that
-            // breakpoint tracks `now`, so only rounds without it are
-            // time-invariant.
-            PolicyImpl::IoAware(p) => {
-                let limit = p.config().limit_bps;
-                let sum_running: f64 = running.iter().map(|&(id, _)| book.r(id).min(limit)).sum();
-                measured_bps <= sum_running
-            }
-            // `compute_target` divides remaining work by horizons measured
-            // from `now` whenever jobs are running; only an idle cluster
-            // makes the round time-invariant.
-            PolicyImpl::Adaptive(_) => running.is_empty(),
-            // Packing never elides (see `run_pass`).
-            PolicyImpl::Packing(_) => false,
-        }
-    }
-}
-
-/// One row of the driver's immutable job table: scheduling metadata plus
-/// the execution spec, id-sorted for binary-search lookup. The table is
-/// never mutated after submission, so per-pass `&SchedJob` views can be
-/// resolved against it without fighting the registry's mutable borrows.
-struct JobEntry {
-    meta: SchedJob,
-    spec: ExecSpec,
-}
-
-/// Look up a job's table row by id (ids are unique; the table is sorted).
-fn entry(jobs: &[JobEntry], id: JobId) -> &JobEntry {
-    let i = jobs
-        .binary_search_by_key(&id, |e| e.meta.id)
-        .unwrap_or_else(|_| panic!("unknown {id}"));
-    &jobs[i]
-}
-
-/// Reusable buffers for [`run_experiment_with_scratch`]. Campaign
-/// workers keep one per thread and reuse it across runs, so repeated
-/// experiments stop churning the allocator on completion harvests,
-/// snapshots and scheduling passes.
-#[derive(Default)]
-pub struct RunScratch {
-    completions: Vec<JobCompletion>,
-    snap: iosched_lustre::FsSnapshot,
-    per_job: Vec<(u64, f64)>,
-    queue_ids: Vec<JobId>,
-    running_pairs: Vec<(JobId, SimTime)>,
-    outcome: SchedulingOutcome,
-    /// The previous executed round's outcome — what an elided round
-    /// re-reports (and what the debug oracle replays against).
-    prev_outcome: SchedulingOutcome,
-}
-
 /// Run one experiment to completion.
 pub fn run_experiment(cfg: &ExperimentConfig, workload: &[JobSubmission]) -> ExperimentResult {
     run_experiment_with_scratch(cfg, workload, &mut RunScratch::default())
 }
 
 /// [`run_experiment`] with caller-owned scratch buffers (see
-/// [`RunScratch`]); the result is identical.
+/// [`RunScratch`]); the result is identical. The workload may come in
+/// any order: it is stable-sorted by submit time before admission.
 pub fn run_experiment_with_scratch(
     cfg: &ExperimentConfig,
     workload: &[JobSubmission],
     scratch: &mut RunScratch,
 ) -> ExperimentResult {
     assert!(!workload.is_empty(), "workload must not be empty");
-    let master = SimRng::from_seed(cfg.seed);
-    let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), master.fork(1));
-    cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
-    let mut daemon = LdmsDaemon::new(cfg.sample_period);
-    let mut analytics = AnalyticsService::new(cfg.analytics);
-    let mut policy = PolicyImpl::new(cfg.scheduler, cfg.qos_fraction);
-    let bf = BackfillConfig {
-        max_reservations: cfg.backfill_max,
-        prune_fits_now: true,
-        monotone_cursor: true,
-    };
-
-    if cfg.pretrained {
-        for (name, r, d) in crate::pretrain::pretrain_isolated_with_bb(
-            &cfg.fs,
-            workload,
-            cfg.seed,
-            cfg.burst_buffer_per_node_bytes,
-        ) {
-            analytics.pretrain(&name, r, d);
-        }
-    }
-
-    // Registry + the immutable job table. Names are interned exactly once
-    // here; everything downstream works with `Sym` handles. `jobs_by_sym`
-    // lists each name's jobs so a completion can refresh the estimates of
-    // the similar jobs still alive.
-    let mut registry = JobRegistry::new();
-    let mut jobs: Vec<JobEntry> = Vec::with_capacity(workload.len());
-    let mut jobs_by_sym: Vec<Vec<JobId>> = Vec::new();
-    for sub in workload {
-        let sym = analytics.intern(&sub.name);
-        let meta = SchedJob::new(
-            sub.id,
-            sub.name.clone(),
-            sub.exec.nodes,
-            sub.limit,
-            sub.submit,
-        )
-        .with_priority(sub.priority)
-        .with_after(sub.after.clone())
-        .with_name_sym(sym);
-        registry.submit(meta.clone());
-        if jobs_by_sym.len() <= sym.0 as usize {
-            jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
-        }
-        jobs_by_sym[sym.0 as usize].push(sub.id);
-        jobs.push(JobEntry {
-            meta,
-            spec: sub.exec.clone(),
-        });
-    }
-    jobs.sort_unstable_by_key(|e| e.meta.id);
-
-    // The persistent estimate book (Algorithm 2, line 1 — incremental):
-    // seeded for every submitted job, refreshed when completions change a
-    // name's prediction, entries dropped as jobs finish. Policies only
-    // query the jobs passed to the round, so the values seen in any round
-    // equal the ones the old rebuild-per-pass snapshot produced.
-    let mut book = EstimateBook::new();
-    for e in &jobs {
-        book.insert(
-            e.meta.id,
-            analytics.job_estimate_sym(e.meta.name_sym, e.meta.limit),
-        );
-    }
-
     let mut result = ExperimentResult {
         label: cfg.scheduler.label(),
         ..ExperimentResult::default()
     };
-
-    let first_submit = workload.iter().map(|s| s.submit).min().unwrap();
-    let mut next_sched = first_submit;
-    let mut last_sched: Option<SimTime> = None;
-    let mut sched_requested = true;
-    let mut now = SimTime::ZERO;
-
-    // Round-elision state (see `ExperimentConfig::elide_rounds`). A round
-    // may be skipped only if: nothing dirtied the inputs since the last
-    // executed round, `now` is before that round's earliest future start,
-    // no job was submitted since it ran, no running job is at its limit
-    // (an overrunning job's reservation end tracks `now`), and the
-    // policy's tracker build was and still is time-invariant.
-    let mut round_dirty = true;
-    let mut prev_round_at = SimTime::ZERO;
-    let mut prev_next_possible = SimTime::ZERO;
-    let mut prev_invariant = false;
-
-    // Sampling and per-pass buffers live in `scratch`, reused across
-    // ticks and across whole runs. The reference vectors borrow from the
-    // run-local job table, so they stay local (cheap: they reach working
-    // capacity within a few passes of each run).
-    let RunScratch {
-        completions,
-        snap,
-        per_job,
-        queue_ids,
-        running_pairs,
-        outcome,
-        prev_outcome,
-    } = scratch;
-    let mut queue_refs: Vec<&SchedJob> = Vec::new();
-    let mut running_views: Vec<RunningView<'_>> = Vec::new();
-    #[cfg(debug_assertions)]
-    let mut oracle_outcome = SchedulingOutcome::default();
-
-    let mut guard: u64 = 0;
-    while !registry.all_completed() {
-        guard += 1;
-        assert!(
-            guard < 50_000_000,
-            "event loop failed to converge (time {now})"
-        );
-
-        // Next event: cluster activity, sampling tick, scheduling tick,
-        // or a future submission.
-        let mut t_next = next_sched;
-        if let Some(t) = cluster.next_event_time() {
-            t_next = t_next.min(t);
-        }
-        t_next = t_next.min(daemon.next_sample_at());
-        if let Some(t) = registry.next_submission_after(now) {
-            t_next = t_next.min(t);
-        }
-        if cfg.enforce_limits {
-            if let Some(t) = registry.next_limit_expiry() {
-                t_next = t_next.min(t);
-            }
-        }
-        // Never move backwards (e.g. a sched request issued "now").
-        let t = t_next.max(now);
-
-        // 1. Advance the cluster; harvest completions into the reusable
-        // buffer.
-        cluster.advance_to_into(t, completions);
-        for c in completions.iter() {
-            registry.mark_completed(c.job, c.at);
-            let sym = entry(&jobs, c.job).meta.name_sym;
-            let (started, ended) = match registry.state(c.job) {
-                Some(iosched_slurm::JobState::Completed { started, ended }) => (started, ended),
-                _ => unreachable!("just marked completed"),
-            };
-            analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
-            book.remove(c.job);
-            // The completion changed this name's prediction; refresh the
-            // book entries of the similar jobs still alive.
-            for &jid in &jobs_by_sym[sym.0 as usize] {
-                if matches!(
-                    registry.state(jid),
-                    Some(iosched_slurm::JobState::Pending)
-                        | Some(iosched_slurm::JobState::Running { .. })
-                ) {
-                    let e = entry(&jobs, jid);
-                    book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
-                }
-            }
-            sched_requested = true;
-            round_dirty = true;
-        }
-        now = t;
-
-        // 1b. Limit enforcement: kill running jobs that hit `L_j`.
-        if cfg.enforce_limits {
-            for (id, _) in registry.overrunning(now) {
-                cluster
-                    .cancel_job(now, id)
-                    .expect("overrunning job is running");
-                registry.mark_timed_out(id, now);
-                book.remove(id);
-                // Killed jobs produce no estimator observation: their
-                // measured volume is truncated and would bias r̂/d̂.
-                sched_requested = true;
-                round_dirty = true;
-            }
-        }
-
-        // 2. Monitoring sample.
-        if now >= daemon.next_sample_at() {
-            cluster.fs().snapshot_into(snap);
-            per_job.clear();
-            per_job.extend(snap.per_tag_bps.iter().map(|&(tag, bps)| (tag.0, bps)));
-            daemon.sample(now, snap.total_bps, per_job, cluster.busy_nodes());
-            result.throughput_trace.push(now, snap.total_bps);
-            result.nodes_trace.push(now, cluster.busy_nodes() as f64);
-            let fat = cluster.fs().ost_fatigue();
-            result
-                .fatigue_trace
-                .push(now, fat.iter().sum::<f64>() / fat.len().max(1) as f64);
-            result
-                .streams_trace
-                .push(now, cluster.fs().active_stream_count() as f64);
-        }
-
-        // 3. Scheduling pass (periodic, or event-triggered subject to the
-        // minimum interval).
-        let min_ok = last_sched.is_none_or(|ls| now.saturating_since(ls) >= cfg.sched_min_interval);
-        if now >= next_sched || (sched_requested && min_ok) {
-            sched_requested = false;
-            last_sched = Some(now);
-            next_sched = now + cfg.sched_period;
-
-            registry.wait_queue_ids_limited_into(
-                now,
-                cfg.priority_policy,
-                cfg.max_queue_depth,
-                queue_ids,
-            );
-            if !queue_ids.is_empty() {
-                // Elided rounds count too: a pass whose outcome was
-                // proven unchanged is still a pass, and the counter must
-                // not depend on `elide_rounds`.
-                result.sched_passes += 1;
-                registry.running_ids_into(running_pairs);
-                // Line 2 of Algorithm 2: measured current load.
-                let measured = analytics.current_load_bps(&daemon, now);
-
-                let elide = cfg.elide_rounds
-                    && !round_dirty
-                    && now < prev_next_possible
-                    && registry
-                        .next_submission_after(prev_round_at)
-                        .is_none_or(|s| s > now)
-                    && registry.next_limit_expiry().is_none_or(|e| e > now)
-                    && prev_invariant
-                    && policy.round_is_time_invariant(&book, running_pairs, measured);
-
-                if elide {
-                    result.rounds_elided += 1;
-                    // Debug oracle: replay the full queue walk and insist
-                    // the previous executed round's outcome still holds
-                    // verbatim (in particular, nothing could start).
-                    #[cfg(debug_assertions)]
-                    {
-                        queue_refs.clear();
-                        queue_refs.extend(queue_ids.iter().map(|&id| &entry(&jobs, id).meta));
-                        running_views.clear();
-                        running_views.extend(running_pairs.iter().map(|&(id, started)| {
-                            RunningView {
-                                job: &entry(&jobs, id).meta,
-                                started,
-                            }
-                        }));
-                        book.measured_total_bps = measured;
-                        policy.run_pass(
-                            &mut book,
-                            &running_views,
-                            &queue_refs,
-                            now,
-                            cfg.nodes,
-                            &bf,
-                            &mut oracle_outcome,
-                        );
-                        debug_assert!(
-                            oracle_outcome.start_now.is_empty(),
-                            "elided round at {now} would have started {:?}",
-                            oracle_outcome.start_now
-                        );
-                        debug_assert_eq!(
-                            oracle_outcome, *prev_outcome,
-                            "elided round at {now} diverged from the previous outcome"
-                        );
-                    }
-                } else {
-                    queue_refs.clear();
-                    queue_refs.extend(queue_ids.iter().map(|&id| &entry(&jobs, id).meta));
-                    running_views.clear();
-                    running_views.extend(running_pairs.iter().map(|&(id, started)| RunningView {
-                        job: &entry(&jobs, id).meta,
-                        started,
-                    }));
-
-                    book.measured_total_bps = measured;
-
-                    // The incremental book must agree with what a rebuild
-                    // from the analytics would produce for every job the
-                    // round can see.
-                    #[cfg(debug_assertions)]
-                    for j in queue_refs
-                        .iter()
-                        .copied()
-                        .chain(running_views.iter().map(|rv| rv.job))
-                    {
-                        debug_assert_eq!(
-                            book.get(j.id),
-                            Some(analytics.job_estimate_sym(j.name_sym, j.limit)),
-                            "estimate book out of sync for {}",
-                            j.id
-                        );
-                    }
-
-                    let stats = policy.run_pass(
-                        &mut book,
-                        &running_views,
-                        &queue_refs,
-                        now,
-                        cfg.nodes,
-                        &bf,
-                        outcome,
-                    );
-                    prev_round_at = now;
-                    prev_next_possible = stats.next_possible_start;
-                    prev_invariant = policy.round_is_time_invariant(&book, running_pairs, measured);
-                    round_dirty = false;
-
-                    for &id in &outcome.start_now {
-                        let spec = &entry(&jobs, id).spec;
-                        cluster
-                            .start_job(now, id, spec)
-                            .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
-                        registry.mark_started(id, now);
-                    }
-                    if !outcome.start_now.is_empty() {
-                        // Starts changed the running set; the next round
-                        // sees different inputs.
-                        round_dirty = true;
-                    }
-                    std::mem::swap(outcome, prev_outcome);
-                }
-            }
-        }
-    }
-
-    // Final sample so traces extend to the end of the run. Stamped at the
-    // completion time itself — never past it: stamping at the *next*
-    // scheduled sample tick would extend the trace beyond the makespan
-    // and bias tail averages. Skipped when the regular cadence already
-    // sampled this instant.
-    if result.throughput_trace.last_time() != Some(now) {
-        cluster.fs().snapshot_into(snap);
-        result.throughput_trace.push(now, snap.total_bps);
-        result.nodes_trace.push(now, cluster.busy_nodes() as f64);
-    }
-
-    result.loop_iterations = guard;
-    result.makespan_secs = registry
-        .makespan()
-        .expect("all jobs completed")
-        .as_secs_f64();
-    result.jobs = registry
-        .timings()
-        .iter()
-        .map(|&(id, _, _)| {
-            let meta = registry.meta(id).unwrap();
-            let (started, ended, timed_out) = match registry.state(id) {
-                Some(iosched_slurm::JobState::Completed { started, ended }) => {
-                    (started, ended, false)
-                }
-                Some(iosched_slurm::JobState::TimedOut { started, ended }) => {
-                    (started, ended, true)
-                }
-                _ => unreachable!(),
-            };
-            JobRecord {
-                id,
-                name: meta.name.clone(),
-                submit: meta.submit,
-                start: started,
-                end: ended,
-                timed_out,
-            }
-        })
-        .collect();
+    let mut jobs: Vec<&JobSubmission> = workload.iter().collect();
+    jobs.sort_by_key(|s| s.submit);
+    let source = JobSource {
+        jobs: jobs.into_iter().cloned(),
+        window: workload.len(),
+        pretrain_on: cfg.pretrained.then_some(workload),
+    };
+    let totals = engine::run(cfg, source, None, scratch, &mut result);
     result.jobs.sort_by_key(|r| r.id);
+    result.makespan_secs = totals.makespan_secs;
+    result.sched_passes = totals.sched_passes;
+    result.rounds_elided = totals.rounds_elided;
+    result.loop_iterations = totals.loop_iterations;
     result
+}
+
+/// The full recorder: every job's record and the four sampled traces.
+impl Recorder for ExperimentResult {
+    fn sample(&mut self, now: SimTime, snap: &FsSnapshot, cluster: &ClusterSim) {
+        self.throughput_trace.push(now, snap.total_bps);
+        self.nodes_trace.push(now, cluster.busy_nodes() as f64);
+        let fat = cluster.fs().ost_fatigue();
+        self.fatigue_trace
+            .push(now, fat.iter().sum::<f64>() / fat.len().max(1) as f64);
+        self.streams_trace
+            .push(now, cluster.fs().active_stream_count() as f64);
+    }
+
+    fn finish(&mut self, job: SchedJob, started: SimTime, ended: SimTime, timed_out: bool) {
+        self.jobs.push(JobRecord {
+            id: job.id,
+            name: job.name,
+            submit: job.submit,
+            start: started,
+            end: ended,
+            timed_out,
+        });
+    }
+
+    /// Final sample so traces extend to the end of the run, stamped at the
+    /// last completion itself (never at the next tick past the makespan,
+    /// which would bias tail averages) unless already sampled then.
+    fn end(&mut self, now: SimTime, cluster: &ClusterSim, snap: &mut FsSnapshot) {
+        if self.throughput_trace.last_time() != Some(now) {
+            cluster.fs().snapshot_into(snap);
+            self.throughput_trace.push(now, snap.total_bps);
+            self.nodes_trace.push(now, cluster.busy_nodes() as f64);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosched_cluster::ExecSpec;
     use iosched_simkit::units::{gib, gibps};
-    use iosched_workloads::{JobSubmission, WorkloadBuilder};
+    use iosched_slurm::policy::NodePolicy;
+    use iosched_slurm::BackfillConfig;
+    use iosched_workloads::{uniform_arrivals, JobSubmission, WorkloadBuilder};
 
     fn tiny_workload() -> Vec<JobSubmission> {
         // 2 waves of 4 write×4 + 6 short sleeps on a small volume: quick.
@@ -1190,22 +691,17 @@ mod tests {
     }
 
     #[test]
-    fn labels() {
-        assert_eq!(SchedulerKind::DefaultBackfill.label(), "default");
-        assert_eq!(
-            SchedulerKind::IoAware {
-                limit_bps: gibps(15.0)
-            }
-            .label(),
-            "io-aware-15"
-        );
-        assert_eq!(
-            SchedulerKind::Adaptive {
-                limit_bps: gibps(20.0),
-                two_group: false
-            }
-            .label(),
-            "adaptive-naive-20"
-        );
+    fn unsorted_workloads_run_as_if_sorted_by_submit() {
+        let mut w = tiny_workload();
+        uniform_arrivals(&mut w, SimDuration::from_secs(7));
+        let cfg = quick_cfg(SchedulerKind::DefaultBackfill);
+        let sorted = run_experiment(&cfg, &w);
+        w.reverse();
+        let reversed = run_experiment(&cfg, &w);
+        assert_eq!(sorted.makespan_secs, reversed.makespan_secs);
+        assert_eq!(sorted.loop_iterations, reversed.loop_iterations);
+        let starts =
+            |r: &ExperimentResult| r.jobs.iter().map(|j| (j.id, j.start)).collect::<Vec<_>>();
+        assert_eq!(starts(&sorted), starts(&reversed));
     }
 }

@@ -1,0 +1,577 @@
+//! The event engine: the simulator's only control loop.
+//!
+//! Every run goes through [`run`]. Each iteration advances the
+//! **cluster** to the next event, retires finished jobs (completions feed
+//! the **analytics**, which refresh the estimates of resident same-name
+//! jobs), kills jobs at their limit under `enforce_limits`, admits jobs
+//! into freed window slots, takes the **monitoring** sample when due, and
+//! runs the **backfill** pass periodically or after completions, eliding
+//! a round provably identical to the previous one.
+//!
+//! A [`JobSource`] is an iterator admitted under a window; a [`Recorder`]
+//! keeps full records and traces or O(1) aggregates. A finished job
+//! leaves the resident table at once, and the registry too unless a
+//! resident job still names it in `after`: then it stays visible to
+//! `dependencies_met` until its last dependent finishes, so dependencies
+//! work whenever they are admitted no later than their dependents.
+
+use crate::driver::{ExperimentConfig, SchedulerKind};
+use iosched_analytics::service::AnalyticsService;
+use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion};
+use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
+use iosched_ldms::LdmsDaemon;
+use iosched_lustre::FsSnapshot;
+use iosched_simkit::ids::JobId;
+use iosched_simkit::rng::SimRng;
+use iosched_simkit::time::{SimDuration, SimTime};
+use iosched_slurm::policy::NodePolicy;
+use iosched_slurm::{
+    backfill_pass_into, BackfillConfig, JobRegistry, JobState, PassStats, RunningView, SchedJob,
+    SchedulingOutcome,
+};
+use iosched_workloads::JobSubmission;
+use std::collections::BTreeMap;
+
+/// The scheduler-policy dispatch (static enum rather than trait objects:
+/// `SchedulingPolicy` has an associated tracker type).
+// One instance per run; the adaptive variant carries its pooled scratch
+// inline so rounds stay allocation-free — boxing it would trade a
+// one-off stack cost for a pointer chase per round.
+#[allow(clippy::large_enum_variant)]
+enum PolicyImpl {
+    Default(NodePolicy),
+    IoAware(IoAwarePolicy),
+    Adaptive(AdaptivePolicy),
+    Packing(iosched_core::PackingConfig),
+}
+
+impl PolicyImpl {
+    fn new(kind: SchedulerKind, qos_fraction: f64) -> Self {
+        match kind {
+            SchedulerKind::DefaultBackfill => PolicyImpl::Default(NodePolicy::default()),
+            SchedulerKind::IoAware { limit_bps } => {
+                PolicyImpl::IoAware(IoAwarePolicy::new(IoAwareConfig { limit_bps }))
+            }
+            SchedulerKind::Adaptive {
+                limit_bps,
+                two_group,
+            } => PolicyImpl::Adaptive(AdaptivePolicy::new(AdaptiveConfig {
+                limit_bps,
+                two_group,
+                qos_fraction,
+            })),
+            SchedulerKind::Packing { limit_bps } => {
+                PolicyImpl::Packing(iosched_core::PackingConfig { limit_bps })
+            }
+        }
+    }
+
+    /// One scheduling round. The engine's persistent book is lent to the
+    /// I/O-aware policies for the duration of the round (`begin_round` /
+    /// `take_book`), so no estimate map is rebuilt or cloned per pass.
+    #[allow(clippy::too_many_arguments)]
+    fn run_pass(
+        &mut self,
+        book: &mut EstimateBook,
+        running: &[RunningView<'_>],
+        queue: &[&SchedJob],
+        now: SimTime,
+        total_nodes: usize,
+        bf: &BackfillConfig,
+        outcome: &mut SchedulingOutcome,
+    ) -> PassStats {
+        match self {
+            PolicyImpl::Default(p) => {
+                backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome)
+            }
+            PolicyImpl::IoAware(p) => {
+                p.begin_round(std::mem::take(book));
+                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
+                *book = p.take_book();
+                stats
+            }
+            PolicyImpl::Adaptive(p) => {
+                p.begin_round(std::mem::take(book));
+                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
+                *book = p.take_book();
+                stats
+            }
+            PolicyImpl::Packing(cfg) => {
+                *outcome = iosched_core::packing_pass(book, running, queue, now, total_nodes, cfg);
+                // `next_possible_start = ZERO` means `now < horizon` is
+                // never true: packing rounds are never elided (the pass
+                // has no fixpoint horizon to reuse).
+                PassStats {
+                    next_possible_start: SimTime::ZERO,
+                    pruned: 0,
+                }
+            }
+        }
+    }
+
+    /// True when this policy's tracker build depends only on the running
+    /// set and queue — not on `now` or freshly measured load — so a round
+    /// with identical inputs at a later `now` (before any reservation
+    /// horizon) must decide identically. The elision precondition.
+    fn round_is_time_invariant(
+        &self,
+        book: &EstimateBook,
+        running: &[(JobId, SimTime)],
+        measured_bps: f64,
+    ) -> bool {
+        match self {
+            // Node/license profiles are built from started/limit pairs;
+            // reservation ends past `now` only move for overrunning jobs,
+            // which the `next_limit_expiry` guard excludes.
+            PolicyImpl::Default(_) => true,
+            // The LT build adds an "unaccounted" term
+            // `measured − Σ r̂` pinned to `[now, now + window)` whenever
+            // measured load exceeds the running jobs' estimates; that
+            // breakpoint tracks `now`, so only rounds without it are
+            // time-invariant.
+            PolicyImpl::IoAware(p) => {
+                let limit = p.config().limit_bps;
+                let sum_running: f64 = running.iter().map(|&(id, _)| book.r(id).min(limit)).sum();
+                measured_bps <= sum_running
+            }
+            // `compute_target` divides remaining work by horizons measured
+            // from `now` whenever jobs are running; only an idle cluster
+            // makes the round time-invariant.
+            PolicyImpl::Adaptive(_) => running.is_empty(),
+            // Packing never elides (see `run_pass`).
+            PolicyImpl::Packing(_) => false,
+        }
+    }
+}
+
+/// Where a run's jobs come from: submissions in non-decreasing submit
+/// order, admitted while fewer than `window` jobs are resident, and the
+/// whole trace to pretrain the estimator on, when there is one.
+pub(crate) struct JobSource<'w, I> {
+    pub jobs: I,
+    pub window: usize,
+    pub pretrain_on: Option<&'w [JobSubmission]>,
+}
+
+/// What a run keeps of what it sees.
+pub(crate) trait Recorder {
+    /// A monitoring sample was taken at `now`.
+    fn sample(&mut self, _now: SimTime, _snap: &FsSnapshot, _cluster: &ClusterSim) {}
+    /// A job finished at `ended`: ran to completion, or was killed at its
+    /// limit (`timed_out`).
+    fn finish(&mut self, job: SchedJob, started: SimTime, ended: SimTime, timed_out: bool);
+    /// The loop ended at `now`, the last job's end.
+    fn end(&mut self, _now: SimTime, _cluster: &ClusterSim, _snap: &mut FsSnapshot) {}
+}
+
+/// The engine's own tallies, whichever recorder ran (see
+/// `ExperimentResult` for their meaning).
+#[derive(Default)]
+pub(crate) struct RunTotals {
+    pub makespan_secs: f64,
+    pub sched_passes: u64,
+    pub rounds_elided: u64,
+    pub loop_iterations: u64,
+    pub peak_resident_jobs: usize,
+}
+
+/// Reusable buffers for [`crate::driver::run_experiment_with_scratch`]:
+/// campaign workers keep one per thread and reuse it across runs.
+#[derive(Default)]
+pub struct RunScratch {
+    completions: Vec<JobCompletion>,
+    snap: FsSnapshot,
+    per_job: Vec<(u64, f64)>,
+    queue_ids: Vec<JobId>,
+    running_pairs: Vec<(JobId, SimTime)>,
+    outcome: SchedulingOutcome,
+    /// The previous executed round's outcome — what an elided round
+    /// re-reports (and what the debug oracle replays against).
+    prev_outcome: SchedulingOutcome,
+}
+
+/// One resident job: scheduling metadata plus the execution spec.
+struct Resident {
+    meta: SchedJob,
+    spec: ExecSpec,
+}
+
+/// The whole state of one run.
+struct Engine<'c, I> {
+    cfg: &'c ExperimentConfig,
+    source: I,
+    window: usize,
+    /// True once the source has run dry.
+    exhausted: bool,
+    admitted: u64,
+    last_submit: SimTime,
+    first_submit: Option<SimTime>,
+    last_end: SimTime,
+    cluster: ClusterSim,
+    daemon: LdmsDaemon,
+    analytics: AnalyticsService,
+    policy: PolicyImpl,
+    registry: JobRegistry,
+    resident: BTreeMap<JobId, Resident>,
+    /// Per-name lists of resident jobs (retired ids are evicted lazily).
+    jobs_by_sym: Vec<Vec<JobId>>,
+    /// Jobs named in some resident job's `after`, with their dependent
+    /// counts: retired from the registry when their last dependent is.
+    held: BTreeMap<JobId, u32>,
+    /// The persistent estimate book (Algorithm 2, line 1, incremental).
+    book: EstimateBook,
+}
+
+impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
+    /// Pull from the source while the window has room.
+    fn admit(&mut self) {
+        while self.resident.len() < self.window {
+            let Some(sub) = self.source.next() else {
+                self.exhausted = true;
+                return;
+            };
+            assert!(
+                sub.submit >= self.last_submit,
+                "submissions must arrive in submit order ({})",
+                sub.id
+            );
+            self.last_submit = sub.submit;
+            self.first_submit.get_or_insert(sub.submit);
+            let sym = self.analytics.intern(&sub.name);
+            let meta = SchedJob::new(sub.id, sub.name, sub.exec.nodes, sub.limit, sub.submit)
+                .with_priority(sub.priority)
+                .with_after(sub.after)
+                .with_name_sym(sym);
+            for &dep in &meta.after {
+                *self.held.entry(dep).or_default() += 1;
+            }
+            self.registry.submit(meta.clone());
+            if self.jobs_by_sym.len() <= sym.0 as usize {
+                self.jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
+            }
+            self.jobs_by_sym[sym.0 as usize].push(sub.id);
+            self.book
+                .insert(sub.id, self.analytics.job_estimate_sym(sym, meta.limit));
+            self.resident.insert(
+                sub.id,
+                Resident {
+                    meta,
+                    spec: sub.exec,
+                },
+            );
+            self.admitted += 1;
+        }
+    }
+
+    /// Finish a running job at `ended`: completed, or killed at its limit
+    /// (`timed_out`), and retire it.
+    fn finish(&mut self, id: JobId, ended: SimTime, timed_out: bool, rec: &mut impl Recorder) {
+        let Some(JobState::Running { started }) = self.registry.state(id) else {
+            unreachable!("finishing {id}, which is not running")
+        };
+        if timed_out {
+            self.registry.mark_timed_out(id, ended);
+        } else {
+            self.registry.mark_completed(id, ended);
+        }
+        let job = self.resident.remove(&id).expect("finished job is resident");
+        self.book.remove(id);
+        // Killed jobs produce no estimator observation: their measured
+        // volume is truncated and would bias r̂/d̂.
+        if !timed_out {
+            let sym = job.meta.name_sym;
+            self.analytics
+                .on_job_complete_sym(&self.daemon, id.0, sym, started, ended);
+            // The completion changed this name's prediction; refresh the
+            // book entries of the similar jobs still resident.
+            let (book, analytics, resident) = (&mut self.book, &self.analytics, &self.resident);
+            self.jobs_by_sym[sym.0 as usize].retain(|&jid| {
+                let Some(e) = resident.get(&jid) else {
+                    return false;
+                };
+                book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
+                true
+            });
+        }
+        for dep in &job.meta.after {
+            let n = self.held.get_mut(dep).expect("dependency is held");
+            *n -= 1;
+            if *n == 0 {
+                self.held.remove(dep);
+                // A dependent can only have started after `dep` finished.
+                self.registry.retire(*dep);
+            }
+        }
+        if !self.held.contains_key(&id) {
+            self.registry.retire(id);
+        }
+        self.last_end = self.last_end.max(ended);
+        rec.finish(job.meta, started, ended, timed_out);
+    }
+
+    /// Build the round's queue and running views over the resident table
+    /// and run one scheduling pass on them.
+    fn pass(
+        &mut self,
+        queue_ids: &[JobId],
+        running_pairs: &[(JobId, SimTime)],
+        now: SimTime,
+        outcome: &mut SchedulingOutcome,
+    ) -> PassStats {
+        let resident = &self.resident;
+        let queue: Vec<&SchedJob> = queue_ids.iter().map(|id| &resident[id].meta).collect();
+        let running: Vec<RunningView<'_>> = running_pairs
+            .iter()
+            .map(|&(id, started)| RunningView {
+                job: &resident[&id].meta,
+                started,
+            })
+            .collect();
+        // The incremental book must agree with what a rebuild from the
+        // analytics would produce for every job the round can see.
+        #[cfg(debug_assertions)]
+        for j in queue.iter().copied().chain(running.iter().map(|rv| rv.job)) {
+            debug_assert_eq!(
+                self.book.get(j.id),
+                Some(self.analytics.job_estimate_sym(j.name_sym, j.limit)),
+                "estimate book out of sync for {}",
+                j.id
+            );
+        }
+        self.policy.run_pass(
+            &mut self.book,
+            &running,
+            &queue,
+            now,
+            self.cfg.nodes,
+            &BackfillConfig {
+                max_reservations: self.cfg.backfill_max,
+                prune_fits_now: true,
+                monotone_cursor: true,
+            },
+            outcome,
+        )
+    }
+
+    fn run(mut self, s: &mut RunScratch, rec: &mut impl Recorder) -> RunTotals {
+        let cfg = self.cfg;
+        let mut totals = RunTotals::default();
+        self.admit();
+        let Some(first_submit) = self.first_submit else {
+            return totals; // empty source
+        };
+        let mut next_sched = first_submit;
+        let mut last_sched: Option<SimTime> = None;
+        let mut sched_requested = true;
+        let mut now = SimTime::ZERO;
+
+        // Round elision (see `ExperimentConfig::elide_rounds`): a round is
+        // skipped only if nothing dirtied the inputs since the last executed
+        // one (admissions follow retirements, which dirty it), `now` is
+        // before its earliest future start, nothing was submitted since,
+        // no running job is at its limit (an overrunning job's reservation
+        // end tracks `now`), and the tracker build is time-invariant.
+        let mut round_dirty = true;
+        let mut prev_round_at = SimTime::ZERO;
+        let mut prev_next_possible = SimTime::ZERO;
+        let mut prev_invariant = false;
+
+        #[cfg(debug_assertions)]
+        let mut oracle_outcome = SchedulingOutcome::default();
+
+        while !(self.exhausted && self.registry.all_completed()) {
+            totals.loop_iterations += 1;
+            assert!(
+                totals.loop_iterations < 50_000_000 + 500 * self.admitted,
+                "event loop failed to converge (time {now})"
+            );
+            totals.peak_resident_jobs = totals.peak_resident_jobs.max(self.resident.len());
+
+            // Next event: cluster activity, sampling or scheduling tick, an
+            // admitted future submission; never backwards.
+            let mut t_next = next_sched.min(self.daemon.next_sample_at());
+            if let Some(t) = self.cluster.next_event_time() {
+                t_next = t_next.min(t);
+            }
+            if let Some(t) = self.registry.next_submission_after(now) {
+                t_next = t_next.min(t);
+            }
+            if cfg.enforce_limits {
+                if let Some(t) = self.registry.next_limit_expiry() {
+                    t_next = t_next.min(t);
+                }
+            }
+            let t = t_next.max(now);
+
+            // 1. Advance the cluster and retire what finished; under
+            // `enforce_limits`, kill running jobs that hit `L_j`.
+            self.cluster.advance_to_into(t, &mut s.completions);
+            let mut finished_any = !s.completions.is_empty();
+            for c in s.completions.iter() {
+                self.finish(c.job, c.at, false, rec);
+            }
+            now = t;
+            if cfg.enforce_limits {
+                for (id, _) in self.registry.overrunning(now) {
+                    self.cluster
+                        .cancel_job(now, id)
+                        .expect("overrunning job is running");
+                    self.finish(id, now, true, rec);
+                    finished_any = true;
+                }
+            }
+            if finished_any {
+                sched_requested = true;
+                round_dirty = true;
+                // Freed window slots admit the next slice of the source.
+                if !self.exhausted {
+                    self.admit();
+                }
+            }
+
+            // 2. Monitoring sample.
+            if now >= self.daemon.next_sample_at() {
+                self.cluster.fs().snapshot_into(&mut s.snap);
+                s.per_job.clear();
+                s.per_job
+                    .extend(s.snap.per_tag_bps.iter().map(|&(tag, bps)| (tag.0, bps)));
+                self.daemon
+                    .sample(now, s.snap.total_bps, &s.per_job, self.cluster.busy_nodes());
+                rec.sample(now, &s.snap, &self.cluster);
+            }
+
+            // 3. Scheduling pass (periodic, or event-triggered subject to
+            // the minimum interval).
+            let min_ok =
+                last_sched.is_none_or(|ls| now.saturating_since(ls) >= cfg.sched_min_interval);
+            if !(now >= next_sched || (sched_requested && min_ok)) {
+                continue;
+            }
+            sched_requested = false;
+            last_sched = Some(now);
+            next_sched = now + cfg.sched_period;
+            self.registry.wait_queue_ids_limited_into(
+                now,
+                cfg.priority_policy,
+                cfg.max_queue_depth,
+                &mut s.queue_ids,
+            );
+            if s.queue_ids.is_empty() {
+                continue;
+            }
+            // Elided rounds count too: the counter must not depend on
+            // `elide_rounds`.
+            totals.sched_passes += 1;
+            self.registry.running_ids_into(&mut s.running_pairs);
+            // Line 2 of Algorithm 2: measured current load.
+            let measured = self.analytics.current_load_bps(&self.daemon, now);
+            self.book.measured_total_bps = measured;
+            let elide = cfg.elide_rounds
+                && !round_dirty
+                && now < prev_next_possible
+                && self
+                    .registry
+                    .next_submission_after(prev_round_at)
+                    .is_none_or(|s| s > now)
+                && self.registry.next_limit_expiry().is_none_or(|e| e > now)
+                && prev_invariant
+                && self
+                    .policy
+                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
+            if elide {
+                totals.rounds_elided += 1;
+                // Debug oracle: the previous executed round's outcome must
+                // still hold verbatim (in particular, nothing could start).
+                #[cfg(debug_assertions)]
+                {
+                    self.pass(&s.queue_ids, &s.running_pairs, now, &mut oracle_outcome);
+                    debug_assert!(
+                        oracle_outcome.start_now.is_empty(),
+                        "elided round at {now} would have started {:?}",
+                        oracle_outcome.start_now
+                    );
+                    debug_assert_eq!(
+                        oracle_outcome, s.prev_outcome,
+                        "elided round at {now} diverged from the previous outcome"
+                    );
+                }
+                continue;
+            }
+            let stats = self.pass(&s.queue_ids, &s.running_pairs, now, &mut s.outcome);
+            prev_round_at = now;
+            prev_next_possible = stats.next_possible_start;
+            prev_invariant =
+                self.policy
+                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
+            // Starts change the running set; the next round sees
+            // different inputs.
+            round_dirty = !s.outcome.start_now.is_empty();
+            for &id in &s.outcome.start_now {
+                self.cluster
+                    .start_job(now, id, &self.resident[&id].spec)
+                    .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
+                self.registry.mark_started(id, now);
+            }
+            std::mem::swap(&mut s.outcome, &mut s.prev_outcome);
+        }
+
+        assert!(self.resident.is_empty(), "resident table must drain");
+        rec.end(now, &self.cluster, &mut s.snap);
+        totals.makespan_secs = self.last_end.saturating_since(first_submit).as_secs_f64();
+        totals
+    }
+}
+
+/// Run `source` to completion under `cfg`, reporting to `rec`.
+/// `retention` bounds the monitoring store (`None` keeps every sample).
+///
+/// # Panics
+/// On a zero window, on out-of-order submissions, and when the loop
+/// fails to converge.
+pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
+    cfg: &ExperimentConfig,
+    source: JobSource<'_, I>,
+    retention: Option<(SimDuration, u64)>,
+    scratch: &mut RunScratch,
+    rec: &mut impl Recorder,
+) -> RunTotals {
+    assert!(source.window > 0, "admission window must be positive");
+    let rng = SimRng::from_seed(cfg.seed).fork(1);
+    let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), rng);
+    cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
+    let mut daemon = LdmsDaemon::new(cfg.sample_period);
+    if let Some((horizon, bucket_ms)) = retention {
+        daemon.set_retention(horizon, bucket_ms);
+    }
+    let mut analytics = AnalyticsService::new(cfg.analytics);
+    if let Some(workload) = source.pretrain_on {
+        for (name, r, d) in crate::pretrain::pretrain_isolated_with_bb(
+            &cfg.fs,
+            workload,
+            cfg.seed,
+            cfg.burst_buffer_per_node_bytes,
+        ) {
+            analytics.pretrain(&name, r, d);
+        }
+    }
+    Engine {
+        cfg,
+        source: source.jobs,
+        window: source.window,
+        exhausted: false,
+        admitted: 0,
+        last_submit: SimTime::ZERO,
+        first_submit: None,
+        last_end: SimTime::ZERO,
+        cluster,
+        daemon,
+        analytics,
+        policy: PolicyImpl::new(cfg.scheduler, cfg.qos_fraction),
+        registry: JobRegistry::new(),
+        resident: BTreeMap::new(),
+        jobs_by_sym: Vec::new(),
+        held: BTreeMap::new(),
+        book: EstimateBook::new(),
+    }
+    .run(scratch, rec)
+}

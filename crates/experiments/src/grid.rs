@@ -16,7 +16,7 @@
 use crate::driver::{ExperimentConfig, SchedulerKind};
 use iosched_cluster::ExecSpec;
 use iosched_simkit::time::SimDuration;
-use iosched_simkit::units::{gib, gibps};
+use iosched_simkit::units::{gib, gibps, to_gibps};
 use iosched_workloads::{
     workload_1, workload_2, JobSubmission, PaperParams, SwfOptions, SynthConfig, SynthTrace,
     WorkloadBuilder,
@@ -47,6 +47,40 @@ iosched_simkit::impl_json_enum!(PolicyFamily {
 });
 
 impl PolicyFamily {
+    /// Every family, in declaration order.
+    pub(crate) const ALL: [PolicyFamily; 5] = [
+        PolicyFamily::Default,
+        PolicyFamily::IoAware,
+        PolicyFamily::Adaptive,
+        PolicyFamily::AdaptiveNaive,
+        PolicyFamily::Packing,
+    ];
+
+    /// The family's name in specs and scheduler labels.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            PolicyFamily::Default => "default",
+            PolicyFamily::IoAware => "io-aware",
+            PolicyFamily::Adaptive => "adaptive",
+            PolicyFamily::AdaptiveNaive => "adaptive-naive",
+            PolicyFamily::Packing => "packing",
+        }
+    }
+
+    /// The family named `name` (the inverse of [`Self::name`]).
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|f| f.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::ALL.iter().map(|f| f.name()).collect();
+                format!(
+                    "unknown scheduler `{name}`: expected one of {}",
+                    names.join(", ")
+                )
+            })
+    }
+
     /// Whether this family consumes the threshold axis.
     pub fn takes_threshold(&self) -> bool {
         !matches!(self, PolicyFamily::Default)
@@ -67,6 +101,53 @@ impl PolicyFamily {
                 two_group: false,
             },
             PolicyFamily::Packing => SchedulerKind::Packing { limit_bps },
+        }
+    }
+}
+
+impl SchedulerKind {
+    /// The policy family and, unless it is `Default`, the limit (bytes/s).
+    fn family(&self) -> (PolicyFamily, Option<f64>) {
+        use PolicyFamily as F;
+        use SchedulerKind as K;
+        match *self {
+            K::DefaultBackfill => (F::Default, None),
+            K::IoAware { limit_bps: l } => (F::IoAware, Some(l)),
+            K::Adaptive {
+                limit_bps: l,
+                two_group: true,
+            } => (F::Adaptive, Some(l)),
+            K::Adaptive {
+                limit_bps: l,
+                two_group: false,
+            } => (F::AdaptiveNaive, Some(l)),
+            K::Packing { limit_bps: l } => (F::Packing, Some(l)),
+        }
+    }
+
+    /// Short human-readable label used in figure outputs: the family name,
+    /// then the limit in whole GiB/s (`io-aware-15`, `adaptive-naive-20`).
+    pub fn label(&self) -> String {
+        match self.family() {
+            (family, None) => family.name().to_string(),
+            (family, Some(l)) => format!("{}-{:.0}", family.name(), to_gibps(l)),
+        }
+    }
+
+    /// The inverse of [`Self::label`].
+    pub fn from_label(label: &str) -> Result<Self, String> {
+        if label == PolicyFamily::Default.name() {
+            return Ok(SchedulerKind::DefaultBackfill);
+        }
+        let (name, gib) = label.rsplit_once('-').unwrap_or((label, ""));
+        match (PolicyFamily::from_name(name), gib.parse::<f64>()) {
+            (Ok(family), Ok(gib)) if family.takes_threshold() && gib > 0.0 && gib.is_finite() => {
+                Ok(family.scheduler(gib))
+            }
+            _ => Err(format!(
+                "unknown scheduler `{label}`: expected `default` or `<family>-<GiB/s>` \
+                 with family one of io-aware, adaptive, adaptive-naive, packing"
+            )),
         }
     }
 }
@@ -385,6 +466,53 @@ impl CampaignGrid {
 mod tests {
     use super::*;
     use iosched_simkit::json::{from_str, ToJson};
+
+    #[test]
+    fn labels() {
+        assert_eq!(SchedulerKind::DefaultBackfill.label(), "default");
+        assert_eq!(
+            SchedulerKind::IoAware {
+                limit_bps: gibps(15.0)
+            }
+            .label(),
+            "io-aware-15"
+        );
+        assert_eq!(
+            SchedulerKind::Adaptive {
+                limit_bps: gibps(20.0),
+                two_group: false
+            }
+            .label(),
+            "adaptive-naive-20"
+        );
+    }
+
+    #[test]
+    fn labels_parse_back_to_their_scheduler() {
+        for family in PolicyFamily::ALL {
+            assert_eq!(PolicyFamily::from_name(family.name()), Ok(family));
+            for limit in [15.0, 20.0] {
+                let kind = family.scheduler(limit);
+                assert_eq!(SchedulerKind::from_label(&kind.label()), Ok(kind));
+            }
+        }
+        let err = PolicyFamily::from_name("magic").unwrap_err();
+        assert!(err.contains("default, io-aware, adaptive, adaptive-naive, packing"));
+        for bad in [
+            "io20",
+            "ad15",
+            "io-aware",
+            "default-15",
+            "io-aware-x",
+            "adaptive-0",
+        ] {
+            let err = SchedulerKind::from_label(bad).unwrap_err();
+            assert!(
+                err.contains("io-aware, adaptive, adaptive-naive, packing"),
+                "{bad}: {err}"
+            );
+        }
+    }
 
     fn sample() -> CampaignGrid {
         CampaignGrid::new(

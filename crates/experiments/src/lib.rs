@@ -3,9 +3,10 @@
 //! This crate is the counterpart of the paper's evaluation setup: it wires
 //! the Slurm-like scheduler (with a chosen policy), the cluster/Lustre
 //! simulator, the LDMS-like monitoring daemon and the analytical services
-//! into one event loop ([`driver`]), runs the paper's workloads under each
-//! scheduler configuration, and regenerates every figure of the paper's
-//! evaluation section:
+//! into one event loop (the private `engine`, entered through
+//! [`driver::run_experiment`] and [`streaming::run_streaming`]), runs the
+//! paper's workloads under each scheduler configuration, and regenerates
+//! every figure of the paper's evaluation section:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -20,6 +21,7 @@
 pub mod campaign;
 pub mod config;
 pub mod driver;
+mod engine;
 pub mod figures;
 pub mod grid;
 pub mod metrics;

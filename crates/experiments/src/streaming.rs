@@ -1,34 +1,19 @@
-//! Streaming SWF replay: the scale-sweep event loop.
+//! Streaming SWF replay: the scale-sweep entry point.
 //!
-//! [`run_streaming`] drives the same cluster/monitoring/scheduler stack
-//! as [`crate::driver::run_experiment`], but consumes its workload from
-//! an **iterator** under a bounded admission window instead of
-//! materialising the whole trace up front. At most `window` jobs are
-//! resident (pending + running) at any instant; a job's bookkeeping —
-//! registry entry, job-table row, estimate-book entry, similarity-list
-//! slot — is created when the job is admitted and torn down when it
-//! completes. Peak memory is therefore bounded by the window (plus the
-//! monitoring store, which is bounded separately via sample retention),
-//! no matter whether the trace holds one thousand jobs or one million.
-//!
-//! Semantics: with `window ≥` the trace length the replay is the exact
-//! event loop of `run_experiment` (pretraining off, traces not recorded)
-//! — the test suite pins this. With a smaller window the scheduler sees a
-//! bounded lookahead of the submission stream, which is how a real
-//! scheduler's queue works anyway: jobs beyond the window simply have not
-//! been submitted yet.
+//! [`run_streaming`] runs the crate's only event loop, the one
+//! [`crate::driver::run_experiment`] runs, over an **iterator** admitted
+//! under a bounded window, keeping O(1) aggregates instead of records and
+//! traces. At most `window` jobs are resident (pending + running) at any
+//! instant, so peak memory is bounded by the window (plus the monitoring
+//! store, bounded by sample retention) however long the trace is. The
+//! scheduler then sees a bounded lookahead of the submission stream, as a
+//! real queue does: jobs beyond the window have not been submitted yet.
 
-use crate::driver::{ExperimentConfig, PolicyImpl};
-use iosched_analytics::service::AnalyticsService;
-use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion};
-use iosched_core::EstimateBook;
-use iosched_ldms::LdmsDaemon;
-use iosched_simkit::ids::JobId;
-use iosched_simkit::rng::SimRng;
+use crate::driver::{ExperimentConfig, RunScratch};
+use crate::engine::{self, JobSource, Recorder};
 use iosched_simkit::time::{SimDuration, SimTime};
-use iosched_slurm::{BackfillConfig, JobRegistry, RunningView, SchedJob, SchedulingOutcome};
+use iosched_slurm::SchedJob;
 use iosched_workloads::JobSubmission;
-use std::collections::BTreeMap;
 
 /// Streaming-replay knobs on top of an [`ExperimentConfig`].
 #[derive(Clone, Debug)]
@@ -83,12 +68,6 @@ pub struct StreamingResult {
     pub peak_resident_jobs: usize,
 }
 
-/// One resident job's bookkeeping: scheduling metadata + execution spec.
-struct Resident {
-    meta: SchedJob,
-    spec: ExecSpec,
-}
-
 /// Replay `submissions` (non-decreasing submit times, no dependencies)
 /// under `cfg`, admitting at most `opts.window` jobs at a time.
 ///
@@ -101,362 +80,47 @@ pub fn run_streaming(
     submissions: impl IntoIterator<Item = JobSubmission>,
     opts: &StreamingOptions,
 ) -> StreamingResult {
-    assert!(opts.window > 0, "admission window must be positive");
     assert!(
         !cfg.pretrained,
         "streaming replay cannot pretrain: pretraining scans the whole trace"
     );
-    let mut source = submissions.into_iter();
-
-    let master = SimRng::from_seed(cfg.seed);
-    let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), master.fork(1));
-    cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
-    let mut daemon = LdmsDaemon::new(cfg.sample_period);
-    if let Some((horizon, bucket_ms)) = opts.retention {
-        daemon.set_retention(horizon, bucket_ms);
-    }
-    let mut analytics = AnalyticsService::new(cfg.analytics);
-    let mut policy = PolicyImpl::new(cfg.scheduler, cfg.qos_fraction);
-    let bf = BackfillConfig {
-        max_reservations: cfg.backfill_max,
-        prune_fits_now: true,
-        monotone_cursor: true,
-    };
-
-    let mut registry = JobRegistry::new();
-    let mut resident: BTreeMap<JobId, Resident> = BTreeMap::new();
-    // Per-name lists of *resident* jobs, so a completion can refresh the
-    // estimates of the similar jobs still alive. Entries are evicted when
-    // jobs retire, keeping each list O(window). The name universe itself
-    // is assumed bounded (SWF traces intern to `swf_p{procs}` classes).
-    let mut jobs_by_sym: Vec<Vec<JobId>> = Vec::new();
-    let mut book = EstimateBook::new();
-
+    // A dependency on a job that already retired would dangle forever.
+    let jobs = submissions.into_iter().inspect(|sub| {
+        assert!(
+            sub.after.is_empty(),
+            "streaming replay does not support dependencies ({})",
+            sub.id
+        );
+    });
     let mut result = StreamingResult {
         label: cfg.scheduler.label(),
         ..StreamingResult::default()
     };
-
-    let mut admitted: u64 = 0;
-    let mut last_submit = SimTime::ZERO;
-    let mut first_submit: Option<SimTime> = None;
-    let mut last_end = SimTime::ZERO;
-    let mut wait_sum_secs = 0.0f64;
-
-    // Admission: pull from the source while the window has room. Called
-    // at start-up and after every retirement. Returns `true` once the
-    // source is known to be exhausted.
-    let mut admit = |registry: &mut JobRegistry,
-                     resident: &mut BTreeMap<JobId, Resident>,
-                     jobs_by_sym: &mut Vec<Vec<JobId>>,
-                     book: &mut EstimateBook,
-                     analytics: &mut AnalyticsService,
-                     admitted: &mut u64,
-                     last_submit: &mut SimTime,
-                     first_submit: &mut Option<SimTime>|
-     -> bool {
-        while resident.len() < opts.window {
-            let Some(sub) = source.next() else {
-                return true;
-            };
-            assert!(
-                sub.after.is_empty(),
-                "streaming replay does not support dependencies ({})",
-                sub.id
-            );
-            assert!(
-                sub.submit >= *last_submit,
-                "submissions must arrive in submit order ({})",
-                sub.id
-            );
-            *last_submit = sub.submit;
-            first_submit.get_or_insert(sub.submit);
-            let sym = analytics.intern(&sub.name);
-            let meta = SchedJob::new(sub.id, sub.name, sub.exec.nodes, sub.limit, sub.submit)
-                .with_priority(sub.priority)
-                .with_name_sym(sym);
-            registry.submit(meta.clone());
-            if jobs_by_sym.len() <= sym.0 as usize {
-                jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
-            }
-            jobs_by_sym[sym.0 as usize].push(sub.id);
-            book.insert(sub.id, analytics.job_estimate_sym(sym, meta.limit));
-            resident.insert(
-                sub.id,
-                Resident {
-                    meta,
-                    spec: sub.exec,
-                },
-            );
-            *admitted += 1;
-        }
-        false
+    let source = JobSource {
+        jobs,
+        window: opts.window,
+        pretrain_on: None,
     };
-
-    let mut exhausted = admit(
-        &mut registry,
-        &mut resident,
-        &mut jobs_by_sym,
-        &mut book,
-        &mut analytics,
-        &mut admitted,
-        &mut last_submit,
-        &mut first_submit,
-    );
-    if registry.is_empty() {
-        return result; // empty trace
-    }
-
-    let mut next_sched = first_submit.expect("at least one job admitted");
-    let mut last_sched: Option<SimTime> = None;
-    let mut sched_requested = true;
-    let mut now = SimTime::ZERO;
-
-    // Round-elision state — same protocol as `run_experiment_with_scratch`
-    // (see `ExperimentConfig::elide_rounds`). Admissions only happen at
-    // start-up and after retirements, and retirements dirty the round, so
-    // the `next_submission_after` guard still sees every queue change.
-    let mut round_dirty = true;
-    let mut prev_round_at = SimTime::ZERO;
-    let mut prev_next_possible = SimTime::ZERO;
-    let mut prev_invariant = false;
-
-    let mut completions: Vec<JobCompletion> = Vec::new();
-    let mut snap = iosched_lustre::FsSnapshot::default();
-    let mut per_job: Vec<(u64, f64)> = Vec::new();
-    let mut queue_ids: Vec<JobId> = Vec::new();
-    let mut running_pairs: Vec<(JobId, SimTime)> = Vec::new();
-    let mut outcome = SchedulingOutcome::default();
-    let mut prev_outcome = SchedulingOutcome::default();
-    #[cfg(debug_assertions)]
-    let mut oracle_outcome = SchedulingOutcome::default();
-
-    let mut guard: u64 = 0;
-    while !registry.is_empty() || !exhausted {
-        guard += 1;
-        assert!(
-            guard < 50_000_000 + 500 * admitted,
-            "event loop failed to converge (time {now})"
-        );
-        result.peak_resident_jobs = result.peak_resident_jobs.max(resident.len());
-
-        // Next event: cluster activity, sampling tick, scheduling tick,
-        // or a future (already admitted) submission.
-        let mut t_next = next_sched;
-        if let Some(t) = cluster.next_event_time() {
-            t_next = t_next.min(t);
-        }
-        t_next = t_next.min(daemon.next_sample_at());
-        if let Some(t) = registry.next_submission_after(now) {
-            t_next = t_next.min(t);
-        }
-        if cfg.enforce_limits {
-            if let Some(t) = registry.next_limit_expiry() {
-                t_next = t_next.min(t);
-            }
-        }
-        let t = t_next.max(now);
-
-        // 1. Advance the cluster; harvest and immediately retire
-        // completions — a finished job's bookkeeping frees its window
-        // slot before the next admission check.
-        cluster.advance_to_into(t, &mut completions);
-        let mut retired_any = false;
-        for c in completions.iter() {
-            registry.mark_completed(c.job, c.at);
-            let entry = resident.remove(&c.job).expect("completed job is resident");
-            let sym = entry.meta.name_sym;
-            let (started, ended) = match registry.state(c.job) {
-                Some(iosched_slurm::JobState::Completed { started, ended }) => (started, ended),
-                _ => unreachable!("just marked completed"),
-            };
-            analytics.on_job_complete_sym(&daemon, c.job.0, sym, started, ended);
-            book.remove(c.job);
-            registry.retire(c.job);
-            retired_any = true;
-            result.jobs_completed += 1;
-            last_end = last_end.max(ended);
-            let wait = started.saturating_since(entry.meta.submit).as_secs_f64();
-            wait_sum_secs += wait;
-            result.max_wait_secs = result.max_wait_secs.max(wait);
-            // Refresh the estimates of the similar jobs still resident,
-            // evicting the retired ones from the list as we go.
-            let list = &mut jobs_by_sym[sym.0 as usize];
-            list.retain(|&jid| {
-                let Some(e) = resident.get(&jid) else {
-                    return false;
-                };
-                book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
-                true
-            });
-            sched_requested = true;
-            round_dirty = true;
-        }
-        now = t;
-
-        // 1b. Limit enforcement: kill running jobs that hit `L_j`.
-        if cfg.enforce_limits {
-            for (id, _) in registry.overrunning(now) {
-                cluster
-                    .cancel_job(now, id)
-                    .expect("overrunning job is running");
-                registry.mark_timed_out(id, now);
-                let entry = resident.remove(&id).expect("killed job is resident");
-                let started = match registry.state(id) {
-                    Some(iosched_slurm::JobState::TimedOut { started, .. }) => started,
-                    _ => unreachable!("just marked timed out"),
-                };
-                book.remove(id);
-                registry.retire(id);
-                retired_any = true;
-                result.jobs_completed += 1;
-                last_end = last_end.max(now);
-                let wait = started.saturating_since(entry.meta.submit).as_secs_f64();
-                wait_sum_secs += wait;
-                result.max_wait_secs = result.max_wait_secs.max(wait);
-                sched_requested = true;
-                round_dirty = true;
-            }
-        }
-
-        // 1c. Freed window slots admit the next slice of the trace.
-        if retired_any && !exhausted {
-            exhausted = admit(
-                &mut registry,
-                &mut resident,
-                &mut jobs_by_sym,
-                &mut book,
-                &mut analytics,
-                &mut admitted,
-                &mut last_submit,
-                &mut first_submit,
-            );
-        }
-
-        // 2. Monitoring sample (feeds the load measurement; traces are
-        // not recorded — a million-job replay cannot afford them).
-        if now >= daemon.next_sample_at() {
-            cluster.fs().snapshot_into(&mut snap);
-            per_job.clear();
-            per_job.extend(snap.per_tag_bps.iter().map(|&(tag, bps)| (tag.0, bps)));
-            daemon.sample(now, snap.total_bps, &per_job, cluster.busy_nodes());
-        }
-
-        // 3. Scheduling pass (periodic, or event-triggered subject to the
-        // minimum interval).
-        let min_ok = last_sched.is_none_or(|ls| now.saturating_since(ls) >= cfg.sched_min_interval);
-        if now >= next_sched || (sched_requested && min_ok) {
-            sched_requested = false;
-            last_sched = Some(now);
-            next_sched = now + cfg.sched_period;
-
-            registry.wait_queue_ids_limited_into(
-                now,
-                cfg.priority_policy,
-                cfg.max_queue_depth,
-                &mut queue_ids,
-            );
-            if !queue_ids.is_empty() {
-                result.sched_passes += 1;
-                registry.running_ids_into(&mut running_pairs);
-                let measured = analytics.current_load_bps(&daemon, now);
-
-                let elide = cfg.elide_rounds
-                    && !round_dirty
-                    && now < prev_next_possible
-                    && registry
-                        .next_submission_after(prev_round_at)
-                        .is_none_or(|s| s > now)
-                    && registry.next_limit_expiry().is_none_or(|e| e > now)
-                    && prev_invariant
-                    && policy.round_is_time_invariant(&book, &running_pairs, measured);
-
-                if elide {
-                    result.rounds_elided += 1;
-                    // Debug oracle: replay the full queue walk and insist
-                    // the previous executed round's outcome still holds.
-                    #[cfg(debug_assertions)]
-                    {
-                        let queue_refs: Vec<&SchedJob> =
-                            queue_ids.iter().map(|&id| &resident[&id].meta).collect();
-                        let running_views: Vec<RunningView<'_>> = running_pairs
-                            .iter()
-                            .map(|&(id, started)| RunningView {
-                                job: &resident[&id].meta,
-                                started,
-                            })
-                            .collect();
-                        book.measured_total_bps = measured;
-                        policy.run_pass(
-                            &mut book,
-                            &running_views,
-                            &queue_refs,
-                            now,
-                            cfg.nodes,
-                            &bf,
-                            &mut oracle_outcome,
-                        );
-                        debug_assert!(
-                            oracle_outcome.start_now.is_empty(),
-                            "elided round at {now} would have started {:?}",
-                            oracle_outcome.start_now
-                        );
-                        debug_assert_eq!(
-                            oracle_outcome, prev_outcome,
-                            "elided round at {now} diverged from the previous outcome"
-                        );
-                    }
-                } else {
-                    // Reference vectors are pass-local: they borrow the
-                    // resident table, which retirement mutates between
-                    // passes. Their size is bounded by the window.
-                    let queue_refs: Vec<&SchedJob> =
-                        queue_ids.iter().map(|&id| &resident[&id].meta).collect();
-                    let running_views: Vec<RunningView<'_>> = running_pairs
-                        .iter()
-                        .map(|&(id, started)| RunningView {
-                            job: &resident[&id].meta,
-                            started,
-                        })
-                        .collect();
-                    book.measured_total_bps = measured;
-                    let stats = policy.run_pass(
-                        &mut book,
-                        &running_views,
-                        &queue_refs,
-                        now,
-                        cfg.nodes,
-                        &bf,
-                        &mut outcome,
-                    );
-                    prev_round_at = now;
-                    prev_next_possible = stats.next_possible_start;
-                    prev_invariant =
-                        policy.round_is_time_invariant(&book, &running_pairs, measured);
-                    round_dirty = false;
-                    for &id in &outcome.start_now {
-                        let spec = &resident[&id].spec;
-                        cluster
-                            .start_job(now, id, spec)
-                            .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
-                        registry.mark_started(id, now);
-                    }
-                    if !outcome.start_now.is_empty() {
-                        round_dirty = true;
-                    }
-                    std::mem::swap(&mut outcome, &mut prev_outcome);
-                }
-            }
-        }
-    }
-
-    assert!(resident.is_empty(), "resident table must drain");
-    result.loop_iterations = guard;
-    result.makespan_secs = last_end
-        .saturating_since(first_submit.expect("non-empty trace"))
-        .as_secs_f64();
-    result.mean_wait_secs = wait_sum_secs / (result.jobs_completed.max(1)) as f64;
+    let mut scratch = RunScratch::default();
+    let totals = engine::run(cfg, source, opts.retention, &mut scratch, &mut result);
+    result.makespan_secs = totals.makespan_secs;
+    result.sched_passes = totals.sched_passes;
+    result.rounds_elided = totals.rounds_elided;
+    result.loop_iterations = totals.loop_iterations;
+    result.peak_resident_jobs = totals.peak_resident_jobs;
+    result.mean_wait_secs /= result.jobs_completed.max(1) as f64;
     result
+}
+
+/// The aggregate recorder. `mean_wait_secs` holds the sum of waits until
+/// [`run_streaming`] divides it at the end.
+impl Recorder for StreamingResult {
+    fn finish(&mut self, job: SchedJob, started: SimTime, _ended: SimTime, _timed_out: bool) {
+        self.jobs_completed += 1;
+        let wait = started.saturating_since(job.submit).as_secs_f64();
+        self.mean_wait_secs += wait;
+        self.max_wait_secs = self.max_wait_secs.max(wait);
+    }
 }
 
 #[cfg(test)]
@@ -495,20 +159,37 @@ mod tests {
     }
 
     /// With a window covering the whole trace and no sample retention,
-    /// the streaming loop is the batch loop: identical makespan, pass
-    /// count and iteration count.
+    /// the two recorders see the same run: identical makespan, pass count
+    /// and iteration count, and aggregates equal to the batch records —
+    /// with and without limit kills.
     #[test]
     fn full_window_matches_run_experiment() {
-        for kind in [
-            SchedulerKind::DefaultBackfill,
-            SchedulerKind::Adaptive {
-                limit_bps: gibps(15.0),
-                two_group: true,
-            },
+        let io_aware = SchedulerKind::IoAware {
+            limit_bps: gibps(1.0),
+        };
+        let adaptive = SchedulerKind::Adaptive {
+            limit_bps: gibps(15.0),
+            two_group: true,
+        };
+        for (kind, enforce_limits) in [
+            (SchedulerKind::DefaultBackfill, false),
+            (adaptive, false),
+            (io_aware, false),
+            (SchedulerKind::DefaultBackfill, true),
+            (io_aware, true),
         ] {
-            let cfg = quick_cfg(kind);
-            let workload = synth_workload(80, 3);
+            let mut cfg = quick_cfg(kind);
+            let mut workload = synth_workload(80, 3);
+            if enforce_limits {
+                // Every fourth job asks for far less than it runs.
+                cfg.enforce_limits = true;
+                for sub in workload.iter_mut().step_by(4) {
+                    sub.limit = SimDuration::from_secs(30);
+                }
+            }
             let batch = run_experiment(&cfg, &workload);
+            let killed = batch.jobs.iter().filter(|j| j.timed_out).count();
+            assert_eq!(killed > 0, enforce_limits, "{kind:?}: {killed} killed");
             let opts = StreamingOptions {
                 window: workload.len(),
                 retention: None,
@@ -516,15 +197,21 @@ mod tests {
             let streamed = run_streaming(&cfg, workload.iter().cloned(), &opts);
             assert_eq!(streamed.jobs_completed as usize, batch.jobs.len());
             assert_eq!(streamed.makespan_secs, batch.makespan_secs, "{kind:?}");
-            assert_eq!(streamed.sched_passes, batch.sched_passes);
-            assert_eq!(streamed.rounds_elided, batch.rounds_elided);
-            assert_eq!(streamed.loop_iterations, batch.loop_iterations);
-            let batch_max_wait = batch
-                .jobs
-                .iter()
-                .map(|j| j.wait().as_secs_f64())
-                .fold(0.0f64, f64::max);
-            assert_eq!(streamed.max_wait_secs, batch_max_wait);
+            assert_eq!(streamed.sched_passes, batch.sched_passes, "{kind:?}");
+            assert_eq!(streamed.rounds_elided, batch.rounds_elided, "{kind:?}");
+            assert_eq!(streamed.loop_iterations, batch.loop_iterations, "{kind:?}");
+            let waits: Vec<f64> = batch.jobs.iter().map(|j| j.wait().as_secs_f64()).collect();
+            let batch_max_wait = waits.iter().copied().fold(0.0f64, f64::max);
+            assert_eq!(streamed.max_wait_secs, batch_max_wait, "{kind:?}");
+            // Summed in finish order rather than id order: equal up to
+            // float reassociation.
+            let batch_mean_wait = waits.iter().sum::<f64>() / waits.len() as f64;
+            assert!(
+                (streamed.mean_wait_secs - batch_mean_wait).abs() <= 1e-9 * batch_mean_wait,
+                "{kind:?}: {} vs {batch_mean_wait}",
+                streamed.mean_wait_secs
+            );
+            assert!(batch_mean_wait > 0.0, "{kind:?}: the workload must queue");
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The registry owns every submitted job's metadata and state, provides
 //! the priority-ordered wait queue and running views the backfill pass
-//! consumes, and records the timing fields the evaluation needs
-//! (`s_j`, `b_j`, `c_j` → wait time `Q_j`, runtime `D_j`, makespan).
+//! consumes, and records each job's submit, start and end times (`s_j`,
+//! `b_j`, `c_j`) in its state until the job is retired.
 
 use crate::policy::{RunningView, SchedJob};
 use iosched_simkit::ids::JobId;
@@ -441,11 +441,12 @@ impl JobRegistry {
 
     /// Remove a finished job's entry entirely, returning its final state.
     ///
-    /// Streaming replay evicts jobs as they finish so the table stays
+    /// Event-driven drivers evict jobs as they finish so the table stays
     /// bounded by the admission window instead of growing with the trace.
     /// Only `Completed`/`TimedOut` jobs may be retired — a retired id is
     /// gone without a trace, so a dependency on it would dangle forever
-    /// (streaming drivers must reject workloads with dependencies).
+    /// (drivers must keep a job until no unfinished job names it in
+    /// `after`).
     ///
     /// # Panics
     /// Panics if the job is unknown or not finished.
@@ -462,43 +463,6 @@ impl JobRegistry {
         let e = self.jobs.remove(&id).expect("checked above");
         self.finished -= 1;
         e.state
-    }
-
-    /// Completion time of the last job — the workload *makespan* — if all
-    /// jobs are done.
-    pub fn makespan(&self) -> Option<SimDuration> {
-        if self.jobs.is_empty() || !self.all_completed() {
-            return None;
-        }
-        let first_submit = self.jobs.values().map(|e| e.meta.submit).min().unwrap();
-        let last_end = self
-            .jobs
-            .values()
-            .map(|e| match e.state {
-                JobState::Completed { ended, .. } | JobState::TimedOut { ended, .. } => ended,
-                _ => unreachable!(),
-            })
-            .max()
-            .unwrap();
-        Some(last_end.saturating_since(first_submit))
-    }
-
-    /// Per-job (wait time `Q_j`, runtime `D_j`) for finished jobs
-    /// (completed or timed out).
-    pub fn timings(&self) -> Vec<(JobId, SimDuration, SimDuration)> {
-        self.jobs
-            .iter()
-            .filter_map(|(&id, e)| match e.state {
-                JobState::Completed { started, ended } | JobState::TimedOut { started, ended } => {
-                    Some((
-                        id,
-                        started.saturating_since(e.meta.submit),
-                        ended.saturating_since(started),
-                    ))
-                }
-                _ => None,
-            })
-            .collect()
     }
 
     /// Running jobs whose limit expires at or before `t`, with their
@@ -549,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_and_timings() {
+    fn lifecycle_records_start_and_end_times() {
         let mut reg = JobRegistry::new();
         reg.submit(job(1, 0));
         reg.submit(job(2, 10));
@@ -562,25 +526,19 @@ mod tests {
         assert!(!reg.all_completed());
         reg.mark_completed(JobId(2), SimTime::from_secs(80));
         assert!(reg.all_completed());
-        assert_eq!(reg.makespan(), Some(SimDuration::from_secs(80)));
-
-        let mut t = reg.timings();
-        t.sort_by_key(|&(id, _, _)| id);
         assert_eq!(
-            t[0],
-            (
-                JobId(1),
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(60)
-            )
+            reg.state(JobId(1)),
+            Some(JobState::Completed {
+                started: SimTime::from_secs(5),
+                ended: SimTime::from_secs(65)
+            })
         );
         assert_eq!(
-            t[1],
-            (
-                JobId(2),
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(60)
-            )
+            reg.state(JobId(2)),
+            Some(JobState::Completed {
+                started: SimTime::from_secs(20),
+                ended: SimTime::from_secs(80)
+            })
         );
     }
 
@@ -720,14 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn makespan_requires_completion() {
-        let mut reg = JobRegistry::new();
-        assert_eq!(reg.makespan(), None);
-        reg.submit(job(1, 0));
-        assert_eq!(reg.makespan(), None);
-    }
-
-    #[test]
     fn dependencies_gate_queue_eligibility() {
         let mut reg = JobRegistry::new();
         reg.submit(job(1, 0));
@@ -772,8 +722,13 @@ mod tests {
         );
         reg.mark_timed_out(JobId(1), SimTime::from_secs(110));
         assert!(reg.all_completed());
-        assert_eq!(reg.makespan(), Some(SimDuration::from_secs(110)));
-        assert_eq!(reg.timings().len(), 1);
+        assert_eq!(
+            reg.state(JobId(1)),
+            Some(JobState::TimedOut {
+                started: SimTime::from_secs(10),
+                ended: SimTime::from_secs(110)
+            })
+        );
         assert_eq!(reg.next_limit_expiry(), None);
     }
 
@@ -798,7 +753,6 @@ mod tests {
         // Fully drained: empty registry counts as all-completed.
         assert!(reg.is_empty());
         assert!(reg.all_completed());
-        assert_eq!(reg.timings().len(), 0);
     }
 
     #[test]

@@ -115,6 +115,11 @@ cargo build --workspace --release --offline
 step "tests (offline)"
 cargo test -q --workspace --offline
 
+step "scheduler property suites in release (no overflow checks, no debug oracles)"
+# The profile and policy properties compare against their test-code
+# models under cfg(test), so they also check the release arithmetic.
+cargo test --release -q --offline -p iosched-slurm -p iosched-core
+
 step "perfbench smoke test: the traced mirror reproduces the engine's fingerprints"
 # perfbench is a package of its own (outside the workspace), so the
 # workspace tests never reach it. Its smoke test runs every benchmark
@@ -161,12 +166,13 @@ bench_diff --gate 2.0 --counters-only \
     "$BASELINE_DIR/BENCH_scale_smoke.json" results/bench/BENCH_scale.json
 
 step "bench gate: sched smoke sweep/prune/elision/tree counters match the committed baseline"
-# The deep-queue round bench's counters (sweep steps per round, pruned
-# fixpoints, driver rounds elided, segment-tree descents and updates)
-# are deterministic; drift means the profile sweeps, the query index,
-# dominance pruning, or round elision changed behavior. In particular
-# tree_descents/* growing toward sweep_steps/* means the index stopped
-# skipping breakpoints even though results stay correct.
+# The deep-queue round bench's counters are deterministic; drift means
+# the profile index, dominance pruning, or round elision changed
+# behavior. Each policy runs one round at the default config.
+# sweep_steps/* counts the linear sweeps that serve dormant or stale
+# profiles (zero in these rounds, so any fallback fails the gate), and
+# tree_descents/* growing means the index stopped skipping breakpoints
+# even though results stay correct.
 # Refresh with 'cargo bench -p iosched-bench --bench sched -- --smoke'
 # + cp to BENCH_sched_smoke.json when intended.
 bench_diff --gate 2.0 --counters-only \
@@ -195,8 +201,8 @@ if [[ $FULL_SCALE -eq 1 ]]; then
     bench_diff --gate 2.0 "$BASELINE_DIR/BENCH_scale.json" results/bench/BENCH_scale.json
 
     step "bench gate (--full-scale): deep-queue rounds within 2x of baseline"
-    # Full sched suite adds the 50k-deep rounds and calibrated timings
-    # for the optimized-vs-batchonly pairs. Refresh the baseline with
+    # Full sched suite adds the 50k-deep rounds, the breakpoint x depth
+    # grid and calibrated timings. Refresh the baseline with
     # 'cargo bench -p iosched-bench --bench sched'.
     cargo bench --offline -p iosched-bench --bench sched
     bench_diff --gate 2.0 "$BASELINE_DIR/BENCH_sched.json" results/bench/BENCH_sched.json

@@ -104,19 +104,19 @@ fn main() {
     let mut suite = BenchSuite::from_args("micro");
 
     suite.bench("resource_profile/reserve_1000", || {
-        let mut p = ResourceProfile::new(100.0);
+        let mut p = ResourceProfile::new(100);
         for i in 0..1000u64 {
-            p.reserve(1.0, SimTime::from_secs(i), SimTime::from_secs(i + 50));
+            p.reserve(1, SimTime::from_secs(i), SimTime::from_secs(i + 50));
         }
         black_box(p.usage_at(SimTime::from_secs(500)));
     });
 
-    let mut p = ResourceProfile::new(100.0);
+    let mut p = ResourceProfile::new(100);
     for i in 0..1000u64 {
-        p.reserve(1.0, SimTime::from_secs(i), SimTime::from_secs(i + 50));
+        p.reserve(1, SimTime::from_secs(i), SimTime::from_secs(i + 50));
     }
     suite.bench("resource_profile/earliest_fit_among_1000", || {
-        black_box(p.earliest_fit(SimTime::ZERO, SimDuration::from_secs(100), 60.0));
+        black_box(p.earliest_fit(SimTime::ZERO, SimDuration::from_secs(100), 60));
     });
 
     // 120 streams over 56 OSTs + node/fabric constraints — the workload's

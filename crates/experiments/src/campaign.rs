@@ -545,4 +545,36 @@ mod tests {
             _ => panic!("medians not an array"),
         }
     }
+
+    #[test]
+    fn serve_reports_an_out_of_range_threshold_and_runs_the_next_grid() {
+        let mut bad = tiny_grid();
+        bad.thresholds_gibps = vec![1e300];
+        let grid = tiny_grid();
+        let input = format!(
+            "{}\n{}\n",
+            bad.to_json().to_json_string(),
+            grid.to_json().to_json_string()
+        );
+        let mut out = Vec::new();
+        serve_campaigns(
+            Cursor::new(input),
+            &mut out,
+            CampaignOptions { threads: Some(2) },
+            None,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + grid.task_count() + 1, "{text}");
+        assert!(
+            lines[0].contains(r#""kind":"error""#) && lines[0].contains("thresholds_gibps"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1..=grid.task_count()]
+            .iter()
+            .all(|l| l.contains(r#""kind":"record""#)));
+        assert!(lines[grid.task_count() + 1].contains(r#""kind":"done""#));
+    }
 }

@@ -32,6 +32,7 @@
 
 use crate::driver::ExperimentConfig;
 use crate::grid::PolicyFamily;
+use iosched_core::check_limit_bps;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::{gib, gibps};
@@ -110,6 +111,7 @@ pub fn parse_run_spec(text: &str) -> Result<RunSpec, String> {
         .map(|v| parse_f64(&v, "limit_gibps"))
         .transpose()?
         .unwrap_or(20.0);
+    check_limit_bps(gibps(limit_gibps)).map_err(|e| format!("limit_gibps = {limit_gibps}: {e}"))?;
     let scheduler =
         PolicyFamily::from_name(take(&mut exp, "scheduler").as_deref().unwrap_or("default"))?
             .scheduler(limit_gibps);
@@ -352,6 +354,17 @@ mod tests {
         assert_eq!(spec.workload.len(), again.workload.len());
         // `jobs` is rejected outside the synth kind.
         assert!(parse_run_spec("[workload]\nkind = workload1\njobs = 5\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_limits_fail_with_a_named_error() {
+        for bad in ["0", "-3", "nan", "inf", "1e300"] {
+            match parse_run_spec(&format!("[experiment]\nlimit_gibps = {bad}\n")) {
+                Err(e) => assert!(e.starts_with("limit_gibps = "), "{bad}: {e}"),
+                Ok(_) => panic!("limit_gibps = {bad} was accepted"),
+            }
+        }
+        assert!(parse_run_spec("[experiment]\nlimit_gibps = 262144\n").is_ok());
     }
 
     #[test]

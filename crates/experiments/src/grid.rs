@@ -15,6 +15,7 @@
 
 use crate::driver::{ExperimentConfig, SchedulerKind};
 use iosched_cluster::ExecSpec;
+use iosched_core::check_limit_bps;
 use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::{gib, gibps, to_gibps};
 use iosched_workloads::{
@@ -141,7 +142,9 @@ impl SchedulerKind {
         }
         let (name, gib) = label.rsplit_once('-').unwrap_or((label, ""));
         match (PolicyFamily::from_name(name), gib.parse::<f64>()) {
-            (Ok(family), Ok(gib)) if family.takes_threshold() && gib > 0.0 && gib.is_finite() => {
+            (Ok(family), Ok(gib))
+                if family.takes_threshold() && check_limit_bps(gibps(gib)).is_ok() =>
+            {
                 Ok(family.scheduler(gib))
             }
             _ => Err(format!(
@@ -452,8 +455,8 @@ impl CampaignGrid {
         {
             return Err("grid has threshold-taking policies but no thresholds_gibps".into());
         }
-        if self.thresholds_gibps.iter().any(|&t| t <= 0.0) {
-            return Err("thresholds_gibps must be positive".into());
+        for &t in &self.thresholds_gibps {
+            check_limit_bps(gibps(t)).map_err(|e| format!("thresholds_gibps {t}: {e}"))?;
         }
         if self.base.machine_scale == 0 {
             return Err("machine_scale must be at least 1".into());
@@ -505,6 +508,9 @@ mod tests {
             "default-15",
             "io-aware-x",
             "adaptive-0",
+            "io-aware-1e300",
+            "packing-inf",
+            "adaptive-naive-NaN",
         ] {
             let err = SchedulerKind::from_label(bad).unwrap_err();
             assert!(
@@ -647,9 +653,11 @@ mod tests {
         let mut g = sample();
         g.base.machine_scale = 0;
         assert!(g.validate().is_err());
-        let mut g = sample();
-        g.thresholds_gibps[0] = -1.0;
-        assert!(g.validate().is_err());
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e300] {
+            let mut g = sample();
+            g.thresholds_gibps[0] = bad;
+            assert!(g.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! steady-state round reuses warm allocations instead of rebuilding them.
 
 use crate::book::EstimateBook;
-use crate::ioaware::{effective_r, IoAwareCore, IoAwareTracker};
+use crate::ioaware::{check_limit_bps, effective_r, IoAwareCore, IoAwareTracker};
 use crate::twogroup::{two_group_split_into, SplitJob, TwoGroupParams, TwoGroupSplit};
 use iosched_simkit::time::SimTime;
-use iosched_slurm::{ReservationTracker, ResourceProfile, RunningView, SchedJob, SchedulingPolicy};
+use iosched_slurm::{
+    quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView, SchedJob,
+    SchedulingPolicy,
+};
 
 /// Configuration of the workload-adaptive policy.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +76,9 @@ pub struct AdaptivePolicy {
 impl AdaptivePolicy {
     /// Create the policy.
     pub fn new(cfg: AdaptiveConfig) -> Self {
-        assert!(cfg.limit_bps > 0.0, "throughput limit must be positive");
+        if let Err(e) = check_limit_bps(cfg.limit_bps) {
+            panic!("{e}");
+        }
         assert!(
             (0.0..=1.0).contains(&cfg.qos_fraction),
             "qos_fraction must be in [0, 1]"
@@ -82,7 +87,7 @@ impl AdaptivePolicy {
             cfg,
             book: EstimateBook::new(),
             core: IoAwareCore::default(),
-            at: ResourceProfile::new(cfg.limit_bps),
+            at: ResourceProfile::default(),
             split_jobs: Vec::new(),
             split_order: Vec::new(),
             params: TwoGroupParams::default(),
@@ -109,20 +114,6 @@ impl AdaptivePolicy {
     /// The configuration.
     pub fn config(&self) -> AdaptiveConfig {
         self.cfg
-    }
-
-    /// Override the overlay-compaction threshold of the pooled profiles
-    /// (`0` restores compact-on-every-reserve; bench baseline knob).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.core.set_overlay_limit(limit);
-        self.at.set_overlay_limit(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of the pooled
-    /// profiles (`false` is the linear-sweep bench baseline).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.core.set_index_enabled(enabled);
-        self.at.set_index_enabled(enabled);
     }
 }
 
@@ -158,23 +149,29 @@ pub(crate) fn compute_target(
     v_io / t_nodes
 }
 
+/// A job's adjusted load `r − n·r̄_zero` (Algorithm 6) in AT quanta. Both
+/// terms are amounts and round up before the difference is taken, so a
+/// job whose load equals its zero-group credit up to float noise adjusts
+/// to exactly zero instead of to the one quantum its rounded-up noise
+/// would add.
+fn adjusted_load(r_bps: f64, nodes: usize, params: &TwoGroupParams) -> i64 {
+    quanta_up(r_bps) - quanta_up(nodes as f64 * params.split.r_zero_bar)
+}
+
 /// Tracker of Algorithms 6–7: the I/O-aware tracker `RT` plus the
 /// adjusted-throughput tracker `AT` gating regular jobs on the target.
 pub struct AdaptiveTracker<'a> {
     rt: IoAwareTracker<'a>,
     at: &'a mut ResourceProfile,
     params: &'a TwoGroupParams,
+    /// The adjusted target `R̃′` in AT quanta (a threshold: rounded down).
+    at_threshold: i64,
 }
 
 impl AdaptiveTracker<'_> {
     /// The round's adaptive parameters.
     pub fn params(&self) -> &TwoGroupParams {
         self.params
-    }
-
-    /// The adjusted-reservation profile (diagnostics/tests).
-    pub fn adjusted_profile(&self) -> &ResourceProfile {
-        self.at
     }
 }
 
@@ -217,10 +214,10 @@ impl SchedulingPolicy for AdaptivePolicy {
 
         // Lines 9–11: the AT tracker, seeded with the running jobs'
         // adjusted loads (which may be negative for low-I/O jobs).
-        self.at.reset(self.cfg.limit_bps);
+        self.at.reset(quanta_down(self.cfg.limit_bps));
         for rv in running {
             let r = effective_r(&self.book, rv.job, self.cfg.limit_bps);
-            let adj = r - rv.job.nodes as f64 * self.params.split.r_zero_bar;
+            let adj = adjusted_load(r, rv.job.nodes, &self.params);
             self.at.stage(adj, rv.started, rv.reservation_end(now));
         }
         self.at.commit_staged();
@@ -238,6 +235,7 @@ impl SchedulingPolicy for AdaptivePolicy {
             rt,
             at: &mut self.at,
             params: &self.params,
+            at_threshold: quanta_down(self.params.r_tilde_prime_bps),
         }
     }
 }
@@ -258,9 +256,7 @@ impl ReservationTracker for AdaptiveTracker<'_> {
             if t_rt == SimTime::FAR_FUTURE {
                 return t_rt;
             }
-            let t_at = self
-                .at
-                .earliest_at_most(t_rt, job.limit, self.params.r_tilde_prime_bps);
+            let t_at = self.at.earliest_at_most(t_rt, job.limit, self.at_threshold);
             if t_at == t_rt {
                 return t_at;
             }
@@ -273,7 +269,7 @@ impl ReservationTracker for AdaptiveTracker<'_> {
         self.rt.reserve(job, start);
         let r = effective_r(self.rt.book, job, self.rt.limit_bps);
         if !self.params.split.is_zero(r, job.nodes) {
-            let adj = r - job.nodes as f64 * self.params.split.r_zero_bar;
+            let adj = adjusted_load(r, job.nodes, self.params);
             self.at.reserve(adj, start, start + job.limit);
         }
     }

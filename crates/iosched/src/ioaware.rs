@@ -21,7 +21,10 @@
 use crate::book::EstimateBook;
 use iosched_simkit::time::SimTime;
 use iosched_slurm::policy::{NodePolicy, NodeTracker};
-use iosched_slurm::{ReservationTracker, ResourceProfile, RunningView, SchedJob, SchedulingPolicy};
+use iosched_slurm::{
+    quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView, SchedJob,
+    SchedulingPolicy, MAX_CAPACITY,
+};
 
 /// Configuration of the I/O-aware policy.
 #[derive(Clone, Copy, Debug)]
@@ -41,20 +44,6 @@ pub(crate) struct IoAwareCore {
 }
 
 impl IoAwareCore {
-    /// Forward the overlay-compaction override to every pooled profile
-    /// (bench knob; see `ResourceProfile::set_overlay_limit`).
-    pub(crate) fn set_overlay_limit(&mut self, limit: usize) {
-        self.node_policy.set_overlay_limit(limit);
-        self.lt.set_overlay_limit(limit);
-    }
-
-    /// Forward the query-index toggle to every pooled profile (bench
-    /// knob; see `ResourceProfile::set_index_enabled`).
-    pub(crate) fn set_index_enabled(&mut self, enabled: bool) {
-        self.node_policy.set_index_enabled(enabled);
-        self.lt.set_index_enabled(enabled);
-    }
-
     /// Algorithm 2: build the `{NT, LT}` tracker for one round, borrowing
     /// the pooled profiles.
     pub(crate) fn init_tracker<'a>(
@@ -88,7 +77,9 @@ pub struct IoAwarePolicy {
 impl IoAwarePolicy {
     /// Create the policy with the given throughput limit.
     pub fn new(cfg: IoAwareConfig) -> Self {
-        assert!(cfg.limit_bps > 0.0, "throughput limit must be positive");
+        if let Err(e) = check_limit_bps(cfg.limit_bps) {
+            panic!("{e}");
+        }
         IoAwarePolicy {
             cfg,
             book: EstimateBook::new(),
@@ -117,18 +108,6 @@ impl IoAwarePolicy {
     pub fn book(&self) -> &EstimateBook {
         &self.book
     }
-
-    /// Override the overlay-compaction threshold of the pooled profiles
-    /// (`0` restores compact-on-every-reserve; bench baseline knob).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.core.set_overlay_limit(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of the pooled
-    /// profiles (`false` is the linear-sweep bench baseline).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.core.set_index_enabled(enabled);
-    }
 }
 
 /// Fill the LT bandwidth profile of Algorithm 2 (lines 4–8) into a
@@ -141,24 +120,20 @@ pub(crate) fn fill_bandwidth_profile(
     limit_bps: f64,
     lt: &mut ResourceProfile,
 ) {
-    lt.reset(limit_bps);
+    lt.reset(quanta_down(limit_bps));
     let mut sum_running = 0.0;
     let mut horizon = now;
-    // Batched build: stage every delta and sort-coalesce once, keeping
-    // the staging order (running set first, unaccounted load last) equal
-    // to the old insert order so accumulation stays bit-identical.
     for rv in running {
-        let r = effective_r(book, rv.job, limit_bps);
         let end = rv.reservation_end(now);
-        lt.stage(r, rv.started, end);
-        sum_running += r;
+        lt.stage(lt_demand(book, rv.job, lt.capacity()), rv.started, end);
+        sum_running += effective_r(book, rv.job, limit_bps);
         horizon = horizon.max(end);
     }
     // Lines 7–8: measured load above the accounted estimates is reserved
     // as anonymous usage until the last running job may end.
     let unaccounted = book.measured_total_bps - sum_running;
     if unaccounted > 0.0 && horizon > now {
-        lt.stage(unaccounted, now, horizon);
+        lt.stage(quanta_up(unaccounted), now, horizon);
     }
     lt.commit_staged();
 }
@@ -170,6 +145,28 @@ pub(crate) fn effective_r(book: &EstimateBook, job: &SchedJob, limit_bps: f64) -
     book.r(job.id).min(limit_bps)
 }
 
+/// The job's LT demand in profile quanta: its estimate rounded up, then
+/// clamped to the LT `capacity` *in quanta*. Clamping before rounding
+/// would round a non-integral limit up past the capacity, and the job
+/// could never fit.
+pub fn lt_demand(book: &EstimateBook, job: &SchedJob, capacity: i64) -> i64 {
+    quanta_up(book.r(job.id)).min(capacity)
+}
+
+/// The one throughput-limit check, applied wherever a limit enters the
+/// program: finite, positive, and no larger than the largest capacity a
+/// reservation profile holds ([`MAX_CAPACITY`] bytes/s).
+pub fn check_limit_bps(limit_bps: f64) -> Result<(), String> {
+    if limit_bps.is_finite() && limit_bps > 0.0 && limit_bps <= MAX_CAPACITY {
+        Ok(())
+    } else {
+        Err(format!(
+            "throughput limit {limit_bps} B/s must be finite, positive and at most \
+             {MAX_CAPACITY} B/s"
+        ))
+    }
+}
+
 /// Tracker produced by [`IoAwarePolicy`]: Slurm's node tracker plus the
 /// Lustre-throughput profile, both borrowed from policy-owned scratch.
 pub struct IoAwareTracker<'a> {
@@ -177,13 +174,6 @@ pub struct IoAwareTracker<'a> {
     pub(crate) lt: &'a mut ResourceProfile,
     pub(crate) book: &'a EstimateBook,
     pub(crate) limit_bps: f64,
-}
-
-impl IoAwareTracker<'_> {
-    /// Read access to the bandwidth profile (diagnostics/tests).
-    pub fn bandwidth_profile(&self) -> &ResourceProfile {
-        self.lt
-    }
 }
 
 impl SchedulingPolicy for IoAwarePolicy {
@@ -211,14 +201,14 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 4: alternate between the node tracker and the bandwidth
     /// profile until a common start time is a fixpoint.
     fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        let r = effective_r(self.book, job, self.limit_bps);
+        let demand = lt_demand(self.book, job, self.lt.capacity());
         let mut t = t_min;
         loop {
             let t_nt = self.nodes.earliest_start(job, t);
             if t_nt == SimTime::FAR_FUTURE {
                 return t_nt;
             }
-            let t_lt = self.lt.earliest_fit(t_nt, job.limit, r);
+            let t_lt = self.lt.earliest_fit(t_nt, job.limit, demand);
             if t_lt == t_nt {
                 return t_lt;
             }
@@ -229,8 +219,8 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 3: reserve nodes and bandwidth for `[t, t + L_j)`.
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         self.nodes.reserve(job, start);
-        let r = effective_r(self.book, job, self.limit_bps);
-        self.lt.reserve(r, start, start + job.limit);
+        let demand = lt_demand(self.book, job, self.lt.capacity());
+        self.lt.reserve(demand, start, start + job.limit);
     }
 
     /// Node/limit/license dominance plus at least as much estimated

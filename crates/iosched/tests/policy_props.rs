@@ -3,11 +3,13 @@
 //! invariants of Algorithms 2–7.
 
 use iosched_analytics::JobEstimate;
-use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
+use iosched_core::{
+    lt_demand, AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy,
+};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
-use iosched_slurm::{backfill_pass, BackfillConfig, ResourceProfile, SchedJob};
+use iosched_slurm::{backfill_pass, quanta_down, BackfillConfig, ResourceProfile, SchedJob};
 
 fn build_queue(spec: &[(usize, u64, f64, u64)]) -> (Vec<SchedJob>, EstimateBook) {
     let mut book = EstimateBook::new();
@@ -33,6 +35,27 @@ fn build_queue(spec: &[(usize, u64, f64, u64)]) -> (Vec<SchedJob>, EstimateBook)
         })
         .collect();
     (queue, book)
+}
+
+/// A limit that is not a whole number of quanta (B/s) still admits a job
+/// whose estimate exceeds it: the demand is clamped to the capacity in
+/// quanta, so on an idle machine the job starts now under both policies.
+#[test]
+fn estimate_above_a_non_integral_limit_starts_on_an_idle_machine() {
+    let limit = 5.6;
+    let (queue, book) = build_queue(&[(1, 100, 9.3, 50), (1, 100, 5.6, 50)]);
+    let refs: Vec<&SchedJob> = queue.iter().collect();
+    let cfg = BackfillConfig::default();
+
+    let mut io = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
+    io.begin_round(book.clone());
+    let out = backfill_pass(&mut io, &[], &refs, SimTime::ZERO, 8, &cfg);
+    assert_eq!(out.start_now, vec![JobId(0)], "io-aware: {out:?}");
+
+    let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+    ad.begin_round(book);
+    let out = backfill_pass(&mut ad, &[], &refs, SimTime::ZERO, 8, &cfg);
+    assert_eq!(out.start_now[0], JobId(0), "adaptive: {out:?}");
 }
 
 props! {
@@ -62,19 +85,24 @@ props! {
             &BackfillConfig::default(),
         );
 
-        // Rebuild the bandwidth plan (with the same clamping rule).
-        let mut lt = ResourceProfile::new(limit);
+        // Rebuild the bandwidth plan through the policy's own rounding
+        // helper, and compare it to the limit in quanta, exactly.
+        let mut lt = ResourceProfile::new(quanta_down(limit));
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
         for &id in &out.start_now {
             let j = by_id(id);
-            lt.reserve(book.r(id).min(limit), SimTime::ZERO, SimTime::ZERO + j.limit);
+            lt.reserve(lt_demand(&book, j, lt.capacity()), SimTime::ZERO, SimTime::ZERO + j.limit);
         }
         for &(id, at) in &out.reservations {
             let j = by_id(id);
-            lt.reserve(book.r(id).min(limit), at, at + j.limit);
+            lt.reserve(lt_demand(&book, j, lt.capacity()), at, at + j.limit);
         }
         let max = lt.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
-        prop_assert!(max <= limit + 1e-6, "bandwidth plan exceeds limit: {max} > {limit}");
+        prop_assert!(
+            max <= lt.capacity(),
+            "bandwidth plan exceeds limit: {max} > {}",
+            lt.capacity()
+        );
         // Nothing is skipped with an unbounded budget.
         prop_assert!(out.skipped.is_empty());
         prop_assert_eq!(out.start_now.len() + out.reservations.len(), queue.len());

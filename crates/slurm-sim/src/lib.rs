@@ -32,5 +32,7 @@ pub use backfill::{
 pub use iosched_simkit::ids::JobId;
 pub use licenses::LicenseRequirements;
 pub use policy::{NodePolicy, ReservationTracker, RunningView, SchedJob, SchedulingPolicy};
-pub use profile::{take_sweep_steps, take_tree_counters, ResourceProfile};
+pub use profile::{
+    quanta_down, quanta_up, take_sweep_steps, take_tree_counters, ResourceProfile, MAX_CAPACITY,
+};
 pub use registry::{take_queue_prep_counters, JobRegistry, JobState, PriorityPolicy};

@@ -9,7 +9,7 @@
 //! ([`crate::backfill::backfill_pass`]) drives the tracker.
 
 use crate::licenses::LicenseRequirements;
-use crate::profile::ResourceProfile;
+use crate::profile::{quanta_down, quanta_up, ResourceProfile};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::sym::Sym;
 use iosched_simkit::time::{SimDuration, SimTime};
@@ -186,12 +186,6 @@ pub struct NodePolicy {
     pub license_totals: crate::licenses::LicensePools,
     nodes_scratch: ResourceProfile,
     licenses_scratch: Vec<(String, ResourceProfile)>,
-    /// When set, applied to every pooled profile at round start (bench
-    /// knob; see [`ResourceProfile::set_overlay_limit`]).
-    overlay_limit: Option<usize>,
-    /// When set, applied to every pooled profile at round start (bench
-    /// knob; see [`ResourceProfile::set_index_enabled`]).
-    index_enabled: Option<bool>,
 }
 
 /// Tracker built by [`NodePolicy`]: a node profile plus one profile per
@@ -201,35 +195,13 @@ pub struct NodeTracker<'a> {
     licenses: &'a mut [(String, ResourceProfile)],
 }
 
-impl NodeTracker<'_> {
-    /// Direct access to the node profile (used by the I/O-aware policy,
-    /// which composes with the stock node tracking).
-    pub fn node_profile(&self) -> &ResourceProfile {
-        self.nodes
-    }
-}
-
 impl NodePolicy {
-    /// Override the overlay-compaction threshold of every pooled profile
-    /// (`0` restores the pre-overlay compact-on-every-reserve behavior —
-    /// the deep-queue bench's baseline mode).
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.overlay_limit = Some(limit);
-    }
-
-    /// Enable or disable the segment-tree query index of every pooled
-    /// profile (`false` routes every query through the linear sweep —
-    /// the deep-queue bench's baseline mode).
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.index_enabled = Some(enabled);
-    }
-
     /// Reset the pooled profiles for a new round. License profiles are
     /// reused in place while the pool names are unchanged (the common
     /// case); the name strings are recloned only when `license_totals`
     /// was edited between rounds.
     fn reset_scratch(&mut self, total_nodes: usize) {
-        self.nodes_scratch.reset(total_nodes as f64);
+        self.nodes_scratch.reset(total_nodes as i64);
         let unchanged = self.licenses_scratch.len() == self.license_totals.len()
             && self
                 .licenses_scratch
@@ -242,27 +214,15 @@ impl NodePolicy {
                 .iter_mut()
                 .zip(self.license_totals.iter())
             {
-                profile.reset(total);
+                profile.reset(quanta_down(total));
             }
         } else {
             self.licenses_scratch.clear();
             self.licenses_scratch.extend(
                 self.license_totals
                     .iter()
-                    .map(|(name, &total)| (name.clone(), ResourceProfile::new(total))),
+                    .map(|(name, &total)| (name.clone(), ResourceProfile::new(quanta_down(total)))),
             );
-        }
-        if let Some(limit) = self.overlay_limit {
-            self.nodes_scratch.set_overlay_limit(limit);
-            for (_, profile) in self.licenses_scratch.iter_mut() {
-                profile.set_overlay_limit(limit);
-            }
-        }
-        if let Some(enabled) = self.index_enabled {
-            self.nodes_scratch.set_index_enabled(enabled);
-            for (_, profile) in self.licenses_scratch.iter_mut() {
-                profile.set_index_enabled(enabled);
-            }
         }
     }
 }
@@ -281,16 +241,12 @@ impl SchedulingPolicy for NodePolicy {
         let nodes = &mut self.nodes_scratch;
         let licenses = self.licenses_scratch.as_mut_slice();
         // Batched build: stage every running-set delta, then sort and
-        // coalesce once per profile — O(R log R) instead of the insert
-        // path's O(R·k), bit-identical by `commit_staged`'s contract.
+        // sum once per profile.
         for rv in running {
             let end = rv.reservation_end(now);
-            nodes.stage(rv.job.nodes as f64, rv.started, end);
+            nodes.stage(rv.job.nodes as i64, rv.started, end);
             for (name, profile) in licenses.iter_mut() {
-                let amount = rv.job.licenses.get(name);
-                if amount > 0.0 {
-                    profile.stage(amount, rv.started, end);
-                }
+                profile.stage(quanta_up(rv.job.licenses.get(name)), rv.started, end);
             }
         }
         nodes.commit_staged();
@@ -309,10 +265,10 @@ impl ReservationTracker for NodeTracker<'_> {
         let mut t = t_min;
         loop {
             let start = t;
-            t = self.nodes.earliest_fit(t, job.limit, job.nodes as f64);
+            t = self.nodes.earliest_fit(t, job.limit, job.nodes as i64);
             for (name, profile) in self.licenses.iter() {
-                let amount = job.licenses.get(name);
-                if amount > 0.0 {
+                let amount = quanta_up(job.licenses.get(name));
+                if amount > 0 {
                     t = profile.earliest_fit(t, job.limit, amount);
                 }
             }
@@ -324,12 +280,9 @@ impl ReservationTracker for NodeTracker<'_> {
 
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         let end = start + job.limit;
-        self.nodes.reserve(job.nodes as f64, start, end);
+        self.nodes.reserve(job.nodes as i64, start, end);
         for (name, profile) in self.licenses.iter_mut() {
-            let amount = job.licenses.get(name);
-            if amount > 0.0 {
-                profile.reserve(amount, start, end);
-            }
+            profile.reserve(quanta_up(job.licenses.get(name)), start, end);
         }
     }
 

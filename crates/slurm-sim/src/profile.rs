@@ -12,74 +12,91 @@
 //!   that an extra `amount` fits under the capacity for a whole window
 //!   `[t, t + dur)` (the inner step of `EarliestStartTime`).
 //!
-//! Amounts are `f64` and may be negative (the workload-adaptive AT tracker
-//! reserves `r_j − n_j·r̄_zero`, which is negative for low-I/O running
-//! jobs); usage is allowed to dip below zero.
+//! # Quanta and the rounding rule
 //!
-//! # Write paths
+//! Amounts are exact `i64` quanta — 1 node, 1 license, 1 B/s — so every
+//! sum is exact and independent of the order writes arrive in. Amounts
+//! may be negative (the workload-adaptive AT tracker reserves
+//! `r_j − n_j·r̄_zero`, which is negative for low-I/O running jobs), and
+//! usage may dip below zero. Real-valued inputs enter through the one
+//! rounding rule: capacities and thresholds round down ([`quanta_down`]),
+//! reserved and probed amounts round up ([`quanta_up`]). A plan that fits
+//! in quanta therefore fits in real units, and no comparison needs a
+//! tolerance. Both saturate at [`MAX_QUANTA`].
 //!
-//! Three ways to add reservations, all producing bit-identical query
-//! results (pinned by debug oracles and property tests):
+//! # Writes
 //!
-//! * **Batched build** — [`Self::stage`] + [`Self::commit_staged`]: the
-//!   round-start tracker build stages every running-set delta, then sorts
-//!   and coalesces once, O(R log R) instead of the insert path's O(R·k).
-//! * **Overlay** — [`Self::reserve`] mid-round: new breakpoints append to
-//!   a small sorted overlay (binary insert into a bounded vector) that
-//!   queries merge on the fly; it is compacted into the main vector when
-//!   it outgrows [`Self::set_overlay_limit`]. This kills the O(k) memmove
-//!   per delayed job that dominated unbounded-reservation rounds.
-//! * **Insert path** — the original one-`Vec::insert`-per-breakpoint
-//!   implementation survives as `insert_delta`, the debug/test oracle.
+//! * **Batched build** — [`ResourceProfile::stage`] +
+//!   [`ResourceProfile::commit_staged`]: the round-start tracker build
+//!   stages every running-set delta, then sorts and sums once.
+//! * **Reserve** — while the query index is live, mid-round writes go to
+//!   one short sorted list of `(instant, summed delta)` entries since the
+//!   last fold; queries read the folded breakpoints ⊕ that list, and past
+//!   [`FOLD_LIMIT`] entries it is folded in and the index rebuilt. With
+//!   no live index there is nothing to keep in step, and a write updates
+//!   its breakpoint in place.
 //!
 //! # Query index
 //!
-//! Queries descend a hierarchical segment-profile index instead of
-//! sweeping breakpoints linearly (see [`ProfileIndex`]): a grid snapshot
-//! of the cumulative usage with max/min segment trees on top, plus a
-//! small sorted list of writes pending since the last rebuild. Each
-//! `earliest_at_most` probe costs O(log B) per usage flip instead of
-//! O(B); the linear sweep survives as the debug-assert oracle and as the
-//! [`Self::set_index_enabled`] `false` bench baseline.
-//!
-//! The index engages only where it can win: profiles under
-//! [`MIN_INDEXED`] breakpoints skip all maintenance (a short sweep beats
-//! the tree's fixed per-query cost), and pending-overflow rebuilds are
-//! deferred until a query has actually consumed the index since the
-//! last one — so write-only bursts stay O(1) extra per write and the
-//! burst's first reader pays a single sweep instead. Either way the
-//! query result is bit-identical to the sweep's.
+//! Queries descend a segment-tree index instead of sweeping breakpoints
+//! linearly (see [`ProfileIndex`]): each `earliest_at_most` probe costs
+//! O(log B) per usage flip instead of O(B). The linear sweep serves the
+//! profiles the index does not cover, and checks the index in debug
+//! builds. The index engages only where it can win, judged from the
+//! profile's size and reads: profiles under [`MIN_INDEXED`] breakpoints
+//! skip it (a short sweep beats the tree's fixed per-query cost), and a
+//! rebuild waits until a query has read the profile since the last one,
+//! so write-only bursts never pay for it.
 
 use iosched_simkit::time::{SimDuration, SimTime};
 use std::cell::Cell;
 
-/// Relative tolerance used when comparing usage against capacity, so that
-/// reserving exactly the remaining capacity still "fits".
-fn eps_for(cap: f64) -> f64 {
-    1e-9 * cap.abs().max(1.0)
+/// Largest magnitude of any capacity, amount or threshold, in quanta:
+/// 2^48 (256 TiB/s as a bandwidth). The rounding helpers saturate here,
+/// so an `i64` usage sum cannot overflow unless 2^15 full-magnitude
+/// reservations overlap at one instant.
+pub const MAX_QUANTA: i64 = 1 << 48;
+
+/// [`MAX_QUANTA`] in real units: the largest capacity a profile holds
+/// without `i64` overflow. Throughput limits are checked against it
+/// where they enter the program.
+pub const MAX_CAPACITY: f64 = MAX_QUANTA as f64;
+
+/// Quanta a reserved or probed `amount` occupies: rounded up, saturated
+/// at ±[`MAX_QUANTA`] (NaN is 0).
+pub fn quanta_up(amount: f64) -> i64 {
+    // `as` truncates toward zero; bumping the truncation when it fell
+    // below the amount makes it the ceiling without a libm call (the
+    // backfill hot path rounds every demand).
+    let x = amount.clamp(-MAX_CAPACITY, MAX_CAPACITY);
+    let t = x as i64;
+    t + i64::from((t as f64) < x)
+}
+
+/// Quanta a capacity or threshold `amount` guarantees: rounded down,
+/// saturated at ±[`MAX_QUANTA`] (NaN is 0).
+pub fn quanta_down(amount: f64) -> i64 {
+    let x = amount.clamp(-MAX_CAPACITY, MAX_CAPACITY);
+    let t = x as i64;
+    t - i64::from((t as f64) > x)
 }
 
 thread_local! {
-    /// Breakpoints advanced by [`ResourceProfile::earliest_at_most`]
-    /// sweeps on this thread — the deterministic work counter behind the
-    /// deep-queue bench's `sweep_steps/*` entries.
+    /// Breakpoints advanced by linear [`ResourceProfile::earliest_at_most`]
+    /// sweeps (dormant or stale profiles) on this thread.
     static SWEEP_STEPS: Cell<u64> = const { Cell::new(0) };
+    /// Segment-tree nodes visited (plus gallop checks and pending-write
+    /// hops) by indexed `earliest_at_most` probes on this thread.
+    static TREE_DESCENTS: Cell<u64> = const { Cell::new(0) };
+    /// Index maintenance work on this thread: one per write while the
+    /// index is live, plus one per breakpoint folded by a rebuild.
+    static TREE_UPDATES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Read and reset this thread's sweep-step counter (breakpoints walked by
-/// `earliest_at_most` since the last call).
+/// linear `earliest_at_most` sweeps since the last call).
 pub fn take_sweep_steps() -> u64 {
     SWEEP_STEPS.with(|c| c.replace(0))
-}
-
-thread_local! {
-    /// Segment-tree nodes visited (plus pending-boundary hops) by indexed
-    /// `earliest_at_most` probes on this thread — the tree-path
-    /// counterpart of [`SWEEP_STEPS`].
-    static TREE_DESCENTS: Cell<u64> = const { Cell::new(0) };
-    /// Index maintenance work on this thread: one per pending point
-    /// update, plus one per breakpoint folded by a rebuild.
-    static TREE_UPDATES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Read and reset this thread's `(tree_descents, tree_updates)` counters:
@@ -92,90 +109,60 @@ pub fn take_tree_counters() -> (u64, u64) {
     )
 }
 
-/// Insert-path accumulation of `d` at breakpoint `t`: binary-search and
-/// accumulate in place or `Vec::insert`. The original write path, kept as
-/// the oracle the batched/overlay paths are asserted against.
-///
-/// A breakpoint whose accumulated delta lands within `eps` of zero is
-/// dropped (+a then −a at the same instant, including cancellations that
-/// leave a ±1e-17 float residue) so sweeps don't walk dead entries. The
-/// tolerance is the caller's [`eps_for`] so all three write paths agree;
-/// a fresh insert is never dropped, matching the other paths.
-#[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
-fn insert_delta(deltas: &mut Vec<(SimTime, f64)>, t: SimTime, d: f64, eps: f64) {
-    match deltas.binary_search_by_key(&t, |e| e.0) {
-        Ok(i) => {
-            deltas[i].1 += d;
-            if deltas[i].1.abs() <= eps {
-                deltas.remove(i);
-            }
-        }
-        Err(i) => deltas.insert(i, (t, d)),
-    }
-}
-
-/// Hierarchical segment-profile index over the merged (`deltas` ⊕
-/// `overlay`) breakpoints of a [`ResourceProfile`].
-///
-/// The grid (`times`/`usage`) snapshots the cumulative usage at the last
-/// rebuild as the exact left-to-right float fold the linear sweep
-/// computes, so indexed comparisons are bit-identical to the sweep's
-/// whenever `pending` is empty (and exact regardless for the
-/// integer-valued node/license profiles). `tmax`/`tmin` are 1-indexed
-/// max/min segment trees over `usage`, static between rebuilds. Writes
-/// since the last rebuild accumulate in the sorted `pending` list (one
-/// entry per instant, may coincide with grid instants); queries add the
-/// appropriate `pending_off` prefix to the grid usage, walking one
-/// pending window at a time with an O(log B) tree descent per window.
-/// Linear-prefix length each [`ProfileIndex::next_flip`] window scan
-/// tries before descending the tree: near flips (the common case at a
-/// crowded backfill horizon) cost what the sweep would, far flips pay
-/// one wasted prefix and then skip in O(log B).
+/// Linear-prefix length each flip search tries before descending the
+/// tree: near flips (the common case at a crowded backfill horizon) cost
+/// what the sweep would, far flips pay one wasted prefix and then skip in
+/// O(log B).
 const GALLOP: usize = 8;
 
-/// Merged breakpoint count below which the index stays dormant: a sweep
-/// over a few dozen breakpoints beats the tree's fixed per-query cost,
-/// so small profiles skip all index maintenance (writes just mark the
-/// grid stale) and queries take the linear path. The first rebuild
-/// trigger at or past this size revives the index.
+/// Breakpoint count below which the index stays dormant: a sweep over a
+/// few dozen breakpoints beats the tree's fixed per-query cost, so small
+/// profiles skip all index maintenance and queries take the linear path.
 const MIN_INDEXED: usize = 64;
 
+/// Pending-write count past which [`ResourceProfile::reserve`] folds the
+/// list into the breakpoints and rebuilds the index. Every query walks
+/// the pending writes in its range one at a time, so the list stays a
+/// small constant, while the O(B) fold amortizes to a fraction of a
+/// breakpoint per write.
+const FOLD_LIMIT: usize = 16;
+
+/// Segment-tree index over the folded breakpoints of a
+/// [`ResourceProfile`].
+///
+/// The grid (`times`/`usage`) snapshots the cumulative usage at the last
+/// fold; `tmax`/`tmin` are 1-indexed max/min segment trees over `usage`,
+/// static between folds. Writes since the fold live in the profile's
+/// pending list; queries add the matching pending prefix sum to the grid
+/// usage, walking one pending window at a time with an O(log B) tree
+/// descent per window.
 #[derive(Clone, Debug)]
 struct ProfileIndex {
-    /// Merged breakpoint instants at the last rebuild, sorted.
+    /// Breakpoint instants at the last rebuild, sorted.
     times: Vec<SimTime>,
-    /// Cumulative usage after `times[j]` (exact sequential fold).
-    usage: Vec<f64>,
+    /// Cumulative usage after `times[j]`.
+    usage: Vec<i64>,
     /// Max segment tree over `usage`: `cap` leaves at `tmax[cap..]`,
-    /// padded with `-inf`.
-    tmax: Vec<f64>,
-    /// Min segment tree over `usage`, padded with `+inf`.
-    tmin: Vec<f64>,
+    /// padded with `i64::MIN`.
+    tmax: Vec<i64>,
+    /// Min segment tree over `usage`, padded with `i64::MAX`.
+    tmin: Vec<i64>,
     /// Leaf count: `times.len()` rounded up to a power of two.
     cap: usize,
-    /// Writes since the last rebuild: `(instant, summed delta)`, sorted,
-    /// at most one entry per instant.
-    pending: Vec<(SimTime, f64)>,
-    /// Prefix sums of `pending` deltas: a probe past `k` pending instants
-    /// adds `pending_off[k-1]` to the grid usage.
-    pending_off: Vec<f64>,
-    /// The grid no longer reflects the profile: writes landed while the
-    /// breakpoint count was below [`MIN_INDEXED`], or a write burst
-    /// overflowed `pending` with no query since the last rebuild.
-    /// Queries fall back to the linear sweep until the next rebuild.
+    /// The grid no longer reflects the folded breakpoints: the profile is
+    /// under [`MIN_INDEXED`] breakpoints, or a fold ran with no query
+    /// since the last rebuild. Queries sweep and writes go in place until
+    /// the next rebuild.
     stale: bool,
     /// A query ran since the last rebuild (set from `&self`, hence the
-    /// `Cell`). Rebuilds are deferred while this is unset so write-only
-    /// bursts — building a profile nobody probes between writes — never
-    /// pay the O(B) fold; the first query after such a burst sweeps
-    /// once and the next write rebuilds.
+    /// `Cell`). Rebuilds wait for it so write-only bursts never pay the
+    /// O(B) rebuild; the first query after such a burst sweeps once and
+    /// the next write rebuilds.
     query_seen: Cell<bool>,
 }
 
 impl Default for ProfileIndex {
-    /// Starts dormant (`stale`): an empty profile is under
-    /// [`MIN_INDEXED`] by definition, so no maintenance runs until the
-    /// breakpoints outgrow the floor and a rebuild trigger fires.
+    /// Starts stale: an empty profile is under [`MIN_INDEXED`].
     fn default() -> Self {
         ProfileIndex {
             times: Vec::new(),
@@ -183,8 +170,6 @@ impl Default for ProfileIndex {
             tmax: Vec::new(),
             tmin: Vec::new(),
             cap: 0,
-            pending: Vec::new(),
-            pending_off: Vec::new(),
             stale: true,
             query_seen: Cell::new(false),
         }
@@ -192,34 +177,13 @@ impl Default for ProfileIndex {
 }
 
 impl ProfileIndex {
-    /// Drop everything (allocations retained).
-    fn clear(&mut self) {
+    /// Rebuild the grid and both trees from the folded breakpoints.
+    /// O(B) fold + O(B) tree build.
+    fn rebuild(&mut self, deltas: &[(SimTime, i64)]) {
         self.times.clear();
         self.usage.clear();
-        self.tmax.clear();
-        self.tmin.clear();
-        self.cap = 0;
-        self.pending.clear();
-        self.pending_off.clear();
-        self.stale = true;
-        self.query_seen.set(false);
-    }
-
-    /// Rebuild the grid and both trees from the current breakpoint
-    /// vectors, clearing `pending`. O(B) fold + O(B) tree build.
-    fn rebuild(&mut self, deltas: &[(SimTime, f64)], overlay: &[(SimTime, f64)]) {
-        self.times.clear();
-        self.usage.clear();
-        self.pending.clear();
-        self.pending_off.clear();
-        let mut acc = 0.0;
-        let merge = Merge {
-            a: deltas,
-            b: overlay,
-            i: 0,
-            j: 0,
-        };
-        for (t, d) in merge {
+        let mut acc = 0;
+        for &(t, d) in deltas {
             acc += d;
             self.times.push(t);
             self.usage.push(acc);
@@ -227,13 +191,11 @@ impl ProfileIndex {
         let n = self.times.len();
         self.cap = if n == 0 { 0 } else { n.next_power_of_two() };
         self.tmax.clear();
-        self.tmax.resize(2 * self.cap, f64::NEG_INFINITY);
+        self.tmax.resize(2 * self.cap, i64::MIN);
         self.tmin.clear();
-        self.tmin.resize(2 * self.cap, f64::INFINITY);
-        for (j, &u) in self.usage.iter().enumerate() {
-            self.tmax[self.cap + j] = u;
-            self.tmin[self.cap + j] = u;
-        }
+        self.tmin.resize(2 * self.cap, i64::MAX);
+        self.tmax[self.cap..self.cap + n].copy_from_slice(&self.usage);
+        self.tmin[self.cap..self.cap + n].copy_from_slice(&self.usage);
         for i in (1..self.cap).rev() {
             self.tmax[i] = self.tmax[2 * i].max(self.tmax[2 * i + 1]);
             self.tmin[i] = self.tmin[2 * i].min(self.tmin[2 * i + 1]);
@@ -243,64 +205,31 @@ impl ProfileIndex {
         TREE_UPDATES.with(|c| c.set(c.get() + n as u64));
     }
 
-    /// Accumulate a write at instant `t` into the pending list and
-    /// refresh the prefix sums from the touched entry on. O(pending).
-    fn pending_add(&mut self, t: SimTime, d: f64) {
-        let i = match self.pending.binary_search_by_key(&t, |e| e.0) {
-            Ok(i) => {
-                self.pending[i].1 += d;
-                i
-            }
-            Err(i) => {
-                self.pending.insert(i, (t, d));
-                self.pending_off.push(0.0);
-                i
-            }
-        };
-        let mut acc = if i == 0 { 0.0 } else { self.pending_off[i - 1] };
-        for k in i..self.pending.len() {
-            acc += self.pending[k].1;
-            self.pending_off[k] = acc;
-        }
-        TREE_UPDATES.with(|c| c.set(c.get() + 1));
-    }
-
     /// Grid usage just before grid position `k` (0 = before everything).
-    fn gval(&self, k: usize) -> f64 {
+    fn gval(&self, k: usize) -> i64 {
         if k == 0 {
-            0.0
+            0
         } else {
             self.usage[k - 1]
         }
     }
 
-    /// Pending offset once `k` pending instants lie at or before the
-    /// probe position.
-    fn pval(&self, k: usize) -> f64 {
-        if k == 0 {
-            0.0
-        } else {
-            self.pending_off[k - 1]
-        }
-    }
-
-    /// First grid position in `[lo, hi)` whose usage (plus `off`)
-    /// satisfies the predicate (`above`: `> limit`, else `<= limit`),
-    /// found by descending the matching tree; `None` when every position
-    /// in range fails (often a single root visit).
+    /// First grid position in `[lo, hi)` whose usage satisfies the
+    /// predicate (`above`: `> bound`, else `<= bound`), found by
+    /// descending the matching tree; `None` when every position in range
+    /// fails (often a single root visit).
     fn first_flip(
         &self,
         lo: usize,
         hi: usize,
-        off: f64,
-        limit: f64,
+        bound: i64,
         above: bool,
         steps: &mut u64,
     ) -> Option<usize> {
         if self.cap == 0 || lo >= hi {
             return None;
         }
-        self.descend(1, 0, self.cap, lo, hi, off, limit, above, steps)
+        self.descend(1, 0, self.cap, lo, hi, bound, above, steps)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -311,8 +240,7 @@ impl ProfileIndex {
         nhi: usize,
         lo: usize,
         hi: usize,
-        off: f64,
-        limit: f64,
+        bound: i64,
         above: bool,
         steps: &mut u64,
     ) -> Option<usize> {
@@ -321,9 +249,9 @@ impl ProfileIndex {
         }
         *steps += 1;
         let enter = if above {
-            self.tmax[node] + off > limit
+            self.tmax[node] > bound
         } else {
-            self.tmin[node] + off <= limit
+            self.tmin[node] <= bound
         };
         if !enter {
             return None;
@@ -332,426 +260,225 @@ impl ProfileIndex {
             return Some(nlo);
         }
         let mid = (nlo + nhi) / 2;
-        self.descend(2 * node, nlo, mid, lo, hi, off, limit, above, steps)
-            .or_else(|| self.descend(2 * node + 1, mid, nhi, lo, hi, off, limit, above, steps))
-    }
-
-    /// First boundary strictly after the cursor `(gi, pi)` — and before
-    /// `bound`, when given — at which the merged usage first satisfies
-    /// the predicate. Walks one pending window at a time: a tree descent
-    /// over the grid positions before the next pending instant, then the
-    /// pending instant itself. Returns the flip time and the advanced
-    /// cursor; `None` means no boundary before `bound` (or ever) flips.
-    fn next_flip(
-        &self,
-        mut gi: usize,
-        mut pi: usize,
-        limit: f64,
-        above: bool,
-        bound: Option<SimTime>,
-        steps: &mut u64,
-    ) -> Option<(SimTime, usize, usize)> {
-        loop {
-            let off = self.pval(pi);
-            // Grid window before the next pending write (or the grid end).
-            let (win_end, pt) = match self.pending.get(pi) {
-                Some(&(pt, _)) => (
-                    gi + self.times[gi..].partition_point(|&bt| bt < pt),
-                    Some(pt),
-                ),
-                None => (self.times.len(), None),
-            };
-            let scan_end = match bound {
-                Some(b) => gi + self.times[gi..win_end].partition_point(|&bt| bt < b),
-                None => win_end,
-            };
-            // Gallop: most flips sit within a few breakpoints of the
-            // cursor (adjacent reservations at the backfill horizon), so
-            // scan a short linear prefix — as cheap as the sweep there —
-            // and only descend the tree for the long-range skips it wins.
-            let gallop_end = scan_end.min(gi + GALLOP);
-            while gi < gallop_end {
-                *steps += 1;
-                let u = self.usage[gi] + off;
-                let sat = if above { u > limit } else { u <= limit };
-                if sat {
-                    return Some((self.times[gi], gi + 1, pi));
-                }
-                gi += 1;
-            }
-            if let Some(j) = self.first_flip(gi, scan_end, off, limit, above, steps) {
-                return Some((self.times[j], j + 1, pi));
-            }
-            if scan_end < win_end {
-                // Every boundary before `bound` keeps the current state.
-                return None;
-            }
-            let pt = pt?;
-            if let Some(b) = bound {
-                if pt >= b {
-                    return None;
-                }
-            }
-            // Step over the pending write at `pt` (which may coincide
-            // with a grid breakpoint).
-            gi = if self.times.get(win_end) == Some(&pt) {
-                win_end + 1
-            } else {
-                win_end
-            };
-            pi += 1;
-            *steps += 1;
-            let u = self.gval(gi) + self.pval(pi);
-            let sat = if above { u > limit } else { u <= limit };
-            if sat {
-                return Some((pt, gi, pi));
-            }
-        }
+        self.descend(2 * node, nlo, mid, lo, hi, bound, above, steps)
+            .or_else(|| self.descend(2 * node + 1, mid, nhi, lo, hi, bound, above, steps))
     }
 }
 
-/// A step function of reserved amount over time, with a fixed capacity.
+/// A step function of reserved amount over time, with a fixed capacity,
+/// in quanta (see the module docs for the rounding rule).
 ///
-/// Breakpoints live in two sorted `Vec`s with disjoint instants — the
-/// `deltas` main vector and the bounded `overlay` — merged on the fly by
-/// every query. [`Self::reset`] retains all allocations so pooled
-/// profiles keep the steady-state scheduling pass allocation-free.
+/// The step function is `deltas ⊕ pending`: the folded breakpoints plus
+/// the writes logged since the last fold, summed where instants coincide.
+/// [`Self::reset`] retains all allocations so pooled profiles keep the
+/// steady-state scheduling pass allocation-free.
 #[derive(Clone, Debug)]
 pub struct ResourceProfile {
-    capacity: f64,
-    /// `(breakpoint, change of the reserved amount)`, sorted by time with
-    /// at most one entry per instant.
-    deltas: Vec<(SimTime, f64)>,
-    /// Mid-round reservations at instants absent from `deltas`: sorted,
-    /// disjoint from `deltas`, compacted into it past `overlay_limit`.
-    overlay: Vec<(SimTime, f64)>,
-    /// Staged `(t, seq, d)` entries awaiting [`Self::commit_staged`];
-    /// `seq` is the push index, so an unstable sort on `(t, seq)` (which
-    /// never allocates, unlike a stable sort) reproduces call order at
-    /// each instant exactly.
-    staged: Vec<(SimTime, u32, f64)>,
-    /// Pooled target for overlay compaction merges.
-    merge_scratch: Vec<(SimTime, f64)>,
-    /// Overlay size that triggers compaction; see
-    /// [`Self::set_overlay_limit`].
-    overlay_limit: usize,
-    /// Segment-profile query index; see [`ProfileIndex`].
+    capacity: i64,
+    /// Folded `(breakpoint, change of the reserved amount)`, sorted by
+    /// time, one nonzero entry per instant.
+    deltas: Vec<(SimTime, i64)>,
+    /// Writes since the last fold while the index is live (empty while it
+    /// is stale): `(instant, summed delta)`, sorted, one entry per
+    /// instant (which may coincide with a `deltas` instant, and may sum
+    /// to zero).
+    pending: Vec<(SimTime, i64)>,
+    /// Prefix sums of `pending` deltas: a probe past `k` pending instants
+    /// adds `pending_off[k-1]` to the grid usage.
+    pending_off: Vec<i64>,
+    /// Staged entries awaiting [`Self::commit_staged`].
+    staged: Vec<(SimTime, i64)>,
+    /// Pooled target of fold merges.
+    scratch: Vec<(SimTime, i64)>,
+    /// Segment-tree query index; see [`ProfileIndex`].
     index: ProfileIndex,
-    /// Whether queries use the index; see [`Self::set_index_enabled`].
-    index_enabled: bool,
-    /// Pooled insert-path replay for the `commit_staged` debug oracle.
-    #[cfg(debug_assertions)]
-    oracle: Vec<(SimTime, f64)>,
 }
 
 impl Default for ResourceProfile {
     fn default() -> Self {
-        ResourceProfile::new(0.0)
+        ResourceProfile::new(0)
     }
 }
 
 impl ResourceProfile {
-    /// Default [`Self::set_overlay_limit`]: large enough that typical
-    /// bounded-backfill rounds never compact, small enough that the
-    /// per-query merge stays cache-resident.
-    pub const DEFAULT_OVERLAY_LIMIT: usize = 64;
-
-    /// Empty profile with the given capacity (must be finite).
-    pub fn new(capacity: f64) -> Self {
-        assert!(capacity.is_finite(), "capacity must be finite");
+    /// Empty profile with the given capacity.
+    pub fn new(capacity: i64) -> Self {
         ResourceProfile {
             capacity,
             deltas: Vec::new(),
-            overlay: Vec::new(),
+            pending: Vec::new(),
+            pending_off: Vec::new(),
             staged: Vec::new(),
-            merge_scratch: Vec::new(),
-            overlay_limit: Self::DEFAULT_OVERLAY_LIMIT,
+            scratch: Vec::new(),
             index: ProfileIndex::default(),
-            index_enabled: true,
-            #[cfg(debug_assertions)]
-            oracle: Vec::new(),
         }
     }
 
     /// The capacity this profile enforces in [`Self::earliest_fit`].
-    pub fn capacity(&self) -> f64 {
+    pub fn capacity(&self) -> i64 {
         self.capacity
     }
 
     /// Clear all reservations and set a new capacity, keeping the
-    /// breakpoint allocations (and the overlay limit) for reuse.
-    pub fn reset(&mut self, capacity: f64) {
-        assert!(capacity.is_finite(), "capacity must be finite");
+    /// allocations for reuse.
+    pub fn reset(&mut self, capacity: i64) {
         self.capacity = capacity;
         self.deltas.clear();
-        self.overlay.clear();
+        self.pending.clear();
+        self.pending_off.clear();
         self.staged.clear();
-        self.index.clear();
+        self.index.stale = true;
+        self.index.query_seen.set(false);
     }
 
-    /// Set the overlay size past which [`Self::reserve`] compacts the
-    /// overlay into the main vector. `0` compacts after every reserve
-    /// (the pre-overlay behavior, used as the bench baseline); the limit
-    /// survives [`Self::reset`]. Compaction doesn't change the merged
-    /// step function, so the query index is untouched.
-    pub fn set_overlay_limit(&mut self, limit: usize) {
-        self.overlay_limit = limit;
-        if self.overlay.len() > self.overlay_limit {
-            self.compact();
+    /// The step function's breakpoints in time order: `deltas ⊕ pending`,
+    /// summed at shared instants.
+    fn breakpoints(&self) -> Merge<'_> {
+        Merge {
+            a: &self.deltas,
+            b: &self.pending,
+            i: 0,
+            j: 0,
         }
     }
 
-    /// Enable or disable the segment-tree query index (enabled by
-    /// default). Disabling routes every query through the linear
-    /// breakpoint sweep — the bench baseline; re-enabling rebuilds the
-    /// index from the current breakpoints. Survives [`Self::reset`].
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        if enabled == self.index_enabled {
-            return;
-        }
-        self.index_enabled = enabled;
-        if enabled && self.deltas.len() + self.overlay.len() >= MIN_INDEXED {
-            let ResourceProfile {
-                index,
-                deltas,
-                overlay,
-                ..
-            } = self;
-            index.rebuild(deltas, overlay);
-        } else {
-            self.index.clear();
-        }
-    }
-
-    /// Pending-writes count past which [`Self::reserve`] rebuilds the
-    /// index. Every query walks the in-range pending windows linearly
-    /// (one descent plus one boundary hop each), so the list must stay
-    /// much shorter than the overlay: a quarter of the overlay bound
-    /// (but at least 8 so rebuilds still batch a few reservations)
-    /// keeps the walk a small constant while the O(B) rebuilds amortize
-    /// to a fraction of a breakpoint per write.
-    fn pending_limit(&self) -> usize {
-        (self.overlay_limit / 4).max(8)
-    }
-
-    /// Accumulate `d` at breakpoint `t`: in place when the instant exists
-    /// in either vector, otherwise a binary insert into the (small)
-    /// overlay. Accumulated values within [`eps_for`] of zero drop the
-    /// breakpoint (same tolerance as `insert_delta` and the batched
-    /// build). Every write is mirrored into the index's pending list; a
-    /// drop adds a second cancelling entry so the index view tracks the
-    /// removal (exactly for integer-valued profiles, within one ulp
-    /// otherwise).
-    fn overlay_add(&mut self, t: SimTime, d: f64) {
-        let eps = eps_for(self.capacity);
-        let mut dropped = None;
-        if let Ok(i) = self.deltas.binary_search_by_key(&t, |e| e.0) {
-            self.deltas[i].1 += d;
-            if self.deltas[i].1.abs() <= eps {
-                dropped = Some(self.deltas[i].1);
-                self.deltas.remove(i);
-            }
-        } else {
-            match self.overlay.binary_search_by_key(&t, |e| e.0) {
+    /// Add `d` at instant `t`. A live index logs it in the pending list
+    /// and refreshes the prefix sums from the touched entry on,
+    /// O(pending); with no index to keep in step, the breakpoint is
+    /// written in place.
+    fn write(&mut self, t: SimTime, d: i64) {
+        if self.index.stale {
+            match self.deltas.binary_search_by_key(&t, |e| e.0) {
                 Ok(i) => {
-                    self.overlay[i].1 += d;
-                    if self.overlay[i].1.abs() <= eps {
-                        dropped = Some(self.overlay[i].1);
-                        self.overlay.remove(i);
+                    self.deltas[i].1 += d;
+                    if self.deltas[i].1 == 0 {
+                        self.deltas.remove(i);
                     }
                 }
-                Err(i) => self.overlay.insert(i, (t, d)),
+                Err(i) => self.deltas.insert(i, (t, d)),
             }
-        }
-        if self.index_enabled && !self.index.stale {
-            self.index.pending_add(t, d);
-            if let Some(residue) = dropped {
-                if residue != 0.0 {
-                    self.index.pending_add(t, -residue);
-                }
-            }
-        }
-    }
-
-    /// Merge the overlay into the main vector. Instants are disjoint, so
-    /// this is a plain two-way merge; values move without re-accumulation,
-    /// keeping every stored bit identical to the insert path's.
-    fn compact(&mut self) {
-        if self.overlay.is_empty() {
             return;
         }
-        self.merge_scratch.clear();
-        self.merge_scratch
-            .reserve(self.deltas.len() + self.overlay.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.deltas.len() && j < self.overlay.len() {
-            let (ta, tb) = (self.deltas[i].0, self.overlay[j].0);
-            debug_assert_ne!(ta, tb, "overlay instant collides with main vector");
-            if ta < tb {
-                self.merge_scratch.push(self.deltas[i]);
-                i += 1;
-            } else {
-                self.merge_scratch.push(self.overlay[j]);
-                j += 1;
+        let i = match self.pending.binary_search_by_key(&t, |e| e.0) {
+            Ok(i) => {
+                self.pending[i].1 += d;
+                i
             }
+            Err(i) => {
+                self.pending.insert(i, (t, d));
+                self.pending_off.push(0);
+                i
+            }
+        };
+        let mut acc = if i == 0 { 0 } else { self.pending_off[i - 1] };
+        for k in i..self.pending.len() {
+            acc += self.pending[k].1;
+            self.pending_off[k] = acc;
         }
-        self.merge_scratch.extend_from_slice(&self.deltas[i..]);
-        self.merge_scratch.extend_from_slice(&self.overlay[j..]);
-        std::mem::swap(&mut self.deltas, &mut self.merge_scratch);
-        self.overlay.clear();
-        debug_assert!(self.deltas.windows(2).all(|w| w[0].0 < w[1].0));
+        TREE_UPDATES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Merge the pending list into the folded breakpoints, then rebuild
+    /// the index if the profile is still large enough and a query has
+    /// read it since the last rebuild; otherwise mark it stale.
+    fn fold(&mut self) {
+        let mut merged = std::mem::take(&mut self.scratch);
+        merged.clear();
+        merged.extend(self.breakpoints().filter(|e| e.1 != 0));
+        self.scratch = std::mem::replace(&mut self.deltas, merged);
+        self.pending.clear();
+        self.pending_off.clear();
+        if self.deltas.len() >= MIN_INDEXED && self.index.query_seen.get() {
+            self.index.rebuild(&self.deltas);
+        } else {
+            self.index.stale = true;
+        }
     }
 
     /// Reserve `amount` (may be negative) over `[start, end)`. Empty or
     /// inverted intervals are ignored.
-    pub fn reserve(&mut self, amount: f64, start: SimTime, end: SimTime) {
-        if end <= start || amount == 0.0 {
+    pub fn reserve(&mut self, amount: i64, start: SimTime, end: SimTime) {
+        if end <= start || amount == 0 {
             return;
         }
         debug_assert!(self.staged.is_empty(), "commit_staged before reserving");
-        self.overlay_add(start, amount);
-        self.overlay_add(end, -amount);
-        if self.overlay.len() > self.overlay_limit {
-            self.compact();
-        }
-        if self.index_enabled {
-            let n = self.deltas.len() + self.overlay.len();
-            if n < MIN_INDEXED {
-                self.index.stale = true;
-            } else if self.index.stale || self.index.pending.len() > self.pending_limit() {
-                // Rebuild only when a query has consumed the index since
-                // the last rebuild: a write-only burst defers (marking
-                // the grid stale) and the burst's first reader sweeps
-                // once instead, so building a profile costs O(1) extra
-                // per write no matter how large it grows.
-                if self.index.query_seen.get() {
-                    let ResourceProfile {
-                        index,
-                        deltas,
-                        overlay,
-                        ..
-                    } = self;
-                    index.rebuild(deltas, overlay);
-                } else {
-                    self.index.stale = true;
-                }
+        self.write(start, amount);
+        self.write(end, -amount);
+        if self.index.stale {
+            // Revive the index once the profile is large enough and a
+            // query has read it: a write-only burst never rebuilds, and
+            // the burst's first reader sweeps once instead.
+            if self.deltas.len() >= MIN_INDEXED && self.index.query_seen.get() {
+                self.index.rebuild(&self.deltas);
             }
+        } else if self.pending.len() > FOLD_LIMIT
+            || self.deltas.len() + self.pending.len() < MIN_INDEXED
+        {
+            self.fold();
         }
     }
 
     /// Stage `amount` over `[start, end)` for a batched build. Invisible
     /// to queries until [`Self::commit_staged`]; must only be used on a
     /// freshly [`Self::reset`] profile.
-    pub fn stage(&mut self, amount: f64, start: SimTime, end: SimTime) {
-        if end <= start || amount == 0.0 {
+    pub fn stage(&mut self, amount: i64, start: SimTime, end: SimTime) {
+        if end <= start || amount == 0 {
             return;
         }
-        let seq = self.staged.len() as u32;
-        self.staged.push((start, seq, amount));
-        self.staged.push((end, seq + 1, -amount));
+        self.staged.push((start, amount));
+        self.staged.push((end, -amount));
     }
 
-    /// Sort and coalesce everything staged since [`Self::reset`] into the
-    /// breakpoint vector: O(S log S) total where the insert path is
-    /// O(S·k). Accumulation at each instant runs left-to-right in staging
-    /// (call) order, so every stored delta is bit-identical to the insert
-    /// path's — asserted against a pooled insert-path replay in debug
-    /// builds. Near-zero sums drop the breakpoint with the same
-    /// [`eps_for`] tolerance as `insert_delta`: a running total landing
-    /// within `eps` deletes the entry, so the next delta at that instant
-    /// restarts the accumulation fresh (bitwise what the insert path
-    /// computes). Rebuilds the query index once at the end.
+    /// Sort and sum everything staged since [`Self::reset`] into the
+    /// breakpoints: O(S log S) where one write per entry would be
+    /// O(S·k). Instants whose deltas cancel are dropped. Rebuilds the
+    /// query index once at the end.
     pub fn commit_staged(&mut self) {
         debug_assert!(
-            self.deltas.is_empty() && self.overlay.is_empty(),
+            self.deltas.is_empty() && self.pending.is_empty(),
             "commit_staged on a profile with committed reservations"
         );
-        let eps = eps_for(self.capacity);
-        #[cfg(debug_assertions)]
-        {
-            let (oracle, staged) = (&mut self.oracle, &self.staged);
-            oracle.clear();
-            for &(t, _, d) in staged {
-                insert_delta(oracle, t, d, eps);
+        self.staged.sort_unstable_by_key(|e| e.0);
+        for &(t, d) in &self.staged {
+            match self.deltas.last_mut() {
+                Some(last) if last.0 == t => last.1 += d,
+                _ => self.deltas.push((t, d)),
             }
         }
-        self.staged.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
-        let mut i = 0;
-        while i < self.staged.len() {
-            let t = self.staged[i].0;
-            let mut acc = self.staged[i].2;
-            let mut live = true;
-            i += 1;
-            while i < self.staged.len() && self.staged[i].0 == t {
-                let d = self.staged[i].2;
-                if live {
-                    acc += d;
-                    if acc.abs() <= eps {
-                        live = false;
-                    }
-                } else {
-                    acc = d;
-                    live = true;
-                }
-                i += 1;
-            }
-            if live {
-                self.deltas.push((t, acc));
-            }
-        }
+        self.deltas.retain(|e| e.1 != 0);
         self.staged.clear();
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.deltas.len() == self.oracle.len()
-                && self
-                    .deltas
-                    .iter()
-                    .zip(self.oracle.iter())
-                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-            "batched build diverged from the insert-path oracle"
-        );
-        if self.index_enabled {
-            if self.deltas.len() >= MIN_INDEXED {
-                let ResourceProfile {
-                    index,
-                    deltas,
-                    overlay,
-                    ..
-                } = self;
-                index.rebuild(deltas, overlay);
-            } else {
-                self.index.clear();
-            }
+        if self.deltas.len() >= MIN_INDEXED {
+            self.index.rebuild(&self.deltas);
+        } else {
+            self.index.stale = true;
         }
     }
 
     /// Total reserved amount at time `t`.
-    pub fn usage_at(&self, t: SimTime) -> f64 {
+    pub fn usage_at(&self, t: SimTime) -> i64 {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let mut m = Merge::new(self);
-        let mut usage = 0.0;
-        while m.peek().is_some_and(|bt| bt <= t) {
-            usage += m.next().expect("peeked").1;
-        }
-        usage
+        self.breakpoints()
+            .take_while(|&(bt, _)| bt <= t)
+            .map(|(_, d)| d)
+            .sum()
     }
 
     /// Maximum reserved amount over `[start, end)`; `usage_at(start)` if
-    /// there are no breakpoints inside the window. Returns 0.0 for empty
+    /// there are no breakpoints inside the window. Returns 0 for empty
     /// windows.
-    pub fn max_over(&self, start: SimTime, end: SimTime) -> f64 {
+    pub fn max_over(&self, start: SimTime, end: SimTime) -> i64 {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
         if end <= start {
-            return 0.0;
+            return 0;
         }
-        let mut m = Merge::new(self);
-        let mut usage = 0.0;
-        while m.peek().is_some_and(|bt| bt <= start) {
-            usage += m.next().expect("peeked").1;
+        let mut m = self.breakpoints().peekable();
+        let mut usage = 0;
+        while let Some((_, d)) = m.next_if(|&(bt, _)| bt <= start) {
+            usage += d;
         }
         let mut max = usage;
-        while m.peek().is_some_and(|bt| bt < end) {
-            usage += m.next().expect("peeked").1;
+        while let Some((_, d)) = m.next_if(|&(bt, _)| bt < end) {
+            usage += d;
             max = max.max(usage);
         }
         max
@@ -760,93 +487,67 @@ impl ResourceProfile {
     /// Earliest `t ≥ from` such that the reserved amount stays at or below
     /// `threshold` throughout `[t, t + dur)`.
     ///
-    /// With the index enabled (the default), the probe descends the
-    /// segment-profile index: locate `from` with two binary searches,
-    /// then alternate between "find the next boundary that violates the
-    /// limit before the window closes" (bounded good-state search, often
-    /// a single pruned tree descent) and "find the next boundary back at
-    /// or under the limit" — O(log B) per usage flip instead of the
-    /// linear sweep's O(B) walk. The sweep survives as the debug-assert
-    /// oracle and as the [`Self::set_index_enabled`] `false` baseline; it
-    /// walks the piecewise-constant segments accumulating usage once,
-    /// tracking the start of the current run of fitting segments, and
-    /// returns as soon as a run covers a full window. (The still older
-    /// O(k²) probe-scan survives as [`Self::earliest_at_most_scan`], the
-    /// sweep's own oracle.)
+    /// A live index answers by flip search (see
+    /// `earliest_at_most_indexed`), checked against the linear sweep in
+    /// debug builds; dormant and stale profiles sweep.
     ///
     /// Always terminates: after the last breakpoint the profile is
     /// constant (zero if all reservations have finite ends) — if even the
     /// tail usage exceeds the threshold, [`SimTime::FAR_FUTURE`] is
     /// returned.
-    pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: f64) -> SimTime {
+    pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: i64) -> SimTime {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let eps = eps_for(self.capacity);
-        let limit = threshold + eps;
         let dur = dur.max(SimDuration::from_millis(1));
-        if self.index_enabled {
-            self.index.query_seen.set(true);
-        }
-        let result = if self.index_enabled && !self.index.stale {
-            let result = self.earliest_at_most_indexed(from, dur, limit);
-            #[cfg(debug_assertions)]
-            {
-                // Replay through the linear sweep; its steps go to a
-                // throwaway counter so `sweep_steps` stays a pure
-                // linear-path measure.
-                let mut steps: u64 = 0;
-                let by_sweep = if self.overlay.is_empty() {
-                    sweep(self.deltas.iter().copied(), from, dur, limit, &mut steps)
-                } else {
-                    sweep(Merge::new(self), from, dur, limit, &mut steps)
-                };
-                debug_assert_eq!(
-                    result, by_sweep,
-                    "segment-tree descent diverged from the linear sweep (from {from}, \
-                     dur {dur}, threshold {threshold})"
-                );
-            }
-            result
-        } else {
+        self.index.query_seen.set(true);
+        if self.index.stale {
+            // Nothing is pending without a live index: sweep one slice.
+            debug_assert!(self.pending.is_empty());
             let mut steps: u64 = 0;
-            // Monomorphize the sweep for the empty-overlay case: a plain
-            // slice walk with no per-step merge branching. The merged
-            // sweep visits the same breakpoints in the same order, so
-            // both paths accumulate bit-identical usage sums.
-            let result = if self.overlay.is_empty() {
-                sweep(self.deltas.iter().copied(), from, dur, limit, &mut steps)
-            } else {
-                sweep(Merge::new(self), from, dur, limit, &mut steps)
-            };
+            let result = sweep(
+                self.deltas.iter().copied(),
+                from,
+                dur,
+                threshold,
+                &mut steps,
+            );
             SWEEP_STEPS.with(|c| c.set(c.get() + steps));
-            result
-        };
-        #[cfg(debug_assertions)]
+            return result;
+        }
+        let result = self.earliest_at_most_indexed(from, dur, threshold);
         debug_assert_eq!(
             result,
-            self.earliest_at_most_scan(from, dur, threshold),
-            "sweep diverged from the probe-scan oracle (from {from}, dur {dur}, \
-             threshold {threshold})"
+            sweep(self.breakpoints(), from, dur, threshold, &mut 0),
+            "segment-tree descent diverged from the linear sweep (from {from}, \
+             dur {dur}, threshold {threshold})"
         );
         result
+    }
+
+    /// Pending prefix sum once `k` pending instants lie at or before the
+    /// probe position.
+    fn pval(&self, k: usize) -> i64 {
+        if k == 0 {
+            0
+        } else {
+            self.pending_off[k - 1]
+        }
     }
 
     /// The indexed [`Self::earliest_at_most`] walk. `cand` tracks the
     /// start of the current run of fitting segments exactly like the
     /// sweep; each iteration jumps straight to the next usage flip via
-    /// [`ProfileIndex::next_flip`] instead of stepping breakpoints. The
-    /// good-state search is bounded by `cand + dur` — a flip at or past
-    /// the window close can't matter — so fits-now probes cost O(log B)
-    /// total.
-    fn earliest_at_most_indexed(&self, from: SimTime, dur: SimDuration, limit: f64) -> SimTime {
-        let idx = &self.index;
+    /// [`Self::next_flip`]. The good-state search is bounded by
+    /// `cand + dur` — a flip at or past the window close can't matter —
+    /// so fits-now probes cost O(log B) total.
+    fn earliest_at_most_indexed(&self, from: SimTime, dur: SimDuration, limit: i64) -> SimTime {
         let mut steps: u64 = 0;
-        let mut gi = idx.times.partition_point(|&bt| bt <= from);
-        let mut pi = idx.pending.partition_point(|&(bt, _)| bt <= from);
+        let mut gi = self.index.times.partition_point(|&bt| bt <= from);
+        let mut pi = self.pending.partition_point(|&(bt, _)| bt <= from);
         let mut cand = from;
-        let mut good = idx.gval(gi) + idx.pval(pi) <= limit;
+        let mut good = self.index.gval(gi) + self.pval(pi) <= limit;
         let result = loop {
             if good {
-                match idx.next_flip(gi, pi, limit, true, Some(cand + dur), &mut steps) {
+                match self.next_flip(gi, pi, limit, true, Some(cand + dur), &mut steps) {
                     // No boundary above the limit before the window
                     // closes: `[cand, cand + dur)` fits.
                     None => break cand,
@@ -857,7 +558,7 @@ impl ResourceProfile {
                     }
                 }
             } else {
-                match idx.next_flip(gi, pi, limit, false, None, &mut steps) {
+                match self.next_flip(gi, pi, limit, false, None, &mut steps) {
                     // Tail usage exceeds the threshold forever.
                     None => break SimTime::FAR_FUTURE,
                     Some((bt, ngi, npi)) => {
@@ -873,53 +574,90 @@ impl ResourceProfile {
         result
     }
 
-    /// The pre-sweep implementation of [`Self::earliest_at_most`]: probe
-    /// `max_over` at `from` and after every breakpoint until a window
-    /// fits. O(k²); kept as the debug-assert oracle for the O(k) sweep.
-    #[cfg(debug_assertions)]
-    fn earliest_at_most_scan(&self, from: SimTime, dur: SimDuration, threshold: f64) -> SimTime {
-        let eps = eps_for(self.capacity);
-        let fits = |t: SimTime| -> bool {
-            self.max_over(t, t + dur.max(SimDuration::from_millis(1))) <= threshold + eps
-        };
-        let next_after = |t: SimTime| -> Option<SimTime> {
-            let a = self
-                .deltas
-                .get(self.deltas.partition_point(|e| e.0 <= t))
-                .map(|e| e.0);
-            let b = self
-                .overlay
-                .get(self.overlay.partition_point(|e| e.0 <= t))
-                .map(|e| e.0);
-            match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        };
-        let mut t = from;
+    /// First boundary strictly after the cursor `(gi, pi)` — and before
+    /// `bound`, when given — at which the merged usage first satisfies
+    /// the predicate (`above`: `> limit`, else `<= limit`). Walks one
+    /// pending window at a time: a gallop prefix and a tree descent over
+    /// the grid positions before the next pending instant, then the
+    /// pending instant itself. Returns the flip time and the advanced
+    /// cursor; `None` means no boundary before `bound` (or ever) flips.
+    fn next_flip(
+        &self,
+        mut gi: usize,
+        mut pi: usize,
+        limit: i64,
+        above: bool,
+        bound: Option<SimTime>,
+        steps: &mut u64,
+    ) -> Option<(SimTime, usize, usize)> {
+        let idx = &self.index;
+        let sat = |u: i64| if above { u > limit } else { u <= limit };
         loop {
-            if fits(t) {
-                return t;
+            let off = self.pval(pi);
+            // Grid window before the next pending write (or the grid end).
+            let (win_end, pt) = match self.pending.get(pi) {
+                Some(&(pt, _)) => (
+                    gi + idx.times[gi..].partition_point(|&bt| bt < pt),
+                    Some(pt),
+                ),
+                None => (idx.times.len(), None),
+            };
+            let scan_end = match bound {
+                Some(b) => gi + idx.times[gi..win_end].partition_point(|&bt| bt < b),
+                None => win_end,
+            };
+            // Gallop: most flips sit within a few breakpoints of the
+            // cursor (adjacent reservations at the backfill horizon), so
+            // scan a short linear prefix — as cheap as the sweep there —
+            // and only descend the tree for the long-range skips it wins.
+            let gallop_end = scan_end.min(gi + GALLOP);
+            while gi < gallop_end {
+                *steps += 1;
+                if sat(idx.usage[gi] + off) {
+                    return Some((idx.times[gi], gi + 1, pi));
+                }
+                gi += 1;
             }
-            match next_after(t) {
-                Some(bt) => t = bt,
-                None => return SimTime::FAR_FUTURE,
+            // The trees compare against `limit - off`, so their padding
+            // leaves never take part in an addition.
+            if let Some(j) = idx.first_flip(gi, scan_end, limit - off, above, steps) {
+                return Some((idx.times[j], j + 1, pi));
+            }
+            if scan_end < win_end {
+                // Every boundary before `bound` keeps the current state.
+                return None;
+            }
+            let pt = pt?;
+            if bound.is_some_and(|b| pt >= b) {
+                return None;
+            }
+            // Step over the pending write at `pt` (which may coincide
+            // with a grid breakpoint).
+            gi = if idx.times.get(win_end) == Some(&pt) {
+                win_end + 1
+            } else {
+                win_end
+            };
+            pi += 1;
+            *steps += 1;
+            if sat(idx.gval(gi) + self.pval(pi)) {
+                return Some((pt, gi, pi));
             }
         }
     }
 
     /// Earliest `t ≥ from` at which an additional `amount` fits under the
     /// capacity for the whole window `[t, t + dur)`.
-    pub fn earliest_fit(&self, from: SimTime, dur: SimDuration, amount: f64) -> SimTime {
+    pub fn earliest_fit(&self, from: SimTime, dur: SimDuration, amount: i64) -> SimTime {
         self.earliest_at_most(from, dur, self.capacity - amount)
     }
 
     /// Breakpoints and cumulative usage, for diagnostics and tests.
-    pub fn steps(&self) -> Vec<(SimTime, f64)> {
+    pub fn steps(&self) -> Vec<(SimTime, i64)> {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let mut usage = 0.0;
-        Merge::new(self)
+        let mut usage = 0;
+        self.breakpoints()
+            .filter(|e| e.1 != 0)
             .map(|(t, d)| {
                 usage += d;
                 (t, usage)
@@ -928,25 +666,23 @@ impl ResourceProfile {
     }
 }
 
-/// The [`ResourceProfile::earliest_at_most`] segment walk over any
+/// The [`ResourceProfile::earliest_at_most`] segment walk over a
 /// time-ordered breakpoint stream: accumulate usage once left to right,
 /// track the start of the current run of fitting segments, return as
 /// soon as a run covers a full window.
-fn sweep<I: Iterator<Item = (SimTime, f64)>>(
+fn sweep<I: Iterator<Item = (SimTime, i64)>>(
     iter: I,
     from: SimTime,
     dur: SimDuration,
-    limit: f64,
+    limit: i64,
     steps: &mut u64,
 ) -> SimTime {
     let mut m = iter.peekable();
 
-    // Accumulate usage over the breakpoints at or before `from` (the
-    // same left-to-right float accumulation as `usage_at`, so every
-    // comparison sees bit-identical sums to the oracle's).
-    let mut usage = 0.0;
-    while m.peek().is_some_and(|&(bt, _)| bt <= from) {
-        usage += m.next().expect("peeked").1;
+    // Usage over the breakpoints at or before `from`.
+    let mut usage = 0;
+    while let Some((_, d)) = m.next_if(|&(bt, _)| bt <= from) {
+        usage += d;
         *steps += 1;
     }
 
@@ -975,52 +711,33 @@ fn sweep<I: Iterator<Item = (SimTime, f64)>>(
     }
 }
 
-/// Two-way merge cursor over the main and overlay breakpoint vectors.
-/// Instants are disjoint between the two, so every merged breakpoint is
-/// visited exactly once in time order: queries run one `+=` per
-/// breakpoint exactly as they would over a single vector, keeping float
-/// sums bit-identical to the insert path's.
+/// Two-way merge cursor over two sorted breakpoint lists: yields each
+/// instant once in time order, with the deltas at an instant both lists
+/// hold summed. An instant whose sum is zero is still yielded; it changes
+/// no usage.
 struct Merge<'a> {
-    a: &'a [(SimTime, f64)],
-    b: &'a [(SimTime, f64)],
+    a: &'a [(SimTime, i64)],
+    b: &'a [(SimTime, i64)],
     i: usize,
     j: usize,
 }
 
-impl<'a> Merge<'a> {
-    fn new(p: &'a ResourceProfile) -> Self {
-        Merge {
-            a: &p.deltas,
-            b: &p.overlay,
-            i: 0,
-            j: 0,
-        }
-    }
-
-    /// Time of the next breakpoint without consuming it.
-    fn peek(&self) -> Option<SimTime> {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&(ta, _)), Some(&(tb, _))) => Some(ta.min(tb)),
-            (Some(&(ta, _)), None) => Some(ta),
-            (None, Some(&(tb, _))) => Some(tb),
-            (None, None) => None,
-        }
-    }
-}
-
 impl Iterator for Merge<'_> {
-    type Item = (SimTime, f64);
+    type Item = (SimTime, i64);
 
-    fn next(&mut self) -> Option<(SimTime, f64)> {
+    fn next(&mut self) -> Option<(SimTime, i64)> {
         match (self.a.get(self.i), self.b.get(self.j)) {
             (Some(&ea), Some(&eb)) => {
-                debug_assert_ne!(ea.0, eb.0, "overlay instant collides with main vector");
                 if ea.0 < eb.0 {
                     self.i += 1;
                     Some(ea)
-                } else {
+                } else if eb.0 < ea.0 {
                     self.j += 1;
                     Some(eb)
+                } else {
+                    self.i += 1;
+                    self.j += 1;
+                    Some((ea.0, ea.1 + eb.1))
                 }
             }
             (Some(&ea), None) => {
@@ -1039,7 +756,7 @@ impl Iterator for Merge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iosched_simkit::{prop, prop_assert, props};
+    use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -1048,274 +765,308 @@ mod tests {
         SimDuration::from_secs(s)
     }
 
+    /// The naive reference model every property compares against: one
+    /// `Vec::insert` per breakpoint, cancelled instants removed, and the
+    /// O(k²) probe scan for `earliest_at_most`.
+    #[derive(Default)]
+    struct Model {
+        deltas: Vec<(SimTime, i64)>,
+    }
+
+    impl Model {
+        fn of(resv: &[(u64, u64, i64)]) -> Self {
+            let mut m = Model::default();
+            for &(s, len, a) in resv {
+                m.reserve(a, t(s), t(s + len));
+            }
+            m
+        }
+
+        fn reserve(&mut self, a: i64, start: SimTime, end: SimTime) {
+            if end > start && a != 0 {
+                self.add(start, a);
+                self.add(end, -a);
+            }
+        }
+
+        fn add(&mut self, at: SimTime, a: i64) {
+            match self.deltas.binary_search_by_key(&at, |e| e.0) {
+                Ok(i) => {
+                    self.deltas[i].1 += a;
+                    if self.deltas[i].1 == 0 {
+                        self.deltas.remove(i);
+                    }
+                }
+                Err(i) => self.deltas.insert(i, (at, a)),
+            }
+        }
+
+        fn steps(&self) -> Vec<(SimTime, i64)> {
+            let mut usage = 0;
+            self.deltas
+                .iter()
+                .map(|&(bt, a)| {
+                    usage += a;
+                    (bt, usage)
+                })
+                .collect()
+        }
+
+        fn usage_at(&self, at: SimTime) -> i64 {
+            self.deltas.iter().filter(|e| e.0 <= at).map(|e| e.1).sum()
+        }
+
+        fn max_over(&self, start: SimTime, end: SimTime) -> i64 {
+            let inside = self.deltas.iter().filter(|e| e.0 > start && e.0 < end);
+            inside
+                .map(|e| self.usage_at(e.0))
+                .fold(self.usage_at(start), i64::max)
+        }
+
+        /// Probe `max_over` at `from` and after every breakpoint until a
+        /// window fits.
+        fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: i64) -> SimTime {
+            let dur = dur.max(SimDuration::from_millis(1));
+            let mut at = from;
+            loop {
+                if self.max_over(at, at + dur) <= threshold {
+                    return at;
+                }
+                match self.deltas.iter().find(|e| e.0 > at) {
+                    Some(e) => at = e.0,
+                    None => return SimTime::FAR_FUTURE,
+                }
+            }
+        }
+    }
+
     #[test]
     fn usage_tracks_reservations() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(4.0, t(10), t(20));
-        p.reserve(3.0, t(15), t(25));
-        assert_eq!(p.usage_at(t(0)), 0.0);
-        assert_eq!(p.usage_at(t(10)), 4.0);
-        assert_eq!(p.usage_at(t(15)), 7.0);
-        assert_eq!(p.usage_at(t(20)), 3.0);
-        assert_eq!(p.usage_at(t(25)), 0.0);
+        let mut p = ResourceProfile::new(10);
+        p.reserve(4, t(10), t(20));
+        p.reserve(3, t(15), t(25));
+        assert_eq!(p.usage_at(t(0)), 0);
+        assert_eq!(p.usage_at(t(10)), 4);
+        assert_eq!(p.usage_at(t(15)), 7);
+        assert_eq!(p.usage_at(t(20)), 3);
+        assert_eq!(p.usage_at(t(25)), 0);
     }
 
     #[test]
     fn max_over_windows() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(4.0, t(10), t(20));
-        p.reserve(3.0, t(15), t(25));
-        assert_eq!(p.max_over(t(0), t(10)), 0.0);
-        assert_eq!(p.max_over(t(0), t(16)), 7.0);
-        assert_eq!(p.max_over(t(12), t(14)), 4.0);
-        assert_eq!(p.max_over(t(21), t(30)), 3.0);
-        assert_eq!(p.max_over(t(5), t(5)), 0.0);
+        let mut p = ResourceProfile::new(10);
+        p.reserve(4, t(10), t(20));
+        p.reserve(3, t(15), t(25));
+        assert_eq!(p.max_over(t(0), t(10)), 0);
+        assert_eq!(p.max_over(t(0), t(16)), 7);
+        assert_eq!(p.max_over(t(12), t(14)), 4);
+        assert_eq!(p.max_over(t(21), t(30)), 3);
+        assert_eq!(p.max_over(t(5), t(5)), 0);
     }
 
     #[test]
     fn earliest_fit_simple() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(8.0, t(0), t(100));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(8, t(0), t(100));
         // 2 units fit immediately; 3 only after the block ends.
-        assert_eq!(p.earliest_fit(t(0), d(10), 2.0), t(0));
-        assert_eq!(p.earliest_fit(t(0), d(10), 3.0), t(100));
+        assert_eq!(p.earliest_fit(t(0), d(10), 2), t(0));
+        assert_eq!(p.earliest_fit(t(0), d(10), 3), t(100));
     }
 
     #[test]
     fn earliest_fit_finds_gap_large_enough() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(10.0, t(0), t(50));
-        p.reserve(10.0, t(60), t(100));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(10, t(0), t(50));
+        p.reserve(10, t(60), t(100));
         // A 10 s window fits exactly in the [50, 60) gap.
-        assert_eq!(p.earliest_fit(t(0), d(10), 10.0), t(50));
+        assert_eq!(p.earliest_fit(t(0), d(10), 10), t(50));
         // A 20 s window does not; it must wait until t=100.
-        assert_eq!(p.earliest_fit(t(0), d(20), 10.0), t(100));
+        assert_eq!(p.earliest_fit(t(0), d(20), 10), t(100));
     }
 
     #[test]
     fn earliest_fit_exact_capacity_boundary() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(6.0, t(0), t(100));
-        // Exactly-fitting amount is accepted (epsilon tolerance).
-        assert_eq!(p.earliest_fit(t(0), d(10), 4.0), t(0));
-        assert_eq!(p.earliest_fit(t(0), d(10), 4.0000001), t(100));
+        let mut p = ResourceProfile::new(quanta_down(10.5));
+        p.reserve(quanta_up(5.2), t(0), t(100));
+        // Capacity rounds down to 10 and the reservation up to 6: exactly
+        // the remaining 4 quanta fit, and a real 4.0000001 rounds to 5.
+        assert_eq!(p.earliest_fit(t(0), d(10), quanta_up(4.0)), t(0));
+        assert_eq!(p.earliest_fit(t(0), d(10), quanta_up(4.0000001)), t(100));
+    }
+
+    #[test]
+    fn rounding_rule_rounds_outward_and_saturates() {
+        assert_eq!((quanta_up(2.1), quanta_down(2.9)), (3, 2));
+        assert_eq!((quanta_up(-2.9), quanta_down(-2.1)), (-2, -3));
+        assert_eq!((quanta_up(7.0), quanta_down(7.0)), (7, 7));
+        assert_eq!(quanta_up(1e300), MAX_QUANTA);
+        assert_eq!(quanta_down(-1e300), -MAX_QUANTA);
+        assert_eq!((quanta_up(f64::NAN), quanta_down(f64::NAN)), (0, 0));
+        assert_eq!((quanta_up(-0.5), quanta_down(0.5)), (0, 0));
     }
 
     #[test]
     fn earliest_at_most_threshold_query() {
-        let mut p = ResourceProfile::new(100.0);
-        p.reserve(5.0, t(0), t(30));
-        p.reserve(5.0, t(10), t(20));
+        let mut p = ResourceProfile::new(100);
+        p.reserve(5, t(0), t(30));
+        p.reserve(5, t(10), t(20));
         // A 5 s window below threshold 8 fits immediately (usage 5 on
         // [0,10)); a 15 s window cannot avoid the [10,20) peak until t=20.
-        assert_eq!(p.earliest_at_most(t(0), d(5), 8.0), t(0));
-        assert_eq!(p.earliest_at_most(t(0), d(15), 8.0), t(20));
+        assert_eq!(p.earliest_at_most(t(0), d(5), 8), t(0));
+        assert_eq!(p.earliest_at_most(t(0), d(15), 8), t(20));
         // Threshold 5 with a 15 s window: t=20 works (usage 5 then 0).
-        assert_eq!(p.earliest_at_most(t(0), d(15), 5.0), t(20));
+        assert_eq!(p.earliest_at_most(t(0), d(15), 5), t(20));
         // Threshold 4: must wait for everything to end.
-        assert_eq!(p.earliest_at_most(t(0), d(5), 4.0), t(30));
+        assert_eq!(p.earliest_at_most(t(0), d(5), 4), t(30));
     }
 
     #[test]
     fn infeasible_returns_far_future() {
-        let mut p = ResourceProfile::new(10.0);
+        let mut p = ResourceProfile::new(10);
         // Permanent overload: reservation to FAR_FUTURE.
-        p.reserve(10.0, t(0), SimTime::FAR_FUTURE);
-        assert_eq!(p.earliest_fit(t(0), d(10), 5.0), SimTime::FAR_FUTURE);
+        p.reserve(10, t(0), SimTime::FAR_FUTURE);
+        assert_eq!(p.earliest_fit(t(0), d(10), 5), SimTime::FAR_FUTURE);
     }
 
     #[test]
     fn negative_amounts_lower_usage() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(8.0, t(0), t(100));
-        p.reserve(-3.0, t(0), t(100));
-        assert_eq!(p.usage_at(t(50)), 5.0);
-        assert_eq!(p.earliest_fit(t(0), d(10), 5.0), t(0));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(8, t(0), t(100));
+        p.reserve(-3, t(0), t(100));
+        assert_eq!(p.usage_at(t(50)), 5);
+        assert_eq!(p.earliest_fit(t(0), d(10), 5), t(0));
     }
 
     #[test]
     fn empty_and_inverted_intervals_ignored() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(5.0, t(10), t(10));
-        p.reserve(5.0, t(20), t(10));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(5, t(10), t(10));
+        p.reserve(5, t(20), t(10));
         assert!(p.steps().is_empty());
     }
 
     #[test]
     fn cancelled_deltas_leave_no_dead_breakpoints() {
         // +a then −a over the same interval cancels both breakpoints.
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(3.0, t(10), t(20));
-        p.reserve(-3.0, t(10), t(20));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(3, t(10), t(20));
+        p.reserve(-3, t(10), t(20));
         assert!(p.steps().is_empty());
 
         // Abutting reservations of the same amount cancel the shared
         // instant: +2@0 −2@10 then +2@10 −2@20 leaves nothing at t=10.
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(2.0, t(0), t(10));
-        p.reserve(2.0, t(10), t(20));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(2, t(0), t(10));
+        p.reserve(2, t(10), t(20));
         assert!(p.steps().iter().all(|&(bt, _)| bt != t(10)));
-        assert_eq!(p.usage_at(t(5)), 2.0);
-        assert_eq!(p.usage_at(t(15)), 2.0);
-        assert_eq!(p.usage_at(t(25)), 0.0);
+        assert_eq!(p.usage_at(t(5)), 2);
+        assert_eq!(p.usage_at(t(15)), 2);
+        assert_eq!(p.usage_at(t(25)), 0);
 
         // Same cancellation through the batched path.
-        let mut p = ResourceProfile::new(10.0);
-        p.stage(2.0, t(0), t(10));
-        p.stage(2.0, t(10), t(20));
+        let mut p = ResourceProfile::new(10);
+        p.stage(2, t(0), t(10));
+        p.stage(2, t(10), t(20));
         p.commit_staged();
         assert!(p.steps().iter().all(|&(bt, _)| bt != t(10)));
-        assert_eq!(p.usage_at(t(15)), 2.0);
+        assert_eq!(p.usage_at(t(15)), 2);
+
+        // A reserve cancelling a committed breakpoint hides it too.
+        p.reserve(-2, t(0), t(20));
+        assert!(p.steps().is_empty());
     }
 
     #[test]
     fn batched_build_matches_reserve() {
-        let mut a = ResourceProfile::new(10.0);
-        let mut b = ResourceProfile::new(10.0);
-        let resv = [
-            (4.0, 10u64, 20u64),
-            (3.0, 15, 25),
-            (-1.0, 0, 40),
-            (2.0, 15, 25),
-        ];
+        let mut a = ResourceProfile::new(10);
+        let mut b = ResourceProfile::new(10);
+        let resv = [(4, 10u64, 20u64), (3, 15, 25), (-1, 0, 40), (2, 15, 25)];
         for &(amt, s, e) in &resv {
             a.reserve(amt, t(s), t(e));
             b.stage(amt, t(s), t(e));
         }
         b.commit_staged();
         assert_eq!(a.steps(), b.steps());
-        // Committed profiles accept further overlay reservations.
-        a.reserve(1.5, t(12), t(18));
-        b.reserve(1.5, t(12), t(18));
+        // Committed profiles accept further reservations.
+        a.reserve(2, t(12), t(18));
+        b.reserve(2, t(12), t(18));
         assert_eq!(a.steps(), b.steps());
-        assert_eq!(
-            a.earliest_fit(t(0), d(8), 3.0),
-            b.earliest_fit(t(0), d(8), 3.0)
-        );
+        assert_eq!(a.earliest_fit(t(0), d(8), 3), b.earliest_fit(t(0), d(8), 3));
     }
 
     #[test]
-    fn overlay_compaction_preserves_queries() {
-        let mut p = ResourceProfile::new(10.0);
-        p.set_overlay_limit(2);
+    fn folds_preserve_queries() {
+        // 40 committed reservations give the index 80 breakpoints; 20
+        // read-interleaved reserves then log 40 writes, folding twice.
+        let mut p = ResourceProfile::new(10);
+        let mut model = Model::default();
+        for k in 0..40u64 {
+            p.stage(1, t(3 * k), t(3 * k + 100));
+            model.reserve(1, t(3 * k), t(3 * k + 100));
+        }
+        p.commit_staged();
         for k in 0..20u64 {
-            p.reserve(0.25, t(k), t(k + 7));
+            assert_eq!(p.earliest_at_most(t(k), d(5), 30), t(k));
+            p.reserve(1, t(3 * k + 1), t(3 * k + 50));
+            model.reserve(1, t(3 * k + 1), t(3 * k + 50));
+            assert!(!p.index.stale && p.pending.len() <= FOLD_LIMIT);
         }
-        let mut q = ResourceProfile::new(10.0);
-        q.set_overlay_limit(usize::MAX);
-        for k in 0..20u64 {
-            q.reserve(0.25, t(k), t(k + 7));
+        assert_eq!(p.steps(), model.steps());
+        for probe in 0..250u64 {
+            assert_eq!(p.usage_at(t(probe)), model.usage_at(t(probe)));
         }
-        assert_eq!(p.steps(), q.steps());
-        for probe in 0..30u64 {
-            assert_eq!(
-                p.usage_at(t(probe)).to_bits(),
-                q.usage_at(t(probe)).to_bits()
-            );
-        }
-        // Lowering the limit compacts immediately.
-        q.set_overlay_limit(0);
-        assert_eq!(p.steps(), q.steps());
     }
 
     #[test]
     fn capacity_accessor_and_stacked_identical_intervals() {
-        let mut p = ResourceProfile::new(7.5);
-        assert_eq!(p.capacity(), 7.5);
+        let mut p = ResourceProfile::new(7);
+        assert_eq!(p.capacity(), 7);
         // Three reservations over the identical interval accumulate.
         for _ in 0..3 {
-            p.reserve(2.0, t(5), t(10));
+            p.reserve(2, t(5), t(10));
         }
-        assert_eq!(p.usage_at(t(5)), 6.0);
-        assert_eq!(p.usage_at(t(10)), 0.0);
+        assert_eq!(p.usage_at(t(5)), 6);
+        assert_eq!(p.usage_at(t(10)), 0);
         assert_eq!(p.steps().len(), 2);
-        // 1.5 fits exactly at capacity; 2.0 does not until t=10.
-        assert_eq!(p.earliest_fit(t(0), d(5), 1.5), t(0).max(SimTime::ZERO));
-        assert_eq!(p.earliest_fit(t(5), d(2), 2.0), t(10));
+        // 1 fits exactly at capacity; 2 does not until t=10.
+        assert_eq!(p.earliest_fit(t(0), d(5), 1), t(0));
+        assert_eq!(p.earliest_fit(t(5), d(2), 2), t(10));
     }
 
     #[test]
     fn earliest_fit_beyond_all_breakpoints_is_immediate() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(10.0, t(0), t(10));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(10, t(0), t(10));
         // Querying from far past the last breakpoint: free immediately.
-        assert_eq!(p.earliest_fit(t(1000), d(50), 10.0), t(1000));
+        assert_eq!(p.earliest_fit(t(1000), d(50), 10), t(1000));
     }
 
     #[test]
     fn zero_duration_window_still_probes_an_instant() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(10.0, t(0), t(10));
+        let mut p = ResourceProfile::new(10);
+        p.reserve(10, t(0), t(10));
         // dur = 0 behaves like a 1 ms window.
-        assert_eq!(p.earliest_fit(t(0), SimDuration::ZERO, 1.0), t(10));
-    }
-
-    #[test]
-    fn near_zero_residues_drop_dead_breakpoints() {
-        // 0.1 + 0.2 − 0.3 cancels to a 5.55e-17 residue, not exactly 0.0;
-        // all three write paths drop the dead breakpoints (eps_for(10) =
-        // 1e-8 tolerance) instead of keeping them forever.
-        let residue = 0.1_f64 + 0.2 - 0.3;
-        assert!(residue != 0.0 && residue.abs() <= eps_for(10.0));
-
-        // Overlay / in-place path.
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(0.1, t(10), t(20));
-        p.reserve(0.2, t(10), t(20));
-        p.reserve(-0.3, t(10), t(20));
-        assert!(p.steps().is_empty());
-        assert_eq!(p.earliest_fit(t(0), d(5), 10.0), t(0));
-
-        // In-place accumulate onto committed breakpoints.
-        let mut p = ResourceProfile::new(10.0);
-        p.stage(0.1, t(10), t(20));
-        p.stage(0.2, t(10), t(20));
-        p.commit_staged();
-        p.reserve(-0.3, t(10), t(20));
-        assert!(p.steps().is_empty());
-        assert_eq!(p.earliest_fit(t(0), d(5), 10.0), t(0));
-
-        // Batched build.
-        let mut p = ResourceProfile::new(10.0);
-        p.stage(0.1, t(10), t(20));
-        p.stage(0.2, t(10), t(20));
-        p.stage(-0.3, t(10), t(20));
-        p.commit_staged();
-        assert!(p.steps().is_empty());
-        assert_eq!(p.earliest_fit(t(0), d(5), 10.0), t(0));
-    }
-
-    #[test]
-    fn index_toggle_matches_sweep() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(4.0, t(10), t(20));
-        p.reserve(3.0, t(15), t(25));
-        let on = p.earliest_at_most(t(12), d(8), 3.0);
-        p.set_index_enabled(false);
-        assert_eq!(p.earliest_at_most(t(12), d(8), 3.0), on);
-        p.set_index_enabled(true); // rebuilds from the live breakpoints
-        assert_eq!(p.earliest_at_most(t(12), d(8), 3.0), on);
-        assert_eq!(on, t(20));
+        assert_eq!(p.earliest_fit(t(0), SimDuration::ZERO, 1), t(10));
     }
 
     #[test]
     fn pending_overflow_rebuilds_index() {
         take_tree_counters();
-        let mut p = ResourceProfile::new(1000.0);
-        p.set_overlay_limit(4); // pending rebuild threshold = 8
-                                // Interleave writes and reads past MIN_INDEXED so the overflow
-                                // rebuilds actually fire (write-only bursts defer them). Start
-                                // and end instants never coincide (3k vs 3j + 10), so every
-                                // reserve adds two lasting breakpoints.
+        let mut p = ResourceProfile::new(1000);
+        // Interleave writes and reads past MIN_INDEXED so the overflow
+        // rebuilds actually fire (write-only bursts defer them). Start
+        // and end instants never coincide (3k vs 3j + 10), so every
+        // reserve adds two lasting breakpoints.
         for k in 0..200u64 {
-            p.reserve(1.0, t(3 * k), t(3 * k + 10));
-            let _ = p.earliest_at_most(t(3 * k), d(5), 3.0);
-            assert!(p.index.pending.len() <= 10);
+            p.reserve(1, t(3 * k), t(3 * k + 10));
+            let _ = p.earliest_at_most(t(3 * k), d(5), 3);
+            assert!(p.pending.len() <= FOLD_LIMIT);
         }
+        assert!(!p.index.stale, "a read-interleaved profile keeps its index");
         // Queries stay correct across rebuild boundaries (every call is
         // debug-asserted against the linear sweep).
         for f in 0..60u64 {
-            let _ = p.earliest_at_most(t(f), d(5), 3.0);
+            let _ = p.earliest_at_most(t(f), d(5), 3);
         }
         let (descents, updates) = take_tree_counters();
         assert!(descents > 0, "indexed queries count tree descents");
@@ -1327,86 +1078,78 @@ mod tests {
         // Below MIN_INDEXED the index stays dormant: queries sweep and
         // writes do no maintenance at all.
         take_tree_counters();
-        let mut p = ResourceProfile::new(100.0);
+        let mut p = ResourceProfile::new(100);
         for k in 0..20u64 {
-            p.reserve(1.0, t(k), t(k + 10));
+            p.reserve(1, t(k), t(k + 10));
         }
-        let _ = p.earliest_at_most(t(0), d(5), 50.0);
+        let _ = p.earliest_at_most(t(0), d(5), 50);
         assert_eq!(take_tree_counters(), (0, 0));
 
         // A write-only burst past MIN_INDEXED defers every rebuild; the
         // burst's first reader sweeps once, and the next write rebuilds.
-        let mut p = ResourceProfile::new(1000.0);
+        let mut p = ResourceProfile::new(1000);
         for k in 0..200u64 {
-            p.reserve(1.0, t(2 * k), t(2 * k + 1));
+            p.reserve(1, t(2 * k), t(2 * k + 1));
         }
         let (_, updates) = take_tree_counters();
         assert_eq!(updates, 0, "unread burst must not maintain the index");
-        let q = p.earliest_at_most(t(0), d(5), 0.5);
-        p.reserve(1.0, t(500), t(600));
+        let q = p.earliest_at_most(t(0), d(5), 0);
+        p.reserve(1, t(500), t(600));
         let (_, updates) = take_tree_counters();
         assert!(updates > 0, "first write after a read rebuilds");
-        assert_eq!(p.earliest_at_most(t(0), d(5), 0.5), q);
+        assert_eq!(p.earliest_at_most(t(0), d(5), 0), q);
     }
 
     #[test]
     fn reset_clears_reservations_and_swaps_capacity() {
-        let mut p = ResourceProfile::new(10.0);
-        p.reserve(4.0, t(0), t(10));
-        p.reset(5.0);
-        assert_eq!(p.capacity(), 5.0);
+        let mut p = ResourceProfile::new(10);
+        p.reserve(4, t(0), t(10));
+        p.reset(5);
+        assert_eq!(p.capacity(), 5);
         assert!(p.steps().is_empty());
-        assert_eq!(p.usage_at(t(5)), 0.0);
-        p.reserve(2.0, t(0), t(10));
-        assert_eq!(p.usage_at(t(5)), 2.0);
-    }
-
-    /// Rebuild the cumulative steps of an insert-path delta vector, the
-    /// oracle the overlay/batched property tests compare against.
-    fn oracle_steps(resv: &[(u64, u64, f64)]) -> Vec<(SimTime, f64)> {
-        let eps = eps_for(10.0);
-        let mut deltas: Vec<(SimTime, f64)> = Vec::new();
-        for &(s, len, a) in resv {
-            if a != 0.0 && len > 0 {
-                insert_delta(&mut deltas, t(s), a, eps);
-                insert_delta(&mut deltas, t(s + len), -a, eps);
-            }
-        }
-        let mut usage = 0.0;
-        deltas
-            .iter()
-            .map(|&(bt, d)| {
-                usage += d;
-                (bt, usage)
-            })
-            .collect()
+        assert_eq!(p.usage_at(t(5)), 0);
+        p.reserve(2, t(0), t(10));
+        assert_eq!(p.usage_at(t(5)), 2);
     }
 
     props! {
-        /// earliest_fit's result actually fits, and no earlier breakpoint-
-        /// aligned candidate fits.
+        /// The libm-free rounding helpers are a saturating `ceil` and
+        /// `floor`.
+        fn prop_rounding_matches_ceil_and_floor(
+            x in -1e15f64..1e15,
+            scale in 0i64..16,
+        ) {
+            let x = x / 10f64.powi(scale as i32);
+            let saturate = |v: f64| v.clamp(-MAX_CAPACITY, MAX_CAPACITY) as i64;
+            prop_assert_eq!(quanta_up(x), saturate(x.ceil()), "{x}");
+            prop_assert_eq!(quanta_down(x), saturate(x.floor()), "{x}");
+        }
+
+        /// earliest_fit's result equals the model's, actually fits, and no
+        /// earlier breakpoint-aligned candidate fits.
         fn prop_earliest_fit_correct(
-            resv in prop::vec((0u64..50, 1u64..30, 0.5f64..5.0), 0..12),
+            resv in prop::vec((0u64..50, 1u64..30, 500i64..5_000), 0..12),
             from in 0u64..40,
             dur in 1u64..20,
-            amount in 0.5f64..6.0,
+            amount in 500i64..6_000,
         ) {
-            let cap = 10.0;
+            let cap = 10_000;
             let mut p = ResourceProfile::new(cap);
             for &(s, len, a) in &resv {
                 p.reserve(a, t(s), t(s + len));
             }
             let got = p.earliest_fit(t(from), d(dur), amount);
+            prop_assert_eq!(got, Model::of(&resv).earliest_at_most(t(from), d(dur), cap - amount));
             if got != SimTime::FAR_FUTURE {
                 // It fits at `got`.
-                prop_assert!(p.max_over(got, got + d(dur)) <= cap - amount + 1e-6);
+                prop_assert!(p.max_over(got, got + d(dur)) <= cap - amount);
                 // No earlier candidate among {from} ∪ breakpoints fits.
                 let mut candidates = vec![t(from)];
                 candidates.extend(p.steps().iter().map(|&(bt, _)| bt));
                 for c in candidates {
                     if c >= t(from) && c < got {
                         prop_assert!(
-                            p.max_over(c, c + d(dur)) > cap - amount - 1e-6,
+                            p.max_over(c, c + d(dur)) > cap - amount,
                             "earlier candidate {c} fits but earliest_fit returned {got}"
                         );
                     }
@@ -1414,119 +1157,87 @@ mod tests {
             }
         }
 
-        /// Usage is the sum of overlapping reservations at every probe point.
+        /// Usage is the sum of overlapping reservations at every probe
+        /// point, and the window maximum matches the model's.
         fn prop_usage_matches_naive(
-            resv in prop::vec((0u64..50, 1u64..30, -3.0f64..5.0), 0..12),
+            resv in prop::vec((0u64..50, 1u64..30, -3_000i64..5_000), 0..12),
             probe in 0u64..100,
         ) {
-            let mut p = ResourceProfile::new(10.0);
-            let mut naive = 0.0;
+            let mut p = ResourceProfile::new(10_000);
+            let mut naive = 0;
             for &(s, len, a) in &resv {
-                if a != 0.0 {
-                    p.reserve(a, t(s), t(s + len));
-                }
+                p.reserve(a, t(s), t(s + len));
                 if probe >= s && probe < s + len {
                     naive += a;
                 }
             }
-            // Tolerance covers both float reassociation and the eps_for
-            // zero-drop rule (≤ 1e-8 residues may be dropped at cap 10).
-            prop_assert!((p.usage_at(t(probe)) - naive).abs() < 2e-8);
-        }
-
-        /// Every overlay-compaction regime and the batched build store
-        /// bit-identical breakpoints to the insert path, and answer
-        /// earliest_at_most identically. Runs under cfg(test) — not just
-        /// debug_assertions — so release CI exercises the oracle too.
-        fn prop_write_paths_bitwise_identical(
-            resv in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..24),
-            from in 0u64..50,
-            dur in 1u64..20,
-            thr in 0.0f64..9.0,
-        ) {
-            let oracle = oracle_steps(&resv);
-            for limit in [0usize, 3, usize::MAX] {
-                let mut p = ResourceProfile::new(10.0);
-                p.set_overlay_limit(limit);
-                for &(s, len, a) in &resv {
-                    p.reserve(a, t(s), t(s + len));
-                }
-                let steps = p.steps();
-                prop_assert!(
-                    steps.len() == oracle.len()
-                        && steps.iter().zip(oracle.iter()).all(|(x, y)| {
-                            x.0 == y.0 && x.1.to_bits() == y.1.to_bits()
-                        }),
-                    "overlay limit {limit} diverged from the insert path"
-                );
-                prop_assert!(
-                    p.earliest_at_most(t(from), d(dur), thr)
-                        == {
-                            let mut q = ResourceProfile::new(10.0);
-                            q.set_overlay_limit(0);
-                            for &(s, len, a) in &resv {
-                                q.reserve(a, t(s), t(s + len));
-                            }
-                            q.earliest_at_most(t(from), d(dur), thr)
-                        },
-                    "earliest_at_most diverged at overlay limit {limit}"
-                );
-            }
-            let mut b = ResourceProfile::new(10.0);
-            for &(s, len, a) in &resv {
-                b.stage(a, t(s), t(s + len));
-            }
-            b.commit_staged();
-            let steps = b.steps();
-            prop_assert!(
-                steps.len() == oracle.len()
-                    && steps.iter().zip(oracle.iter()).all(|(x, y)| {
-                        x.0 == y.0 && x.1.to_bits() == y.1.to_bits()
-                    }),
-                "batched build diverged from the insert path"
+            prop_assert_eq!(p.usage_at(t(probe)), naive);
+            let model = Model::of(&resv);
+            prop_assert_eq!(
+                p.max_over(t(probe), t(probe + 10)),
+                model.max_over(t(probe), t(probe + 10))
             );
         }
 
-        /// Tree-indexed earliest_at_most equals the linear sweep under
-        /// randomized interleaved stage/reserve churn — across overlay
-        /// compaction regimes, pending-rebuild boundaries, negative
-        /// amounts (AT-tracker profiles), and negative thresholds. Runs
-        /// under cfg(test) so release CI exercises the comparison too
-        /// (debug builds additionally self-assert every indexed probe
-        /// against the sweep inside earliest_at_most).
-        fn prop_indexed_matches_linear(
-            committed in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..16),
-            resv in prop::vec((0u64..60, 1u64..30, -3.0f64..5.0), 0..24),
-            probes in prop::vec((0u64..90, 1u64..25, -1.0f64..9.0), 1..8),
-            limit_idx in 0usize..4,
+        /// The reserve path and the batched build store exactly the
+        /// model's breakpoints and answer earliest_at_most exactly as its
+        /// probe scan does. Runs under cfg(test) — not just
+        /// debug_assertions — so release CI exercises the model too.
+        fn prop_write_paths_match_model(
+            resv in prop::vec((0u64..60, 1u64..30, -3_000i64..5_000), 0..24),
+            from in 0u64..50,
+            dur in 1u64..20,
+            thr in 0i64..9_000,
         ) {
-            let limits = [0usize, 2, 8, usize::MAX];
-            let mut p = ResourceProfile::new(10.0); // index on (default)
-            let mut q = ResourceProfile::new(10.0);
-            q.set_index_enabled(false);
-            for x in [&mut p, &mut q] {
-                x.set_overlay_limit(limits[limit_idx]);
-                for &(s, len, a) in &committed {
-                    x.stage(a, t(s), t(s + len));
-                }
-                x.commit_staged();
+            let model = Model::of(&resv);
+            let expected = model.earliest_at_most(t(from), d(dur), thr);
+            let mut p = ResourceProfile::new(10_000);
+            let mut b = ResourceProfile::new(10_000);
+            for &(s, len, a) in &resv {
+                p.reserve(a, t(s), t(s + len));
+                b.stage(a, t(s), t(s + len));
             }
+            b.commit_staged();
+            prop_assert_eq!(p.steps(), model.steps(), "reserve path diverged from the model");
+            prop_assert_eq!(b.steps(), model.steps(), "batched build diverged from the model");
+            prop_assert_eq!(p.earliest_at_most(t(from), d(dur), thr), expected);
+            prop_assert_eq!(b.earliest_at_most(t(from), d(dur), thr), expected);
+        }
+
+        /// Tree-indexed earliest_at_most equals the model under randomized
+        /// interleaved stage/reserve churn — across fold and rebuild
+        /// boundaries, negative amounts (AT-tracker profiles), and
+        /// negative thresholds. Runs under cfg(test) so release CI
+        /// exercises the comparison too (debug builds additionally
+        /// self-assert every indexed probe against the sweep inside
+        /// earliest_at_most).
+        fn prop_indexed_matches_model(
+            committed in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),
+            resv in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),
+            probes in prop::vec((0u64..900, 1u64..250, -1_000i64..9_000), 1..8),
+        ) {
+            let mut p = ResourceProfile::new(10_000);
+            let mut model = Model::of(&committed);
+            for &(s, len, a) in &committed {
+                p.stage(a, t(s), t(s + len));
+            }
+            p.commit_staged();
             let mut probe_iter = probes.iter().cycle();
             for &(s, len, a) in &resv {
                 p.reserve(a, t(s), t(s + len));
-                q.reserve(a, t(s), t(s + len));
+                model.reserve(a, t(s), t(s + len));
                 let &(f, du, thr) = probe_iter.next().expect("cycle");
-                prop_assert!(
-                    p.earliest_at_most(t(f), d(du), thr)
-                        == q.earliest_at_most(t(f), d(du), thr),
-                    "indexed probe diverged mid-churn (from {f}, dur {du}, thr {thr})"
+                prop_assert_eq!(
+                    p.earliest_at_most(t(f), d(du), thr),
+                    model.earliest_at_most(t(f), d(du), thr),
+                    "probe diverged mid-churn (from {f}, dur {du}, thr {thr})"
                 );
             }
             for &(f, du, thr) in &probes {
-                prop_assert!(
-                    p.earliest_at_most(t(f), d(du), thr)
-                        == q.earliest_at_most(t(f), d(du), thr),
-                    "indexed probe diverged (from {f}, dur {du}, thr {thr})"
+                prop_assert_eq!(
+                    p.earliest_at_most(t(f), d(du), thr),
+                    model.earliest_at_most(t(f), d(du), thr),
+                    "probe diverged (from {f}, dur {du}, thr {thr})"
                 );
             }
         }

@@ -73,10 +73,10 @@ props! {
         );
 
         // Rebuild the full plan into a fresh profile and check it.
-        let mut profile = ResourceProfile::new(total_nodes as f64);
+        let mut profile = ResourceProfile::new(total_nodes as i64);
         for rv in &views {
             profile.reserve(
-                rv.job.nodes as f64,
+                rv.job.nodes as i64,
                 rv.started,
                 rv.reservation_end(now),
             );
@@ -84,16 +84,16 @@ props! {
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
         for &id in &out.start_now {
             let j = by_id(id);
-            profile.reserve(j.nodes as f64, now, now + j.limit);
+            profile.reserve(j.nodes as i64, now, now + j.limit);
         }
         for &(id, at) in &out.reservations {
             let j = by_id(id);
             prop_assert!(at > now, "reservation must be in the future");
-            profile.reserve(j.nodes as f64, at, at + j.limit);
+            profile.reserve(j.nodes as i64, at, at + j.limit);
         }
         let max = profile.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
         prop_assert!(
-            max <= total_nodes as f64 + 1e-6,
+            max <= total_nodes as i64,
             "plan oversubscribes: {max} > {total_nodes}"
         );
 

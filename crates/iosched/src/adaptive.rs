@@ -213,8 +213,9 @@ impl SchedulingPolicy for AdaptivePolicy {
         self.have_params = true;
 
         // Lines 9–11: the AT tracker, seeded with the running jobs'
-        // adjusted loads (which may be negative for low-I/O jobs).
-        self.at.reset(quanta_down(self.cfg.limit_bps));
+        // adjusted loads (which may be negative for low-I/O jobs). It is
+        // only probed against `at_threshold`, so its capacity is unused.
+        self.at.reset(0);
         for rv in running {
             let r = effective_r(&self.book, rv.job, self.cfg.limit_bps);
             let adj = adjusted_load(r, rv.job.nodes, &self.params);

@@ -125,8 +125,9 @@ pub(crate) fn fill_bandwidth_profile(
     let mut horizon = now;
     for rv in running {
         let end = rv.reservation_end(now);
-        lt.stage(lt_demand(book, rv.job, lt.capacity()), rv.started, end);
-        sum_running += effective_r(book, rv.job, limit_bps);
+        let r = effective_r(book, rv.job, limit_bps);
+        lt.stage(lt_demand(r, lt.capacity()), rv.started, end);
+        sum_running += r;
         horizon = horizon.max(end);
     }
     // Lines 7–8: measured load above the accounted estimates is reserved
@@ -145,12 +146,12 @@ pub(crate) fn effective_r(book: &EstimateBook, job: &SchedJob, limit_bps: f64) -
     book.r(job.id).min(limit_bps)
 }
 
-/// The job's LT demand in profile quanta: its estimate rounded up, then
-/// clamped to the LT `capacity` *in quanta*. Clamping before rounding
-/// would round a non-integral limit up past the capacity, and the job
-/// could never fit.
-pub fn lt_demand(book: &EstimateBook, job: &SchedJob, capacity: i64) -> i64 {
-    quanta_up(book.r(job.id)).min(capacity)
+/// A job's LT demand in profile quanta: its [`effective_r`] rounded up,
+/// then clamped to the LT `capacity` *in quanta*. Without the final clamp
+/// a non-integral limit would round up past the capacity, and a job
+/// estimated at or above the limit could never fit.
+fn lt_demand(effective_r: f64, capacity: i64) -> i64 {
+    quanta_up(effective_r).min(capacity)
 }
 
 /// The one throughput-limit check, applied wherever a limit enters the
@@ -201,7 +202,8 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 4: alternate between the node tracker and the bandwidth
     /// profile until a common start time is a fixpoint.
     fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        let demand = lt_demand(self.book, job, self.lt.capacity());
+        let r = effective_r(self.book, job, self.limit_bps);
+        let demand = lt_demand(r, self.lt.capacity());
         let mut t = t_min;
         loop {
             let t_nt = self.nodes.earliest_start(job, t);
@@ -219,7 +221,8 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 3: reserve nodes and bandwidth for `[t, t + L_j)`.
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         self.nodes.reserve(job, start);
-        let demand = lt_demand(self.book, job, self.lt.capacity());
+        let r = effective_r(self.book, job, self.limit_bps);
+        let demand = lt_demand(r, self.lt.capacity());
         self.lt.reserve(demand, start, start + job.limit);
     }
 

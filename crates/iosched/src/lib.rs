@@ -25,6 +25,6 @@ pub mod twogroup;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePolicy};
 pub use book::EstimateBook;
-pub use ioaware::{check_limit_bps, lt_demand, IoAwareConfig, IoAwarePolicy};
+pub use ioaware::{check_limit_bps, IoAwareConfig, IoAwarePolicy};
 pub use packing::{packing_pass, PackingConfig};
 pub use twogroup::{TwoGroupParams, TwoGroupSplit};

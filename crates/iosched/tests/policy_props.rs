@@ -3,13 +3,14 @@
 //! invariants of Algorithms 2–7.
 
 use iosched_analytics::JobEstimate;
-use iosched_core::{
-    lt_demand, AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy,
-};
+use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
-use iosched_slurm::{backfill_pass, quanta_down, BackfillConfig, ResourceProfile, SchedJob};
+use iosched_slurm::{
+    backfill_pass, quanta_down, quanta_up, take_sweep_steps, take_tree_counters, BackfillConfig,
+    ResourceProfile, RunningView, SchedJob,
+};
 
 fn build_queue(spec: &[(usize, u64, f64, u64)]) -> (Vec<SchedJob>, EstimateBook) {
     let mut book = EstimateBook::new();
@@ -85,17 +86,20 @@ props! {
             &BackfillConfig::default(),
         );
 
-        // Rebuild the bandwidth plan through the policy's own rounding
-        // helper, and compare it to the limit in quanta, exactly.
+        // Rebuild the bandwidth plan through the rounding rule the policy
+        // uses (estimates round up, then clamp to the capacity in quanta),
+        // and compare it to the limit in quanta, exactly.
         let mut lt = ResourceProfile::new(quanta_down(limit));
+        let cap = lt.capacity();
+        let demand = |id: JobId| quanta_up(book.r(id)).min(cap);
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
         for &id in &out.start_now {
             let j = by_id(id);
-            lt.reserve(lt_demand(&book, j, lt.capacity()), SimTime::ZERO, SimTime::ZERO + j.limit);
+            lt.reserve(demand(id), SimTime::ZERO, SimTime::ZERO + j.limit);
         }
         for &(id, at) in &out.reservations {
             let j = by_id(id);
-            lt.reserve(lt_demand(&book, j, lt.capacity()), at, at + j.limit);
+            lt.reserve(demand(id), at, at + j.limit);
         }
         let max = lt.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
         prop_assert!(
@@ -217,6 +221,84 @@ props! {
                 prop_assert_eq!(t, SimTime::ZERO, "true zero job delayed");
             }
         }
+    }
+
+    /// A deep AT profile answers from its segment-tree index. With 100+
+    /// running jobs ending at distinct instants, the node, LT and AT
+    /// profiles all pass the index's 64-breakpoint dormant floor, so
+    /// probing every queued job (regular jobs through the AT gate) takes
+    /// no linear sweep; debug builds also check every indexed answer
+    /// against the sweep. The same deep round then runs pruned and
+    /// unpruned, which exercises the AT's pending writes and folds.
+    fn adaptive_deep_at_profile_is_indexed(
+        running_r in prop::vec(0.0f64..2.0e9, 100..140),
+        spec in prop::vec(
+            (1usize..4, 50u64..500, 0.0f64..2.0e9, 10u64..400),
+            4..20,
+        ),
+        limit in 1.0e10f64..2.0e10,
+        backfill_max in 0usize..6,
+    ) {
+        use iosched_slurm::{ReservationTracker, SchedulingPolicy};
+        let (queue, mut book) = build_queue(&spec);
+        let run_jobs: Vec<SchedJob> = running_r
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                let id = JobId(1000 + i as u64);
+                book.insert(
+                    id,
+                    JobEstimate {
+                        throughput_bps: r,
+                        runtime: SimDuration::from_secs(60),
+                    },
+                );
+                let limit = SimDuration::from_millis(60_000 + 7_001 * i as u64);
+                SchedJob::new(id, format!("r{i}"), 1, limit, SimTime::ZERO)
+            })
+            .collect();
+        let running: Vec<RunningView<'_>> = run_jobs
+            .iter()
+            .map(|job| RunningView { job, started: SimTime::ZERO })
+            .collect();
+        let refs: Vec<&SchedJob> = queue.iter().collect();
+        let total_nodes = running.len() + 8;
+
+        let mut policy = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+        policy.begin_round(book.clone());
+        let mut tracker = policy.init_tracker(&running, &refs, SimTime::ZERO, total_nodes);
+        take_sweep_steps();
+        take_tree_counters();
+        let mut regular = 0;
+        for j in &queue {
+            if !tracker.params().split.is_zero(book.r(j.id).min(limit), j.nodes) {
+                regular += 1;
+            }
+            tracker.earliest_start(j, SimTime::ZERO);
+        }
+        prop_assert_eq!(take_sweep_steps(), 0, "a deep profile swept");
+        let (descents, _) = take_tree_counters();
+        prop_assert!(regular == 0 || descents > 0, "no indexed probe ran");
+
+        let mut outcomes = Vec::new();
+        for prune in [true, false] {
+            let cfg = BackfillConfig {
+                max_reservations: backfill_max,
+                prune_fits_now: prune,
+                ..BackfillConfig::default()
+            };
+            let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+            ad.begin_round(book.clone());
+            outcomes.push(backfill_pass(
+                &mut ad,
+                &running,
+                &refs,
+                SimTime::ZERO,
+                total_nodes,
+                &cfg,
+            ));
+        }
+        prop_assert_eq!(&outcomes[0], &outcomes[1], "adaptive pruned walk diverged");
     }
 
     /// Fits-now pruning is outcome-neutral for the I/O-aware and

@@ -24,6 +24,14 @@
 //! in quanta therefore fits in real units, and no comparison needs a
 //! tolerance. Both saturate at [`MAX_QUANTA`].
 //!
+//! The AT tracker is the one exception. Its amounts are differences
+//! `r_j − n_j·r̄_zero`, and both terms round up before the subtraction, so
+//! an AT amount may sit up to one quantum below its real value. The AT
+//! gates regular jobs on a target, not on a limit, so it needs no
+//! fits-in-real-units guarantee; rounding the difference up instead would
+//! turn float noise in an exactly balanced load into one quantum per
+//! running job and close the gate.
+//!
 //! # Writes
 //!
 //! * **Batched build** — [`ResourceProfile::stage`] +

@@ -81,6 +81,9 @@ print_timings() {
 # results/bench/ci-run/ for debugging and artifact upload.
 BASELINE_DIR="$(mktemp -d)"
 cp results/bench/BENCH_*.json "$BASELINE_DIR"/
+# The figure gate moves the committed fig6 record log here while it
+# regenerates fig6 from scratch; the EXIT trap puts it back.
+FIG6_STASH="$(mktemp -d)"
 
 cleanup() {
     local status=$?
@@ -88,6 +91,10 @@ cleanup() {
     cp -f results/bench/BENCH_*.json results/bench/ci-run/ 2>/dev/null || true
     cp -f "$BASELINE_DIR"/BENCH_*.json results/bench/
     rm -rf "$BASELINE_DIR"
+    if [[ -f "$FIG6_STASH/records.jsonl" ]]; then
+        mv -f "$FIG6_STASH/records.jsonl" results/fig6/records.jsonl
+    fi
+    rm -rf "$FIG6_STASH"
     print_timings
     exit "$status"
 }
@@ -111,6 +118,17 @@ fi
 
 step "release build (offline)"
 cargo build --workspace --release --offline
+
+step "figure gate: fig3, fig5 and fig6 regenerate byte-identical"
+# The figures' CSVs and the fig6 record log are the determinism contract
+# (EXPERIMENTS.md, "Regenerating results"): only a deliberate model
+# change may move them. fig6 replays its committed record log unless
+# the log is moved aside, so it is regenerated from scratch on one worker.
+mv results/fig6/records.jsonl "$FIG6_STASH"/
+cargo run --release --offline -q -p iosched-experiments --bin fig3 >/dev/null
+cargo run --release --offline -q -p iosched-experiments --bin fig5 >/dev/null
+CAMPAIGN_THREADS=1 cargo run --release --offline -q -p iosched-experiments --bin fig6 >/dev/null
+git diff --exit-code --stat results/fig3 results/fig5 results/fig6
 
 step "tests (offline)"
 cargo test -q --workspace --offline

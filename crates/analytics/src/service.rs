@@ -148,7 +148,8 @@ impl AnalyticsService {
         self.predictor.observe(sym, throughput_bps, runtime);
     }
 
-    /// Direct access to the predictor (diagnostics, tests).
+    /// Direct access to the predictor: per-name predictions without a
+    /// cold-start fallback (the engine's estimate book), diagnostics, tests.
     pub fn predictor(&self) -> &dyn Predictor {
         self.predictor.as_ref()
     }

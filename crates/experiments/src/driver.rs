@@ -458,19 +458,56 @@ mod tests {
         assert_eq!(res.jobs.len(), 20);
     }
 
+    /// Two names that repeat, under a predictor whose estimate moves with
+    /// every completion: each completion changes its name's prediction
+    /// while jobs of that name are queued, running or not yet admitted.
+    /// The engine's debug book-sync oracle checks every job each round
+    /// sees against the analytics, so this runs in debug builds. The
+    /// full-window replay matches the batch run (makespan, passes,
+    /// iterations, every job's wait through its maximum and mean); a
+    /// bounded window admits jobs after their name's prediction moved.
     #[test]
-    fn windowed_quantile_predictor_works_in_the_loop() {
+    fn windowed_quantile_name_updates_reach_every_resident_job() {
+        use crate::streaming::{run_streaming, StreamingOptions};
         use iosched_analytics::PredictorKind;
         let mut cfg = quick_cfg(SchedulerKind::Adaptive {
             limit_bps: gibps(20.0),
             two_group: true,
         });
         cfg.analytics.predictor = PredictorKind::WindowedQuantile {
-            window: 5,
+            window: 3,
             quantile: 0.5,
         };
-        let res = run_experiment(&cfg, &tiny_workload());
-        assert_eq!(res.jobs.len(), 20);
+        cfg.pretrained = false;
+        let workload = tiny_workload();
+        let batch = run_experiment(&cfg, &workload);
+        assert_eq!(batch.jobs.len(), 20);
+        let replay = |window| {
+            let opts = StreamingOptions {
+                window,
+                retention: None,
+            };
+            run_streaming(&cfg, workload.iter().cloned(), &opts)
+        };
+
+        let full = replay(workload.len());
+        assert_eq!(full.jobs_completed as usize, batch.jobs.len());
+        assert_eq!(full.makespan_secs, batch.makespan_secs);
+        assert_eq!(full.sched_passes, batch.sched_passes);
+        assert_eq!(full.rounds_elided, batch.rounds_elided);
+        assert_eq!(full.loop_iterations, batch.loop_iterations);
+        let waits: Vec<f64> = batch.jobs.iter().map(|j| j.wait().as_secs_f64()).collect();
+        assert_eq!(
+            full.max_wait_secs,
+            waits.iter().copied().fold(0.0, f64::max)
+        );
+        let mean_wait = waits.iter().sum::<f64>() / waits.len() as f64;
+        assert!(mean_wait > 0.0, "the workload must queue");
+        assert!((full.mean_wait_secs - mean_wait).abs() <= 1e-9 * mean_wait);
+
+        let bounded = replay(4);
+        assert_eq!(bounded.jobs_completed, 20);
+        assert!(bounded.peak_resident_jobs <= 4);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Every run goes through [`run`]. Each iteration advances the
 //! **cluster** to the next event, retires finished jobs (completions feed
-//! the **analytics**, which refresh the estimates of resident same-name
-//! jobs), kills jobs at their limit under `enforce_limits`, admits jobs
+//! the **analytics**, whose new prediction for the job's name is one write
+//! to the estimate book, read by every resident job of that name), kills
+//! jobs at their limit under `enforce_limits`, admits jobs
 //! into freed window slots, takes the **monitoring** sample when due, and
 //! runs the **backfill** pass periodically or after completions, eliding
 //! a round provably identical to the previous one.
@@ -213,8 +214,6 @@ struct Engine<'c, I> {
     policy: PolicyImpl,
     registry: JobRegistry,
     resident: BTreeMap<JobId, Resident>,
-    /// Per-name lists of resident jobs (retired ids are evicted lazily).
-    jobs_by_sym: Vec<Vec<JobId>>,
     /// Jobs named in some resident job's `after`, with their dependent
     /// counts: retired from the registry when their last dependent is.
     held: BTreeMap<JobId, u32>,
@@ -246,12 +245,12 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 *self.held.entry(dep).or_default() += 1;
             }
             self.registry.submit(meta.clone());
-            if self.jobs_by_sym.len() <= sym.0 as usize {
-                self.jobs_by_sym.resize(sym.0 as usize + 1, Vec::new());
-            }
-            self.jobs_by_sym[sym.0 as usize].push(sub.id);
+            // Only pretraining and completions (see `finish`) change a
+            // name's prediction, so this write matters at the name's first
+            // admission, which picks up pretraining; later ones rewrite it.
             self.book
-                .insert(sub.id, self.analytics.job_estimate_sym(sym, meta.limit));
+                .set_name_estimate(sym, self.analytics.predictor().predict(sym));
+            self.book.insert_named(sub.id, sym, meta.limit);
             self.resident.insert(
                 sub.id,
                 Resident {
@@ -282,16 +281,10 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             let sym = job.meta.name_sym;
             self.analytics
                 .on_job_complete_sym(&self.daemon, id.0, sym, started, ended);
-            // The completion changed this name's prediction; refresh the
-            // book entries of the similar jobs still resident.
-            let (book, analytics, resident) = (&mut self.book, &self.analytics, &self.resident);
-            self.jobs_by_sym[sym.0 as usize].retain(|&jid| {
-                let Some(e) = resident.get(&jid) else {
-                    return false;
-                };
-                book.insert(jid, analytics.job_estimate_sym(sym, e.meta.limit));
-                true
-            });
+            // The completion changed this name's prediction, which every
+            // resident job of the name reads through the book.
+            self.book
+                .set_name_estimate(sym, self.analytics.predictor().predict(sym));
         }
         for dep in &job.meta.after {
             let n = self.held.get_mut(dep).expect("dependency is held");
@@ -569,7 +562,6 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
         policy: PolicyImpl::new(cfg.scheduler, cfg.qos_fraction),
         registry: JobRegistry::new(),
         resident: BTreeMap::new(),
-        jobs_by_sym: Vec::new(),
         held: BTreeMap::new(),
         book: EstimateBook::new(),
     }

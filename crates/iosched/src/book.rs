@@ -6,23 +6,43 @@
 //! that snapshot: immutable for the duration of the round, so every
 //! tracker query within a round sees consistent numbers.
 //!
-//! The book persists *across* rounds: the driver inserts a job's estimate
-//! at submission, refreshes entries when a completion changes a job
-//! name's prediction, and removes entries when jobs finish — instead of
-//! rebuilding the whole map from string-keyed predictor lookups every
-//! round. Storage is a dense vector indexed by [`JobId`] (driver job ids
-//! are small and dense), so the per-query cost on the scheduling hot
-//! path is an array load.
+//! The book persists *across* rounds. The analytics predict per job
+//! *name* (similar jobs share one estimate), so the engine records each
+//! job as a reference to its name and limit at submission, sets a name's
+//! prediction when a completion changes it, and removes entries when jobs
+//! finish. A completion costs one write however many jobs share the name;
+//! a read resolves the reference. Storage is a dense vector indexed by
+//! [`JobId`] (engine job ids are small and dense) plus one indexed by
+//! name [`Sym`], so the per-query cost on the scheduling hot path is at
+//! most two array loads.
 
 use iosched_analytics::JobEstimate;
 use iosched_simkit::ids::JobId;
+use iosched_simkit::sym::Sym;
 use iosched_simkit::time::SimDuration;
+
+/// One job's entry.
+#[derive(Clone, Copy, Debug, Default)]
+enum Slot {
+    #[default]
+    Empty,
+    /// An estimate recorded for this job alone ([`EstimateBook::insert`]).
+    Explicit(JobEstimate),
+    /// The job's name and requested limit: reads resolve to the name's
+    /// prediction ([`EstimateBook::insert_named`]).
+    Named(Sym, SimDuration),
+}
+
+// A name reference must cost no more than the estimate it replaces.
+const _: () = assert!(std::mem::size_of::<Slot>() <= std::mem::size_of::<Option<JobEstimate>>());
 
 /// Snapshot of `r_j`/`d_j` estimates for all relevant jobs plus the
 /// measured current total throughput `R_now`.
 #[derive(Clone, Debug, Default)]
 pub struct EstimateBook {
-    per_job: Vec<Option<JobEstimate>>,
+    per_job: Vec<Slot>,
+    /// Per-name predictions, indexed by [`Sym`]; `None` means no history.
+    per_name: Vec<Option<JobEstimate>>,
     entries: usize,
     /// Measured current total Lustre throughput, bytes/s.
     pub measured_total_bps: f64,
@@ -36,28 +56,67 @@ impl EstimateBook {
 
     /// Record the estimate for one job, replacing any previous entry.
     pub fn insert(&mut self, job: JobId, estimate: JobEstimate) {
+        self.set(job, Slot::Explicit(estimate));
+    }
+
+    /// Record that `job` is named `name` and asks for `limit`: it reads
+    /// the name's prediction, or the cold start `{0 B/s, limit}` while the
+    /// name has none — exactly `AnalyticsService::job_estimate_sym`.
+    /// Replaces any previous entry.
+    pub fn insert_named(&mut self, job: JobId, name: Sym, limit: SimDuration) {
+        self.set(job, Slot::Named(name, limit));
+    }
+
+    /// Set the prediction every job named `name` reads, present and
+    /// future. A no-op for [`Sym::NONE`], which never has a prediction.
+    pub fn set_name_estimate(&mut self, name: Sym, prediction: Option<JobEstimate>) {
+        if !name.is_some() {
+            return;
+        }
+        let idx = name.0 as usize;
+        if idx >= self.per_name.len() {
+            self.per_name.resize(idx + 1, None);
+        }
+        self.per_name[idx] = prediction;
+    }
+
+    fn set(&mut self, job: JobId, slot: Slot) {
         let idx = job.0 as usize;
         if idx >= self.per_job.len() {
-            self.per_job.resize(idx + 1, None);
+            self.per_job.resize(idx + 1, Slot::Empty);
         }
-        if self.per_job[idx].is_none() {
+        if matches!(self.per_job[idx], Slot::Empty) {
             self.entries += 1;
         }
-        self.per_job[idx] = Some(estimate);
+        self.per_job[idx] = slot;
     }
 
     /// Drop a job's entry (the job finished); no-op when absent.
     pub fn remove(&mut self, job: JobId) {
         if let Some(slot) = self.per_job.get_mut(job.0 as usize) {
-            if slot.take().is_some() {
+            if !matches!(std::mem::take(slot), Slot::Empty) {
                 self.entries -= 1;
             }
         }
     }
 
-    /// The recorded estimate, if any.
+    /// The recorded estimate, if any; a name reference resolves to its
+    /// name's prediction or the cold start.
     pub fn get(&self, job: JobId) -> Option<JobEstimate> {
-        *self.per_job.get(job.0 as usize)?
+        match *self.per_job.get(job.0 as usize)? {
+            Slot::Empty => None,
+            Slot::Explicit(estimate) => Some(estimate),
+            Slot::Named(name, limit) => Some(
+                self.per_name
+                    .get(name.0 as usize)
+                    .copied()
+                    .flatten()
+                    .unwrap_or(JobEstimate {
+                        throughput_bps: 0.0,
+                        runtime: limit,
+                    }),
+            ),
+        }
     }
 
     /// Estimated throughput `r_j` (bytes/s); 0.0 when the job is unknown —
@@ -181,5 +240,89 @@ mod tests {
             },
         );
         assert_eq!(book.r(JobId(2)), 0.0);
+    }
+
+    fn est(r: f64, secs: u64) -> JobEstimate {
+        JobEstimate {
+            throughput_bps: r,
+            runtime: SimDuration::from_secs(secs),
+        }
+    }
+
+    #[test]
+    fn named_jobs_cold_start_on_their_own_limits() {
+        let mut book = EstimateBook::new();
+        book.insert_named(JobId(1), Sym(0), SimDuration::from_secs(100));
+        book.insert_named(JobId(2), Sym(0), SimDuration::from_secs(300));
+        assert_eq!(book.get(JobId(1)), Some(est(0.0, 100)));
+        assert_eq!(book.get(JobId(2)), Some(est(0.0, 300)));
+        // A prediction for another name does not touch them.
+        book.set_name_estimate(Sym(1), Some(est(9.0, 9)));
+        assert_eq!(book.d(JobId(2)), SimDuration::from_secs(300));
+    }
+
+    #[test]
+    fn one_name_update_reaches_every_named_job() {
+        let mut book = EstimateBook::new();
+        book.insert_named(JobId(1), Sym(3), SimDuration::from_secs(100));
+        book.insert_named(JobId(2), Sym(3), SimDuration::from_secs(300));
+        book.set_name_estimate(Sym(3), Some(est(7.0, 40)));
+        for id in [JobId(1), JobId(2)] {
+            assert_eq!(book.r(id), 7.0);
+            assert_eq!(book.d(id), SimDuration::from_secs(40));
+        }
+        // Losing the prediction falls back to each job's own limit.
+        book.set_name_estimate(Sym(3), None);
+        assert_eq!(book.d(JobId(2)), SimDuration::from_secs(300));
+    }
+
+    #[test]
+    fn explicit_entries_ignore_name_updates() {
+        let mut book = EstimateBook::new();
+        book.insert(JobId(1), est(5.0, 60));
+        book.set_name_estimate(Sym(0), Some(est(8.0, 80)));
+        assert_eq!(book.get(JobId(1)), Some(est(5.0, 60)));
+        // An explicit insert replaces a name reference, and back.
+        book.insert_named(JobId(2), Sym(0), SimDuration::from_secs(100));
+        book.insert(JobId(2), est(1.0, 10));
+        assert_eq!(book.get(JobId(2)), Some(est(1.0, 10)));
+        book.insert_named(JobId(2), Sym(0), SimDuration::from_secs(100));
+        assert_eq!(book.get(JobId(2)), Some(est(8.0, 80)));
+        assert_eq!(book.len(), 2);
+    }
+
+    #[test]
+    fn prediction_set_before_admission_applies() {
+        let mut book = EstimateBook::new();
+        book.set_name_estimate(Sym(5), Some(est(2.0, 20)));
+        book.insert_named(JobId(9), Sym(5), SimDuration::from_secs(100));
+        assert_eq!(book.get(JobId(9)), Some(est(2.0, 20)));
+        // Sym::NONE never resolves to a prediction.
+        book.set_name_estimate(Sym::NONE, Some(est(2.0, 20)));
+        book.insert_named(JobId(10), Sym::NONE, SimDuration::from_secs(100));
+        assert_eq!(book.get(JobId(10)), Some(est(0.0, 100)));
+    }
+
+    #[test]
+    fn len_and_remove_count_both_kinds_of_slot() {
+        let mut book = EstimateBook::new();
+        book.insert(JobId(1), est(1.0, 10));
+        book.insert_named(JobId(2), Sym(0), SimDuration::from_secs(100));
+        book.insert_named(JobId(2), Sym(1), SimDuration::from_secs(100));
+        assert_eq!(book.len(), 2);
+        book.remove(JobId(2));
+        assert_eq!(book.len(), 1);
+        assert_eq!(book.get(JobId(2)), None);
+        book.remove(JobId(1));
+        assert!(book.is_empty());
+    }
+
+    #[test]
+    fn negative_name_prediction_reads_as_zero_throughput() {
+        let mut book = EstimateBook::new();
+        book.insert_named(JobId(1), Sym(0), SimDuration::from_secs(100));
+        book.set_name_estimate(Sym(0), Some(est(-3.0, 30)));
+        assert_eq!(book.r(JobId(1)), 0.0);
+        assert_eq!(book.d(JobId(1)), SimDuration::from_secs(30));
     }
 }

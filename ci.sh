@@ -133,10 +133,12 @@ git diff --exit-code --stat results/fig3 results/fig5 results/fig6
 step "tests (offline)"
 cargo test -q --workspace --offline
 
-step "scheduler property suites in release (no overflow checks, no debug oracles)"
+step "property suites in release"
 # The profile and policy properties compare against their test-code
-# models under cfg(test), so they also check the release arithmetic.
-cargo test --release -q --offline -p iosched-slurm -p iosched-core
+# models under cfg(test), and the lustre-sim properties compare the
+# rate solve against max_min_fair, so they also check the release
+# arithmetic (no overflow checks, no debug asserts).
+cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre
 
 step "perfbench smoke test: the traced mirror reproduces the engine's fingerprints"
 # perfbench is a package of its own (outside the workspace), so the

@@ -6,7 +6,7 @@ use iosched_analytics::JobEstimator;
 use iosched_cluster::{ClusterSim, ExecSpec, JobId as ClusterJobId};
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
 use iosched_ldms::store::{Container, Record};
-use iosched_lustre::solver::{max_min_fair, Constraint, IndexedSolver, WarmSolver};
+use iosched_lustre::solver::{max_min_fair, Constraint, WarmSolver};
 use iosched_lustre::{FsSnapshot, LustreConfig, LustreSim, StreamTag};
 use iosched_simkit::bench::BenchSuite;
 use iosched_simkit::ids::JobId;
@@ -153,23 +153,9 @@ fn main() {
         black_box(max_min_fair(n_large, &large));
     });
 
-    // Same system through the production path: per-stream caps folded
-    // into clamps, shared constraints only, reused scratch buffers.
-    let mut indexed = IndexedSolver::new();
-    let mut members: Vec<u32> = Vec::new();
-    suite.bench("max_min_fair_1200_streams/indexed", || {
-        indexed.begin(n_large, 0.45);
-        for c in &large[n_large..] {
-            members.clear();
-            members.extend(c.members.iter().map(|&m| m as u32));
-            indexed.push_constraint(c.capacity, &members);
-        }
-        black_box(indexed.solve()[0]);
-    });
-
-    // Warm-start repair vs. full indexed re-encode on single-stream
-    // churn: one leave + one join on the same 1200-flow system, solving
-    // after each — the file system's per-event pattern.
+    // The production solver on single-stream churn: one leave + one
+    // join on the same 1200-flow system, solving after each — the file
+    // system's per-event pattern.
     let nodes15 = 15usize;
     let osts = 56usize;
     let n_cons = nodes15 + osts + 1;
@@ -191,17 +177,6 @@ fn main() {
         black_box(warm.solve()[0]);
         warm.add_flow(&[0, nodes15 as u32, fabric]);
         black_box(warm.solve()[0]);
-    });
-    suite.bench("solver_churn_1200_streams/full_recompute", || {
-        for _ in 0..2 {
-            indexed.begin(n_large, 0.45);
-            for c in &large[n_large..] {
-                members.clear();
-                members.extend(c.members.iter().map(|&m| m as u32));
-                indexed.push_constraint(c.capacity, &members);
-            }
-            black_box(indexed.solve()[0]);
-        }
     });
 
     let mut fs = loaded_fs(80); // 15 × 80 = 1200 streams

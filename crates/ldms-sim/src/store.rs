@@ -19,7 +19,7 @@
 //! only the matching records: O(log n + hits). The old filter-scan
 //! implementations survive as `#[cfg(test)]` oracles and the property
 //! suite pins the indexed paths to them (same pairing as
-//! `max_min_fair`/`IndexedSolver` in the Lustre model).
+//! `max_min_fair`/`WarmSolver` in the Lustre model).
 //!
 //! ## Retention
 //!

@@ -16,15 +16,14 @@
 //! Hot-path layout: streams live in a dense slab (`Vec` + parallel id
 //! vector, `swap_remove` on completion), per-node/per-OST occupancy
 //! counts are maintained incrementally on add/remove, and rate solves go
-//! through a reusable [`IndexedSolver`] — a steady-state
-//! `recompute_rates` performs no heap allocations. The earliest pending
+//! through a [`WarmSolver`] whose constraint membership is repaired on
+//! each join/leave — a steady-state `recompute_rates` performs no heap
+//! allocations. The earliest pending
 //! event (completion or release crossing) is cached whenever rates
 //! change, so `next_change_time` is O(1) and the integrator does not
 //! rescan all streams per step.
 
 use crate::config::{LustreConfig, NoiseMode};
-#[cfg(debug_assertions)]
-use crate::solver::IndexedSolver;
 use crate::solver::WarmSolver;
 use crate::stream::{Direction, StreamId, StreamState, StreamTag};
 use iosched_simkit::rng::SimRng;
@@ -173,19 +172,6 @@ pub struct LustreSim {
     /// `[0, node_occ.len())` node NIC caps, then `n_ost` OST caps, then
     /// the fabric cap last; rebuilt only when the node slot count grows.
     warm: WarmSolver,
-    /// From-scratch solver kept as the warm-start oracle: every solve is
-    /// debug-asserted bit-identical to a full `IndexedSolver` rebuild.
-    #[cfg(debug_assertions)]
-    solver: IndexedSolver,
-    /// Scratch for the counting-sort group build in the oracle rebuild.
-    #[cfg(debug_assertions)]
-    group_cursor: Vec<u32>,
-    #[cfg(debug_assertions)]
-    group_members: Vec<u32>,
-    /// Scratch for the dense-rule fatigue oracle (capacity reused so the
-    /// debug check stays allocation-free in steady state).
-    #[cfg(debug_assertions)]
-    fatigue_oracle: Vec<f64>,
     /// Scratch slab indices of streams harvested this step.
     done_scratch: Vec<u32>,
 }
@@ -233,14 +219,6 @@ impl LustreSim {
             next_event_at: SimTime::FAR_FUTURE,
             bytes_written_total: 0.0,
             warm: WarmSolver::new(),
-            #[cfg(debug_assertions)]
-            solver: IndexedSolver::new(),
-            #[cfg(debug_assertions)]
-            group_cursor: Vec::new(),
-            #[cfg(debug_assertions)]
-            group_members: Vec::new(),
-            #[cfg(debug_assertions)]
-            fatigue_oracle: Vec::new(),
             done_scratch: Vec::new(),
         }
     }
@@ -268,10 +246,10 @@ impl LustreSim {
         bytes_per_thread: f64,
     ) -> Vec<StreamId> {
         let first = self.next_stream_id;
-        let n = self.start_transfer_count(
+        let n = self.start_transfer_on_nodes(
             t,
             tag,
-            node,
+            &[node],
             n_threads,
             bytes_per_thread,
             Direction::Write,
@@ -280,103 +258,14 @@ impl LustreSim {
         (first..first + n as u64).map(StreamId).collect()
     }
 
-    /// Like [`Self::start_write`] but with a burst-buffer release: each
-    /// thread is *released* (a notification is emitted, harvested via
-    /// [`Self::take_notified`]) once its remaining volume fits in
-    /// `release_bytes_per_thread`; the stream keeps draining to the OSTs
-    /// afterwards. `release ≥ volume` releases immediately.
-    pub fn start_write_buffered(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-        release_bytes_per_thread: f64,
-    ) -> Vec<StreamId> {
-        let first = self.next_stream_id;
-        let n = self.start_write_buffered_count(
-            t,
-            tag,
-            node,
-            n_threads,
-            bytes_per_thread,
-            release_bytes_per_thread,
-        );
-        (first..first + n as u64).map(StreamId).collect()
-    }
-
-    /// Non-allocating form of [`Self::start_write_buffered`]: returns how
-    /// many streams were started instead of collecting their ids (ids are
-    /// assigned sequentially; callers that need them can reconstruct).
-    pub fn start_write_buffered_count(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-        release_bytes_per_thread: f64,
-    ) -> usize {
-        assert!(
-            release_bytes_per_thread >= 0.0,
-            "release threshold must be non-negative"
-        );
-        self.start_transfer_count(
-            t,
-            tag,
-            node,
-            n_threads,
-            bytes_per_thread,
-            Direction::Write,
-            release_bytes_per_thread,
-        )
-    }
-
-    /// Begin `n_threads` read streams from `node` (same placement and
-    /// sharing rules as writes; direction is carried for metrics).
-    pub fn start_read(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-    ) -> Vec<StreamId> {
-        let first = self.next_stream_id;
-        let n = self.start_read_count(t, tag, node, n_threads, bytes_per_thread);
-        (first..first + n as u64).map(StreamId).collect()
-    }
-
-    /// Non-allocating form of [`Self::start_read`] (see
-    /// [`Self::start_write_buffered_count`]).
-    pub fn start_read_count(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-    ) -> usize {
-        self.start_transfer_count(
-            t,
-            tag,
-            node,
-            n_threads,
-            bytes_per_thread,
-            Direction::Read,
-            0.0,
-        )
-    }
-
-    /// Batched write start: one stream batch per node of `nodes`, then a
-    /// **single** rate solve for the whole batch. Bit-identical to
-    /// calling [`Self::start_write_buffered_count`] once per node in the
-    /// same order — the per-node calls' intermediate solves only set
-    /// rates and the cached next-event time, both overwritten by the
-    /// final solve before anything can observe them — but O(nodes ×
-    /// threads + one solve) instead of one O(active-streams) solve per
-    /// node, which dominated wide-job starts on the 10k-node machine.
+    /// Begin `n_threads` write streams from each node of `nodes` (placed
+    /// as in [`Self::start_write`]), then solve rates once for the whole
+    /// batch; returns how many streams were started (ids are assigned
+    /// sequentially). Each thread is *released* — a notification is
+    /// emitted, harvested via [`Self::take_notified`] — once its
+    /// remaining volume fits in `release_bytes_per_thread`; the stream
+    /// keeps draining to the OSTs afterwards. `release ≥ volume` releases
+    /// immediately, 0 never.
     pub fn start_write_buffered_on_nodes(
         &mut self,
         t: SimTime,
@@ -401,7 +290,9 @@ impl LustreSim {
         )
     }
 
-    /// Batched read start (see [`Self::start_write_buffered_on_nodes`]).
+    /// Begin `n_threads` read streams from each node of `nodes` (same
+    /// placement and sharing rules as writes; direction is carried for
+    /// metrics), solving once for the batch.
     pub fn start_read_on_nodes(
         &mut self,
         t: SimTime,
@@ -421,6 +312,10 @@ impl LustreSim {
         )
     }
 
+    /// The one stream-start path: advance to `t`, push every node's
+    /// streams, then a single rate solve — O(nodes × threads + one
+    /// solve), where a solve per node dominated wide-job starts on the
+    /// 10k-node machine.
     #[allow(clippy::too_many_arguments)]
     fn start_transfer_on_nodes(
         &mut self,
@@ -446,31 +341,6 @@ impl LustreSim {
         }
         self.recompute_rates();
         nodes.len() * n_threads
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_transfer_count(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-        dir: Direction,
-        release_bytes: f64,
-    ) -> usize {
-        self.advance_to(t);
-        self.push_streams_for_node(
-            t,
-            tag,
-            node,
-            n_threads,
-            bytes_per_thread,
-            dir,
-            release_bytes,
-        );
-        self.recompute_rates();
-        n_threads
     }
 
     /// Place and register `n_threads` streams from `node` without
@@ -592,8 +462,7 @@ impl LustreSim {
 
     /// Effective capacity of `ost` under `occ` concurrent streams:
     /// interference-degraded nominal bandwidth scaled by the epoch's
-    /// noise factor, fatigue vigor and administrative health. Shared by
-    /// the warm solve and the debug oracle so both see identical floats.
+    /// noise factor, fatigue vigor and administrative health.
     #[inline]
     fn ost_capacity_bps(&self, ost: usize, occ: usize) -> f64 {
         let vigor = (1.0 - self.cfg.fatigue_phi * self.fatigue[ost]) * self.health[ost];
@@ -805,9 +674,6 @@ impl LustreSim {
     /// occupied OSTs' capacities — which fold noise, fatigue and health
     /// and therefore change between solves — and runs the fill. No
     /// membership rebuild, no adjacency build, no allocations.
-    ///
-    /// In debug builds the result is asserted **bit-identical** to a
-    /// from-scratch [`IndexedSolver`] rebuild — the warm-start oracle.
     fn recompute_rates(&mut self) {
         let n = self.streams.len();
         if n == 0 {
@@ -815,12 +681,6 @@ impl LustreSim {
             return;
         }
         debug_assert_eq!(self.warm.flow_count(), n, "warm membership out of sync");
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            self.occupied_osts.len(),
-            self.ost_occ.iter().filter(|&&c| c > 0).count(),
-            "occupied-OST list out of sync with the occupancy table"
-        );
         let node_slots = self.node_occ.len();
         // Only occupied OSTs need fresh capacities: the warm solver never
         // reads a memberless constraint's cap, so stale caps on idle OSTs
@@ -835,83 +695,7 @@ impl LustreSim {
         for (i, s) in self.streams.iter_mut().enumerate() {
             s.rate_bps = rates[i];
         }
-        #[cfg(debug_assertions)]
-        self.assert_rates_match_full_rebuild();
         self.refresh_next_event();
-    }
-
-    /// Warm-start oracle: rebuild the same constraint system from scratch
-    /// with [`IndexedSolver`] (the pre-warm-start hot path: counting-sort
-    /// group build over the occupancy tables) and assert the warm rates
-    /// match bit for bit.
-    #[cfg(debug_assertions)]
-    fn assert_rates_match_full_rebuild(&mut self) {
-        let n = self.streams.len();
-        self.solver.begin(n, self.cfg.stream_cap_bps);
-
-        // Group slab indices by node: cursor[g] starts at the group's
-        // base offset and ends at its end offset after placement.
-        self.group_members.clear();
-        self.group_members.resize(n, 0);
-        self.group_cursor.clear();
-        let mut acc = 0u32;
-        for &c in &self.node_occ {
-            self.group_cursor.push(acc);
-            acc += c;
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            let cur = &mut self.group_cursor[s.node];
-            self.group_members[*cur as usize] = i as u32;
-            *cur += 1;
-        }
-        for (node, &occ) in self.node_occ.iter().enumerate() {
-            if occ > 0 {
-                let end = self.group_cursor[node] as usize;
-                self.solver.push_constraint(
-                    self.cfg.node_cap_bps,
-                    &self.group_members[end - occ as usize..end],
-                );
-            }
-        }
-
-        // Group by OST; capacity folds interference, noise, fatigue and
-        // administrative health.
-        self.group_cursor.clear();
-        let mut acc = 0u32;
-        for &c in &self.ost_occ {
-            self.group_cursor.push(acc);
-            acc += c;
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            let cur = &mut self.group_cursor[s.ost];
-            self.group_members[*cur as usize] = i as u32;
-            *cur += 1;
-        }
-        for (ost, &occ) in self.ost_occ.iter().enumerate() {
-            if occ > 0 {
-                let m = occ as usize;
-                let end = self.group_cursor[ost] as usize;
-                self.solver.push_constraint(
-                    self.ost_capacity_bps(ost, m),
-                    &self.group_members[end - m..end],
-                );
-            }
-        }
-
-        // Fabric cap over everything.
-        self.solver.push_constraint_all(self.cfg.fabric_cap_bps);
-
-        let rates = self.solver.solve();
-        for (i, s) in self.streams.iter().enumerate() {
-            debug_assert_eq!(
-                rates[i].to_bits(),
-                s.rate_bps.to_bits(),
-                "warm-start diverged from the full rebuild for stream {i}: \
-                 full {} vs warm {}",
-                rates[i],
-                s.rate_bps
-            );
-        }
     }
 
     fn resample_noise(&mut self) {
@@ -963,28 +747,15 @@ impl LustreSim {
     /// pressure).
     ///
     /// Sparse: only OSTs on the fatigued or occupied lists are touched,
-    /// so the cost tracks the active working set rather than `n_ost`. In
-    /// debug builds the result is checked against the dense rule — equal
-    /// bits everywhere except residues snapped to exact zero.
+    /// so the cost tracks the active working set rather than `n_ost`. The
+    /// result equals the dense rule's bit for bit, except residues below
+    /// `FATIGUE_SNAP`, which are snapped to exact zero.
     fn update_fatigue(&mut self, dt_secs: f64) {
         if self.cfg.fatigue_phi == 0.0 {
             return;
         }
         let up = (-dt_secs / self.cfg.fatigue_tau_up.as_secs_f64()).exp();
         let down = (-dt_secs / self.cfg.fatigue_tau_down.as_secs_f64()).exp();
-        #[cfg(debug_assertions)]
-        let oracle = {
-            let mut oracle = std::mem::take(&mut self.fatigue_oracle);
-            oracle.clear();
-            oracle.extend(self.fatigue.iter().enumerate().map(|(ost, &f)| {
-                if self.ost_occ[ost] as usize >= self.cfg.fatigue_threshold {
-                    1.0 - (1.0 - f) * up
-                } else {
-                    f * down
-                }
-            }));
-            oracle
-        };
         if self.cfg.fatigue_threshold == 0 {
             // Degenerate config: *every* OST — occupied or not — counts
             // as pressured, so the sparse walks below cannot cover the
@@ -1040,18 +811,6 @@ impl LustreSim {
                     }
                 }
             }
-        }
-        #[cfg(debug_assertions)]
-        {
-            for (ost, (&sparse, &dense)) in self.fatigue.iter().zip(&oracle).enumerate() {
-                debug_assert!(
-                    sparse.to_bits() == dense.to_bits()
-                        || (sparse == 0.0 && dense.abs() < FATIGUE_SNAP),
-                    "sparse fatigue diverged from the dense rule for OST {ost}: \
-                     sparse {sparse:e} vs dense {dense:e}"
-                );
-            }
-            self.fatigue_oracle = oracle;
         }
     }
 
@@ -1137,7 +896,9 @@ impl LustreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{max_min_fair, Constraint};
     use iosched_simkit::units::{gib, gibps};
+    use iosched_simkit::{prop_assert, props};
 
     fn quiet_cfg() -> LustreConfig {
         LustreConfig::stria().noiseless()
@@ -1432,7 +1193,7 @@ mod tests {
         let cfg = quiet_cfg();
         let mut fs = sim(cfg);
         // 10 GiB per thread, 8 GiB buffered: release when 8 GiB remain.
-        fs.start_write_buffered(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0), gib(8.0));
+        fs.start_write_buffered_on_nodes(SimTime::ZERO, StreamTag(1), &[0], 1, gib(10.0), gib(8.0));
         // Nothing released yet.
         assert!(fs.take_notified().is_empty());
         // After ~2 GiB at 0.45 GiB/s ≈ 4.5 s, the release fires.
@@ -1466,7 +1227,7 @@ mod tests {
     #[test]
     fn fully_buffered_write_releases_immediately() {
         let mut fs = sim(quiet_cfg());
-        fs.start_write_buffered(SimTime::ZERO, StreamTag(2), 0, 4, gib(1.0), gib(5.0));
+        fs.start_write_buffered_on_nodes(SimTime::ZERO, StreamTag(2), &[0], 4, gib(1.0), gib(5.0));
         let notes = fs.take_notified();
         assert_eq!(notes.len(), 4);
         assert!(notes.iter().all(|&(t, _, _)| t == SimTime::ZERO));
@@ -1482,7 +1243,7 @@ mod tests {
         cfg.interference_gamma = 0.0;
         let mut fs = sim(cfg.clone());
         fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
-        fs.start_read(SimTime::ZERO, StreamTag(2), 1, 1, gib(10.0));
+        fs.start_read_on_nodes(SimTime::ZERO, StreamTag(2), &[1], 1, gib(10.0));
         // One OST shared fairly between a reader and a writer.
         let snap = fs.snapshot();
         assert!((snap.write_bps - cfg.ost_bandwidth_bps / 2.0).abs() < 1.0);
@@ -1493,7 +1254,7 @@ mod tests {
     #[test]
     fn read_streams_complete_and_are_harvested() {
         let mut fs = sim(quiet_cfg());
-        fs.start_read(SimTime::ZERO, StreamTag(9), 0, 4, gib(1.0));
+        fs.start_read_on_nodes(SimTime::ZERO, StreamTag(9), &[0], 4, gib(1.0));
         let mut done = 0;
         while let Some(t) = fs.next_change_time() {
             fs.advance_to(t);
@@ -1508,5 +1269,192 @@ mod tests {
         let mut fs = sim(quiet_cfg());
         fs.advance_to(SimTime::from_secs(10));
         fs.advance_to(SimTime::from_secs(5));
+    }
+
+    /// `max_min_fair` over the model's constraint encoding, rebuilt from
+    /// the stream slab alone: one cap per occupied node, one per occupied
+    /// OST (capacity from `ost_capacity_bps` at the slab's own occupancy
+    /// count), the fabric cap over every stream, and the per-stream cap as
+    /// one singleton constraint per stream.
+    fn reference_rates(fs: &LustreSim) -> Vec<f64> {
+        let n = fs.streams.len();
+        let group = |key: &dyn Fn(&StreamState) -> usize, k: usize| -> Vec<usize> {
+            (0..n).filter(|&i| key(&fs.streams[i]) == k).collect()
+        };
+        let mut constraints = Vec::new();
+        for node in 0..fs.node_occ.len() {
+            let members = group(&|s| s.node, node);
+            if !members.is_empty() {
+                constraints.push(Constraint {
+                    capacity: fs.cfg.node_cap_bps,
+                    members,
+                });
+            }
+        }
+        for ost in 0..fs.cfg.n_ost {
+            let members = group(&|s| s.ost, ost);
+            if !members.is_empty() {
+                constraints.push(Constraint {
+                    capacity: fs.ost_capacity_bps(ost, members.len()),
+                    members,
+                });
+            }
+        }
+        constraints.push(Constraint {
+            capacity: fs.cfg.fabric_cap_bps,
+            members: (0..n).collect(),
+        });
+        constraints.extend((0..n).map(|i| Constraint {
+            capacity: fs.cfg.stream_cap_bps,
+            members: vec![i],
+        }));
+        max_min_fair(n, &constraints)
+    }
+
+    /// `list` holds exactly the OSTs with `member(ost)`, and `pos` maps
+    /// each listed OST to its slot + 1 (0 for unlisted ones).
+    fn check_ost_list(
+        name: &str,
+        list: &[u32],
+        pos: &[u32],
+        member: impl Fn(usize) -> bool,
+    ) -> Result<(), String> {
+        let members = (0..pos.len()).filter(|&ost| member(ost)).count();
+        prop_assert!(
+            list.len() == members,
+            "{name}: {list:?} lists {} OSTs, {members} qualify",
+            list.len()
+        );
+        for (ost, &p) in pos.iter().enumerate() {
+            let slot_ok = if member(ost) {
+                p > 0 && list.get(p as usize - 1) == Some(&(ost as u32))
+            } else {
+                p == 0
+            };
+            prop_assert!(
+                slot_ok,
+                "{name}: OST {ost} (member: {}) has slot {p} in {list:?}",
+                member(ost)
+            );
+        }
+        Ok(())
+    }
+
+    /// One random file-system operation at or after the model's clock.
+    fn random_op(fs: &mut LustreSim, rng: &mut SimRng, tags: &mut u64) {
+        let t = fs.now() + SimDuration::from_millis(rng.index(3) as u64 * 700);
+        let nodes: Vec<usize> = (0..1 + rng.index(3)).map(|_| rng.index(12)).collect();
+        let threads = 1 + rng.index(3);
+        let bytes = gib(rng.uniform_range(0.2, 6.0));
+        match rng.index(7) {
+            0 => {
+                *tags += 1;
+                fs.start_write(t, StreamTag(*tags), nodes[0], threads, bytes);
+            }
+            1 => {
+                *tags += 1;
+                let release = bytes * rng.uniform_range(0.0, 1.2);
+                fs.start_write_buffered_on_nodes(
+                    t,
+                    StreamTag(*tags),
+                    &nodes,
+                    threads,
+                    bytes,
+                    release,
+                );
+            }
+            2 => {
+                *tags += 1;
+                fs.start_read_on_nodes(t, StreamTag(*tags), &nodes, threads, bytes);
+            }
+            3 | 4 => {
+                // Up to 25 s: often across one or two noise epochs.
+                fs.advance_to(fs.now() + SimDuration::from_millis(1 + rng.index(25_000) as u64));
+                fs.take_completed();
+                fs.take_notified();
+            }
+            5 => {
+                fs.cancel_tag(t, StreamTag(1 + rng.index(*tags as usize + 1) as u64));
+            }
+            _ => {
+                let factor = [0.0, 0.3, 0.7, 1.0][rng.index(4)];
+                fs.set_ost_health(t, rng.index(fs.cfg.n_ost), factor);
+            }
+        }
+    }
+
+    props! {
+        #![cases(64)]
+        /// The warm solve agrees with the reference encoding after every
+        /// operation of a random sequence (writes, buffered writes, reads,
+        /// advances across noise epochs, cancels, health changes down to
+        /// 0, node-slot growth), in both noise modes and with a fatigue
+        /// threshold of 0, 1 or 2. The rates are compared right after a
+        /// re-solve, since fatigue moves OST capacities between solves.
+        /// Alongside: the occupied/fatigued OST lists match the occupancy
+        /// and fatigue tables, and one sparse fatigue step matches the
+        /// dense rule.
+        fn prop_rates_match_reference_encoding(
+            seed in 0u64..u64::MAX,
+            mode in 0usize..6,
+        ) {
+            let mut cfg = LustreConfig::stria();
+            cfg.n_ost = 6;
+            cfg.noise_mode = [NoiseMode::Sequential, NoiseMode::Indexed][mode % 2];
+            cfg.fatigue_threshold = mode / 2;
+            let mut rng = SimRng::from_seed(seed);
+            // Node and fabric caps that bind at a few streams, or not.
+            cfg.node_cap_bps = gibps([0.7, 1.5, 5.0][rng.index(3)]);
+            cfg.fabric_cap_bps = gibps([2.0, 22.0][rng.index(2)]);
+            let mut fs = LustreSim::new(cfg, rng.fork(1));
+            let mut tags = 0u64;
+            for op in 0..120 {
+                random_op(&mut fs, &mut rng, &mut tags);
+
+                // One direct sparse fatigue step against the dense rule.
+                let dt = rng.uniform_range(0.001, 30.0);
+                let up = (-dt / fs.cfg.fatigue_tau_up.as_secs_f64()).exp();
+                let down = (-dt / fs.cfg.fatigue_tau_down.as_secs_f64()).exp();
+                let dense: Vec<f64> = (0..fs.cfg.n_ost)
+                    .map(|ost| {
+                        let f = fs.fatigue[ost];
+                        if fs.ost_occ[ost] as usize >= fs.cfg.fatigue_threshold {
+                            1.0 - (1.0 - f) * up
+                        } else {
+                            f * down
+                        }
+                    })
+                    .collect();
+                fs.update_fatigue(dt);
+                for (ost, (&sparse, &want)) in fs.fatigue.iter().zip(&dense).enumerate() {
+                    prop_assert!(
+                        sparse.to_bits() == want.to_bits() || (sparse == 0.0 && want < FATIGUE_SNAP),
+                        "op {op}: OST {ost} fatigue {sparse:e} vs dense {want:e}"
+                    );
+                }
+
+                fs.recompute_rates();
+                let expect = reference_rates(&fs);
+                for (i, s) in fs.streams.iter().enumerate() {
+                    let tol = 1e-9 * expect[i].abs().max(1.0);
+                    prop_assert!(
+                        (s.rate_bps - expect[i]).abs() <= tol,
+                        "op {op}: stream {i} rate {} vs reference {}",
+                        s.rate_bps,
+                        expect[i]
+                    );
+                }
+                check_ost_list("occupied", &fs.occupied_osts, &fs.occupied_pos, |ost| {
+                    fs.ost_occ[ost] > 0
+                })?;
+                check_ost_list("fatigued", &fs.fatigued_osts, &fs.fatigued_pos, |ost| {
+                    fs.fatigue[ost] > 0.0
+                })?;
+                for ost in 0..fs.cfg.n_ost {
+                    let occ = fs.streams.iter().filter(|s| s.ost == ost).count();
+                    prop_assert!(fs.ost_occ[ost] as usize == occ, "op {op}: OST {ost} occupancy");
+                }
+            }
+        }
     }
 }

@@ -209,8 +209,8 @@ fn scheduler_pass_is_allocation_free_in_steady_state() {
 /// in steady state: `next_event_time` (O(1) calendar peek plus its debug
 /// oracle scan), `advance_to_into` (settle loop, buffered stream
 /// harvests, calendar drain), phase transitions (cursored phase lists,
-/// warm-started rate solves with the full-rebuild debug oracle) — zero
-/// heap allocations per event once every buffer reaches working size.
+/// warm-started rate solves) — zero heap allocations per event once
+/// every buffer reaches working size.
 #[test]
 fn cluster_advance_harvest_is_allocation_free_in_steady_state() {
     let mut c = ClusterSim::new(15, LustreConfig::stria().noiseless(), SimRng::from_seed(11));

@@ -178,8 +178,9 @@ done
 
 step "bench gate: scale smoke event counters match the committed baseline"
 # The smoke replay's timings are single samples and never gate, but its
-# event counters are deterministic; any growth is algorithmic. Gated
-# against the committed smoke baseline (refresh with 'cargo bench -p
+# event counters are deterministic; any change is algorithmic. Under
+# --counters-only, bench_diff requires every counter to equal the
+# committed smoke baseline exactly (refresh with 'cargo bench -p
 # iosched-bench --bench scale -- --smoke' + cp to BENCH_scale_smoke.json
 # when the trace or scheduler legitimately changes).
 bench_diff --gate 2.0 --counters-only \

@@ -1,83 +1,78 @@
 //! Bench target for **Fig. 6**: a multi-seed campaign over the scaled
 //! Workload-2 wave, printing median improvements (the figure's headline
-//! rows) and benchmarking one campaign run per scheduler.
+//! rows) and benchmarking one campaign run per scheduler. Each scheduler
+//! configuration is a single-scheduler [`CampaignGrid`] (three seeds, one
+//! `Wave` workload) executed by `run_grid`.
 
-use iosched_cluster::ExecSpec;
-use iosched_experiments::campaign::run_campaign;
-use iosched_experiments::driver::{ExperimentConfig, SchedulerKind};
+use iosched_experiments::campaign::{run_grid, CampaignOptions};
+use iosched_experiments::grid::{CampaignGrid, CampaignRecord, PolicyFamily, WorkloadSpec};
 use iosched_simkit::bench::BenchSuite;
-use iosched_simkit::time::SimDuration;
-use iosched_simkit::units::{gib, gibps};
-use iosched_workloads::{JobSubmission, WorkloadBuilder};
+use iosched_simkit::stats::median;
 use std::hint::black_box;
 
-fn scaled_wave() -> Vec<JobSubmission> {
-    let limit = SimDuration::from_secs(3600);
-    let vol = gib(10.0);
-    WorkloadBuilder::new()
-        .batch(10, "write_x8", ExecSpec::write_xn(8, vol), limit)
-        .batch(10, "write_x6", ExecSpec::write_xn(6, vol), limit)
-        .batch(23, "write_x2", ExecSpec::write_xn(2, vol), limit)
-        .batch(40, "write_x1", ExecSpec::write_xn(1, vol), limit)
-        .batch(
-            10,
-            "sleep",
-            ExecSpec::sleep(SimDuration::from_secs(300)),
-            SimDuration::from_secs(400),
-        )
-        .build()
+fn median_makespan_secs(records: &[CampaignRecord]) -> f64 {
+    let makespans: Vec<f64> = records.iter().map(|r| r.makespan_secs).collect();
+    median(&makespans).expect("campaign has runs")
 }
 
 fn main() {
     let mut suite = BenchSuite::from_args("fig6_campaign");
-    let workload = scaled_wave();
     let seeds: Vec<u64> = (0..3).map(|i| 1000 + i * 17).collect();
-
+    let grid = |policy, thresholds_gibps| {
+        CampaignGrid::new(
+            vec![policy],
+            thresholds_gibps,
+            seeds.clone(),
+            WorkloadSpec::Wave {
+                x8: 10,
+                x6: 10,
+                x2: 23,
+                x1: 40,
+                sleeps: 10,
+                volume_gib: 10.0,
+            },
+        )
+    };
     let configs = vec![
-        SchedulerKind::DefaultBackfill,
-        SchedulerKind::IoAware {
-            limit_bps: gibps(15.0),
-        },
-        SchedulerKind::Adaptive {
-            limit_bps: gibps(20.0),
-            two_group: true,
-        },
+        grid(PolicyFamily::Default, vec![]),
+        grid(PolicyFamily::IoAware, vec![15.0]),
+        grid(PolicyFamily::Adaptive, vec![20.0]),
     ];
+    let opts = CampaignOptions::default();
 
     // Print the medians once (the figure's summary rows); skipped under
     // --smoke.
     if !suite.is_smoke() {
         let mut base = None;
-        for kind in &configs {
-            let camp = run_campaign(&ExperimentConfig::paper(*kind, 0), &workload, &seeds);
-            let med = camp.median_makespan_secs();
+        for grid in &configs {
+            let records = run_grid(grid, opts);
+            let label = &records[0].label;
+            let med = median_makespan_secs(&records);
             match base {
                 None => {
                     base = Some(med);
-                    println!("fig6 {}: median {med:.0} s (baseline)", camp.label);
+                    println!("fig6 {label}: median {med:.0} s (baseline)");
                 }
                 Some(b) => println!(
-                    "fig6 {}: median {med:.0} s ({:+.1}% vs default)",
-                    camp.label,
+                    "fig6 {label}: median {med:.0} s ({:+.1}% vs default)",
                     100.0 * (b - med) / b
                 ),
             }
         }
     }
 
-    for kind in configs {
-        let cfg = ExperimentConfig::paper(kind, 0);
-        let label = kind.label();
+    for grid in &configs {
+        let label = grid.schedulers()[0].label();
         suite.bench(&label, || {
-            black_box(run_campaign(&cfg, &workload, &seeds).median_makespan_secs());
+            black_box(median_makespan_secs(&run_grid(grid, opts)));
         });
         // Deterministic event-loop iteration count (gated by `bench_diff
         // --gate`: an event blowup fails CI even when wall-time noise
         // hides it), plus report-only events/sec from one timed campaign.
         let start = std::time::Instant::now();
-        let camp = run_campaign(&cfg, &workload, &seeds);
+        let records = run_grid(grid, opts);
         let elapsed = start.elapsed().as_secs_f64();
-        let events = camp.total_loop_iterations() as f64;
+        let events = records.iter().map(|r| r.loop_iterations).sum::<u64>() as f64;
         suite.counter(&format!("events/{label}"), events);
         suite.meta(&format!("events_per_sec/{label}"), events / elapsed);
     }

@@ -16,9 +16,12 @@
 //! `--gate <factor> --counters-only` restricts the gate to the
 //! deterministic `counters` entries and skips the timing cases entirely.
 //! Counters carry no timing noise — they are exact event tallies — so
-//! this mode accepts smoke files, which is how CI's per-commit loop
+//! this mode gates them exactly: any counter that differs from the
+//! baseline, in either direction, fails (the factor then applies to
+//! nothing). It accepts smoke files, which is how CI's per-commit loop
 //! gates the scale suite's event counts without paying for the full
-//! sweep.
+//! sweep. Without `--counters-only`, counters gate on growth beyond the
+//! factor, like timings.
 //!
 //! Typical workflow — stash a baseline, make a change, re-run the bench,
 //! then:
@@ -48,7 +51,8 @@ struct Suite {
     smoke: bool,
     cases: Vec<Case>,
     /// Deterministic work counters (e.g. event-loop iterations): gated
-    /// like timings — an increase beyond the factor fails.
+    /// like timings — an increase beyond the factor fails — or, under
+    /// `--counters-only`, on any change at all.
     counters: Vec<(String, f64)>,
     /// Report-only metadata (e.g. events/sec): shown, never gated.
     meta: Vec<(String, f64)>,
@@ -177,7 +181,8 @@ fn compare(
         }
     }
     // Deterministic counters: same table, gated on increase by the same
-    // factor (they carry no timing noise, so any growth is algorithmic).
+    // factor, or under `counters_only` on any change (they carry no
+    // timing noise, so any drift is algorithmic).
     for (name, av) in &after.counters {
         match before.counters.iter().find(|(bn, _)| bn == name) {
             Some((_, bv)) => {
@@ -186,7 +191,11 @@ fn compare(
                     pct(*bv, *av)
                 ));
                 if let Some(factor) = gate {
-                    if *av > bv * factor {
+                    if counters_only && av != bv {
+                        regressions.push(format!(
+                            "counter {name}: {bv:.1} -> {av:.1} (counters must match exactly)"
+                        ));
+                    } else if *av > bv * factor {
                         regressions.push(format!(
                             "counter {name}: {bv:.1} -> {av:.1} ({:.2}x > {factor}x allowed)",
                             av / bv
@@ -226,8 +235,8 @@ fn usage() -> ExitCode {
     eprintln!("usage: bench_diff [--gate <factor> [--counters-only]] <before.json> <after.json>");
     eprintln!("  compares two BENCH_*.json suite files (report-only by default;");
     eprintln!("  with --gate, exit 1 on any >factor-times min-ns regression;");
-    eprintln!("  --counters-only gates only the deterministic counters, so");
-    eprintln!("  smoke-mode files are accepted)");
+    eprintln!("  --counters-only gates only the deterministic counters, which");
+    eprintln!("  must then match exactly; smoke-mode files are accepted)");
     ExitCode::from(2)
 }
 
@@ -354,6 +363,32 @@ mod tests {
 
         let (_, regressions) = compare(&before, &after, Some(2.0), true);
         assert_eq!(regressions, vec!["counter events/b: 5.0 -> (gone)"]);
+    }
+
+    #[test]
+    fn counters_only_gate_fails_on_any_change_in_either_direction() {
+        let before = suite(&[("events/a", 100.0), ("events/b", 100.0)], &[]);
+        let same = suite(&[("events/a", 100.0), ("events/b", 100.0)], &[]);
+        let (_, regressions) = compare(&before, &same, Some(2.0), true);
+        assert!(regressions.is_empty(), "{regressions:?}");
+
+        // Growth within the factor and any shrinkage both fail...
+        let drifted = suite(&[("events/a", 101.0), ("events/b", 40.0)], &[]);
+        let (_, regressions) = compare(&before, &drifted, Some(2.0), true);
+        assert_eq!(
+            regressions,
+            vec![
+                "counter events/a: 100.0 -> 101.0 (counters must match exactly)",
+                "counter events/b: 100.0 -> 40.0 (counters must match exactly)",
+            ]
+        );
+
+        // ...while the timing gate's counters keep the factor.
+        let (_, regressions) = compare(&before, &drifted, Some(2.0), false);
+        assert!(regressions.is_empty(), "{regressions:?}");
+        let doubled = suite(&[("events/a", 201.0), ("events/b", 100.0)], &[]);
+        let (_, regressions) = compare(&before, &doubled, Some(2.0), false);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
     }
 
     #[test]

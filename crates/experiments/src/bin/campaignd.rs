@@ -6,12 +6,16 @@
 //! malformed specs yield `{"kind":"error",...}` and the loop continues.
 //!
 //! ```text
-//! echo '{"policies":["Default","Adaptive"],"thresholds_gibps":[20],
-//!        "seeds":[1000,1017,1034],"workloads":["Workload2"],
+//! echo '{"policies":[{"kind":"Default"},{"kind":"Adaptive"}],
+//!        "thresholds_gibps":[20],"seeds":[1000,1017,1034],
+//!        "workloads":[{"kind":"Workload2"}],
 //!        "base":{"nodes":0,"machine_scale":1,"pretrained":true,
 //!                "noiseless":false,"sched_period_secs":0}}' \
 //!   | campaignd --threads 4 --log results/campaigns/w2.jsonl
 //! ```
+//!
+//! (One spec per line; wrapped here for readability.) A single run is
+//! a 1-task grid: one policy, one threshold, one seed, one workload.
 //!
 //! Flags: `--threads N` pins the worker count (else `CAMPAIGN_THREADS`,
 //! else `available_parallelism`); `--log PATH` makes runs resumable —

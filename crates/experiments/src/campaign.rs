@@ -18,10 +18,7 @@
 //!   line and streams records back as tasks finish — the `campaignd`
 //!   binary is a thin stdin/stdout wrapper around it.
 
-use crate::driver::{
-    run_experiment, run_experiment_with_scratch, ExperimentConfig, ExperimentResult, RunScratch,
-    SchedulerKind,
-};
+use crate::driver::{run_experiment_with_scratch, ExperimentResult, RunScratch};
 use crate::grid::{CampaignGrid, CampaignRecord, GridTask};
 use crate::metrics::scheduling_metrics;
 use crate::pool;
@@ -38,74 +35,6 @@ pub struct CampaignOptions {
     /// Worker count; `None` defers to `CAMPAIGN_THREADS` /
     /// `available_parallelism` (see [`pool::configured_threads`]).
     pub threads: Option<usize>,
-}
-
-/// Results of one scheduler configuration across seeds.
-#[derive(Clone, Debug)]
-pub struct CampaignResult {
-    pub scheduler: SchedulerKind,
-    pub label: String,
-    /// Makespans per seed, in seed order.
-    pub makespans_secs: Vec<f64>,
-    /// Event-loop iterations per seed, in seed order (deterministic; the
-    /// campaign bench gates on the total).
-    pub loop_iterations: Vec<u64>,
-}
-
-impl CampaignResult {
-    /// Median makespan (the paper's central-tendency measure — the
-    /// distribution is skewed).
-    pub fn median_makespan_secs(&self) -> f64 {
-        median(&self.makespans_secs).expect("campaign has runs")
-    }
-
-    /// Total event-loop iterations across all seeds.
-    pub fn total_loop_iterations(&self) -> u64 {
-        self.loop_iterations.iter().sum()
-    }
-}
-
-/// Run `base` under each seed in `seeds`, fanned out over the
-/// work-stealing pool (worker count from [`pool::configured_threads`]).
-/// Output order is `seeds` order regardless of completion order.
-pub fn run_campaign(
-    base: &ExperimentConfig,
-    workload: &[JobSubmission],
-    seeds: &[u64],
-) -> CampaignResult {
-    assert!(!seeds.is_empty(), "campaign needs at least one seed");
-    let threads = pool::configured_threads(None).min(seeds.len());
-    let results = pool::run_all(
-        seeds,
-        threads,
-        RunScratch::default,
-        |scratch, _idx, &seed| {
-            let mut cfg = base.clone();
-            cfg.seed = seed;
-            let res = run_experiment_with_scratch(&cfg, workload, scratch);
-            (res.makespan_secs, res.loop_iterations)
-        },
-        |_, _| {},
-    );
-    CampaignResult {
-        scheduler: base.scheduler,
-        label: base.scheduler.label(),
-        makespans_secs: results.iter().map(|r| r.0).collect(),
-        loop_iterations: results.iter().map(|r| r.1).collect(),
-    }
-}
-
-/// Convenience: run a full trace-recording experiment for one seed (the
-/// representative panels of Figs. 3 and 5) while the campaign covers the
-/// distribution.
-pub fn representative_run(
-    base: &ExperimentConfig,
-    workload: &[JobSubmission],
-    seed: u64,
-) -> ExperimentResult {
-    let mut cfg = base.clone();
-    cfg.seed = seed;
-    run_experiment(&cfg, workload)
 }
 
 /// Summarise one finished run into the record the engine merges, logs,
@@ -349,34 +278,9 @@ fn emit_error(out: &mut impl Write, message: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_experiment;
     use crate::grid::{PolicyFamily, WorkloadSpec};
-    use iosched_cluster::ExecSpec;
-    use iosched_lustre::LustreConfig;
-    use iosched_simkit::time::SimDuration;
-    use iosched_simkit::units::gib;
-    use iosched_workloads::WorkloadBuilder;
     use std::io::Cursor;
-
-    fn tiny() -> Vec<JobSubmission> {
-        // Enough concurrent streams that OSTs are shared — only then does
-        // per-OST bandwidth noise reach completion times (singleton
-        // streams are pinned at the deterministic per-stream cap) and
-        // seeds produce distinct makespans.
-        WorkloadBuilder::new()
-            .batch(
-                10,
-                "w",
-                ExecSpec::write_xn(8, gib(4.0)),
-                SimDuration::from_secs(1200),
-            )
-            .batch(
-                3,
-                "s",
-                ExecSpec::sleep(SimDuration::from_secs(30)),
-                SimDuration::from_secs(60),
-            )
-            .build()
-    }
 
     fn tiny_grid() -> CampaignGrid {
         let mut grid = CampaignGrid::new(
@@ -405,36 +309,53 @@ mod tests {
     }
 
     #[test]
-    fn campaign_runs_all_seeds() {
-        let mut cfg = ExperimentConfig::paper(SchedulerKind::DefaultBackfill, 0);
-        cfg.nodes = 10;
-        cfg.fs = LustreConfig::stria(); // noise on: seeds should differ
-        let camp = run_campaign(&cfg, &tiny(), &[1, 2, 3, 4, 5]);
-        assert_eq!(camp.makespans_secs.len(), 5);
-        assert!(camp.makespans_secs.iter().all(|&m| m > 0.0));
-        assert!(camp.median_makespan_secs() > 0.0);
-        // Different seeds explore different noise paths: not all equal.
-        let first = camp.makespans_secs[0];
+    fn noisy_grid_seeds_give_distinct_makespans() {
+        // Enough concurrent streams that OSTs are shared: only then does
+        // per-OST bandwidth noise reach completion times (singleton
+        // streams are pinned at the deterministic per-stream cap), so
+        // seeds produce distinct makespans.
+        let mut grid = CampaignGrid::new(
+            vec![PolicyFamily::Default],
+            vec![],
+            vec![1, 2, 3, 4, 5],
+            WorkloadSpec::Wave {
+                x8: 10,
+                x6: 0,
+                x2: 0,
+                x1: 0,
+                sleeps: 3,
+                volume_gib: 4.0,
+            },
+        );
+        grid.base.nodes = 10;
+        assert!(!grid.base.noiseless);
+        let records = run_grid(&grid, CampaignOptions { threads: Some(2) });
+        let makespans: Vec<f64> = records.iter().map(|r| r.makespan_secs).collect();
+        assert_eq!(makespans.len(), 5);
+        assert!(makespans.iter().all(|&m| m > 0.0));
         assert!(
-            camp.makespans_secs
-                .iter()
-                .any(|&m| (m - first).abs() > 1e-9),
-            "all seeds identical: {:?}",
-            camp.makespans_secs
+            makespans.iter().any(|&m| m != makespans[0]),
+            "all seeds identical: {makespans:?}"
         );
     }
 
     #[test]
-    fn campaign_matches_sequential_runs() {
-        let mut cfg = ExperimentConfig::paper(SchedulerKind::DefaultBackfill, 0);
-        cfg.nodes = 10;
-        let w = tiny();
-        let camp = run_campaign(&cfg, &w, &[11, 12]);
-        for (i, &seed) in [11u64, 12].iter().enumerate() {
-            let mut c = cfg.clone();
-            c.seed = seed;
-            let res = run_experiment(&c, &w);
-            assert_eq!(res.makespan_secs, camp.makespans_secs[i]);
+    fn every_grid_record_matches_a_direct_run_of_its_task() {
+        let grid = tiny_grid();
+        let workload = grid.workloads[0].materialize();
+        let records = run_grid(&grid, CampaignOptions { threads: Some(2) });
+        let tasks = grid.tasks();
+        assert_eq!(records.len(), tasks.len());
+        for (task, rec) in tasks.iter().zip(&records) {
+            let res = run_experiment(&grid.experiment_config(task), &workload);
+            let m = scheduling_metrics(&res.jobs).expect("jobs completed");
+            assert_eq!(rec.index, task.index);
+            assert_eq!(rec.makespan_secs.to_bits(), res.makespan_secs.to_bits());
+            assert_eq!(rec.mean_wait_secs.to_bits(), m.mean_wait_secs.to_bits());
+            assert_eq!(rec.max_wait_secs.to_bits(), m.max_wait_secs.to_bits());
+            assert_eq!(rec.jobs, m.jobs as u64);
+            assert_eq!(rec.sched_passes, res.sched_passes);
+            assert_eq!(rec.loop_iterations, res.loop_iterations);
         }
     }
 

@@ -16,10 +16,13 @@
 //! | `fig6` | Fig. 6: Workload 2 makespan swarm + medians |
 //! | `summary` | §VI/§VII headline numbers, paper vs. measured |
 //!
-//! Multi-seed campaigns fan out across threads ([`campaign`]).
+//! Every data-driven run is a [`CampaignGrid`] (policy × threshold × seed
+//! × workload), executed by [`campaign`] over a work-stealing pool and
+//! served on stdin/stdout by the `campaignd` binary; a single run is a
+//! 1-task grid. Runs the grid cannot name (traces, priority policies,
+//! burst buffers, reshaped arrivals) call [`run_experiment`] directly.
 
 pub mod campaign;
-pub mod config;
 pub mod driver;
 mod engine;
 pub mod figures;
@@ -29,10 +32,7 @@ pub mod pool;
 pub mod pretrain;
 pub mod streaming;
 
-pub use campaign::{
-    representative_run, run_campaign, run_grid, run_grid_resumable, serve_campaigns,
-    CampaignOptions, CampaignResult,
-};
+pub use campaign::{run_grid, run_grid_resumable, serve_campaigns, CampaignOptions};
 pub use driver::{
     run_experiment, run_experiment_with_scratch, ExperimentConfig, ExperimentResult, JobRecord,
     RunScratch, SchedulerKind,

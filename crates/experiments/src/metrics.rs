@@ -81,20 +81,6 @@ pub fn per_class_metrics(res: &ExperimentResult) -> BTreeMap<String, SchedulingM
         .collect()
 }
 
-/// Histogram of wait times over `[0, max_secs)` with the given bucket
-/// count (saturating top bucket), for distribution reports.
-pub fn wait_histogram(
-    jobs: &[JobRecord],
-    max_secs: f64,
-    buckets: usize,
-) -> iosched_simkit::stats::Histogram {
-    let mut h = iosched_simkit::stats::Histogram::new(0.0, max_secs.max(1.0), buckets);
-    for j in jobs {
-        h.push(j.wait().as_secs_f64());
-    }
-    h
-}
-
 /// Node utilisation over the makespan: mean busy nodes / total nodes.
 pub fn node_utilisation(res: &ExperimentResult, total_nodes: usize) -> f64 {
     if total_nodes == 0 || res.makespan_secs <= 0.0 {
@@ -174,19 +160,6 @@ mod tests {
         assert_eq!(per.len(), 2);
         assert_eq!(per["write"].jobs, 2);
         assert_eq!(per["sleep"].jobs, 1);
-    }
-
-    #[test]
-    fn wait_histogram_buckets_waits() {
-        let jobs = [
-            rec(1, "a", 0, 10, 20),
-            rec(2, "a", 0, 10, 20),
-            rec(3, "a", 0, 90, 95),
-        ];
-        let h = wait_histogram(&jobs, 100.0, 10);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.counts()[1], 2); // waits of 10 s
-        assert_eq!(h.counts()[9], 1); // wait of 90 s
     }
 
     #[test]

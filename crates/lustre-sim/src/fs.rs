@@ -73,14 +73,6 @@ pub struct FsSnapshot {
 }
 
 impl FsSnapshot {
-    /// Allocated rate of `node`, if it has any active stream.
-    pub fn node_bps(&self, node: usize) -> Option<f64> {
-        self.per_node_bps
-            .binary_search_by_key(&node, |&(n, _)| n)
-            .ok()
-            .map(|i| self.per_node_bps[i].1)
-    }
-
     /// Allocated rate of `tag`, if it has any active stream.
     pub fn tag_bps(&self, tag: StreamTag) -> Option<f64> {
         self.per_tag_bps

@@ -233,11 +233,6 @@ impl WarmSolver {
         self.unfrozen.resize(n_cons, 0);
     }
 
-    /// Number of constraints in the system.
-    pub fn con_count(&self) -> usize {
-        self.con_cap.len()
-    }
-
     /// Number of flows currently in the system.
     pub fn flow_count(&self) -> usize {
         self.n_flows

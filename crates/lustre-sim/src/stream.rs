@@ -48,10 +48,3 @@ pub struct StreamState {
     /// Whether the release notification has been emitted.
     pub notified: bool,
 }
-
-impl StreamState {
-    /// True once the stream has written everything.
-    pub fn is_done(&self) -> bool {
-        self.remaining_bytes <= 0.0
-    }
-}

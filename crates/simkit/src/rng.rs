@@ -114,11 +114,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Log-normal draw parameterised so that the *median* of the
     /// distribution is `median` and the underlying normal has standard
     /// deviation `sigma` (in log space). `sigma = 0` returns `median`.

@@ -79,7 +79,7 @@ struct Entry {
 ///
 /// Besides the id-keyed table, the registry maintains incremental
 /// pending/running state sets and a finished counter so the per-pass
-/// queries (`wait_queue_ordered`, `running_views`, `all_completed`,
+/// queries (`wait_queue_ids_limited_into`, `running_views`, `all_completed`,
 /// `overrunning`, `next_limit_expiry`) touch only the jobs in the
 /// relevant state instead of scanning the whole table. Both sets are
 /// ordered: `pending` by `(submit, id)` — the FIFO key — so the default
@@ -223,11 +223,6 @@ impl JobRegistry {
         self.finished += 1;
     }
 
-    /// Pending jobs submitted at or before `now`, FIFO-ordered.
-    pub fn wait_queue(&self, now: SimTime) -> Vec<&SchedJob> {
-        self.wait_queue_ordered(now, PriorityPolicy::Fifo)
-    }
-
     /// Pending ids with `submit <= now` and dependencies met, in FIFO
     /// (`(submit, id)`) order — the natural order of the pending set, so
     /// this is a prefix range, not a scan over all pending jobs.
@@ -238,24 +233,11 @@ impl JobRegistry {
             .filter(move |id| self.dependencies_met(&self.jobs[id].meta))
     }
 
-    /// Pending jobs submitted at or before `now`, ordered by the given
-    /// priority policy (allocating convenience; hot callers use
-    /// [`Self::wait_queue_ids_into`] with a pooled buffer).
-    pub fn wait_queue_ordered(&self, now: SimTime, policy: PriorityPolicy) -> Vec<&SchedJob> {
-        let mut ids = Vec::new();
-        self.wait_queue_ids_into(now, policy, &mut ids);
-        ids.iter().map(|id| &self.jobs[id].meta).collect()
-    }
-
-    /// [`Self::wait_queue_ordered`] by id, into a caller-owned buffer
-    /// (cleared first). The reusable buffer keeps the steady-state
-    /// scheduling pass allocation-free.
-    pub fn wait_queue_ids_into(&self, now: SimTime, policy: PriorityPolicy, out: &mut Vec<JobId>) {
-        self.wait_queue_ids_limited_into(now, policy, usize::MAX, out);
-    }
-
-    /// The first `limit` jobs of [`Self::wait_queue_ids_into`], into a
-    /// caller-owned buffer (cleared first) — a true top-k.
+    /// The first `limit` pending jobs submitted at or before `now` with
+    /// dependencies met, ordered by `policy`, into a caller-owned buffer
+    /// (cleared first) — a true top-k. The reusable buffer keeps the
+    /// steady-state scheduling pass allocation-free; `usize::MAX` asks
+    /// for the whole wait queue.
     ///
     /// Every policy walks its ordered pending index in key order and
     /// stops after `limit` eligible jobs: `O(limit)` index entries
@@ -512,6 +494,13 @@ mod tests {
         )
     }
 
+    /// The whole wait queue at `now` under `policy`.
+    fn queue(reg: &JobRegistry, now: SimTime, policy: PriorityPolicy) -> Vec<JobId> {
+        let mut ids = Vec::new();
+        reg.wait_queue_ids_limited_into(now, policy, usize::MAX, &mut ids);
+        ids
+    }
+
     #[test]
     fn lifecycle_records_start_and_end_times() {
         let mut reg = JobRegistry::new();
@@ -548,13 +537,9 @@ mod tests {
         reg.submit(job(3, 10));
         reg.submit(job(1, 0));
         reg.submit(job(2, 0));
-        let q0: Vec<JobId> = reg.wait_queue(SimTime::ZERO).iter().map(|j| j.id).collect();
+        let q0 = queue(&reg, SimTime::ZERO, PriorityPolicy::Fifo);
         assert_eq!(q0, vec![JobId(1), JobId(2)]);
-        let q10: Vec<JobId> = reg
-            .wait_queue(SimTime::from_secs(10))
-            .iter()
-            .map(|j| j.id)
-            .collect();
+        let q10 = queue(&reg, SimTime::from_secs(10), PriorityPolicy::Fifo);
         assert_eq!(q10, vec![JobId(1), JobId(2), JobId(3)]);
         assert_eq!(
             reg.next_submission_after(SimTime::ZERO),
@@ -577,19 +562,15 @@ mod tests {
         reg.submit(a);
         reg.submit(b);
         reg.submit(c);
-        let ids = |q: Vec<&SchedJob>| q.iter().map(|j| j.id.0).collect::<Vec<_>>();
-        assert_eq!(
-            ids(reg.wait_queue_ordered(SimTime::ZERO, PriorityPolicy::Fifo)),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            ids(reg.wait_queue_ordered(SimTime::ZERO, PriorityPolicy::Priority)),
-            vec![3, 1, 2]
-        );
-        assert_eq!(
-            ids(reg.wait_queue_ordered(SimTime::ZERO, PriorityPolicy::ShortestLimitFirst)),
-            vec![2, 3, 1]
-        );
+        let ids = |policy| {
+            queue(&reg, SimTime::ZERO, policy)
+                .iter()
+                .map(|id| id.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(PriorityPolicy::Fifo), vec![1, 2, 3]);
+        assert_eq!(ids(PriorityPolicy::Priority), vec![3, 1, 2]);
+        assert_eq!(ids(PriorityPolicy::ShortestLimitFirst), vec![2, 3, 1]);
     }
 
     #[test]
@@ -684,9 +665,9 @@ mod tests {
         reg.submit(job(2, 0).with_after(vec![JobId(1)]));
         reg.submit(job(3, 0).with_after(vec![JobId(1), JobId(2)]));
         let ids = |reg: &JobRegistry| {
-            reg.wait_queue(SimTime::ZERO)
+            queue(reg, SimTime::ZERO, PriorityPolicy::Fifo)
                 .iter()
-                .map(|j| j.id.0)
+                .map(|id| id.0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(ids(&reg), vec![1]);
@@ -705,7 +686,7 @@ mod tests {
     fn dangling_dependency_never_satisfies() {
         let mut reg = JobRegistry::new();
         reg.submit(job(1, 0).with_after(vec![JobId(99)]));
-        assert!(reg.wait_queue(SimTime::from_secs(1000)).is_empty());
+        assert!(queue(&reg, SimTime::from_secs(1000), PriorityPolicy::Fifo).is_empty());
     }
 
     #[test]
@@ -821,7 +802,7 @@ mod tests {
             let now = SimTime::from_secs(probe);
             let all = || (0..n).map(JobId);
 
-            // Wait queue (both APIs) vs a full-scan oracle.
+            // Wait queue vs a full-scan oracle.
             let mut expect: Vec<JobId> = all()
                 .filter(|&id| {
                     reg.state(id) == Some(JobState::Pending)
@@ -829,15 +810,8 @@ mod tests {
                 })
                 .collect();
             expect.sort_by_key(|&id| (reg.meta(id).unwrap().submit, id));
-            let got: Vec<JobId> = reg
-                .wait_queue_ordered(now, PriorityPolicy::Fifo)
-                .iter()
-                .map(|j| j.id)
-                .collect();
+            let got = queue(&reg, now, PriorityPolicy::Fifo);
             prop_assert_eq!(&got, &expect);
-            let mut buf = Vec::new();
-            reg.wait_queue_ids_into(now, PriorityPolicy::Fifo, &mut buf);
-            prop_assert_eq!(&buf, &expect);
 
             // Depth-limited query == full query truncated, every policy.
             for &policy in &[
@@ -845,8 +819,7 @@ mod tests {
                 PriorityPolicy::Priority,
                 PriorityPolicy::ShortestLimitFirst,
             ] {
-                let mut full = Vec::new();
-                reg.wait_queue_ids_into(now, policy, &mut full);
+                let mut full = queue(&reg, now, policy);
                 full.truncate(limit as usize);
                 let mut limited = Vec::new();
                 reg.wait_queue_ids_limited_into(now, policy, limit as usize, &mut limited);
@@ -950,15 +923,8 @@ mod tests {
             ] {
                 let mut expect = Vec::new();
                 reg.wait_queue_ids_sorted_into(now, policy, &mut expect);
-                let mut got = Vec::new();
-                reg.wait_queue_ids_into(now, policy, &mut got);
+                let got = queue(&reg, now, policy);
                 prop_assert_eq!(&got, &expect);
-                let by_ref: Vec<JobId> = reg
-                    .wait_queue_ordered(now, policy)
-                    .iter()
-                    .map(|j| j.id)
-                    .collect();
-                prop_assert_eq!(&by_ref, &expect);
                 let mut truncated = expect.clone();
                 truncated.truncate(limit as usize);
                 let mut limited = Vec::new();

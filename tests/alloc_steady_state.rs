@@ -137,7 +137,7 @@ where
             PriorityPolicy::Fifo,
         ] {
             registry.wait_queue_ids_limited_into(now, policy, 500, &mut queue_ids);
-            registry.wait_queue_ids_into(now, policy, &mut queue_ids);
+            registry.wait_queue_ids_limited_into(now, policy, usize::MAX, &mut queue_ids);
         }
         queue_ids.truncate(500);
         queue_refs.clear();

@@ -135,10 +135,14 @@ cargo test -q --workspace --offline
 
 step "property suites in release"
 # The profile and policy properties compare against their test-code
-# models under cfg(test), and the lustre-sim properties compare the
+# models under cfg(test), the no-start certificate properties compare it
+# against backfill passes, and the lustre-sim properties compare the
 # rate solve against max_min_fair, so they also check the release
 # arithmetic (no overflow checks, no debug asserts).
 cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre
+# Certified rounds (skipped by the no-start certificate) must reproduce
+# fingerprints pinned with every pass executed, in release too.
+cargo test --release -q --offline -p iosched-experiments --test certified_rounds
 
 step "perfbench smoke test: the traced mirror reproduces the engine's fingerprints"
 # perfbench is a package of its own (outside the workspace), so the

@@ -177,6 +177,10 @@ pub struct ExperimentResult {
     /// Of [`Self::sched_passes`], rounds whose queue walk was elided
     /// because the previous outcome provably still held.
     pub rounds_elided: u64,
+    /// Of [`Self::sched_passes`], rounds whose pass was skipped because
+    /// the no-start certificate proved it would start nothing (never
+    /// counted in [`Self::rounds_elided`]).
+    pub rounds_certified: u64,
     /// Event-loop iterations executed: a deterministic proxy for event
     /// count, recorded by the campaign bench so an event blowup fails the
     /// perf gate even when wall-time noise hides it.
@@ -229,6 +233,7 @@ pub fn run_experiment_with_scratch(
     result.makespan_secs = totals.makespan_secs;
     result.sched_passes = totals.sched_passes;
     result.rounds_elided = totals.rounds_elided;
+    result.rounds_certified = totals.rounds_certified;
     result.loop_iterations = totals.loop_iterations;
     result
 }
@@ -495,6 +500,7 @@ mod tests {
         assert_eq!(full.makespan_secs, batch.makespan_secs);
         assert_eq!(full.sched_passes, batch.sched_passes);
         assert_eq!(full.rounds_elided, batch.rounds_elided);
+        assert_eq!(full.rounds_certified, batch.rounds_certified);
         assert_eq!(full.loop_iterations, batch.loop_iterations);
         let waits: Vec<f64> = batch.jobs.iter().map(|j| j.wait().as_secs_f64()).collect();
         assert_eq!(

@@ -6,8 +6,12 @@
 //! to the estimate book, read by every resident job of that name), kills
 //! jobs at their limit under `enforce_limits`, admits jobs
 //! into freed window slots, takes the **monitoring** sample when due, and
-//! runs the **backfill** pass periodically or after completions, eliding
-//! a round provably identical to the previous one.
+//! runs the **backfill** pass periodically or after completions. Two
+//! kinds of round skip the pass: an *elided* round is provably identical
+//! to the previous one, and a *certified* round is one that cannot seed
+//! an elision and whose no-start certificate (no window job fits at `now`
+//! against the running jobs alone) proves the pass would start nothing.
+//! Both leave every decision and counter as the executed pass would.
 //!
 //! A [`JobSource`] is an iterator admitted under a window; a [`Recorder`]
 //! keeps full records and traces or O(1) aggregates. A finished job
@@ -70,6 +74,8 @@ impl PolicyImpl {
     /// One scheduling round. The engine's persistent book is lent to the
     /// I/O-aware policies for the duration of the round (`begin_round` /
     /// `take_book`), so no estimate map is rebuilt or cloned per pass.
+    /// With `certify`, an I/O-aware round whose no-start certificate holds
+    /// skips its pass and returns `None`: the pass would start nothing.
     #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &mut self,
@@ -79,21 +85,30 @@ impl PolicyImpl {
         now: SimTime,
         total_nodes: usize,
         bf: &BackfillConfig,
+        certify: bool,
         outcome: &mut SchedulingOutcome,
-    ) -> PassStats {
+    ) -> Option<PassStats> {
         match self {
-            PolicyImpl::Default(p) => {
-                backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome)
-            }
+            PolicyImpl::Default(p) => Some(backfill_pass_into(
+                p,
+                running,
+                queue,
+                now,
+                total_nodes,
+                bf,
+                outcome,
+            )),
             PolicyImpl::IoAware(p) => {
                 p.begin_round(std::mem::take(book));
-                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
+                let stats = (!(certify && p.no_start_certified(running, queue, now, total_nodes)))
+                    .then(|| backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome));
                 *book = p.take_book();
                 stats
             }
             PolicyImpl::Adaptive(p) => {
                 p.begin_round(std::mem::take(book));
-                let stats = backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome);
+                let stats = (!(certify && p.no_start_certified(running, queue, now, total_nodes)))
+                    .then(|| backfill_pass_into(p, running, queue, now, total_nodes, bf, outcome));
                 *book = p.take_book();
                 stats
             }
@@ -102,10 +117,10 @@ impl PolicyImpl {
                 // `next_possible_start = ZERO` means `now < horizon` is
                 // never true: packing rounds are never elided (the pass
                 // has no fixpoint horizon to reuse).
-                PassStats {
+                Some(PassStats {
                     next_possible_start: SimTime::ZERO,
                     pruned: 0,
-                }
+                })
             }
         }
     }
@@ -172,6 +187,7 @@ pub(crate) struct RunTotals {
     pub makespan_secs: f64,
     pub sched_passes: u64,
     pub rounds_elided: u64,
+    pub rounds_certified: u64,
     pub loop_iterations: u64,
     pub peak_resident_jobs: usize,
 }
@@ -303,14 +319,17 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
     }
 
     /// Build the round's queue and running views over the resident table
-    /// and run one scheduling pass on them.
+    /// and run one scheduling pass on them; `None` when `certify` is set
+    /// and the no-start certificate skipped the pass (see
+    /// [`PolicyImpl::run_pass`]).
     fn pass(
         &mut self,
         queue_ids: &[JobId],
         running_pairs: &[(JobId, SimTime)],
         now: SimTime,
+        certify: bool,
         outcome: &mut SchedulingOutcome,
-    ) -> PassStats {
+    ) -> Option<PassStats> {
         let resident = &self.resident;
         let queue: Vec<&SchedJob> = queue_ids.iter().map(|id| &resident[id].meta).collect();
         let running: Vec<RunningView<'_>> = running_pairs
@@ -342,6 +361,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 prune_fits_now: true,
                 monotone_cursor: true,
             },
+            certify,
             outcome,
         )
     }
@@ -364,6 +384,11 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         // before its earliest future start, nothing was submitted since,
         // no running job is at its limit (an overrunning job's reservation
         // end tracks `now`), and the tracker build is time-invariant.
+        // A round that is not time-invariant can never seed an elision,
+        // so its earliest future start is never read: when the no-start
+        // certificate shows its pass would start nothing, the pass is
+        // skipped too (a certified round) and the elision state is set
+        // exactly as the pass would have set it.
         let mut round_dirty = true;
         let mut prev_round_at = SimTime::ZERO;
         let mut prev_next_possible = SimTime::ZERO;
@@ -452,13 +477,18 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             if s.queue_ids.is_empty() {
                 continue;
             }
-            // Elided rounds count too: the counter must not depend on
-            // `elide_rounds`.
+            // Elided and certified rounds count too: the counter must not
+            // depend on `elide_rounds` or on the certificate.
             totals.sched_passes += 1;
             self.registry.running_ids_into(&mut s.running_pairs);
             // Line 2 of Algorithm 2: measured current load.
             let measured = self.analytics.current_load_bps(&self.daemon, now);
             self.book.measured_total_bps = measured;
+            // The pass does not change the book, so one evaluation serves
+            // both this round's elision and the next round's.
+            let invariant =
+                self.policy
+                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
             let elide = cfg.elide_rounds
                 && !round_dirty
                 && now < prev_next_possible
@@ -468,16 +498,20 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                     .is_none_or(|s| s > now)
                 && self.registry.next_limit_expiry().is_none_or(|e| e > now)
                 && prev_invariant
-                && self
-                    .policy
-                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
+                && invariant;
             if elide {
                 totals.rounds_elided += 1;
                 // Debug oracle: the previous executed round's outcome must
                 // still hold verbatim (in particular, nothing could start).
                 #[cfg(debug_assertions)]
                 {
-                    self.pass(&s.queue_ids, &s.running_pairs, now, &mut oracle_outcome);
+                    self.pass(
+                        &s.queue_ids,
+                        &s.running_pairs,
+                        now,
+                        false,
+                        &mut oracle_outcome,
+                    );
                     debug_assert!(
                         oracle_outcome.start_now.is_empty(),
                         "elided round at {now} would have started {:?}",
@@ -490,12 +524,23 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 }
                 continue;
             }
-            let stats = self.pass(&s.queue_ids, &s.running_pairs, now, &mut s.outcome);
             prev_round_at = now;
+            prev_invariant = invariant;
+            let Some(stats) = self.pass(
+                &s.queue_ids,
+                &s.running_pairs,
+                now,
+                !invariant,
+                &mut s.outcome,
+            ) else {
+                // Certified, so `invariant` is false: nothing starts, and
+                // with `prev_invariant` false `prev_next_possible` is not
+                // read before the next executed round replaces it.
+                totals.rounds_certified += 1;
+                round_dirty = false;
+                continue;
+            };
             prev_next_possible = stats.next_possible_start;
-            prev_invariant =
-                self.policy
-                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
             // Starts change the running set; the next round sees
             // different inputs.
             round_dirty = !s.outcome.start_now.is_empty();

@@ -187,6 +187,7 @@ mod tests {
             }],
             sched_passes: 3,
             rounds_elided: 0,
+            rounds_certified: 0,
             loop_iterations: 0,
             label: "test".into(),
         }

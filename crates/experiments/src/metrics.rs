@@ -153,6 +153,7 @@ mod tests {
             ],
             sched_passes: 1,
             rounds_elided: 0,
+            rounds_certified: 0,
             loop_iterations: 0,
             label: "t".into(),
         };
@@ -175,6 +176,7 @@ mod tests {
             jobs: vec![],
             sched_passes: 0,
             rounds_elided: 0,
+            rounds_certified: 0,
             loop_iterations: 0,
             label: "t".into(),
         };

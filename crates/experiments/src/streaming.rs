@@ -60,6 +60,9 @@ pub struct StreamingResult {
     /// Of [`Self::sched_passes`], rounds whose queue walk was elided
     /// because the previous outcome provably still held.
     pub rounds_elided: u64,
+    /// Of [`Self::sched_passes`], rounds skipped by the no-start
+    /// certificate (see [`crate::driver::ExperimentResult::rounds_certified`]).
+    pub rounds_certified: u64,
     /// Event-loop iterations (deterministic event-count proxy, recorded
     /// by the scale bench and gated like the campaign bench's counter).
     pub loop_iterations: u64,
@@ -106,6 +109,7 @@ pub fn run_streaming(
     result.makespan_secs = totals.makespan_secs;
     result.sched_passes = totals.sched_passes;
     result.rounds_elided = totals.rounds_elided;
+    result.rounds_certified = totals.rounds_certified;
     result.loop_iterations = totals.loop_iterations;
     result.peak_resident_jobs = totals.peak_resident_jobs;
     result.mean_wait_secs /= result.jobs_completed.max(1) as f64;
@@ -199,6 +203,10 @@ mod tests {
             assert_eq!(streamed.makespan_secs, batch.makespan_secs, "{kind:?}");
             assert_eq!(streamed.sched_passes, batch.sched_passes, "{kind:?}");
             assert_eq!(streamed.rounds_elided, batch.rounds_elided, "{kind:?}");
+            assert_eq!(
+                streamed.rounds_certified, batch.rounds_certified,
+                "{kind:?}"
+            );
             assert_eq!(streamed.loop_iterations, batch.loop_iterations, "{kind:?}");
             let waits: Vec<f64> = batch.jobs.iter().map(|j| j.wait().as_secs_f64()).collect();
             let batch_max_wait = waits.iter().copied().fold(0.0f64, f64::max);

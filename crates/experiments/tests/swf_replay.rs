@@ -108,6 +108,10 @@ fn excerpt_full_window_matches_materialised_run() {
         assert_eq!(streamed.makespan_secs, batch.makespan_secs, "{kind:?}");
         assert_eq!(streamed.sched_passes, batch.sched_passes, "{kind:?}");
         assert_eq!(streamed.rounds_elided, batch.rounds_elided, "{kind:?}");
+        assert_eq!(
+            streamed.rounds_certified, batch.rounds_certified,
+            "{kind:?}"
+        );
         assert_eq!(streamed.loop_iterations, batch.loop_iterations, "{kind:?}");
     }
 }

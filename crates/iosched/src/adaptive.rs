@@ -115,6 +115,27 @@ impl AdaptivePolicy {
     pub fn config(&self) -> AdaptiveConfig {
         self.cfg
     }
+
+    /// The no-start certificate over the installed book: `true` only if
+    /// a [`iosched_slurm::backfill_pass`] on these inputs would start no
+    /// job. It checks the I/O-aware part (nodes and LT) alone; the AT
+    /// gate only delays more jobs.
+    pub fn no_start_certified(
+        &self,
+        running: &[RunningView<'_>],
+        queue: &[&SchedJob],
+        now: SimTime,
+        total_nodes: usize,
+    ) -> bool {
+        self.core.no_start_certified(
+            &self.book,
+            self.cfg.limit_bps,
+            running,
+            queue,
+            now,
+            total_nodes,
+        )
+    }
 }
 
 /// Algorithm 5, lines 3–5 (reconstructed; see DESIGN.md): the target

@@ -14,6 +14,11 @@
 //! * `EarliestStartTime` is the two-resource fixpoint of Algorithm 4;
 //! * `ReserveResources` reserves both nodes and bandwidth (Algorithm 3).
 //!
+//! Before a round builds its tracker, the no-start certificate
+//! ([`IoAwarePolicy::no_start_certified`]) can show in O(running + queue)
+//! scalar work that no queued job fits now against the running jobs
+//! alone, so the pass would start nothing.
+//!
 //! Like the node policy it composes with, the policy owns pooled profile
 //! scratch that its per-round trackers borrow and mutate in place, so a
 //! steady-state scheduling round allocates nothing.
@@ -65,6 +70,39 @@ impl IoAwareCore {
             limit_bps,
         }
     }
+
+    /// The no-start certificate: `true` when no `queue` job fits at `now`
+    /// against the running jobs alone, because each needs more nodes, or
+    /// more LT quanta, than they leave free. A backfill pass over the same
+    /// inputs then starts nothing. The running jobs started at or before
+    /// `now`, so their usage (and the unaccounted term) can only fall over
+    /// `[now, ∞)`, and the pass's reservations only add usage; a job that
+    /// does not fit now against the running set alone never fits now in
+    /// the pass. Gates the tracker does not check here (license pools,
+    /// adaptive's AT profile) only refuse more jobs, so leaving them out
+    /// keeps the certificate sound. O(running + queue) scalar work.
+    pub(crate) fn no_start_certified(
+        &self,
+        book: &EstimateBook,
+        limit_bps: f64,
+        running: &[RunningView<'_>],
+        queue: &[&SchedJob],
+        now: SimTime,
+        total_nodes: usize,
+    ) -> bool {
+        let capacity = quanta_down(limit_bps);
+        let mut lt_used = 0;
+        stage_running_lt(book, running, now, limit_bps, capacity, |q, _, _| {
+            lt_used += q;
+        });
+        let nodes_used: i64 = running.iter().map(|rv| rv.job.nodes as i64).sum();
+        let free_nodes = total_nodes as i64 - nodes_used;
+        let free_lt = capacity - lt_used;
+        !queue.iter().any(|job| {
+            job.nodes as i64 <= free_nodes
+                && lt_demand(effective_r(book, job, limit_bps), capacity) <= free_lt
+        })
+    }
 }
 
 /// The I/O-aware scheduling policy.
@@ -108,6 +146,27 @@ impl IoAwarePolicy {
     pub fn book(&self) -> &EstimateBook {
         &self.book
     }
+
+    /// The no-start certificate over the installed book: `true` only if
+    /// a [`iosched_slurm::backfill_pass`] on these inputs would start no
+    /// job. For io-aware rounds it is exact per job: with a single queued
+    /// job it holds exactly when the job cannot start at `now`.
+    pub fn no_start_certified(
+        &self,
+        running: &[RunningView<'_>],
+        queue: &[&SchedJob],
+        now: SimTime,
+        total_nodes: usize,
+    ) -> bool {
+        self.core.no_start_certified(
+            &self.book,
+            self.cfg.limit_bps,
+            running,
+            queue,
+            now,
+            total_nodes,
+        )
+    }
 }
 
 /// Fill the LT bandwidth profile of Algorithm 2 (lines 4–8) into a
@@ -121,22 +180,41 @@ pub(crate) fn fill_bandwidth_profile(
     lt: &mut ResourceProfile,
 ) {
     lt.reset(quanta_down(limit_bps));
+    let capacity = lt.capacity();
+    stage_running_lt(book, running, now, limit_bps, capacity, |q, start, end| {
+        lt.stage(q, start, end);
+    });
+    lt.commit_staged();
+}
+
+/// The running set's LT usage as Algorithm 2 (lines 4–8) stages it, in
+/// quanta of an LT profile of `capacity`: each job's demand over its
+/// reservation window, then the measured load above the accounted
+/// estimates as anonymous usage until the last running job may end.
+/// `stage(quanta, start, end)` receives each term; the profile build and
+/// the no-start certificate both read the running set through here.
+fn stage_running_lt(
+    book: &EstimateBook,
+    running: &[RunningView<'_>],
+    now: SimTime,
+    limit_bps: f64,
+    capacity: i64,
+    mut stage: impl FnMut(i64, SimTime, SimTime),
+) {
     let mut sum_running = 0.0;
     let mut horizon = now;
     for rv in running {
         let end = rv.reservation_end(now);
         let r = effective_r(book, rv.job, limit_bps);
-        lt.stage(lt_demand(r, lt.capacity()), rv.started, end);
+        stage(lt_demand(r, capacity), rv.started, end);
         sum_running += r;
         horizon = horizon.max(end);
     }
-    // Lines 7–8: measured load above the accounted estimates is reserved
-    // as anonymous usage until the last running job may end.
+    // Lines 7–8: measured load above the accounted estimates.
     let unaccounted = book.measured_total_bps - sum_running;
     if unaccounted > 0.0 && horizon > now {
-        lt.stage(quanta_up(unaccounted), now, horizon);
+        stage(quanta_up(unaccounted), now, horizon);
     }
-    lt.commit_staged();
 }
 
 /// `r_j` clamped to the limit: an estimate above `R_limit` would make the

@@ -257,7 +257,9 @@ fn main() {
     // measured per point inside its task and are co-scheduled when the
     // pool runs points concurrently — pin `CAMPAIGN_THREADS=1` for
     // clean sequential timings.
-    let threads = pool::configured_threads(None).min(plan.len());
+    let threads = pool::configured_threads(None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .min(plan.len());
     let points = pool::run_all(
         &plan,
         threads,

@@ -3,6 +3,12 @@
 //! running jobs, for the node-only, I/O-aware and adaptive policies, at
 //! the default backfill config under a bounded reservation budget (64).
 //!
+//! Every `round_*` queue's head takes the last free nodes, so the pass
+//! starts it and the post-start cut ends the walk right there. The
+//! `round_*_blocked` variants run the same rounds on a machine without
+//! the 5 free nodes: nothing starts, so the pass walks the whole queue
+//! and its pruning and tree-index work stay measured.
+//!
 //! `round_5k_reserve/node` isolates the write path: a free cluster where
 //! every job starts now and reserves a distinct, shuffled end instant, so
 //! queries stay trivial and the timing is the per-reserve cost.
@@ -17,9 +23,9 @@
 //! baseline for the non-FIFO policies.
 //!
 //! **Counters** (deterministic, gated by `bench_diff --gate`), one
-//! counted round per policy: `sweep_steps/round_5k_*` — breakpoints
-//! walked by the linear sweeps that serve dormant (under 64 breakpoints)
-//! or stale profiles; `tree_descents/round_5k_*` and
+//! counted round per policy and machine: `sweep_steps/round_5k_*` —
+//! breakpoints walked by the linear sweeps that serve dormant (under 64
+//! breakpoints) or stale profiles; `tree_descents/round_5k_*` and
 //! `tree_updates/round_5k_*` — tree nodes visited by indexed queries,
 //! and index point updates / rebuild leaves written; a
 //! `tree_descents` rise toward the breakpoint count means the index
@@ -30,7 +36,7 @@
 //! `sched_passes/driver_default` — round elision on a small blocked-queue
 //! driver run. Full mode adds the same round counters at 50k depth
 //! (`*/round_50k_*`) and a breakpoint-count × queue-depth scaling grid
-//! (`*/grid_b{B}_q{D}`).
+//! of blocked rounds (`*/grid_b{B}_q{D}`).
 //! **Meta** (report-only): `speedup/queue_prep_{policy}`.
 
 use iosched_analytics::JobEstimate;
@@ -48,6 +54,9 @@ use iosched_slurm::{
 use std::hint::black_box;
 
 const TOTAL_NODES: usize = 1_005;
+/// The same machine without its 5 free nodes: the 200 running jobs hold
+/// every node, so no queue entry starts.
+const BLOCKED_NODES: usize = TOTAL_NODES - 5;
 const NOW_S: u64 = 1_000;
 const BUDGET: usize = 64;
 
@@ -75,11 +84,12 @@ fn running_set(count: u64) -> Vec<(SchedJob, SimTime)> {
 }
 
 /// A deep wait queue: the head consumes the 5 free nodes, everything
-/// after is delayed. Nodes (1–8) and limits (600–1216 s) cycle with
-/// coprime periods, so reservation breakpoints rarely coincide — every
-/// reserve adds breakpoints the index must fold — while a
-/// least-demanding 1-node / 600 s failure still appears once per 712
-/// entries, after which dominance pruning skips the whole tail.
+/// after is delayed (on the blocked machine the head is delayed too).
+/// Nodes (1–8) and limits (600–1216 s) cycle with coprime periods, so
+/// reservation breakpoints rarely coincide — every reserve adds
+/// breakpoints the index must fold — while a least-demanding 1-node /
+/// 600 s failure still appears once per 712 entries, after which
+/// dominance pruning skips the whole tail.
 fn deep_queue(n: usize) -> Vec<SchedJob> {
     let mut q = vec![SchedJob::new(
         JobId(0),
@@ -120,7 +130,9 @@ fn estimate_book(queue: &[SchedJob], running: &[(SchedJob, SimTime)]) -> Estimat
     book
 }
 
+/// One round at `now = 1 000 s` on a machine of `total_nodes`.
 fn round<P: SchedulingPolicy>(
+    total_nodes: usize,
     policy: &mut P,
     views: &[RunningView<'_>],
     refs: &[&SchedJob],
@@ -132,7 +144,7 @@ fn round<P: SchedulingPolicy>(
         views,
         refs,
         SimTime::from_secs(NOW_S),
-        TOTAL_NODES,
+        total_nodes,
         cfg,
         outcome,
     )
@@ -148,7 +160,8 @@ fn bounded() -> BackfillConfig {
 
 /// One counted round at the default bounded config: records the
 /// `sweep_steps`, `tree_descents`, `tree_updates` and `pruned` counters
-/// under `label`.
+/// under `label`. `starts` says whether the head starts (a round on a
+/// machine with free nodes) or nothing does (a blocked round).
 fn counted_round<P: SchedulingPolicy>(
     suite: &mut BenchSuite,
     label: &str,
@@ -156,6 +169,7 @@ fn counted_round<P: SchedulingPolicy>(
     views: &[RunningView<'_>],
     refs: &[&SchedJob],
     total_nodes: usize,
+    starts: bool,
 ) {
     let mut outcome = SchedulingOutcome::default();
     take_sweep_steps();
@@ -169,12 +183,63 @@ fn counted_round<P: SchedulingPolicy>(
         &bounded(),
         &mut outcome,
     );
-    assert!(!outcome.start_now.is_empty(), "{label}: head must start");
+    if starts {
+        assert_eq!(
+            outcome.start_now,
+            [refs[0].id],
+            "{label}: only the head starts"
+        );
+    } else {
+        assert!(outcome.start_now.is_empty(), "{label}: nothing may start");
+    }
     let (descents, updates) = take_tree_counters();
     suite.counter(&format!("sweep_steps/{label}"), take_sweep_steps() as f64);
     suite.counter(&format!("pruned/{label}"), stats.pruned as f64);
     suite.counter(&format!("tree_descents/{label}"), descents as f64);
     suite.counter(&format!("tree_updates/{label}"), updates as f64);
+}
+
+/// The I/O-aware policy over `book` at `limit` B/s.
+fn io_policy(book: &EstimateBook, limit: f64) -> IoAwarePolicy {
+    let mut p = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
+    p.begin_round(book.clone());
+    p
+}
+
+/// The paper's adaptive policy over `book` at `limit` B/s.
+fn adaptive_policy(book: &EstimateBook, limit: f64) -> AdaptivePolicy {
+    let mut p = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+    p.begin_round(book.clone());
+    p
+}
+
+/// The counted rounds of one queue depth: each policy on the machine
+/// with 5 free nodes (`round_{depth}_*`, the head starts) and on the
+/// blocked one (`round_{depth}_blocked_*`, nothing starts).
+fn counted_rounds(
+    suite: &mut BenchSuite,
+    depth: &str,
+    book: &EstimateBook,
+    limit: f64,
+    views: &[RunningView<'_>],
+    refs: &[&SchedJob],
+) {
+    for (suffix, nodes, starts) in [("", TOTAL_NODES, true), ("_blocked", BLOCKED_NODES, false)] {
+        let label = |policy: &str| format!("round_{depth}{suffix}_{policy}");
+        counted_round(
+            suite,
+            &label("node"),
+            NodePolicy::default(),
+            views,
+            refs,
+            nodes,
+            starts,
+        );
+        let io = io_policy(book, limit);
+        counted_round(suite, &label("io_aware"), io, views, refs, nodes, starts);
+        let ad = adaptive_policy(book, limit);
+        counted_round(suite, &label("adaptive"), ad, views, refs, nodes, starts);
+    }
 }
 
 fn main() {
@@ -196,57 +261,80 @@ fn main() {
     let bounded = bounded();
     let mut outcome = SchedulingOutcome::default();
 
-    let io = |book: &EstimateBook| {
-        let mut p = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-        p.begin_round(book.clone());
-        p
-    };
-    let adaptive = |book: &EstimateBook| {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-        p.begin_round(book.clone());
-        p
-    };
+    let io = |book: &EstimateBook| io_policy(book, limit);
+    let adaptive = |book: &EstimateBook| adaptive_policy(book, limit);
 
     // Deterministic per-round counters (outside the timed loops).
-    counted_round(
-        &mut suite,
-        "round_5k_node",
-        NodePolicy::default(),
-        &views,
-        &refs_5k,
-        TOTAL_NODES,
-    );
-    counted_round(
-        &mut suite,
-        "round_5k_io_aware",
-        io(&book),
-        &views,
-        &refs_5k,
-        TOTAL_NODES,
-    );
-    counted_round(
-        &mut suite,
-        "round_5k_adaptive",
-        adaptive(&book),
-        &views,
-        &refs_5k,
-        TOTAL_NODES,
-    );
+    counted_rounds(&mut suite, "5k", &book, limit, &views, &refs_5k);
 
     let mut node_p = NodePolicy::default();
     let mut io_p = io(&book);
     let mut ad_p = adaptive(&book);
     suite.bench("round_5k/node", || {
-        round(&mut node_p, &views, &refs_5k, &bounded, &mut outcome);
+        round(
+            TOTAL_NODES,
+            &mut node_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
         black_box(outcome.start_now.len());
     });
     suite.bench("round_5k/io_aware", || {
-        round(&mut io_p, &views, &refs_5k, &bounded, &mut outcome);
+        round(
+            TOTAL_NODES,
+            &mut io_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
         black_box(outcome.start_now.len());
     });
     suite.bench("round_5k/adaptive", || {
-        round(&mut ad_p, &views, &refs_5k, &bounded, &mut outcome);
+        round(
+            TOTAL_NODES,
+            &mut ad_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
         black_box(outcome.start_now.len());
+    });
+    suite.bench("round_5k_blocked/node", || {
+        round(
+            BLOCKED_NODES,
+            &mut node_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
+        black_box(outcome.reservations.len());
+    });
+    suite.bench("round_5k_blocked/io_aware", || {
+        round(
+            BLOCKED_NODES,
+            &mut io_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
+        black_box(outcome.reservations.len());
+    });
+    suite.bench("round_5k_blocked/adaptive", || {
+        round(
+            BLOCKED_NODES,
+            &mut ad_p,
+            &views,
+            &refs_5k,
+            &bounded,
+            &mut outcome,
+        );
+        black_box(outcome.reservations.len());
     });
 
     // Write-path isolation: a reserve-heavy round on a free 30k-node
@@ -377,50 +465,81 @@ fn main() {
         let queue_50k = deep_queue(50_000);
         let refs_50k: Vec<&SchedJob> = queue_50k.iter().collect();
         let book_50k = estimate_book(&queue_50k, &running);
-        counted_round(
-            &mut suite,
-            "round_50k_node",
-            NodePolicy::default(),
-            &views,
-            &refs_50k,
-            TOTAL_NODES,
-        );
-        counted_round(
-            &mut suite,
-            "round_50k_io_aware",
-            io(&book_50k),
-            &views,
-            &refs_50k,
-            TOTAL_NODES,
-        );
-        counted_round(
-            &mut suite,
-            "round_50k_adaptive",
-            adaptive(&book_50k),
-            &views,
-            &refs_50k,
-            TOTAL_NODES,
-        );
+        counted_rounds(&mut suite, "50k", &book_50k, limit, &views, &refs_50k);
 
         let mut io_50k = io(&book_50k);
         let mut ad_50k = adaptive(&book_50k);
         suite.bench("round_50k/node", || {
-            round(&mut node_p, &views, &refs_50k, &bounded, &mut outcome);
+            round(
+                TOTAL_NODES,
+                &mut node_p,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
             black_box(outcome.start_now.len());
         });
         suite.bench("round_50k/io_aware", || {
-            round(&mut io_50k, &views, &refs_50k, &bounded, &mut outcome);
+            round(
+                TOTAL_NODES,
+                &mut io_50k,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
             black_box(outcome.start_now.len());
         });
         suite.bench("round_50k/adaptive", || {
-            round(&mut ad_50k, &views, &refs_50k, &bounded, &mut outcome);
+            round(
+                TOTAL_NODES,
+                &mut ad_50k,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
             black_box(outcome.start_now.len());
         });
+        suite.bench("round_50k_blocked/node", || {
+            round(
+                BLOCKED_NODES,
+                &mut node_p,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
+            black_box(outcome.reservations.len());
+        });
+        suite.bench("round_50k_blocked/io_aware", || {
+            round(
+                BLOCKED_NODES,
+                &mut io_50k,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
+            black_box(outcome.reservations.len());
+        });
+        suite.bench("round_50k_blocked/adaptive", || {
+            round(
+                BLOCKED_NODES,
+                &mut ad_50k,
+                &views,
+                &refs_50k,
+                &bounded,
+                &mut outcome,
+            );
+            black_box(outcome.reservations.len());
+        });
 
-        // Breakpoint-count × queue-depth scaling grid: node-policy rounds
-        // with B running jobs (≈ 2·B profile breakpoints) against a
-        // proportionally sized cluster (5·B busy + 5 free nodes) and a
-        // D-deep queue.
+        // Breakpoint-count × queue-depth scaling grid: blocked node-policy
+        // rounds with B running jobs (≈ 2·B profile breakpoints) holding
+        // every node of a proportionally sized cluster (5·B nodes) and a
+        // D-deep queue, so the pass walks the whole queue.
         for &(b, d, dlabel) in &[
             (100u64, 2_000usize, "2k"),
             (100, 10_000, "10k"),
@@ -437,7 +556,7 @@ fn main() {
                 .collect();
             let grid_queue = deep_queue(d);
             let grid_refs: Vec<&SchedJob> = grid_queue.iter().collect();
-            let grid_nodes = 5 * b as usize + 5;
+            let grid_nodes = 5 * b as usize;
             counted_round(
                 &mut suite,
                 &format!("grid_b{b}_q{dlabel}"),
@@ -445,19 +564,19 @@ fn main() {
                 &grid_views,
                 &grid_refs,
                 grid_nodes,
+                false,
             );
             let mut p = NodePolicy::default();
             suite.bench(&format!("round_grid/b{b}_q{dlabel}"), || {
-                backfill_pass_into(
+                round(
+                    grid_nodes,
                     &mut p,
                     &grid_views,
                     &grid_refs,
-                    SimTime::from_secs(NOW_S),
-                    grid_nodes,
                     &bounded,
                     &mut outcome,
                 );
-                black_box(outcome.start_now.len());
+                black_box(outcome.reservations.len());
             });
         }
     }

@@ -45,6 +45,11 @@ fn main() -> ExitCode {
         }
     }
 
+    let opts = match opts.resolved() {
+        Ok(opts) => opts,
+        Err(e) => return usage(&e.to_string()),
+    };
+
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let result = serve_campaigns(

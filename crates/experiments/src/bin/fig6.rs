@@ -44,18 +44,18 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
+    let opts = CampaignOptions::default().resolved().unwrap_or_else(|e| {
+        eprintln!("fig6: {e}");
+        std::process::exit(2)
+    });
     let grid = fig6_grid(n_seeds);
 
     println!(
         "Fig. 6 — Workload 2 makespan swarm, {} seeds per configuration\n",
         n_seeds
     );
-    let records = run_grid_resumable(
-        &grid,
-        CampaignOptions::default(),
-        &PathBuf::from("results/fig6/records.jsonl"),
-    )
-    .expect("write record log");
+    let records = run_grid_resumable(&grid, opts, &PathBuf::from("results/fig6/records.jsonl"))
+        .expect("write record log");
 
     let mut csv = String::from("scheduler,seed,makespan_s\n");
     let mut medians = Vec::new();

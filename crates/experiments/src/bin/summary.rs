@@ -70,7 +70,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let opts = CampaignOptions::default();
+    let opts = CampaignOptions::default().resolved().unwrap_or_else(|e| {
+        eprintln!("summary: {e}");
+        std::process::exit(2)
+    });
     let mut rows: Vec<Row> = Vec::new();
     let imp = |base: f64, x: f64| 100.0 * (base - x) / base;
 

@@ -37,6 +37,19 @@ pub struct CampaignOptions {
     pub threads: Option<usize>,
 }
 
+impl CampaignOptions {
+    /// These options with the worker count pinned: `threads` if given,
+    /// else `CAMPAIGN_THREADS`, else `available_parallelism`. Binaries
+    /// call it once at start, so a malformed override is reported as an
+    /// error; the grid runners resolve unpinned options themselves and
+    /// panic on one.
+    pub fn resolved(self) -> Result<Self, pool::ThreadsError> {
+        Ok(CampaignOptions {
+            threads: Some(pool::configured_threads(self.threads)?),
+        })
+    }
+}
+
 /// Summarise one finished run into the record the engine merges, logs,
 /// and streams.
 fn record_for(task: &GridTask, res: &ExperimentResult) -> CampaignRecord {
@@ -71,7 +84,9 @@ fn run_grid_pending(
     let workloads: Vec<Vec<JobSubmission>> =
         grid.workloads.iter().map(|w| w.materialize()).collect();
     let tasks = grid.tasks();
-    let threads = pool::configured_threads(opts.threads).min(pending.len().max(1));
+    let threads = pool::configured_threads(opts.threads)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .min(pending.len().max(1));
     pool::run_pending(
         &tasks,
         pending,

@@ -542,7 +542,8 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             };
             prev_next_possible = stats.next_possible_start;
             // Starts change the running set; the next round sees
-            // different inputs.
+            // different inputs. This is also what lets the post-start
+            // cut leave such a pass's horizon short: it is never read.
             round_dirty = !s.outcome.start_now.is_empty();
             for &id in &s.outcome.start_now {
                 self.cluster

@@ -39,6 +39,6 @@ pub use driver::{
 };
 pub use grid::{CampaignGrid, CampaignRecord, GridBase, GridTask, PolicyFamily, WorkloadSpec};
 pub use metrics::{per_class_metrics, scheduling_metrics, SchedulingMetrics};
-pub use pool::{configured_threads, run_all, run_pending};
+pub use pool::{configured_threads, run_all, run_pending, ThreadsError};
 pub use pretrain::pretrain_isolated;
 pub use streaming::{run_streaming, StreamingOptions, StreamingResult};

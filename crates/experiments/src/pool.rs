@@ -35,32 +35,54 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 
+/// A `CAMPAIGN_THREADS` value that is not a positive integer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ThreadsError {
+    /// The value as set.
+    pub value: String,
+}
+
+impl std::fmt::Display for ThreadsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "CAMPAIGN_THREADS must be a positive integer, got `{}`",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for ThreadsError {}
+
 /// Resolve the worker count: `explicit` if given, else the
 /// `CAMPAIGN_THREADS` environment variable, else
 /// `available_parallelism`. Never returns zero.
 ///
-/// # Panics
-/// Panics when `CAMPAIGN_THREADS` is set but is not a positive integer —
-/// a mistyped override must fail loudly, not fall back silently.
-pub fn configured_threads(explicit: Option<usize>) -> usize {
+/// # Errors
+/// [`ThreadsError`] when `CAMPAIGN_THREADS` is set but is not a positive
+/// integer: a mistyped override must fail loudly, not fall back
+/// silently.
+pub fn configured_threads(explicit: Option<usize>) -> Result<usize, ThreadsError> {
     threads_from(explicit, std::env::var("CAMPAIGN_THREADS").ok().as_deref())
 }
 
 /// [`configured_threads`] with the environment value passed in (pure,
 /// unit-testable; tests must not mutate process-global env).
-fn threads_from(explicit: Option<usize>, env: Option<&str>) -> usize {
+fn threads_from(explicit: Option<usize>, env: Option<&str>) -> Result<usize, ThreadsError> {
     if let Some(t) = explicit {
-        return t.max(1);
+        return Ok(t.max(1));
     }
     if let Some(s) = env {
-        match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => panic!("CAMPAIGN_THREADS must be a positive integer, got `{s}`"),
-        }
+        return match s.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(ThreadsError {
+                value: s.to_string(),
+            }),
+        };
     }
-    std::thread::available_parallelism()
+    Ok(std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
+        .unwrap_or(4))
 }
 
 /// Run `run` over every index in `pending` (each an index into `tasks`),
@@ -350,23 +372,25 @@ mod tests {
 
     #[test]
     fn thread_resolution_order_is_explicit_env_parallelism() {
-        assert_eq!(threads_from(Some(3), Some("8")), 3);
-        assert_eq!(threads_from(Some(0), None), 1);
-        assert_eq!(threads_from(None, Some("8")), 8);
-        assert_eq!(threads_from(None, Some(" 2 ")), 2);
-        let auto = threads_from(None, None);
+        assert_eq!(threads_from(Some(3), Some("8")), Ok(3));
+        assert_eq!(threads_from(Some(0), None), Ok(1));
+        assert_eq!(threads_from(None, Some("8")), Ok(8));
+        assert_eq!(threads_from(None, Some(" 2 ")), Ok(2));
+        let auto = threads_from(None, None).unwrap();
         assert!(auto >= 1);
+        // An explicit count never reads the override, malformed or not.
+        assert_eq!(threads_from(Some(2), Some("many")), Ok(2));
     }
 
     #[test]
-    #[should_panic(expected = "CAMPAIGN_THREADS must be a positive integer")]
-    fn malformed_env_override_fails_loudly() {
-        threads_from(None, Some("many"));
-    }
-
-    #[test]
-    #[should_panic(expected = "CAMPAIGN_THREADS must be a positive integer")]
-    fn zero_env_override_fails_loudly() {
-        threads_from(None, Some("0"));
+    fn malformed_env_override_is_a_typed_error() {
+        for bad in ["many", "0", "-1", "", "2.5"] {
+            let err = threads_from(None, Some(bad)).unwrap_err();
+            assert_eq!(err.value, bad);
+            assert_eq!(
+                err.to_string(),
+                format!("CAMPAIGN_THREADS must be a positive integer, got `{bad}`")
+            );
+        }
     }
 }

@@ -88,3 +88,19 @@ fn zero_threads_is_rejected() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--threads needs a positive integer"), "{err}");
 }
+
+#[test]
+fn malformed_campaign_threads_is_reported_not_panicked() {
+    let out = Command::new(env!("CARGO_BIN_EXE_campaignd"))
+        .env("CAMPAIGN_THREADS", "many")
+        .stdin(Stdio::null())
+        .output()
+        .expect("campaignd runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("CAMPAIGN_THREADS must be a positive integer, got `many`"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -314,6 +314,12 @@ impl ReservationTracker for AdaptiveTracker<'_> {
         let r_probe = effective_r(self.rt.book, probe, self.rt.limit_bps);
         !self.params.split.is_zero(r_probe, probe.nodes)
     }
+
+    /// The RT tracker's answer: the AT gate only delays jobs, so leaving
+    /// it out keeps the condition necessary.
+    fn may_start_now(&self, job: &SchedJob) -> bool {
+        self.rt.may_start_now(job)
+    }
 }
 
 #[cfg(test)]

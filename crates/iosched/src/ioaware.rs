@@ -27,8 +27,8 @@ use crate::book::EstimateBook;
 use iosched_simkit::time::SimTime;
 use iosched_slurm::policy::{NodePolicy, NodeTracker};
 use iosched_slurm::{
-    quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView, SchedJob,
-    SchedulingPolicy, MAX_CAPACITY,
+    free_nodes_at, quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView,
+    SchedJob, SchedulingPolicy, MAX_CAPACITY,
 };
 
 /// Configuration of the I/O-aware policy.
@@ -65,9 +65,11 @@ impl IoAwareCore {
         fill_bandwidth_profile(book, running, now, limit_bps, lt);
         IoAwareTracker {
             nodes,
+            free_lt_now: free_lt_at(book, running, now, limit_bps, lt.capacity()),
             lt,
             book,
             limit_bps,
+            now,
         }
     }
 
@@ -91,13 +93,8 @@ impl IoAwareCore {
         total_nodes: usize,
     ) -> bool {
         let capacity = quanta_down(limit_bps);
-        let mut lt_used = 0;
-        stage_running_lt(book, running, now, limit_bps, capacity, |q, _, _| {
-            lt_used += q;
-        });
-        let nodes_used: i64 = running.iter().map(|rv| rv.job.nodes as i64).sum();
-        let free_nodes = total_nodes as i64 - nodes_used;
-        let free_lt = capacity - lt_used;
+        let free_nodes = free_nodes_at(running, now, total_nodes);
+        let free_lt = free_lt_at(book, running, now, limit_bps, capacity);
         !queue.iter().any(|job| {
             job.nodes as i64 <= free_nodes
                 && lt_demand(effective_r(book, job, limit_bps), capacity) <= free_lt
@@ -217,6 +214,29 @@ fn stage_running_lt(
     }
 }
 
+/// LT quanta the running set leaves free at `now`, out of `capacity`:
+/// exactly the headroom at `now` of the profile
+/// [`fill_bandwidth_profile`] builds, unaccounted term included. With
+/// [`free_nodes_at`] it is the one source of free capacity at `now`, read
+/// by the no-start certificate and by [`IoAwareTracker`]'s
+/// `may_start_now`. Negative when the measured load overcommits the
+/// limit.
+fn free_lt_at(
+    book: &EstimateBook,
+    running: &[RunningView<'_>],
+    now: SimTime,
+    limit_bps: f64,
+    capacity: i64,
+) -> i64 {
+    let mut used = 0;
+    stage_running_lt(book, running, now, limit_bps, capacity, |q, start, end| {
+        if start <= now && now < end {
+            used += q;
+        }
+    });
+    capacity - used
+}
+
 /// `r_j` clamped to the limit: an estimate above `R_limit` would make the
 /// job permanently unschedulable, which Slurm's license semantics also
 /// avoid (demand is capped at pool size).
@@ -253,6 +273,20 @@ pub struct IoAwareTracker<'a> {
     pub(crate) lt: &'a mut ResourceProfile,
     pub(crate) book: &'a EstimateBook,
     pub(crate) limit_bps: f64,
+    /// The round's time.
+    now: SimTime,
+    /// LT quanta free at `now`, kept exact by `reserve`.
+    free_lt_now: i64,
+}
+
+impl IoAwareTracker<'_> {
+    /// `job`'s LT demand in this tracker's quanta.
+    fn demand(&self, job: &SchedJob) -> i64 {
+        lt_demand(
+            effective_r(self.book, job, self.limit_bps),
+            self.lt.capacity(),
+        )
+    }
 }
 
 impl SchedulingPolicy for IoAwarePolicy {
@@ -280,8 +314,7 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 4: alternate between the node tracker and the bandwidth
     /// profile until a common start time is a fixpoint.
     fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        let r = effective_r(self.book, job, self.limit_bps);
-        let demand = lt_demand(r, self.lt.capacity());
+        let demand = self.demand(job);
         let mut t = t_min;
         loop {
             let t_nt = self.nodes.earliest_start(job, t);
@@ -299,9 +332,13 @@ impl ReservationTracker for IoAwareTracker<'_> {
     /// Algorithm 3: reserve nodes and bandwidth for `[t, t + L_j)`.
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         self.nodes.reserve(job, start);
-        let r = effective_r(self.book, job, self.limit_bps);
-        let demand = lt_demand(r, self.lt.capacity());
-        self.lt.reserve(demand, start, start + job.limit);
+        let demand = self.demand(job);
+        let end = start + job.limit;
+        // The profile ignores an empty window, so the counter does too.
+        if start == self.now && end > start {
+            self.free_lt_now -= demand;
+        }
+        self.lt.reserve(demand, start, end);
     }
 
     /// Node/limit/license dominance plus at least as much estimated
@@ -312,12 +349,19 @@ impl ReservationTracker for IoAwareTracker<'_> {
             && effective_r(self.book, probe, self.limit_bps)
                 >= effective_r(self.book, failed, self.limit_bps)
     }
+
+    /// Free nodes and free LT quanta at `now` (the unaccounted term
+    /// included) against the job's demands.
+    fn may_start_now(&self, job: &SchedJob) -> bool {
+        self.nodes.may_start_now(job) && self.demand(job) <= self.free_lt_now
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iosched_analytics::JobEstimate;
+    use iosched_reference::reference_pass;
     use iosched_simkit::ids::JobId;
     use iosched_simkit::time::SimDuration;
     use iosched_slurm::{backfill_pass, BackfillConfig};
@@ -361,17 +405,15 @@ mod tests {
         );
         let q: Vec<SchedJob> = (1..=4).map(|i| job(i, 1, 100)).collect();
         let refs: Vec<&SchedJob> = q.iter().collect();
-        let out = backfill_pass(
-            &mut p,
-            &[],
-            &refs,
-            SimTime::ZERO,
-            100,
-            &BackfillConfig::default(),
-        );
+        let cfg = BackfillConfig::default();
+        let out = backfill_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
         assert_eq!(out.start_now, vec![JobId(1), JobId(2), JobId(3)], "{out:?}");
-        assert_eq!(out.reservations.len(), 1);
-        assert_eq!(out.reservations[0], (JobId(4), SimTime::from_secs(100)));
+        // 1 of 10 quanta is left free now, so the walk ends after the
+        // third start; the full walk reserves the fourth job for later.
+        assert!(out.reservations.is_empty(), "{out:?}");
+        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
+        assert_eq!(full.start_now, out.start_now);
+        assert_eq!(full.reservations, vec![(JobId(4), SimTime::from_secs(100))]);
     }
 
     #[test]
@@ -465,16 +507,15 @@ mod tests {
         let a = job(1, 1, 100);
         let b = job(2, 1, 100);
         let refs = [&a, &b];
-        let out = backfill_pass(
-            &mut p,
-            &[],
-            &refs,
-            SimTime::ZERO,
-            100,
-            &BackfillConfig::default(),
-        );
+        let cfg = BackfillConfig::default();
+        let out = backfill_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
         assert_eq!(out.start_now, vec![JobId(1)]);
-        assert_eq!(out.reservations[0], (JobId(2), SimTime::from_secs(100)));
+        // The first job takes the whole limit, so the walk ends there;
+        // the full walk reserves the second after it.
+        assert!(out.reservations.is_empty(), "{out:?}");
+        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
+        assert_eq!(full.start_now, out.start_now);
+        assert_eq!(full.reservations, vec![(JobId(2), SimTime::from_secs(100))]);
     }
 
     #[test]

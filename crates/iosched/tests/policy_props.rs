@@ -4,6 +4,7 @@
 
 use iosched_analytics::JobEstimate;
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
+use iosched_reference::reference_pass;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
@@ -77,39 +78,35 @@ props! {
         let refs: Vec<&SchedJob> = queue.iter().collect();
         let mut policy = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
         policy.begin_round(book.clone());
-        let out = backfill_pass(
-            &mut policy,
-            &[],
-            &refs,
-            SimTime::ZERO,
-            100,
-            &BackfillConfig::default(),
-        );
+        let cfg = BackfillConfig::default();
+        let out = backfill_pass(&mut policy, &[], &refs, SimTime::ZERO, 100, &cfg);
+        let (full, _) = reference_pass(&mut policy, &[], &refs, SimTime::ZERO, 100, &cfg);
+        prop_assert_eq!(&out.start_now, &full.start_now);
 
         // Rebuild the bandwidth plan through the rounding rule the policy
         // uses (estimates round up, then clamp to the capacity in quanta),
-        // and compare it to the limit in quanta, exactly.
-        let mut lt = ResourceProfile::new(quanta_down(limit));
-        let cap = lt.capacity();
+        // and compare it to the limit in quanta, exactly: the pass's plan
+        // and the full walk's.
+        let cap = quanta_down(limit);
         let demand = |id: JobId| quanta_up(book.r(id)).min(cap);
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
-        for &id in &out.start_now {
-            let j = by_id(id);
-            lt.reserve(demand(id), SimTime::ZERO, SimTime::ZERO + j.limit);
+        for plan in [&out, &full] {
+            let mut lt = ResourceProfile::new(cap);
+            for &id in &plan.start_now {
+                let j = by_id(id);
+                lt.reserve(demand(id), SimTime::ZERO, SimTime::ZERO + j.limit);
+            }
+            for &(id, at) in &plan.reservations {
+                let j = by_id(id);
+                lt.reserve(demand(id), at, at + j.limit);
+            }
+            let max = lt.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
+            prop_assert!(max <= cap, "bandwidth plan exceeds limit: {max} > {cap}");
+            // Nothing is skipped with an unbounded budget.
+            prop_assert!(plan.skipped.is_empty());
         }
-        for &(id, at) in &out.reservations {
-            let j = by_id(id);
-            lt.reserve(demand(id), at, at + j.limit);
-        }
-        let max = lt.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
-        prop_assert!(
-            max <= lt.capacity(),
-            "bandwidth plan exceeds limit: {max} > {}",
-            lt.capacity()
-        );
-        // Nothing is skipped with an unbounded budget.
-        prop_assert!(out.skipped.is_empty());
-        prop_assert_eq!(out.start_now.len() + out.reservations.len(), queue.len());
+        // The full walk gives every delayed job a reservation.
+        prop_assert_eq!(full.start_now.len() + full.reservations.len(), queue.len());
     }
 
     /// Zero-estimate jobs are never delayed by the I/O-aware policy when

@@ -8,6 +8,15 @@
 //! delayed job). Later queue entries may start now only if they do not
 //! disturb recorded reservations — which the tracker enforces by
 //! construction.
+//!
+//! Once the round has started a job, the walk ends at the last queue
+//! entry for which [`ReservationTracker::may_start_now`] still holds
+//! (the post-start cut). Free capacity at `now` only falls within a round, so no entry
+//! past that point could start, and the jobs started are exactly those
+//! of the full walk. The reservations the full walk would have recorded
+//! past the cut only feed the round's earliest future start, which the
+//! driver never reads after a round that started a job. A round that
+//! starts nothing walks the whole queue.
 
 use crate::policy::{ReservationTracker, RunningView, SchedJob, SchedulingPolicy};
 use iosched_simkit::ids::JobId;
@@ -64,8 +73,11 @@ pub struct PassStats {
     /// pass inputs stay unchanged, no examined job can start strictly
     /// before this time — the driver's round-elision horizon.
     /// [`SimTime::FAR_FUTURE`] when every examined job started now.
+    /// Only meaningful when the round started nothing: after a start
+    /// the post-start cut leaves later entries unexamined.
     pub next_possible_start: SimTime,
-    /// Queue entries whose fixpoint was skipped by fits-now pruning.
+    /// Queue entries whose fixpoint was skipped by fits-now pruning
+    /// (before the post-start cut, if any).
     pub pruned: u64,
 }
 
@@ -76,8 +88,11 @@ pub struct SchedulingOutcome {
     pub start_now: Vec<JobId>,
     /// Future reservations recorded this round: (job, planned start).
     /// Purely informational — reservations are re-derived every round.
+    /// Covers the walk up to the post-start cut: entries past it get
+    /// neither a reservation nor a skip.
     pub reservations: Vec<(JobId, SimTime)>,
-    /// Jobs skipped because the reservation budget was exhausted.
+    /// Jobs skipped because the reservation budget was exhausted, up to
+    /// the post-start cut.
     pub skipped: Vec<JobId>,
 }
 
@@ -117,6 +132,12 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// [`BackfillConfig::monotone_cursor`]: a dominated entry's fixpoint
 /// starts at the representative's computed start rather than `now`,
 /// skipping the profile prefix both probes would reject identically.
+///
+/// After each start the walk moves its end back past the trailing
+/// entries that [`ReservationTracker::may_start_now`] rules out, and
+/// stops there (the post-start cut, see the module docs): O(depth)
+/// scalar checks per pass in place of the tail's `earliest_start`
+/// fixpoints, with `start_now` unchanged.
 pub fn backfill_pass_into<P: SchedulingPolicy>(
     policy: &mut P,
     running: &[RunningView<'_>],
@@ -139,8 +160,15 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
     // `next_possible` stays a true minimum.
     let mut min_failed: Option<&SchedJob> = None;
     let mut min_failed_start = SimTime::FAR_FUTURE;
+    // Entries at or past `cut` cannot start now. It stays at the queue's
+    // end until the first start, then only moves back: free capacity at
+    // `now` only falls, so an entry ruled out stays ruled out.
+    let mut cut = queue.len();
 
-    for &job in queue {
+    for (i, &job) in queue.iter().enumerate() {
+        if i >= cut {
+            break;
+        }
         if cfg.prune_fits_now && backfill_count >= cfg.max_reservations {
             if let Some(failed) = min_failed {
                 if tracker.demands_at_least(job, failed) {
@@ -183,6 +211,9 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
         if t == now {
             outcome.start_now.push(job.id);
             tracker.reserve(job, now);
+            while cut > i + 1 && !tracker.may_start_now(queue[cut - 1]) {
+                cut -= 1;
+            }
         } else {
             next_possible = next_possible.min(t);
             match min_failed {
@@ -346,6 +377,80 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(sneaky_at, SimTime::from_secs(300));
+    }
+
+    /// [`NodePolicy`] whose trackers count `earliest_start` calls.
+    #[derive(Default)]
+    struct CountingPolicy {
+        inner: NodePolicy,
+        calls: u64,
+    }
+
+    struct CountingTracker<'a> {
+        inner: crate::policy::NodeTracker<'a>,
+        calls: &'a mut u64,
+    }
+
+    impl SchedulingPolicy for CountingPolicy {
+        type Tracker<'a> = CountingTracker<'a>;
+
+        fn init_tracker<'a>(
+            &'a mut self,
+            running: &[RunningView<'_>],
+            queue: &[&SchedJob],
+            now: SimTime,
+            total_nodes: usize,
+        ) -> CountingTracker<'a> {
+            CountingTracker {
+                inner: self.inner.init_tracker(running, queue, now, total_nodes),
+                calls: &mut self.calls,
+            }
+        }
+    }
+
+    impl ReservationTracker for CountingTracker<'_> {
+        fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
+            *self.calls += 1;
+            self.inner.earliest_start(job, t_min)
+        }
+
+        fn reserve(&mut self, job: &SchedJob, start: SimTime) {
+            self.inner.reserve(job, start);
+        }
+
+        fn demands_at_least(&self, probe: &SchedJob, failed: &SchedJob) -> bool {
+            self.inner.demands_at_least(probe, failed)
+        }
+
+        fn may_start_now(&self, job: &SchedJob) -> bool {
+            self.inner.may_start_now(job)
+        }
+    }
+
+    #[test]
+    fn full_machine_ends_the_walk_after_the_head_starts() {
+        // 10 of 15 nodes busy; the 5-node head takes the rest, and no
+        // later entry can start now, so the walk stops at the head: one
+        // `earliest_start` call, where the full walk makes one per entry.
+        let running = [RunningView {
+            job: &job(0, 10, 100),
+            started: SimTime::ZERO,
+        }];
+        let head = job(1, 5, 50);
+        let tail: Vec<SchedJob> = (2..50).map(|i| job(i, 1 + i as usize % 4, 60)).collect();
+        let queue: Vec<&SchedJob> = std::iter::once(&head).chain(&tail).collect();
+        let mut policy = CountingPolicy::default();
+        let out = backfill_pass(
+            &mut policy,
+            &running,
+            &queue,
+            SimTime::ZERO,
+            15,
+            &BackfillConfig::default(),
+        );
+        assert_eq!(out.start_now, vec![JobId(1)]);
+        assert!(out.reservations.is_empty(), "{out:?}");
+        assert_eq!(policy.calls, 1);
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub use backfill::{
 };
 pub use iosched_simkit::ids::JobId;
 pub use licenses::LicenseRequirements;
-pub use policy::{NodePolicy, ReservationTracker, RunningView, SchedJob, SchedulingPolicy};
+pub use policy::{
+    free_nodes_at, NodePolicy, ReservationTracker, RunningView, SchedJob, SchedulingPolicy,
+};
 pub use profile::{
     quanta_down, quanta_up, take_sweep_steps, take_tree_counters, ResourceProfile, MAX_CAPACITY,
 };

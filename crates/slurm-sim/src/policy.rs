@@ -150,6 +150,19 @@ pub trait ReservationTracker {
     fn demands_at_least(&self, _probe: &SchedJob, _failed: &SchedJob) -> bool {
         false
     }
+
+    /// Necessary condition for `earliest_start(job, now) == now`, where
+    /// `now` is the round's time: `false` only if `job` provably cannot
+    /// start at `now` in this state or any state later [`Self::reserve`]
+    /// calls reach this round. Free capacity at `now` only falls within a
+    /// round (a start at `now` takes some, a reservation at `t > now`
+    /// leaves it alone), so a `false` stays `false`, and the backfill
+    /// pass uses that to end its walk once it has started a job and no
+    /// remaining entry may start now. Answered from scalar counters, in
+    /// O(1) per tracked resource. The default `true` never ends a walk.
+    fn may_start_now(&self, _job: &SchedJob) -> bool {
+        true
+    }
 }
 
 /// A scheduling policy: builds the tracker at the beginning of each
@@ -193,6 +206,26 @@ pub struct NodePolicy {
 pub struct NodeTracker<'a> {
     nodes: &'a mut ResourceProfile,
     licenses: &'a mut [(String, ResourceProfile)],
+    /// The round's time.
+    now: SimTime,
+    /// Nodes free at `now`: the node profile's headroom there, kept
+    /// exact by [`ReservationTracker::reserve`].
+    free_nodes_now: i64,
+}
+
+/// Nodes the running set leaves free at `now`, out of `total_nodes`:
+/// exactly the headroom at `now` of the node profile
+/// [`NodePolicy::init_tracker`] builds, since a running job's reservation
+/// window `[started, reservation_end(now))` covers `now` exactly when it
+/// started by `now`. Negative when the running set overcommits the
+/// machine.
+pub fn free_nodes_at(running: &[RunningView<'_>], now: SimTime, total_nodes: usize) -> i64 {
+    let used: i64 = running
+        .iter()
+        .filter(|rv| rv.started <= now)
+        .map(|rv| rv.job.nodes as i64)
+        .sum();
+    total_nodes as i64 - used
 }
 
 impl NodePolicy {
@@ -253,7 +286,12 @@ impl SchedulingPolicy for NodePolicy {
         for (_, profile) in licenses.iter_mut() {
             profile.commit_staged();
         }
-        NodeTracker { nodes, licenses }
+        NodeTracker {
+            nodes,
+            licenses,
+            now,
+            free_nodes_now: free_nodes_at(running, now, total_nodes),
+        }
     }
 }
 
@@ -280,6 +318,10 @@ impl ReservationTracker for NodeTracker<'_> {
 
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         let end = start + job.limit;
+        // The profile ignores an empty window, so the counter does too.
+        if start == self.now && end > start {
+            self.free_nodes_now -= job.nodes as i64;
+        }
         self.nodes.reserve(job.nodes as i64, start, end);
         for (name, profile) in self.licenses.iter_mut() {
             profile.reserve(quanta_up(job.licenses.get(name)), start, end);
@@ -298,6 +340,12 @@ impl ReservationTracker for NodeTracker<'_> {
                 .licenses
                 .iter()
                 .all(|(name, _)| probe.licenses.get(name) >= failed.licenses.get(name))
+    }
+
+    /// The job's nodes against the nodes free at `now`; license pools
+    /// are left out, which only answers `true` more often.
+    fn may_start_now(&self, job: &SchedJob) -> bool {
+        job.nodes as i64 <= self.free_nodes_now
     }
 }
 

@@ -2,6 +2,7 @@
 //! and running sets, one scheduling round never violates the resource
 //! invariants.
 
+use iosched_reference::reference_pass;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::prop::Just;
 use iosched_simkit::time::{SimDuration, SimTime};
@@ -13,9 +14,10 @@ props! {
     #![cases(64)]
 
     /// Jobs started "now" plus already-running jobs never exceed the
-    /// cluster's node count, and the full reservation plan (running +
-    /// started + future reservations) never oversubscribes nodes at any
-    /// instant.
+    /// cluster's node count, and the reservation plan (running + started
+    /// + future reservations) never oversubscribes nodes at any instant,
+    /// neither the pass's nor the full walk's, which accounts for every
+    /// queued job.
     fn backfill_never_oversubscribes_nodes(
         queue_spec in prop::vec((1usize..8, 10u64..500), 1..30),
         running_spec in prop::vec((1usize..8, 10u64..500, 0u64..100), 0..6),
@@ -60,64 +62,65 @@ props! {
             .collect();
 
         let now = SimTime::from_secs(200);
-        let out = backfill_pass(
-            &mut NodePolicy::default(),
-            &views,
-            &queue_refs,
-            now,
-            total_nodes,
-            &BackfillConfig {
-                max_reservations: backfill_max,
-                ..BackfillConfig::default()
-            },
-        );
+        let cfg = BackfillConfig {
+            max_reservations: backfill_max,
+            ..BackfillConfig::default()
+        };
+        let mut policy = NodePolicy::default();
+        let out = backfill_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg);
+        let (full, _) = reference_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg);
+        prop_assert_eq!(&out.start_now, &full.start_now);
 
-        // Rebuild the full plan into a fresh profile and check it.
-        let mut profile = ResourceProfile::new(total_nodes as i64);
-        for rv in &views {
-            profile.reserve(
-                rv.job.nodes as i64,
-                rv.started,
-                rv.reservation_end(now),
-            );
-        }
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
-        for &id in &out.start_now {
-            let j = by_id(id);
-            profile.reserve(j.nodes as i64, now, now + j.limit);
-        }
-        for &(id, at) in &out.reservations {
-            let j = by_id(id);
-            prop_assert!(at > now, "reservation must be in the future");
-            profile.reserve(j.nodes as i64, at, at + j.limit);
-        }
-        let max = profile.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
-        prop_assert!(
-            max <= total_nodes as i64,
-            "plan oversubscribes: {max} > {total_nodes}"
-        );
+        for plan in [&out, &full] {
+            // Rebuild the plan into a fresh profile and check it.
+            let mut profile = ResourceProfile::new(total_nodes as i64);
+            for rv in &views {
+                profile.reserve(
+                    rv.job.nodes as i64,
+                    rv.started,
+                    rv.reservation_end(now),
+                );
+            }
+            for &id in &plan.start_now {
+                let j = by_id(id);
+                profile.reserve(j.nodes as i64, now, now + j.limit);
+            }
+            for &(id, at) in &plan.reservations {
+                let j = by_id(id);
+                prop_assert!(at > now, "reservation must be in the future");
+                profile.reserve(j.nodes as i64, at, at + j.limit);
+            }
+            let max = profile.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
+            prop_assert!(
+                max <= total_nodes as i64,
+                "plan oversubscribes: {max} > {total_nodes}"
+            );
 
-        // Every queued job is accounted exactly once.
-        let mut seen = out.start_now.len() + out.reservations.len() + out.skipped.len();
+            // No job is decided twice.
+            let mut all: Vec<JobId> = plan
+                .start_now
+                .iter()
+                .chain(plan.reservations.iter().map(|(id, _)| id))
+                .chain(plan.skipped.iter())
+                .copied()
+                .collect();
+            let decided = all.len();
+            all.sort();
+            all.dedup();
+            prop_assert_eq!(all.len(), decided, "duplicate decisions");
+
+            // Skips only happen with a bounded reservation budget.
+            if backfill_max == usize::MAX {
+                prop_assert!(plan.skipped.is_empty());
+            } else {
+                prop_assert!(plan.reservations.len() <= backfill_max);
+            }
+        }
+
+        // The full walk accounts for every queued job.
+        let seen = full.start_now.len() + full.reservations.len() + full.skipped.len();
         prop_assert_eq!(seen, queue.len());
-        let mut all: Vec<JobId> = out
-            .start_now
-            .iter()
-            .chain(out.reservations.iter().map(|(id, _)| id))
-            .chain(out.skipped.iter())
-            .copied()
-            .collect();
-        all.sort();
-        all.dedup();
-        seen = all.len();
-        prop_assert_eq!(seen, queue.len(), "duplicate decisions");
-
-        // Skips only happen with a bounded reservation budget.
-        if backfill_max == usize::MAX {
-            prop_assert!(out.skipped.is_empty());
-        } else {
-            prop_assert!(out.reservations.len() <= backfill_max);
-        }
     }
 
     /// Work conservation: if any queued job fits in the free nodes right

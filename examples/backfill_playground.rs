@@ -52,7 +52,10 @@ fn main() {
 
     println!("16 nodes; a 12-node job runs until t=600; queue = [10n, 8n, 4n, 4n-long]\n");
 
-    // Slurm default: unlimited reservations — strict fairness.
+    // Slurm default: unlimited reservations — strict fairness. q3 takes
+    // the 4 free nodes, so nothing left can start now and the pass ends
+    // there: q4 gets no reservation this round (reservations are rebuilt
+    // every round, and the next one plans it again).
     let out = backfill_pass(
         &mut NodePolicy::default(),
         &running,
@@ -63,8 +66,9 @@ fn main() {
     );
     show("BackfillMax = ∞ (Slurm default)", &out);
 
-    // EASY: only the head job gets a reservation; q2 is skipped, so the
-    // long q4 may start now even though it pushes q2 further out.
+    // EASY: only the head job gets a reservation; q2 is skipped, so it
+    // protects nothing, and q3 starts now. Had q3 not been queued, the
+    // long q4 could start now even though it pushes q2 further out.
     let out = backfill_pass(
         &mut NodePolicy::default(),
         &running,

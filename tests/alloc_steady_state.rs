@@ -8,13 +8,15 @@
 //! I/O-aware and adaptive policies alike.
 //!
 //! Methodology: a counting [`GlobalAlloc`] wrapper tallies every
-//! `alloc`/`realloc`/`alloc_zeroed`. After warm-up rounds, the test
-//! measures several windows of identical rounds and asserts the
-//! *minimum* window delta is zero (the minimum shrugs off any stray
-//! allocation from the test harness itself).
+//! `alloc`/`realloc`/`alloc_zeroed` per thread, so the tests, which the
+//! harness runs in parallel, cannot count each other's set-up
+//! allocations. After warm-up rounds, the test measures several windows
+//! of identical rounds and asserts the *minimum* window delta is zero
+//! (the minimum shrugs off any stray allocation from the test harness
+//! itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use iosched_analytics::JobEstimate;
 use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion, Phase};
@@ -32,11 +34,22 @@ use iosched_slurm::{
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread. A `const`-initialised `Cell`
+    /// needs no lazy set-up or destructor, so the allocator can touch
+    /// it without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are torn down,
+    // after every measured window has closed.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -45,12 +58,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -58,8 +71,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// 320 jobs: 5 running (11 of 15 nodes busy), 315 pending — a deep

@@ -143,6 +143,10 @@ cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lu
 # Certified rounds (skipped by the no-start certificate) must reproduce
 # fingerprints pinned with every pass executed, in release too.
 cargo test --release -q --offline -p iosched-experiments --test certified_rounds
+# The steady-state scheduling round and cluster advance must stay
+# allocation-free in the release build the campaigns run, not only in
+# the debug build of the tests step.
+cargo test --release -q --offline --test alloc_steady_state
 
 step "perfbench smoke test: the traced mirror reproduces the engine's fingerprints"
 # perfbench is a package of its own (outside the workspace), so the

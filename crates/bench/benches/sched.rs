@@ -379,15 +379,16 @@ fn main() {
     };
 
     // Queue preparation on a 50k-resident pending window: the
-    // incremental ordered-index walk (true top-k for the depth-limited
-    // query drivers issue) vs the collect-and-sort baseline it replaced
-    // (`wait_queue_ids_sorted_into`, kept in the registry as the
-    // debug/test oracle). 100 future-submitted entries sit at the head
-    // of both non-FIFO indexes so the walk's skip path is exercised.
-    // Counters (deterministic): `index_ops/queue_prep_build_50k` —
-    // ordered-index maintenance ops while building the window;
-    // `walk_steps/queue_prep_{policy}` — entries examined by one
-    // depth-500 prep. Meta: `speedup/queue_prep_{policy}`.
+    // incremental ordered-index walk the engine runs (`wait_queue_into`,
+    // a true top-k of references into the job table) vs the
+    // collect-and-sort baseline it replaced (`wait_queue_ids_sorted_into`,
+    // kept in the registry as the test oracle). 100 future-submitted
+    // entries sit at the head of both non-FIFO indexes so the walk's skip
+    // path is exercised. Counters (deterministic):
+    // `index_ops/queue_prep_build_50k` — ordered-index maintenance ops
+    // while building the window; `walk_steps/queue_prep_{policy}` —
+    // entries examined by one depth-500 prep. Meta:
+    // `speedup/queue_prep_{policy}`.
     {
         use iosched_slurm::{take_queue_prep_counters, JobRegistry, PriorityPolicy};
         const RESIDENT: u64 = 50_000;
@@ -424,20 +425,21 @@ fn main() {
         suite.counter("index_ops/queue_prep_build_50k", index_ops as f64);
 
         let mut ids: Vec<iosched_simkit::ids::JobId> = Vec::new();
+        let mut queue: Vec<&SchedJob> = Vec::new();
         for (label, policy) in [
             ("priority", PriorityPolicy::Priority),
             ("slf", PriorityPolicy::ShortestLimitFirst),
             ("fifo", PriorityPolicy::Fifo),
         ] {
             take_queue_prep_counters();
-            reg.wait_queue_ids_limited_into(now, policy, DEPTH, &mut ids);
-            assert_eq!(ids.len(), DEPTH);
+            reg.wait_queue_into(now, policy, DEPTH, &mut queue);
+            assert_eq!(queue.len(), DEPTH);
             let (_, steps) = take_queue_prep_counters();
             suite.counter(&format!("walk_steps/queue_prep_{label}"), steps as f64);
 
             suite.bench(&format!("queue_prep/{label}"), || {
-                reg.wait_queue_ids_limited_into(now, policy, DEPTH, &mut ids);
-                black_box(ids.len());
+                reg.wait_queue_into(now, policy, DEPTH, &mut queue);
+                black_box(queue.len());
             });
             suite.bench(&format!("queue_prep_sorted/{label}"), || {
                 reg.wait_queue_ids_sorted_into(now, policy, &mut ids);
@@ -445,8 +447,8 @@ fn main() {
                 black_box(ids.len());
             });
             let t_walk = median3(&mut || {
-                reg.wait_queue_ids_limited_into(now, policy, DEPTH, &mut ids);
-                black_box(ids.len());
+                reg.wait_queue_into(now, policy, DEPTH, &mut queue);
+                black_box(queue.len());
             });
             let t_sort = median3(&mut || {
                 reg.wait_queue_ids_sorted_into(now, policy, &mut ids);

@@ -250,10 +250,10 @@ impl Recorder for ExperimentResult {
             .push(now, cluster.fs().active_stream_count() as f64);
     }
 
-    fn finish(&mut self, job: SchedJob, started: SimTime, ended: SimTime, timed_out: bool) {
+    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime, timed_out: bool) {
         self.jobs.push(JobRecord {
             id: job.id,
-            name: job.name,
+            name: job.name.clone(),
             submit: job.submit,
             start: started,
             end: ended,

@@ -13,8 +13,15 @@
 //! against the running jobs alone) proves the pass would start nothing.
 //! Both leave every decision and counter as the executed pass would.
 //!
+//! The **registry** is the one job table: it owns every resident job's
+//! metadata, and each round's queue and running views are references
+//! into it (`wait_queue_into`, `running_into`), in buffers recycled
+//! between rounds. The engine's own resident table keeps only each job's
+//! execution spec for the cluster.
+//!
 //! A [`JobSource`] is an iterator admitted under a window; a [`Recorder`]
-//! keeps full records and traces or O(1) aggregates. A finished job
+//! keeps full records and traces or O(1) aggregates, reading a finished
+//! job's metadata from the registry before it is retired. A finished job
 //! leaves the resident table at once, and the registry too unless a
 //! resident job still names it in `after`: then it stays visible to
 //! `dependencies_met` until its last dependent finishes, so dependencies
@@ -27,6 +34,7 @@ use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, 
 use iosched_ldms::LdmsDaemon;
 use iosched_lustre::FsSnapshot;
 use iosched_simkit::ids::JobId;
+use iosched_simkit::recycle;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_slurm::policy::NodePolicy;
@@ -132,7 +140,7 @@ impl PolicyImpl {
     fn round_is_time_invariant(
         &self,
         book: &EstimateBook,
-        running: &[(JobId, SimTime)],
+        running: &[RunningView<'_>],
         measured_bps: f64,
     ) -> bool {
         match self {
@@ -147,7 +155,7 @@ impl PolicyImpl {
             // time-invariant.
             PolicyImpl::IoAware(p) => {
                 let limit = p.config().limit_bps;
-                let sum_running: f64 = running.iter().map(|&(id, _)| book.r(id).min(limit)).sum();
+                let sum_running: f64 = running.iter().map(|rv| book.r(rv.job.id).min(limit)).sum();
                 measured_bps <= sum_running
             }
             // `compute_target` divides remaining work by horizons measured
@@ -175,7 +183,7 @@ pub(crate) trait Recorder {
     fn sample(&mut self, _now: SimTime, _snap: &FsSnapshot, _cluster: &ClusterSim) {}
     /// A job finished at `ended`: ran to completion, or was killed at its
     /// limit (`timed_out`).
-    fn finish(&mut self, job: SchedJob, started: SimTime, ended: SimTime, timed_out: bool);
+    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime, timed_out: bool);
     /// The loop ended at `now`, the last job's end.
     fn end(&mut self, _now: SimTime, _cluster: &ClusterSim, _snap: &mut FsSnapshot) {}
 }
@@ -199,18 +207,15 @@ pub struct RunScratch {
     completions: Vec<JobCompletion>,
     snap: FsSnapshot,
     per_job: Vec<(u64, f64)>,
-    queue_ids: Vec<JobId>,
-    running_pairs: Vec<(JobId, SimTime)>,
+    /// The round's queue and running views. They borrow the registry,
+    /// which changes between rounds, so they are kept empty here and
+    /// recycled to each round's lifetime.
+    queue: Vec<&'static SchedJob>,
+    running: Vec<RunningView<'static>>,
     outcome: SchedulingOutcome,
     /// The previous executed round's outcome — what an elided round
     /// re-reports (and what the debug oracle replays against).
     prev_outcome: SchedulingOutcome,
-}
-
-/// One resident job: scheduling metadata plus the execution spec.
-struct Resident {
-    meta: SchedJob,
-    spec: ExecSpec,
 }
 
 /// The whole state of one run.
@@ -228,11 +233,16 @@ struct Engine<'c, I> {
     daemon: LdmsDaemon,
     analytics: AnalyticsService,
     policy: PolicyImpl,
+    /// The job table: the only copy of every resident job's metadata.
     registry: JobRegistry,
-    resident: BTreeMap<JobId, Resident>,
+    /// Execution specs of the resident jobs (admitted, not yet finished).
+    resident: BTreeMap<JobId, ExecSpec>,
     /// Jobs named in some resident job's `after`, with their dependent
     /// counts: retired from the registry when their last dependent is.
     held: BTreeMap<JobId, u32>,
+    /// The finishing job's `after`, copied out of the registry while its
+    /// dependencies are released.
+    deps: Vec<JobId>,
     /// The persistent estimate book (Algorithm 2, line 1, incremental).
     book: EstimateBook,
 }
@@ -260,20 +270,14 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             for &dep in &meta.after {
                 *self.held.entry(dep).or_default() += 1;
             }
-            self.registry.submit(meta.clone());
             // Only pretraining and completions (see `finish`) change a
             // name's prediction, so this write matters at the name's first
             // admission, which picks up pretraining; later ones rewrite it.
             self.book
                 .set_name_estimate(sym, self.analytics.predictor().predict(sym));
             self.book.insert_named(sub.id, sym, meta.limit);
-            self.resident.insert(
-                sub.id,
-                Resident {
-                    meta,
-                    spec: sub.exec,
-                },
-            );
+            self.registry.submit(meta);
+            self.resident.insert(sub.id, sub.exec);
             self.admitted += 1;
         }
     }
@@ -289,12 +293,13 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         } else {
             self.registry.mark_completed(id, ended);
         }
-        let job = self.resident.remove(&id).expect("finished job is resident");
+        self.resident.remove(&id).expect("finished job is resident");
         self.book.remove(id);
+        let meta = self.registry.meta(id).expect("finished job is registered");
         // Killed jobs produce no estimator observation: their measured
         // volume is truncated and would bias r̂/d̂.
         if !timed_out {
-            let sym = job.meta.name_sym;
+            let sym = meta.name_sym;
             self.analytics
                 .on_job_complete_sym(&self.daemon, id.0, sym, started, ended);
             // The completion changed this name's prediction, which every
@@ -302,7 +307,10 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             self.book
                 .set_name_estimate(sym, self.analytics.predictor().predict(sym));
         }
-        for dep in &job.meta.after {
+        rec.finish(meta, started, ended, timed_out);
+        self.deps.clear();
+        self.deps.extend_from_slice(&meta.after);
+        for dep in &self.deps {
             let n = self.held.get_mut(dep).expect("dependency is held");
             *n -= 1;
             if *n == 0 {
@@ -315,55 +323,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             self.registry.retire(id);
         }
         self.last_end = self.last_end.max(ended);
-        rec.finish(job.meta, started, ended, timed_out);
-    }
-
-    /// Build the round's queue and running views over the resident table
-    /// and run one scheduling pass on them; `None` when `certify` is set
-    /// and the no-start certificate skipped the pass (see
-    /// [`PolicyImpl::run_pass`]).
-    fn pass(
-        &mut self,
-        queue_ids: &[JobId],
-        running_pairs: &[(JobId, SimTime)],
-        now: SimTime,
-        certify: bool,
-        outcome: &mut SchedulingOutcome,
-    ) -> Option<PassStats> {
-        let resident = &self.resident;
-        let queue: Vec<&SchedJob> = queue_ids.iter().map(|id| &resident[id].meta).collect();
-        let running: Vec<RunningView<'_>> = running_pairs
-            .iter()
-            .map(|&(id, started)| RunningView {
-                job: &resident[&id].meta,
-                started,
-            })
-            .collect();
-        // The incremental book must agree with what a rebuild from the
-        // analytics would produce for every job the round can see.
-        #[cfg(debug_assertions)]
-        for j in queue.iter().copied().chain(running.iter().map(|rv| rv.job)) {
-            debug_assert_eq!(
-                self.book.get(j.id),
-                Some(self.analytics.job_estimate_sym(j.name_sym, j.limit)),
-                "estimate book out of sync for {}",
-                j.id
-            );
-        }
-        self.policy.run_pass(
-            &mut self.book,
-            &running,
-            &queue,
-            now,
-            self.cfg.nodes,
-            &BackfillConfig {
-                max_reservations: self.cfg.backfill_max,
-                prune_fits_now: true,
-                monotone_cursor: true,
-            },
-            certify,
-            outcome,
-        )
     }
 
     fn run(mut self, s: &mut RunScratch, rec: &mut impl Recorder) -> RunTotals {
@@ -394,6 +353,11 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         let mut prev_next_possible = SimTime::ZERO;
         let mut prev_invariant = false;
 
+        let bf = BackfillConfig {
+            max_reservations: cfg.backfill_max,
+            prune_fits_now: true,
+            monotone_cursor: true,
+        };
         #[cfg(debug_assertions)]
         let mut oracle_outcome = SchedulingOutcome::default();
 
@@ -468,86 +432,120 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             sched_requested = false;
             last_sched = Some(now);
             next_sched = now + cfg.sched_period;
-            self.registry.wait_queue_ids_limited_into(
-                now,
-                cfg.priority_policy,
-                cfg.max_queue_depth,
-                &mut s.queue_ids,
-            );
-            if s.queue_ids.is_empty() {
-                continue;
-            }
-            // Elided and certified rounds count too: the counter must not
-            // depend on `elide_rounds` or on the certificate.
-            totals.sched_passes += 1;
-            self.registry.running_ids_into(&mut s.running_pairs);
-            // Line 2 of Algorithm 2: measured current load.
-            let measured = self.analytics.current_load_bps(&self.daemon, now);
-            self.book.measured_total_bps = measured;
-            // The pass does not change the book, so one evaluation serves
-            // both this round's elision and the next round's.
-            let invariant =
-                self.policy
-                    .round_is_time_invariant(&self.book, &s.running_pairs, measured);
-            let elide = cfg.elide_rounds
-                && !round_dirty
-                && now < prev_next_possible
-                && self
-                    .registry
-                    .next_submission_after(prev_round_at)
-                    .is_none_or(|s| s > now)
-                && self.registry.next_limit_expiry().is_none_or(|e| e > now)
-                && prev_invariant
-                && invariant;
-            if elide {
-                totals.rounds_elided += 1;
-                // Debug oracle: the previous executed round's outcome must
-                // still hold verbatim (in particular, nothing could start).
+            // The round reads the job table directly: the queue and the
+            // running views are references into the registry, recycled
+            // back into `s` before any job starts (a start changes the
+            // table). `executed` is true when a pass ran.
+            let mut queue = recycle(std::mem::take(&mut s.queue));
+            let mut running = recycle(std::mem::take(&mut s.running));
+            let executed = 'round: {
+                self.registry.wait_queue_into(
+                    now,
+                    cfg.priority_policy,
+                    cfg.max_queue_depth,
+                    &mut queue,
+                );
+                if queue.is_empty() {
+                    break 'round false;
+                }
+                // Elided and certified rounds count too: the counter must
+                // not depend on `elide_rounds` or on the certificate.
+                totals.sched_passes += 1;
+                self.registry.running_into(&mut running);
+                // The incremental book must agree with what a rebuild from
+                // the analytics would produce for every job the round can
+                // see.
                 #[cfg(debug_assertions)]
-                {
-                    self.pass(
-                        &s.queue_ids,
-                        &s.running_pairs,
-                        now,
-                        false,
-                        &mut oracle_outcome,
-                    );
-                    debug_assert!(
-                        oracle_outcome.start_now.is_empty(),
-                        "elided round at {now} would have started {:?}",
-                        oracle_outcome.start_now
-                    );
+                for j in queue.iter().copied().chain(running.iter().map(|rv| rv.job)) {
                     debug_assert_eq!(
-                        oracle_outcome, s.prev_outcome,
-                        "elided round at {now} diverged from the previous outcome"
+                        self.book.get(j.id),
+                        Some(self.analytics.job_estimate_sym(j.name_sym, j.limit)),
+                        "estimate book out of sync for {}",
+                        j.id
                     );
                 }
+                // Line 2 of Algorithm 2: measured current load.
+                let measured = self.analytics.current_load_bps(&self.daemon, now);
+                self.book.measured_total_bps = measured;
+                // The pass does not change the book, so one evaluation
+                // serves both this round's elision and the next round's.
+                let invariant = self
+                    .policy
+                    .round_is_time_invariant(&self.book, &running, measured);
+                let elide = cfg.elide_rounds
+                    && !round_dirty
+                    && now < prev_next_possible
+                    && self
+                        .registry
+                        .next_submission_after(prev_round_at)
+                        .is_none_or(|s| s > now)
+                    && self.registry.next_limit_expiry().is_none_or(|e| e > now)
+                    && prev_invariant
+                    && invariant;
+                if elide {
+                    totals.rounds_elided += 1;
+                    // Debug oracle: the previous executed round's outcome
+                    // must still hold verbatim (in particular, nothing
+                    // could start).
+                    #[cfg(debug_assertions)]
+                    {
+                        self.policy.run_pass(
+                            &mut self.book,
+                            &running,
+                            &queue,
+                            now,
+                            cfg.nodes,
+                            &bf,
+                            false,
+                            &mut oracle_outcome,
+                        );
+                        debug_assert!(
+                            oracle_outcome.start_now.is_empty(),
+                            "elided round at {now} would have started {:?}",
+                            oracle_outcome.start_now
+                        );
+                        debug_assert_eq!(
+                            oracle_outcome, s.prev_outcome,
+                            "elided round at {now} diverged from the previous outcome"
+                        );
+                    }
+                    break 'round false;
+                }
+                prev_round_at = now;
+                prev_invariant = invariant;
+                let Some(stats) = self.policy.run_pass(
+                    &mut self.book,
+                    &running,
+                    &queue,
+                    now,
+                    cfg.nodes,
+                    &bf,
+                    !invariant,
+                    &mut s.outcome,
+                ) else {
+                    // Certified, so `invariant` is false: nothing starts,
+                    // and with `prev_invariant` false `prev_next_possible`
+                    // is not read before the next executed round replaces
+                    // it.
+                    totals.rounds_certified += 1;
+                    round_dirty = false;
+                    break 'round false;
+                };
+                prev_next_possible = stats.next_possible_start;
+                // Starts change the running set; the next round sees
+                // different inputs. This is also what lets the post-start
+                // cut leave such a pass's horizon short: it is never read.
+                round_dirty = !s.outcome.start_now.is_empty();
+                true
+            };
+            s.queue = recycle(queue);
+            s.running = recycle(running);
+            if !executed {
                 continue;
             }
-            prev_round_at = now;
-            prev_invariant = invariant;
-            let Some(stats) = self.pass(
-                &s.queue_ids,
-                &s.running_pairs,
-                now,
-                !invariant,
-                &mut s.outcome,
-            ) else {
-                // Certified, so `invariant` is false: nothing starts, and
-                // with `prev_invariant` false `prev_next_possible` is not
-                // read before the next executed round replaces it.
-                totals.rounds_certified += 1;
-                round_dirty = false;
-                continue;
-            };
-            prev_next_possible = stats.next_possible_start;
-            // Starts change the running set; the next round sees
-            // different inputs. This is also what lets the post-start
-            // cut leave such a pass's horizon short: it is never read.
-            round_dirty = !s.outcome.start_now.is_empty();
             for &id in &s.outcome.start_now {
                 self.cluster
-                    .start_job(now, id, &self.resident[&id].spec)
+                    .start_job(now, id, &self.resident[&id])
                     .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
                 self.registry.mark_started(id, now);
             }
@@ -609,6 +607,7 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
         registry: JobRegistry::new(),
         resident: BTreeMap::new(),
         held: BTreeMap::new(),
+        deps: Vec::new(),
         book: EstimateBook::new(),
     }
     .run(scratch, rec)

@@ -119,7 +119,7 @@ pub fn run_streaming(
 /// The aggregate recorder. `mean_wait_secs` holds the sum of waits until
 /// [`run_streaming`] divides it at the end.
 impl Recorder for StreamingResult {
-    fn finish(&mut self, job: SchedJob, started: SimTime, _ended: SimTime, _timed_out: bool) {
+    fn finish(&mut self, job: &SchedJob, started: SimTime, _ended: SimTime, _timed_out: bool) {
         self.jobs_completed += 1;
         let wait = started.saturating_since(job.submit).as_secs_f64();
         self.mean_wait_secs += wait;

@@ -55,3 +55,16 @@ pub use series::TimeSeries;
 pub use stats::{BoxStats, Histogram, OnlineStats};
 pub use sym::{Sym, SymbolTable};
 pub use time::{SimDuration, SimTime};
+
+/// An empty vector that reuses `v`'s allocation for another element
+/// type of the same size and alignment — typically the same reference
+/// type under a new lifetime. A buffer of borrows cannot outlive what it
+/// borrows, so a loop that mutates the borrowed structure between rounds
+/// keeps such a buffer empty under a long-lived type and recycles it to
+/// the round's lifetime and back. The in-place `collect` specialisation
+/// of `Vec`'s `IntoIter` keeps the capacity (the steady-state allocation
+/// tests pin this); a layout mismatch would silently allocate instead.
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}

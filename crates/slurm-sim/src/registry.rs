@@ -69,24 +69,34 @@ pub enum JobState {
     TimedOut { started: SimTime, ended: SimTime },
 }
 
+/// One unretired job: its metadata and state, in its slab slot.
 #[derive(Clone, Debug)]
 struct Entry {
     meta: SchedJob,
     state: JobState,
 }
 
-/// The job table.
+/// The job table, and the only owner of job metadata.
 ///
-/// Besides the id-keyed table, the registry maintains incremental
-/// pending/running state sets and a finished counter so the per-pass
-/// queries (`wait_queue_ids_limited_into`, `running_views`, `all_completed`,
+/// Entries live in a **slab**: a `Vec` of slots plus a free list, so its
+/// length is bounded by the peak number of unretired jobs, not by the
+/// largest `JobId`, and an entry keeps its slot until it is retired. An
+/// id→slot map serves the per-event calls ([`Self::submit`],
+/// `mark_*`, [`Self::state`], [`Self::meta`], [`Self::retire`], and
+/// [`Self::dependencies_met`] for jobs with a non-empty `after`).
+///
+/// Besides the table, the registry maintains incremental pending/running
+/// state sets and a finished counter so the per-pass queries
+/// ([`Self::wait_queue_into`], [`Self::running_into`], `all_completed`,
 /// `overrunning`, `next_limit_expiry`) touch only the jobs in the
-/// relevant state instead of scanning the whole table. Both sets are
-/// ordered: `pending` by `(submit, id)` — the FIFO key — so the default
-/// wait queue needs no sort and `next_submission_after` is a single
-/// `O(log n)` range probe per event-loop iteration instead of an
-/// `O(pending)` scan; `running` by id, the order every running-set
-/// consumer wants. Results are identical to the old full scans.
+/// relevant state instead of scanning the whole table. Every set entry
+/// carries its job's slot after the unique id, so these queries read
+/// metadata in O(1) without a map lookup; the slot never decides an
+/// order, because the id before it is unique. `pending` is ordered by
+/// `(submit, id)` — the FIFO key — so the default wait queue needs no
+/// sort and `next_submission_after` is a single `O(log n)` range probe
+/// per event-loop iteration; `running` is ordered by id, the order every
+/// running-set consumer wants.
 ///
 /// Alongside the FIFO set, two **policy-keyed ordered indexes** mirror
 /// the pending membership under the non-FIFO sort keys —
@@ -97,20 +107,25 @@ struct Entry {
 /// (a true top-k for depth-limited queries) instead of a per-round
 /// collect-and-sort; the sort path is kept as
 /// [`Self::wait_queue_ids_sorted_into`], the oracle the walks are
-/// debug-asserted and property-pinned against. Every sort key ends in
-/// the unique job id, so each index is a total order and the walk
-/// reproduces the sorted output exactly.
+/// property-pinned against. Every sort key ends in the unique job id, so
+/// each index is a total order and the walk reproduces the sorted output
+/// exactly.
 #[derive(Clone, Debug, Default)]
 pub struct JobRegistry {
-    jobs: BTreeMap<JobId, Entry>,
-    /// Ids currently `Pending`, keyed by `(submit, id)` (FIFO order).
-    pending: BTreeSet<(SimTime, JobId)>,
+    /// The slab: `None` marks a free slot, listed in `free`.
+    slots: Vec<Option<Entry>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<usize>,
+    /// Id → slot of every unretired job.
+    slot_of: BTreeMap<JobId, usize>,
+    /// Jobs currently `Pending`, keyed by `(submit, id)` (FIFO order).
+    pending: BTreeSet<(SimTime, JobId, usize)>,
     /// Pending membership under the `Priority` policy's sort key.
-    pending_prio: BTreeSet<(Reverse<i64>, SimTime, JobId)>,
+    pending_prio: BTreeSet<(Reverse<i64>, SimTime, JobId, usize)>,
     /// Pending membership under the `ShortestLimitFirst` sort key.
-    pending_limit: BTreeSet<(SimDuration, SimTime, JobId)>,
-    /// Ids currently `Running`, in id order.
-    running: BTreeSet<JobId>,
+    pending_limit: BTreeSet<(SimDuration, SimTime, JobId, usize)>,
+    /// Jobs currently `Running`, in id order.
+    running: BTreeSet<(JobId, usize)>,
     /// Count of `Completed` + `TimedOut` jobs.
     finished: usize,
 }
@@ -119,6 +134,22 @@ impl JobRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The entry in an occupied slot.
+    fn entry(&self, slot: usize) -> &Entry {
+        self.slots[slot].as_ref().expect("indexed slot is occupied")
+    }
+
+    /// The slot of unretired job `id`.
+    ///
+    /// # Panics
+    /// Panics if the job is unknown.
+    fn slot(&self, id: JobId) -> usize {
+        *self
+            .slot_of
+            .get(&id)
+            .unwrap_or_else(|| panic!("unknown {id}"))
     }
 
     /// Add a job in `Pending` state.
@@ -130,114 +161,101 @@ impl JobRegistry {
         let submit = meta.submit;
         let priority = meta.priority;
         let limit = meta.limit;
-        let prev = self.jobs.insert(
-            id,
-            Entry {
-                meta,
-                state: JobState::Pending,
-            },
-        );
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        let prev = self.slot_of.insert(id, slot);
         assert!(prev.is_none(), "duplicate submission of {id}");
-        self.pending.insert((submit, id));
-        self.pending_prio.insert((Reverse(priority), submit, id));
-        self.pending_limit.insert((limit, submit, id));
+        let entry = Some(Entry {
+            meta,
+            state: JobState::Pending,
+        });
+        if slot == self.slots.len() {
+            self.slots.push(entry);
+        } else {
+            self.slots[slot] = entry;
+        }
+        self.pending.insert((submit, id, slot));
+        self.pending_prio
+            .insert((Reverse(priority), submit, id, slot));
+        self.pending_limit.insert((limit, submit, id, slot));
         INDEX_OPS.with(|c| c.set(c.get() + 2));
     }
 
-    /// Number of submitted jobs (any state).
+    /// Number of unretired jobs (any state).
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.slot_of.len()
     }
 
-    /// True when no jobs were submitted.
+    /// True when no unretired job remains.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// Job metadata.
     pub fn meta(&self, id: JobId) -> Option<&SchedJob> {
-        self.jobs.get(&id).map(|e| &e.meta)
+        self.slot_of.get(&id).map(|&slot| &self.entry(slot).meta)
     }
 
     /// Job state.
     pub fn state(&self, id: JobId) -> Option<JobState> {
-        self.jobs.get(&id).map(|e| e.state)
+        self.slot_of.get(&id).map(|&slot| self.entry(slot).state)
     }
 
     /// Transition a pending job to running at `t`.
     pub fn mark_started(&mut self, id: JobId, t: SimTime) {
-        let e = self
-            .jobs
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown {id}"));
+        let slot = self.slot(id);
+        let e = self.slots[slot].as_mut().expect("indexed slot is occupied");
         assert_eq!(e.state, JobState::Pending, "{id} is not pending");
         e.state = JobState::Running { started: t };
         let submit = e.meta.submit;
         let priority = e.meta.priority;
         let limit = e.meta.limit;
         assert!(
-            self.pending.remove(&(submit, id)),
+            self.pending.remove(&(submit, id, slot)),
             "{id} missing from pending set"
         );
         assert!(
-            self.pending_prio.remove(&(Reverse(priority), submit, id)),
+            self.pending_prio
+                .remove(&(Reverse(priority), submit, id, slot)),
             "{id} missing from priority index"
         );
         assert!(
-            self.pending_limit.remove(&(limit, submit, id)),
+            self.pending_limit.remove(&(limit, submit, id, slot)),
             "{id} missing from limit index"
         );
         INDEX_OPS.with(|c| c.set(c.get() + 2));
-        self.running.insert(id);
+        self.running.insert((id, slot));
     }
 
     /// Transition a running job to completed at `t`.
     pub fn mark_completed(&mut self, id: JobId, t: SimTime) {
-        let e = self
-            .jobs
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown {id}"));
-        match e.state {
-            JobState::Running { started } => {
-                e.state = JobState::Completed { started, ended: t };
-            }
-            other => panic!("{id} is not running (state {other:?})"),
-        }
-        assert!(self.running.remove(&id), "{id} missing from running set");
-        self.finished += 1;
+        self.mark_finished(id, |started| JobState::Completed { started, ended: t });
     }
 
     /// Transition a running job to timed-out (killed at its limit) at `t`.
     pub fn mark_timed_out(&mut self, id: JobId, t: SimTime) {
-        let e = self
-            .jobs
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown {id}"));
-        match e.state {
-            JobState::Running { started } => {
-                e.state = JobState::TimedOut { started, ended: t };
-            }
-            other => panic!("{id} is not running (state {other:?})"),
-        }
-        assert!(self.running.remove(&id), "{id} missing from running set");
-        self.finished += 1;
+        self.mark_finished(id, |started| JobState::TimedOut { started, ended: t });
     }
 
-    /// Pending ids with `submit <= now` and dependencies met, in FIFO
-    /// (`(submit, id)`) order — the natural order of the pending set, so
-    /// this is a prefix range, not a scan over all pending jobs.
-    fn eligible(&self, now: SimTime) -> impl Iterator<Item = JobId> + '_ {
-        self.pending
-            .range(..=(now, JobId(u64::MAX)))
-            .map(|&(_, id)| id)
-            .filter(move |id| self.dependencies_met(&self.jobs[id].meta))
+    /// Move a running job to the finished state `end(started)`.
+    fn mark_finished(&mut self, id: JobId, end: impl FnOnce(SimTime) -> JobState) {
+        let slot = self.slot(id);
+        let e = self.slots[slot].as_mut().expect("indexed slot is occupied");
+        match e.state {
+            JobState::Running { started } => e.state = end(started),
+            other => panic!("{id} is not running (state {other:?})"),
+        }
+        assert!(
+            self.running.remove(&(id, slot)),
+            "{id} missing from running set"
+        );
+        self.finished += 1;
     }
 
     /// The first `limit` pending jobs submitted at or before `now` with
     /// dependencies met, ordered by `policy`, into a caller-owned buffer
-    /// (cleared first) — a true top-k. The reusable buffer keeps the
-    /// steady-state scheduling pass allocation-free; `usize::MAX` asks
-    /// for the whole wait queue.
+    /// (cleared first) — a true top-k, handed out as references into the
+    /// job table. The reusable buffer keeps the steady-state scheduling
+    /// pass allocation-free; `usize::MAX` asks for the whole wait queue.
     ///
     /// Every policy walks its ordered pending index in key order and
     /// stops after `limit` eligible jobs: `O(limit)` index entries
@@ -245,10 +263,22 @@ impl JobRegistry {
     /// unmet dependencies) are interleaved ahead of the k-th eligible
     /// one — in the steady deep-queue state (streaming replay with a
     /// full admission window, where nearly every resident job is
-    /// eligible) that is `O(limit)` total, replacing the non-FIFO
-    /// policies' previous `O(W log W)` sort-then-truncate over the
-    /// whole resident window. In debug builds every walk is asserted
-    /// identical to [`Self::wait_queue_ids_sorted_into`] truncated.
+    /// eligible) that is `O(limit)` total. Each entry's metadata is read
+    /// through the slot its index key carries; the only by-id lookups are
+    /// the dependencies of jobs with a non-empty `after`.
+    pub fn wait_queue_into<'a>(
+        &'a self,
+        now: SimTime,
+        policy: PriorityPolicy,
+        limit: usize,
+        out: &mut Vec<&'a SchedJob>,
+    ) {
+        out.clear();
+        self.walk(now, policy, limit, |job| out.push(job));
+    }
+
+    /// [`Self::wait_queue_into`] as job ids, with the same walk and the
+    /// same counters.
     pub fn wait_queue_ids_limited_into(
         &self,
         now: SimTime,
@@ -257,7 +287,30 @@ impl JobRegistry {
         out: &mut Vec<JobId>,
     ) {
         out.clear();
+        self.walk(now, policy, limit, |job| out.push(job.id));
+    }
+
+    /// The ordered-index walk behind both wait-queue queries: hands
+    /// `emit` the first `limit` eligible jobs in `policy` order.
+    fn walk<'a>(
+        &'a self,
+        now: SimTime,
+        policy: PriorityPolicy,
+        limit: usize,
+        mut emit: impl FnMut(&'a SchedJob),
+    ) {
         let mut steps = 0u64;
+        let mut taken = 0usize;
+        // True once `limit` jobs have been emitted.
+        let mut visit = |submit: SimTime, slot: usize| {
+            steps += 1;
+            let job = &self.entry(slot).meta;
+            if submit <= now && self.dependencies_met(job) {
+                emit(job);
+                taken += 1;
+            }
+            taken >= limit
+        };
         if limit > 0 {
             // For FIFO the index's leading key is `submit`, so the
             // eligible-by-time entries are exactly a prefix range; the
@@ -265,52 +318,40 @@ impl JobRegistry {
             // them. Dependency-blocked jobs are skipped under any policy.
             match policy {
                 PriorityPolicy::Fifo => {
-                    for &(_, id) in self.pending.range(..=(now, JobId(u64::MAX))) {
-                        steps += 1;
-                        if self.dependencies_met(&self.jobs[&id].meta) {
-                            out.push(id);
-                            if out.len() >= limit {
-                                break;
-                            }
+                    for &(submit, _, slot) in
+                        self.pending.range(..=(now, JobId(u64::MAX), usize::MAX))
+                    {
+                        if visit(submit, slot) {
+                            break;
                         }
                     }
                 }
                 PriorityPolicy::Priority => {
-                    for &(_, submit, id) in &self.pending_prio {
-                        steps += 1;
-                        if submit <= now && self.dependencies_met(&self.jobs[&id].meta) {
-                            out.push(id);
-                            if out.len() >= limit {
-                                break;
-                            }
+                    for &(_, submit, _, slot) in &self.pending_prio {
+                        if visit(submit, slot) {
+                            break;
                         }
                     }
                 }
                 PriorityPolicy::ShortestLimitFirst => {
-                    for &(_, submit, id) in &self.pending_limit {
-                        steps += 1;
-                        if submit <= now && self.dependencies_met(&self.jobs[&id].meta) {
-                            out.push(id);
-                            if out.len() >= limit {
-                                break;
-                            }
+                    for &(_, submit, _, slot) in &self.pending_limit {
+                        if visit(submit, slot) {
+                            break;
                         }
                     }
                 }
             }
         }
         WALK_STEPS.with(|c| c.set(c.get() + steps));
-        #[cfg(debug_assertions)]
-        self.assert_walk_matches_sort_oracle(now, policy, limit, out);
     }
 
     /// Reference queue preparation: collect the eligible set and sort it
     /// under `policy` — the pre-index implementation, kept as the oracle
-    /// the ordered-index walks are debug-asserted and property-pinned
-    /// against (and as the baseline the `queue_prep` bench compares the
-    /// walk to). FIFO needs no sort: the pending set is already
-    /// `(submit, id)` ordered. Every other sort key ends in the unique
-    /// job id (a total order), so the unstable sort is deterministic.
+    /// the ordered-index walks are property-pinned against (and as the
+    /// baseline the `queue_prep` bench compares the walk to). FIFO needs
+    /// no sort: the pending set is already `(submit, id)` ordered. Every
+    /// other sort key ends in the unique job id (a total order), so the
+    /// unstable sort is deterministic.
     pub fn wait_queue_ids_sorted_into(
         &self,
         now: SimTime,
@@ -318,88 +359,62 @@ impl JobRegistry {
         out: &mut Vec<JobId>,
     ) {
         out.clear();
-        out.extend(self.eligible(now));
-        let meta = |id: &JobId| &self.jobs[id].meta;
+        out.extend(
+            self.pending
+                .range(..=(now, JobId(u64::MAX), usize::MAX))
+                .filter(|&&(_, _, slot)| self.dependencies_met(&self.entry(slot).meta))
+                .map(|&(_, id, _)| id),
+        );
+        let meta = |id: &JobId| &self.entry(self.slot(*id)).meta;
         match policy {
             PriorityPolicy::Fifo => {} // already (submit, id)-ordered
-            PriorityPolicy::Priority => out.sort_unstable_by_key(|id| {
-                (std::cmp::Reverse(meta(id).priority), meta(id).submit, *id)
-            }),
+            PriorityPolicy::Priority => {
+                out.sort_unstable_by_key(|id| (Reverse(meta(id).priority), meta(id).submit, *id))
+            }
             PriorityPolicy::ShortestLimitFirst => {
                 out.sort_unstable_by_key(|id| (meta(id).limit, meta(id).submit, *id))
             }
         }
     }
 
-    /// Debug oracle: an index walk must equal the sorted eligible set
-    /// truncated to `limit`. Scratch lives in a thread-local with
-    /// retained capacity so debug builds stay allocation-free in steady
-    /// state (the counting-allocator tests run the oracle too).
-    #[cfg(debug_assertions)]
-    fn assert_walk_matches_sort_oracle(
-        &self,
-        now: SimTime,
-        policy: PriorityPolicy,
-        limit: usize,
-        got: &[JobId],
-    ) {
-        thread_local! {
-            static ORACLE: std::cell::RefCell<Vec<JobId>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        ORACLE.with(|cell| {
-            let mut oracle = cell.borrow_mut();
-            self.wait_queue_ids_sorted_into(now, policy, &mut oracle);
-            oracle.truncate(limit);
-            debug_assert_eq!(
-                &oracle[..],
-                got,
-                "ordered-index walk diverged from the sort oracle \
-                 (now {now}, policy {policy:?}, limit {limit})"
-            );
-        });
-    }
-
     /// True when every dependency of `job` has finished (`afterok`
     /// semantics: completed or timed out). Unknown job ids never satisfy
     /// — a dangling dependency holds the job forever, as in Slurm.
     pub fn dependencies_met(&self, job: &SchedJob) -> bool {
-        job.after.iter().all(|dep| {
+        job.after.iter().all(|&dep| {
             matches!(
-                self.jobs.get(dep).map(|e| &e.state),
+                self.state(dep),
                 Some(JobState::Completed { .. }) | Some(JobState::TimedOut { .. })
             )
         })
     }
 
-    /// Views of the currently running jobs, in id order.
-    pub fn running_views(&self) -> Vec<RunningView<'_>> {
-        // The running set iterates in id order already — no sort needed.
-        self.running
-            .iter()
-            .map(|id| {
-                let e = &self.jobs[id];
-                let JobState::Running { started } = e.state else {
-                    unreachable!("{id} listed running but is {:?}", e.state)
-                };
-                RunningView {
-                    job: &e.meta,
-                    started,
-                }
-            })
-            .collect()
+    /// The running jobs in id order, read through their slots.
+    fn running_iter(&self) -> impl Iterator<Item = RunningView<'_>> {
+        self.running.iter().map(|&(id, slot)| {
+            let e = self.entry(slot);
+            let JobState::Running { started } = e.state else {
+                unreachable!("{id} listed running but is {:?}", e.state)
+            };
+            RunningView {
+                job: &e.meta,
+                started,
+            }
+        })
+    }
+
+    /// Views of the currently running jobs, in id order, into a
+    /// caller-owned buffer (cleared first).
+    pub fn running_into<'a>(&'a self, out: &mut Vec<RunningView<'a>>) {
+        out.clear();
+        out.extend(self.running_iter());
     }
 
     /// Running `(id, started)` pairs in id order, into a caller-owned
     /// buffer (cleared first).
     pub fn running_ids_into(&self, out: &mut Vec<(JobId, SimTime)>) {
         out.clear();
-        out.extend(self.running.iter().map(|id| {
-            let JobState::Running { started } = self.jobs[id].state else {
-                unreachable!("{id} listed running")
-            };
-            (*id, started)
-        }));
+        out.extend(self.running_iter().map(|rv| (rv.job.id, rv.started)));
     }
 
     /// Earliest future submission strictly after `now` (for event-driven
@@ -411,71 +426,58 @@ impl JobRegistry {
     /// this every loop iteration, so it must not scan.
     pub fn next_submission_after(&self, now: SimTime) -> Option<SimTime> {
         self.pending
-            .range((Excluded((now, JobId(u64::MAX))), Unbounded))
+            .range((Excluded((now, JobId(u64::MAX), usize::MAX)), Unbounded))
             .next()
-            .map(|&(submit, _)| submit)
+            .map(|&(submit, _, _)| submit)
     }
 
     /// True when every job has finished (completed or timed out).
     pub fn all_completed(&self) -> bool {
-        self.finished == self.jobs.len()
+        self.finished == self.slot_of.len()
     }
 
     /// Remove a finished job's entry entirely, returning its final state.
     ///
     /// Event-driven drivers evict jobs as they finish so the table stays
-    /// bounded by the admission window instead of growing with the trace.
-    /// Only `Completed`/`TimedOut` jobs may be retired — a retired id is
-    /// gone without a trace, so a dependency on it would dangle forever
+    /// bounded by the admission window instead of growing with the trace;
+    /// the freed slot is reused by the next submission. Only
+    /// `Completed`/`TimedOut` jobs may be retired — a retired id is gone
+    /// without a trace, so a dependency on it would dangle forever
     /// (drivers must keep a job until no unfinished job names it in
     /// `after`).
     ///
     /// # Panics
     /// Panics if the job is unknown or not finished.
     pub fn retire(&mut self, id: JobId) -> JobState {
-        let e = self.jobs.get(&id).unwrap_or_else(|| panic!("unknown {id}"));
+        let slot = self.slot(id);
+        let state = self.entry(slot).state;
         assert!(
             matches!(
-                e.state,
+                state,
                 JobState::Completed { .. } | JobState::TimedOut { .. }
             ),
-            "{id} is not finished (state {:?})",
-            e.state
+            "{id} is not finished (state {state:?})"
         );
-        let e = self.jobs.remove(&id).expect("checked above");
+        self.slot_of.remove(&id);
+        self.slots[slot] = None;
+        self.free.push(slot);
         self.finished -= 1;
-        e.state
+        state
     }
 
     /// Running jobs whose limit expires at or before `t`, with their
     /// start times (candidates for limit enforcement), in id order.
     pub fn overrunning(&self, t: SimTime) -> Vec<(JobId, SimTime)> {
-        // Id-ordered because the running set is.
-        self.running
-            .iter()
-            .filter_map(|id| {
-                let e = &self.jobs[id];
-                match e.state {
-                    JobState::Running { started } if started + e.meta.limit <= t => {
-                        Some((*id, started))
-                    }
-                    _ => None,
-                }
-            })
+        self.running_iter()
+            .filter(|rv| rv.started + rv.job.limit <= t)
+            .map(|rv| (rv.job.id, rv.started))
             .collect()
     }
 
     /// Earliest future limit expiry among running jobs.
     pub fn next_limit_expiry(&self) -> Option<SimTime> {
-        self.running
-            .iter()
-            .filter_map(|id| {
-                let e = &self.jobs[id];
-                match e.state {
-                    JobState::Running { started } => Some(started + e.meta.limit),
-                    _ => None,
-                }
-            })
+        self.running_iter()
+            .map(|rv| rv.started + rv.job.limit)
             .min()
     }
 }
@@ -652,7 +654,8 @@ mod tests {
         reg.submit(job(1, 0));
         reg.submit(job(2, 0));
         reg.mark_started(JobId(2), SimTime::from_secs(3));
-        let views = reg.running_views();
+        let mut views = Vec::new();
+        reg.running_into(&mut views);
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].job.id, JobId(2));
         assert_eq!(views[0].started, SimTime::from_secs(3));
@@ -769,7 +772,7 @@ mod tests {
         reg.mark_completed(JobId(1), SimTime::from_secs(1));
     }
 
-    use iosched_simkit::{prop, prop_assert_eq, props};
+    use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
 
     props! {
         #![cases(64)]
@@ -830,8 +833,9 @@ mod tests {
             let expect_running: Vec<JobId> = all()
                 .filter(|&id| matches!(reg.state(id), Some(JobState::Running { .. })))
                 .collect();
-            let got_running: Vec<JobId> =
-                reg.running_views().iter().map(|rv| rv.job.id).collect();
+            let mut views = Vec::new();
+            reg.running_into(&mut views);
+            let got_running: Vec<JobId> = views.iter().map(|rv| rv.job.id).collect();
             prop_assert_eq!(&got_running, &expect_running);
             let mut rbuf = Vec::new();
             reg.running_ids_into(&mut rbuf);
@@ -930,6 +934,138 @@ mod tests {
                 let mut limited = Vec::new();
                 reg.wait_queue_ids_limited_into(now, policy, limit as usize, &mut limited);
                 prop_assert_eq!(&limited, &truncated);
+            }
+        }
+
+        /// Slab churn: random submits (some future-dated, some with
+        /// dependencies, live or dangling), starts, completions,
+        /// timeouts and retirements, so slots are freed and reused.
+        /// After every operation, under every policy and depth, the
+        /// `&SchedJob` walk returns the sort oracle truncated and takes
+        /// as many steps as the id walk; `running_into` agrees with
+        /// `running_ids_into`; every unretired job's metadata and state
+        /// read back by id as submitted and transitioned; and the slab
+        /// never outgrows the peak count of unretired jobs.
+        fn slab_churn_keeps_ref_walks_equal_to_id_walks(
+            ops in prop::vec((0u64..7, 0u64..64, 0i64..3, 1u64..4), 1..80),
+            probe in 0u64..60,
+            limit in 1u64..8,
+        ) {
+            let mut reg = JobRegistry::new();
+            // Shadow copy of every unretired job: (metadata, state).
+            let mut shadow: BTreeMap<JobId, (SchedJob, JobState)> = BTreeMap::new();
+            let mut next_id = 0u64;
+            let mut peak = 0usize;
+            let mut ids = Vec::new();
+            let mut oracle = Vec::new();
+            let mut pairs = Vec::new();
+            for (clock, &(kind, pick, prio, lim)) in ops.iter().enumerate() {
+                let clock = clock as u64;
+                let t = SimTime::from_secs(clock);
+                // The `pick`-th unretired job in state `want`, if any.
+                let nth = |want: fn(&JobState) -> bool| {
+                    let ids: Vec<JobId> = shadow
+                        .iter()
+                        .filter(|(_, (_, s))| want(s))
+                        .map(|(&id, _)| id)
+                        .collect();
+                    (!ids.is_empty()).then(|| ids[pick as usize % ids.len()])
+                };
+                match kind {
+                    0..=2 => {
+                        // Submit times up to 20 s past the clock, so some
+                        // entries sit in the indexes ahead of `now`.
+                        let mut j = job(next_id, clock + (pick % 3) * 10);
+                        j.priority = prio;
+                        j.limit = SimDuration::from_secs(lim * 20);
+                        if kind == 2 && next_id > 0 {
+                            // A dependency on an earlier job, which may be
+                            // pending, running, finished or retired.
+                            j = j.with_after(vec![JobId(pick % next_id)]);
+                        }
+                        shadow.insert(j.id, (j.clone(), JobState::Pending));
+                        reg.submit(j);
+                        next_id += 1;
+                        peak = peak.max(shadow.len());
+                    }
+                    3 => {
+                        if let Some(id) = nth(|s| *s == JobState::Pending) {
+                            reg.mark_started(id, t);
+                            shadow.get_mut(&id).unwrap().1 = JobState::Running { started: t };
+                        }
+                    }
+                    4 | 5 => {
+                        if let Some(id) = nth(|s| matches!(s, JobState::Running { .. })) {
+                            let JobState::Running { started } = shadow[&id].1 else {
+                                unreachable!()
+                            };
+                            let end = if kind == 4 {
+                                reg.mark_completed(id, t);
+                                JobState::Completed { started, ended: t }
+                            } else {
+                                reg.mark_timed_out(id, t);
+                                JobState::TimedOut { started, ended: t }
+                            };
+                            shadow.get_mut(&id).unwrap().1 = end;
+                        }
+                    }
+                    _ => {
+                        let finished = |s: &JobState| {
+                            matches!(s, JobState::Completed { .. } | JobState::TimedOut { .. })
+                        };
+                        if let Some(id) = nth(finished) {
+                            prop_assert_eq!(reg.retire(id), shadow[&id].1);
+                            shadow.remove(&id);
+                            prop_assert!(reg.meta(id).is_none() && reg.state(id).is_none());
+                        }
+                    }
+                }
+
+                prop_assert!(
+                    reg.slots.len() <= peak,
+                    "slab holds {} slots, peak unretired {peak}",
+                    reg.slots.len()
+                );
+                prop_assert_eq!(reg.len(), shadow.len());
+                for (&id, (meta, state)) in &shadow {
+                    let got = reg.meta(id);
+                    prop_assert!(got.is_some(), "{id} lost its entry");
+                    let got = got.unwrap();
+                    prop_assert_eq!(
+                        (got.id, got.submit, got.priority, got.limit, &got.after),
+                        (meta.id, meta.submit, meta.priority, meta.limit, &meta.after)
+                    );
+                    prop_assert_eq!(reg.state(id), Some(*state));
+                }
+
+                // Reference buffers borrow the registry, so they live for
+                // one check only.
+                let mut refs = Vec::new();
+                let mut views = Vec::new();
+                let now = SimTime::from_secs(probe);
+                for policy in [
+                    PriorityPolicy::Fifo,
+                    PriorityPolicy::Priority,
+                    PriorityPolicy::ShortestLimitFirst,
+                ] {
+                    reg.wait_queue_ids_sorted_into(now, policy, &mut oracle);
+                    for depth in [limit as usize, usize::MAX] {
+                        take_queue_prep_counters();
+                        reg.wait_queue_into(now, policy, depth, &mut refs);
+                        let (_, ref_steps) = take_queue_prep_counters();
+                        reg.wait_queue_ids_limited_into(now, policy, depth, &mut ids);
+                        let (_, id_steps) = take_queue_prep_counters();
+                        let got: Vec<JobId> = refs.iter().map(|j| j.id).collect();
+                        prop_assert_eq!(&got, &oracle[..depth.min(oracle.len())]);
+                        prop_assert_eq!(&got, &ids);
+                        prop_assert_eq!(ref_steps, id_steps);
+                    }
+                }
+                reg.running_into(&mut views);
+                reg.running_ids_into(&mut pairs);
+                let got: Vec<(JobId, SimTime)> =
+                    views.iter().map(|rv| (rv.job.id, rv.started)).collect();
+                prop_assert_eq!(&got, &pairs);
             }
         }
     }

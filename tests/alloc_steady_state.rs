@@ -1,11 +1,12 @@
 //! The per-pass scheduling path must be allocation-free in steady state.
 //!
-//! This pins the PR's core claim: once the reusable buffers (queue ids,
-//! queue refs, running views, outcome) and the policy-owned scratch
-//! (profiles, split buffers) have reached working size, a full
-//! scheduling round — wait-queue query, running views, book hand-off,
-//! backfill pass — performs **zero** heap allocations, for the default,
-//! I/O-aware and adaptive policies alike.
+//! Once the reusable buffers (queue refs, running views, outcome) and the
+//! policy-owned scratch (profiles, split buffers) have reached working
+//! size, a full scheduling round — wait-queue query, running views, book
+//! hand-off, backfill pass — performs **zero** heap allocations, for the
+//! default, I/O-aware and adaptive policies alike. The round takes the
+//! engine's path: the queue and running views are references into the
+//! registry, in buffers recycled between rounds.
 //!
 //! Methodology: a counting [`GlobalAlloc`] wrapper tallies every
 //! `alloc`/`realloc`/`alloc_zeroed` per thread, so the tests, which the
@@ -23,6 +24,7 @@ use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion, Phase};
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
 use iosched_lustre::LustreConfig;
 use iosched_simkit::ids::JobId;
+use iosched_simkit::recycle;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::{gib, gibps};
@@ -134,39 +136,32 @@ where
     }
     book.measured_total_bps = gibps(4.0);
 
-    let mut queue_ids: Vec<JobId> = Vec::new();
-    let mut queue_refs: Vec<&SchedJob> = Vec::new();
-    let mut running_pairs: Vec<(JobId, SimTime)> = Vec::new();
-    let mut running_views: Vec<RunningView<'_>> = Vec::new();
+    // Kept empty between rounds, like the engine's `RunScratch`.
+    let mut queue_buf: Vec<&'static SchedJob> = Vec::new();
+    let mut running_buf: Vec<RunningView<'static>> = Vec::new();
     let mut outcome = SchedulingOutcome::default();
 
-    let entry = |id: JobId| &jobs[id.0 as usize];
     let mut round = |policy: &mut P, book: &mut EstimateBook| {
+        let mut queue = recycle(std::mem::take(&mut queue_buf));
+        let mut running = recycle(std::mem::take(&mut running_buf));
         // Queue preparation must be allocation-free under *every*
-        // policy: the ordered-index walks (full and depth-limited, with
-        // their debug sort oracles) reuse the same pooled buffer.
+        // policy: the ordered-index walks (full and depth-limited)
+        // reuse the same recycled buffer.
         for policy in [
             PriorityPolicy::Priority,
             PriorityPolicy::ShortestLimitFirst,
             PriorityPolicy::Fifo,
         ] {
-            registry.wait_queue_ids_limited_into(now, policy, 500, &mut queue_ids);
-            registry.wait_queue_ids_limited_into(now, policy, usize::MAX, &mut queue_ids);
+            registry.wait_queue_into(now, policy, 500, &mut queue);
+            registry.wait_queue_into(now, policy, usize::MAX, &mut queue);
         }
-        queue_ids.truncate(500);
-        queue_refs.clear();
-        queue_refs.extend(queue_ids.iter().map(|&id| entry(id)));
-        registry.running_ids_into(&mut running_pairs);
-        running_views.clear();
-        running_views.extend(running_pairs.iter().map(|&(id, started)| RunningView {
-            job: entry(id),
-            started,
-        }));
+        queue.truncate(500);
+        registry.running_into(&mut running);
         pre(policy, book);
         backfill_pass_into(
             policy,
-            &running_views,
-            &queue_refs,
+            &running,
+            &queue,
             now,
             total_nodes,
             &bf,
@@ -174,6 +169,8 @@ where
         );
         post(policy, book);
         assert!(!outcome.start_now.is_empty(), "rounds must do real work");
+        queue_buf = recycle(queue);
+        running_buf = recycle(running);
     };
 
     // Warm-up: let every reusable buffer reach its working capacity.

@@ -137,9 +137,12 @@ step "property suites in release"
 # The profile and policy properties compare against their test-code
 # models under cfg(test), the no-start certificate properties compare it
 # against backfill passes, and the lustre-sim properties compare the
-# rate solve against max_min_fair, so they also check the release
-# arithmetic (no overflow checks, no debug asserts).
-cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre
+# rate solve against max_min_fair, and the ldms-sim property compares the
+# daemon's running integrals and load window bitwise with a model that
+# keeps every sample, so they also check the release arithmetic (no
+# overflow checks, no debug asserts).
+cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre \
+    -p iosched-ldms -p iosched-analytics
 # Certified rounds (skipped by the no-start certificate) must reproduce
 # fingerprints pinned with every pass executed, in release too.
 cargo test --release -q --offline -p iosched-experiments --test certified_rounds

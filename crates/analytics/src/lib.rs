@@ -6,14 +6,15 @@
 //! * **predicted job resource requirements**: estimated Lustre throughput
 //!   `r_j` and runtime `d_j`, computed as exponentially-decaying weighted
 //!   averages of the historical usage of *similar jobs* (same job name);
-//! * **measured current total Lustre throughput** `R_now`, computed from
-//!   the monitoring store over a trailing window — the robustness input
-//!   that compensates for missing or stale per-job estimates
-//!   (Algorithm 2, lines 2 and 7–8).
+//! * **measured current total Lustre throughput** `R_now`, the mean of
+//!   the monitoring daemon's aggregate samples over a trailing window
+//!   ([`service::LOAD_WINDOW`]) — the robustness input that compensates
+//!   for missing or stale per-job estimates (Algorithm 2, lines 2 and
+//!   7–8).
 //!
 //! When a job finishes, the scheduler notifies the service
-//! ([`AnalyticsService::on_job_complete`]); the service pulls the job's
-//! sampled I/O records from the store, derives the job's average
+//! ([`AnalyticsService::on_job_complete_sym`]); the service reads the
+//! job's sampled I/O volume from the daemon, derives the job's average
 //! throughput and runtime, and folds them into the estimate for that job
 //! name. The paper notes that fancier predictors plug in seamlessly; the
 //! estimator here is deliberately the paper's simple one.
@@ -21,7 +22,6 @@
 pub mod canary;
 pub mod estimator;
 pub mod predictor;
-pub mod protocol;
 pub mod service;
 
 pub use canary::{CanaryConfig, CanaryDetector};

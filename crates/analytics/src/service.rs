@@ -2,38 +2,35 @@
 
 use crate::estimator::JobEstimate;
 use crate::predictor::{Predictor, PredictorKind};
+use iosched_ldms::daemon::HORIZON;
 use iosched_ldms::LdmsDaemon;
 use iosched_simkit::sym::{Sym, SymbolTable};
 use iosched_simkit::time::{SimDuration, SimTime};
 
+/// Trailing window over which `R_now` is averaged.
+pub const LOAD_WINDOW: SimDuration = SimDuration::from_secs(30);
+
+// The daemon keeps only `HORIZON` of aggregate samples.
+const _: () = assert!(
+    LOAD_WINDOW.as_millis() <= HORIZON.as_millis(),
+    "the daemon's horizon must cover the load window"
+);
+
 /// Service configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AnalyticsConfig {
     /// Which predictor backs the job-requirement estimates.
     pub predictor: PredictorKind,
-    /// Trailing window over which `R_now` is averaged.
-    pub load_window: SimDuration,
-}
-
-impl Default for AnalyticsConfig {
-    fn default() -> Self {
-        AnalyticsConfig {
-            predictor: PredictorKind::default(),
-            load_window: SimDuration::from_secs(30),
-        }
-    }
 }
 
 /// The analytical services module: job-requirement prediction plus the
 /// measured-current-load query (paper Fig. 2, right-hand box).
 ///
 /// The service owns the job-name **symbol table**: callers intern each
-/// name once ([`AnalyticsService::intern`]) and use the `_sym` methods on
-/// the hot path — a symbol lookup is an array index, with no string
-/// allocation or comparison. The string-keyed methods remain as thin
-/// wrappers for callers (and the wire protocol) that work with names.
+/// name once ([`AnalyticsService::intern`]) and query by symbol — a
+/// symbol lookup is an array index, with no string allocation or
+/// comparison.
 pub struct AnalyticsService {
-    cfg: AnalyticsConfig,
     predictor: Box<dyn Predictor + Send>,
     symbols: SymbolTable,
 }
@@ -43,14 +40,8 @@ impl AnalyticsService {
     pub fn new(cfg: AnalyticsConfig) -> Self {
         AnalyticsService {
             predictor: cfg.predictor.build(),
-            cfg,
             symbols: SymbolTable::new(),
         }
-    }
-
-    /// Service with default configuration.
-    pub fn untrained() -> Self {
-        Self::new(AnalyticsConfig::default())
     }
 
     /// Intern a job name, returning its symbol. Idempotent; allocates
@@ -59,24 +50,13 @@ impl AnalyticsService {
         self.symbols.intern(name)
     }
 
-    /// The symbol table (diagnostics, tests).
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
-    }
-
-    /// Predicted requirements for a job. Falls back to the paper's
-    /// cold-start behaviour when no similar job has completed: assume
-    /// zero Lustre throughput (the measured-load compensation in
-    /// Algorithm 2 covers the risk) and take the user's requested limit
-    /// as the runtime estimate.
-    pub fn job_estimate(&self, name: &str, requested_limit: SimDuration) -> JobEstimate {
-        let sym = self.symbols.get(name).unwrap_or(Sym::NONE);
-        self.job_estimate_sym(sym, requested_limit)
-    }
-
-    /// [`AnalyticsService::job_estimate`] by interned symbol — the
-    /// scheduler's per-pass fast path. `Sym::NONE` (or any symbol with no
-    /// history) yields the cold-start fallback.
+    /// Predicted requirements for a job, by interned name — the
+    /// scheduler's per-pass fast path. Falls back to the paper's
+    /// cold-start behaviour when no similar job has completed
+    /// (`Sym::NONE`, or a symbol with no history): assume zero Lustre
+    /// throughput (the measured-load compensation in Algorithm 2 covers
+    /// the risk) and take the user's requested limit as the runtime
+    /// estimate.
     pub fn job_estimate_sym(&self, name: Sym, requested_limit: SimDuration) -> JobEstimate {
         let predicted = if name.is_some() {
             self.predictor.predict(name)
@@ -89,41 +69,16 @@ impl AnalyticsService {
         })
     }
 
-    /// True if at least one similar job has been observed.
-    pub fn has_history_for(&self, name: &str) -> bool {
-        self.symbols
-            .get(name)
-            .is_some_and(|sym| self.has_history_sym(sym))
-    }
-
-    /// [`AnalyticsService::has_history_for`] by interned symbol.
-    pub fn has_history_sym(&self, name: Sym) -> bool {
-        name.is_some() && self.predictor.predict(name).is_some()
-    }
-
     /// Measured current total Lustre throughput `R_now` (Algorithm 2,
-    /// line 2): trailing-window average over the monitoring store.
+    /// line 2): the mean of the aggregate samples in the trailing
+    /// [`LOAD_WINDOW`].
     pub fn current_load_bps(&self, daemon: &LdmsDaemon, now: SimTime) -> f64 {
-        daemon.measured_total_bps(now, self.cfg.load_window)
+        daemon.measured_total_bps(now, LOAD_WINDOW)
     }
 
-    /// Notification that a job completed (paper §III): pull the job's
-    /// sampled I/O records from the store, derive average throughput and
+    /// Notification that a job completed (paper §III): read the job's
+    /// sampled I/O volume from the daemon, derive average throughput and
     /// runtime, and fold them into the job-name estimate.
-    pub fn on_job_complete(
-        &mut self,
-        daemon: &LdmsDaemon,
-        job_id: u64,
-        name: &str,
-        started: SimTime,
-        ended: SimTime,
-    ) {
-        let sym = self.symbols.intern(name);
-        self.on_job_complete_sym(daemon, job_id, sym, started, ended);
-    }
-
-    /// [`AnalyticsService::on_job_complete`] by interned symbol — no
-    /// string in sight on the completion path.
     pub fn on_job_complete_sym(
         &mut self,
         daemon: &LdmsDaemon,
@@ -136,7 +91,7 @@ impl AnalyticsService {
         if runtime.is_zero() {
             return;
         }
-        let bytes = daemon.job_bytes(job_id, started, ended);
+        let bytes = daemon.job_bytes(job_id, ended);
         let throughput = bytes / runtime.as_secs_f64();
         self.predictor.observe(name, throughput, runtime);
     }
@@ -159,95 +114,75 @@ impl AnalyticsService {
 mod tests {
     use super::*;
 
+    fn untrained() -> AnalyticsService {
+        AnalyticsService::new(AnalyticsConfig::default())
+    }
+
     #[test]
     fn cold_start_assumes_zero_throughput_and_limit_runtime() {
-        let svc = AnalyticsService::untrained();
-        let est = svc.job_estimate("w8", SimDuration::from_secs(1800));
-        assert_eq!(est.throughput_bps, 0.0);
-        assert_eq!(est.runtime, SimDuration::from_secs(1800));
-        assert!(!svc.has_history_for("w8"));
-        // The symbol-keyed path with a never-observed symbol behaves
-        // identically.
-        let est = svc.job_estimate_sym(Sym::NONE, SimDuration::from_secs(1800));
-        assert_eq!(est.throughput_bps, 0.0);
-        assert_eq!(est.runtime, SimDuration::from_secs(1800));
+        let mut svc = untrained();
+        let limit = SimDuration::from_secs(1800);
+        let cold = JobEstimate {
+            throughput_bps: 0.0,
+            runtime: limit,
+        };
+        let sym = svc.intern("w8");
+        assert_eq!(svc.job_estimate_sym(sym, limit), cold);
+        assert_eq!(svc.predictor().predict(sym), None);
+        assert_eq!(svc.job_estimate_sym(Sym::NONE, limit), cold);
     }
 
     #[test]
     fn pretraining_feeds_estimates() {
-        let mut svc = AnalyticsService::untrained();
-        svc.pretrain("w8", 1e9, SimDuration::from_secs(30));
-        let est = svc.job_estimate("w8", SimDuration::from_secs(1800));
-        assert_eq!(est.throughput_bps, 1e9);
-        assert_eq!(est.runtime, SimDuration::from_secs(30));
-        assert!(svc.has_history_for("w8"));
-    }
-
-    #[test]
-    fn sym_and_string_paths_agree() {
-        let mut svc = AnalyticsService::untrained();
+        let mut svc = untrained();
         svc.pretrain("w8", 1e9, SimDuration::from_secs(30));
         let sym = svc.intern("w8");
-        assert_eq!(
-            svc.job_estimate("w8", SimDuration::from_secs(99)),
-            svc.job_estimate_sym(sym, SimDuration::from_secs(99))
-        );
-        assert!(svc.has_history_sym(sym));
+        let est = svc.job_estimate_sym(sym, SimDuration::from_secs(1800));
+        assert_eq!(est.throughput_bps, 1e9);
+        assert_eq!(est.runtime, SimDuration::from_secs(30));
         // Interning a fresh name gives a cold-start estimate until a
         // completion is observed.
-        let cold = svc.intern("new-job");
-        assert!(!svc.has_history_sym(cold));
+        let fresh = svc.intern("new-job");
         assert_eq!(
-            svc.job_estimate_sym(cold, SimDuration::from_secs(7))
+            svc.job_estimate_sym(fresh, SimDuration::from_secs(7))
                 .runtime,
             SimDuration::from_secs(7)
         );
     }
 
     #[test]
-    fn completion_updates_from_monitoring_records() {
+    fn completion_updates_from_sampled_volume() {
         let mut daemon = LdmsDaemon::new(SimDuration::from_secs(1));
         // Job 5 ("w8") writes at 200 B/s from t=0 to t=10.
         for s in 0..10 {
             daemon.sample(SimTime::from_secs(s), 200.0, &[(5, 200.0)], 1);
         }
-        let mut svc = AnalyticsService::untrained();
-        svc.on_job_complete(&daemon, 5, "w8", SimTime::ZERO, SimTime::from_secs(10));
-        let est = svc.job_estimate("w8", SimDuration::from_secs(999));
+        let mut svc = untrained();
+        let sym = svc.intern("w8");
+        svc.on_job_complete_sym(&daemon, 5, sym, SimTime::ZERO, SimTime::from_secs(10));
+        let est = svc.job_estimate_sym(sym, SimDuration::from_secs(999));
         assert!((est.throughput_bps - 200.0).abs() < 1e-6, "{est:?}");
         assert_eq!(est.runtime, SimDuration::from_secs(10));
     }
 
     #[test]
-    fn completion_by_symbol_updates_estimates() {
-        let mut daemon = LdmsDaemon::new(SimDuration::from_secs(1));
-        for s in 0..10 {
-            daemon.sample(SimTime::from_secs(s), 200.0, &[(5, 200.0)], 1);
-        }
-        let mut svc = AnalyticsService::untrained();
-        let sym = svc.intern("w8");
-        svc.on_job_complete_sym(&daemon, 5, sym, SimTime::ZERO, SimTime::from_secs(10));
-        let est = svc.job_estimate_sym(sym, SimDuration::from_secs(999));
-        assert!((est.throughput_bps - 200.0).abs() < 1e-6, "{est:?}");
-        assert!(svc.has_history_for("w8"));
-    }
-
-    #[test]
     fn zero_runtime_completion_ignored() {
         let daemon = LdmsDaemon::new(SimDuration::from_secs(1));
-        let mut svc = AnalyticsService::untrained();
-        svc.on_job_complete(&daemon, 1, "w8", SimTime::ZERO, SimTime::ZERO);
-        assert!(!svc.has_history_for("w8"));
+        let mut svc = untrained();
+        let sym = svc.intern("w8");
+        svc.on_job_complete_sym(&daemon, 1, sym, SimTime::ZERO, SimTime::ZERO);
+        assert_eq!(svc.predictor().predict(sym), None);
     }
 
     #[test]
     fn current_load_reads_window_average() {
         let mut daemon = LdmsDaemon::new(SimDuration::from_secs(1));
         for s in 0..60 {
-            daemon.sample(SimTime::from_secs(s), 10.0, &[], 0);
+            daemon.sample(SimTime::from_secs(s), s as f64, &[], 0);
         }
-        let svc = AnalyticsService::untrained();
+        let svc = untrained();
+        // The 30 s window at t = 59 holds the samples at 29..=59.
         let r = svc.current_load_bps(&daemon, SimTime::from_secs(59));
-        assert!((r - 10.0).abs() < 1e-9);
+        assert_eq!(r, 44.0);
     }
 }

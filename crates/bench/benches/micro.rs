@@ -5,7 +5,6 @@
 use iosched_analytics::JobEstimator;
 use iosched_cluster::{ClusterSim, ExecSpec, JobId as ClusterJobId};
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
-use iosched_ldms::store::{Container, Record};
 use iosched_lustre::solver::{max_min_fair, Constraint, WarmSolver};
 use iosched_lustre::{FsSnapshot, LustreConfig, LustreSim, StreamTag};
 use iosched_simkit::bench::BenchSuite;
@@ -249,72 +248,6 @@ fn main() {
             );
         }
         black_box(e.estimate(Sym(0)));
-    });
-
-    // Metric-store queries at production scale: 1 000 distinct keys ×
-    // 100 000 records. The indexed paths walk one key's run (~100
-    // records); the naive scans walk the whole time slice — the
-    // before/after of the per-key secondary index.
-    let mut container = Container::default();
-    let store_keys = 1_000u64;
-    let store_records = 100_000u64;
-    for i in 0..store_records {
-        container.append(Record {
-            time: SimTime::from_millis(i),
-            key: i % store_keys,
-            value: (i % 97) as f64,
-        });
-    }
-    let (s_from, s_to) = (SimTime::ZERO, SimTime::from_millis(store_records));
-    let probe = 500u64;
-    suite.bench("store_1000x100k/mean_indexed", || {
-        black_box(container.mean_for_key(probe, s_from, s_to));
-    });
-    suite.bench("store_1000x100k/mean_naive_scan", || {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for r in container.range(s_from, s_to) {
-            if r.key == probe {
-                sum += r.value;
-                n += 1;
-            }
-        }
-        black_box((n > 0).then(|| sum / n as f64));
-    });
-    suite.bench("store_1000x100k/integrate_indexed", || {
-        black_box(container.integrate_for_key(probe, s_from, s_to));
-    });
-    suite.bench("store_1000x100k/integrate_naive_scan", || {
-        let mut acc = 0.0;
-        let mut prev: Option<(SimTime, f64)> = None;
-        for r in container.range(s_from, s_to) {
-            if r.key != probe {
-                continue;
-            }
-            if let Some((pt, pv)) = prev {
-                acc += pv * (r.time.saturating_since(pt)).as_secs_f64();
-            }
-            prev = Some((r.time, r.value));
-        }
-        if let Some((pt, pv)) = prev {
-            acc += pv * (s_to.saturating_since(pt)).as_secs_f64();
-        }
-        black_box(acc);
-    });
-    suite.bench("store_1000x100k/latest_indexed", || {
-        black_box(container.latest_for_key(probe, s_to));
-    });
-    suite.bench("store_1000x100k/latest_naive_scan", || {
-        black_box(
-            container
-                .range(s_from, s_to)
-                .iter()
-                .rev()
-                .find(|r| r.key == probe),
-        );
-    });
-    suite.bench("store_1000x100k/keys_in_window", || {
-        black_box(container.keys_in_range(s_from, s_to).len());
     });
 
     // Full scheduling rounds over a 500-deep queue (the paper setup's

@@ -83,7 +83,7 @@ pub struct ExperimentConfig {
     /// is bit-identical either way (debug-asserted); only worth disabling
     /// as a bench baseline.
     pub elide_rounds: bool,
-    /// Analytics configuration (EMA decay, measurement window).
+    /// Analytics configuration (the predictor).
     pub analytics: AnalyticsConfig,
 }
 
@@ -228,7 +228,7 @@ pub fn run_experiment_with_scratch(
         window: workload.len(),
         pretrain_on: cfg.pretrained.then_some(workload),
     };
-    let totals = engine::run(cfg, source, None, scratch, &mut result);
+    let totals = engine::run(cfg, source, scratch, &mut result);
     result.jobs.sort_by_key(|r| r.id);
     result.makespan_secs = totals.makespan_secs;
     result.sched_passes = totals.sched_passes;
@@ -490,7 +490,7 @@ mod tests {
         let replay = |window| {
             let opts = StreamingOptions {
                 window,
-                retention: None,
+                ..StreamingOptions::default()
             };
             run_streaming(&cfg, workload.iter().cloned(), &opts)
         };
@@ -579,8 +579,10 @@ mod tests {
 
     #[test]
     fn limit_enforcement_kills_overrunning_jobs() {
-        // Sleeps of 300 s with a 60 s limit: with enforcement on, they
-        // are killed at the limit; with it off they run to completion.
+        // Sleeps of 300 s and a 400 GiB write (≈ 220 s at four 0.45 GiB/s
+        // streams) with a 60 s limit: with enforcement on, they are
+        // killed at the limit, the writer mid-write; with it off they
+        // run to completion.
         let w = WorkloadBuilder::new()
             .batch(
                 4,
@@ -588,11 +590,17 @@ mod tests {
                 ExecSpec::sleep(SimDuration::from_secs(300)),
                 SimDuration::from_secs(60),
             )
+            .batch(
+                1,
+                "long_write",
+                ExecSpec::write_xn(4, gib(100.0)),
+                SimDuration::from_secs(60),
+            )
             .build();
         let mut cfg = quick_cfg(SchedulerKind::DefaultBackfill);
         cfg.enforce_limits = true;
         let res = run_experiment(&cfg, &w);
-        assert_eq!(res.jobs.len(), 4);
+        assert_eq!(res.jobs.len(), 5);
         assert!(res.jobs.iter().all(|j| j.timed_out));
         for j in &res.jobs {
             assert!((j.runtime().as_secs_f64() - 60.0).abs() < 2.0, "{j:?}");
@@ -604,6 +612,21 @@ mod tests {
         let res = run_experiment(&cfg, &w);
         assert!(res.jobs.iter().all(|j| !j.timed_out));
         assert!(res.makespan_secs >= 300.0);
+    }
+
+    /// Buffered writes finish at client speed while their drains keep
+    /// the file system busy under the finished jobs' tags; the daemon
+    /// must still drain, which the engine checks at the end of the run.
+    #[test]
+    fn burst_buffered_writes_complete() {
+        let mut cfg = quick_cfg(SchedulerKind::Adaptive {
+            limit_bps: gibps(20.0),
+            two_group: true,
+        });
+        cfg.burst_buffer_per_node_bytes = gib(100.0);
+        let res = run_experiment(&cfg, &tiny_workload());
+        assert_eq!(res.jobs.len(), 20);
+        assert!(res.jobs.iter().all(|j| !j.timed_out));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use iosched_lustre::FsSnapshot;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::recycle;
 use iosched_simkit::rng::SimRng;
-use iosched_simkit::time::{SimDuration, SimTime};
+use iosched_simkit::time::SimTime;
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
     backfill_pass_into, BackfillConfig, JobRegistry, JobState, PassStats, RunningView, SchedJob,
@@ -307,6 +307,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             self.book
                 .set_name_estimate(sym, self.analytics.predictor().predict(sym));
         }
+        self.daemon.forget(id.0);
         rec.finish(meta, started, ended, timed_out);
         self.deps.clear();
         self.deps.extend_from_slice(&meta.after);
@@ -417,8 +418,15 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 s.per_job.clear();
                 s.per_job
                     .extend(s.snap.per_tag_bps.iter().map(|&(tag, bps)| (tag.0, bps)));
-                self.daemon
-                    .sample(now, s.snap.total_bps, &s.per_job, self.cluster.busy_nodes());
+                // A burst-buffered write drains after its job finished,
+                // under the job's tag: the drain is load, but the daemon
+                // must not track the finished job again.
+                if cfg.burst_buffer_per_node_bytes > 0.0 {
+                    let resident = &self.resident;
+                    s.per_job
+                        .retain(|&(job, _)| resident.contains_key(&JobId(job)));
+                }
+                self.daemon.sample(now, s.snap.total_bps, &s.per_job, 0);
                 rec.sample(now, &s.snap, &self.cluster);
             }
 
@@ -553,6 +561,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         }
 
         assert!(self.resident.is_empty(), "resident table must drain");
+        assert_eq!(self.daemon.tracked_jobs(), 0, "the daemon must drain");
         rec.end(now, &self.cluster, &mut s.snap);
         totals.makespan_secs = self.last_end.saturating_since(first_submit).as_secs_f64();
         totals
@@ -560,7 +569,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
 }
 
 /// Run `source` to completion under `cfg`, reporting to `rec`.
-/// `retention` bounds the monitoring store (`None` keeps every sample).
 ///
 /// # Panics
 /// On a zero window, on out-of-order submissions, and when the loop
@@ -568,7 +576,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
 pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
     cfg: &ExperimentConfig,
     source: JobSource<'_, I>,
-    retention: Option<(SimDuration, u64)>,
     scratch: &mut RunScratch,
     rec: &mut impl Recorder,
 ) -> RunTotals {
@@ -576,10 +583,7 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
     let rng = SimRng::from_seed(cfg.seed).fork(1);
     let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), rng);
     cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
-    let mut daemon = LdmsDaemon::new(cfg.sample_period);
-    if let Some((horizon, bucket_ms)) = retention {
-        daemon.set_retention(horizon, bucket_ms);
-    }
+    let daemon = LdmsDaemon::new(cfg.sample_period);
     let mut analytics = AnalyticsService::new(cfg.analytics);
     if let Some(workload) = source.pretrain_on {
         for (name, r, d) in crate::pretrain::pretrain_isolated_with_bb(

@@ -4,10 +4,11 @@
 //! [`crate::driver::run_experiment`] runs, over an **iterator** admitted
 //! under a bounded window, keeping O(1) aggregates instead of records and
 //! traces. At most `window` jobs are resident (pending + running) at any
-//! instant, so peak memory is bounded by the window (plus the monitoring
-//! store, bounded by sample retention) however long the trace is. The
-//! scheduler then sees a bounded lookahead of the submission stream, as a
-//! real queue does: jobs beyond the window have not been submitted yet.
+//! instant, so peak memory is bounded by the window (the monitoring
+//! daemon keeps a fixed load window and one integral per running job)
+//! however long the trace is. The scheduler then sees a bounded
+//! lookahead of the submission stream, as a real queue does: jobs beyond
+//! the window have not been submitted yet.
 
 use crate::driver::{ExperimentConfig, RunScratch};
 use crate::engine::{self, JobSource, Recorder};
@@ -22,9 +23,9 @@ pub struct StreamingOptions {
     /// running) jobs. The scheduler never sees more than this many jobs;
     /// peak driver memory is proportional to it.
     pub window: usize,
-    /// Monitoring-sample retention `(horizon, bucket_ms)`: samples older
-    /// than `horizon` are archived as per-key bucket means. `None` keeps
-    /// every sample (exact, unbounded — what `run_experiment` does).
+    /// Ignored, and `None` by default: the monitoring daemon keeps no
+    /// sample history to retain. Kept so that perfbench's mirror, its
+    /// only user, compiles unchanged.
     pub retention: Option<(SimDuration, u64)>,
 }
 
@@ -32,10 +33,7 @@ impl Default for StreamingOptions {
     fn default() -> Self {
         StreamingOptions {
             window: 10_000,
-            // One-minute buckets after two hours: recent samples (which
-            // feed the load measurement and most job-volume integrals)
-            // stay exact; ancient history coarsens to bucket means.
-            retention: Some((SimDuration::from_secs(2 * 3600), 60_000)),
+            retention: None,
         }
     }
 }
@@ -105,7 +103,7 @@ pub fn run_streaming(
         pretrain_on: None,
     };
     let mut scratch = RunScratch::default();
-    let totals = engine::run(cfg, source, opts.retention, &mut scratch, &mut result);
+    let totals = engine::run(cfg, source, &mut scratch, &mut result);
     result.makespan_secs = totals.makespan_secs;
     result.sched_passes = totals.sched_passes;
     result.rounds_elided = totals.rounds_elided;
@@ -162,8 +160,7 @@ mod tests {
         cfg
     }
 
-    /// With a window covering the whole trace and no sample retention,
-    /// the two recorders see the same run: identical makespan, pass count
+    /// With a window covering the whole trace, the two recorders see the same run: identical makespan, pass count
     /// and iteration count, and aggregates equal to the batch records —
     /// with and without limit kills.
     #[test]
@@ -196,7 +193,7 @@ mod tests {
             assert_eq!(killed > 0, enforce_limits, "{kind:?}: {killed} killed");
             let opts = StreamingOptions {
                 window: workload.len(),
-                retention: None,
+                ..StreamingOptions::default()
             };
             let streamed = run_streaming(&cfg, workload.iter().cloned(), &opts);
             assert_eq!(streamed.jobs_completed as usize, batch.jobs.len());
@@ -231,7 +228,7 @@ mod tests {
         let workload = synth_workload(120, 9);
         let opts = StreamingOptions {
             window: 16,
-            retention: Some((SimDuration::from_secs(600), 10_000)),
+            ..StreamingOptions::default()
         };
         let res = run_streaming(&cfg, workload.iter().cloned(), &opts);
         assert_eq!(res.jobs_completed as usize, workload.len());

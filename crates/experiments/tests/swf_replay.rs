@@ -97,7 +97,7 @@ fn excerpt_full_window_matches_materialised_run() {
             reader.map(|r| r.unwrap()),
             &StreamingOptions {
                 window: workload.len(),
-                retention: None,
+                ..StreamingOptions::default()
             },
         );
         assert_eq!(

@@ -21,7 +21,7 @@
 //! | [`lustre`] | `iosched-lustre` | Lustre-like parallel file-system model |
 //! | [`cluster`] | `iosched-cluster` | compute nodes + job execution |
 //! | [`slurm`] | `iosched-slurm` | RM substrate: queue, trackers, Algorithm 1 backfill |
-//! | [`ldms`] | `iosched-ldms` | monitoring samplers + metric store |
+//! | [`ldms`] | `iosched-ldms` | monitoring daemon: load window + per-job sampled volumes |
 //! | [`analytics`] | `iosched-analytics` | job-requirement estimators |
 //! | [`core`] | `iosched-core` | **the paper's contribution**: Algorithms 2–7 |
 //! | [`workloads`] | `iosched-workloads` | the paper's Workload 1 / Workload 2 |

@@ -139,10 +139,14 @@ step "property suites in release"
 # against backfill passes, and the lustre-sim properties compare the
 # rate solve against max_min_fair, and the ldms-sim property compares the
 # daemon's running integrals and load window bitwise with a model that
-# keeps every sample, so they also check the release arithmetic (no
-# overflow checks, no debug asserts).
+# keeps every sample, the cluster-sim property compares the event
+# calendar with a scan over the running jobs, and the iosched-reference
+# suite replays random workloads through the engine and the reference
+# engine (every pass run, nothing elided or certified) and requires
+# identical results, so they also check the release arithmetic (no
+# overflow checks) and the release engine, which carries no oracle.
 cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre \
-    -p iosched-ldms -p iosched-analytics
+    -p iosched-ldms -p iosched-analytics -p iosched-reference -p iosched-cluster
 # Certified rounds (skipped by the no-start certificate) must reproduce
 # fingerprints pinned with every pass executed, in release too.
 cargo test --release -q --offline -p iosched-experiments --test certified_rounds

@@ -301,9 +301,8 @@ fn main() {
         black_box(outcome.start_now.len());
     });
 
-    // Event-calendar vs. activity-scan `next_event_time` with 1 000
-    // running timed jobs: the O(1) calendar peek against the
-    // O(running-jobs) oracle scan it replaced.
+    // The event calendar's `next_event_time` with 1 000 running timed
+    // jobs: an O(1) peek.
     let mut big = ClusterSim::new(
         1000,
         LustreConfig::stria().noiseless(),
@@ -319,9 +318,6 @@ fn main() {
     }
     suite.bench("cluster_next_event_1k_jobs/calendar", || {
         black_box(big.next_event_time());
-    });
-    suite.bench("cluster_next_event_1k_jobs/scan", || {
-        black_box(big.next_event_time_scan());
     });
 
     suite.bench("event_queue_push_pop_10k", || {

@@ -17,10 +17,7 @@
 //!
 //! `queue_prep/{policy}` measures wait-queue preparation on a
 //! 50k-resident pending window: the incrementally maintained ordered
-//! indexes walked to depth 500, against `queue_prep_sorted/{policy}` —
-//! the collect-and-sort baseline kept in the registry as debug oracle.
-//! The headline criterion is `queue_prep ≥ 5×` faster than the sort
-//! baseline for the non-FIFO policies.
+//! indexes walked to depth 500.
 //!
 //! **Counters** (deterministic, gated by `bench_diff --gate`), one
 //! counted round per policy and machine: `sweep_steps/round_5k_*` —
@@ -37,7 +34,6 @@
 //! driver run. Full mode adds the same round counters at 50k depth
 //! (`*/round_50k_*`) and a breakpoint-count × queue-depth scaling grid
 //! of blocked rounds (`*/grid_b{B}_q{D}`).
-//! **Meta** (report-only): `speedup/queue_prep_{policy}`.
 
 use iosched_analytics::JobEstimate;
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
@@ -368,27 +364,14 @@ fn main() {
         assert_eq!(outcome.start_now.len(), reserve_refs.len(), "free cluster");
     });
 
-    // `time_once` medians (of 3) feed the report-only speedup meta; the
-    // gated comparison is the suite timings themselves.
-    let median3 = |f: &mut dyn FnMut()| {
-        let mut t: Vec<u128> = (0..3)
-            .map(|_| iosched_simkit::bench::time_once(&mut *f))
-            .collect();
-        t.sort_unstable();
-        t[1] as f64
-    };
-
     // Queue preparation on a 50k-resident pending window: the
     // incremental ordered-index walk the engine runs (`wait_queue_into`,
-    // a true top-k of references into the job table) vs the
-    // collect-and-sort baseline it replaced (`wait_queue_ids_sorted_into`,
-    // kept in the registry as the test oracle). 100 future-submitted
-    // entries sit at the head of both non-FIFO indexes so the walk's skip
-    // path is exercised. Counters (deterministic):
+    // a true top-k of references into the job table). 100
+    // future-submitted entries sit at the head of both non-FIFO indexes
+    // so the walk's skip path is exercised. Counters (deterministic):
     // `index_ops/queue_prep_build_50k` — ordered-index maintenance ops
     // while building the window; `walk_steps/queue_prep_{policy}` —
-    // entries examined by one depth-500 prep. Meta:
-    // `speedup/queue_prep_{policy}`.
+    // entries examined by one depth-500 prep.
     {
         use iosched_slurm::{take_queue_prep_counters, JobRegistry, PriorityPolicy};
         const RESIDENT: u64 = 50_000;
@@ -424,7 +407,6 @@ fn main() {
         let (index_ops, _) = take_queue_prep_counters();
         suite.counter("index_ops/queue_prep_build_50k", index_ops as f64);
 
-        let mut ids: Vec<iosched_simkit::ids::JobId> = Vec::new();
         let mut queue: Vec<&SchedJob> = Vec::new();
         for (label, policy) in [
             ("priority", PriorityPolicy::Priority),
@@ -441,23 +423,6 @@ fn main() {
                 reg.wait_queue_into(now, policy, DEPTH, &mut queue);
                 black_box(queue.len());
             });
-            suite.bench(&format!("queue_prep_sorted/{label}"), || {
-                reg.wait_queue_ids_sorted_into(now, policy, &mut ids);
-                ids.truncate(DEPTH);
-                black_box(ids.len());
-            });
-            let t_walk = median3(&mut || {
-                reg.wait_queue_into(now, policy, DEPTH, &mut queue);
-                black_box(queue.len());
-            });
-            let t_sort = median3(&mut || {
-                reg.wait_queue_ids_sorted_into(now, policy, &mut ids);
-                ids.truncate(DEPTH);
-                black_box(ids.len());
-            });
-            let speedup = t_sort / t_walk.max(1.0);
-            suite.meta(&format!("speedup/queue_prep_{label}"), speedup);
-            println!("sched queue_prep/{label}: {speedup:.1}x vs sort baseline");
         }
     }
 

@@ -244,26 +244,10 @@ impl ClusterSim {
     /// O(1): the earliest timed-phase deadline is the top of the
     /// calendar, and the file system caches its own next change event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let next = match (self.fs.next_change_time(), self.calendar.peek_time()) {
+        match (self.fs.next_change_time(), self.calendar.peek_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        };
-        debug_assert_eq!(next, self.next_event_time_scan(), "calendar out of sync");
-        next
-    }
-
-    /// Reference implementation of [`Self::next_event_time`]: an
-    /// O(running-jobs) scan over activities. Kept as the oracle for the
-    /// calendar peek (debug assertion above) and for the
-    /// calendar-vs-scan micro-benchmark.
-    pub fn next_event_time_scan(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.fs.next_change_time();
-        for rj in self.running.values() {
-            if let Activity::TimedUntil(at) = rj.activity {
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
         }
-        next
     }
 
     /// Advance the cluster to `t`, processing phase transitions and
@@ -703,6 +687,72 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The O(running-jobs) scan over activities that the calendar peek
+    /// replaced: the oracle for [`ClusterSim::next_event_time`].
+    fn next_event_time_scan(c: &ClusterSim) -> Option<SimTime> {
+        let mut next: Option<SimTime> = c.fs.next_change_time();
+        for rj in c.running.values() {
+            if let Activity::TimedUntil(at) = rj.activity {
+                next = Some(next.map_or(at, |n| n.min(at)));
+            }
+        }
+        next
+    }
+
+    /// A job from a generated `(kind, seconds)`: a sleep, a compute phase
+    /// then a write, or a write then a sleep.
+    fn arb_spec(kind: u64, secs: u64) -> ExecSpec {
+        let d = SimDuration::from_secs(secs);
+        let write = Phase::Write {
+            threads_per_node: 1 + (secs % 4) as usize,
+            bytes_per_thread: gib(secs as f64 / 40.0),
+        };
+        let phases = match kind % 3 {
+            0 => vec![Phase::Sleep(d)],
+            1 => vec![Phase::Compute(d), write],
+            _ => vec![write, Phase::Sleep(d)],
+        };
+        ExecSpec {
+            nodes: 1 + (secs % 3) as usize,
+            phases,
+        }
+    }
+
+    iosched_simkit::props! {
+        #![cases(64)]
+
+        /// The calendar peek equals the scan after every start, advance
+        /// and cancel of a random sequence — stale calendar entries left
+        /// by cancels and phase changes included.
+        fn calendar_matches_scan(
+            ops in iosched_simkit::prop::vec((0u64..4, 0u64..8, 1u64..90), 1..48),
+        ) {
+            let mut c = cluster();
+            let mut now = SimTime::ZERO;
+            for &(op, job, secs) in &ops {
+                match op {
+                    0 | 1 => {
+                        // Node exhaustion and duplicates are fine: skip them.
+                        let _ = c.start_job(now, JobId(job), &arb_spec(op + secs, secs));
+                    }
+                    2 => {
+                        now += SimDuration::from_millis(secs * 700);
+                        c.advance_to(now);
+                    }
+                    _ => {
+                        let _ = c.cancel_job(now, JobId(job));
+                    }
+                }
+                iosched_simkit::prop_assert_eq!(
+                    c.next_event_time(),
+                    next_event_time_scan(&c),
+                    "calendar out of sync after {:?}",
+                    (op, job, secs)
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,12 +76,9 @@ pub struct ExperimentConfig {
     /// setup). Buffered write bytes complete at client speed and drain
     /// asynchronously.
     pub burst_buffer_per_node_bytes: f64,
-    /// Skip scheduling rounds that are provably identical to the previous
-    /// one (nothing submitted/completed/killed since, no estimate
-    /// refreshed, `now` before the previous round's earliest future
-    /// start, and the policy's tracker build is time-invariant). Outcome
-    /// is bit-identical either way (debug-asserted); only worth disabling
-    /// as a bench baseline.
+    /// Ignored: the engine always elides the rounds it can prove
+    /// identical to the previous one. Kept so that perfbench's mirror,
+    /// its only reader, compiles unchanged.
     pub elide_rounds: bool,
     /// Analytics configuration (the predictor).
     pub analytics: AnalyticsConfig,
@@ -170,9 +167,9 @@ pub struct ExperimentResult {
     pub streams_trace: TimeSeries,
     /// Per-job records, by id.
     pub jobs: Vec<JobRecord>,
-    /// Scheduling passes executed (including elided rounds — an elided
-    /// round *is* a pass whose outcome was proven unchanged, so the
-    /// counter stays comparable across `elide_rounds` settings).
+    /// Scheduling passes executed (including elided and certified rounds
+    /// — such a round *is* a pass whose outcome was proven, so the
+    /// counter equals that of an engine that runs every pass).
     pub sched_passes: u64,
     /// Of [`Self::sched_passes`], rounds whose queue walk was elided
     /// because the previous outcome provably still held.
@@ -466,9 +463,7 @@ mod tests {
     /// Two names that repeat, under a predictor whose estimate moves with
     /// every completion: each completion changes its name's prediction
     /// while jobs of that name are queued, running or not yet admitted.
-    /// The engine's debug book-sync oracle checks every job each round
-    /// sees against the analytics, so this runs in debug builds. The
-    /// full-window replay matches the batch run (makespan, passes,
+    /// The full-window replay matches the batch run (makespan, passes,
     /// iterations, every job's wait through its maximum and mean); a
     /// bounded window admits jobs after their name's prediction moved.
     #[test]
@@ -630,50 +625,17 @@ mod tests {
     }
 
     #[test]
-    fn round_elision_is_outcome_neutral_across_policies() {
-        // `elide_rounds` is a pure optimization: per-job records,
-        // makespan, pass count and event count must be identical with it
-        // on and off, for every policy family.
-        for kind in [
-            SchedulerKind::DefaultBackfill,
-            SchedulerKind::IoAware {
-                limit_bps: gibps(3.0),
-            },
-            SchedulerKind::Adaptive {
-                limit_bps: gibps(20.0),
-                two_group: true,
-            },
-        ] {
-            let on = quick_cfg(kind); // elide_rounds defaults to true
-            let mut off = on.clone();
-            off.elide_rounds = false;
-            let w = tiny_workload();
-            let a = run_experiment(&on, &w);
-            let b = run_experiment(&off, &w);
-            assert_eq!(b.rounds_elided, 0);
-            assert_eq!(a.sched_passes, b.sched_passes, "{kind:?}");
-            assert_eq!(a.loop_iterations, b.loop_iterations, "{kind:?}");
-            assert_eq!(a.makespan_secs, b.makespan_secs, "{kind:?}");
-            assert_eq!(a.jobs.len(), b.jobs.len());
-            for (x, y) in a.jobs.iter().zip(&b.jobs) {
-                assert_eq!(
-                    (x.id, x.start, x.end, x.timed_out),
-                    (y.id, y.start, y.end, y.timed_out),
-                    "{kind:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overrunning_jobs_block_round_elision() {
+    fn overrunning_reservation_end_moves_with_now() {
         // A 1-node sleep of 300 s with a 60 s limit (enforcement off)
         // overruns from t = 60 on; its `reservation_end` then tracks
         // `now + OVERRUN_GRACE`, so the waiter's computed reservation
         // moves every round — eliding such a round would freeze a stale
         // outcome, which the `next_limit_expiry` guard forbids. Pin that
         // the outcome really would change: two passes over the same
-        // overrunning running set at different `now` disagree.
+        // overrunning running set at different `now` disagree. The
+        // driver-level half, against the reference engine, is
+        // `overrunning_jobs_block_round_elision` in
+        // `crates/reference/tests/engine_vs_reference.rs`.
         use iosched_slurm::{backfill_pass, RunningView};
         let hog_meta = SchedJob::new(
             JobId(0),
@@ -706,54 +668,6 @@ mod tests {
             outs[i] = out.reservations[0].1;
         }
         assert_ne!(outs[0], outs[1], "overrunning reservation end must move");
-
-        // Driver level: the same shape never elides a round while the hog
-        // overruns. The control run (limit 400 s, no overrun) elides
-        // almost every round of the same 300 s window.
-        let mk = |limit_s: u64| {
-            WorkloadBuilder::new()
-                .batch(
-                    1,
-                    "hog",
-                    ExecSpec::sleep(SimDuration::from_secs(300)),
-                    SimDuration::from_secs(limit_s),
-                )
-                .batch(
-                    1,
-                    "waiter",
-                    ExecSpec::sleep(SimDuration::from_secs(10)),
-                    SimDuration::from_secs(30),
-                )
-                .build()
-        };
-        let mut cfg = quick_cfg(SchedulerKind::DefaultBackfill);
-        cfg.nodes = 1;
-        let mut cfg_off = cfg.clone();
-        cfg_off.elide_rounds = false;
-
-        let overrun = run_experiment(&cfg, &mk(60));
-        let overrun_off = run_experiment(&cfg_off, &mk(60));
-        assert_eq!(overrun.makespan_secs, overrun_off.makespan_secs);
-        for (x, y) in overrun.jobs.iter().zip(&overrun_off.jobs) {
-            assert_eq!((x.id, x.start, x.end), (y.id, y.start, y.end));
-        }
-        let control = run_experiment(&cfg, &mk(400));
-        // Pre-overrun rounds (t < 60) may elide; the 48 rounds of the
-        // overrun window (60 ≤ t < 300) must all execute.
-        assert!(
-            overrun.rounds_elided + 48 <= overrun.sched_passes,
-            "elided {} of {} rounds despite the overrunning hog",
-            overrun.rounds_elided,
-            overrun.sched_passes
-        );
-        // The guard is not vacuous: without an overrun the same window
-        // elides the bulk of its rounds.
-        assert!(
-            control.rounds_elided > overrun.rounds_elided + 20,
-            "control elided {} vs overrun {}",
-            control.rounds_elided,
-            overrun.rounds_elided
-        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! to the previous one, and a *certified* round is one that cannot seed
 //! an elision and whose no-start certificate (no window job fits at `now`
 //! against the running jobs alone) proves the pass would start nothing.
-//! Both leave every decision and counter as the executed pass would.
+//! Both leave every decision and counter as the executed pass would;
+//! `crates/reference/tests/engine_vs_reference.rs` holds the engine to
+//! the reference engine, which runs every pass, in release builds too.
 //!
 //! The **registry** is the one job table: it owns every resident job's
 //! metadata, and each round's queue and running views are references
@@ -213,9 +215,6 @@ pub struct RunScratch {
     queue: Vec<&'static SchedJob>,
     running: Vec<RunningView<'static>>,
     outcome: SchedulingOutcome,
-    /// The previous executed round's outcome — what an elided round
-    /// re-reports (and what the debug oracle replays against).
-    prev_outcome: SchedulingOutcome,
 }
 
 /// The whole state of one run.
@@ -338,17 +337,17 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         let mut sched_requested = true;
         let mut now = SimTime::ZERO;
 
-        // Round elision (see `ExperimentConfig::elide_rounds`): a round is
-        // skipped only if nothing dirtied the inputs since the last executed
-        // one (admissions follow retirements, which dirty it), `now` is
-        // before its earliest future start, nothing was submitted since,
-        // no running job is at its limit (an overrunning job's reservation
-        // end tracks `now`), and the tracker build is time-invariant.
-        // A round that is not time-invariant can never seed an elision,
-        // so its earliest future start is never read: when the no-start
-        // certificate shows its pass would start nothing, the pass is
-        // skipped too (a certified round) and the elision state is set
-        // exactly as the pass would have set it.
+        // Round elision: a round is skipped only if nothing dirtied the
+        // inputs since the last executed one (admissions follow
+        // retirements, which dirty it), `now` is before its earliest
+        // future start, nothing was submitted since, no running job is at
+        // its limit (an overrunning job's reservation end tracks `now`),
+        // and the tracker build is time-invariant. A round that is not
+        // time-invariant can never seed an elision, so its earliest future
+        // start is never read: when the no-start certificate shows its
+        // pass would start nothing, the pass is skipped too (a certified
+        // round) and the elision state is set exactly as the pass would
+        // have set it.
         let mut round_dirty = true;
         let mut prev_round_at = SimTime::ZERO;
         let mut prev_next_possible = SimTime::ZERO;
@@ -359,8 +358,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             prune_fits_now: true,
             monotone_cursor: true,
         };
-        #[cfg(debug_assertions)]
-        let mut oracle_outcome = SchedulingOutcome::default();
 
         while !(self.exhausted && self.registry.all_completed()) {
             totals.loop_iterations += 1;
@@ -457,21 +454,9 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                     break 'round false;
                 }
                 // Elided and certified rounds count too: the counter must
-                // not depend on `elide_rounds` or on the certificate.
+                // not depend on which rounds skip their pass.
                 totals.sched_passes += 1;
                 self.registry.running_into(&mut running);
-                // The incremental book must agree with what a rebuild from
-                // the analytics would produce for every job the round can
-                // see.
-                #[cfg(debug_assertions)]
-                for j in queue.iter().copied().chain(running.iter().map(|rv| rv.job)) {
-                    debug_assert_eq!(
-                        self.book.get(j.id),
-                        Some(self.analytics.job_estimate_sym(j.name_sym, j.limit)),
-                        "estimate book out of sync for {}",
-                        j.id
-                    );
-                }
                 // Line 2 of Algorithm 2: measured current load.
                 let measured = self.analytics.current_load_bps(&self.daemon, now);
                 self.book.measured_total_bps = measured;
@@ -480,8 +465,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 let invariant = self
                     .policy
                     .round_is_time_invariant(&self.book, &running, measured);
-                let elide = cfg.elide_rounds
-                    && !round_dirty
+                let elide = !round_dirty
                     && now < prev_next_possible
                     && self
                         .registry
@@ -492,31 +476,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                     && invariant;
                 if elide {
                     totals.rounds_elided += 1;
-                    // Debug oracle: the previous executed round's outcome
-                    // must still hold verbatim (in particular, nothing
-                    // could start).
-                    #[cfg(debug_assertions)]
-                    {
-                        self.policy.run_pass(
-                            &mut self.book,
-                            &running,
-                            &queue,
-                            now,
-                            cfg.nodes,
-                            &bf,
-                            false,
-                            &mut oracle_outcome,
-                        );
-                        debug_assert!(
-                            oracle_outcome.start_now.is_empty(),
-                            "elided round at {now} would have started {:?}",
-                            oracle_outcome.start_now
-                        );
-                        debug_assert_eq!(
-                            oracle_outcome, s.prev_outcome,
-                            "elided round at {now} diverged from the previous outcome"
-                        );
-                    }
                     break 'round false;
                 }
                 prev_round_at = now;
@@ -557,7 +516,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                     .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
                 self.registry.mark_started(id, now);
             }
-            std::mem::swap(&mut s.outcome, &mut s.prev_outcome);
         }
 
         assert!(self.resident.is_empty(), "resident table must drain");

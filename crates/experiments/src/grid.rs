@@ -229,31 +229,55 @@ impl WorkloadSpec {
                     )
                     .build()
             }
-            WorkloadSpec::Synth {
-                jobs,
-                seed,
-                max_procs,
-                mean_interarrival_secs,
-                median_run_secs,
-                io_fraction,
-            } => {
-                let cfg = SynthConfig {
-                    jobs: *jobs,
-                    seed: *seed,
-                    max_procs: *max_procs,
-                    mean_interarrival_secs: *mean_interarrival_secs,
-                    median_run_secs: *median_run_secs,
-                    ..SynthConfig::default()
-                };
-                SynthTrace::new(cfg)
-                    .submissions(SwfOptions {
-                        io_fraction: *io_fraction,
-                        io_rate_per_node_bps: gibps(0.2),
-                        ..SwfOptions::default()
-                    })
-                    .collect()
-            }
+            WorkloadSpec::Synth { .. } => self.synth_submissions().collect(),
         }
+    }
+
+    /// True when the spec yields no job: a `Wave` of empty batches, or a
+    /// `Synth` trace none of whose records is a valid submission. An
+    /// empty workload has nothing to schedule, so a grid naming one is
+    /// invalid.
+    pub fn is_empty(&self) -> bool {
+        match *self {
+            WorkloadSpec::Workload1 | WorkloadSpec::Workload2 => false,
+            WorkloadSpec::Wave {
+                x8,
+                x6,
+                x2,
+                x1,
+                sleeps,
+                ..
+            } => [x8, x6, x2, x1, sleeps].iter().all(|&n| n == 0),
+            WorkloadSpec::Synth { .. } => self.synth_submissions().next().is_none(),
+        }
+    }
+
+    /// A `Synth` spec's submissions, generated lazily.
+    fn synth_submissions(&self) -> impl Iterator<Item = JobSubmission> {
+        let WorkloadSpec::Synth {
+            jobs,
+            seed,
+            max_procs,
+            mean_interarrival_secs,
+            median_run_secs,
+            io_fraction,
+        } = *self
+        else {
+            unreachable!("only a Synth spec has a synthetic trace")
+        };
+        let cfg = SynthConfig {
+            jobs,
+            seed,
+            max_procs,
+            mean_interarrival_secs,
+            median_run_secs,
+            ..SynthConfig::default()
+        };
+        SynthTrace::new(cfg).submissions(SwfOptions {
+            io_fraction,
+            io_rate_per_node_bps: gibps(0.2),
+            ..SwfOptions::default()
+        })
     }
 }
 
@@ -449,6 +473,9 @@ impl CampaignGrid {
         }
         if self.workloads.is_empty() {
             return Err("grid has no workloads".into());
+        }
+        if let Some(w) = self.workloads.iter().find(|w| w.is_empty()) {
+            return Err(format!("workload {w:?} has no jobs"));
         }
         if self.policies.iter().any(PolicyFamily::takes_threshold)
             && self.thresholds_gibps.is_empty()
@@ -657,6 +684,31 @@ mod tests {
             let mut g = sample();
             g.thresholds_gibps[0] = bad;
             assert!(g.validate().is_err(), "{bad}");
+        }
+        // A workload without jobs has nothing to run.
+        for empty in [
+            WorkloadSpec::Wave {
+                x8: 0,
+                x6: 0,
+                x2: 0,
+                x1: 0,
+                sleeps: 0,
+                volume_gib: 1.0,
+            },
+            WorkloadSpec::Synth {
+                jobs: 0,
+                seed: 1,
+                max_procs: 4,
+                mean_interarrival_secs: 10.0,
+                median_run_secs: 60.0,
+                io_fraction: 0.2,
+            },
+        ] {
+            assert!(empty.is_empty() && empty.materialize().is_empty());
+            let mut g = sample();
+            g.workloads.push(empty);
+            let err = g.validate().unwrap_err();
+            assert!(err.contains("has no jobs"), "{err}");
         }
     }
 

@@ -81,6 +81,51 @@ fn one_task_grid_answers_one_record_then_done_and_survives_bad_lines() {
     assert_eq!(String::from_utf8(again.stdout).unwrap(), text);
 }
 
+/// A grid whose workload has no jobs is answered by an error line, and
+/// the grid on the next line still runs.
+#[test]
+fn empty_workloads_are_rejected_and_the_loop_continues() {
+    let empty_wave = WorkloadSpec::Wave {
+        x8: 0,
+        x6: 0,
+        x2: 0,
+        x1: 0,
+        sleeps: 0,
+        volume_gib: 2.0,
+    };
+    let empty_synth = WorkloadSpec::Synth {
+        jobs: 0,
+        seed: 3,
+        max_procs: 4,
+        mean_interarrival_secs: 10.0,
+        median_run_secs: 60.0,
+        io_fraction: 0.2,
+    };
+    let mut input = String::new();
+    for empty in [empty_wave, empty_synth] {
+        let mut grid = one_task_grid();
+        grid.workloads = vec![empty];
+        input.push_str(&grid.to_json().to_json_string());
+        input.push('\n');
+    }
+    input.push_str(&one_task_grid().to_json().to_json_string());
+    input.push('\n');
+    let out = campaignd(&["--threads", "1"], &input);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let lines: Vec<Value> = text
+        .lines()
+        .map(|l| parse(l).expect("every line is JSON"))
+        .collect();
+    let kinds: Vec<&str> = lines.iter().map(kind).collect();
+    assert_eq!(kinds, ["error", "error", "record", "done"], "{text}");
+    for line in &lines[..2] {
+        let message = line.get("message").and_then(Value::as_str).unwrap_or("");
+        assert!(message.contains("has no jobs"), "{text}");
+    }
+    assert_eq!(lines[2].get("jobs").and_then(Value::as_f64), Some(8.0));
+}
+
 #[test]
 fn zero_threads_is_rejected() {
     let out = campaignd(&["--threads", "0"], "");

@@ -224,8 +224,7 @@ props! {
     /// running jobs ending at distinct instants, the node, LT and AT
     /// profiles all pass the index's 64-breakpoint dormant floor, so
     /// probing every queued job (regular jobs through the AT gate) takes
-    /// no linear sweep; debug builds also check every indexed answer
-    /// against the sweep. The same deep round then runs pruned and
+    /// no linear sweep. The same deep round then runs pruned and
     /// unpruned, which exercises the AT's pending writes and folds.
     fn adaptive_deep_at_profile_is_indexed(
         running_r in prop::vec(0.0f64..2.0e9, 100..140),

@@ -52,9 +52,9 @@ const FATIGUE_SNAP: f64 = 1e-18;
 /// A point-in-time view of file-system load, used by the monitoring
 /// substrate to build metric samples.
 ///
-/// The per-node/per-tag breakdowns are sorted vectors (ascending by key,
-/// keys unique); construction via [`LustreSim::snapshot_into`] reuses the
-/// vectors' capacity, so a sampler polling every tick allocates nothing in
+/// The per-tag breakdown is a sorted vector (ascending by tag, tags
+/// unique); construction via [`LustreSim::snapshot_into`] reuses the
+/// vector's capacity, so a sampler polling every tick allocates nothing in
 /// steady state.
 #[derive(Clone, Debug, Default)]
 pub struct FsSnapshot {
@@ -64,8 +64,6 @@ pub struct FsSnapshot {
     pub write_bps: f64,
     /// Aggregate read rate, bytes/s.
     pub read_bps: f64,
-    /// Allocated rate per compute node index, bytes/s, sorted by node.
-    pub per_node_bps: Vec<(usize, f64)>,
     /// Allocated rate per owner tag (job), bytes/s, sorted by tag.
     pub per_tag_bps: Vec<(StreamTag, f64)>,
     /// Number of active streams.
@@ -862,7 +860,6 @@ impl LustreSim {
         out.write_bps = 0.0;
         out.read_bps = 0.0;
         out.active_streams = self.streams.len();
-        out.per_node_bps.clear();
         out.per_tag_bps.clear();
         for s in &self.streams {
             out.total_bps += s.rate_bps;
@@ -870,11 +867,8 @@ impl LustreSim {
                 Direction::Write => out.write_bps += s.rate_bps,
                 Direction::Read => out.read_bps += s.rate_bps,
             }
-            out.per_node_bps.push((s.node, s.rate_bps));
             out.per_tag_bps.push((s.tag, s.rate_bps));
         }
-        out.per_node_bps.sort_unstable_by_key(|&(n, _)| n);
-        coalesce_sorted(&mut out.per_node_bps);
         out.per_tag_bps.sort_unstable_by_key(|&(t, _)| t);
         coalesce_sorted(&mut out.per_tag_bps);
     }
@@ -1105,20 +1099,15 @@ mod tests {
         fs.start_write(SimTime::ZERO, StreamTag(1), 0, 4, gib(10.0));
         fs.start_write(SimTime::ZERO, StreamTag(2), 1, 4, gib(10.0));
         let snap = fs.snapshot();
-        let per_node: f64 = snap.per_node_bps.iter().map(|&(_, v)| v).sum();
         let per_tag: f64 = snap.per_tag_bps.iter().map(|&(_, v)| v).sum();
-        assert!((snap.total_bps - per_node).abs() < 1e-6);
         assert!((snap.total_bps - per_tag).abs() < 1e-6);
         assert_eq!(snap.active_streams, 8);
         assert_eq!(fs.ost_occupancy().iter().sum::<usize>(), 8);
         // Breakdown keys are unique and sorted.
-        assert_eq!(snap.per_node_bps.len(), 2);
         assert_eq!(snap.per_tag_bps.len(), 2);
-        assert!(snap.per_node_bps[0].0 < snap.per_node_bps[1].0);
         // Buffer reuse fills the same values.
         let mut reused = FsSnapshot::default();
         fs.snapshot_into(&mut reused);
-        assert_eq!(reused.per_node_bps, snap.per_node_bps);
         assert_eq!(reused.per_tag_bps, snap.per_tag_bps);
     }
 

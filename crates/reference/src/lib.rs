@@ -7,6 +7,12 @@
 //! * [`reference_pass`] — the backfill pass (paper Algorithm 1) walking
 //!   the whole queue, without the post-start cut of
 //!   [`iosched_slurm::backfill_pass_into`].
+//! * [`engine`] — the experiment loop of `iosched_experiments` without
+//!   its speed-ups: a sorted queue over a plain job table, an estimate
+//!   book rebuilt every round, and a full pass in every round (no
+//!   elision, no no-start certificate, no pruning, no monotone cursor).
+
+pub mod engine;
 
 use iosched_simkit::time::SimTime;
 use iosched_slurm::{

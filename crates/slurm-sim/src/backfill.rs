@@ -32,14 +32,14 @@ pub struct BackfillConfig {
     /// `earliest_start` fixpoint for queue entries that
     /// [`ReservationTracker::demands_at_least`] a job that already failed
     /// to start now — they provably cannot start either, and skipping is
-    /// all the budget allows. Outcome-neutral (debug-asserted against the
-    /// unpruned walk); only worth disabling as a bench baseline.
+    /// all the budget allows. Outcome-neutral (property-tested against
+    /// the unpruned walk); only worth disabling as a bench baseline.
     pub prune_fits_now: bool,
     /// Monotone queue-walk cursor: start the `earliest_start` search for
     /// a queue entry that [`ReservationTracker::demands_at_least`] the
     /// least-demanding failed job at that job's computed start instead of
     /// at `now` — no window before it can admit the dominatee, let alone
-    /// the dominator, so the result is identical (debug-asserted against
+    /// the dominator, so the result is identical (property-tested against
     /// the from-`now` fixpoint) while the probe skips the already-proven-
     /// infeasible prefix. Only worth disabling as a bench baseline.
     pub monotone_cursor: bool,
@@ -126,7 +126,8 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// least-demanding failure seen so far is skipped without a fixpoint.
 /// Sound because usage only grows within a round, so dominance means
 /// "fits now" for the pruned job would imply its dominatee fit at probe
-/// time — contradiction; debug-asserted per pruned job.
+/// time — contradiction. `tests/backfill_props.rs` checks both pruning
+/// and the cursor against the plain walk.
 ///
 /// While the budget lasts, the same dominance powers the
 /// [`BackfillConfig::monotone_cursor`]: a dominated entry's fixpoint
@@ -172,13 +173,6 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
         if cfg.prune_fits_now && backfill_count >= cfg.max_reservations {
             if let Some(failed) = min_failed {
                 if tracker.demands_at_least(job, failed) {
-                    #[cfg(debug_assertions)]
-                    debug_assert_ne!(
-                        tracker.earliest_start(job, now),
-                        now,
-                        "pruned job {} could start now",
-                        job.id
-                    );
                     outcome.skipped.push(job.id);
                     pruned += 1;
                     continue;
@@ -199,15 +193,6 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
             _ => now,
         };
         let t = tracker.earliest_start(job, from);
-        #[cfg(debug_assertions)]
-        if from != now {
-            debug_assert_eq!(
-                t,
-                tracker.earliest_start(job, now),
-                "monotone cursor changed job {}'s start",
-                job.id
-            );
-        }
         if t == now {
             outcome.start_now.push(job.id);
             tracker.reserve(job, now);

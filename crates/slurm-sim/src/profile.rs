@@ -49,8 +49,8 @@
 //! Queries descend a segment-tree index instead of sweeping breakpoints
 //! linearly (see [`ProfileIndex`]): each `earliest_at_most` probe costs
 //! O(log B) per usage flip instead of O(B). The linear sweep serves the
-//! profiles the index does not cover, and checks the index in debug
-//! builds. The index engages only where it can win, judged from the
+//! profiles the index does not cover; the test module's model checks
+//! both paths (`prop_indexed_matches_model`). The index engages only where it can win, judged from the
 //! profile's size and reads: profiles under [`MIN_INDEXED`] breakpoints
 //! skip it (a short sweep beats the tree's fixed per-query cost), and a
 //! rebuild waits until a query has read the profile since the last one,
@@ -496,8 +496,7 @@ impl ResourceProfile {
     /// `threshold` throughout `[t, t + dur)`.
     ///
     /// A live index answers by flip search (see
-    /// `earliest_at_most_indexed`), checked against the linear sweep in
-    /// debug builds; dormant and stale profiles sweep.
+    /// `earliest_at_most_indexed`); dormant and stale profiles sweep.
     ///
     /// Always terminates: after the last breakpoint the profile is
     /// constant (zero if all reservations have finite ends) — if even the
@@ -521,14 +520,7 @@ impl ResourceProfile {
             SWEEP_STEPS.with(|c| c.set(c.get() + steps));
             return result;
         }
-        let result = self.earliest_at_most_indexed(from, dur, threshold);
-        debug_assert_eq!(
-            result,
-            sweep(self.breakpoints(), from, dur, threshold, &mut 0),
-            "segment-tree descent diverged from the linear sweep (from {from}, \
-             dur {dur}, threshold {threshold})"
-        );
-        result
+        self.earliest_at_most_indexed(from, dur, threshold)
     }
 
     /// Pending prefix sum once `k` pending instants lie at or before the
@@ -1065,16 +1057,16 @@ mod tests {
         // rebuilds actually fire (write-only bursts defer them). Start
         // and end instants never coincide (3k vs 3j + 10), so every
         // reserve adds two lasting breakpoints.
+        let sweep_of = |p: &ResourceProfile, f: u64| sweep(p.breakpoints(), t(f), d(5), 3, &mut 0);
         for k in 0..200u64 {
             p.reserve(1, t(3 * k), t(3 * k + 10));
-            let _ = p.earliest_at_most(t(3 * k), d(5), 3);
+            assert_eq!(p.earliest_at_most(t(3 * k), d(5), 3), sweep_of(&p, 3 * k));
             assert!(p.pending.len() <= FOLD_LIMIT);
         }
         assert!(!p.index.stale, "a read-interleaved profile keeps its index");
-        // Queries stay correct across rebuild boundaries (every call is
-        // debug-asserted against the linear sweep).
+        // Queries stay correct across rebuild boundaries.
         for f in 0..60u64 {
-            let _ = p.earliest_at_most(t(f), d(5), 3);
+            assert_eq!(p.earliest_at_most(t(f), d(5), 3), sweep_of(&p, f));
         }
         let (descents, updates) = take_tree_counters();
         assert!(descents > 0, "indexed queries count tree descents");
@@ -1189,8 +1181,8 @@ mod tests {
 
         /// The reserve path and the batched build store exactly the
         /// model's breakpoints and answer earliest_at_most exactly as its
-        /// probe scan does. Runs under cfg(test) — not just
-        /// debug_assertions — so release CI exercises the model too.
+        /// probe scan does. Runs under cfg(test), so release CI
+        /// exercises the model too.
         fn prop_write_paths_match_model(
             resv in prop::vec((0u64..60, 1u64..30, -3_000i64..5_000), 0..24),
             from in 0u64..50,
@@ -1216,9 +1208,7 @@ mod tests {
         /// interleaved stage/reserve churn — across fold and rebuild
         /// boundaries, negative amounts (AT-tracker profiles), and
         /// negative thresholds. Runs under cfg(test) so release CI
-        /// exercises the comparison too (debug builds additionally
-        /// self-assert every indexed probe against the sweep inside
-        /// earliest_at_most).
+        /// exercises the comparison too.
         fn prop_indexed_matches_model(
             committed in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),
             resv in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),

@@ -105,11 +105,11 @@ struct Entry {
 /// ([`Self::submit`] and [`Self::mark_started`]). Queue preparation
 /// under any policy is then an ordered walk over the matching index
 /// (a true top-k for depth-limited queries) instead of a per-round
-/// collect-and-sort; the sort path is kept as
-/// [`Self::wait_queue_ids_sorted_into`], the oracle the walks are
-/// property-pinned against. Every sort key ends in the unique job id, so
-/// each index is a total order and the walk reproduces the sorted output
-/// exactly.
+/// collect-and-sort. Every sort key ends in the unique job id, so each
+/// index is a total order and the walk reproduces the sorted output
+/// exactly; the test module keeps the sort as the oracle the walks are
+/// property-pinned against, and the reference engine in
+/// `iosched-reference` queues by sorting too.
 #[derive(Clone, Debug, Default)]
 pub struct JobRegistry {
     /// The slab: `None` marks a free slot, listed in `free`.
@@ -345,38 +345,6 @@ impl JobRegistry {
         WALK_STEPS.with(|c| c.set(c.get() + steps));
     }
 
-    /// Reference queue preparation: collect the eligible set and sort it
-    /// under `policy` — the pre-index implementation, kept as the oracle
-    /// the ordered-index walks are property-pinned against (and as the
-    /// baseline the `queue_prep` bench compares the walk to). FIFO needs
-    /// no sort: the pending set is already `(submit, id)` ordered. Every
-    /// other sort key ends in the unique job id (a total order), so the
-    /// unstable sort is deterministic.
-    pub fn wait_queue_ids_sorted_into(
-        &self,
-        now: SimTime,
-        policy: PriorityPolicy,
-        out: &mut Vec<JobId>,
-    ) {
-        out.clear();
-        out.extend(
-            self.pending
-                .range(..=(now, JobId(u64::MAX), usize::MAX))
-                .filter(|&&(_, _, slot)| self.dependencies_met(&self.entry(slot).meta))
-                .map(|&(_, id, _)| id),
-        );
-        let meta = |id: &JobId| &self.entry(self.slot(*id)).meta;
-        match policy {
-            PriorityPolicy::Fifo => {} // already (submit, id)-ordered
-            PriorityPolicy::Priority => {
-                out.sort_unstable_by_key(|id| (Reverse(meta(id).priority), meta(id).submit, *id))
-            }
-            PriorityPolicy::ShortestLimitFirst => {
-                out.sort_unstable_by_key(|id| (meta(id).limit, meta(id).submit, *id))
-            }
-        }
-    }
-
     /// True when every dependency of `job` has finished (`afterok`
     /// semantics: completed or timed out). Unknown job ids never satisfy
     /// — a dangling dependency holds the job forever, as in Slurm.
@@ -485,6 +453,38 @@ impl JobRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl JobRegistry {
+        /// Reference queue preparation: collect the eligible set and sort
+        /// it under `policy` — the pre-index implementation, the oracle the
+        /// ordered-index walks are property-pinned against. FIFO needs no
+        /// sort: the pending set is already `(submit, id)` ordered. Every
+        /// other sort key ends in the unique job id (a total order), so
+        /// the unstable sort is deterministic.
+        fn wait_queue_ids_sorted_into(
+            &self,
+            now: SimTime,
+            policy: PriorityPolicy,
+            out: &mut Vec<JobId>,
+        ) {
+            out.clear();
+            out.extend(
+                self.pending
+                    .range(..=(now, JobId(u64::MAX), usize::MAX))
+                    .filter(|&&(_, _, slot)| self.dependencies_met(&self.entry(slot).meta))
+                    .map(|&(_, id, _)| id),
+            );
+            let meta = |id: &JobId| &self.entry(self.slot(*id)).meta;
+            match policy {
+                PriorityPolicy::Fifo => {} // already (submit, id)-ordered
+                PriorityPolicy::Priority => out
+                    .sort_unstable_by_key(|id| (Reverse(meta(id).priority), meta(id).submit, *id)),
+                PriorityPolicy::ShortestLimitFirst => {
+                    out.sort_unstable_by_key(|id| (meta(id).limit, meta(id).submit, *id))
+                }
+            }
+        }
+    }
 
     fn job(id: u64, submit_s: u64) -> SchedJob {
         SchedJob::new(

@@ -188,10 +188,9 @@ props! {
 
     /// Fits-now pruning never changes a round's outcome: the pruned and
     /// unpruned walks agree decision-for-decision on randomized deep
-    /// queues under tight reservation budgets. This is the release-mode
-    /// oracle comparison — `prune_fits_now = false` IS the unpruned walk,
-    /// so the check runs under `cfg(test)` rather than only as the
-    /// `debug_assertions` assert inside the pass.
+    /// queues under tight reservation budgets. This is pruning's oracle
+    /// comparison — `prune_fits_now = false` IS the unpruned walk — and
+    /// CI runs it in release too.
     fn pruned_walk_matches_unpruned(
         queue_spec in prop::vec((1usize..8, 10u64..500), 1..40),
         running_spec in prop::vec((1usize..8, 10u64..500), 0..4),
@@ -226,8 +225,8 @@ props! {
     /// computed start decides identically to searching from `now`, across
     /// reservation budgets (unbounded budgets exercise the cursor on
     /// every delayed job; bounded ones mix it with fits-now pruning).
-    /// Like the pruning prop, this is the release-mode oracle comparison
-    /// — the debug assert inside the pass replays every cursor probe.
+    /// Like the pruning prop, this is the cursor's oracle comparison, and
+    /// CI runs it in release too.
     fn monotone_cursor_matches_from_now(
         queue_spec in prop::vec((1usize..8, 10u64..500), 1..40),
         running_spec in prop::vec((1usize..8, 10u64..500), 0..4),

@@ -217,8 +217,8 @@ fn scheduler_pass_is_allocation_free_in_steady_state() {
 }
 
 /// The event-calendar advance/harvest path must also be allocation-free
-/// in steady state: `next_event_time` (O(1) calendar peek plus its debug
-/// oracle scan), `advance_to_into` (settle loop, buffered stream
+/// in steady state: `next_event_time` (O(1) calendar peek),
+/// `advance_to_into` (settle loop, buffered stream
 /// harvests, calendar drain), phase transitions (cursored phase lists,
 /// warm-started rate solves) — zero heap allocations per event once
 /// every buffer reaches working size.

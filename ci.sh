@@ -110,6 +110,11 @@ cargo fmt --all --check
 step "lints (clippy, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+step "rustdoc (warnings are errors)"
+# Broken intra-doc links, links to private items and ambiguous names fail
+# here instead of accumulating as warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "hermeticity: no external dependencies in any manifest"
 if grep -En 'serde|rand|proptest|criterion|crossbeam' crates/*/Cargo.toml Cargo.toml; then
     echo "external dependency reference found in a manifest" >&2
@@ -150,6 +155,9 @@ cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lu
 # Certified rounds (skipped by the no-start certificate) must reproduce
 # fingerprints pinned with every pass executed, in release too.
 cargo test --release -q --offline -p iosched-experiments --test certified_rounds
+# Campaigns run the release build, so the campaign pool's tests (task
+# claiming, index-ordered merge, panic abort) run in release too.
+cargo test --release -q --offline -p iosched-experiments --lib pool
 # The steady-state scheduling round and cluster advance must stay
 # allocation-free in the release build the campaigns run, not only in
 # the debug build of the tests step.

@@ -1,5 +1,5 @@
 //! Bench target for the **campaign engine**: throughput and scaling
-//! efficiency of the work-stealing pool running one grid at 1/2/4/8
+//! efficiency of the self-scheduling pool running one grid at 1/2/4/8
 //! workers.
 //!
 //! The grid is the Fig.-6-shaped sweep (5 scheduler configurations ×

@@ -1,9 +1,10 @@
 //! `campaignd` — the campaign service.
 //!
-//! Reads one [`CampaignGrid`] JSON spec per stdin line and streams one
-//! `{"kind":"record",...}` line per finished task (completion order)
-//! followed by `{"kind":"done","tasks":N,"medians":[...]}` per grid;
-//! malformed specs yield `{"kind":"error",...}` and the loop continues.
+//! Reads one [`CampaignGrid`](iosched_experiments::grid::CampaignGrid)
+//! JSON spec per stdin line and streams one `{"kind":"record",...}` line
+//! per finished task (completion order) followed by
+//! `{"kind":"done","tasks":N,"medians":[...]}` per grid; malformed specs
+//! yield `{"kind":"error",...}` and the loop continues.
 //!
 //! ```text
 //! echo '{"policies":[{"kind":"Default"},{"kind":"Adaptive"}],

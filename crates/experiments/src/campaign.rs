@@ -5,7 +5,7 @@
 //! reports the full distribution (Fig. 6 swarm plot) with medians,
 //! because parallel-file-system performance is highly variable. This
 //! module fans those repetitions — and any other [`CampaignGrid`] —
-//! out over the work-stealing pool in [`crate::pool`]:
+//! out over the self-scheduling pool in [`crate::pool`]:
 //!
 //! - **Deterministic merge.** Every task carries its grid index; results
 //!   are reassembled in index order no matter which worker finished

@@ -68,7 +68,7 @@ impl PolicyFamily {
         }
     }
 
-    /// The family named `name` (the inverse of [`Self::name`]).
+    /// The family named `name` (the inverse of `PolicyFamily::name`).
     pub fn from_name(name: &str) -> Result<Self, String> {
         Self::ALL
             .into_iter()
@@ -249,6 +249,42 @@ impl WorkloadSpec {
                 ..
             } => [x8, x6, x2, x1, sleeps].iter().all(|&n| n == 0),
             WorkloadSpec::Synth { .. } => self.synth_submissions().next().is_none(),
+        }
+    }
+
+    /// Reject parameters the generators cannot take: a `Wave` volume that
+    /// is not positive and finite in bytes, and a `Synth` trace with
+    /// `max_procs` 0, a mean interarrival or median run time that is not
+    /// positive and finite, or an `io_fraction` outside `[0, 1]`.
+    fn check_params(&self) -> Result<(), String> {
+        let positive = |name: &str, v: f64| {
+            if v > 0.0 && v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{name} must be positive and finite, got {v}"))
+            }
+        };
+        match *self {
+            WorkloadSpec::Workload1 | WorkloadSpec::Workload2 => Ok(()),
+            WorkloadSpec::Wave { volume_gib, .. } => positive("volume_gib", volume_gib)
+                .and(positive("volume_gib in bytes", gib(volume_gib))),
+            WorkloadSpec::Synth {
+                max_procs,
+                mean_interarrival_secs,
+                median_run_secs,
+                io_fraction,
+                ..
+            } => {
+                if max_procs == 0 {
+                    return Err("max_procs must be at least 1".into());
+                }
+                positive("mean_interarrival_secs", mean_interarrival_secs)?;
+                positive("median_run_secs", median_run_secs)?;
+                if !(0.0..=1.0).contains(&io_fraction) {
+                    return Err(format!("io_fraction must be in [0, 1], got {io_fraction}"));
+                }
+                Ok(())
+            }
         }
     }
 
@@ -473,6 +509,10 @@ impl CampaignGrid {
         }
         if self.workloads.is_empty() {
             return Err("grid has no workloads".into());
+        }
+        for w in &self.workloads {
+            w.check_params()
+                .map_err(|e| format!("workload {w:?}: {e}"))?;
         }
         if let Some(w) = self.workloads.iter().find(|w| w.is_empty()) {
             return Err(format!("workload {w:?} has no jobs"));
@@ -709,6 +749,49 @@ mod tests {
             g.workloads.push(empty);
             let err = g.validate().unwrap_err();
             assert!(err.contains("has no jobs"), "{err}");
+        }
+        // Parameters the generators would panic on, or silently misuse.
+        let wave = |volume_gib| WorkloadSpec::Wave {
+            x8: 1,
+            x6: 0,
+            x2: 0,
+            x1: 0,
+            sleeps: 0,
+            volume_gib,
+        };
+        let synth =
+            |max_procs, mean_interarrival_secs, median_run_secs, io_fraction| WorkloadSpec::Synth {
+                jobs: 10,
+                seed: 1,
+                max_procs,
+                mean_interarrival_secs,
+                median_run_secs,
+                io_fraction,
+            };
+        let mut bad = vec![synth(0, 10.0, 60.0, 0.2), synth(4, 10.0, 60.0, 2.5)];
+        for v in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e300] {
+            bad.push(wave(v));
+        }
+        for v in [-60.0, 0.0, f64::NAN, f64::INFINITY] {
+            bad.push(synth(4, v, 60.0, 0.2));
+            bad.push(synth(4, 10.0, v, 0.2));
+        }
+        for v in [-0.1, f64::NAN] {
+            bad.push(synth(4, 10.0, 60.0, v));
+        }
+        for w in bad {
+            let mut g = sample();
+            g.workloads.push(w.clone());
+            assert!(g.validate().is_err(), "{w:?}");
+        }
+        for ok in [
+            wave(1.0),
+            synth(1, 0.5, 1.0, 0.0),
+            synth(4, 10.0, 60.0, 1.0),
+        ] {
+            let mut g = sample();
+            g.workloads.push(ok.clone());
+            assert_eq!(g.validate(), Ok(()), "{ok:?}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! | `summary` | §VI/§VII headline numbers, paper vs. measured |
 //!
 //! Every data-driven run is a [`CampaignGrid`] (policy × threshold × seed
-//! × workload), executed by [`campaign`] over a work-stealing pool and
+//! × workload), executed by [`campaign`] over a self-scheduling pool and
 //! served on stdin/stdout by the `campaignd` binary; a single run is a
 //! 1-task grid. Runs the grid cannot name (traces, priority policies,
 //! burst buffers, reshaped arrivals) call [`run_experiment`] directly.

@@ -1,28 +1,19 @@
-//! Work-stealing task pool for campaign fan-out.
+//! Self-scheduling task pool for campaign fan-out.
 //!
-//! The previous campaign runner fed every worker from one `mpsc` channel
-//! behind a `Mutex`'d receiver: each dequeue serialized all workers on a
-//! single lock, and a panicking worker simply vanished, leaving its
-//! claimed task's result unwritten. This pool replaces it with the
-//! classic work-stealing shape:
-//!
-//! * **Per-worker deques.** Task indices are dealt into one deque per
-//!   worker up front (contiguous chunks, so neighbouring tasks — which
-//!   tend to share a configuration — stay on one worker's scratch). A
-//!   worker pops from the *front* of its own deque and only touches
-//!   another worker's when its own runs dry.
-//! * **Steal half.** An idle worker scans the other deques round-robin
-//!   from its right-hand neighbour and takes the *back half* of the
-//!   first non-empty one, amortising the lock traffic over many tasks
-//!   instead of paying one lock round per task.
+//! * **One shared cursor.** Every worker claims the next pending task
+//!   with one `fetch_add` on a shared atomic counter and exits once the
+//!   claimed position is past the end. Each task is a whole simulation,
+//!   so the claim costs nothing next to the work it hands out, and no
+//!   worker idles while a task is unclaimed.
 //! * **Deterministic merge.** Every result is keyed by its task index;
 //!   the caller receives a dense `Vec` in task order no matter which
 //!   worker finished what, when. Output is bit-identical across worker
 //!   counts (pinned by tests in [`crate::campaign`]).
-//! * **Loud panics.** A worker panic aborts the pool: the panic payload
-//!   is captured, every other worker drains out at its next dequeue, and
-//!   the panic is re-raised on the calling thread with the failing task
-//!   index attached. A campaign can no longer silently return a short
+//! * **Loud panics.** A worker panic aborts the pool: the first panic
+//!   payload is kept, the cursor jumps to the end so every other worker
+//!   stops at its next claim, and the panic is re-raised on the calling
+//!   thread once all workers have exited, with the failing task index
+//!   printed to stderr. A campaign never silently returns a short
 //!   result vector.
 //!
 //! Worker count resolution ([`configured_threads`]): an explicit request
@@ -30,10 +21,9 @@
 //! `std::thread::available_parallelism` — so CI and the scaling bench can
 //! pin reproducible worker counts without code changes.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// A `CAMPAIGN_THREADS` value that is not a positive integer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,16 +70,14 @@ fn threads_from(explicit: Option<usize>, env: Option<&str>) -> Result<usize, Thr
             }),
         };
     }
-    Ok(std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4))
+    Ok(std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
 /// Run `run` over every index in `pending` (each an index into `tasks`),
-/// fanned out over `threads` work-stealing workers, and merge the results
-/// by task index: slot `i` of the returned vector holds `Some` result for
-/// each pending index, `None` for indices that were skipped (already
-/// complete in a resumed campaign).
+/// fanned out over `threads` workers that claim tasks from one shared
+/// cursor, and merge the results by task index: slot `i` of the returned
+/// vector holds `Some` result for each pending index, `None` for indices
+/// that were skipped (already complete in a resumed campaign).
 ///
 /// * `make_scratch` builds one per-worker scratch value, reused across
 ///   all tasks that worker executes.
@@ -114,88 +102,43 @@ where
     R: Send,
 {
     let mut merged: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    if pending.is_empty() {
-        return merged;
-    }
     for &i in pending {
         assert!(i < tasks.len(), "pending index {i} out of range");
     }
-    let threads = threads.clamp(1, pending.len());
-
-    // Deal contiguous chunks of the pending list into per-worker deques.
-    // Ceiling-sized chunks can fill fewer than `threads` deques (e.g. 25
-    // tasks over 8 workers → 7 chunks of 4); the remaining workers start
-    // empty and steal immediately.
-    let chunk = pending.len().div_ceil(threads);
-    let mut queues: Vec<Mutex<VecDeque<usize>>> = pending
-        .chunks(chunk)
-        .map(|c| Mutex::new(c.iter().copied().collect()))
-        .collect();
-    queues.resize_with(threads, || Mutex::new(VecDeque::new()));
-
-    let abort = AtomicBool::new(false);
-    let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
+    // No more workers than tasks; an empty `pending` spawns none.
+    let threads = threads.max(1).min(pending.len());
+    let (cursor, make_scratch, run) = (&AtomicUsize::new(0), &make_scratch, &run);
+    let (result_tx, result_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
+    let mut failed = None;
 
     std::thread::scope(|scope| {
-        for me in 0..threads {
+        for _ in 0..threads {
             let result_tx = result_tx.clone();
-            let (queues, abort, panicked) = (&queues, &abort, &panicked);
-            let (make_scratch, run) = (&make_scratch, &run);
             scope.spawn(move || {
                 let mut scratch = make_scratch();
-                let mut local: VecDeque<usize> = VecDeque::new();
-                loop {
-                    if abort.load(Ordering::Acquire) {
-                        break;
+                while let Some(&idx) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let r = catch_unwind(AssertUnwindSafe(|| run(&mut scratch, idx, &tasks[idx])));
+                    if r.is_err() {
+                        // Past the end, so every later claim fails; never
+                        // `usize::MAX`, which `fetch_add` would wrap to 0.
+                        cursor.store(pending.len(), Ordering::Relaxed);
                     }
-                    // Own deque first; refill it by stealing when dry.
-                    let next = local.pop_front().or_else(|| {
-                        let mut own = queues[me].lock().expect("own queue lock");
-                        if own.is_empty() {
-                            drop(own);
-                            steal_half(queues, me, &mut local);
-                            local.pop_front()
-                        } else {
-                            // Move the whole remaining chunk local: the
-                            // deque stays visible to thieves only while
-                            // this worker is busy elsewhere, and tasks
-                            // never enqueue more tasks.
-                            std::mem::swap(&mut *own, &mut local);
-                            local.pop_front()
-                        }
-                    });
-                    let Some(idx) = next else { break };
-                    // Expose the not-yet-started remainder for stealing
-                    // while this task runs.
-                    if !local.is_empty() {
-                        let mut own = queues[me].lock().expect("own queue lock");
-                        own.append(&mut local);
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| run(&mut scratch, idx, &tasks[idx]))) {
-                        Ok(r) => {
-                            // The receiver outlives the workers inside
-                            // this scope; send cannot fail.
-                            result_tx.send((idx, r)).expect("result channel");
-                        }
-                        Err(payload) => {
-                            let mut slot = panicked.lock().expect("panic slot lock");
-                            slot.get_or_insert((idx, payload));
-                            abort.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
+                    // The receiver outlives the workers inside this
+                    // scope; send cannot fail.
+                    result_tx.send((idx, r)).expect("result channel");
                 }
             });
         }
         drop(result_tx); // collection ends when the last worker exits
         for (idx, r) in result_rx.iter() {
-            on_done(idx, &r);
-            merged[idx] = Some(r);
+            match r {
+                Ok(r) => on_done(idx, merged[idx].insert(r)),
+                Err(payload) => _ = failed.get_or_insert((idx, payload)),
+            }
         }
     });
 
-    if let Some((idx, payload)) = panicked.into_inner().expect("panic slot lock") {
+    if let Some((idx, payload)) = failed {
         eprintln!("campaign pool: worker panicked while running task {idx}; re-raising");
         resume_unwind(payload);
     }
@@ -221,43 +164,37 @@ where
         .collect()
 }
 
-/// Steal the back half of the first non-empty victim deque, scanning
-/// round-robin from the thief's right-hand neighbour. The victim keeps
-/// the front half (its own oldest work); the thief takes the rest into
-/// its local deque.
-fn steal_half(queues: &[Mutex<VecDeque<usize>>], me: usize, local: &mut VecDeque<usize>) {
-    let n = queues.len();
-    for step in 1..n {
-        let victim = (me + step) % n;
-        let mut q = queues[victim].lock().expect("victim queue lock");
-        let len = q.len();
-        if len == 0 {
-            continue;
-        }
-        let keep = len / 2;
-        local.extend(q.drain(keep..));
-        return;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
-    fn more_workers_than_seed_chunks_start_empty_and_steal() {
-        // 25 tasks over 8 workers: ceiling chunks fill only 7 deques;
-        // the 8th must start empty and steal, not index out of bounds.
+    fn more_workers_than_tasks_run_every_task_once() {
+        // 25 tasks over 8 workers, and 3 tasks over 8 (the pool spawns
+        // no more workers than tasks): every task runs exactly once.
         let tasks: Vec<u64> = (0..25).collect();
         let out = run_all(&tasks, 8, || (), |_, _, &t| t + 1, |_, _| {});
         assert_eq!(out, (1..=25).collect::<Vec<u64>>());
+        let ran = AtomicUsize::new(0);
+        let out = run_all(
+            &[7u64, 8, 9],
+            8,
+            || (),
+            |_, _, &t| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                t
+            },
+            |_, _| {},
+        );
+        assert_eq!(out, [7, 8, 9]);
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn runs_every_task_and_merges_by_index() {
-        for threads in [1, 2, 4, 7, 8] {
-            let tasks: Vec<u64> = (0..57).collect();
+        for (n, threads) in [(57, 1), (57, 2), (57, 4), (57, 7), (57, 8), (10_000, 8)] {
+            let tasks: Vec<u64> = (0..n).collect();
             let out = run_all(
                 &tasks,
                 threads,
@@ -268,7 +205,7 @@ mod tests {
                 },
                 |_, _| {},
             );
-            assert_eq!(out.len(), 57);
+            assert_eq!(out.len(), n as usize);
             for (i, v) in out.iter().enumerate() {
                 assert_eq!(*v, i as u64 * 10, "threads={threads}");
             }
@@ -361,6 +298,34 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("task 13 exploded"), "payload: {msg}");
+    }
+
+    #[test]
+    fn a_worker_panic_stops_further_claims() {
+        // Task 0 panics at once; the other worker stops at its next claim,
+        // so only a few of the 200 one-millisecond tasks ever start.
+        let tasks: Vec<u64> = (0..200).collect();
+        let ran = AtomicUsize::new(0);
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            run_all(
+                &tasks,
+                2,
+                || (),
+                |_, i, &t| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 0 {
+                        panic!("task 0 exploded");
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                    t
+                },
+                |_, _| {},
+            )
+        }));
+        let payload = res.expect_err("pool must re-raise the worker panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 0 exploded"));
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran < tasks.len() / 2, "{ran} of {} tasks ran", tasks.len());
     }
 
     #[test]

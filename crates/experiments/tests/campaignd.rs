@@ -126,6 +126,55 @@ fn empty_workloads_are_rejected_and_the_loop_continues() {
     assert_eq!(lines[2].get("jobs").and_then(Value::as_f64), Some(8.0));
 }
 
+/// Workload parameters the generators cannot take are answered by an
+/// error line instead of reaching a library panic, and the grid on the
+/// next line still runs.
+#[test]
+fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
+    let synth =
+        |max_procs, mean_interarrival_secs, median_run_secs, io_fraction| WorkloadSpec::Synth {
+            jobs: 5,
+            seed: 3,
+            max_procs,
+            mean_interarrival_secs,
+            median_run_secs,
+            io_fraction,
+        };
+    let bad_wave = WorkloadSpec::Wave {
+        x8: 1,
+        x6: 0,
+        x2: 0,
+        x1: 0,
+        sleeps: 0,
+        volume_gib: -1.0,
+    };
+    let cases = [
+        (bad_wave, "volume_gib"),
+        (synth(0, 10.0, 60.0, 0.2), "max_procs"),
+        (synth(4, 10.0, -60.0, 0.2), "median_run_secs"),
+        (synth(4, 10.0, 60.0, 2.5), "io_fraction"),
+        (synth(4, 0.0, 60.0, 0.2), "mean_interarrival_secs"),
+    ];
+    let valid = one_task_grid().to_json().to_json_string();
+    for (bad, field) in cases {
+        let mut grid = one_task_grid();
+        grid.workloads = vec![bad];
+        let input = format!("{}\n{valid}\n", grid.to_json().to_json_string());
+        let out = campaignd(&["--threads", "1"], &input);
+        assert!(out.status.success(), "{field}: {out:?}");
+        let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| parse(l).expect("every line is JSON"))
+            .collect();
+        let kinds: Vec<&str> = lines.iter().map(kind).collect();
+        assert_eq!(kinds, ["error", "record", "done"], "{field}: {text}");
+        let message = lines[0].get("message").and_then(Value::as_str);
+        let reason = format!("{field} must");
+        assert!(message.is_some_and(|m| m.contains(&reason)), "{text}");
+    }
+}
+
 #[test]
 fn zero_threads_is_rejected() {
     let out = campaignd(&["--threads", "0"], "");

@@ -11,7 +11,7 @@
 //! keep the nodes busy.
 //!
 //! The policy owns every per-round buffer — the split input/output, the
-//! AT profile, and (via [`IoAwareCore`]) the node and LT profiles — so a
+//! AT profile, and (via `IoAwareCore`) the node and LT profiles — so a
 //! steady-state round reuses warm allocations instead of rebuilding them.
 
 use crate::book::EstimateBook;

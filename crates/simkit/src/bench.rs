@@ -7,14 +7,12 @@
 //! trajectory is tracked across PRs.
 //!
 //! Methodology: each benchmark is calibrated to a per-sample iteration
-//! count targeting [`TARGET_SAMPLE_NANOS`] of work, then timed for
-//! [`SAMPLES`] samples after one warmup; the JSON records min/median/mean
-//! ns-per-iteration. Passing `--smoke` (the CI gate does) collapses this
+//! count targeting about 20 ms of work, then timed for ten samples after
+//! one warmup; the JSON records min/median/mean ns-per-iteration. Passing `--smoke` (the CI gate does) collapses this
 //! to one iteration and one sample — a "does it run and emit JSON" check,
 //! not a measurement.
 
 use crate::json::Value;
-use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -23,9 +21,6 @@ const SAMPLES: usize = 10;
 
 /// Calibration target per sample, in nanoseconds (~20ms).
 const TARGET_SAMPLE_NANOS: u128 = 20_000_000;
-
-/// Re-export so bench binaries can `use iosched_simkit::bench::black_box`.
-pub use std::hint::black_box as bb;
 
 struct BenchResult {
     name: String,
@@ -97,8 +92,8 @@ impl BenchSuite {
         self.smoke
     }
 
-    /// Time `f`, which should end in [`black_box`] over its result to
-    /// keep the optimiser honest.
+    /// Time `f`, which should end in [`std::hint::black_box`] over its
+    /// result to keep the optimiser honest.
     pub fn bench(&mut self, name: &str, mut f: impl FnMut()) {
         let iters = if self.smoke {
             1
@@ -241,15 +236,6 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-/// Convenience: time one closure and return ns elapsed (used by smoke
-/// tests and ad-hoc measurements).
-pub fn time_once(f: impl FnOnce()) -> u128 {
-    let start = Instant::now();
-    f();
-    black_box(());
-    start.elapsed().as_nanos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,17 +250,5 @@ mod tests {
         assert_eq!(r.min_ns(), 1.0);
         assert_eq!(r.median_ns(), 2.0);
         assert_eq!(r.mean_ns(), 2.0);
-    }
-
-    #[test]
-    fn time_once_measures() {
-        let ns = time_once(|| {
-            let mut acc = 0u64;
-            for i in 0..1000u64 {
-                acc = acc.wrapping_add(black_box(i));
-            }
-            black_box(acc);
-        });
-        assert!(ns > 0);
     }
 }

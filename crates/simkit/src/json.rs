@@ -12,9 +12,11 @@
 //!   metric files.
 //! * Numbers are `f64`. Integers round-trip exactly up to 2^53, far above
 //!   any id, count or millisecond timestamp the simulators produce.
-//! * Derive-free impls: [`impl_json_struct!`], [`impl_json_enum!`] and
-//!   [`impl_json_newtype!`] generate the trait impls from a field list at
-//!   the definition site (where private fields are visible).
+//! * Derive-free impls: [`impl_json_struct!`](crate::impl_json_struct),
+//!   [`impl_json_enum!`](crate::impl_json_enum) and
+//!   [`impl_json_newtype!`](crate::impl_json_newtype) generate the trait
+//!   impls from a field list at the definition site (where private fields
+//!   are visible).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

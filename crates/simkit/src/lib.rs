@@ -26,7 +26,7 @@
 //!   [`ToJson`]/[`FromJson`] impl macros (replaces `serde`);
 //! * [`prop`] — a seeded property-testing harness with bounded shrinking
 //!   and the [`props!`] macro (replaces `proptest`);
-//! * [`bench`] — a micro-benchmark harness emitting `BENCH_*.json`
+//! * [`bench`](mod@bench) — a micro-benchmark harness emitting `BENCH_*.json`
 //!   (replaces `criterion`);
 //! * [`rng`] itself is an in-repo xoshiro256++ (replaces `rand`).
 //!
@@ -52,7 +52,7 @@ pub use json::{FromJson, ToJson, Value};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use stats::{BoxStats, Histogram, OnlineStats};
+pub use stats::{BoxStats, OnlineStats};
 pub use sym::{Sym, SymbolTable};
 pub use time::{SimDuration, SimTime};
 

@@ -2,8 +2,9 @@
 //!
 //! Supplies the narrow feature set the workspace's property tests use:
 //! seeded case generation on [`SimRng`], composable [`Strategy`]s (ranges,
-//! vectors, tuples, [`Just`], `prop_map`, [`prop_oneof!`]), bounded
-//! shrinking, and the [`props!`] declarative macro:
+//! vectors, tuples, [`Just`], `prop_map`,
+//! [`prop_oneof!`](crate::prop_oneof)), bounded shrinking, and the
+//! [`props!`](crate::props) declarative macro:
 //!
 //! ```
 //! use iosched_simkit::{prop, props, prop_assert};
@@ -191,7 +192,8 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     }
 }
 
-/// Type-erased strategy, for heterogeneous lists ([`prop_oneof!`]).
+/// Type-erased strategy, for heterogeneous lists
+/// ([`prop_oneof!`](crate::prop_oneof)).
 pub struct Boxed<T>(Box<dyn DynStrategy<T>>);
 
 trait DynStrategy<T> {
@@ -332,8 +334,8 @@ fn env_u64(name: &str) -> Option<u64> {
 
 /// Execute a property: `cases` generated inputs from `strat`, shrinking
 /// any failure within a bounded budget, then panicking with a report.
-/// This is the target the [`props!`] macro expands to; call it directly
-/// for programmatic properties.
+/// This is the target the [`props!`](crate::props) macro expands to; call
+/// it directly for programmatic properties.
 pub fn run_named<S, F>(name: &str, cases: usize, strat: S, f: F)
 where
     S: Strategy,
@@ -424,8 +426,9 @@ macro_rules! __props_impl {
     )* };
 }
 
-/// Assert inside a [`props!`] body; failure reports the message and
-/// feeds the shrinker (unlike `assert!`, no backtrace machinery).
+/// Assert inside a [`props!`](crate::props) body; failure reports the
+/// message and feeds the shrinker (unlike `assert!`, no backtrace
+/// machinery).
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr) => {

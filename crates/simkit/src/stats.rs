@@ -66,11 +66,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (NaN-free input assumed; +inf if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -149,99 +144,12 @@ impl BoxStats {
             count: v.len(),
         })
     }
-
-    /// Inter-quartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with saturating edge buckets —
-/// used for wait-time and slowdown distributions in experiment reports.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-crate::impl_json_struct!(Histogram {
-    lo,
-    hi,
-    counts,
-    total
-});
-
-impl Histogram {
-    /// `buckets ≥ 1` equal-width buckets spanning `[lo, hi)`. Samples
-    /// outside the range land in the first/last bucket.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets >= 1, "need at least one bucket");
-        assert!(hi > lo, "range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Add a sample.
-    pub fn push(&mut self, x: f64) {
-        let n = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.counts[idx.min(n - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// `(bucket_lower_edge, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * i as f64, c))
-    }
-
-    /// Approximate quantile from the bucket midpoints (`None` if empty).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * (self.total - 1) as f64).round() as u64;
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen > target {
-                return Some(self.lo + width * (i as f64 + 0.5));
-            }
-        }
-        Some(self.hi - width / 2.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prop, prop_assert, prop_assert_eq, props};
+    use crate::{prop, prop_assert, props};
 
     #[test]
     fn online_stats_matches_direct_computation() {
@@ -253,7 +161,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -284,52 +191,11 @@ mod tests {
         assert_eq!(b.max, 5.0);
         assert_eq!(b.q1, 2.0);
         assert_eq!(b.q3, 4.0);
-        assert_eq!(b.iqr(), 2.0);
         assert_eq!(b.count, 5);
         assert!(BoxStats::from_samples(&[]).is_none());
     }
 
-    #[test]
-    fn histogram_buckets_and_saturation() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [1.0, 3.0, 3.5, 9.9, -5.0, 100.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 6);
-        // Buckets: [0,2): {1.0, -5.0}; [2,4): {3.0, 3.5}; [8,10): {9.9, 100.0}
-        assert_eq!(h.counts(), &[2, 2, 0, 0, 2]);
-        let edges: Vec<f64> = h.buckets().map(|(e, _)| e).collect();
-        assert_eq!(edges, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        assert_eq!(Histogram::new(0.0, 1.0, 2).quantile(0.5), None);
-        let med = h.quantile(0.5).unwrap();
-        assert!((med - 45.0).abs() <= 10.0, "median ≈ mid-bucket, got {med}");
-        assert!(h.quantile(0.0).unwrap() < h.quantile(1.0).unwrap());
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_empty_range_panics() {
-        Histogram::new(5.0, 5.0, 3);
-    }
-
     props! {
-        fn prop_histogram_total_matches_pushes(
-            samples in prop::vec(-100.0f64..200.0, 0..200),
-        ) {
-            let mut h = Histogram::new(0.0, 100.0, 7);
-            for &s in &samples { h.push(s); }
-            prop_assert_eq!(h.total(), samples.len() as u64);
-            prop_assert_eq!(h.counts().iter().sum::<u64>(), samples.len() as u64);
-        }
-
         fn prop_quantiles_monotone_and_bounded(
             mut v in prop::vec(-1e6f64..1e6, 1..100),
             q1 in 0.0f64..1.0,

@@ -32,11 +32,6 @@ pub fn to_gibps(bps: f64) -> f64 {
     bps / GIB
 }
 
-/// Format a byte rate as a human-readable GiB/s string.
-pub fn fmt_gibps(bps: f64) -> String {
-    format!("{:.2} GiB/s", to_gibps(bps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,10 +42,5 @@ mod tests {
         assert_eq!(to_gib(gib(80.0)), 80.0);
         assert_eq!(to_gibps(gibps(20.0)), 20.0);
         assert_eq!(MIB * 1024.0, GIB);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_gibps(gibps(15.5)), "15.50 GiB/s");
     }
 }

@@ -40,18 +40,18 @@
 //! * **Reserve** — while the query index is live, mid-round writes go to
 //!   one short sorted list of `(instant, summed delta)` entries since the
 //!   last fold; queries read the folded breakpoints ⊕ that list, and past
-//!   [`FOLD_LIMIT`] entries it is folded in and the index rebuilt. With
+//!   `FOLD_LIMIT` entries it is folded in and the index rebuilt. With
 //!   no live index there is nothing to keep in step, and a write updates
 //!   its breakpoint in place.
 //!
 //! # Query index
 //!
 //! Queries descend a segment-tree index instead of sweeping breakpoints
-//! linearly (see [`ProfileIndex`]): each `earliest_at_most` probe costs
+//! linearly (see `ProfileIndex`): each `earliest_at_most` probe costs
 //! O(log B) per usage flip instead of O(B). The linear sweep serves the
 //! profiles the index does not cover; the test module's model checks
 //! both paths (`prop_indexed_matches_model`). The index engages only where it can win, judged from the
-//! profile's size and reads: profiles under [`MIN_INDEXED`] breakpoints
+//! profile's size and reads: profiles under `MIN_INDEXED` breakpoints
 //! skip it (a short sweep beats the tree's fixed per-query cost), and a
 //! rebuild waits until a query has read the profile since the last one,
 //! so write-only bursts never pay for it.
@@ -158,7 +158,7 @@ struct ProfileIndex {
     /// Leaf count: `times.len()` rounded up to a power of two.
     cap: usize,
     /// The grid no longer reflects the folded breakpoints: the profile is
-    /// under [`MIN_INDEXED`] breakpoints, or a fold ran with no query
+    /// under `MIN_INDEXED` breakpoints, or a fold ran with no query
     /// since the last rebuild. Queries sweep and writes go in place until
     /// the next rebuild.
     stale: bool,
@@ -170,7 +170,7 @@ struct ProfileIndex {
 }
 
 impl Default for ProfileIndex {
-    /// Starts stale: an empty profile is under [`MIN_INDEXED`].
+    /// Starts stale: an empty profile is under `MIN_INDEXED`.
     fn default() -> Self {
         ProfileIndex {
             times: Vec::new(),

@@ -209,14 +209,13 @@ step "bench gate: scale smoke event counters match the committed baseline"
 bench_diff --gate 2.0 --counters-only \
     "$BASELINE_DIR/BENCH_scale_smoke.json" results/bench/BENCH_scale.json
 
-step "bench gate: sched smoke sweep/prune/elision/tree counters match the committed baseline"
+step "bench gate: sched smoke sweep/prune/elision counters match the committed baseline"
 # The deep-queue round bench's counters are deterministic; drift means
-# the profile index, dominance pruning, or round elision changed
+# the profile scan, dominance pruning, or round elision changed
 # behavior. Each policy runs one round at the default config.
-# sweep_steps/* counts the linear sweeps that serve dormant or stale
-# profiles (zero in these rounds, so any fallback fails the gate), and
-# tree_descents/* growing means the index stopped skipping breakpoints
-# even though results stay correct.
+# sweep_steps/* counts the profile entries the earliest-start probes
+# scan; growing means probes walk further before they settle, even
+# though results stay correct.
 # Refresh with 'cargo bench -p iosched-bench --bench sched -- --smoke'
 # + cp to BENCH_sched_smoke.json when intended.
 bench_diff --gate 2.0 --counters-only \

@@ -16,7 +16,8 @@ use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::{gib, gibps};
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
-    backfill_pass, backfill_pass_into, BackfillConfig, ResourceProfile, SchedJob, SchedulingOutcome,
+    backfill_pass, backfill_pass_into, BackfillConfig, ResourceProfile, RunningView, SchedJob,
+    SchedulingOutcome,
 };
 use std::hint::black_box;
 
@@ -300,6 +301,74 @@ fn main() {
         );
         black_box(outcome.start_now.len());
     });
+
+    // The depth regime of an io-aware deep-queue run: one pass over 370
+    // queued jobs against 130 running jobs that hold every node, with
+    // unbounded reservations. Nothing starts, so every entry probes the
+    // node and throughput profiles and reserves, and the profiles grow to
+    // several hundred entries during the pass.
+    let busy: Vec<SchedJob> = (0..130u64)
+        .map(|i| {
+            SchedJob::new(
+                JobId(10_000 + i),
+                format!("run{}", i % 9),
+                1 + (i as usize * 7) % 13,
+                SimDuration::from_secs(1_100 + i * 53),
+                SimTime::ZERO,
+            )
+        })
+        .collect();
+    let busy_views: Vec<RunningView<'_>> = busy
+        .iter()
+        .enumerate()
+        .map(|(i, job)| RunningView {
+            job,
+            started: SimTime::from_secs(i as u64 * 7),
+        })
+        .collect();
+    let busy_nodes: usize = busy.iter().map(|j| j.nodes).sum();
+    let waiting: Vec<SchedJob> = (0..370u64)
+        .map(|i| {
+            SchedJob::new(
+                JobId(i),
+                format!("wait{}", i % 11),
+                1 + (i as usize * 5) % 16,
+                SimDuration::from_secs(600 + (i * 37) % 3_000),
+                SimTime::ZERO,
+            )
+        })
+        .collect();
+    let waiting_refs: Vec<&SchedJob> = waiting.iter().collect();
+    let mut depth_book = EstimateBook::new();
+    for j in waiting.iter().chain(&busy) {
+        depth_book.insert(
+            j.id,
+            iosched_analytics::JobEstimate {
+                throughput_bps: gibps(0.2 * j.nodes as f64),
+                runtime: SimDuration::from_secs(j.limit.as_secs_f64() as u64 / 2),
+            },
+        );
+    }
+    let mut depth_policy = IoAwarePolicy::new(IoAwareConfig {
+        limit_bps: gibps(15.0),
+    });
+    depth_policy.begin_round(depth_book);
+    suite.bench(
+        "sched_pass_370_queued_130_running/io_aware_no_start",
+        || {
+            backfill_pass_into(
+                &mut depth_policy,
+                &busy_views,
+                &waiting_refs,
+                SimTime::from_secs(1_000),
+                busy_nodes,
+                &BackfillConfig::default(),
+                &mut outcome,
+            );
+            assert!(outcome.start_now.is_empty(), "every node is busy");
+            assert_eq!(outcome.reservations.len(), waiting_refs.len());
+        },
+    );
 
     // The event calendar's `next_event_time` with 1 000 running timed
     // jobs: an O(1) peek.

@@ -7,11 +7,13 @@
 //! starts it and the post-start cut ends the walk right there. The
 //! `round_*_blocked` variants run the same rounds on a machine without
 //! the 5 free nodes: nothing starts, so the pass walks the whole queue
-//! and its pruning and tree-index work stay measured.
+//! and its pruning and profile probes stay measured.
 //!
-//! `round_5k_reserve/node` isolates the write path: a free cluster where
-//! every job starts now and reserves a distinct, shuffled end instant, so
-//! queries stay trivial and the timing is the per-reserve cost.
+//! `round_5k_reserve/node` stresses the write path: a free cluster where
+//! every job starts now and reserves a distinct, shuffled end instant.
+//! Every probe fits at once, but its window and each reserve's range add
+//! span about half the profile, so the timing is the per-reserve cost
+//! at up to 5 000 entries.
 //! `round_50k/*` (full mode only) stresses queue depth an order of
 //! magnitude past the paper setup.
 //!
@@ -21,12 +23,9 @@
 //!
 //! **Counters** (deterministic, gated by `bench_diff --gate`), one
 //! counted round per policy and machine: `sweep_steps/round_5k_*` —
-//! breakpoints walked by the linear sweeps that serve dormant (under 64
-//! breakpoints) or stale profiles; `tree_descents/round_5k_*` and
-//! `tree_updates/round_5k_*` — tree nodes visited by indexed queries,
-//! and index point updates / rebuild leaves written; a
-//! `tree_descents` rise toward the breakpoint count means the index
-//! stopped skipping. `pruned/round_5k_*` — fixpoints skipped by dominance
+//! profile entries scanned forward by `earliest_at_most` probes past
+//! their binary search, so a rise means probes walk further before they
+//! settle. `pruned/round_5k_*` — fixpoints skipped by dominance
 //! pruning; `index_ops/queue_prep_build_50k` and
 //! `walk_steps/queue_prep_*` — ordered-index maintenance and top-k walk
 //! work on the queue-prep window; `rounds_elided/driver_default` and
@@ -44,8 +43,8 @@ use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::gibps;
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
-    backfill_pass_into, take_sweep_steps, take_tree_counters, BackfillConfig, PassStats,
-    RunningView, SchedJob, SchedulingOutcome, SchedulingPolicy,
+    backfill_pass_into, take_sweep_steps, BackfillConfig, PassStats, RunningView, SchedJob,
+    SchedulingOutcome, SchedulingPolicy,
 };
 use std::hint::black_box;
 
@@ -83,9 +82,9 @@ fn running_set(count: u64) -> Vec<(SchedJob, SimTime)> {
 /// after is delayed (on the blocked machine the head is delayed too).
 /// Nodes (1–8) and limits (600–1216 s) cycle with coprime periods, so
 /// reservation breakpoints rarely coincide — every reserve adds
-/// breakpoints the index must fold — while a least-demanding 1-node /
-/// 600 s failure still appears once per 712 entries, after which
-/// dominance pruning skips the whole tail.
+/// breakpoints — while a least-demanding 1-node / 600 s failure still
+/// appears once per 712 entries, after which dominance pruning skips
+/// the whole tail.
 fn deep_queue(n: usize) -> Vec<SchedJob> {
     let mut q = vec![SchedJob::new(
         JobId(0),
@@ -155,9 +154,9 @@ fn bounded() -> BackfillConfig {
 }
 
 /// One counted round at the default bounded config: records the
-/// `sweep_steps`, `tree_descents`, `tree_updates` and `pruned` counters
-/// under `label`. `starts` says whether the head starts (a round on a
-/// machine with free nodes) or nothing does (a blocked round).
+/// `sweep_steps` and `pruned` counters under `label`. `starts` says
+/// whether the head starts (a round on a machine with free nodes) or
+/// nothing does (a blocked round).
 fn counted_round<P: SchedulingPolicy>(
     suite: &mut BenchSuite,
     label: &str,
@@ -169,7 +168,6 @@ fn counted_round<P: SchedulingPolicy>(
 ) {
     let mut outcome = SchedulingOutcome::default();
     take_sweep_steps();
-    take_tree_counters();
     let stats = backfill_pass_into(
         &mut policy,
         views,
@@ -188,11 +186,8 @@ fn counted_round<P: SchedulingPolicy>(
     } else {
         assert!(outcome.start_now.is_empty(), "{label}: nothing may start");
     }
-    let (descents, updates) = take_tree_counters();
     suite.counter(&format!("sweep_steps/{label}"), take_sweep_steps() as f64);
     suite.counter(&format!("pruned/{label}"), stats.pruned as f64);
-    suite.counter(&format!("tree_descents/{label}"), descents as f64);
-    suite.counter(&format!("tree_updates/{label}"), updates as f64);
 }
 
 /// The I/O-aware policy over `book` at `limit` B/s.
@@ -333,11 +328,11 @@ fn main() {
         black_box(outcome.reservations.len());
     });
 
-    // Write-path isolation: a reserve-heavy round on a free 30k-node
-    // cluster. Every job starts now and reserves [now, now + limit) with
-    // a distinct end instant in shuffled order (limits 600 + (i·37 mod
-    // 5000) s), so sweeps terminate immediately and the timing is the
-    // per-reserve write cost.
+    // Write path: a reserve-heavy round on a free 30k-node cluster.
+    // Every job starts now and reserves [now, now + limit) with a
+    // distinct end instant in shuffled order (limits 600 + (i·37 mod
+    // 5000) s), so every probe fits at once and the profile grows by
+    // one entry per job.
     let reserve_queue: Vec<SchedJob> = (0..5_000u64)
         .map(|i| {
             SchedJob::new(

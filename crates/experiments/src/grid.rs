@@ -155,6 +155,23 @@ impl SchedulerKind {
     }
 }
 
+/// Largest `Wave` volume per writer thread, in GiB: 10 TiB, 1 000× the
+/// largest wave the benches and campaigns write. Simulation cost grows
+/// with simulated time, which grows with the volume: a 1-job wave of
+/// 1e6 GiB simulates ≈2.2 million seconds, and one of 1e9 GiB keeps a
+/// campaign busy for minutes.
+const MAX_WAVE_VOLUME_GIB: f64 = 1e4;
+
+/// Largest mean span of a `Synth` trace, `jobs × mean_interarrival_secs`
+/// in seconds (≈11.6 days, 2.5× the span of the million-job x667
+/// replay). An exponential gap is at most ≈36.7 means
+/// (`SimRng::exponential` draws from 53-bit uniforms), so every submit
+/// time stays below 3.7e7 s: far under `SimTime::FAR_FUTURE` (≈4.6e15
+/// s), and, since the engine samples once per simulated second, under
+/// its 50-million-iteration convergence guard even when the trace idles
+/// between arrivals.
+const MAX_SYNTH_SPAN_SECS: f64 = 1e6;
+
 /// A workload named by generator parameters rather than by value, so a
 /// grid spec stays small and serializable; [`WorkloadSpec::materialize`]
 /// builds the actual submission list (once per campaign, shared across
@@ -253,9 +270,11 @@ impl WorkloadSpec {
     }
 
     /// Reject parameters the generators cannot take: a `Wave` volume that
-    /// is not positive and finite in bytes, and a `Synth` trace with
-    /// `max_procs` 0, a mean interarrival or median run time that is not
-    /// positive and finite, or an `io_fraction` outside `[0, 1]`.
+    /// is not positive and finite in bytes or exceeds
+    /// [`MAX_WAVE_VOLUME_GIB`], and a `Synth` trace with `max_procs` 0, a
+    /// mean interarrival or median run time that is not positive and
+    /// finite, a mean trace span (`jobs × mean_interarrival_secs`) past
+    /// [`MAX_SYNTH_SPAN_SECS`], or an `io_fraction` outside `[0, 1]`.
     fn check_params(&self) -> Result<(), String> {
         let positive = |name: &str, v: f64| {
             if v > 0.0 && v.is_finite() {
@@ -266,9 +285,18 @@ impl WorkloadSpec {
         };
         match *self {
             WorkloadSpec::Workload1 | WorkloadSpec::Workload2 => Ok(()),
-            WorkloadSpec::Wave { volume_gib, .. } => positive("volume_gib", volume_gib)
-                .and(positive("volume_gib in bytes", gib(volume_gib))),
+            WorkloadSpec::Wave { volume_gib, .. } => {
+                positive("volume_gib", volume_gib)?;
+                positive("volume_gib in bytes", gib(volume_gib))?;
+                if volume_gib > MAX_WAVE_VOLUME_GIB {
+                    return Err(format!(
+                        "volume_gib must be at most {MAX_WAVE_VOLUME_GIB:e}, got {volume_gib}"
+                    ));
+                }
+                Ok(())
+            }
             WorkloadSpec::Synth {
+                jobs,
                 max_procs,
                 mean_interarrival_secs,
                 median_run_secs,
@@ -279,6 +307,12 @@ impl WorkloadSpec {
                     return Err("max_procs must be at least 1".into());
                 }
                 positive("mean_interarrival_secs", mean_interarrival_secs)?;
+                if jobs as f64 * mean_interarrival_secs > MAX_SYNTH_SPAN_SECS {
+                    return Err(format!(
+                        "mean_interarrival_secs must keep jobs × mean_interarrival_secs \
+                         within {MAX_SYNTH_SPAN_SECS:e} s, got {jobs} × {mean_interarrival_secs}"
+                    ));
+                }
                 positive("median_run_secs", median_run_secs)?;
                 if !(0.0..=1.0).contains(&io_fraction) {
                     return Err(format!("io_fraction must be in [0, 1], got {io_fraction}"));

@@ -140,20 +140,25 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
             median_run_secs,
             io_fraction,
         };
-    let bad_wave = WorkloadSpec::Wave {
+    let wave = |volume_gib| WorkloadSpec::Wave {
         x8: 1,
         x6: 0,
         x2: 0,
         x1: 0,
         sleeps: 0,
-        volume_gib: -1.0,
+        volume_gib,
     };
+    // The 1e9 GiB wave and the 1e300 s interarrival are finite but
+    // extreme: a one-job wave too large to simulate in bounded time, and
+    // a trace whose submit times would overflow `SimTime`.
     let cases = [
-        (bad_wave, "volume_gib"),
+        (wave(-1.0), "volume_gib"),
+        (wave(1e9), "volume_gib"),
         (synth(0, 10.0, 60.0, 0.2), "max_procs"),
         (synth(4, 10.0, -60.0, 0.2), "median_run_secs"),
         (synth(4, 10.0, 60.0, 2.5), "io_fraction"),
         (synth(4, 0.0, 60.0, 0.2), "mean_interarrival_secs"),
+        (synth(4, 1e300, 60.0, 0.2), "mean_interarrival_secs"),
     ];
     let valid = one_task_grid().to_json().to_json_string();
     for (bad, field) in cases {

@@ -32,29 +32,27 @@
 //! turn float noise in an exactly balanced load into one quantum per
 //! running job and close the gate.
 //!
-//! # Writes
+//! # Layout
+//!
+//! The step function is one sorted step array, `(instant, usage from
+//! this instant on)`, in canonical form: one entry per instant where the
+//! usage changes, none that repeats its predecessor's usage (usage
+//! before the first entry is 0). This is the shape of Slurm's own
+//! time-ordered `node_space` list. The instants and the usages are kept
+//! in two parallel columns, so a reserve's range add and a probe's scan
+//! each run over one dense `i64` slice.
 //!
 //! * **Batched build** — [`ResourceProfile::stage`] +
 //!   [`ResourceProfile::commit_staged`]: the round-start tracker build
-//!   stages every running-set delta, then sorts and sums once.
-//! * **Reserve** — while the query index is live, mid-round writes go to
-//!   one short sorted list of `(instant, summed delta)` entries since the
-//!   last fold; queries read the folded breakpoints ⊕ that list, and past
-//!   `FOLD_LIMIT` entries it is folded in and the index rebuilt. With
-//!   no live index there is nothing to keep in step, and a write updates
-//!   its breakpoint in place.
+//!   stages every running-set delta, then sorts and prefix-sums once.
+//! * **Reserve** splits the array at `start` and `end` (at most two
+//!   inserts), adds the amount over the entries in between, and drops a
+//!   boundary entry that no longer changes the usage.
+//! * **Queries** binary-search to their first instant and scan forward.
 //!
-//! # Query index
-//!
-//! Queries descend a segment-tree index instead of sweeping breakpoints
-//! linearly (see `ProfileIndex`): each `earliest_at_most` probe costs
-//! O(log B) per usage flip instead of O(B). The linear sweep serves the
-//! profiles the index does not cover; the test module's model checks
-//! both paths (`prop_indexed_matches_model`). The index engages only where it can win, judged from the
-//! profile's size and reads: profiles under `MIN_INDEXED` breakpoints
-//! skip it (a short sweep beats the tree's fixed per-query cost), and a
-//! rebuild waits until a query has read the profile since the last one,
-//! so write-only bursts never pay for it.
+//! Backfill profiles hold a few hundred entries and most probes end
+//! within a few dozen entries of where they start, so the scan beats any
+//! index kept beside the array (DESIGN.md §3.7).
 
 use iosched_simkit::time::{SimDuration, SimTime};
 use std::cell::Cell;
@@ -90,216 +88,41 @@ pub fn quanta_down(amount: f64) -> i64 {
 }
 
 thread_local! {
-    /// Breakpoints advanced by linear [`ResourceProfile::earliest_at_most`]
-    /// sweeps (dormant or stale profiles) on this thread.
+    /// Entries scanned forward by [`ResourceProfile::earliest_at_most`]
+    /// on this thread.
     static SWEEP_STEPS: Cell<u64> = const { Cell::new(0) };
-    /// Segment-tree nodes visited (plus gallop checks and pending-write
-    /// hops) by indexed `earliest_at_most` probes on this thread.
-    static TREE_DESCENTS: Cell<u64> = const { Cell::new(0) };
-    /// Index maintenance work on this thread: one per write while the
-    /// index is live, plus one per breakpoint folded by a rebuild.
-    static TREE_UPDATES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Read and reset this thread's sweep-step counter (breakpoints walked by
-/// linear `earliest_at_most` sweeps since the last call).
+/// Read and reset this thread's sweep-step counter: entries scanned
+/// forward by `earliest_at_most` probes (past the binary search to
+/// `from`) since the last call.
 pub fn take_sweep_steps() -> u64 {
     SWEEP_STEPS.with(|c| c.replace(0))
 }
 
-/// Read and reset this thread's `(tree_descents, tree_updates)` counters:
-/// segment-tree nodes visited by indexed `earliest_at_most` probes, and
-/// index point-updates/rebuild breakpoints, since the last call.
+/// Always `(0, 0)`: the profiles keep no tree index any more. Kept only
+/// for callers that still read the old `(tree_descents, tree_updates)`
+/// pair; it goes when they do.
 pub fn take_tree_counters() -> (u64, u64) {
-    (
-        TREE_DESCENTS.with(|c| c.replace(0)),
-        TREE_UPDATES.with(|c| c.replace(0)),
-    )
-}
-
-/// Linear-prefix length each flip search tries before descending the
-/// tree: near flips (the common case at a crowded backfill horizon) cost
-/// what the sweep would, far flips pay one wasted prefix and then skip in
-/// O(log B).
-const GALLOP: usize = 8;
-
-/// Breakpoint count below which the index stays dormant: a sweep over a
-/// few dozen breakpoints beats the tree's fixed per-query cost, so small
-/// profiles skip all index maintenance and queries take the linear path.
-const MIN_INDEXED: usize = 64;
-
-/// Pending-write count past which [`ResourceProfile::reserve`] folds the
-/// list into the breakpoints and rebuilds the index. Every query walks
-/// the pending writes in its range one at a time, so the list stays a
-/// small constant, while the O(B) fold amortizes to a fraction of a
-/// breakpoint per write.
-const FOLD_LIMIT: usize = 16;
-
-/// Segment-tree index over the folded breakpoints of a
-/// [`ResourceProfile`].
-///
-/// The grid (`times`/`usage`) snapshots the cumulative usage at the last
-/// fold; `tmax`/`tmin` are 1-indexed max/min segment trees over `usage`,
-/// static between folds. Writes since the fold live in the profile's
-/// pending list; queries add the matching pending prefix sum to the grid
-/// usage, walking one pending window at a time with an O(log B) tree
-/// descent per window.
-#[derive(Clone, Debug)]
-struct ProfileIndex {
-    /// Breakpoint instants at the last rebuild, sorted.
-    times: Vec<SimTime>,
-    /// Cumulative usage after `times[j]`.
-    usage: Vec<i64>,
-    /// Max segment tree over `usage`: `cap` leaves at `tmax[cap..]`,
-    /// padded with `i64::MIN`.
-    tmax: Vec<i64>,
-    /// Min segment tree over `usage`, padded with `i64::MAX`.
-    tmin: Vec<i64>,
-    /// Leaf count: `times.len()` rounded up to a power of two.
-    cap: usize,
-    /// The grid no longer reflects the folded breakpoints: the profile is
-    /// under `MIN_INDEXED` breakpoints, or a fold ran with no query
-    /// since the last rebuild. Queries sweep and writes go in place until
-    /// the next rebuild.
-    stale: bool,
-    /// A query ran since the last rebuild (set from `&self`, hence the
-    /// `Cell`). Rebuilds wait for it so write-only bursts never pay the
-    /// O(B) rebuild; the first query after such a burst sweeps once and
-    /// the next write rebuilds.
-    query_seen: Cell<bool>,
-}
-
-impl Default for ProfileIndex {
-    /// Starts stale: an empty profile is under `MIN_INDEXED`.
-    fn default() -> Self {
-        ProfileIndex {
-            times: Vec::new(),
-            usage: Vec::new(),
-            tmax: Vec::new(),
-            tmin: Vec::new(),
-            cap: 0,
-            stale: true,
-            query_seen: Cell::new(false),
-        }
-    }
-}
-
-impl ProfileIndex {
-    /// Rebuild the grid and both trees from the folded breakpoints.
-    /// O(B) fold + O(B) tree build.
-    fn rebuild(&mut self, deltas: &[(SimTime, i64)]) {
-        self.times.clear();
-        self.usage.clear();
-        let mut acc = 0;
-        for &(t, d) in deltas {
-            acc += d;
-            self.times.push(t);
-            self.usage.push(acc);
-        }
-        let n = self.times.len();
-        self.cap = if n == 0 { 0 } else { n.next_power_of_two() };
-        self.tmax.clear();
-        self.tmax.resize(2 * self.cap, i64::MIN);
-        self.tmin.clear();
-        self.tmin.resize(2 * self.cap, i64::MAX);
-        self.tmax[self.cap..self.cap + n].copy_from_slice(&self.usage);
-        self.tmin[self.cap..self.cap + n].copy_from_slice(&self.usage);
-        for i in (1..self.cap).rev() {
-            self.tmax[i] = self.tmax[2 * i].max(self.tmax[2 * i + 1]);
-            self.tmin[i] = self.tmin[2 * i].min(self.tmin[2 * i + 1]);
-        }
-        self.stale = false;
-        self.query_seen.set(false);
-        TREE_UPDATES.with(|c| c.set(c.get() + n as u64));
-    }
-
-    /// Grid usage just before grid position `k` (0 = before everything).
-    fn gval(&self, k: usize) -> i64 {
-        if k == 0 {
-            0
-        } else {
-            self.usage[k - 1]
-        }
-    }
-
-    /// First grid position in `[lo, hi)` whose usage satisfies the
-    /// predicate (`above`: `> bound`, else `<= bound`), found by
-    /// descending the matching tree; `None` when every position in range
-    /// fails (often a single root visit).
-    fn first_flip(
-        &self,
-        lo: usize,
-        hi: usize,
-        bound: i64,
-        above: bool,
-        steps: &mut u64,
-    ) -> Option<usize> {
-        if self.cap == 0 || lo >= hi {
-            return None;
-        }
-        self.descend(1, 0, self.cap, lo, hi, bound, above, steps)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        node: usize,
-        nlo: usize,
-        nhi: usize,
-        lo: usize,
-        hi: usize,
-        bound: i64,
-        above: bool,
-        steps: &mut u64,
-    ) -> Option<usize> {
-        if nhi <= lo || hi <= nlo {
-            return None;
-        }
-        *steps += 1;
-        let enter = if above {
-            self.tmax[node] > bound
-        } else {
-            self.tmin[node] <= bound
-        };
-        if !enter {
-            return None;
-        }
-        if nhi - nlo == 1 {
-            return Some(nlo);
-        }
-        let mid = (nlo + nhi) / 2;
-        self.descend(2 * node, nlo, mid, lo, hi, bound, above, steps)
-            .or_else(|| self.descend(2 * node + 1, mid, nhi, lo, hi, bound, above, steps))
-    }
+    (0, 0)
 }
 
 /// A step function of reserved amount over time, with a fixed capacity,
-/// in quanta (see the module docs for the rounding rule).
+/// in quanta (see the module docs for the layout and the rounding rule).
 ///
-/// The step function is `deltas ⊕ pending`: the folded breakpoints plus
-/// the writes logged since the last fold, summed where instants coincide.
 /// [`Self::reset`] retains all allocations so pooled profiles keep the
 /// steady-state scheduling pass allocation-free.
 #[derive(Clone, Debug)]
 pub struct ResourceProfile {
     capacity: i64,
-    /// Folded `(breakpoint, change of the reserved amount)`, sorted by
-    /// time, one nonzero entry per instant.
-    deltas: Vec<(SimTime, i64)>,
-    /// Writes since the last fold while the index is live (empty while it
-    /// is stale): `(instant, summed delta)`, sorted, one entry per
-    /// instant (which may coincide with a `deltas` instant, and may sum
-    /// to zero).
-    pending: Vec<(SimTime, i64)>,
-    /// Prefix sums of `pending` deltas: a probe past `k` pending instants
-    /// adds `pending_off[k-1]` to the grid usage.
-    pending_off: Vec<i64>,
-    /// Staged entries awaiting [`Self::commit_staged`].
+    /// Entry instants, strictly increasing.
+    times: Vec<SimTime>,
+    /// `usage[i]`: the reserved amount from `times[i]` on. Canonical: no
+    /// entry repeats its predecessor's usage, and the first differs
+    /// from 0.
+    usage: Vec<i64>,
+    /// Staged `(instant, delta)` entries awaiting [`Self::commit_staged`].
     staged: Vec<(SimTime, i64)>,
-    /// Pooled target of fold merges.
-    scratch: Vec<(SimTime, i64)>,
-    /// Segment-tree query index; see [`ProfileIndex`].
-    index: ProfileIndex,
 }
 
 impl Default for ResourceProfile {
@@ -313,12 +136,9 @@ impl ResourceProfile {
     pub fn new(capacity: i64) -> Self {
         ResourceProfile {
             capacity,
-            deltas: Vec::new(),
-            pending: Vec::new(),
-            pending_off: Vec::new(),
+            times: Vec::new(),
+            usage: Vec::new(),
             staged: Vec::new(),
-            scratch: Vec::new(),
-            index: ProfileIndex::default(),
         }
     }
 
@@ -331,75 +151,42 @@ impl ResourceProfile {
     /// allocations for reuse.
     pub fn reset(&mut self, capacity: i64) {
         self.capacity = capacity;
-        self.deltas.clear();
-        self.pending.clear();
-        self.pending_off.clear();
+        self.times.clear();
+        self.usage.clear();
         self.staged.clear();
-        self.index.stale = true;
-        self.index.query_seen.set(false);
     }
 
-    /// The step function's breakpoints in time order: `deltas ⊕ pending`,
-    /// summed at shared instants.
-    fn breakpoints(&self) -> Merge<'_> {
-        Merge {
-            a: &self.deltas,
-            b: &self.pending,
-            i: 0,
-            j: 0,
-        }
-    }
-
-    /// Add `d` at instant `t`. A live index logs it in the pending list
-    /// and refreshes the prefix sums from the touched entry on,
-    /// O(pending); with no index to keep in step, the breakpoint is
-    /// written in place.
-    fn write(&mut self, t: SimTime, d: i64) {
-        if self.index.stale {
-            match self.deltas.binary_search_by_key(&t, |e| e.0) {
-                Ok(i) => {
-                    self.deltas[i].1 += d;
-                    if self.deltas[i].1 == 0 {
-                        self.deltas.remove(i);
-                    }
-                }
-                Err(i) => self.deltas.insert(i, (t, d)),
-            }
-            return;
-        }
-        let i = match self.pending.binary_search_by_key(&t, |e| e.0) {
-            Ok(i) => {
-                self.pending[i].1 += d;
-                i
-            }
-            Err(i) => {
-                self.pending.insert(i, (t, d));
-                self.pending_off.push(0);
-                i
-            }
-        };
-        let mut acc = if i == 0 { 0 } else { self.pending_off[i - 1] };
-        for k in i..self.pending.len() {
-            acc += self.pending[k].1;
-            self.pending_off[k] = acc;
-        }
-        TREE_UPDATES.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Merge the pending list into the folded breakpoints, then rebuild
-    /// the index if the profile is still large enough and a query has
-    /// read it since the last rebuild; otherwise mark it stale.
-    fn fold(&mut self) {
-        let mut merged = std::mem::take(&mut self.scratch);
-        merged.clear();
-        merged.extend(self.breakpoints().filter(|e| e.1 != 0));
-        self.scratch = std::mem::replace(&mut self.deltas, merged);
-        self.pending.clear();
-        self.pending_off.clear();
-        if self.deltas.len() >= MIN_INDEXED && self.index.query_seen.get() {
-            self.index.rebuild(&self.deltas);
+    /// Usage just before entry `i` (0 before the first entry).
+    fn usage_before(&self, i: usize) -> i64 {
+        if i == 0 {
+            0
         } else {
-            self.index.stale = true;
+            self.usage[i - 1]
+        }
+    }
+
+    /// Index of the first entry after `t`: the usage at `t` is
+    /// `usage_before` of it.
+    fn after(&self, t: SimTime) -> usize {
+        self.times.partition_point(|&bt| bt <= t)
+    }
+
+    /// Index of the entry at `t`, searching from `lo`; inserts one that
+    /// repeats the usage before `t` when there is none.
+    fn split(&mut self, lo: usize, t: SimTime) -> usize {
+        let i = lo + self.times[lo..].partition_point(|&bt| bt < t);
+        if self.times.get(i) != Some(&t) {
+            self.times.insert(i, t);
+            self.usage.insert(i, self.usage_before(i));
+        }
+        i
+    }
+
+    /// Drop entry `i` when it repeats the usage before it.
+    fn drop_if_redundant(&mut self, i: usize) {
+        if self.usage[i] == self.usage_before(i) {
+            self.times.remove(i);
+            self.usage.remove(i);
         }
     }
 
@@ -410,20 +197,15 @@ impl ResourceProfile {
             return;
         }
         debug_assert!(self.staged.is_empty(), "commit_staged before reserving");
-        self.write(start, amount);
-        self.write(end, -amount);
-        if self.index.stale {
-            // Revive the index once the profile is large enough and a
-            // query has read it: a write-only burst never rebuilds, and
-            // the burst's first reader sweeps once instead.
-            if self.deltas.len() >= MIN_INDEXED && self.index.query_seen.get() {
-                self.index.rebuild(&self.deltas);
-            }
-        } else if self.pending.len() > FOLD_LIMIT
-            || self.deltas.len() + self.pending.len() < MIN_INDEXED
-        {
-            self.fold();
+        let s = self.split(0, start);
+        let e = self.split(s + 1, end);
+        for u in &mut self.usage[s..e] {
+            *u += amount;
         }
+        // Only the two boundaries can now repeat their predecessor's
+        // usage: the entries in between all moved by the same amount.
+        self.drop_if_redundant(e);
+        self.drop_if_redundant(s);
     }
 
     /// Stage `amount` over `[start, end)` for a batched build. Invisible
@@ -437,38 +219,34 @@ impl ResourceProfile {
         self.staged.push((end, -amount));
     }
 
-    /// Sort and sum everything staged since [`Self::reset`] into the
-    /// breakpoints: O(S log S) where one write per entry would be
-    /// O(S·k). Instants whose deltas cancel are dropped. Rebuilds the
-    /// query index once at the end.
+    /// Sort everything staged since [`Self::reset`] and prefix-sum it into
+    /// the step array: O(S log S) where one reserve per entry would be
+    /// O(S·B). Instants whose deltas cancel leave no entry.
     pub fn commit_staged(&mut self) {
         debug_assert!(
-            self.deltas.is_empty() && self.pending.is_empty(),
+            self.times.is_empty(),
             "commit_staged on a profile with committed reservations"
         );
         self.staged.sort_unstable_by_key(|e| e.0);
-        for &(t, d) in &self.staged {
-            match self.deltas.last_mut() {
-                Some(last) if last.0 == t => last.1 += d,
-                _ => self.deltas.push((t, d)),
+        let mut usage = 0;
+        for (k, &(t, d)) in self.staged.iter().enumerate() {
+            usage += d;
+            // Sum every delta at `t` before deciding on its entry.
+            if self.staged.get(k + 1).is_some_and(|next| next.0 == t) {
+                continue;
+            }
+            if usage != self.usage.last().copied().unwrap_or(0) {
+                self.times.push(t);
+                self.usage.push(usage);
             }
         }
-        self.deltas.retain(|e| e.1 != 0);
         self.staged.clear();
-        if self.deltas.len() >= MIN_INDEXED {
-            self.index.rebuild(&self.deltas);
-        } else {
-            self.index.stale = true;
-        }
     }
 
     /// Total reserved amount at time `t`.
     pub fn usage_at(&self, t: SimTime) -> i64 {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        self.breakpoints()
-            .take_while(|&(bt, _)| bt <= t)
-            .map(|(_, d)| d)
-            .sum()
+        self.usage_before(self.after(t))
     }
 
     /// Maximum reserved amount over `[start, end)`; `usage_at(start)` if
@@ -479,171 +257,57 @@ impl ResourceProfile {
         if end <= start {
             return 0;
         }
-        let mut m = self.breakpoints().peekable();
-        let mut usage = 0;
-        while let Some((_, d)) = m.next_if(|&(bt, _)| bt <= start) {
-            usage += d;
-        }
-        let mut max = usage;
-        while let Some((_, d)) = m.next_if(|&(bt, _)| bt < end) {
-            usage += d;
-            max = max.max(usage);
-        }
-        max
+        let i = self.after(start);
+        let j = i + self.times[i..].partition_point(|&bt| bt < end);
+        self.usage[i..j]
+            .iter()
+            .fold(self.usage_before(i), |max, &u| max.max(u))
     }
 
     /// Earliest `t ≥ from` such that the reserved amount stays at or below
     /// `threshold` throughout `[t, t + dur)`.
     ///
-    /// A live index answers by flip search (see
-    /// `earliest_at_most_indexed`); dormant and stale profiles sweep.
-    ///
-    /// Always terminates: after the last breakpoint the profile is
-    /// constant (zero if all reservations have finite ends) — if even the
-    /// tail usage exceeds the threshold, [`SimTime::FAR_FUTURE`] is
-    /// returned.
+    /// Walks the segments from `from` on, alternating between skipping
+    /// segments over the threshold (each pushes the candidate start to
+    /// its end) and extending a run of fitting segments until it covers
+    /// the window `[cand, cand + dur)`. Always terminates: after the last
+    /// entry the profile is constant (zero if all reservations have
+    /// finite ends) — if even the tail usage exceeds the threshold,
+    /// [`SimTime::FAR_FUTURE`] is returned.
     pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: i64) -> SimTime {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
         let dur = dur.max(SimDuration::from_millis(1));
-        self.index.query_seen.set(true);
-        if self.index.stale {
-            // Nothing is pending without a live index: sweep one slice.
-            debug_assert!(self.pending.is_empty());
-            let mut steps: u64 = 0;
-            let result = sweep(
-                self.deltas.iter().copied(),
-                from,
-                dur,
-                threshold,
-                &mut steps,
-            );
-            SWEEP_STEPS.with(|c| c.set(c.get() + steps));
-            return result;
-        }
-        self.earliest_at_most_indexed(from, dur, threshold)
-    }
-
-    /// Pending prefix sum once `k` pending instants lie at or before the
-    /// probe position.
-    fn pval(&self, k: usize) -> i64 {
-        if k == 0 {
-            0
-        } else {
-            self.pending_off[k - 1]
-        }
-    }
-
-    /// The indexed [`Self::earliest_at_most`] walk. `cand` tracks the
-    /// start of the current run of fitting segments exactly like the
-    /// sweep; each iteration jumps straight to the next usage flip via
-    /// [`Self::next_flip`]. The good-state search is bounded by
-    /// `cand + dur` — a flip at or past the window close can't matter —
-    /// so fits-now probes cost O(log B) total.
-    fn earliest_at_most_indexed(&self, from: SimTime, dur: SimDuration, limit: i64) -> SimTime {
-        let mut steps: u64 = 0;
-        let mut gi = self.index.times.partition_point(|&bt| bt <= from);
-        let mut pi = self.pending.partition_point(|&(bt, _)| bt <= from);
+        let first = self.after(from);
+        let mut k = first;
+        let mut usage = self.usage_before(k);
         let mut cand = from;
-        let mut good = self.index.gval(gi) + self.pval(pi) <= limit;
-        let result = loop {
-            if good {
-                match self.next_flip(gi, pi, limit, true, Some(cand + dur), &mut steps) {
-                    // No boundary above the limit before the window
-                    // closes: `[cand, cand + dur)` fits.
-                    None => break cand,
-                    Some((_, ngi, npi)) => {
-                        gi = ngi;
-                        pi = npi;
-                        good = false;
-                    }
+        let result = 'probe: loop {
+            while usage > threshold {
+                let Some(&t) = self.times.get(k) else {
+                    // The tail usage exceeds the threshold forever.
+                    break 'probe SimTime::FAR_FUTURE;
+                };
+                cand = t;
+                usage = self.usage[k];
+                k += 1;
+            }
+            let close = cand + dur;
+            loop {
+                match self.times.get(k) {
+                    Some(&t) if t < close => {}
+                    // The run of fitting segments covers the window (or
+                    // reaches the tail, which fits forever).
+                    _ => break 'probe cand,
                 }
-            } else {
-                match self.next_flip(gi, pi, limit, false, None, &mut steps) {
-                    // Tail usage exceeds the threshold forever.
-                    None => break SimTime::FAR_FUTURE,
-                    Some((bt, ngi, npi)) => {
-                        cand = bt;
-                        gi = ngi;
-                        pi = npi;
-                        good = true;
-                    }
+                usage = self.usage[k];
+                k += 1;
+                if usage > threshold {
+                    break;
                 }
             }
         };
-        TREE_DESCENTS.with(|c| c.set(c.get() + steps));
+        SWEEP_STEPS.with(|c| c.set(c.get() + (k - first) as u64));
         result
-    }
-
-    /// First boundary strictly after the cursor `(gi, pi)` — and before
-    /// `bound`, when given — at which the merged usage first satisfies
-    /// the predicate (`above`: `> limit`, else `<= limit`). Walks one
-    /// pending window at a time: a gallop prefix and a tree descent over
-    /// the grid positions before the next pending instant, then the
-    /// pending instant itself. Returns the flip time and the advanced
-    /// cursor; `None` means no boundary before `bound` (or ever) flips.
-    fn next_flip(
-        &self,
-        mut gi: usize,
-        mut pi: usize,
-        limit: i64,
-        above: bool,
-        bound: Option<SimTime>,
-        steps: &mut u64,
-    ) -> Option<(SimTime, usize, usize)> {
-        let idx = &self.index;
-        let sat = |u: i64| if above { u > limit } else { u <= limit };
-        loop {
-            let off = self.pval(pi);
-            // Grid window before the next pending write (or the grid end).
-            let (win_end, pt) = match self.pending.get(pi) {
-                Some(&(pt, _)) => (
-                    gi + idx.times[gi..].partition_point(|&bt| bt < pt),
-                    Some(pt),
-                ),
-                None => (idx.times.len(), None),
-            };
-            let scan_end = match bound {
-                Some(b) => gi + idx.times[gi..win_end].partition_point(|&bt| bt < b),
-                None => win_end,
-            };
-            // Gallop: most flips sit within a few breakpoints of the
-            // cursor (adjacent reservations at the backfill horizon), so
-            // scan a short linear prefix — as cheap as the sweep there —
-            // and only descend the tree for the long-range skips it wins.
-            let gallop_end = scan_end.min(gi + GALLOP);
-            while gi < gallop_end {
-                *steps += 1;
-                if sat(idx.usage[gi] + off) {
-                    return Some((idx.times[gi], gi + 1, pi));
-                }
-                gi += 1;
-            }
-            // The trees compare against `limit - off`, so their padding
-            // leaves never take part in an addition.
-            if let Some(j) = idx.first_flip(gi, scan_end, limit - off, above, steps) {
-                return Some((idx.times[j], j + 1, pi));
-            }
-            if scan_end < win_end {
-                // Every boundary before `bound` keeps the current state.
-                return None;
-            }
-            let pt = pt?;
-            if bound.is_some_and(|b| pt >= b) {
-                return None;
-            }
-            // Step over the pending write at `pt` (which may coincide
-            // with a grid breakpoint).
-            gi = if idx.times.get(win_end) == Some(&pt) {
-                win_end + 1
-            } else {
-                win_end
-            };
-            pi += 1;
-            *steps += 1;
-            if sat(idx.gval(gi) + self.pval(pi)) {
-                return Some((pt, gi, pi));
-            }
-        }
     }
 
     /// Earliest `t ≥ from` at which an additional `amount` fits under the
@@ -652,104 +316,14 @@ impl ResourceProfile {
         self.earliest_at_most(from, dur, self.capacity - amount)
     }
 
-    /// Breakpoints and cumulative usage, for diagnostics and tests.
+    /// Breakpoints and the usage from each on, for diagnostics and tests.
     pub fn steps(&self) -> Vec<(SimTime, i64)> {
         debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        let mut usage = 0;
-        self.breakpoints()
-            .filter(|e| e.1 != 0)
-            .map(|(t, d)| {
-                usage += d;
-                (t, usage)
-            })
+        self.times
+            .iter()
+            .copied()
+            .zip(self.usage.iter().copied())
             .collect()
-    }
-}
-
-/// The [`ResourceProfile::earliest_at_most`] segment walk over a
-/// time-ordered breakpoint stream: accumulate usage once left to right,
-/// track the start of the current run of fitting segments, return as
-/// soon as a run covers a full window.
-fn sweep<I: Iterator<Item = (SimTime, i64)>>(
-    iter: I,
-    from: SimTime,
-    dur: SimDuration,
-    limit: i64,
-    steps: &mut u64,
-) -> SimTime {
-    let mut m = iter.peekable();
-
-    // Usage over the breakpoints at or before `from`.
-    let mut usage = 0;
-    while let Some((_, d)) = m.next_if(|&(bt, _)| bt <= from) {
-        usage += d;
-        *steps += 1;
-    }
-
-    // Walk the segments [seg_start, peek()) with constant `usage`.
-    // `cand` is the earliest potential start: `from`, pushed to the
-    // end of every violating segment encountered.
-    let mut cand = from;
-    loop {
-        let seg_end = m.peek().map(|&(bt, _)| bt);
-        if usage <= limit {
-            // Fits through this whole segment; done if the window
-            // [cand, cand + dur) closes before the segment does.
-            match seg_end {
-                Some(end) if cand + dur > end => {}
-                _ => break cand, // covers the window (or tail: fits forever)
-            }
-        } else {
-            match seg_end {
-                Some(end) => cand = end,
-                // Tail usage exceeds the threshold forever.
-                None => break SimTime::FAR_FUTURE,
-            }
-        }
-        usage += m.next().expect("peeked").1;
-        *steps += 1;
-    }
-}
-
-/// Two-way merge cursor over two sorted breakpoint lists: yields each
-/// instant once in time order, with the deltas at an instant both lists
-/// hold summed. An instant whose sum is zero is still yielded; it changes
-/// no usage.
-struct Merge<'a> {
-    a: &'a [(SimTime, i64)],
-    b: &'a [(SimTime, i64)],
-    i: usize,
-    j: usize,
-}
-
-impl Iterator for Merge<'_> {
-    type Item = (SimTime, i64);
-
-    fn next(&mut self) -> Option<(SimTime, i64)> {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&ea), Some(&eb)) => {
-                if ea.0 < eb.0 {
-                    self.i += 1;
-                    Some(ea)
-                } else if eb.0 < ea.0 {
-                    self.j += 1;
-                    Some(eb)
-                } else {
-                    self.i += 1;
-                    self.j += 1;
-                    Some((ea.0, ea.1 + eb.1))
-                }
-            }
-            (Some(&ea), None) => {
-                self.i += 1;
-                Some(ea)
-            }
-            (None, Some(&eb)) => {
-                self.j += 1;
-                Some(eb)
-            }
-            (None, None) => None,
-        }
     }
 }
 
@@ -817,10 +391,13 @@ mod tests {
         }
 
         fn max_over(&self, start: SimTime, end: SimTime) -> i64 {
-            let inside = self.deltas.iter().filter(|e| e.0 > start && e.0 < end);
-            inside
-                .map(|e| self.usage_at(e.0))
-                .fold(self.usage_at(start), i64::max)
+            let mut usage = self.usage_at(start);
+            let mut max = usage;
+            for e in self.deltas.iter().filter(|e| e.0 > start && e.0 < end) {
+                usage += e.1;
+                max = max.max(usage);
+            }
+            max
         }
 
         /// Probe `max_over` at `from` and after every breakpoint until a
@@ -995,29 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn folds_preserve_queries() {
-        // 40 committed reservations give the index 80 breakpoints; 20
-        // read-interleaved reserves then log 40 writes, folding twice.
-        let mut p = ResourceProfile::new(10);
-        let mut model = Model::default();
-        for k in 0..40u64 {
-            p.stage(1, t(3 * k), t(3 * k + 100));
-            model.reserve(1, t(3 * k), t(3 * k + 100));
-        }
-        p.commit_staged();
-        for k in 0..20u64 {
-            assert_eq!(p.earliest_at_most(t(k), d(5), 30), t(k));
-            p.reserve(1, t(3 * k + 1), t(3 * k + 50));
-            model.reserve(1, t(3 * k + 1), t(3 * k + 50));
-            assert!(!p.index.stale && p.pending.len() <= FOLD_LIMIT);
-        }
-        assert_eq!(p.steps(), model.steps());
-        for probe in 0..250u64 {
-            assert_eq!(p.usage_at(t(probe)), model.usage_at(t(probe)));
-        }
-    }
-
-    #[test]
     fn capacity_accessor_and_stacked_identical_intervals() {
         let mut p = ResourceProfile::new(7);
         assert_eq!(p.capacity(), 7);
@@ -1047,57 +601,6 @@ mod tests {
         p.reserve(10, t(0), t(10));
         // dur = 0 behaves like a 1 ms window.
         assert_eq!(p.earliest_fit(t(0), SimDuration::ZERO, 1), t(10));
-    }
-
-    #[test]
-    fn pending_overflow_rebuilds_index() {
-        take_tree_counters();
-        let mut p = ResourceProfile::new(1000);
-        // Interleave writes and reads past MIN_INDEXED so the overflow
-        // rebuilds actually fire (write-only bursts defer them). Start
-        // and end instants never coincide (3k vs 3j + 10), so every
-        // reserve adds two lasting breakpoints.
-        let sweep_of = |p: &ResourceProfile, f: u64| sweep(p.breakpoints(), t(f), d(5), 3, &mut 0);
-        for k in 0..200u64 {
-            p.reserve(1, t(3 * k), t(3 * k + 10));
-            assert_eq!(p.earliest_at_most(t(3 * k), d(5), 3), sweep_of(&p, 3 * k));
-            assert!(p.pending.len() <= FOLD_LIMIT);
-        }
-        assert!(!p.index.stale, "a read-interleaved profile keeps its index");
-        // Queries stay correct across rebuild boundaries.
-        for f in 0..60u64 {
-            assert_eq!(p.earliest_at_most(t(f), d(5), 3), sweep_of(&p, f));
-        }
-        let (descents, updates) = take_tree_counters();
-        assert!(descents > 0, "indexed queries count tree descents");
-        assert!(updates > 0, "writes and rebuilds count tree updates");
-    }
-
-    #[test]
-    fn small_profiles_and_unread_bursts_skip_index_work() {
-        // Below MIN_INDEXED the index stays dormant: queries sweep and
-        // writes do no maintenance at all.
-        take_tree_counters();
-        let mut p = ResourceProfile::new(100);
-        for k in 0..20u64 {
-            p.reserve(1, t(k), t(k + 10));
-        }
-        let _ = p.earliest_at_most(t(0), d(5), 50);
-        assert_eq!(take_tree_counters(), (0, 0));
-
-        // A write-only burst past MIN_INDEXED defers every rebuild; the
-        // burst's first reader sweeps once, and the next write rebuilds.
-        let mut p = ResourceProfile::new(1000);
-        for k in 0..200u64 {
-            p.reserve(1, t(2 * k), t(2 * k + 1));
-        }
-        let (_, updates) = take_tree_counters();
-        assert_eq!(updates, 0, "unread burst must not maintain the index");
-        let q = p.earliest_at_most(t(0), d(5), 0);
-        p.reserve(1, t(500), t(600));
-        let (_, updates) = take_tree_counters();
-        assert!(updates > 0, "first write after a read rebuilds");
-        assert_eq!(p.earliest_at_most(t(0), d(5), 0), q);
     }
 
     #[test]
@@ -1203,41 +706,114 @@ mod tests {
             prop_assert_eq!(p.earliest_at_most(t(from), d(dur), thr), expected);
             prop_assert_eq!(b.earliest_at_most(t(from), d(dur), thr), expected);
         }
+    }
 
-        /// Tree-indexed earliest_at_most equals the model under randomized
-        /// interleaved stage/reserve churn — across fold and rebuild
-        /// boundaries, negative amounts (AT-tracker profiles), and
-        /// negative thresholds. Runs under cfg(test) so release CI
-        /// exercises the comparison too.
-        fn prop_indexed_matches_model(
-            committed in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),
-            resv in prop::vec((0u64..600, 1u64..300, -3_000i64..5_000), 0..48),
-            probes in prop::vec((0u64..900, 1u64..250, -1_000i64..9_000), 1..8),
+    /// `steps` is in canonical form: strictly increasing instants, and no
+    /// entry repeating its predecessor's usage (0 before the first).
+    fn canonical(steps: &[(SimTime, i64)]) -> bool {
+        let mut prev = (None, 0);
+        steps.iter().all(|&(bt, u)| {
+            let ok = prev.0.is_none_or(|p| p < bt) && u != prev.1;
+            prev = (Some(bt), u);
+            ok
+        })
+    }
+
+    /// One generated write: raw start and length (scaled into the case's
+    /// time span), amount, and a kind: 0 cancels an earlier
+    /// reservation, 1 abuts the previous one, 2 rebuilds the profile
+    /// through `stage`/`commit_staged` before writing, anything else is a
+    /// plain reservation.
+    type Write = (u64, u64, i64, u16);
+
+    /// Replay `writes` into a profile and the model, mixing `reserve`
+    /// with batched rebuilds, and require after every write that the step
+    /// array equals the model's and is canonical. Every `probe_every`-th
+    /// write (and after the last) the `probes` are compared with the
+    /// model's `usage_at`, `max_over` and `earliest_at_most`.
+    fn check_interleaving(
+        span: u64,
+        writes: &[Write],
+        probes: &[(u64, u64, i64)],
+        probe_every: usize,
+    ) -> Result<(), String> {
+        let mut p = ResourceProfile::new(10_000);
+        let mut model = Model::default();
+        let mut applied: Vec<(i64, SimTime, SimTime)> = Vec::new();
+        let max_len = (span / 8).max(2);
+        for (k, &(s_raw, len_raw, amount, kind)) in writes.iter().enumerate() {
+            let start = s_raw % span;
+            let (mut a, mut s, mut e) = (amount, t(start), t(start + 1 + len_raw % max_len));
+            match (kind, applied.last()) {
+                (0, Some(_)) => {
+                    let (pa, ps, pe) = applied[len_raw as usize % applied.len()];
+                    (a, s, e) = (-pa, ps, pe);
+                }
+                (1, Some(&(_, _, pe))) => {
+                    let len = e - s;
+                    (s, e) = (pe, pe + len);
+                }
+                (2, _) => {
+                    p.reset(10_000);
+                    for &(ra, rs, re) in &applied {
+                        p.stage(ra, rs, re);
+                    }
+                    p.commit_staged();
+                    prop_assert_eq!(p.steps(), model.steps(), "rebuild before write {k}");
+                }
+                _ => {}
+            }
+            p.reserve(a, s, e);
+            model.reserve(a, s, e);
+            applied.push((a, s, e));
+            let steps = p.steps();
+            prop_assert_eq!(&steps, &model.steps(), "write {k}: reserve({a}, {s}, {e})");
+            prop_assert!(canonical(&steps), "write {k} left a redundant entry");
+            if (k + 1) % probe_every == 0 || k + 1 == writes.len() {
+                for &(f, du, thr) in probes {
+                    let (f, du) = (t(f % (span + span / 4 + 1)), d(du % max_len + 1));
+                    prop_assert_eq!(p.usage_at(f), model.usage_at(f), "usage_at({f})");
+                    prop_assert_eq!(p.max_over(f, f + du), model.max_over(f, f + du));
+                    prop_assert_eq!(
+                        p.earliest_at_most(f, du, thr),
+                        model.earliest_at_most(f, du, thr),
+                        "write {k}: earliest_at_most({f}, {du}, {thr})"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    props! {
+        /// Small profiles over a short span, so instants coincide and
+        /// reservations cancel often: every write keeps the step array
+        /// equal to the model's and canonical, and every query agrees
+        /// with the model after every write, negative thresholds
+        /// included.
+        fn prop_interleaved_writes_match_model_small(
+            span in 2u64..60,
+            writes in prop::vec((0u64..1_000, 0u64..1_000, -3_000i64..5_000, 0u16..8), 1..40),
+            probes in prop::vec((0u64..1_000, 0u64..1_000, -1_000i64..9_000), 1..4),
         ) {
-            let mut p = ResourceProfile::new(10_000);
-            let mut model = Model::of(&committed);
-            for &(s, len, a) in &committed {
-                p.stage(a, t(s), t(s + len));
-            }
-            p.commit_staged();
-            let mut probe_iter = probes.iter().cycle();
-            for &(s, len, a) in &resv {
-                p.reserve(a, t(s), t(s + len));
-                model.reserve(a, t(s), t(s + len));
-                let &(f, du, thr) = probe_iter.next().expect("cycle");
-                prop_assert_eq!(
-                    p.earliest_at_most(t(f), d(du), thr),
-                    model.earliest_at_most(t(f), d(du), thr),
-                    "probe diverged mid-churn (from {f}, dur {du}, thr {thr})"
-                );
-            }
-            for &(f, du, thr) in &probes {
-                prop_assert_eq!(
-                    p.earliest_at_most(t(f), d(du), thr),
-                    model.earliest_at_most(t(f), d(du), thr),
-                    "probe diverged (from {f}, dur {du}, thr {thr})"
-                );
-            }
+            check_interleaving(span, &writes, &probes, 1)?;
+        }
+    }
+
+    props! {
+        #![cases(16)]
+        /// The same interleaving on profiles of up to ≈2 000 entries:
+        /// every write is checked against the model; queries run every
+        /// 128 writes, since the model's probe scan is quadratic.
+        fn prop_interleaved_writes_match_model_large(
+            span in 200u64..20_000,
+            writes in prop::vec(
+                (0u64..1_000_000, 0u64..1_000_000, -3_000i64..5_000, 0u16..16),
+                1..1_300,
+            ),
+            probes in prop::vec((0u64..1_000_000, 0u64..1_000_000, -1_000i64..20_000), 1..4),
+        ) {
+            check_interleaving(span, &writes, &probes, 128)?;
         }
     }
 }

@@ -199,6 +199,17 @@ fn main() {
         black_box(snap_buf.total_bps);
     });
 
+    // The testbed's per-second tick with one stream running: noise
+    // epochs every 10 s over 56 OSTs, fatigue stepped every second.
+    suite.bench("lustre_idle_ticks_56_ost/stria", || {
+        let mut fs = LustreSim::new(LustreConfig::stria(), SimRng::from_seed(7));
+        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(1e5));
+        for sec in 1..=10_000 {
+            fs.advance_to(SimTime::from_secs(sec));
+        }
+        black_box(fs.total_throughput_bps());
+    });
+
     let jobs = make_queue(200);
     let refs: Vec<&SchedJob> = jobs.iter().collect();
     suite.bench("backfill_pass_200_jobs/node_policy", || {

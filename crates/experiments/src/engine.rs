@@ -38,7 +38,7 @@ use iosched_lustre::FsSnapshot;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::recycle;
 use iosched_simkit::rng::SimRng;
-use iosched_simkit::time::SimTime;
+use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
     backfill_pass_into, BackfillConfig, JobRegistry, JobState, PassStats, RunningView, SchedJob,
@@ -362,7 +362,12 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         while !(self.exhausted && self.registry.all_completed()) {
             totals.loop_iterations += 1;
             assert!(
-                totals.loop_iterations < 50_000_000 + 500 * self.admitted,
+                totals.loop_iterations
+                    < iteration_bound(
+                        self.admitted,
+                        now.saturating_since(first_submit),
+                        cfg.sample_period
+                    ),
                 "event loop failed to converge (time {now})"
             );
             totals.peak_resident_jobs = totals.peak_resident_jobs.max(self.resident.len());
@@ -526,6 +531,19 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
     }
 }
 
+/// The event loop's convergence guard: the iteration count a run must
+/// stay below once `admitted` jobs are admitted and its clock stands
+/// `elapsed` after the first submission. The loop takes an iteration per
+/// event, and the sample and scheduling ticks add up to one per sample
+/// period of simulated time even on an idle cluster; so the bound grows
+/// by 500 per job and by two per elapsed sample period over a fixed
+/// allowance. A loop whose clock stops advancing has a fixed bound and
+/// still trips it.
+fn iteration_bound(admitted: u64, elapsed: SimDuration, sample_period: SimDuration) -> u64 {
+    let ticks = elapsed.as_millis() / sample_period.as_millis().max(1);
+    50_000_000 + 500 * admitted + 2 * ticks
+}
+
 /// Run `source` to completion under `cfg`, reporting to `rec`.
 ///
 /// # Panics
@@ -573,4 +591,40 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
         book: EstimateBook::new(),
     }
     .run(scratch, rec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn iteration_bound_grows_with_simulated_time() {
+        let second = SimDuration::from_secs(1);
+        let base = iteration_bound(2_000, SimDuration::ZERO, second);
+        assert_eq!(base, 50_000_000 + 500 * 2_000);
+        // A run simulating 5e7 s, one tick per second, stays under it.
+        let long = SimDuration::from_secs(50_000_000);
+        assert!(iteration_bound(2_000, long, second) > base + 50_000_000);
+        // The allowance per elapsed second follows the sample period.
+        let coarse = iteration_bound(2_000, long, SimDuration::from_secs(10));
+        assert_eq!(coarse, base + 10_000_000);
+    }
+
+    #[test]
+    fn iteration_bound_is_fixed_while_the_clock_stands_still() {
+        // Only admissions and the clock move the bound, so a loop that
+        // spins at one instant without admitting meets the same finite
+        // bound on every iteration and trips the guard.
+        let at = SimDuration::from_secs(123_456);
+        let period = SimDuration::from_secs(1);
+        assert_eq!(
+            iteration_bound(10, at, period),
+            50_000_000 + 500 * 10 + 2 * 123_456
+        );
+        // Sample periods below a millisecond cannot divide by zero.
+        assert_eq!(
+            iteration_bound(0, at, SimDuration::ZERO),
+            50_000_000 + 2 * 123_456_000
+        );
+    }
 }

@@ -167,9 +167,9 @@ const MAX_WAVE_VOLUME_GIB: f64 = 1e4;
 /// replay). An exponential gap is at most ≈36.7 means
 /// (`SimRng::exponential` draws from 53-bit uniforms), so every submit
 /// time stays below 3.7e7 s: far under `SimTime::FAR_FUTURE` (≈4.6e15
-/// s), and, since the engine samples once per simulated second, under
-/// its 50-million-iteration convergence guard even when the trace idles
-/// between arrivals.
+/// s). The engine's convergence guard grows by two iterations per
+/// elapsed sample period, so a trace that idles between arrivals cannot
+/// trip it; the ceiling bounds the idle ticks such a trace costs.
 const MAX_SYNTH_SPAN_SECS: f64 = 1e6;
 
 /// A workload named by generator parameters rather than by value, so a

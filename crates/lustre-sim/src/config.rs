@@ -3,20 +3,24 @@
 use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::gibps;
 
-/// How the per-OST noise factors are drawn at each epoch.
+/// How the per-OST noise factors are drawn at each epoch. In both modes
+/// only occupied OSTs ever have their capacity observed, so a factor is
+/// derived (the log-normal's `ln`/`sqrt`/`cos`/`exp`) only when its OST
+/// is occupied during the epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NoiseMode {
     /// One sequential draw per OST per epoch from the file system's RNG
     /// stream — the original behaviour, byte-for-byte reproducible
-    /// against every recorded result.
+    /// against every recorded result. Every epoch still advances the
+    /// stream by two raw outputs per OST, so the cost is O(n_ost) cheap
+    /// generator steps plus O(occupied) derivations.
     #[default]
     Sequential,
     /// Counter-based: the factor for `(epoch, ost)` is a pure function of
-    /// the seed, derived via an RNG fork keyed by the pair. Since only
-    /// occupied OSTs ever have their capacity observed, factors are drawn
-    /// lazily — O(occupied) per epoch instead of O(n_ost). The scale
-    /// sweep's grown machines opt in: at 5 600+ OSTs the dense resample
-    /// is otherwise the dominant simulation cost.
+    /// the seed, derived via an RNG fork keyed by the pair, so an epoch
+    /// costs O(occupied) instead of O(n_ost). The scale sweep's grown
+    /// machines opt in: at 5 600+ OSTs even the raw sequential draws add
+    /// up.
     Indexed,
 }
 iosched_simkit::impl_json_enum!(NoiseMode {
@@ -144,8 +148,8 @@ impl LustreConfig {
     ///
     /// Grown machines (`factor > 1`) switch to [`NoiseMode::Indexed`] so
     /// the per-epoch noise resample costs O(occupied OSTs) instead of
-    /// O(n_ost); `scaled(1)` is the exact identity, keeping the testbed
-    /// byte-for-byte on the recorded sequential draws.
+    /// O(n_ost) raw draws; `scaled(1)` is the exact identity, keeping the
+    /// testbed byte-for-byte on the recorded sequential draws.
     pub fn scaled(mut self, factor: usize) -> Self {
         assert!(factor >= 1, "scale factor must be at least 1");
         self.n_ost *= factor;

@@ -126,19 +126,31 @@ pub struct LustreSim {
     completed: Vec<(SimTime, StreamId, StreamState)>,
     /// Release notifications awaiting harvest (burst-buffer semantics).
     notified: Vec<(SimTime, StreamId, StreamTag)>,
-    /// Multiplicative noise factor per OST for the current epoch.
+    /// Multiplicative noise factor per OST, current for the epoch iff
+    /// `noise_gen[ost] == noise_epoch_idx`. Both noise modes derive
+    /// factors lazily (see `refresh_noise`): an idle OST's capacity is
+    /// never observed, so deriving its factor can be skipped without
+    /// affecting any outcome.
     noise: Vec<f64>,
-    /// Epoch counter for [`NoiseMode::Indexed`]: `noise[ost]` is current
-    /// iff `noise_gen[ost] == noise_epoch_idx`. Factors are derived
-    /// lazily — an idle OST's capacity is never observed, so its draw
-    /// can be skipped without affecting any outcome.
+    /// Noise epoch counter (0 for the epoch starting at time zero).
     noise_epoch_idx: u64,
     /// Per-OST epoch stamp for the lazy refresh (`u64::MAX` = stale).
     noise_gen: Vec<u64>,
+    /// [`NoiseMode::Sequential`] only (empty otherwise): the two raw
+    /// generator outputs per OST that the epoch's factor is derived
+    /// from. All of them are drawn at the epoch, in the order a dense
+    /// per-OST `lognormal` resample would consume them, so the
+    /// generator's position — and every later OST placement drawn from
+    /// it — does not depend on which factors are ever derived.
+    noise_raw: Vec<[u64; 2]>,
     /// Fatigue level per OST ∈ [0, 1]: sustained multi-stream pressure
     /// drives it toward 1 (degrading effective bandwidth by
     /// `1 − φ·fatigue`), idleness lets it recover.
     fatigue: Vec<f64>,
+    /// `(dt, up, down)` of the last fatigue step: the relaxation factors
+    /// for a step of `dt` seconds, reused while `dt` repeats (the host
+    /// loop's 1 s ticks make almost every step the same length).
+    fatigue_decay: (f64, f64, f64),
     /// Administrative health factor per OST (1.0 = nominal). Used by
     /// failure-injection experiments: a degraded volume (failing SSD,
     /// rebuilding RAID) delivers `health ×` its nominal bandwidth until
@@ -174,11 +186,11 @@ impl LustreSim {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: LustreConfig, mut rng: SimRng) -> Self {
         cfg.validate().expect("invalid LustreConfig");
-        let mut noise = vec![1.0; cfg.n_ost];
+        let mut noise_raw = Vec::new();
         if cfg.noise_sigma > 0.0 && cfg.noise_mode == NoiseMode::Sequential {
-            for f in noise.iter_mut() {
-                *f = rng.lognormal(1.0, cfg.noise_sigma);
-            }
+            noise_raw = (0..cfg.n_ost)
+                .map(|_| [rng.next_u64(), rng.next_u64()])
+                .collect();
         }
         let next_noise_at = if cfg.noise_sigma > 0.0 || cfg.fatigue_phi > 0.0 {
             SimTime::ZERO + cfg.noise_epoch
@@ -186,7 +198,11 @@ impl LustreSim {
             SimTime::FAR_FUTURE
         };
         LustreSim {
+            noise: vec![1.0; cfg.n_ost],
+            noise_gen: vec![u64::MAX; cfg.n_ost],
             fatigue: vec![0.0; cfg.n_ost],
+            // NaN equals no step length, so the first step fills it.
+            fatigue_decay: (f64::NAN, 1.0, 1.0),
             health: vec![1.0; cfg.n_ost],
             ost_occ: vec![0; cfg.n_ost],
             occupied_osts: Vec::new(),
@@ -203,8 +219,7 @@ impl LustreSim {
             completed: Vec::new(),
             notified: Vec::new(),
             noise_epoch_idx: 0,
-            noise_gen: vec![u64::MAX; noise.len()],
-            noise,
+            noise_raw,
             next_noise_at,
             next_event_at: SimTime::FAR_FUTURE,
             bytes_written_total: 0.0,
@@ -413,7 +428,7 @@ impl LustreSim {
             self.occupied_osts.push(ost as u32);
             // A newly occupied OST's capacity becomes observable: its
             // noise factor must be current before the next solve.
-            self.refresh_indexed_noise(ost);
+            self.refresh_noise(ost);
         }
     }
 
@@ -688,48 +703,50 @@ impl LustreSim {
         self.refresh_next_event();
     }
 
+    /// Start a new noise epoch: every stamp goes stale at once, and only
+    /// the occupied OSTs are refreshed now (idle ones if and when they
+    /// gain a stream this epoch).
     fn resample_noise(&mut self) {
         if self.cfg.noise_sigma == 0.0 {
             return;
         }
-        match self.cfg.noise_mode {
-            NoiseMode::Sequential => {
-                for f in self.noise.iter_mut() {
-                    *f = self.rng.lognormal(1.0, self.cfg.noise_sigma);
-                }
-            }
-            NoiseMode::Indexed => {
-                // New epoch: stamps go stale wholesale; only occupied
-                // OSTs are refreshed now (idle ones lazily, if and when
-                // they gain a stream this epoch).
-                self.noise_epoch_idx += 1;
-                for k in 0..self.occupied_osts.len() {
-                    let ost = self.occupied_osts[k] as usize;
-                    self.refresh_indexed_noise(ost);
-                }
-            }
+        self.noise_epoch_idx += 1;
+        for raw in self.noise_raw.iter_mut() {
+            *raw = [self.rng.next_u64(), self.rng.next_u64()];
+        }
+        for k in 0..self.occupied_osts.len() {
+            let ost = self.occupied_osts[k] as usize;
+            self.refresh_noise(ost);
         }
     }
 
-    /// Bring `noise[ost]` up to the current epoch under
-    /// [`NoiseMode::Indexed`]. The factor for `(epoch, ost)` is a pure
-    /// function of the RNG seed — `fork` does not consume generator
-    /// state — so the draw order (and which idle OSTs are never drawn at
-    /// all) cannot perturb any other subsystem.
+    /// Bring `noise[ost]` up to the current epoch. Under
+    /// [`NoiseMode::Sequential`] the factor is derived from the OST's
+    /// raw draws for the epoch, giving the value a dense `lognormal`
+    /// resample would have drawn, bit for bit. Under
+    /// [`NoiseMode::Indexed`] it is a pure function of the RNG seed and
+    /// `(epoch, ost)` — `fork` does not consume generator state. Either
+    /// way, when (and whether) a factor is derived cannot perturb any
+    /// other draw.
     #[inline]
-    fn refresh_indexed_noise(&mut self, ost: usize) {
-        if self.cfg.noise_sigma == 0.0
-            || self.cfg.noise_mode != NoiseMode::Indexed
-            || self.noise_gen[ost] == self.noise_epoch_idx
-        {
+    fn refresh_noise(&mut self, ost: usize) {
+        if self.cfg.noise_sigma == 0.0 || self.noise_gen[ost] == self.noise_epoch_idx {
             return;
         }
         self.noise_gen[ost] = self.noise_epoch_idx;
-        let label = self
-            .noise_epoch_idx
-            .wrapping_mul(self.cfg.n_ost as u64)
-            .wrapping_add(ost as u64);
-        self.noise[ost] = self.rng.fork(label).lognormal(1.0, self.cfg.noise_sigma);
+        let z = match self.cfg.noise_mode {
+            NoiseMode::Sequential => SimRng::normal_from(self.noise_raw[ost]),
+            NoiseMode::Indexed => {
+                let label = self
+                    .noise_epoch_idx
+                    .wrapping_mul(self.cfg.n_ost as u64)
+                    .wrapping_add(ost as u64);
+                self.rng.fork(label).normal()
+            }
+        };
+        // `lognormal(1.0, σ)`: the median's factor 1.0 is exact, so
+        // this is the same value bit for bit.
+        self.noise[ost] = (self.cfg.noise_sigma * z).exp();
     }
 
     /// Advance the per-OST fatigue state by `dt` seconds under the current
@@ -744,8 +761,14 @@ impl LustreSim {
         if self.cfg.fatigue_phi == 0.0 {
             return;
         }
-        let up = (-dt_secs / self.cfg.fatigue_tau_up.as_secs_f64()).exp();
-        let down = (-dt_secs / self.cfg.fatigue_tau_down.as_secs_f64()).exp();
+        if dt_secs != self.fatigue_decay.0 {
+            self.fatigue_decay = (
+                dt_secs,
+                (-dt_secs / self.cfg.fatigue_tau_up.as_secs_f64()).exp(),
+                (-dt_secs / self.cfg.fatigue_tau_down.as_secs_f64()).exp(),
+            );
+        }
+        let (_, up, down) = self.fatigue_decay;
         if self.cfg.fatigue_threshold == 0 {
             // Degenerate config: *every* OST — occupied or not — counts
             // as pressured, so the sparse walks below cannot cover the
@@ -1364,6 +1387,88 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every active stream's id and rate bits, in slab order.
+    fn rate_digest(fs: &LustreSim, mut h: u64) -> u64 {
+        for (id, s) in fs.stream_ids.iter().zip(&fs.streams) {
+            for word in [id.0, s.rate_bps.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn stria_noise_and_fatigue_rates_are_pinned() {
+        // A scripted run on the testbed model with sequential noise and
+        // fatigue on, driven in 1 s ticks like the engine. It covers
+        // streams starting mid-epoch, OSTs freed and re-occupied within
+        // one epoch, an idle epoch, and OSTs first occupied mid-epoch
+        // after it. Each epoch's entry folds the rates after every tick
+        // within it; the values were recorded from the eager per-epoch
+        // resample and must not move.
+        const EXPECT: [u64; 8] = [
+            0xbb8a_503a_ff69_b47d,
+            0xa2b7_3c19_bfbd_df2c,
+            0xdd4f_7a76_0753_df15,
+            0xedb4_4d27_a706_1db5,
+            0xcbf2_9ce4_8422_2325, // idle: the digest's seed
+            0xdf60_5baf_ed79_7f1d,
+            0x300a_c7ac_fd16_ecf8,
+            0x05a1_13ae_b805_ce4d,
+        ];
+        let ms = SimTime::from_millis;
+        let mut fs = LustreSim::new(LustreConfig::stria(), SimRng::from_seed(2024));
+        let mut digests = [0xCBF2_9CE4_8422_2325u64; 8];
+        let mut freed_then_reoccupied = 0usize;
+        for sec in 1..80u64 {
+            let t = SimTime::from_secs(sec);
+            let start = ms(sec * 1000 - 500);
+            match sec {
+                4 => {
+                    fs.start_write(start, StreamTag(1), 0, 8, gib(40.0));
+                    fs.start_write(ms(3_700), StreamTag(2), 1, 8, gib(60.0));
+                }
+                8 => {
+                    fs.start_write(start, StreamTag(3), 2, 12, gib(80.0));
+                }
+                13 => {
+                    let before = fs.ost_occupancy();
+                    fs.cancel_tag(start, StreamTag(2));
+                    let freed: Vec<usize> = (0..before.len())
+                        .filter(|&o| before[o] > 0 && fs.ost_occupancy()[o] == 0)
+                        .collect();
+                    fs.start_write(ms(12_800), StreamTag(4), 3, 16, gib(50.0));
+                    let after = fs.ost_occupancy();
+                    freed_then_reoccupied = freed.iter().filter(|&&o| after[o] > 0).count();
+                }
+                32 => {
+                    for tag in 1..=4 {
+                        fs.cancel_tag(start, StreamTag(tag));
+                    }
+                }
+                54 => {
+                    fs.start_write(start, StreamTag(5), 4, 12, gib(30.0));
+                }
+                63 => {
+                    fs.start_write(start, StreamTag(6), 5, 6, gib(20.0));
+                }
+                _ => {}
+            }
+            fs.advance_to(t);
+            fs.take_completed();
+            let epoch = sec as usize / 10;
+            digests[epoch] = rate_digest(&fs, digests[epoch]);
+        }
+        assert!(
+            freed_then_reoccupied > 0,
+            "no OST was freed and re-occupied"
+        );
+        assert!(fs.active_stream_count() > 0);
+        assert_eq!(digests, EXPECT, "{digests:#x?}");
+    }
+
     props! {
         #![cases(64)]
         /// The warm solve agrees with the reference encoding after every
@@ -1434,6 +1539,10 @@ mod tests {
                 for ost in 0..fs.cfg.n_ost {
                     let occ = fs.streams.iter().filter(|s| s.ost == ost).count();
                     prop_assert!(fs.ost_occ[ost] as usize == occ, "op {op}: OST {ost} occupancy");
+                    prop_assert!(
+                        occ == 0 || fs.noise_gen[ost] == fs.noise_epoch_idx,
+                        "op {op}: occupied OST {ost} has a stale noise factor"
+                    );
                 }
             }
         }

@@ -31,6 +31,11 @@ fn mix64(seed: u64) -> u64 {
     splitmix64(&mut s)
 }
 
+/// The `[0, 1)` value of one raw output: its top 53 bits times 2^-53.
+fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// Seeded random number generator with the distributions the simulators
 /// need. The core generator is xoshiro256++.
 #[derive(Clone, Debug)]
@@ -85,7 +90,7 @@ impl SimRng {
     /// Uniform in `[0, 1)` with 53 bits of precision (the standard
     /// `(x >> 11) * 2^-53` conversion).
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform in `[lo, hi)`. Requires `lo < hi`.
@@ -107,10 +112,20 @@ impl SimRng {
 
     /// Standard normal draw (Box–Muller; one value per call, the pair's
     /// second value is discarded to keep the state machine simple).
+    /// Consumes exactly two generator steps; see [`SimRng::normal_from`].
     pub fn normal(&mut self) -> f64 {
+        let raw = [self.next_u64(), self.next_u64()];
+        Self::normal_from(raw)
+    }
+
+    /// The standard normal value [`SimRng::normal`] returns when its two
+    /// generator steps output `raw` (in draw order). Lets a caller keep
+    /// the generator's stream position while deferring the
+    /// transcendental work until the value is actually needed.
+    pub fn normal_from(raw: [u64; 2]) -> f64 {
         // Avoid ln(0) by drawing u1 from (0, 1].
-        let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
+        let u1 = 1.0 - unit_f64(raw[0]);
+        let u2 = unit_f64(raw[1]);
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -200,6 +215,43 @@ mod tests {
             0.7175761283586594_f64.to_bits(),
         ];
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn lognormal_and_normal_reference_vectors() {
+        // Pinned draws: the log-normal noise on every recorded result
+        // flows through these.
+        let mut r = SimRng::from_seed(13);
+        let logn: Vec<u64> = (0..3).map(|_| r.lognormal(10.0, 0.3).to_bits()).collect();
+        let norm: Vec<u64> = (0..3).map(|_| r.normal().to_bits()).collect();
+        assert_eq!(
+            logn,
+            vec![0x4024d1d52c3f46d9, 0x402cfb4e6282d0c1, 0x4023a76dce8ed669]
+        );
+        assert_eq!(
+            norm,
+            vec![0x3fd01b1fefa7e961, 0x3ff2a5709d72fa57, 0x3f98b3620264ed52]
+        );
+    }
+
+    crate::props! {
+        /// `normal_from` on a generator's next two raw outputs is the
+        /// value `normal` draws from the same position, bit for bit, and
+        /// both leave the generator at the same position.
+        fn prop_normal_from_matches_normal(seed in 0u64..u64::MAX, skip in 0usize..8) {
+            let mut eager = SimRng::from_seed(seed);
+            for _ in 0..skip {
+                eager.next_u64();
+            }
+            let mut lazy = eager.clone();
+            let raw = [lazy.next_u64(), lazy.next_u64()];
+            let want = eager.normal();
+            crate::prop_assert!(
+                SimRng::normal_from(raw).to_bits() == want.to_bits(),
+                "normal_from({raw:?}) != normal() = {want}"
+            );
+            crate::prop_assert!(lazy.next_u64() == eager.next_u64(), "positions differ");
+        }
     }
 
     #[test]

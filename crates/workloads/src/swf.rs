@@ -145,7 +145,8 @@ impl SwfRecord {
     }
 }
 
-/// A parse failure with its line number (1-based).
+/// A parse failure with its line number (1-based; 0 for invalid
+/// [`SwfOptions`], which no line caused).
 #[derive(Debug, PartialEq, Eq)]
 pub struct SwfError {
     pub line: usize,
@@ -161,12 +162,15 @@ impl std::fmt::Display for SwfError {
 impl std::error::Error for SwfError {}
 
 /// Validate the option invariants shared by every entry point.
-fn check_opts(opts: &SwfOptions) {
-    assert!(opts.cpus_per_node >= 1, "cpus_per_node must be at least 1");
-    assert!(
-        (0.0..=1.0).contains(&opts.io_fraction),
-        "io_fraction must be in [0, 1]"
-    );
+fn check_opts(opts: &SwfOptions) -> Result<(), SwfError> {
+    let message = if opts.cpus_per_node < 1 {
+        "cpus_per_node must be at least 1".to_string()
+    } else if !(0.0..=1.0).contains(&opts.io_fraction) {
+        format!("io_fraction must be in [0, 1], got {}", opts.io_fraction)
+    } else {
+        return Ok(());
+    };
+    Err(SwfError { line: 0, message })
 }
 
 /// Parse one trace line. `Ok(None)` means the line carries no job
@@ -232,7 +236,7 @@ fn parse_swf_line(
 /// memory, use the line-at-a-time [`SwfReader`] instead — both run the
 /// same per-line parser.
 pub fn parse_swf(text: &str, opts: &SwfOptions) -> Result<Vec<JobSubmission>, SwfError> {
-    check_opts(opts);
+    check_opts(opts)?;
     let mut jobs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         match parse_swf_line(raw, idx + 1, opts) {
@@ -263,25 +267,30 @@ pub fn parse_swf(text: &str, opts: &SwfOptions) -> Result<Vec<JobSubmission>, Sw
 ///   with the next line, otherwise it fuses (the error is fatal, like
 ///   [`parse_swf`] returning early);
 /// * an I/O error from the source yields one `Err` and always fuses —
-///   there is no next line to recover to.
+///   there is no next line to recover to;
+/// * invalid [`SwfOptions`] make the first item an `Err` (line 0), after
+///   which the reader is fused without reading the source.
 pub struct SwfReader<R: std::io::BufRead> {
     src: R,
     opts: SwfOptions,
     line_no: usize,
     buf: String,
     fused: bool,
+    /// The options' error, yielded as the first item.
+    opts_error: Option<SwfError>,
 }
 
 impl<R: std::io::BufRead> SwfReader<R> {
     /// A reader over `src` converting under `opts`.
     pub fn new(src: R, opts: SwfOptions) -> Self {
-        check_opts(&opts);
+        let opts_error = check_opts(&opts).err();
         SwfReader {
             src,
             opts,
             line_no: 0,
             buf: String::new(),
-            fused: false,
+            fused: opts_error.is_some(),
+            opts_error,
         }
     }
 
@@ -295,6 +304,9 @@ impl<R: std::io::BufRead> Iterator for SwfReader<R> {
     type Item = Result<JobSubmission, SwfError>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(e) = self.opts_error.take() {
+            return Some(Err(e));
+        }
         while !self.fused {
             self.buf.clear();
             match self.src.read_line(&mut self.buf) {
@@ -614,5 +626,48 @@ garbage line
         assert!(parse_swf(&cancelled.to_line(), &SwfOptions::default())
             .unwrap()
             .is_empty());
+    }
+
+    /// Option sets every entry point must reject, with a fragment of
+    /// the message each one names.
+    fn bad_opts() -> Vec<(SwfOptions, &'static str)> {
+        let with = |cpus_per_node, io_fraction| SwfOptions {
+            cpus_per_node,
+            io_fraction,
+            ..SwfOptions::default()
+        };
+        vec![
+            (with(0, 0.0), "cpus_per_node"),
+            (with(1, -0.1), "io_fraction"),
+            (with(1, 1.5), "io_fraction"),
+            (with(1, f64::NAN), "io_fraction"),
+        ]
+    }
+
+    #[test]
+    fn parse_swf_rejects_invalid_options() {
+        for (opts, what) in bad_opts() {
+            let err = parse_swf(SAMPLE, &opts).unwrap_err();
+            assert_eq!(err.line, 0, "{opts:?}");
+            assert!(err.message.contains(what), "{opts:?}: {err}");
+        }
+        let edge = SwfOptions {
+            io_fraction: 1.0,
+            ..SwfOptions::default()
+        };
+        assert!(parse_swf(SAMPLE, &edge).is_ok());
+    }
+
+    #[test]
+    fn reader_yields_invalid_options_once_then_fuses() {
+        for (opts, what) in bad_opts() {
+            let batch_err = parse_swf(SAMPLE, &opts).unwrap_err();
+            let mut reader = SwfReader::new(std::io::Cursor::new(SAMPLE), opts);
+            let err = reader.next().unwrap().unwrap_err();
+            assert!(err.message.contains(what), "{err}");
+            assert_eq!(err, batch_err);
+            assert!(reader.next().is_none());
+            assert_eq!(reader.lines_read(), 0, "the source is never read");
+        }
     }
 }

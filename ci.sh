@@ -140,7 +140,10 @@ cargo test -q --workspace --offline
 
 step "property suites in release"
 # The profile and policy properties compare against their test-code
-# models under cfg(test), the no-start certificate properties compare it
+# models under cfg(test) (the two-group split and the adaptive round's
+# fused target pass against the comparison-sort split and the separate
+# target walk in iosched-core's twogroup.rs and adaptive.rs, bit for
+# bit), the no-start certificate properties compare it
 # against backfill passes, and the lustre-sim properties compare the
 # rate solve against max_min_fair, and the ldms-sim property compares the
 # daemon's running integrals and load window bitwise with a model that

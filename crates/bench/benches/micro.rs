@@ -4,6 +4,7 @@
 
 use iosched_analytics::JobEstimator;
 use iosched_cluster::{ClusterSim, ExecSpec, JobId as ClusterJobId};
+use iosched_core::twogroup::{two_group_split, SplitJob, SplitScratch};
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
 use iosched_lustre::solver::{max_min_fair, Constraint, WarmSolver};
 use iosched_lustre::{FsSnapshot, LustreConfig, LustreSim, StreamTag};
@@ -98,6 +99,40 @@ fn estimate_book(jobs: &[SchedJob]) -> EstimateBook {
         );
     }
     book
+}
+
+/// `(id, r, nodes, d)` rows of a 420-deep wait queue in FIFO id order:
+/// the depth an adaptive round of the Fig. 6 campaign splits.
+type SplitRow = (JobId, f64, usize, f64);
+
+/// Workload 2's six job names in their wave blocks (30 × write_x8, x6,
+/// x4, 70 × x2, 120 × x1, 30 sleeps), each name with one estimate: six ρ
+/// classes.
+fn w2_split_rows() -> Vec<SplitRow> {
+    let wave = [(30, 8), (30, 6), (30, 4), (70, 2), (120, 1), (30, 0)];
+    wave.iter()
+        .cycle()
+        .flat_map(|&(count, x)| std::iter::repeat_n(x, count))
+        .take(420)
+        .enumerate()
+        .map(|(i, x)| {
+            let (r, d) = match x {
+                0 => (0.0, 300.0),
+                x => (gibps(0.4 * x as f64), 60.0 + 30.0 * x as f64),
+            };
+            (JobId(i as u64), r, 1, d)
+        })
+        .collect()
+}
+
+/// 420 jobs whose loads are all distinct, in no particular ρ order.
+fn distinct_split_rows() -> Vec<SplitRow> {
+    (0..420u64)
+        .map(|i| {
+            let r = gibps(0.001 * ((i * 7919) % 420 + 1) as f64);
+            (JobId(i), r, 1, 60.0 + (i % 7) as f64 * 30.0)
+        })
+        .collect()
 }
 
 fn main() {
@@ -312,6 +347,21 @@ fn main() {
         );
         black_box(outcome.start_now.len());
     });
+
+    // The adaptive round's two-group split (Algorithm 5, lines 6–8),
+    // from filling the split input to r̄_zero.
+    let mut split_input = Vec::new();
+    let mut split_scratch = SplitScratch::default();
+    for (case, rows) in [
+        ("two_group_split_420/w2_classes", w2_split_rows()),
+        ("two_group_split_420/distinct_rho", distinct_split_rows()),
+    ] {
+        suite.bench(case, || {
+            split_input.clear();
+            split_input.extend(rows.iter().map(|&(id, r, n, d)| SplitJob::new(id, r, n, d)));
+            black_box(two_group_split(&split_input, 0.5, &mut split_scratch));
+        });
+    }
 
     // The depth regime of an io-aware deep-queue run: one pass over 370
     // queued jobs against 130 running jobs that hold every node, with

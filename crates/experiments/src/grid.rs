@@ -20,7 +20,7 @@ use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::{gib, gibps, to_gibps};
 use iosched_workloads::{
     workload_1, workload_2, JobSubmission, PaperParams, SwfOptions, SynthConfig, SynthTrace,
-    WorkloadBuilder,
+    WorkloadBuilder, MAX_RUN_SECS, MIN_RUN_SECS,
 };
 
 /// A scheduler policy family — the grid's first axis. Families that take
@@ -172,6 +172,17 @@ const MAX_WAVE_VOLUME_GIB: f64 = 1e4;
 /// trip it; the ceiling bounds the idle ticks such a trace costs.
 const MAX_SYNTH_SPAN_SECS: f64 = 1e6;
 
+/// Largest total work of a `Synth` trace, `jobs × median_run_secs` in
+/// job·seconds, with the median clamped to the run times the generator
+/// emits (1 s to 7 days). The event loop ticks once per simulated second
+/// while jobs run, so a run's cost grows with its makespan, which is
+/// about the total work on a one- or two-node machine. At this ceiling
+/// the slowest grids found (2 500 jobs × 200 s or 5 000 × 100 s on two
+/// nodes, adaptive-20) took 4.7–4.9 s in release `campaignd` on a
+/// 2-vCPU VM; the 2 000-job grid with a 1e9 s median, 2 400× over it,
+/// took 4 min 54 s.
+const MAX_SYNTH_WORK_SECS: f64 = 5e5;
+
 /// A workload named by generator parameters rather than by value, so a
 /// grid spec stays small and serializable; [`WorkloadSpec::materialize`]
 /// builds the actual submission list (once per campaign, shared across
@@ -269,12 +280,24 @@ impl WorkloadSpec {
         }
     }
 
+    /// The most nodes one of the spec's jobs asks for: the paper and wave
+    /// jobs take one node each, and a `Synth` trace's widths climb a
+    /// ladder of powers of two up to `max_procs` (one processor per
+    /// node).
+    fn widest_job(&self) -> usize {
+        match *self {
+            WorkloadSpec::Synth { max_procs, .. } => 1 << max_procs.max(1).ilog2(),
+            _ => 1,
+        }
+    }
+
     /// Reject parameters the generators cannot take: a `Wave` volume that
     /// is not positive and finite in bytes or exceeds
     /// [`MAX_WAVE_VOLUME_GIB`], and a `Synth` trace with `max_procs` 0, a
     /// mean interarrival or median run time that is not positive and
     /// finite, a mean trace span (`jobs × mean_interarrival_secs`) past
-    /// [`MAX_SYNTH_SPAN_SECS`], or an `io_fraction` outside `[0, 1]`.
+    /// [`MAX_SYNTH_SPAN_SECS`], a total work (`jobs × median_run_secs`)
+    /// past [`MAX_SYNTH_WORK_SECS`], or an `io_fraction` outside `[0, 1]`.
     fn check_params(&self) -> Result<(), String> {
         let positive = |name: &str, v: f64| {
             if v > 0.0 && v.is_finite() {
@@ -314,6 +337,14 @@ impl WorkloadSpec {
                     ));
                 }
                 positive("median_run_secs", median_run_secs)?;
+                let run_secs = median_run_secs.clamp(MIN_RUN_SECS, MAX_RUN_SECS);
+                if jobs as f64 * run_secs > MAX_SYNTH_WORK_SECS {
+                    return Err(format!(
+                        "median_run_secs must keep jobs × median_run_secs (clamped to \
+                         [{MIN_RUN_SECS}, {MAX_RUN_SECS}] s) within {MAX_SYNTH_WORK_SECS:e} \
+                         job·s, got {jobs} × {median_run_secs}"
+                    ));
+                }
                 if !(0.0..=1.0).contains(&io_fraction) {
                     return Err(format!("io_fraction must be in [0, 1], got {io_fraction}"));
                 }
@@ -561,6 +592,24 @@ impl CampaignGrid {
         }
         if self.base.machine_scale == 0 {
             return Err("machine_scale must be at least 1".into());
+        }
+        // A job wider than the machine never starts, and the event loop
+        // waits for it forever.
+        let nodes = if self.base.nodes > 0 {
+            self.base.nodes
+        } else {
+            ExperimentConfig::paper(SchedulerKind::DefaultBackfill, 0)
+                .nodes
+                .saturating_mul(self.base.machine_scale)
+        };
+        for w in &self.workloads {
+            let width = w.widest_job();
+            if width > nodes {
+                return Err(format!(
+                    "workload {w:?}: max_procs must fit the machine's {nodes} nodes, \
+                     got jobs {width} nodes wide"
+                ));
+            }
         }
         Ok(())
     }
@@ -813,15 +862,34 @@ mod tests {
         for v in [-0.1, f64::NAN] {
             bad.push(synth(4, 10.0, 60.0, v));
         }
+        // Total work past the ceiling, before and after the 7-day clamp.
+        for v in [6e4, 1e9] {
+            bad.push(synth(4, 10.0, v, 0.2));
+        }
         for w in bad {
             let mut g = sample();
             g.workloads.push(w.clone());
             assert!(g.validate().is_err(), "{w:?}");
         }
+        // Jobs wider than the machine (15 nodes unless overridden).
+        let mut g = sample();
+        g.workloads.push(synth(16, 10.0, 60.0, 0.2));
+        let err = g.validate().unwrap_err();
+        assert!(
+            err.contains("max_procs must fit the machine's 15 nodes"),
+            "{err}"
+        );
+        g.base.machine_scale = 2;
+        assert_eq!(g.validate(), Ok(()));
+        g.base.nodes = 8;
+        assert!(g.validate().is_err());
         for ok in [
             wave(1.0),
             synth(1, 0.5, 1.0, 0.0),
             synth(4, 10.0, 60.0, 1.0),
+            // At the work ceiling, and below the 1 s clamp.
+            synth(4, 10.0, 5e4, 0.2),
+            synth(4, 10.0, 1e-3, 0.2),
         ] {
             let mut g = sample();
             g.workloads.push(ok.clone());

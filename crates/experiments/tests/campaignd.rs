@@ -6,6 +6,11 @@ use iosched_experiments::grid::{CampaignGrid, PolicyFamily, WorkloadSpec};
 use iosched_simkit::json::{parse, ToJson, Value};
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Longest a `campaignd` call may take: every input here is answered in
+/// well under a second, so an input that runs for minutes fails fast.
+const TIME_LIMIT: Duration = Duration::from_secs(60);
 
 /// One policy, one threshold, one seed, one small workload.
 fn one_task_grid() -> CampaignGrid {
@@ -40,6 +45,14 @@ fn campaignd(args: &[&str], stdin: &str) -> Output {
         .expect("stdin piped")
         .write_all(stdin.as_bytes())
         .expect("write grid specs");
+    let start = Instant::now();
+    while child.try_wait().expect("poll campaignd").is_none() {
+        if start.elapsed() > TIME_LIMIT {
+            child.kill().expect("kill campaignd");
+            panic!("campaignd ran past {TIME_LIMIT:?} on {stdin}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     child.wait_with_output().expect("campaignd runs")
 }
 
@@ -150,7 +163,9 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
     };
     // The 1e9 GiB wave and the 1e300 s interarrival are finite but
     // extreme: a one-job wave too large to simulate in bounded time, and
-    // a trace whose submit times would overflow `SimTime`.
+    // a trace whose submit times would overflow `SimTime`. The 2 000-job
+    // trace with a 1e9 s median runs 7-day jobs back to back: minutes of
+    // simulation for one line.
     let cases = [
         (wave(-1.0), "volume_gib"),
         (wave(1e9), "volume_gib"),
@@ -159,6 +174,19 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
         (synth(4, 10.0, 60.0, 2.5), "io_fraction"),
         (synth(4, 0.0, 60.0, 0.2), "mean_interarrival_secs"),
         (synth(4, 1e300, 60.0, 0.2), "mean_interarrival_secs"),
+        // 16-node jobs never start on the 10-node machine.
+        (synth(16, 10.0, 60.0, 0.2), "max_procs"),
+        (
+            WorkloadSpec::Synth {
+                jobs: 2000,
+                seed: 3,
+                max_procs: 4,
+                mean_interarrival_secs: 1.0,
+                median_run_secs: 1e9,
+                io_fraction: 0.2,
+            },
+            "median_run_secs",
+        ),
     ];
     let valid = one_task_grid().to_json().to_json_string();
     for (bad, field) in cases {

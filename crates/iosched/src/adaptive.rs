@@ -16,7 +16,7 @@
 
 use crate::book::EstimateBook;
 use crate::ioaware::{check_limit_bps, effective_r, IoAwareCore, IoAwareTracker};
-use crate::twogroup::{two_group_split_into, SplitJob, TwoGroupParams, TwoGroupSplit};
+use crate::twogroup::{two_group_split, SplitJob, SplitScratch, TwoGroupParams, TwoGroupSplit};
 use iosched_simkit::time::SimTime;
 use iosched_slurm::{
     quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView, SchedJob,
@@ -66,11 +66,10 @@ pub struct AdaptivePolicy {
     at: ResourceProfile,
     /// Pooled split input, rebuilt from the queue each round.
     split_jobs: Vec<SplitJob>,
-    /// Pooled index scratch for the split's ρ-ordering.
-    split_order: Vec<u32>,
-    /// Parameters of the most recent round, filled in place.
+    /// Pooled buffers of the split's ρ-ordering.
+    split_scratch: SplitScratch,
+    /// Parameters of the most recent round.
     params: TwoGroupParams,
-    have_params: bool,
 }
 
 impl AdaptivePolicy {
@@ -89,9 +88,8 @@ impl AdaptivePolicy {
             core: IoAwareCore::default(),
             at: ResourceProfile::default(),
             split_jobs: Vec::new(),
-            split_order: Vec::new(),
+            split_scratch: SplitScratch::default(),
             params: TwoGroupParams::default(),
-            have_params: false,
         }
     }
 
@@ -104,11 +102,6 @@ impl AdaptivePolicy {
     /// book to the policy every round instead of cloning it).
     pub fn take_book(&mut self) -> EstimateBook {
         std::mem::take(&mut self.book)
-    }
-
-    /// Parameters computed in the most recent round.
-    pub fn last_params(&self) -> Option<&TwoGroupParams> {
-        self.have_params.then_some(&self.params)
     }
 
     /// The configuration.
@@ -138,30 +131,37 @@ impl AdaptivePolicy {
     }
 }
 
-/// Algorithm 5, lines 3–5 (reconstructed; see DESIGN.md): the target
-/// throughput from remaining I/O volume over remaining node-time.
-pub(crate) fn compute_target(
+/// Algorithm 5, lines 3–8 (reconstructed; see DESIGN.md), in one pass
+/// that reads each job's estimates once: returns the target throughput
+/// from remaining I/O volume over remaining node-time, and refills
+/// `split_jobs` with the wait queue's split input, in queue order.
+fn target_and_split_input(
     book: &EstimateBook,
     running: &[RunningView<'_>],
     queue: &[&SchedJob],
     now: SimTime,
     total_nodes: usize,
+    split_jobs: &mut Vec<SplitJob>,
 ) -> f64 {
     let mut v_io = 0.0; // bytes
     let mut node_secs = 0.0; // node·s
     for rv in running {
-        let d = book.d_or(rv.job.id, rv.job.limit);
+        let (r, d) = book.r_and_d_or(rv.job.id, rv.job.limit);
         let end = rv.started + d;
         if now < end {
             let remaining = (end - now).as_secs_f64();
-            v_io += book.r(rv.job.id) * remaining;
+            v_io += r * remaining;
             node_secs += rv.job.nodes as f64 * remaining;
         }
     }
+    split_jobs.clear();
     for job in queue {
-        let d = book.d_or(job.id, job.limit).as_secs_f64();
-        v_io += book.r(job.id) * d;
-        node_secs += job.nodes as f64 * d;
+        let (r, d) = book.r_and_d_or(job.id, job.limit);
+        let d = d.as_secs_f64();
+        let split_job = SplitJob::new(job.id, r, job.nodes, d);
+        v_io += r * d;
+        node_secs += split_job.node_time;
+        split_jobs.push(split_job);
     }
     if node_secs <= 0.0 || total_nodes == 0 {
         return 0.0;
@@ -206,32 +206,30 @@ impl SchedulingPolicy for AdaptivePolicy {
         now: SimTime,
         total_nodes: usize,
     ) -> AdaptiveTracker<'a> {
-        // Lines 3–5: target throughput.
-        let r_tilde = compute_target(&self.book, running, queue, now, total_nodes);
-
-        // Lines 6–8: the two-group split over the wait queue, into the
-        // pooled buffers.
-        self.split_jobs.clear();
-        self.split_jobs.extend(queue.iter().map(|job| SplitJob {
-            id: job.id,
-            r_bps: self.book.r(job.id),
-            nodes: job.nodes,
-            d_secs: self.book.d_or(job.id, job.limit).as_secs_f64(),
-        }));
-        if self.cfg.two_group {
-            two_group_split_into(
+        // Lines 3–8: the target throughput and the two-group split over
+        // the wait queue, in the pooled buffers.
+        let r_tilde = target_and_split_input(
+            &self.book,
+            running,
+            queue,
+            now,
+            total_nodes,
+            &mut self.split_jobs,
+        );
+        let split = if self.cfg.two_group {
+            two_group_split(
                 &self.split_jobs,
                 self.cfg.qos_fraction,
-                &mut self.split_order,
-                &mut self.params.split,
-            );
+                &mut self.split_scratch,
+            )
         } else {
-            TwoGroupSplit::naive_into(&self.split_jobs, &mut self.params.split);
-        }
-        self.params.r_tilde_bps = r_tilde;
-        self.params.r_tilde_prime_bps =
-            (r_tilde - total_nodes as f64 * self.params.split.r_zero_bar).max(0.0);
-        self.have_params = true;
+            TwoGroupSplit::NAIVE
+        };
+        self.params = TwoGroupParams {
+            r_tilde_bps: r_tilde,
+            r_tilde_prime_bps: (r_tilde - total_nodes as f64 * split.r_zero_bar).max(0.0),
+            split,
+        };
 
         // Lines 9–11: the AT tracker, seeded with the running jobs'
         // adjusted loads (which may be negative for low-I/O jobs). It is
@@ -325,10 +323,13 @@ impl ReservationTracker for AdaptiveTracker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twogroup::tests::comparison_sort_split;
     use iosched_analytics::JobEstimate;
     use iosched_simkit::ids::JobId;
+    use iosched_simkit::sym::Sym;
     use iosched_simkit::time::SimDuration;
     use iosched_simkit::units::gibps;
+    use iosched_simkit::{prop, prop_assert_eq, props};
     use iosched_slurm::{backfill_pass, BackfillConfig};
 
     fn job(id: u64, nodes: usize, limit_s: u64) -> SchedJob {
@@ -416,7 +417,7 @@ mod tests {
             20,
             &BackfillConfig::default(),
         );
-        let params = p.last_params().unwrap().clone();
+        let params = *p.init_tracker(&[], &refs, SimTime::ZERO, 20).params();
         assert_eq!(params.split.r_star, 0.0);
         assert!((params.r_tilde_bps - 4000.0 * 20.0 / 3500.0).abs() < 1e-9);
         // All sleeps start.
@@ -542,7 +543,7 @@ mod tests {
             6,
             &BackfillConfig::default(),
         );
-        let first_params = p.last_params().unwrap().clone();
+        let first_params = *p.init_tracker(&[], &refs, SimTime::ZERO, 6).params();
         for _ in 0..3 {
             let again = backfill_pass(
                 &mut p,
@@ -553,7 +554,7 @@ mod tests {
                 &BackfillConfig::default(),
             );
             assert_eq!(again, first);
-            let params = p.last_params().unwrap();
+            let params = *p.init_tracker(&[], &refs, SimTime::ZERO, 6).params();
             assert_eq!(params.split, first_params.split);
             assert_eq!(
                 params.r_tilde_bps.to_bits(),
@@ -564,6 +565,141 @@ mod tests {
                 first_params.r_tilde_prime_bps.to_bits()
             );
         }
+    }
+
+    /// Algorithm 5, lines 3–5, as the separate walk over the running
+    /// jobs and the queue that preceded the fused pass.
+    fn compute_target(
+        book: &EstimateBook,
+        running: &[RunningView<'_>],
+        queue: &[&SchedJob],
+        now: SimTime,
+        total_nodes: usize,
+    ) -> f64 {
+        let mut v_io = 0.0;
+        let mut node_secs = 0.0;
+        for rv in running {
+            let d = book.r_and_d_or(rv.job.id, rv.job.limit).1;
+            let end = rv.started + d;
+            if now < end {
+                let remaining = (end - now).as_secs_f64();
+                v_io += book.r(rv.job.id) * remaining;
+                node_secs += rv.job.nodes as f64 * remaining;
+            }
+        }
+        for job in queue {
+            let d = book.r_and_d_or(job.id, job.limit).1.as_secs_f64();
+            v_io += book.r(job.id) * d;
+            node_secs += job.nodes as f64 * d;
+        }
+        if node_secs <= 0.0 || total_nodes == 0 {
+            return 0.0;
+        }
+        let t_nodes = node_secs / total_nodes as f64;
+        v_io / t_nodes
+    }
+
+    /// One job of the fused-pass property: width, limit (s), and its book
+    /// entry: 0 none, 1 explicit, 2 explicit with a zero runtime, 3 named
+    /// with a prediction, 4 named without one.
+    type JobRow = (usize, u64, u32, f64, u64);
+
+    fn insert_row(b: &mut EstimateBook, job: &SchedJob, &(_, _, kind, r, d): &JobRow) {
+        let estimate = JobEstimate {
+            throughput_bps: r,
+            runtime: SimDuration::from_secs(if kind == 2 { 0 } else { d }),
+        };
+        match kind {
+            1 | 2 => b.insert(job.id, estimate),
+            3 => {
+                b.set_name_estimate(Sym(0), Some(estimate));
+                b.insert_named(job.id, Sym(0), job.limit);
+            }
+            4 => b.insert_named(job.id, Sym(1), job.limit),
+            _ => {}
+        }
+    }
+
+    props! {
+        #![cases(128)]
+        /// The fused pass gives the target and the split that the separate
+        /// target walk, split-input fill and comparison-sort split give,
+        /// bit for bit.
+        fn prop_fused_pass_matches_separate_walks(
+            running_rows in prop::vec(
+                ((1usize..5, 60u64..2_000, 0u32..5, -1.0f64..50.0, 1u64..3_000), 0u64..1_000),
+                0..12,
+            ),
+            queue_rows in prop::vec((1usize..9, 60u64..3_000, 0u32..5, -1.0f64..50.0, 1u64..3_000), 0..60),
+            now_s in 0u64..1_500,
+            total_nodes in 0usize..40,
+            qos_idx in 0usize..3,
+        ) {
+            let mut b = EstimateBook::new();
+            let running_jobs: Vec<SchedJob> = running_rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(row, _))| {
+                    let j = job(10_000 + i as u64, row.0, row.1);
+                    insert_row(&mut b, &j, &row);
+                    j
+                })
+                .collect();
+            let queued: Vec<SchedJob> = queue_rows
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let j = job(i as u64, row.0, row.1);
+                    insert_row(&mut b, &j, row);
+                    j
+                })
+                .collect();
+            let running: Vec<RunningView<'_>> = running_jobs
+                .iter()
+                .zip(&running_rows)
+                .map(|(job, &(_, started))| RunningView {
+                    job,
+                    started: SimTime::from_secs(started),
+                })
+                .collect();
+            let queue: Vec<&SchedJob> = queued.iter().collect();
+            let now = SimTime::from_secs(now_s);
+            let qos = [0.0, 0.5, 1.0][qos_idx];
+
+            let want_target = compute_target(&b, &running, &queue, now, total_nodes);
+            let split_input: Vec<SplitJob> = queue
+                .iter()
+                .map(|j| {
+                    let d = b.r_and_d_or(j.id, j.limit).1.as_secs_f64();
+                    SplitJob::new(j.id, b.r(j.id), j.nodes, d)
+                })
+                .collect();
+            let want_split = comparison_sort_split(&split_input, qos);
+
+            let mut p = AdaptivePolicy::new(AdaptiveConfig {
+                limit_bps: 100.0,
+                two_group: true,
+                qos_fraction: qos,
+            });
+            p.begin_round(b);
+            let got = *p.init_tracker(&running, &queue, now, total_nodes).params();
+            prop_assert_eq!(got.r_tilde_bps.to_bits(), want_target.to_bits(), "{got:?} vs {want_target}");
+            prop_assert_eq!(got.split.r_star.to_bits(), want_split.r_star.to_bits(), "{got:?} vs {want_split:?}");
+            prop_assert_eq!(got.split.r_zero_bar.to_bits(), want_split.r_zero_bar.to_bits(), "{got:?} vs {want_split:?}");
+            let want_prime = (want_target - total_nodes as f64 * want_split.r_zero_bar).max(0.0);
+            prop_assert_eq!(got.r_tilde_prime_bps.to_bits(), want_prime.to_bits());
+        }
+    }
+
+    #[test]
+    fn naive_round_keeps_the_zero_split() {
+        let mut p = AdaptivePolicy::new(AdaptiveConfig::naive(100.0));
+        p.begin_round(book(&[(1, 10.0, 100), (2, 1.0, 100)], 0.0));
+        let jobs = [job(1, 1, 100), job(2, 1, 100)];
+        let refs: Vec<&SchedJob> = jobs.iter().collect();
+        let params = *p.init_tracker(&[], &refs, SimTime::ZERO, 4).params();
+        assert_eq!(params.split, TwoGroupSplit::NAIVE);
+        assert_eq!(params.r_tilde_prime_bps, params.r_tilde_bps);
     }
 
     #[test]

@@ -132,14 +132,14 @@ impl EstimateBook {
         self.get(job).map_or(SimDuration::ZERO, |e| e.runtime)
     }
 
-    /// Estimated runtime, or `limit` when there is no estimate (or a
-    /// degenerate zero estimate).
-    pub fn d_or(&self, job: JobId, limit: SimDuration) -> SimDuration {
-        let d = self.d(job);
-        if d.is_zero() {
-            limit
-        } else {
-            d
+    /// [`EstimateBook::r`], and the estimated runtime or `limit` when
+    /// there is no estimate (or a degenerate zero estimate), from one
+    /// lookup.
+    pub fn r_and_d_or(&self, job: JobId, limit: SimDuration) -> (f64, SimDuration) {
+        match self.get(job) {
+            None => (0.0, limit),
+            Some(e) if e.runtime.is_zero() => (e.throughput_bps.max(0.0), limit),
+            Some(e) => (e.throughput_bps.max(0.0), e.runtime),
         }
     }
 
@@ -164,8 +164,8 @@ mod tests {
         assert_eq!(book.r(JobId(1)), 0.0);
         assert_eq!(book.d(JobId(1)), SimDuration::ZERO);
         assert_eq!(
-            book.d_or(JobId(1), SimDuration::from_secs(100)),
-            SimDuration::from_secs(100)
+            book.r_and_d_or(JobId(1), SimDuration::from_secs(100)),
+            (0.0, SimDuration::from_secs(100))
         );
         assert!(book.is_empty());
         assert_eq!(book.get(JobId(1)), None);
@@ -185,8 +185,8 @@ mod tests {
         assert_eq!(book.r(JobId(1)), 5.0);
         assert_eq!(book.d(JobId(1)), SimDuration::from_secs(60));
         assert_eq!(
-            book.d_or(JobId(1), SimDuration::from_secs(100)),
-            SimDuration::from_secs(60)
+            book.r_and_d_or(JobId(1), SimDuration::from_secs(100)),
+            (5.0, SimDuration::from_secs(60))
         );
         assert_eq!(book.len(), 1);
     }
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn zero_runtime_estimate_falls_back_to_limit() {
         // A degenerate d̂ = 0 (e.g. a job that was killed instantly) must
-        // not produce zero-length reservations: d_or falls back.
+        // not produce zero-length reservations: the runtime falls back.
         let mut book = EstimateBook::new();
         book.insert(
             JobId(3),
@@ -224,8 +224,8 @@ mod tests {
             },
         );
         assert_eq!(
-            book.d_or(JobId(3), SimDuration::from_secs(50)),
-            SimDuration::from_secs(50)
+            book.r_and_d_or(JobId(3), SimDuration::from_secs(50)),
+            (1.0, SimDuration::from_secs(50))
         );
     }
 
@@ -301,6 +301,29 @@ mod tests {
         book.set_name_estimate(Sym::NONE, Some(est(2.0, 20)));
         book.insert_named(JobId(10), Sym::NONE, SimDuration::from_secs(100));
         assert_eq!(book.get(JobId(10)), Some(est(0.0, 100)));
+    }
+
+    #[test]
+    fn one_lookup_resolves_every_kind_of_slot() {
+        let mut book = EstimateBook::new();
+        book.insert(JobId(1), est(5.0, 60));
+        book.insert(JobId(2), est(-3.0, 0));
+        book.insert_named(JobId(3), Sym(0), SimDuration::from_secs(100));
+        book.insert_named(JobId(4), Sym(1), SimDuration::from_secs(200));
+        book.set_name_estimate(Sym(1), Some(est(7.0, 40)));
+        let limit = SimDuration::from_secs(500);
+        let secs = SimDuration::from_secs;
+        let want = [
+            (0, 0.0, limit),
+            (1, 5.0, secs(60)),
+            (2, 0.0, limit),
+            (3, 0.0, secs(100)),
+            (4, 7.0, secs(40)),
+        ];
+        for (id, r, d) in want {
+            assert_eq!(book.r_and_d_or(JobId(id), limit), (r, d), "job {id}");
+            assert_eq!(book.r(JobId(id)), r, "job {id}");
+        }
     }
 
     #[test]

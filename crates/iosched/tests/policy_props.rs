@@ -178,12 +178,12 @@ props! {
         // Eq. (2): zero group carries at least the QoS share of node-time.
         let total_nt: f64 = queue
             .iter()
-            .map(|j| j.nodes as f64 * book.d_or(j.id, j.limit).as_secs_f64())
+            .map(|j| j.nodes as f64 * book.r_and_d_or(j.id, j.limit).1.as_secs_f64())
             .sum();
         let zero_nt: f64 = queue
             .iter()
             .filter(|j| params.split.is_zero(book.r(j.id), j.nodes))
-            .map(|j| j.nodes as f64 * book.d_or(j.id, j.limit).as_secs_f64())
+            .map(|j| j.nodes as f64 * book.r_and_d_or(j.id, j.limit).1.as_secs_f64())
             .sum();
         prop_assert!(zero_nt + 1e-6 >= qos * total_nt);
     }

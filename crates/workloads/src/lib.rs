@@ -22,4 +22,4 @@ pub use arrivals::{bursty_arrivals, poisson_arrivals, uniform_arrivals};
 pub use builder::{JobSubmission, WorkloadBuilder};
 pub use paper::{sleep_job, workload_1, workload_2, write_xn_job, PaperParams};
 pub use swf::{open_swf, parse_swf, SwfError, SwfOptions, SwfReader, SwfRecord};
-pub use synth::{to_swf_text, SynthConfig, SynthTrace};
+pub use synth::{to_swf_text, SynthConfig, SynthTrace, MAX_RUN_SECS, MIN_RUN_SECS};

@@ -19,6 +19,12 @@ use crate::builder::JobSubmission;
 use crate::swf::{SwfOptions, SwfRecord};
 use iosched_simkit::rng::SimRng;
 
+/// Shortest run time the generator emits, seconds.
+pub const MIN_RUN_SECS: f64 = 1.0;
+
+/// Longest run time the generator emits, seconds (7 days).
+pub const MAX_RUN_SECS: f64 = 7.0 * 86_400.0;
+
 /// Shape parameters of the synthetic trace. All distributions are
 /// sampled from a seeded [`SimRng`], so a `(config, seed)` pair names
 /// one exact trace forever.
@@ -130,7 +136,7 @@ impl Iterator for SynthTrace {
         let run_secs = self
             .rng
             .lognormal(self.cfg.median_run_secs, self.cfg.run_sigma)
-            .clamp(1.0, 7.0 * 86_400.0) as i64;
+            .clamp(MIN_RUN_SECS, MAX_RUN_SECS) as i64;
         // Users overestimate: requested time is a padded multiple of the
         // run time, rounded up to a minute like real submissions.
         let padding = self.rng.uniform_range(1.1, 4.0);

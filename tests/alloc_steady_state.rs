@@ -124,12 +124,15 @@ where
     let total_nodes = 15;
     let bf = BackfillConfig::default();
 
+    // Loads r = 0.1·(id mod 5) GiB/s over 1–4 nodes: the adaptive split
+    // sees a dozen ρ classes of many jobs each, zero loads among them,
+    // and equal ρ from different (r, n) pairs (0.2/2 = 0.1/1).
     let mut book = EstimateBook::new();
     for j in &jobs {
         book.insert(
             j.id,
             JobEstimate {
-                throughput_bps: gibps(0.1) * (1 + j.id.0 % 5) as f64,
+                throughput_bps: gibps(0.1) * (j.id.0 % 5) as f64,
                 runtime: SimDuration::from_secs(120 + (j.id.0 % 9) * 30),
             },
         );

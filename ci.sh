@@ -143,7 +143,10 @@ step "property suites in release"
 # models under cfg(test) (the two-group split and the adaptive round's
 # fused target pass against the comparison-sort split and the separate
 # target walk in iosched-core's twogroup.rs and adaptive.rs, bit for
-# bit), the no-start certificate properties compare it
+# bit), the joint-scan trackers compare every earliest start and whole
+# backfill passes against the per-resource fixpoint of Algorithms 4 and
+# 7 (iosched_reference::fixpoint, in iosched-core's fixpoint_props), the
+# no-start certificate properties compare it
 # against backfill passes, and the lustre-sim properties compare the
 # rate solve against max_min_fair, and the ldms-sim property compares the
 # daemon's running integrals and load window bitwise with a model that

@@ -183,6 +183,18 @@ const MAX_SYNTH_SPAN_SECS: f64 = 1e6;
 /// took 4 min 54 s.
 const MAX_SYNTH_WORK_SECS: f64 = 5e5;
 
+/// Largest `machine_scale` a grid may ask for: the x667 machine (10 005
+/// nodes) of the scale suite, the largest the program is run on. A
+/// machine's per-node and per-OST state grows with the scale, and so does
+/// the cost of every tick: at this ceiling the slowest admitted 1-task
+/// grid found (one job with a 5e5 s median, adaptive-20) took ≈18 s in
+/// release `campaignd` on a 2-vCPU VM.
+const MAX_MACHINE_SCALE: usize = 667;
+
+/// Largest explicit `nodes` a grid may ask for: the nodes of the
+/// [`MAX_MACHINE_SCALE`] machine.
+const MAX_NODES: usize = 10_005;
+
 /// A workload named by generator parameters rather than by value, so a
 /// grid spec stays small and serializable; [`WorkloadSpec::materialize`]
 /// builds the actual submission list (once per campaign, shared across
@@ -593,6 +605,18 @@ impl CampaignGrid {
         if self.base.machine_scale == 0 {
             return Err("machine_scale must be at least 1".into());
         }
+        if self.base.machine_scale > MAX_MACHINE_SCALE {
+            return Err(format!(
+                "machine_scale must be at most {MAX_MACHINE_SCALE}, got {}",
+                self.base.machine_scale
+            ));
+        }
+        if self.base.nodes > MAX_NODES {
+            return Err(format!(
+                "nodes must be at most {MAX_NODES}, got {}",
+                self.base.nodes
+            ));
+        }
         // A job wider than the machine never starts, and the event loop
         // waits for it forever.
         let nodes = if self.base.nodes > 0 {
@@ -803,6 +827,22 @@ mod tests {
         let mut g = sample();
         g.base.machine_scale = 0;
         assert!(g.validate().is_err());
+        // The largest machine the program runs, and no larger.
+        g.base.machine_scale = MAX_MACHINE_SCALE;
+        assert_eq!(g.validate(), Ok(()));
+        g.base.machine_scale = MAX_MACHINE_SCALE + 1;
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("machine_scale must be at most 667"), "{err}");
+        let mut g = sample();
+        g.base.nodes = MAX_NODES;
+        assert_eq!(g.validate(), Ok(()));
+        g.base.nodes = MAX_NODES + 1;
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("nodes must be at most 10005"), "{err}");
+        assert_eq!(
+            ExperimentConfig::paper(SchedulerKind::DefaultBackfill, 0).nodes * MAX_MACHINE_SCALE,
+            MAX_NODES
+        );
         for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e300] {
             let mut g = sample();
             g.thresholds_gibps[0] = bad;

@@ -206,6 +206,23 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
         let reason = format!("{field} must");
         assert!(message.is_some_and(|m| m.contains(&reason)), "{text}");
     }
+    // Machines past the largest one the program runs (x667, 10 005
+    // nodes), whose per-node and per-OST state and ticks grow with them.
+    for (machine_scale, nodes, field) in [(668, 0, "machine_scale"), (1, 10_006, "nodes")] {
+        let mut grid = one_task_grid();
+        grid.base.machine_scale = machine_scale;
+        grid.base.nodes = nodes;
+        let input = format!("{}\n{valid}\n", grid.to_json().to_json_string());
+        let out = campaignd(&["--threads", "1"], &input);
+        assert!(out.status.success(), "{field}: {out:?}");
+        let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|l| kind(&parse(l).expect("every line is JSON")).to_string())
+            .collect();
+        assert_eq!(kinds, ["error", "record", "done"], "{field}: {text}");
+        assert!(text.contains(&format!("{field} must be at most")), "{text}");
+    }
 }
 
 #[test]

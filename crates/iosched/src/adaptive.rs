@@ -10,9 +10,10 @@
 //! the adjusted target `R̃′`; zero-group jobs are scheduled as usual and
 //! keep the nodes busy.
 //!
-//! The policy owns every per-round buffer — the split input/output, the
-//! AT profile, and (via `IoAwareCore`) the node and LT profiles — so a
-//! steady-state round reuses warm allocations instead of rebuilding them.
+//! The policy owns every per-round buffer — the split input/output and
+//! (via `IoAwareCore`) the one profile whose columns are the nodes, the
+//! LT and the AT — so a steady-state round reuses warm allocations
+//! instead of rebuilding them.
 
 use crate::book::EstimateBook;
 use crate::ioaware::{check_limit_bps, effective_r, IoAwareCore, IoAwareTracker};
@@ -20,7 +21,7 @@ use crate::twogroup::{two_group_split, SplitJob, SplitScratch, TwoGroupParams, T
 use iosched_simkit::time::SimTime;
 use iosched_slurm::{
     quanta_down, quanta_up, ReservationTracker, ResourceProfile, RunningView, SchedJob,
-    SchedulingPolicy,
+    SchedulingPolicy, NO_THRESHOLD,
 };
 
 /// Configuration of the workload-adaptive policy.
@@ -62,8 +63,6 @@ pub struct AdaptivePolicy {
     cfg: AdaptiveConfig,
     book: EstimateBook,
     core: IoAwareCore,
-    /// Pooled AT profile (Algorithm 6's adjusted reservations).
-    at: ResourceProfile,
     /// Pooled split input, rebuilt from the queue each round.
     split_jobs: Vec<SplitJob>,
     /// Pooled buffers of the split's ρ-ordering.
@@ -86,7 +85,6 @@ impl AdaptivePolicy {
             cfg,
             book: EstimateBook::new(),
             core: IoAwareCore::default(),
-            at: ResourceProfile::default(),
             split_jobs: Vec::new(),
             split_scratch: SplitScratch::default(),
             params: TwoGroupParams::default(),
@@ -179,11 +177,11 @@ fn adjusted_load(r_bps: f64, nodes: usize, params: &TwoGroupParams) -> i64 {
     quanta_up(r_bps) - quanta_up(nodes as f64 * params.split.r_zero_bar)
 }
 
-/// Tracker of Algorithms 6–7: the I/O-aware tracker `RT` plus the
-/// adjusted-throughput tracker `AT` gating regular jobs on the target.
+/// Tracker of Algorithms 6–7: the I/O-aware tracker `RT`, whose profile
+/// carries the adjusted-throughput column `AT` after the LT column, gating
+/// regular jobs on the target.
 pub struct AdaptiveTracker<'a> {
     rt: IoAwareTracker<'a>,
-    at: &'a mut ResourceProfile,
     params: &'a TwoGroupParams,
     /// The adjusted target `R̃′` in AT quanta (a threshold: rounded down).
     at_threshold: i64,
@@ -231,67 +229,55 @@ impl SchedulingPolicy for AdaptivePolicy {
             split,
         };
 
-        // Lines 9–11: the AT tracker, seeded with the running jobs'
-        // adjusted loads (which may be negative for low-I/O jobs). It is
-        // only probed against `at_threshold`, so its capacity is unused.
-        self.at.reset(0);
-        for rv in running {
-            let r = effective_r(&self.book, rv.job, self.cfg.limit_bps);
-            let adj = adjusted_load(r, rv.job.nodes, &self.params);
-            self.at.stage(adj, rv.started, rv.reservation_end(now));
-        }
-        self.at.commit_staged();
-
-        // Line 2: the I/O-aware tracker (Algorithm 2).
+        // Line 2: the I/O-aware tracker (Algorithm 2), and lines 9–11:
+        // its AT column, seeded with the running jobs' adjusted loads
+        // (which may be negative for low-I/O jobs).
+        let (book, params, limit_bps) = (&self.book, &self.params, self.cfg.limit_bps);
         let rt = self.core.init_tracker(
-            &self.book,
-            self.cfg.limit_bps,
+            book,
+            limit_bps,
             running,
-            queue,
             now,
             total_nodes,
+            Some(|profile: &mut ResourceProfile, at| {
+                for rv in running {
+                    let r = effective_r(book, rv.job, limit_bps);
+                    let adj = adjusted_load(r, rv.job.nodes, params);
+                    profile.stage(at, adj, rv.started, rv.reservation_end(now));
+                }
+            }),
         );
         AdaptiveTracker {
             rt,
-            at: &mut self.at,
-            params: &self.params,
+            params,
             at_threshold: quanta_down(self.params.r_tilde_prime_bps),
         }
     }
 }
 
 impl ReservationTracker for AdaptiveTracker<'_> {
-    /// Algorithm 7.
+    /// Algorithm 7: a zero job is placed as the I/O-aware tracker places
+    /// it; a regular job additionally waits for a window where the
+    /// adjusted reservations stay at or below the adjusted target.
     fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
         let r = effective_r(self.rt.book, job, self.rt.limit_bps);
-        if self.params.split.is_zero(r, job.nodes) {
-            // Zero job: plain I/O-aware placement.
-            return self.rt.earliest_start(job, t_min);
-        }
-        // Regular job: additionally wait for a window where the adjusted
-        // reservations have not yet reached the adjusted target.
-        let mut t = t_min;
-        loop {
-            let t_rt = self.rt.earliest_start(job, t);
-            if t_rt == SimTime::FAR_FUTURE {
-                return t_rt;
-            }
-            let t_at = self.at.earliest_at_most(t_rt, job.limit, self.at_threshold);
-            if t_at == t_rt {
-                return t_at;
-            }
-            t = t_at;
-        }
+        let at = if self.params.split.is_zero(r, job.nodes) {
+            NO_THRESHOLD
+        } else {
+            self.at_threshold
+        };
+        self.rt.earliest_start_at(job, t_min, Some(at))
     }
 
-    /// Algorithm 6.
+    /// Algorithm 6: only regular jobs add to the AT.
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
-        self.rt.reserve(job, start);
         let r = effective_r(self.rt.book, job, self.rt.limit_bps);
-        if !self.params.split.is_zero(r, job.nodes) {
-            let adj = adjusted_load(r, job.nodes, self.params);
-            self.at.reserve(adj, start, start + job.limit);
-        }
+        let adj = if self.params.split.is_zero(r, job.nodes) {
+            0
+        } else {
+            adjusted_load(r, job.nodes, self.params)
+        };
+        self.rt.reserve_at(job, start, Some(adj));
     }
 
     /// RT dominance plus group compatibility: if the failed job was

@@ -11,7 +11,10 @@
 //!   last running job's limit expires (lines 7–8) — this is what protects
 //!   the file system from jobs with missing or underestimated
 //!   requirements;
-//! * `EarliestStartTime` is the two-resource fixpoint of Algorithm 4;
+//! * `EarliestStartTime` (Algorithm 4) is the least start at which both
+//!   nodes and bandwidth fit: the fixpoint the paper reaches by
+//!   alternating the two trackers, found here by one forward scan over
+//!   the profile that holds both as columns;
 //! * `ReserveResources` reserves both nodes and bandwidth (Algorithm 3).
 //!
 //! Before a round builds its tracker, the no-start certificate
@@ -19,9 +22,9 @@
 //! scalar work that no queued job fits now against the running jobs
 //! alone, so the pass would start nothing.
 //!
-//! Like the node policy it composes with, the policy owns pooled profile
-//! scratch that its per-round trackers borrow and mutate in place, so a
-//! steady-state scheduling round allocates nothing.
+//! The LT is one more column of the node policy's pooled profile, which
+//! the per-round trackers borrow and mutate in place, so a steady-state
+//! scheduling round allocates nothing.
 
 use crate::book::EstimateBook;
 use iosched_simkit::time::SimTime;
@@ -39,34 +42,46 @@ pub struct IoAwareConfig {
     pub limit_bps: f64,
 }
 
-/// The node tracker plus the pooled LT profile — the reusable part of the
-/// I/O-aware machinery, shared with the adaptive policy (which layers its
-/// AT profile on top).
+/// The node policy whose pooled profile carries the LT column — the
+/// reusable part of the I/O-aware machinery, shared with the adaptive
+/// policy (which layers its AT column on top).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IoAwareCore {
     node_policy: NodePolicy,
-    lt: ResourceProfile,
 }
 
 impl IoAwareCore {
-    /// Algorithm 2: build the `{NT, LT}` tracker for one round, borrowing
-    /// the pooled profiles.
+    /// Algorithm 2: build the `{NT, LT}` tracker for one round. With
+    /// `stage_at`, the profile carries an AT column after the LT column,
+    /// which `stage_at(profile, column)` stages.
     pub(crate) fn init_tracker<'a>(
         &'a mut self,
         book: &'a EstimateBook,
         limit_bps: f64,
         running: &[RunningView<'_>],
-        queue: &[&SchedJob],
         now: SimTime,
         total_nodes: usize,
+        stage_at: Option<impl FnOnce(&mut ResourceProfile, usize)>,
     ) -> IoAwareTracker<'a> {
-        let IoAwareCore { node_policy, lt } = self;
-        let nodes = node_policy.init_tracker(running, queue, now, total_nodes);
-        fill_bandwidth_profile(book, running, now, limit_bps, lt);
+        let lt_capacity = quanta_down(limit_bps);
+        let nodes = self.node_policy.init_tracker_with(
+            running,
+            now,
+            total_nodes,
+            1 + usize::from(stage_at.is_some()),
+            |profile, lt| {
+                stage_running_lt(book, running, now, limit_bps, lt_capacity, |q, s, e| {
+                    profile.stage(lt, q, s, e);
+                });
+                if let Some(stage_at) = stage_at {
+                    stage_at(profile, lt + 1);
+                }
+            },
+        );
         IoAwareTracker {
             nodes,
-            free_lt_now: free_lt_at(book, running, now, limit_bps, lt.capacity()),
-            lt,
+            free_lt_now: free_lt_at(book, running, now, limit_bps, lt_capacity),
+            lt_capacity,
             book,
             limit_bps,
             now,
@@ -81,7 +96,7 @@ impl IoAwareCore {
     /// `[now, ∞)`, and the pass's reservations only add usage; a job that
     /// does not fit now against the running set alone never fits now in
     /// the pass. Gates the tracker does not check here (license pools,
-    /// adaptive's AT profile) only refuse more jobs, so leaving them out
+    /// adaptive's AT column) only refuse more jobs, so leaving them out
     /// keeps the certificate sound. O(running + queue) scalar work.
     pub(crate) fn no_start_certified(
         &self,
@@ -166,26 +181,8 @@ impl IoAwarePolicy {
     }
 }
 
-/// Fill the LT bandwidth profile of Algorithm 2 (lines 4–8) into a
-/// caller-owned profile (reset first, so the profile's allocation is
-/// reused round over round).
-pub(crate) fn fill_bandwidth_profile(
-    book: &EstimateBook,
-    running: &[RunningView<'_>],
-    now: SimTime,
-    limit_bps: f64,
-    lt: &mut ResourceProfile,
-) {
-    lt.reset(quanta_down(limit_bps));
-    let capacity = lt.capacity();
-    stage_running_lt(book, running, now, limit_bps, capacity, |q, start, end| {
-        lt.stage(q, start, end);
-    });
-    lt.commit_staged();
-}
-
 /// The running set's LT usage as Algorithm 2 (lines 4–8) stages it, in
-/// quanta of an LT profile of `capacity`: each job's demand over its
+/// quanta of an LT column of `capacity`: each job's demand over its
 /// reservation window, then the measured load above the accounted
 /// estimates as anonymous usage until the last running job may end.
 /// `stage(quanta, start, end)` receives each term; the profile build and
@@ -215,8 +212,8 @@ fn stage_running_lt(
 }
 
 /// LT quanta the running set leaves free at `now`, out of `capacity`:
-/// exactly the headroom at `now` of the profile
-/// [`fill_bandwidth_profile`] builds, unaccounted term included. With
+/// exactly the headroom at `now` of the LT column
+/// [`IoAwareCore::init_tracker`] builds, unaccounted term included. With
 /// [`free_nodes_at`] it is the one source of free capacity at `now`, read
 /// by the no-start certificate and by [`IoAwareTracker`]'s
 /// `may_start_now`. Negative when the measured load overcommits the
@@ -266,11 +263,13 @@ pub fn check_limit_bps(limit_bps: f64) -> Result<(), String> {
     }
 }
 
-/// Tracker produced by [`IoAwarePolicy`]: Slurm's node tracker plus the
-/// Lustre-throughput profile, both borrowed from policy-owned scratch.
+/// Tracker produced by [`IoAwarePolicy`]: Slurm's node tracker, whose
+/// profile carries the Lustre-throughput column after the node columns,
+/// borrowed from policy-owned scratch.
 pub struct IoAwareTracker<'a> {
-    pub(crate) nodes: NodeTracker<'a>,
-    pub(crate) lt: &'a mut ResourceProfile,
+    nodes: NodeTracker<'a>,
+    /// The LT column's capacity `R_limit`, in quanta.
+    lt_capacity: i64,
     pub(crate) book: &'a EstimateBook,
     pub(crate) limit_bps: f64,
     /// The round's time.
@@ -284,8 +283,39 @@ impl IoAwareTracker<'_> {
     fn demand(&self, job: &SchedJob) -> i64 {
         lt_demand(
             effective_r(self.book, job, self.limit_bps),
-            self.lt.capacity(),
+            self.lt_capacity,
         )
+    }
+
+    /// Algorithm 4's earliest start, with the AT threshold `at` when the
+    /// profile carries an AT column. The LT gates every job, even one
+    /// with no demand: measured load can hold the LT over its capacity.
+    pub(crate) fn earliest_start_at(
+        &mut self,
+        job: &SchedJob,
+        t_min: SimTime,
+        at: Option<i64>,
+    ) -> SimTime {
+        let lt = self.lt_capacity - self.demand(job);
+        match at {
+            None => self.nodes.earliest_start_with(job, t_min, &[lt]),
+            Some(at) => self.nodes.earliest_start_with(job, t_min, &[lt, at]),
+        }
+    }
+
+    /// Algorithm 3's reservation, with the AT amount `at` when the
+    /// profile carries an AT column.
+    pub(crate) fn reserve_at(&mut self, job: &SchedJob, start: SimTime, at: Option<i64>) {
+        let demand = self.demand(job);
+        let end = start + job.limit;
+        // The profile ignores an empty window, so the counter does too.
+        if start == self.now && end > start {
+            self.free_lt_now -= demand;
+        }
+        match at {
+            None => self.nodes.reserve_with(job, start, &[demand]),
+            Some(at) => self.nodes.reserve_with(job, start, &[demand, at]),
+        }
     }
 }
 
@@ -295,7 +325,7 @@ impl SchedulingPolicy for IoAwarePolicy {
     fn init_tracker<'a>(
         &'a mut self,
         running: &[RunningView<'_>],
-        queue: &[&SchedJob],
+        _queue: &[&SchedJob],
         now: SimTime,
         total_nodes: usize,
     ) -> IoAwareTracker<'a> {
@@ -303,47 +333,28 @@ impl SchedulingPolicy for IoAwarePolicy {
             &self.book,
             self.cfg.limit_bps,
             running,
-            queue,
             now,
             total_nodes,
+            None::<fn(&mut ResourceProfile, usize)>,
         )
     }
 }
 
 impl ReservationTracker for IoAwareTracker<'_> {
-    /// Algorithm 4: alternate between the node tracker and the bandwidth
-    /// profile until a common start time is a fixpoint.
+    /// Algorithm 4: the earliest start at which nodes and bandwidth both
+    /// fit.
     fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        let demand = self.demand(job);
-        let mut t = t_min;
-        loop {
-            let t_nt = self.nodes.earliest_start(job, t);
-            if t_nt == SimTime::FAR_FUTURE {
-                return t_nt;
-            }
-            let t_lt = self.lt.earliest_fit(t_nt, job.limit, demand);
-            if t_lt == t_nt {
-                return t_lt;
-            }
-            t = t_lt;
-        }
+        self.earliest_start_at(job, t_min, None)
     }
 
     /// Algorithm 3: reserve nodes and bandwidth for `[t, t + L_j)`.
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
-        self.nodes.reserve(job, start);
-        let demand = self.demand(job);
-        let end = start + job.limit;
-        // The profile ignores an empty window, so the counter does too.
-        if start == self.now && end > start {
-            self.free_lt_now -= demand;
-        }
-        self.lt.reserve(demand, start, end);
+        self.reserve_at(job, start, None);
     }
 
     /// Node/limit/license dominance plus at least as much estimated
     /// bandwidth. Sound for pruning: every mid-round reservation adds
-    /// nonnegative usage to both the node and LT profiles.
+    /// nonnegative usage to both the node and LT columns.
     fn demands_at_least(&self, probe: &SchedJob, failed: &SchedJob) -> bool {
         self.nodes.demands_at_least(probe, failed)
             && effective_r(self.book, probe, self.limit_bps)

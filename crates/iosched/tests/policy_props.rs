@@ -90,16 +90,16 @@ props! {
         let demand = |id: JobId| quanta_up(book.r(id)).min(cap);
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
         for plan in [&out, &full] {
-            let mut lt = ResourceProfile::new(cap);
+            let mut lt = ResourceProfile::new(1);
             for &id in &plan.start_now {
                 let j = by_id(id);
-                lt.reserve(demand(id), SimTime::ZERO, SimTime::ZERO + j.limit);
+                lt.reserve(&[demand(id)], SimTime::ZERO, SimTime::ZERO + j.limit);
             }
             for &(id, at) in &plan.reservations {
                 let j = by_id(id);
-                lt.reserve(demand(id), at, at + j.limit);
+                lt.reserve(&[demand(id)], at, at + j.limit);
             }
-            let max = lt.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
+            let max = lt.max_over(0, SimTime::ZERO, SimTime::from_secs(10_000));
             prop_assert!(max <= cap, "bandwidth plan exceeds limit: {max} > {cap}");
             // Nothing is skipped with an unbounded budget.
             prop_assert!(plan.skipped.is_empty());

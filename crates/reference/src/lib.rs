@@ -7,12 +7,16 @@
 //! * [`reference_pass`] — the backfill pass (paper Algorithm 1) walking
 //!   the whole queue, without the post-start cut of
 //!   [`iosched_slurm::backfill_pass_into`].
+//! * [`fixpoint`] — the paper's `EarliestStartTime` as the alternating
+//!   per-resource fixpoint of Algorithms 4 and 7, over one single-column
+//!   profile per resource.
 //! * [`engine`] — the experiment loop of `iosched_experiments` without
 //!   its speed-ups: a sorted queue over a plain job table, an estimate
 //!   book rebuilt every round, and a full pass in every round (no
 //!   elision, no no-start certificate, no pruning, no monotone cursor).
 
 pub mod engine;
+pub mod fixpoint;
 
 use iosched_simkit::time::SimTime;
 use iosched_slurm::{

@@ -29,7 +29,7 @@ pub struct BackfillConfig {
     /// (`BackfillMax`). Slurm's default configuration is unbounded.
     pub max_reservations: usize,
     /// Once the reservation budget is exhausted, skip the
-    /// `earliest_start` fixpoint for queue entries that
+    /// `earliest_start` probe for queue entries that
     /// [`ReservationTracker::demands_at_least`] a job that already failed
     /// to start now — they provably cannot start either, and skipping is
     /// all the budget allows. Outcome-neutral (property-tested against
@@ -40,7 +40,7 @@ pub struct BackfillConfig {
     /// least-demanding failed job at that job's computed start instead of
     /// at `now` — no window before it can admit the dominatee, let alone
     /// the dominator, so the result is identical (property-tested against
-    /// the from-`now` fixpoint) while the probe skips the already-proven-
+    /// the from-`now` probe) while the probe skips the already-proven-
     /// infeasible prefix. Only worth disabling as a bench baseline.
     pub monotone_cursor: bool,
 }
@@ -76,7 +76,7 @@ pub struct PassStats {
     /// Only meaningful when the round started nothing: after a start
     /// the post-start cut leaves later entries unexamined.
     pub next_possible_start: SimTime,
-    /// Queue entries whose fixpoint was skipped by fits-now pruning
+    /// Queue entries whose probe was skipped by fits-now pruning
     /// (before the post-start cut, if any).
     pub pruned: u64,
 }
@@ -119,18 +119,18 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// first. Reusing one outcome across rounds keeps the steady-state
 /// scheduling pass allocation-free.
 ///
-/// The queue walk prunes provably-futile `earliest_start` fixpoints when
+/// The queue walk prunes provably-futile `earliest_start` probes when
 /// [`BackfillConfig::prune_fits_now`] is set: once the reservation budget
 /// is exhausted a failed job is only recorded as skipped, so any later
 /// entry that [`ReservationTracker::demands_at_least`] the
-/// least-demanding failure seen so far is skipped without a fixpoint.
+/// least-demanding failure seen so far is skipped without a probe.
 /// Sound because usage only grows within a round, so dominance means
 /// "fits now" for the pruned job would imply its dominatee fit at probe
 /// time — contradiction. `tests/backfill_props.rs` checks both pruning
 /// and the cursor against the plain walk.
 ///
 /// While the budget lasts, the same dominance powers the
-/// [`BackfillConfig::monotone_cursor`]: a dominated entry's fixpoint
+/// [`BackfillConfig::monotone_cursor`]: a dominated entry's probe
 /// starts at the representative's computed start rather than `now`,
 /// skipping the profile prefix both probes would reject identically.
 ///
@@ -138,7 +138,7 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// entries that [`ReservationTracker::may_start_now`] rules out, and
 /// stops there (the post-start cut, see the module docs): O(depth)
 /// scalar checks per pass in place of the tail's `earliest_start`
-/// fixpoints, with `start_now` unchanged.
+/// probes, with `start_now` unchanged.
 pub fn backfill_pass_into<P: SchedulingPolicy>(
     policy: &mut P,
     running: &[RunningView<'_>],

@@ -36,5 +36,6 @@ pub use policy::{
 };
 pub use profile::{
     quanta_down, quanta_up, take_sweep_steps, take_tree_counters, ResourceProfile, MAX_CAPACITY,
+    NO_THRESHOLD,
 };
 pub use registry::{take_queue_prep_counters, JobRegistry, JobState, PriorityPolicy};

@@ -9,7 +9,7 @@
 //! ([`crate::backfill::backfill_pass`]) drives the tracker.
 
 use crate::licenses::LicenseRequirements;
-use crate::profile::{quanta_down, quanta_up, ResourceProfile};
+use crate::profile::{quanta_down, quanta_up, ResourceProfile, NO_THRESHOLD};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::sym::Sym;
 use iosched_simkit::time::{SimDuration, SimTime};
@@ -142,7 +142,7 @@ pub trait ReservationTracker {
     /// current tracker state and any state reachable by further
     /// [`Self::reserve`] calls this round, every window that admits
     /// `probe` would also admit `failed`. The backfill pass uses this to
-    /// skip the `earliest_start` fixpoint for queue entries at least as
+    /// skip the `earliest_start` probe for queue entries at least as
     /// demanding as one that already failed to start now (sound because
     /// mid-round reservations only *add* usage to every constraining
     /// profile). Policies that cannot guarantee that monotonicity must
@@ -191,30 +191,38 @@ pub trait SchedulingPolicy {
 }
 
 /// Stock Slurm behaviour: nodes are the only tracked resource (licenses
-/// too, when jobs request them). Owns the profile scratch its trackers
-/// borrow; reused (not reallocated) across rounds.
+/// too, when jobs request them). Owns the profile its trackers borrow,
+/// reused (not reallocated) across rounds: column 0 holds the nodes, then
+/// one column per license pool in `license_totals` order, then whatever
+/// columns a policy layered on top adds
+/// ([`NodePolicy::init_tracker_with`]).
 #[derive(Clone, Debug, Default)]
 pub struct NodePolicy {
     /// Cluster-wide license pools (name → total count). Empty by default.
     pub license_totals: crate::licenses::LicensePools,
-    nodes_scratch: ResourceProfile,
-    licenses_scratch: Vec<(String, ResourceProfile)>,
+    profile: ResourceProfile,
+    /// One probe's thresholds or one reserve's amounts, per column.
+    row: Vec<i64>,
 }
 
-/// Tracker built by [`NodePolicy`]: a node profile plus one profile per
-/// license pool, borrowed from the policy's pooled scratch.
+/// Tracker built by [`NodePolicy`]: its profile, with a node column, one
+/// column per license pool, and any layered columns after them,
+/// borrowed from the policy's pooled scratch.
 pub struct NodeTracker<'a> {
-    nodes: &'a mut ResourceProfile,
-    licenses: &'a mut [(String, ResourceProfile)],
+    profile: &'a mut ResourceProfile,
+    licenses: &'a crate::licenses::LicensePools,
+    /// The cluster size `N`: the node column's capacity.
+    total_nodes: i64,
+    row: &'a mut Vec<i64>,
     /// The round's time.
     now: SimTime,
-    /// Nodes free at `now`: the node profile's headroom there, kept
-    /// exact by [`ReservationTracker::reserve`].
+    /// Nodes free at `now`: the node column's headroom there, kept exact
+    /// by [`ReservationTracker::reserve`].
     free_nodes_now: i64,
 }
 
 /// Nodes the running set leaves free at `now`, out of `total_nodes`:
-/// exactly the headroom at `now` of the node profile
+/// exactly the headroom at `now` of the node column
 /// [`NodePolicy::init_tracker`] builds, since a running job's reservation
 /// window `[started, reservation_end(now))` covers `now` exactly when it
 /// started by `now`. Negative when the running set overcommits the
@@ -229,33 +237,46 @@ pub fn free_nodes_at(running: &[RunningView<'_>], now: SimTime, total_nodes: usi
 }
 
 impl NodePolicy {
-    /// Reset the pooled profiles for a new round. License profiles are
-    /// reused in place while the pool names are unchanged (the common
-    /// case); the name strings are recloned only when `license_totals`
-    /// was edited between rounds.
-    fn reset_scratch(&mut self, total_nodes: usize) {
-        self.nodes_scratch.reset(total_nodes as i64);
-        let unchanged = self.licenses_scratch.len() == self.license_totals.len()
-            && self
-                .licenses_scratch
-                .iter()
-                .zip(self.license_totals.iter())
-                .all(|((have, _), (want, _))| have == want);
-        if unchanged {
-            for ((_, profile), (_, &total)) in self
-                .licenses_scratch
-                .iter_mut()
-                .zip(self.license_totals.iter())
-            {
-                profile.reset(quanta_down(total));
+    /// Build the round's tracker with `extra_cols` more columns after the
+    /// node and license columns. `stage_extra(profile, first)` stages the
+    /// running set's usage of those columns, `first` being the index of
+    /// the first of them; the profile then commits every column at once.
+    /// The layered policy passes its columns' thresholds and
+    /// amounts to [`NodeTracker::earliest_start_with`] and
+    /// [`NodeTracker::reserve_with`].
+    pub fn init_tracker_with<'a>(
+        &'a mut self,
+        running: &[RunningView<'_>],
+        now: SimTime,
+        total_nodes: usize,
+        extra_cols: usize,
+        stage_extra: impl FnOnce(&mut ResourceProfile, usize),
+    ) -> NodeTracker<'a> {
+        let NodePolicy {
+            license_totals,
+            profile,
+            row,
+        } = self;
+        let own = 1 + license_totals.len();
+        profile.reset(own + extra_cols);
+        // Batched build: stage every running-set delta of every column,
+        // then sort and merge once.
+        for rv in running {
+            let end = rv.reservation_end(now);
+            profile.stage(0, rv.job.nodes as i64, rv.started, end);
+            for (c, name) in license_totals.keys().enumerate() {
+                profile.stage(1 + c, quanta_up(rv.job.licenses.get(name)), rv.started, end);
             }
-        } else {
-            self.licenses_scratch.clear();
-            self.licenses_scratch.extend(
-                self.license_totals
-                    .iter()
-                    .map(|(name, &total)| (name.clone(), ResourceProfile::new(quanta_down(total)))),
-            );
+        }
+        stage_extra(profile, own);
+        profile.commit_staged();
+        NodeTracker {
+            profile,
+            licenses: license_totals,
+            total_nodes: total_nodes as i64,
+            row,
+            now,
+            free_nodes_now: free_nodes_at(running, now, total_nodes),
         }
     }
 }
@@ -270,62 +291,60 @@ impl SchedulingPolicy for NodePolicy {
         now: SimTime,
         total_nodes: usize,
     ) -> NodeTracker<'a> {
-        self.reset_scratch(total_nodes);
-        let nodes = &mut self.nodes_scratch;
-        let licenses = self.licenses_scratch.as_mut_slice();
-        // Batched build: stage every running-set delta, then sort and
-        // sum once per profile.
-        for rv in running {
-            let end = rv.reservation_end(now);
-            nodes.stage(rv.job.nodes as i64, rv.started, end);
-            for (name, profile) in licenses.iter_mut() {
-                profile.stage(quanta_up(rv.job.licenses.get(name)), rv.started, end);
-            }
-        }
-        nodes.commit_staged();
-        for (_, profile) in licenses.iter_mut() {
-            profile.commit_staged();
-        }
-        NodeTracker {
-            nodes,
-            licenses,
-            now,
-            free_nodes_now: free_nodes_at(running, now, total_nodes),
-        }
+        self.init_tracker_with(running, now, total_nodes, 0, |_, _| {})
     }
 }
 
-impl ReservationTracker for NodeTracker<'_> {
-    fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        // Fixpoint over all resource dimensions, mirroring the paper's
-        // Algorithm 4 structure generalised to N dimensions: repeat until
-        // one full pass leaves `t` unchanged.
-        let mut t = t_min;
-        loop {
-            let start = t;
-            t = self.nodes.earliest_fit(t, job.limit, job.nodes as i64);
-            for (name, profile) in self.licenses.iter() {
-                let amount = quanta_up(job.licenses.get(name));
-                if amount > 0 {
-                    t = profile.earliest_fit(t, job.limit, amount);
-                }
-            }
-            if t == start || t == SimTime::FAR_FUTURE {
-                return t;
-            }
+impl NodeTracker<'_> {
+    /// [`ReservationTracker::earliest_start`] with `extra` thresholds
+    /// for the layered columns: one forward scan that checks every
+    /// column at each entry. The node column gates every job, even one
+    /// of 0 nodes; a license pool the job takes none of gates nothing.
+    pub fn earliest_start_with(
+        &mut self,
+        job: &SchedJob,
+        t_min: SimTime,
+        extra: &[i64],
+    ) -> SimTime {
+        self.row.clear();
+        self.row.push(self.total_nodes - job.nodes as i64);
+        for (name, &total) in self.licenses {
+            let amount = quanta_up(job.licenses.get(name));
+            self.row.push(if amount > 0 {
+                quanta_down(total) - amount
+            } else {
+                NO_THRESHOLD
+            });
         }
+        self.row.extend_from_slice(extra);
+        self.profile.earliest_at_most(t_min, job.limit, self.row)
     }
 
-    fn reserve(&mut self, job: &SchedJob, start: SimTime) {
+    /// [`ReservationTracker::reserve`] with `extra` amounts for the
+    /// layered columns.
+    pub fn reserve_with(&mut self, job: &SchedJob, start: SimTime, extra: &[i64]) {
         let end = start + job.limit;
         // The profile ignores an empty window, so the counter does too.
         if start == self.now && end > start {
             self.free_nodes_now -= job.nodes as i64;
         }
-        self.nodes.reserve(job.nodes as i64, start, end);
-        for (name, profile) in self.licenses.iter_mut() {
-            profile.reserve(quanta_up(job.licenses.get(name)), start, end);
+        self.row.clear();
+        self.row.push(job.nodes as i64);
+        for name in self.licenses.keys() {
+            self.row.push(quanta_up(job.licenses.get(name)));
         }
+        self.row.extend_from_slice(extra);
+        self.profile.reserve(self.row, start, end);
+    }
+}
+
+impl ReservationTracker for NodeTracker<'_> {
+    fn earliest_start(&mut self, job: &SchedJob, t_min: SimTime) -> SimTime {
+        self.earliest_start_with(job, t_min, &[])
+    }
+
+    fn reserve(&mut self, job: &SchedJob, start: SimTime) {
+        self.reserve_with(job, start, &[]);
     }
 
     /// `probe` needs at least as many nodes, at least as long a window,
@@ -338,8 +357,8 @@ impl ReservationTracker for NodeTracker<'_> {
             && probe.limit >= failed.limit
             && self
                 .licenses
-                .iter()
-                .all(|(name, _)| probe.licenses.get(name) >= failed.licenses.get(name))
+                .keys()
+                .all(|name| probe.licenses.get(name) >= failed.licenses.get(name))
     }
 
     /// The job's nodes against the nodes free at `now`; license pools

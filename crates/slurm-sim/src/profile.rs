@@ -1,16 +1,19 @@
 //! Piecewise-constant resource reservation profiles.
 //!
 //! A [`ResourceProfile`] is the data structure behind every reservation
-//! tracker in the system: Slurm's node tracker (`NT`), the I/O-aware
-//! Lustre-throughput tracker (`LT`, paper Algorithm 2) and the adjusted
-//! throughput tracker of the workload-adaptive scheduler (`AT`, paper
-//! Algorithm 5). It stores the total reserved amount as a step function of
-//! time and answers the two queries backfill needs:
+//! tracker in the system. It holds one usage column per resource the
+//! tracker gates on — Slurm's nodes (`NT`) and license pools, the
+//! I/O-aware Lustre-throughput tracker (`LT`, paper Algorithm 2) and the
+//! adjusted throughput tracker of the workload-adaptive scheduler (`AT`,
+//! paper Algorithm 5) — each a step function of time over one shared time
+//! column, and answers the two queries backfill needs:
 //!
-//! * [`ResourceProfile::reserve`] — add `amount` over `[start, end)`;
-//! * [`ResourceProfile::earliest_fit`] — the earliest time `t ≥ from` such
-//!   that an extra `amount` fits under the capacity for a whole window
-//!   `[t, t + dur)` (the inner step of `EarliestStartTime`).
+//! * [`ResourceProfile::reserve`] — add one amount per column over
+//!   `[start, end)`;
+//! * [`ResourceProfile::earliest_at_most`] — the earliest time `t ≥ from`
+//!   such that every column stays at or below its threshold for a whole
+//!   window `[t, t + dur)`: the paper's `EarliestStartTime` over all the
+//!   tracker's resources at once.
 //!
 //! # Quanta and the rounding rule
 //!
@@ -34,20 +37,23 @@
 //!
 //! # Layout
 //!
-//! The step function is one sorted step array, `(instant, usage from
-//! this instant on)`, in canonical form: one entry per instant where the
-//! usage changes, none that repeats its predecessor's usage (usage
-//! before the first entry is 0). This is the shape of Slurm's own
-//! time-ordered `node_space` list. The instants and the usages are kept
-//! in two parallel columns, so a reserve's range add and a probe's scan
-//! each run over one dense `i64` slice.
+//! The step functions share one sorted step array, `(instant, usage of
+//! every column from this instant on)`, in canonical form: one entry per
+//! instant where some column changes, none that repeats its
+//! predecessor's usage in every column (every column is 0 before the
+//! first entry). This is the shape of Slurm's own time-ordered
+//! `node_space` list. The instants sit in one column and each
+//! resource's usage in a parallel column of its own, so a reserve's
+//! range add runs over dense slices (skipping the columns it leaves
+//! alone) and a probe scans them side by side.
 //!
 //! * **Batched build** — [`ResourceProfile::stage`] +
 //!   [`ResourceProfile::commit_staged`]: the round-start tracker build
-//!   stages every running-set delta, then sorts and prefix-sums once.
+//!   stages every running-set delta of every column, then sorts each
+//!   column's deltas once and merges their prefix sums.
 //! * **Reserve** splits the array at `start` and `end` (at most two
-//!   inserts), adds the amount over the entries in between, and drops a
-//!   boundary entry that no longer changes the usage.
+//!   inserts), adds the amounts over the entries in between, and drops a
+//!   boundary entry that no longer changes any column.
 //! * **Queries** binary-search to their first instant and scan forward.
 //!
 //! Backfill profiles hold a few hundred entries and most probes end
@@ -67,6 +73,10 @@ pub const MAX_QUANTA: i64 = 1 << 48;
 /// without `i64` overflow. Throughput limits are checked against it
 /// where they enter the program.
 pub const MAX_CAPACITY: f64 = MAX_QUANTA as f64;
+
+/// The threshold of a column that does not gate a probe: no usage
+/// exceeds it.
+pub const NO_THRESHOLD: i64 = i64::MAX;
 
 /// Quanta a reserved or probed `amount` occupies: rounded up, saturated
 /// at ±[`MAX_QUANTA`] (NaN is 0).
@@ -107,201 +117,237 @@ pub fn take_tree_counters() -> (u64, u64) {
     (0, 0)
 }
 
-/// A step function of reserved amount over time, with a fixed capacity,
-/// in quanta (see the module docs for the layout and the rounding rule).
+/// Step functions of reserved amount over time, one per column, over one
+/// shared time column, in quanta (see the module docs for the layout and
+/// the rounding rule).
 ///
 /// [`Self::reset`] retains all allocations so pooled profiles keep the
 /// steady-state scheduling pass allocation-free.
 #[derive(Clone, Debug)]
 pub struct ResourceProfile {
-    capacity: i64,
     /// Entry instants, strictly increasing.
     times: Vec<SimTime>,
-    /// `usage[i]`: the reserved amount from `times[i]` on. Canonical: no
-    /// entry repeats its predecessor's usage, and the first differs
-    /// from 0.
-    usage: Vec<i64>,
-    /// Staged `(instant, delta)` entries awaiting [`Self::commit_staged`].
-    staged: Vec<(SimTime, i64)>,
+    /// `usage[c][i]`: column `c`'s reserved amount from `times[i]` on.
+    /// Canonical: no entry repeats its predecessor's usage in every
+    /// column, and the first is not 0 in every column.
+    usage: Vec<Vec<i64>>,
+    /// `staged[c]`: column `c`'s staged `(instant, delta)` entries
+    /// awaiting [`Self::commit_staged`].
+    staged: Vec<Vec<(SimTime, i64)>>,
+    /// `cursor[c]`: how far [`Self::commit_staged`] has read `staged[c]`.
+    cursor: Vec<usize>,
 }
 
 impl Default for ResourceProfile {
     fn default() -> Self {
-        ResourceProfile::new(0)
+        ResourceProfile::new(1)
     }
 }
 
 impl ResourceProfile {
-    /// Empty profile with the given capacity.
-    pub fn new(capacity: i64) -> Self {
+    /// Empty profile with `cols` usage columns.
+    pub fn new(cols: usize) -> Self {
         ResourceProfile {
-            capacity,
             times: Vec::new(),
-            usage: Vec::new(),
-            staged: Vec::new(),
+            usage: vec![Vec::new(); cols],
+            staged: vec![Vec::new(); cols],
+            cursor: vec![0; cols],
         }
     }
 
-    /// The capacity this profile enforces in [`Self::earliest_fit`].
-    pub fn capacity(&self) -> i64 {
-        self.capacity
+    /// The number of usage columns.
+    pub fn cols(&self) -> usize {
+        self.usage.len()
     }
 
-    /// Clear all reservations and set a new capacity, keeping the
-    /// allocations for reuse.
-    pub fn reset(&mut self, capacity: i64) {
-        self.capacity = capacity;
+    /// Clear all reservations and set a new column count, keeping the
+    /// allocations of the columns kept for reuse.
+    pub fn reset(&mut self, cols: usize) {
         self.times.clear();
-        self.usage.clear();
-        self.staged.clear();
+        self.usage.resize_with(cols, Vec::new);
+        self.usage.iter_mut().for_each(Vec::clear);
+        self.staged.resize_with(cols, Vec::new);
+        self.staged.iter_mut().for_each(Vec::clear);
+        self.cursor.resize(cols, 0);
     }
 
-    /// Usage just before entry `i` (0 before the first entry).
-    fn usage_before(&self, i: usize) -> i64 {
-        if i == 0 {
-            0
-        } else {
-            self.usage[i - 1]
-        }
-    }
-
-    /// Index of the first entry after `t`: the usage at `t` is
-    /// `usage_before` of it.
+    /// Index of the first entry after `t`: the usage at `t` is the one
+    /// before it.
     fn after(&self, t: SimTime) -> usize {
         self.times.partition_point(|&bt| bt <= t)
     }
 
-    /// Index of the entry at `t`, searching from `lo`; inserts one that
-    /// repeats the usage before `t` when there is none.
-    fn split(&mut self, lo: usize, t: SimTime) -> usize {
-        let i = lo + self.times[lo..].partition_point(|&bt| bt < t);
-        if self.times.get(i) != Some(&t) {
-            self.times.insert(i, t);
-            self.usage.insert(i, self.usage_before(i));
+    /// Reserve `amounts[c]` of every column `c` (each may be negative)
+    /// over `[start, end)`. Empty or inverted intervals and all-zero
+    /// amounts are ignored.
+    pub fn reserve(&mut self, amounts: &[i64], start: SimTime, end: SimTime) {
+        debug_assert_eq!(amounts.len(), self.cols(), "one amount per column");
+        if end <= start || amounts.iter().all(|&a| a == 0) {
+            return;
         }
-        i
+        debug_assert!(!self.has_staged(), "commit_staged before reserving");
+        let times = &mut self.times;
+        // One arm per common column count, so each inlined copy of the
+        // write path knows how many columns it loops over.
+        match &mut self.usage[..] {
+            columns @ [_] => write_window(times, columns, amounts, start, end),
+            columns @ [_, _] => write_window(times, columns, amounts, start, end),
+            columns @ [_, _, _] => write_window(times, columns, amounts, start, end),
+            columns => write_window(times, columns, amounts, start, end),
+        }
     }
 
-    /// Drop entry `i` when it repeats the usage before it.
-    fn drop_if_redundant(&mut self, i: usize) {
-        if self.usage[i] == self.usage_before(i) {
-            self.times.remove(i);
-            self.usage.remove(i);
-        }
-    }
-
-    /// Reserve `amount` (may be negative) over `[start, end)`. Empty or
-    /// inverted intervals are ignored.
-    pub fn reserve(&mut self, amount: i64, start: SimTime, end: SimTime) {
+    /// Stage `amount` of column `col` over `[start, end)` for a batched
+    /// build. Invisible to queries until [`Self::commit_staged`]; must
+    /// only be used on a freshly [`Self::reset`] profile.
+    pub fn stage(&mut self, col: usize, amount: i64, start: SimTime, end: SimTime) {
+        debug_assert!(col < self.cols(), "column {col} of {}", self.cols());
         if end <= start || amount == 0 {
             return;
         }
-        debug_assert!(self.staged.is_empty(), "commit_staged before reserving");
-        let s = self.split(0, start);
-        let e = self.split(s + 1, end);
-        for u in &mut self.usage[s..e] {
-            *u += amount;
-        }
-        // Only the two boundaries can now repeat their predecessor's
-        // usage: the entries in between all moved by the same amount.
-        self.drop_if_redundant(e);
-        self.drop_if_redundant(s);
+        self.staged[col].push((start, amount));
+        self.staged[col].push((end, -amount));
     }
 
-    /// Stage `amount` over `[start, end)` for a batched build. Invisible
-    /// to queries until [`Self::commit_staged`]; must only be used on a
-    /// freshly [`Self::reset`] profile.
-    pub fn stage(&mut self, amount: i64, start: SimTime, end: SimTime) {
-        if end <= start || amount == 0 {
-            return;
-        }
-        self.staged.push((start, amount));
-        self.staged.push((end, -amount));
+    /// Whether anything is staged and not yet committed.
+    fn has_staged(&self) -> bool {
+        self.staged.iter().any(|column| !column.is_empty())
     }
 
-    /// Sort everything staged since [`Self::reset`] and prefix-sum it into
+    /// Sort each column's staged deltas and merge their prefix sums into
     /// the step array: O(S log S) where one reserve per entry would be
-    /// O(S·B). Instants whose deltas cancel leave no entry.
+    /// O(S·B). Instants whose deltas cancel in every column leave no
+    /// entry.
     pub fn commit_staged(&mut self) {
         debug_assert!(
             self.times.is_empty(),
             "commit_staged on a profile with committed reservations"
         );
-        self.staged.sort_unstable_by_key(|e| e.0);
-        let mut usage = 0;
-        for (k, &(t, d)) in self.staged.iter().enumerate() {
-            usage += d;
-            // Sum every delta at `t` before deciding on its entry.
-            if self.staged.get(k + 1).is_some_and(|next| next.0 == t) {
-                continue;
-            }
-            if usage != self.usage.last().copied().unwrap_or(0) {
-                self.times.push(t);
-                self.usage.push(usage);
-            }
+        let ResourceProfile {
+            times,
+            usage,
+            staged,
+            cursor,
+        } = self;
+        for column in staged.iter_mut() {
+            column.sort_unstable_by_key(|e| e.0);
         }
-        self.staged.clear();
+        cursor.fill(0);
+        // One arm per common column count, as in `reserve`.
+        match &mut usage[..] {
+            [column] => sum_staged(&staged[0], times, column),
+            columns @ [_, _] => merge_staged(staged, cursor, times, columns),
+            columns @ [_, _, _] => merge_staged(staged, cursor, times, columns),
+            columns => merge_staged(staged, cursor, times, columns),
+        }
+        staged.iter_mut().for_each(Vec::clear);
     }
 
-    /// Total reserved amount at time `t`.
-    pub fn usage_at(&self, t: SimTime) -> i64 {
-        debug_assert!(self.staged.is_empty(), "commit_staged before querying");
-        self.usage_before(self.after(t))
+    /// Column `col`'s reserved amount at time `t`.
+    pub fn usage_at(&self, col: usize, t: SimTime) -> i64 {
+        debug_assert!(!self.has_staged(), "commit_staged before querying");
+        match self.after(t) {
+            0 => 0,
+            i => self.usage[col][i - 1],
+        }
     }
 
-    /// Maximum reserved amount over `[start, end)`; `usage_at(start)` if
-    /// there are no breakpoints inside the window. Returns 0 for empty
-    /// windows.
-    pub fn max_over(&self, start: SimTime, end: SimTime) -> i64 {
-        debug_assert!(self.staged.is_empty(), "commit_staged before querying");
+    /// Column `col`'s maximum reserved amount over `[start, end)`;
+    /// `usage_at(col, start)` if there are no breakpoints inside the
+    /// window. Returns 0 for empty windows.
+    pub fn max_over(&self, col: usize, start: SimTime, end: SimTime) -> i64 {
+        debug_assert!(!self.has_staged(), "commit_staged before querying");
         if end <= start {
             return 0;
         }
         let i = self.after(start);
         let j = i + self.times[i..].partition_point(|&bt| bt < end);
-        self.usage[i..j]
+        self.usage[col][i..j]
             .iter()
-            .fold(self.usage_before(i), |max, &u| max.max(u))
+            .fold(self.usage_at(col, start), |max, &u| max.max(u))
     }
 
-    /// Earliest `t ≥ from` such that the reserved amount stays at or below
-    /// `threshold` throughout `[t, t + dur)`.
+    /// Earliest `t ≥ from` such that every column `c` stays at or below
+    /// `thresholds[c]` throughout `[t, t + dur)`. A column whose threshold
+    /// is [`NO_THRESHOLD`] never holds a window back.
     ///
-    /// Walks the segments from `from` on, alternating between skipping
-    /// segments over the threshold (each pushes the candidate start to
-    /// its end) and extending a run of fitting segments until it covers
-    /// the window `[cand, cand + dur)`. Always terminates: after the last
-    /// entry the profile is constant (zero if all reservations have
-    /// finite ends) — if even the tail usage exceeds the threshold,
+    /// Walks the entries from `from` on, alternating between skipping
+    /// entries where some column is over its threshold (each pushes the
+    /// candidate start to its end) and extending a run of fitting entries
+    /// until it covers the window `[cand, cand + dur)`. Always
+    /// terminates: after the last entry the profile is constant (zero if
+    /// all reservations have finite ends) — if even the tail is over,
     /// [`SimTime::FAR_FUTURE`] is returned.
-    pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: i64) -> SimTime {
-        debug_assert!(self.staged.is_empty(), "commit_staged before querying");
+    ///
+    /// Each column's own earliest fit is the least `t` at or after its
+    /// input, so the answer is the least `t ≥ from` that fits every
+    /// column at once: the fixpoint the paper's Algorithms 4 and 7 reach
+    /// by alternating single-resource probes.
+    pub fn earliest_at_most(&self, from: SimTime, dur: SimDuration, thresholds: &[i64]) -> SimTime {
+        debug_assert!(!self.has_staged(), "commit_staged before querying");
+        debug_assert_eq!(thresholds.len(), self.cols(), "one threshold per column");
+        // Every column is 0 before the first entry.
+        let zero_over = thresholds.iter().any(|&thr| thr < 0);
+        // Each column sliced to the entry count, so the scan's reads need
+        // no bounds checks past its `times` lookups.
+        let n = self.times.len();
+        match (&self.usage[..], thresholds) {
+            ([u0], &[a]) => {
+                let u0 = &u0[..n];
+                self.scan(from, dur, zero_over, |k| u0[k] > a)
+            }
+            ([u0, u1], &[a, b]) => {
+                let (u0, u1) = (&u0[..n], &u1[..n]);
+                self.scan(from, dur, zero_over, |k| u0[k] > a || u1[k] > b)
+            }
+            ([u0, u1, u2], &[a, b, c]) => {
+                let (u0, u1, u2) = (&u0[..n], &u1[..n], &u2[..n]);
+                self.scan(from, dur, zero_over, |k| {
+                    u0[k] > a || u1[k] > b || u2[k] > c
+                })
+            }
+            (columns, _) => self.scan(from, dur, zero_over, |k| {
+                columns.iter().zip(thresholds).any(|(u, &thr)| u[k] > thr)
+            }),
+        }
+    }
+
+    /// The forward scan of [`Self::earliest_at_most`], given whether the
+    /// all-zero usage before the first entry is over a threshold and
+    /// whether entry `k`'s is.
+    fn scan(
+        &self,
+        from: SimTime,
+        dur: SimDuration,
+        zero_over: bool,
+        over: impl Fn(usize) -> bool,
+    ) -> SimTime {
         let dur = dur.max(SimDuration::from_millis(1));
         let first = self.after(from);
         let mut k = first;
-        let mut usage = self.usage_before(k);
+        let mut is_over = if k == 0 { zero_over } else { over(k - 1) };
         let mut cand = from;
         let result = 'probe: loop {
-            while usage > threshold {
+            while is_over {
                 let Some(&t) = self.times.get(k) else {
-                    // The tail usage exceeds the threshold forever.
+                    // The tail is over a threshold forever.
                     break 'probe SimTime::FAR_FUTURE;
                 };
                 cand = t;
-                usage = self.usage[k];
+                is_over = over(k);
                 k += 1;
             }
             let close = cand + dur;
             loop {
                 match self.times.get(k) {
                     Some(&t) if t < close => {}
-                    // The run of fitting segments covers the window (or
+                    // The run of fitting entries covers the window (or
                     // reaches the tail, which fits forever).
                     _ => break 'probe cand,
                 }
-                usage = self.usage[k];
+                is_over = over(k);
                 k += 1;
-                if usage > threshold {
+                if is_over {
                     break;
                 }
             }
@@ -310,20 +356,128 @@ impl ResourceProfile {
         result
     }
 
-    /// Earliest `t ≥ from` at which an additional `amount` fits under the
-    /// capacity for the whole window `[t, t + dur)`.
-    pub fn earliest_fit(&self, from: SimTime, dur: SimDuration, amount: i64) -> SimTime {
-        self.earliest_at_most(from, dur, self.capacity - amount)
-    }
-
-    /// Breakpoints and the usage from each on, for diagnostics and tests.
-    pub fn steps(&self) -> Vec<(SimTime, i64)> {
-        debug_assert!(self.staged.is_empty(), "commit_staged before querying");
+    /// Breakpoints and every column's usage from each on, for
+    /// diagnostics and tests.
+    pub fn steps(&self) -> Vec<(SimTime, Vec<i64>)> {
+        debug_assert!(!self.has_staged(), "commit_staged before querying");
         self.times
             .iter()
-            .copied()
-            .zip(self.usage.iter().copied())
+            .enumerate()
+            .map(|(i, &t)| (t, self.usage.iter().map(|column| column[i]).collect()))
             .collect()
+    }
+}
+
+/// [`ResourceProfile::commit_staged`] for a one-column profile: the
+/// prefix sum of its sorted `staged` deltas, one entry per instant where
+/// the sum changes.
+fn sum_staged(staged: &[(SimTime, i64)], times: &mut Vec<SimTime>, column: &mut Vec<i64>) {
+    let mut u = 0;
+    for (k, &(t, d)) in staged.iter().enumerate() {
+        u += d;
+        // Sum every delta at `t` before deciding on its entry.
+        if staged.get(k + 1).is_some_and(|next| next.0 == t) {
+            continue;
+        }
+        if u != column.last().copied().unwrap_or(0) {
+            times.push(t);
+            column.push(u);
+        }
+    }
+}
+
+/// [`ResourceProfile::commit_staged`]'s merge of the sorted `staged`
+/// deltas of every column into `times` and the usage `columns`: at each
+/// instant, in order, every column's deltas there are summed onto its
+/// last usage, and the entry is kept only if some column changed.
+#[inline(always)]
+fn merge_staged(
+    staged: &[Vec<(SimTime, i64)>],
+    cursor: &mut [usize],
+    times: &mut Vec<SimTime>,
+    columns: &mut [Vec<i64>],
+) {
+    loop {
+        let next = staged
+            .iter()
+            .zip(cursor.iter())
+            .filter_map(|(s, &k)| s.get(k));
+        let Some(t) = next.map(|e| e.0).min() else {
+            return;
+        };
+        let mut changed = false;
+        for ((s, k), column) in staged.iter().zip(cursor.iter_mut()).zip(columns.iter_mut()) {
+            let last = column.last().copied().unwrap_or(0);
+            let mut u = last;
+            while let Some(&(_, d)) = s.get(*k).filter(|e| e.0 == t) {
+                u += d;
+                *k += 1;
+            }
+            column.push(u);
+            changed |= u != last;
+        }
+        if changed {
+            times.push(t);
+        } else {
+            columns.iter_mut().for_each(|column| {
+                column.pop();
+            });
+        }
+    }
+}
+
+/// [`ResourceProfile::reserve`]'s write path over the profile's `times`
+/// and usage `columns`: split at `start` and `end`, add each column's
+/// amount over the entries in between, and drop a boundary entry that no
+/// longer changes any column.
+#[inline(always)]
+fn write_window(
+    times: &mut Vec<SimTime>,
+    columns: &mut [Vec<i64>],
+    amounts: &[i64],
+    start: SimTime,
+    end: SimTime,
+) {
+    let s = split(times, columns, 0, start);
+    let e = split(times, columns, s + 1, end);
+    for (column, &a) in columns.iter_mut().zip(amounts) {
+        if a != 0 {
+            for u in &mut column[s..e] {
+                *u += a;
+            }
+        }
+    }
+    // Only the two boundaries can now repeat their predecessor: the
+    // entries in between all moved by the same amounts.
+    drop_if_redundant(times, columns, e);
+    drop_if_redundant(times, columns, s);
+}
+
+/// Index of the entry at `t`, searching from `lo`; inserts one that
+/// repeats the usage before `t` when there is none.
+#[inline(always)]
+fn split(times: &mut Vec<SimTime>, columns: &mut [Vec<i64>], lo: usize, t: SimTime) -> usize {
+    let i = lo + times[lo..].partition_point(|&bt| bt < t);
+    if times.get(i) != Some(&t) {
+        times.insert(i, t);
+        for column in columns {
+            let before = if i == 0 { 0 } else { column[i - 1] };
+            column.insert(i, before);
+        }
+    }
+    i
+}
+
+/// Drop entry `i` when it repeats the usage before it in every column (0
+/// before the first entry).
+#[inline(always)]
+fn drop_if_redundant(times: &mut Vec<SimTime>, columns: &mut [Vec<i64>], i: usize) {
+    let before = |column: &Vec<i64>| if i == 0 { 0 } else { column[i - 1] };
+    if columns.iter().all(|column| column[i] == before(column)) {
+        times.remove(i);
+        for column in columns {
+            column.remove(i);
+        }
     }
 }
 
@@ -339,23 +493,37 @@ mod tests {
         SimDuration::from_secs(s)
     }
 
-    /// The naive reference model every property compares against: one
-    /// `Vec::insert` per breakpoint, cancelled instants removed, and the
-    /// O(k²) probe scan for `earliest_at_most`.
+    /// A one-column profile holding `resv` as `(amount, start, end)`
+    /// reservations in seconds.
+    fn one(resv: &[(i64, u64, u64)]) -> ResourceProfile {
+        let mut p = ResourceProfile::new(1);
+        for &(a, s, e) in resv {
+            p.reserve(&[a], t(s), t(e));
+        }
+        p
+    }
+
+    /// Earliest start of an `amount` against `capacity` on a one-column
+    /// profile.
+    fn fit(
+        p: &ResourceProfile,
+        capacity: i64,
+        from: SimTime,
+        dur: SimDuration,
+        amount: i64,
+    ) -> SimTime {
+        p.earliest_at_most(from, dur, &[capacity - amount])
+    }
+
+    /// The naive reference model of one column: one `Vec::insert` per
+    /// breakpoint, cancelled instants removed, and the O(k²) probe scan
+    /// for `earliest_at_most`.
     #[derive(Default)]
     struct Model {
         deltas: Vec<(SimTime, i64)>,
     }
 
     impl Model {
-        fn of(resv: &[(u64, u64, i64)]) -> Self {
-            let mut m = Model::default();
-            for &(s, len, a) in resv {
-                m.reserve(a, t(s), t(s + len));
-            }
-            m
-        }
-
         fn reserve(&mut self, a: i64, start: SimTime, end: SimTime) {
             if end > start && a != 0 {
                 self.add(start, a);
@@ -375,17 +543,6 @@ mod tests {
             }
         }
 
-        fn steps(&self) -> Vec<(SimTime, i64)> {
-            let mut usage = 0;
-            self.deltas
-                .iter()
-                .map(|&(bt, a)| {
-                    usage += a;
-                    (bt, usage)
-                })
-                .collect()
-        }
-
         fn usage_at(&self, at: SimTime) -> i64 {
             self.deltas.iter().filter(|e| e.0 <= at).map(|e| e.1).sum()
         }
@@ -399,18 +556,74 @@ mod tests {
             }
             max
         }
+    }
 
-        /// Probe `max_over` at `from` and after every breakpoint until a
-        /// window fits.
-        fn earliest_at_most(&self, from: SimTime, dur: SimDuration, threshold: i64) -> SimTime {
+    /// The model of a profile: one [`Model`] per column.
+    struct Models(Vec<Model>);
+
+    impl Models {
+        fn new(cols: usize) -> Self {
+            Models((0..cols).map(|_| Model::default()).collect())
+        }
+
+        fn of(resv: &[(u64, u64, i64)]) -> Self {
+            let mut m = Models::new(1);
+            for &(s, len, a) in resv {
+                m.reserve(&[a], t(s), t(s + len));
+            }
+            m
+        }
+
+        fn reserve(&mut self, amounts: &[i64], start: SimTime, end: SimTime) {
+            for (m, &a) in self.0.iter_mut().zip(amounts) {
+                m.reserve(a, start, end);
+            }
+        }
+
+        /// Every instant where some column changes, with every column's
+        /// usage from it on.
+        fn steps(&self) -> Vec<(SimTime, Vec<i64>)> {
+            let mut deltas: Vec<(SimTime, usize, i64)> = self
+                .0
+                .iter()
+                .enumerate()
+                .flat_map(|(c, m)| m.deltas.iter().map(move |&(bt, a)| (bt, c, a)))
+                .collect();
+            deltas.sort();
+            let mut row = vec![0; self.0.len()];
+            let mut steps: Vec<(SimTime, Vec<i64>)> = Vec::new();
+            for (bt, c, a) in deltas {
+                row[c] += a;
+                match steps.last_mut() {
+                    Some(last) if last.0 == bt => last.1.clone_from(&row),
+                    _ => steps.push((bt, row.clone())),
+                }
+            }
+            steps
+        }
+
+        /// Probe every column's `max_over` at `from` and after every
+        /// breakpoint of any column until a window fits them all.
+        fn earliest_at_most(&self, from: SimTime, dur: SimDuration, thresholds: &[i64]) -> SimTime {
             let dur = dur.max(SimDuration::from_millis(1));
             let mut at = from;
             loop {
-                if self.max_over(at, at + dur) <= threshold {
+                if self
+                    .0
+                    .iter()
+                    .zip(thresholds)
+                    .all(|(m, &thr)| m.max_over(at, at + dur) <= thr)
+                {
                     return at;
                 }
-                match self.deltas.iter().find(|e| e.0 > at) {
-                    Some(e) => at = e.0,
+                let next = self
+                    .0
+                    .iter()
+                    .filter_map(|m| m.deltas.iter().find(|e| e.0 > at))
+                    .map(|e| e.0)
+                    .min();
+                match next {
+                    Some(bt) => at = bt,
                     None => return SimTime::FAR_FUTURE,
                 }
             }
@@ -419,56 +632,50 @@ mod tests {
 
     #[test]
     fn usage_tracks_reservations() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(4, t(10), t(20));
-        p.reserve(3, t(15), t(25));
-        assert_eq!(p.usage_at(t(0)), 0);
-        assert_eq!(p.usage_at(t(10)), 4);
-        assert_eq!(p.usage_at(t(15)), 7);
-        assert_eq!(p.usage_at(t(20)), 3);
-        assert_eq!(p.usage_at(t(25)), 0);
+        let p = one(&[(4, 10, 20), (3, 15, 25)]);
+        assert_eq!(p.usage_at(0, t(0)), 0);
+        assert_eq!(p.usage_at(0, t(10)), 4);
+        assert_eq!(p.usage_at(0, t(15)), 7);
+        assert_eq!(p.usage_at(0, t(20)), 3);
+        assert_eq!(p.usage_at(0, t(25)), 0);
     }
 
     #[test]
     fn max_over_windows() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(4, t(10), t(20));
-        p.reserve(3, t(15), t(25));
-        assert_eq!(p.max_over(t(0), t(10)), 0);
-        assert_eq!(p.max_over(t(0), t(16)), 7);
-        assert_eq!(p.max_over(t(12), t(14)), 4);
-        assert_eq!(p.max_over(t(21), t(30)), 3);
-        assert_eq!(p.max_over(t(5), t(5)), 0);
+        let p = one(&[(4, 10, 20), (3, 15, 25)]);
+        assert_eq!(p.max_over(0, t(0), t(10)), 0);
+        assert_eq!(p.max_over(0, t(0), t(16)), 7);
+        assert_eq!(p.max_over(0, t(12), t(14)), 4);
+        assert_eq!(p.max_over(0, t(21), t(30)), 3);
+        assert_eq!(p.max_over(0, t(5), t(5)), 0);
     }
 
     #[test]
     fn earliest_fit_simple() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(8, t(0), t(100));
+        let p = one(&[(8, 0, 100)]);
         // 2 units fit immediately; 3 only after the block ends.
-        assert_eq!(p.earliest_fit(t(0), d(10), 2), t(0));
-        assert_eq!(p.earliest_fit(t(0), d(10), 3), t(100));
+        assert_eq!(fit(&p, 10, t(0), d(10), 2), t(0));
+        assert_eq!(fit(&p, 10, t(0), d(10), 3), t(100));
     }
 
     #[test]
     fn earliest_fit_finds_gap_large_enough() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(10, t(0), t(50));
-        p.reserve(10, t(60), t(100));
+        let p = one(&[(10, 0, 50), (10, 60, 100)]);
         // A 10 s window fits exactly in the [50, 60) gap.
-        assert_eq!(p.earliest_fit(t(0), d(10), 10), t(50));
+        assert_eq!(fit(&p, 10, t(0), d(10), 10), t(50));
         // A 20 s window does not; it must wait until t=100.
-        assert_eq!(p.earliest_fit(t(0), d(20), 10), t(100));
+        assert_eq!(fit(&p, 10, t(0), d(20), 10), t(100));
     }
 
     #[test]
     fn earliest_fit_exact_capacity_boundary() {
-        let mut p = ResourceProfile::new(quanta_down(10.5));
-        p.reserve(quanta_up(5.2), t(0), t(100));
+        let cap = quanta_down(10.5);
+        let mut p = ResourceProfile::new(1);
+        p.reserve(&[quanta_up(5.2)], t(0), t(100));
         // Capacity rounds down to 10 and the reservation up to 6: exactly
         // the remaining 4 quanta fit, and a real 4.0000001 rounds to 5.
-        assert_eq!(p.earliest_fit(t(0), d(10), quanta_up(4.0)), t(0));
-        assert_eq!(p.earliest_fit(t(0), d(10), quanta_up(4.0000001)), t(100));
+        assert_eq!(fit(&p, cap, t(0), d(10), quanta_up(4.0)), t(0));
+        assert_eq!(fit(&p, cap, t(0), d(10), quanta_up(4.0000001)), t(100));
     }
 
     #[test]
@@ -484,135 +691,157 @@ mod tests {
 
     #[test]
     fn earliest_at_most_threshold_query() {
-        let mut p = ResourceProfile::new(100);
-        p.reserve(5, t(0), t(30));
-        p.reserve(5, t(10), t(20));
+        let p = one(&[(5, 0, 30), (5, 10, 20)]);
         // A 5 s window below threshold 8 fits immediately (usage 5 on
         // [0,10)); a 15 s window cannot avoid the [10,20) peak until t=20.
-        assert_eq!(p.earliest_at_most(t(0), d(5), 8), t(0));
-        assert_eq!(p.earliest_at_most(t(0), d(15), 8), t(20));
+        assert_eq!(p.earliest_at_most(t(0), d(5), &[8]), t(0));
+        assert_eq!(p.earliest_at_most(t(0), d(15), &[8]), t(20));
         // Threshold 5 with a 15 s window: t=20 works (usage 5 then 0).
-        assert_eq!(p.earliest_at_most(t(0), d(15), 5), t(20));
+        assert_eq!(p.earliest_at_most(t(0), d(15), &[5]), t(20));
         // Threshold 4: must wait for everything to end.
-        assert_eq!(p.earliest_at_most(t(0), d(5), 4), t(30));
+        assert_eq!(p.earliest_at_most(t(0), d(5), &[4]), t(30));
     }
 
     #[test]
     fn infeasible_returns_far_future() {
-        let mut p = ResourceProfile::new(10);
         // Permanent overload: reservation to FAR_FUTURE.
-        p.reserve(10, t(0), SimTime::FAR_FUTURE);
-        assert_eq!(p.earliest_fit(t(0), d(10), 5), SimTime::FAR_FUTURE);
+        let mut p = ResourceProfile::new(1);
+        p.reserve(&[10], t(0), SimTime::FAR_FUTURE);
+        assert_eq!(fit(&p, 10, t(0), d(10), 5), SimTime::FAR_FUTURE);
     }
 
     #[test]
     fn negative_amounts_lower_usage() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(8, t(0), t(100));
-        p.reserve(-3, t(0), t(100));
-        assert_eq!(p.usage_at(t(50)), 5);
-        assert_eq!(p.earliest_fit(t(0), d(10), 5), t(0));
+        let p = one(&[(8, 0, 100), (-3, 0, 100)]);
+        assert_eq!(p.usage_at(0, t(50)), 5);
+        assert_eq!(fit(&p, 10, t(0), d(10), 5), t(0));
     }
 
     #[test]
     fn empty_and_inverted_intervals_ignored() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(5, t(10), t(10));
-        p.reserve(5, t(20), t(10));
+        let p = one(&[(5, 10, 10), (5, 20, 10)]);
         assert!(p.steps().is_empty());
     }
 
     #[test]
     fn cancelled_deltas_leave_no_dead_breakpoints() {
         // +a then −a over the same interval cancels both breakpoints.
-        let mut p = ResourceProfile::new(10);
-        p.reserve(3, t(10), t(20));
-        p.reserve(-3, t(10), t(20));
+        let p = one(&[(3, 10, 20), (-3, 10, 20)]);
         assert!(p.steps().is_empty());
 
         // Abutting reservations of the same amount cancel the shared
         // instant: +2@0 −2@10 then +2@10 −2@20 leaves nothing at t=10.
-        let mut p = ResourceProfile::new(10);
-        p.reserve(2, t(0), t(10));
-        p.reserve(2, t(10), t(20));
-        assert!(p.steps().iter().all(|&(bt, _)| bt != t(10)));
-        assert_eq!(p.usage_at(t(5)), 2);
-        assert_eq!(p.usage_at(t(15)), 2);
-        assert_eq!(p.usage_at(t(25)), 0);
+        let p = one(&[(2, 0, 10), (2, 10, 20)]);
+        assert!(p.steps().iter().all(|(bt, _)| *bt != t(10)));
+        assert_eq!(p.usage_at(0, t(5)), 2);
+        assert_eq!(p.usage_at(0, t(15)), 2);
+        assert_eq!(p.usage_at(0, t(25)), 0);
 
         // Same cancellation through the batched path.
-        let mut p = ResourceProfile::new(10);
-        p.stage(2, t(0), t(10));
-        p.stage(2, t(10), t(20));
+        let mut p = ResourceProfile::new(1);
+        p.stage(0, 2, t(0), t(10));
+        p.stage(0, 2, t(10), t(20));
         p.commit_staged();
-        assert!(p.steps().iter().all(|&(bt, _)| bt != t(10)));
-        assert_eq!(p.usage_at(t(15)), 2);
+        assert!(p.steps().iter().all(|(bt, _)| *bt != t(10)));
+        assert_eq!(p.usage_at(0, t(15)), 2);
 
         // A reserve cancelling a committed breakpoint hides it too.
-        p.reserve(-2, t(0), t(20));
+        p.reserve(&[-2], t(0), t(20));
         assert!(p.steps().is_empty());
     }
 
     #[test]
     fn batched_build_matches_reserve() {
-        let mut a = ResourceProfile::new(10);
-        let mut b = ResourceProfile::new(10);
+        let mut a = ResourceProfile::new(1);
+        let mut b = ResourceProfile::new(1);
         let resv = [(4, 10u64, 20u64), (3, 15, 25), (-1, 0, 40), (2, 15, 25)];
         for &(amt, s, e) in &resv {
-            a.reserve(amt, t(s), t(e));
-            b.stage(amt, t(s), t(e));
+            a.reserve(&[amt], t(s), t(e));
+            b.stage(0, amt, t(s), t(e));
         }
         b.commit_staged();
         assert_eq!(a.steps(), b.steps());
         // Committed profiles accept further reservations.
-        a.reserve(2, t(12), t(18));
-        b.reserve(2, t(12), t(18));
+        a.reserve(&[2], t(12), t(18));
+        b.reserve(&[2], t(12), t(18));
         assert_eq!(a.steps(), b.steps());
-        assert_eq!(a.earliest_fit(t(0), d(8), 3), b.earliest_fit(t(0), d(8), 3));
+        assert_eq!(fit(&a, 10, t(0), d(8), 3), fit(&b, 10, t(0), d(8), 3));
     }
 
     #[test]
-    fn capacity_accessor_and_stacked_identical_intervals() {
-        let mut p = ResourceProfile::new(7);
-        assert_eq!(p.capacity(), 7);
+    fn stacked_identical_intervals() {
+        let mut p = ResourceProfile::new(1);
         // Three reservations over the identical interval accumulate.
         for _ in 0..3 {
-            p.reserve(2, t(5), t(10));
+            p.reserve(&[2], t(5), t(10));
         }
-        assert_eq!(p.usage_at(t(5)), 6);
-        assert_eq!(p.usage_at(t(10)), 0);
+        assert_eq!(p.usage_at(0, t(5)), 6);
+        assert_eq!(p.usage_at(0, t(10)), 0);
         assert_eq!(p.steps().len(), 2);
-        // 1 fits exactly at capacity; 2 does not until t=10.
-        assert_eq!(p.earliest_fit(t(0), d(5), 1), t(0));
-        assert_eq!(p.earliest_fit(t(5), d(2), 2), t(10));
+        // 1 fits exactly at capacity 7; 2 does not until t=10.
+        assert_eq!(fit(&p, 7, t(0), d(5), 1), t(0));
+        assert_eq!(fit(&p, 7, t(5), d(2), 2), t(10));
     }
 
     #[test]
     fn earliest_fit_beyond_all_breakpoints_is_immediate() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(10, t(0), t(10));
+        let p = one(&[(10, 0, 10)]);
         // Querying from far past the last breakpoint: free immediately.
-        assert_eq!(p.earliest_fit(t(1000), d(50), 10), t(1000));
+        assert_eq!(fit(&p, 10, t(1000), d(50), 10), t(1000));
     }
 
     #[test]
     fn zero_duration_window_still_probes_an_instant() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(10, t(0), t(10));
+        let p = one(&[(10, 0, 10)]);
         // dur = 0 behaves like a 1 ms window.
-        assert_eq!(p.earliest_fit(t(0), SimDuration::ZERO, 1), t(10));
+        assert_eq!(fit(&p, 10, t(0), SimDuration::ZERO, 1), t(10));
     }
 
     #[test]
-    fn reset_clears_reservations_and_swaps_capacity() {
-        let mut p = ResourceProfile::new(10);
-        p.reserve(4, t(0), t(10));
-        p.reset(5);
-        assert_eq!(p.capacity(), 5);
+    fn reset_clears_reservations_and_sets_columns() {
+        let mut p = one(&[(4, 0, 10)]);
+        p.reset(2);
+        assert_eq!(p.cols(), 2);
         assert!(p.steps().is_empty());
-        assert_eq!(p.usage_at(t(5)), 0);
-        p.reserve(2, t(0), t(10));
-        assert_eq!(p.usage_at(t(5)), 2);
+        assert_eq!(p.usage_at(1, t(5)), 0);
+        p.reserve(&[0, 2], t(0), t(10));
+        assert_eq!(p.steps(), vec![(t(0), vec![0, 2]), (t(10), vec![0, 0])]);
+    }
+
+    #[test]
+    fn columns_share_breakpoints_and_each_gates_the_scan() {
+        // Nodes (capacity 10) and a bandwidth column (capacity 100) over
+        // the same windows, plus a bandwidth-only term from t=0.
+        let mut p = ResourceProfile::new(2);
+        p.stage(0, 6, t(0), t(50));
+        p.stage(1, 40, t(0), t(50));
+        p.stage(1, 30, t(0), t(80));
+        p.commit_staged();
+        assert_eq!(
+            p.steps(),
+            vec![
+                (t(0), vec![6, 70]),
+                (t(50), vec![0, 30]),
+                (t(80), vec![0, 0])
+            ]
+        );
+        // 4 nodes and 30 B/s fit now; 5 nodes wait for the nodes, 31 B/s
+        // for the bandwidth, and each column gates on its own.
+        assert_eq!(p.earliest_at_most(t(0), d(10), &[6, 70]), t(0));
+        assert_eq!(p.earliest_at_most(t(0), d(10), &[5, 70]), t(50));
+        assert_eq!(p.earliest_at_most(t(0), d(10), &[6, 69]), t(50));
+        // A column without a threshold never holds a window back, but a
+        // gating column over its threshold forever never fits.
+        assert_eq!(p.earliest_at_most(t(0), d(10), &[NO_THRESHOLD, 29]), t(80));
+        assert_eq!(
+            p.earliest_at_most(t(0), d(10), &[NO_THRESHOLD, -1]),
+            SimTime::FAR_FUTURE
+        );
+        // A reserve adding to one column only splits the shared array.
+        p.reserve(&[0, 5], t(20), t(30));
+        assert_eq!(p.steps().len(), 5);
+        p.reserve(&[0, -5], t(20), t(30));
+        assert_eq!(p.steps().len(), 3);
     }
 
     props! {
@@ -628,8 +857,9 @@ mod tests {
             prop_assert_eq!(quanta_down(x), saturate(x.floor()), "{x}");
         }
 
-        /// earliest_fit's result equals the model's, actually fits, and no
-        /// earlier breakpoint-aligned candidate fits.
+        /// earliest_at_most's result against a capacity equals the
+        /// model's, actually fits, and no earlier breakpoint-aligned
+        /// candidate fits.
         fn prop_earliest_fit_correct(
             resv in prop::vec((0u64..50, 1u64..30, 500i64..5_000), 0..12),
             from in 0u64..40,
@@ -637,23 +867,23 @@ mod tests {
             amount in 500i64..6_000,
         ) {
             let cap = 10_000;
-            let mut p = ResourceProfile::new(cap);
+            let mut p = ResourceProfile::new(1);
             for &(s, len, a) in &resv {
-                p.reserve(a, t(s), t(s + len));
+                p.reserve(&[a], t(s), t(s + len));
             }
-            let got = p.earliest_fit(t(from), d(dur), amount);
-            prop_assert_eq!(got, Model::of(&resv).earliest_at_most(t(from), d(dur), cap - amount));
+            let got = fit(&p, cap, t(from), d(dur), amount);
+            prop_assert_eq!(got, Models::of(&resv).earliest_at_most(t(from), d(dur), &[cap - amount]));
             if got != SimTime::FAR_FUTURE {
                 // It fits at `got`.
-                prop_assert!(p.max_over(got, got + d(dur)) <= cap - amount);
+                prop_assert!(p.max_over(0, got, got + d(dur)) <= cap - amount);
                 // No earlier candidate among {from} ∪ breakpoints fits.
                 let mut candidates = vec![t(from)];
-                candidates.extend(p.steps().iter().map(|&(bt, _)| bt));
+                candidates.extend(p.steps().iter().map(|(bt, _)| *bt));
                 for c in candidates {
                     if c >= t(from) && c < got {
                         prop_assert!(
-                            p.max_over(c, c + d(dur)) > cap - amount,
-                            "earlier candidate {c} fits but earliest_fit returned {got}"
+                            p.max_over(0, c, c + d(dur)) > cap - amount,
+                            "earlier candidate {c} fits but earliest_at_most returned {got}"
                         );
                     }
                 }
@@ -666,18 +896,18 @@ mod tests {
             resv in prop::vec((0u64..50, 1u64..30, -3_000i64..5_000), 0..12),
             probe in 0u64..100,
         ) {
-            let mut p = ResourceProfile::new(10_000);
+            let mut p = ResourceProfile::new(1);
             let mut naive = 0;
             for &(s, len, a) in &resv {
-                p.reserve(a, t(s), t(s + len));
+                p.reserve(&[a], t(s), t(s + len));
                 if probe >= s && probe < s + len {
                     naive += a;
                 }
             }
-            prop_assert_eq!(p.usage_at(t(probe)), naive);
-            let model = Model::of(&resv);
+            prop_assert_eq!(p.usage_at(0, t(probe)), naive);
+            let model = &Models::of(&resv).0[0];
             prop_assert_eq!(
-                p.max_over(t(probe), t(probe + 10)),
+                p.max_over(0, t(probe), t(probe + 10)),
                 model.max_over(t(probe), t(probe + 10))
             );
         }
@@ -692,92 +922,117 @@ mod tests {
             dur in 1u64..20,
             thr in 0i64..9_000,
         ) {
-            let model = Model::of(&resv);
-            let expected = model.earliest_at_most(t(from), d(dur), thr);
-            let mut p = ResourceProfile::new(10_000);
-            let mut b = ResourceProfile::new(10_000);
+            let model = Models::of(&resv);
+            let expected = model.earliest_at_most(t(from), d(dur), &[thr]);
+            let mut p = ResourceProfile::new(1);
+            let mut b = ResourceProfile::new(1);
             for &(s, len, a) in &resv {
-                p.reserve(a, t(s), t(s + len));
-                b.stage(a, t(s), t(s + len));
+                p.reserve(&[a], t(s), t(s + len));
+                b.stage(0, a, t(s), t(s + len));
             }
             b.commit_staged();
             prop_assert_eq!(p.steps(), model.steps(), "reserve path diverged from the model");
             prop_assert_eq!(b.steps(), model.steps(), "batched build diverged from the model");
-            prop_assert_eq!(p.earliest_at_most(t(from), d(dur), thr), expected);
-            prop_assert_eq!(b.earliest_at_most(t(from), d(dur), thr), expected);
+            prop_assert_eq!(p.earliest_at_most(t(from), d(dur), &[thr]), expected);
+            prop_assert_eq!(b.earliest_at_most(t(from), d(dur), &[thr]), expected);
         }
     }
 
     /// `steps` is in canonical form: strictly increasing instants, and no
-    /// entry repeating its predecessor's usage (0 before the first).
-    fn canonical(steps: &[(SimTime, i64)]) -> bool {
-        let mut prev = (None, 0);
-        steps.iter().all(|&(bt, u)| {
-            let ok = prev.0.is_none_or(|p| p < bt) && u != prev.1;
-            prev = (Some(bt), u);
+    /// row repeating its predecessor's (all 0 before the first).
+    fn canonical(steps: &[(SimTime, Vec<i64>)]) -> bool {
+        let mut prev: (Option<SimTime>, Option<&[i64]>) = (None, None);
+        steps.iter().all(|(bt, row)| {
+            let repeats = match prev.1 {
+                Some(p) => p == row.as_slice(),
+                None => row.iter().all(|&u| u == 0),
+            };
+            let ok = prev.0.is_none_or(|p| p < *bt) && !repeats;
+            prev = (Some(*bt), Some(row));
             ok
         })
     }
 
     /// One generated write: raw start and length (scaled into the case's
-    /// time span), amount, and a kind: 0 cancels an earlier
-    /// reservation, 1 abuts the previous one, 2 rebuilds the profile
-    /// through `stage`/`commit_staged` before writing, anything else is a
-    /// plain reservation.
-    type Write = (u64, u64, i64, u16);
+    /// time span), one amount per column (a column whose raw amount is
+    /// odd takes 0, so writes often leave columns alone), and a kind: 0
+    /// cancels an earlier reservation, 1 abuts the previous one, 2
+    /// rebuilds the profile through `stage`/`commit_staged` before
+    /// writing, anything else is a plain reservation.
+    type Write = (u64, u64, [i64; 3], u16);
 
-    /// Replay `writes` into a profile and the model, mixing `reserve`
-    /// with batched rebuilds, and require after every write that the step
-    /// array equals the model's and is canonical. Every `probe_every`-th
-    /// write (and after the last) the `probes` are compared with the
-    /// model's `usage_at`, `max_over` and `earliest_at_most`.
+    /// Replay `writes` into a profile of `cols` columns and the model,
+    /// mixing `reserve` with batched rebuilds, and require after every
+    /// write that the step array equals the model's and is canonical.
+    /// Every `probe_every`-th write (and after the last) the `probes`
+    /// (from, duration, one threshold per column, where a raw threshold
+    /// above 8 000 stands for no threshold) are compared with the model's
+    /// `usage_at`, `max_over` and `earliest_at_most`.
     fn check_interleaving(
+        cols: usize,
         span: u64,
         writes: &[Write],
-        probes: &[(u64, u64, i64)],
+        probes: &[(u64, u64, [i64; 3])],
         probe_every: usize,
     ) -> Result<(), String> {
-        let mut p = ResourceProfile::new(10_000);
-        let mut model = Model::default();
-        let mut applied: Vec<(i64, SimTime, SimTime)> = Vec::new();
+        let mut p = ResourceProfile::new(cols);
+        let mut model = Models::new(cols);
+        let mut applied: Vec<(Vec<i64>, SimTime, SimTime)> = Vec::new();
         let max_len = (span / 8).max(2);
-        for (k, &(s_raw, len_raw, amount, kind)) in writes.iter().enumerate() {
+        for (k, &(s_raw, len_raw, raw, kind)) in writes.iter().enumerate() {
             let start = s_raw % span;
-            let (mut a, mut s, mut e) = (amount, t(start), t(start + 1 + len_raw % max_len));
+            let mut a: Vec<i64> = raw[..cols]
+                .iter()
+                .map(|&x| if x % 2 == 0 { x } else { 0 })
+                .collect();
+            let (mut s, mut e) = (t(start), t(start + 1 + len_raw % max_len));
             match (kind, applied.last()) {
                 (0, Some(_)) => {
-                    let (pa, ps, pe) = applied[len_raw as usize % applied.len()];
-                    (a, s, e) = (-pa, ps, pe);
+                    let (pa, ps, pe) = &applied[len_raw as usize % applied.len()];
+                    a = pa.iter().map(|&x| -x).collect();
+                    (s, e) = (*ps, *pe);
                 }
                 (1, Some(&(_, _, pe))) => {
                     let len = e - s;
                     (s, e) = (pe, pe + len);
                 }
                 (2, _) => {
-                    p.reset(10_000);
-                    for &(ra, rs, re) in &applied {
-                        p.stage(ra, rs, re);
+                    p.reset(cols);
+                    for (ra, rs, re) in &applied {
+                        for (c, &x) in ra.iter().enumerate() {
+                            p.stage(c, x, *rs, *re);
+                        }
                     }
                     p.commit_staged();
                     prop_assert_eq!(p.steps(), model.steps(), "rebuild before write {k}");
                 }
                 _ => {}
             }
-            p.reserve(a, s, e);
-            model.reserve(a, s, e);
-            applied.push((a, s, e));
+            p.reserve(&a, s, e);
+            model.reserve(&a, s, e);
             let steps = p.steps();
-            prop_assert_eq!(&steps, &model.steps(), "write {k}: reserve({a}, {s}, {e})");
+            prop_assert_eq!(
+                &steps,
+                &model.steps(),
+                "write {k}: reserve({a:?}, {s}, {e})"
+            );
             prop_assert!(canonical(&steps), "write {k} left a redundant entry");
+            applied.push((a, s, e));
             if (k + 1) % probe_every == 0 || k + 1 == writes.len() {
                 for &(f, du, thr) in probes {
                     let (f, du) = (t(f % (span + span / 4 + 1)), d(du % max_len + 1));
-                    prop_assert_eq!(p.usage_at(f), model.usage_at(f), "usage_at({f})");
-                    prop_assert_eq!(p.max_over(f, f + du), model.max_over(f, f + du));
+                    let thr: Vec<i64> = thr[..cols]
+                        .iter()
+                        .map(|&x| if x > 8_000 { NO_THRESHOLD } else { x })
+                        .collect();
+                    for (c, m) in model.0.iter().enumerate() {
+                        prop_assert_eq!(p.usage_at(c, f), m.usage_at(f), "usage_at({c}, {f})");
+                        prop_assert_eq!(p.max_over(c, f, f + du), m.max_over(f, f + du));
+                    }
                     prop_assert_eq!(
-                        p.earliest_at_most(f, du, thr),
-                        model.earliest_at_most(f, du, thr),
-                        "write {k}: earliest_at_most({f}, {du}, {thr})"
+                        p.earliest_at_most(f, du, &thr),
+                        model.earliest_at_most(f, du, &thr),
+                        "write {k}: earliest_at_most({f}, {du}, {thr:?})"
                     );
                 }
             }
@@ -786,17 +1041,26 @@ mod tests {
     }
 
     props! {
-        /// Small profiles over a short span, so instants coincide and
-        /// reservations cancel often: every write keeps the step array
-        /// equal to the model's and canonical, and every query agrees
-        /// with the model after every write, negative thresholds
-        /// included.
+        /// Small profiles of one to three columns over a short span, so
+        /// instants coincide and reservations cancel often: every write
+        /// keeps the step array equal to the model's and canonical, and
+        /// every query agrees with the model after every write, negative
+        /// thresholds and columns without one included.
         fn prop_interleaved_writes_match_model_small(
+            cols in 1usize..4,
             span in 2u64..60,
-            writes in prop::vec((0u64..1_000, 0u64..1_000, -3_000i64..5_000, 0u16..8), 1..40),
-            probes in prop::vec((0u64..1_000, 0u64..1_000, -1_000i64..9_000), 1..4),
+            writes in prop::vec(
+                (0u64..1_000, 0u64..1_000, (-3_000i64..5_000, -3_000i64..5_000, -3_000i64..5_000), 0u16..8),
+                1..40,
+            ),
+            probes in prop::vec(
+                (0u64..1_000, 0u64..1_000, (-1_000i64..9_000, -1_000i64..9_000, -1_000i64..9_000)),
+                1..4,
+            ),
         ) {
-            check_interleaving(span, &writes, &probes, 1)?;
+            let writes: Vec<Write> = writes.iter().map(|&(s, l, (a, b, c), k)| (s, l, [a, b, c], k)).collect();
+            let probes: Vec<_> = probes.iter().map(|&(f, du, (a, b, c))| (f, du, [a, b, c])).collect();
+            check_interleaving(cols, span, &writes, &probes, 1)?;
         }
     }
 
@@ -806,14 +1070,20 @@ mod tests {
         /// every write is checked against the model; queries run every
         /// 128 writes, since the model's probe scan is quadratic.
         fn prop_interleaved_writes_match_model_large(
+            cols in 1usize..4,
             span in 200u64..20_000,
             writes in prop::vec(
-                (0u64..1_000_000, 0u64..1_000_000, -3_000i64..5_000, 0u16..16),
+                (0u64..1_000_000, 0u64..1_000_000, (-3_000i64..5_000, -3_000i64..5_000, -3_000i64..5_000), 0u16..16),
                 1..1_300,
             ),
-            probes in prop::vec((0u64..1_000_000, 0u64..1_000_000, -1_000i64..20_000), 1..4),
+            probes in prop::vec(
+                (0u64..1_000_000, 0u64..1_000_000, (-1_000i64..20_000, -1_000i64..20_000, -1_000i64..20_000)),
+                1..4,
+            ),
         ) {
-            check_interleaving(span, &writes, &probes, 128)?;
+            let writes: Vec<Write> = writes.iter().map(|&(s, l, (a, b, c), k)| (s, l, [a, b, c], k)).collect();
+            let probes: Vec<_> = probes.iter().map(|&(f, du, (a, b, c))| (f, du, [a, b, c])).collect();
+            check_interleaving(cols, span, &writes, &probes, 128)?;
         }
     }
 }

@@ -74,24 +74,24 @@ props! {
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
         for plan in [&out, &full] {
             // Rebuild the plan into a fresh profile and check it.
-            let mut profile = ResourceProfile::new(total_nodes as i64);
+            let mut profile = ResourceProfile::new(1);
             for rv in &views {
                 profile.reserve(
-                    rv.job.nodes as i64,
+                    &[rv.job.nodes as i64],
                     rv.started,
                     rv.reservation_end(now),
                 );
             }
             for &id in &plan.start_now {
                 let j = by_id(id);
-                profile.reserve(j.nodes as i64, now, now + j.limit);
+                profile.reserve(&[j.nodes as i64], now, now + j.limit);
             }
             for &(id, at) in &plan.reservations {
                 let j = by_id(id);
                 prop_assert!(at > now, "reservation must be in the future");
-                profile.reserve(j.nodes as i64, at, at + j.limit);
+                profile.reserve(&[j.nodes as i64], at, at + j.limit);
             }
-            let max = profile.max_over(SimTime::ZERO, SimTime::from_secs(10_000));
+            let max = profile.max_over(0, SimTime::ZERO, SimTime::from_secs(10_000));
             prop_assert!(
                 max <= total_nodes as i64,
                 "plan oversubscribes: {max} > {total_nodes}"

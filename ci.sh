@@ -146,6 +146,8 @@ step "property suites in release"
 # bit), the joint-scan trackers compare every earliest start and whole
 # backfill passes against the per-resource fixpoint of Algorithms 4 and
 # 7 (iosched_reference::fixpoint, in iosched-core's fixpoint_props), the
+# backfill properties compare the fits-now-pruned walk with the unpruned
+# one, the
 # no-start certificate properties compare it
 # against backfill passes, and the lustre-sim properties compare the
 # rate solve against max_min_fair, and the ldms-sim property compares the
@@ -221,7 +223,11 @@ step "bench gate: sched smoke sweep/prune/elision counters match the committed b
 # behavior. Each policy runs one round at the default config.
 # sweep_steps/* counts the profile entries the earliest-start probes
 # scan; growing means probes walk further before they settle, even
-# though results stay correct.
+# though results stay correct. index_ops/queue_prep_build_50k counts
+# the inserts and removes of the one policy-keyed pending index (the
+# Priority order; FIFO walks the pending set itself), and
+# walk_steps/queue_prep_{priority,fifo} the entries one depth-500 walk
+# examines.
 # Refresh with 'cargo bench -p iosched-bench --bench sched -- --smoke'
 # + cp to BENCH_sched_smoke.json when intended.
 bench_diff --gate 2.0 --counters-only \

@@ -21,12 +21,10 @@ iosched_simkit::impl_json_struct!(JobEstimate {
 struct State {
     throughput_bps: f64,
     runtime_secs: f64,
-    observations: u64,
 }
 iosched_simkit::impl_json_struct!(State {
     throughput_bps,
-    runtime_secs,
-    observations
+    runtime_secs
 });
 
 /// Exponentially-decaying weighted average of historical usage, keyed by
@@ -80,13 +78,11 @@ impl JobEstimator {
                 s.throughput_bps =
                     (1.0 - self.alpha) * s.throughput_bps + self.alpha * throughput_bps;
                 s.runtime_secs = (1.0 - self.alpha) * s.runtime_secs + self.alpha * runtime_secs;
-                s.observations += 1;
             }
             slot @ None => {
                 *slot = Some(State {
                     throughput_bps,
                     runtime_secs,
-                    observations: 1,
                 });
             }
         }
@@ -103,26 +99,9 @@ impl JobEstimator {
             })
     }
 
-    /// Number of observations folded into a name's estimate.
-    pub fn observation_count(&self, name: Sym) -> u64 {
-        self.table
-            .get(name.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map_or(0, |s| s.observations)
-    }
-
     /// Forget everything (an "untrained" estimator).
     pub fn clear(&mut self) {
         self.table.clear();
-    }
-
-    /// Symbols with estimates.
-    pub fn known_syms(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.table
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| Sym(i as u32))
     }
 }
 
@@ -137,7 +116,6 @@ mod tests {
     fn unknown_name_has_no_estimate() {
         let e = JobEstimator::with_default_decay();
         assert_eq!(e.estimate(W8), None);
-        assert_eq!(e.observation_count(W8), 0);
     }
 
     #[test]
@@ -157,7 +135,6 @@ mod tests {
         let est = e.estimate(W8).unwrap();
         assert!((est.throughput_bps - 75.0).abs() < 1e-9);
         assert!((est.runtime.as_secs_f64() - 60.0).abs() < 1e-3);
-        assert_eq!(e.observation_count(W8), 2);
         // Convergence toward a persistent new level.
         for _ in 0..20 {
             e.observe(W8, 10.0, SimDuration::from_secs(10));
@@ -173,7 +150,6 @@ mod tests {
         e.observe(SLEEP, 0.0, SimDuration::from_secs(600));
         assert_eq!(e.estimate(SLEEP).unwrap().throughput_bps, 0.0);
         assert_eq!(e.estimate(W8).unwrap().throughput_bps, 100.0);
-        assert_eq!(e.known_syms().count(), 2);
     }
 
     #[test]
@@ -182,7 +158,7 @@ mod tests {
         e.observe(Sym(5), 100.0, SimDuration::from_secs(40));
         assert_eq!(e.estimate(Sym(3)), None);
         assert_eq!(e.estimate(Sym(99)), None);
-        assert_eq!(e.known_syms().collect::<Vec<_>>(), vec![Sym(5)]);
+        assert!(e.estimate(Sym(5)).is_some());
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //! name. The paper notes that fancier predictors plug in seamlessly; the
 //! estimator here is deliberately the paper's simple one.
 
-pub mod canary;
 pub mod estimator;
 pub mod predictor;
 pub mod service;
 
-pub use canary::{CanaryConfig, CanaryDetector};
 pub use estimator::{JobEstimate, JobEstimator};
 pub use predictor::{Predictor, PredictorKind, WindowedQuantilePredictor};
 pub use service::AnalyticsService;

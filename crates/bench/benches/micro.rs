@@ -218,9 +218,9 @@ fn main() {
     let mut fs = loaded_fs(80); // 15 × 80 = 1200 streams
     let t0 = fs.now();
     suite.bench("fs_recompute_1200_streams", || {
-        // `set_ost_health` at the current time with an unchanged factor is
-        // a pure rate recompute over all active streams.
-        fs.set_ost_health(t0, 0, 1.0);
+        // A batch start over no nodes at the current time adds no stream
+        // and solves once: a pure rate recompute over all active streams.
+        fs.start_read_on_nodes(t0, StreamTag(0), &[], 1, 1.0);
         black_box(fs.total_throughput_bps());
     });
     suite.bench("fs_next_change_1200_streams", || {

@@ -362,7 +362,7 @@ fn main() {
     // Queue preparation on a 50k-resident pending window: the
     // incremental ordered-index walk the engine runs (`wait_queue_into`,
     // a true top-k of references into the job table). 100
-    // future-submitted entries sit at the head of both non-FIFO indexes
+    // future-submitted entries sit at the head of the priority index
     // so the walk's skip path is exercised. Counters (deterministic):
     // `index_ops/queue_prep_build_50k` — ordered-index maintenance ops
     // while building the window; `walk_steps/queue_prep_{policy}` —
@@ -385,9 +385,9 @@ fn main() {
             j.priority = (i % 97) as i64;
             reg.submit(j);
         }
-        // Future arrivals that outrank everything resident: top priority
-        // and sub-minimum limits, submitted past `now`, so every
-        // depth-limited walk must skip them without consuming depth.
+        // Future arrivals that outrank everything resident: top priority,
+        // submitted past `now`, so the depth-limited priority walk must
+        // skip them without consuming depth.
         for i in 0..100u64 {
             let mut j = SchedJob::new(
                 JobId(RESIDENT + i),
@@ -405,7 +405,6 @@ fn main() {
         let mut queue: Vec<&SchedJob> = Vec::new();
         for (label, policy) in [
             ("priority", PriorityPolicy::Priority),
-            ("slf", PriorityPolicy::ShortestLimitFirst),
             ("fifo", PriorityPolicy::Fifo),
         ] {
             take_queue_prep_counters();

@@ -355,8 +355,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
 
         let bf = BackfillConfig {
             max_reservations: cfg.backfill_max,
-            prune_fits_now: true,
-            monotone_cursor: true,
+            ..BackfillConfig::default()
         };
 
         while !(self.exhausted && self.registry.all_completed()) {

@@ -169,7 +169,8 @@ const MAX_WAVE_VOLUME_GIB: f64 = 1e4;
 /// time stays below 3.7e7 s: far under `SimTime::FAR_FUTURE` (≈4.6e15
 /// s). The engine's convergence guard grows by two iterations per
 /// elapsed sample period, so a trace that idles between arrivals cannot
-/// trip it; the ceiling bounds the idle ticks such a trace costs.
+/// trip it; the ceiling bounds the idle ticks such a trace costs. It
+/// also bounds [`GridBase::sched_period_secs`].
 const MAX_SYNTH_SPAN_SECS: f64 = 1e6;
 
 /// Largest total work of a `Synth` trace, `jobs × median_run_secs` in
@@ -408,6 +409,7 @@ pub struct GridBase {
     /// Disable per-OST bandwidth noise (tests/benches).
     pub noiseless: bool,
     /// Backfill interval override in seconds; 0 = paper default (30 s).
+    /// At most `MAX_SYNTH_SPAN_SECS` (1e6 s).
     pub sched_period_secs: u64,
 }
 iosched_simkit::impl_json_struct!(GridBase {
@@ -615,6 +617,15 @@ impl CampaignGrid {
             return Err(format!(
                 "nodes must be at most {MAX_NODES}, got {}",
                 self.base.nodes
+            ));
+        }
+        // A period past `MAX_SYNTH_SPAN_SECS` is longer than any trace
+        // span the grid admits, and its milliseconds may not fit a
+        // `SimDuration`.
+        if self.base.sched_period_secs as f64 > MAX_SYNTH_SPAN_SECS {
+            return Err(format!(
+                "sched_period_secs must be at most {MAX_SYNTH_SPAN_SECS:e}, got {}",
+                self.base.sched_period_secs
             ));
         }
         // A job wider than the machine never starts, and the event loop
@@ -839,6 +850,17 @@ mod tests {
         g.base.nodes = MAX_NODES + 1;
         let err = g.validate().unwrap_err();
         assert!(err.contains("nodes must be at most 10005"), "{err}");
+        let mut g = sample();
+        g.base.sched_period_secs = MAX_SYNTH_SPAN_SECS as u64;
+        assert_eq!(g.validate(), Ok(()));
+        for past in [MAX_SYNTH_SPAN_SECS as u64 + 1, u64::MAX] {
+            g.base.sched_period_secs = past;
+            let err = g.validate().unwrap_err();
+            assert!(
+                err.contains("sched_period_secs must be at most 1e6"),
+                "{err}"
+            );
+        }
         assert_eq!(
             ExperimentConfig::paper(SchedulerKind::DefaultBackfill, 0).nodes * MAX_MACHINE_SCALE,
             MAX_NODES

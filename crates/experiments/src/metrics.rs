@@ -81,14 +81,6 @@ pub fn per_class_metrics(res: &ExperimentResult) -> BTreeMap<String, SchedulingM
         .collect()
 }
 
-/// Node utilisation over the makespan: mean busy nodes / total nodes.
-pub fn node_utilisation(res: &ExperimentResult, total_nodes: usize) -> f64 {
-    if total_nodes == 0 || res.makespan_secs <= 0.0 {
-        return 0.0;
-    }
-    res.mean_busy_nodes() / total_nodes as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,26 +153,5 @@ mod tests {
         assert_eq!(per.len(), 2);
         assert_eq!(per["write"].jobs, 2);
         assert_eq!(per["sleep"].jobs, 1);
-    }
-
-    #[test]
-    fn utilisation_bounds() {
-        let mut nodes = TimeSeries::new();
-        nodes.push(SimTime::ZERO, 10.0);
-        let res = ExperimentResult {
-            makespan_secs: 100.0,
-            throughput_trace: TimeSeries::new(),
-            nodes_trace: nodes,
-            fatigue_trace: TimeSeries::new(),
-            streams_trace: TimeSeries::new(),
-            jobs: vec![],
-            sched_passes: 0,
-            rounds_elided: 0,
-            rounds_certified: 0,
-            loop_iterations: 0,
-            label: "t".into(),
-        };
-        assert!((node_utilisation(&res, 10) - 1.0).abs() < 1e-9);
-        assert_eq!(node_utilisation(&res, 0), 0.0);
     }
 }

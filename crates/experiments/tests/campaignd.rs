@@ -207,12 +207,27 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
         assert!(message.is_some_and(|m| m.contains(&reason)), "{text}");
     }
     // Machines past the largest one the program runs (x667, 10 005
-    // nodes), whose per-node and per-OST state and ticks grow with them.
-    for (machine_scale, nodes, field) in [(668, 0, "machine_scale"), (1, 10_006, "nodes")] {
+    // nodes), whose per-node and per-OST state and ticks grow with them,
+    // and a backfill period whose milliseconds overflow a `u64` (it wrapped
+    // to a 0.384 s period in release and panicked in debug). That period
+    // is past the integers the JSON writer emits exactly, so it is
+    // spliced into the line as text.
+    for (machine_scale, nodes, sched_period_secs, field) in [
+        (668, 0, "0", "machine_scale"),
+        (1, 10_006, "0", "nodes"),
+        (1, 10, "18446744073709551", "sched_period_secs"),
+    ] {
         let mut grid = one_task_grid();
         grid.base.machine_scale = machine_scale;
         grid.base.nodes = nodes;
-        let input = format!("{}\n{valid}\n", grid.to_json().to_json_string());
+        let line = grid.to_json().to_json_string();
+        let period = "\"sched_period_secs\":0";
+        assert!(line.contains(period), "{line}");
+        let line = line.replace(
+            period,
+            &format!("\"sched_period_secs\":{sched_period_secs}"),
+        );
+        let input = format!("{line}\n{valid}\n");
         let out = campaignd(&["--threads", "1"], &input);
         assert!(out.status.success(), "{field}: {out:?}");
         let text = String::from_utf8(out.stdout).expect("utf-8 stdout");

@@ -132,13 +132,6 @@ impl LustreConfig {
         self
     }
 
-    /// Ideal sharing (γ = 0); used by ablation benches to show that the
-    /// workload-adaptive gains vanish without congestion overhead.
-    pub fn without_interference(mut self) -> Self {
-        self.interference_gamma = 0.0;
-        self
-    }
-
     /// Scale the file system's horizontal extent by `factor`: `factor ×`
     /// the OSTs and `factor ×` the fabric cap, with per-OST, per-stream
     /// and per-node characteristics unchanged. This is how parallel file
@@ -217,10 +210,6 @@ mod tests {
     fn stria_validates() {
         LustreConfig::stria().validate().unwrap();
         LustreConfig::stria().noiseless().validate().unwrap();
-        LustreConfig::stria()
-            .without_interference()
-            .validate()
-            .unwrap();
     }
 
     #[test]
@@ -257,7 +246,9 @@ mod tests {
 
     #[test]
     fn no_interference_shares_ideally() {
-        let c = LustreConfig::stria().without_interference();
+        let mut c = LustreConfig::stria();
+        c.interference_gamma = 0.0;
+        c.validate().unwrap();
         assert_eq!(c.ost_effective_bps(10), c.ost_bandwidth_bps);
     }
 

@@ -35,7 +35,7 @@ const DONE_EPS_BYTES: f64 = 1.0;
 
 /// Re-poll interval returned by [`LustreSim::next_change_time`] when every
 /// active stream is stalled at rate 0 and no epoch tick is pending (e.g.
-/// an OST's health driven to 0 with noise disabled). Without it the model
+/// an OST with zero capacity and noise disabled). Without it the model
 /// would report `FAR_FUTURE` while streams remain active and wedge the
 /// host event loop.
 const STALL_REPOLL: SimDuration = SimDuration::from_secs(1);
@@ -68,16 +68,6 @@ pub struct FsSnapshot {
     pub per_tag_bps: Vec<(StreamTag, f64)>,
     /// Number of active streams.
     pub active_streams: usize,
-}
-
-impl FsSnapshot {
-    /// Allocated rate of `tag`, if it has any active stream.
-    pub fn tag_bps(&self, tag: StreamTag) -> Option<f64> {
-        self.per_tag_bps
-            .binary_search_by_key(&tag, |&(t, _)| t)
-            .ok()
-            .map(|i| self.per_tag_bps[i].1)
-    }
 }
 
 /// Sum adjacent duplicate keys of a key-sorted vector in place.
@@ -151,12 +141,6 @@ pub struct LustreSim {
     /// for a step of `dt` seconds, reused while `dt` repeats (the host
     /// loop's 1 s ticks make almost every step the same length).
     fatigue_decay: (f64, f64, f64),
-    /// Administrative health factor per OST (1.0 = nominal). Used by
-    /// failure-injection experiments: a degraded volume (failing SSD,
-    /// rebuilding RAID) delivers `health ×` its nominal bandwidth until
-    /// restored. This is the "intermittent file-system degradation" the
-    /// AI4IO canary (paper §VIII) is designed to detect.
-    health: Vec<f64>,
     /// Start of the next epoch tick (noise resample and/or fatigue
     /// re-solve while streams are active).
     next_noise_at: SimTime,
@@ -203,7 +187,6 @@ impl LustreSim {
             fatigue: vec![0.0; cfg.n_ost],
             // NaN equals no step length, so the first step fills it.
             fatigue_decay: (f64::NAN, 1.0, 1.0),
-            health: vec![1.0; cfg.n_ost],
             ost_occ: vec![0; cfg.n_ost],
             occupied_osts: Vec::new(),
             occupied_pos: vec![0; cfg.n_ost],
@@ -448,7 +431,7 @@ impl LustreSim {
     /// Rebuild the warm solver's constraint system from scratch: node
     /// slots `[0, node_occ.len())`, then one constraint per OST, then the
     /// fabric cap. Node and fabric capacities are config constants set
-    /// here; OST capacities fold noise/fatigue/health and are refreshed
+    /// here; OST capacities fold noise and fatigue and are refreshed
     /// at every solve instead.
     fn rebuild_warm(&mut self) {
         let node_slots = self.node_occ.len();
@@ -467,10 +450,10 @@ impl LustreSim {
 
     /// Effective capacity of `ost` under `occ` concurrent streams:
     /// interference-degraded nominal bandwidth scaled by the epoch's
-    /// noise factor, fatigue vigor and administrative health.
+    /// noise factor and fatigue vigor.
     #[inline]
     fn ost_capacity_bps(&self, ost: usize, occ: usize) -> f64 {
-        let vigor = (1.0 - self.cfg.fatigue_phi * self.fatigue[ost]) * self.health[ost];
+        let vigor = 1.0 - self.cfg.fatigue_phi * self.fatigue[ost];
         self.cfg.ost_effective_bps(occ) * self.noise[ost] * vigor
     }
 
@@ -676,8 +659,8 @@ impl LustreSim {
     ///
     /// The warm solver already holds the constraint membership (repaired
     /// incrementally on stream join/leave), so a solve only refreshes the
-    /// occupied OSTs' capacities — which fold noise, fatigue and health
-    /// and therefore change between solves — and runs the fill. No
+    /// occupied OSTs' capacities — which fold noise and fatigue and
+    /// therefore change between solves — and runs the fill. No
     /// membership rebuild, no adjacency build, no allocations.
     fn recompute_rates(&mut self) {
         let n = self.streams.len();
@@ -832,23 +815,6 @@ impl LustreSim {
         &self.fatigue
     }
 
-    /// Inject an administrative degradation: from `t` on, `ost` delivers
-    /// `factor ×` its nominal bandwidth (`factor ∈ [0, 1]`; 1.0 restores
-    /// full health). Models failing SSDs / RAID rebuilds — the transient
-    /// events the AI4IO canary detects.
-    pub fn set_ost_health(&mut self, t: SimTime, ost: usize, factor: f64) {
-        assert!(ost < self.cfg.n_ost, "OST {ost} out of range");
-        assert!((0.0..=1.0).contains(&factor), "health factor in [0, 1]");
-        self.advance_to(t);
-        self.health[ost] = factor;
-        self.recompute_rates();
-    }
-
-    /// Current health factor of each OST.
-    pub fn ost_health(&self) -> &[f64] {
-        &self.health
-    }
-
     /// Aggregate allocated rate right now, bytes/s.
     pub fn total_throughput_bps(&self) -> f64 {
         self.streams
@@ -895,11 +861,6 @@ impl LustreSim {
         out.per_tag_bps.sort_unstable_by_key(|&(t, _)| t);
         coalesce_sorted(&mut out.per_tag_bps);
     }
-
-    /// Number of active streams per OST (diagnostics / tests).
-    pub fn ost_occupancy(&self) -> Vec<usize> {
-        self.ost_occ.iter().map(|&c| c as usize).collect()
-    }
 }
 
 #[cfg(test)]
@@ -915,6 +876,13 @@ mod tests {
 
     fn sim(cfg: LustreConfig) -> LustreSim {
         LustreSim::new(cfg, SimRng::from_seed(1234))
+    }
+
+    impl LustreSim {
+        /// Number of active streams per OST.
+        fn ost_occupancy(&self) -> Vec<usize> {
+            self.ost_occ.iter().map(|&c| c as usize).collect()
+        }
     }
 
     #[test]
@@ -1111,9 +1079,8 @@ mod tests {
         fs.start_write(SimTime::ZERO, StreamTag(2), 1, 4, gib(10.0));
         assert_eq!(fs.cancel_tag(SimTime::from_secs(1), StreamTag(1)), 4);
         assert_eq!(fs.active_stream_count(), 4);
-        let snap = fs.snapshot();
-        assert!(snap.tag_bps(StreamTag(2)).is_some());
-        assert!(snap.tag_bps(StreamTag(1)).is_none());
+        let tags: Vec<StreamTag> = fs.snapshot().per_tag_bps.iter().map(|&(t, _)| t).collect();
+        assert_eq!(tags, [StreamTag(2)]);
     }
 
     #[test]
@@ -1135,34 +1102,20 @@ mod tests {
     }
 
     #[test]
-    fn ost_degradation_throttles_and_recovers() {
-        let mut cfg = quiet_cfg();
-        cfg.n_ost = 1;
-        cfg.stream_cap_bps = cfg.ost_bandwidth_bps * 2.0;
-        cfg.fatigue_phi = 0.0;
-        let mut fs = sim(cfg.clone());
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(1000.0));
-        let nominal = fs.total_throughput_bps();
-        assert!((nominal - cfg.ost_bandwidth_bps).abs() < 1.0);
-        // Degrade to 10%.
-        fs.set_ost_health(SimTime::from_secs(10), 0, 0.1);
-        assert!((fs.total_throughput_bps() - nominal * 0.1).abs() < 1.0);
-        assert_eq!(fs.ost_health()[0], 0.1);
-        // Restore.
-        fs.set_ost_health(SimTime::from_secs(20), 0, 1.0);
-        assert!((fs.total_throughput_bps() - nominal).abs() < 1.0);
-    }
-
-    #[test]
     fn stalled_streams_repoll_instead_of_wedging() {
-        // Regression: with noise epochs disabled, driving the only OST's
-        // health to 0 used to make `next_change_time` report `FAR_FUTURE`
-        // while the stream stayed active — the host loop wedged forever.
+        // Regression: with noise epochs disabled, an OST whose capacity
+        // drops to 0 under its only stream used to make
+        // `next_change_time` report `FAR_FUTURE` while the stream stayed
+        // active — the host loop wedged forever. `validate` admits no
+        // zero-capacity OST, so the capacity is zeroed after construction.
         let mut cfg = quiet_cfg().without_fatigue(); // no epoch ticks at all
         cfg.n_ost = 1;
+        let bandwidth = cfg.ost_bandwidth_bps;
         let mut fs = sim(cfg);
         fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
-        fs.set_ost_health(SimTime::from_secs(1), 0, 0.0);
+        fs.advance_to(SimTime::from_secs(1));
+        fs.cfg.ost_bandwidth_bps = 0.0;
+        fs.recompute_rates();
         assert_eq!(fs.total_throughput_bps(), 0.0);
         let t = fs.next_change_time().expect("stream still active");
         assert!(
@@ -1172,24 +1125,19 @@ mod tests {
         // Advancing there makes no progress but keeps the loop live.
         fs.advance_to(t);
         assert_eq!(fs.active_stream_count(), 1);
-        // Restoring health lets the stream drain to completion.
-        fs.set_ost_health(fs.now() + SimDuration::from_secs(1), 0, 1.0);
+        // Restoring the capacity lets the stream drain to completion.
+        fs.advance_to(fs.now() + SimDuration::from_secs(1));
+        fs.cfg.ost_bandwidth_bps = bandwidth;
+        fs.recompute_rates();
         let mut done = 0;
         let mut guard = 0;
         while let Some(t) = fs.next_change_time() {
             fs.advance_to(t);
             done += fs.take_completed().len();
             guard += 1;
-            assert!(guard < 100, "no progress after health restore");
+            assert!(guard < 100, "no progress after capacity restore");
         }
         assert_eq!(done, 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn health_factor_out_of_range_panics() {
-        let mut fs = sim(quiet_cfg());
-        fs.set_ost_health(SimTime::ZERO, 0, 1.5);
     }
 
     #[test]
@@ -1350,7 +1298,7 @@ mod tests {
         let nodes: Vec<usize> = (0..1 + rng.index(3)).map(|_| rng.index(12)).collect();
         let threads = 1 + rng.index(3);
         let bytes = gib(rng.uniform_range(0.2, 6.0));
-        match rng.index(7) {
+        match rng.index(6) {
             0 => {
                 *tags += 1;
                 fs.start_write(t, StreamTag(*tags), nodes[0], threads, bytes);
@@ -1377,12 +1325,8 @@ mod tests {
                 fs.take_completed();
                 fs.take_notified();
             }
-            5 => {
-                fs.cancel_tag(t, StreamTag(1 + rng.index(*tags as usize + 1) as u64));
-            }
             _ => {
-                let factor = [0.0, 0.3, 0.7, 1.0][rng.index(4)];
-                fs.set_ost_health(t, rng.index(fs.cfg.n_ost), factor);
+                fs.cancel_tag(t, StreamTag(1 + rng.index(*tags as usize + 1) as u64));
             }
         }
     }
@@ -1473,8 +1417,8 @@ mod tests {
         #![cases(64)]
         /// The warm solve agrees with the reference encoding after every
         /// operation of a random sequence (writes, buffered writes, reads,
-        /// advances across noise epochs, cancels, health changes down to
-        /// 0, node-slot growth), in both noise modes and with a fatigue
+        /// advances across noise epochs, cancels, node-slot growth), in
+        /// both noise modes and with a fatigue
         /// threshold of 0, 1 or 2. The rates are compared right after a
         /// re-solve, since fatigue moves OST capacities between solves.
         /// Alongside: the occupied/fatigued OST lists match the occupancy

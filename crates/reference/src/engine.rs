@@ -12,8 +12,8 @@
 //!   [`AnalyticsService::job_estimate_sym`] for every job it shows the
 //!   policy;
 //! * every round with a non-empty queue runs its pass:
-//!   [`reference_pass`] without fits-now pruning or the monotone cursor,
-//!   or the packing pass. No round is elided or certified.
+//!   [`reference_pass`] without fits-now pruning, or the packing pass.
+//!   No round is elided or certified.
 //!
 //! The production engine must make the same decisions on every input:
 //! the same starts at the same times, so the same completions, samples,
@@ -71,9 +71,6 @@ fn sorted_wait_queue<'a>(
         PriorityPolicy::Fifo => queue.sort_unstable_by_key(|j| (j.submit, j.id)),
         PriorityPolicy::Priority => {
             queue.sort_unstable_by_key(|j| (Reverse(j.priority), j.submit, j.id))
-        }
-        PriorityPolicy::ShortestLimitFirst => {
-            queue.sort_unstable_by_key(|j| (j.limit, j.submit, j.id))
         }
     }
     queue.truncate(depth);
@@ -282,7 +279,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         let bf = BackfillConfig {
             max_reservations: cfg.backfill_max,
             prune_fits_now: false,
-            monotone_cursor: false,
+            ..BackfillConfig::default()
         };
         let mut snap = FsSnapshot::default();
 

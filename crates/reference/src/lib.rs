@@ -13,7 +13,7 @@
 //! * [`engine`] — the experiment loop of `iosched_experiments` without
 //!   its speed-ups: a sorted queue over a plain job table, an estimate
 //!   book rebuilt every round, and a full pass in every round (no
-//!   elision, no no-start certificate, no pruning, no monotone cursor).
+//!   elision, no no-start certificate, no pruning).
 
 pub mod engine;
 pub mod fixpoint;
@@ -25,9 +25,9 @@ use iosched_slurm::{
 };
 
 /// One scheduling round that examines every queue entry: the production
-/// pass with fits-now pruning and the monotone cursor as configured, but
-/// no post-start cut. Its `start_now` must equal the production pass's
-/// on every input. When it starts nothing, its whole outcome, its
+/// pass with fits-now pruning as configured, but no post-start cut. Its
+/// `start_now` must equal the production pass's on every input. When it
+/// starts nothing, its whole outcome, its
 /// [`PassStats::next_possible_start`] and its [`PassStats::pruned`] must
 /// equal the production pass's too, and when it starts something the
 /// production reservations and skips are a prefix of its own.
@@ -45,7 +45,6 @@ pub fn reference_pass<P: SchedulingPolicy>(
     let mut next_possible = SimTime::FAR_FUTURE;
     let mut pruned = 0u64;
     let mut min_failed: Option<&SchedJob> = None;
-    let mut min_failed_start = SimTime::FAR_FUTURE;
 
     for &job in queue {
         if cfg.prune_fits_now && backfill_count >= cfg.max_reservations {
@@ -57,17 +56,7 @@ pub fn reference_pass<P: SchedulingPolicy>(
                 }
             }
         }
-        let from = match min_failed {
-            Some(failed)
-                if cfg.monotone_cursor
-                    && min_failed_start > now
-                    && tracker.demands_at_least(job, failed) =>
-            {
-                min_failed_start
-            }
-            _ => now,
-        };
-        let t = tracker.earliest_start(job, from);
+        let t = tracker.earliest_start(job, now);
         if t == now {
             outcome.start_now.push(job.id);
             tracker.reserve(job, now);
@@ -75,10 +64,7 @@ pub fn reference_pass<P: SchedulingPolicy>(
             next_possible = next_possible.min(t);
             match min_failed {
                 Some(f) if !tracker.demands_at_least(f, job) => {}
-                _ => {
-                    min_failed = Some(job);
-                    min_failed_start = t;
-                }
+                _ => min_failed = Some(job),
             }
             if backfill_count >= cfg.max_reservations {
                 outcome.skipped.push(job.id);

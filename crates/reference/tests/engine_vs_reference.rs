@@ -3,15 +3,15 @@
 //! `iosched_reference::engine` runs the experiment loop without any of
 //! the production engine's speed-ups: a sorted queue over a plain job
 //! table, an estimate book rebuilt from the analytics every round, and a
-//! full backfill walk (no pruning, no monotone cursor, no post-start cut)
-//! in every round, with no round elided or certified. On random small
-//! workloads [`run_experiment`] and [`run_streaming`] must reproduce it
-//! bit for bit: every job's start, end and kill, the makespan, the pass
+//! full backfill walk (no pruning, no post-start cut) in every round,
+//! with no round elided or certified. On random small workloads
+//! [`run_experiment`] and [`run_streaming`] must reproduce it bit for
+//! bit: every job's start, end and kill, the makespan, the pass
 //! and iteration counts, and the sampled traces. Only `rounds_elided` and
 //! `rounds_certified`, which count the skipped work, may differ.
 //!
 //! The generator covers every scheduler (naïve adaptive and packing
-//! included), all three queue orders, small queue depths and
+//! included), both queue orders, small queue depths and
 //! reservation budgets, limit enforcement on and off with jobs that
 //! overrun their limits, `afterok` chains, burst buffers, noisy and
 //! noiseless file systems, both predictors, pretrained and untrained
@@ -155,14 +155,7 @@ impl Strategy for Scenarios {
         cfg.sched_min_interval = SimDuration::from_secs(pick(rng, &[0, 1, 2, 5]));
         cfg.max_queue_depth = pick(rng, &[1, 2, 3, 500]);
         cfg.backfill_max = pick(rng, &[0, 1, 2, usize::MAX]);
-        cfg.priority_policy = pick(
-            rng,
-            &[
-                PriorityPolicy::Fifo,
-                PriorityPolicy::Priority,
-                PriorityPolicy::ShortestLimitFirst,
-            ],
-        );
+        cfg.priority_policy = pick(rng, &[PriorityPolicy::Fifo, PriorityPolicy::Priority]);
         cfg.enforce_limits = rng.index(3) == 0;
         cfg.pretrained = !self.streaming && rng.index(2) == 0;
         cfg.qos_fraction = pick(rng, &[0.0, 0.5, 1.0]);

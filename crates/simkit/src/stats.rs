@@ -4,22 +4,16 @@
 //! medians; Fig. 4 uses box plots), so the quantile machinery here is the
 //! primary reporting path rather than means.
 
-/// Online mean/variance accumulator (Welford's algorithm).
+/// Online count/mean/min/max accumulator (running mean as in Welford's
+/// algorithm).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
-crate::impl_json_struct!(OnlineStats {
-    n,
-    mean,
-    m2,
-    min,
-    max
-});
+crate::impl_json_struct!(OnlineStats { n, mean, min, max });
 
 impl OnlineStats {
     /// Create an empty accumulator.
@@ -27,7 +21,6 @@ impl OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -38,7 +31,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -54,15 +46,6 @@ impl OnlineStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -160,7 +143,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -170,7 +152,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]
@@ -213,7 +194,6 @@ mod tests {
             let mut s = OnlineStats::new();
             for &x in &v { s.push(x); }
             prop_assert!(s.mean() >= s.min() - 1e-9 && s.mean() <= s.max() + 1e-9);
-            prop_assert!(s.variance() >= -1e-9);
         }
     }
 }

@@ -31,9 +31,10 @@ impl SimTime {
         SimTime(ms)
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at the largest
+    /// representable time.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1000)
+        SimTime(s.saturating_mul(1000))
     }
 
     /// Construct from fractional seconds, rounding to the nearest
@@ -78,9 +79,10 @@ impl SimDuration {
         SimDuration(ms)
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at the longest
+    /// representable duration.
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1000)
+        SimDuration(s.saturating_mul(1000))
     }
 
     /// Construct from fractional seconds, rounding to the nearest
@@ -202,6 +204,18 @@ mod tests {
         let mut u = SimTime::ZERO;
         u += SimDuration::from_millis(1);
         assert_eq!(u.as_millis(), 1);
+    }
+
+    #[test]
+    fn from_secs_saturates() {
+        // 18_446_744_073_709_551 s is u64::MAX ms rounded down to whole
+        // seconds; one second more no longer fits in milliseconds.
+        let fits = 18_446_744_073_709_551u64;
+        assert_eq!(SimTime::from_secs(fits).as_millis(), fits * 1000);
+        assert_eq!(SimTime::from_secs(fits + 1).as_millis(), u64::MAX);
+        assert_eq!(SimTime::from_secs(u64::MAX).as_millis(), u64::MAX);
+        assert_eq!(SimDuration::from_secs(fits + 1).as_millis(), u64::MAX);
+        assert_eq!(SimDuration::from_secs(u64::MAX).as_millis(), u64::MAX);
     }
 
     #[test]

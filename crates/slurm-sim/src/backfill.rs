@@ -35,13 +35,8 @@ pub struct BackfillConfig {
     /// all the budget allows. Outcome-neutral (property-tested against
     /// the unpruned walk); only worth disabling as a bench baseline.
     pub prune_fits_now: bool,
-    /// Monotone queue-walk cursor: start the `earliest_start` search for
-    /// a queue entry that [`ReservationTracker::demands_at_least`] the
-    /// least-demanding failed job at that job's computed start instead of
-    /// at `now` — no window before it can admit the dominatee, let alone
-    /// the dominator, so the result is identical (property-tested against
-    /// the from-`now` probe) while the probe skips the already-proven-
-    /// infeasible prefix. Only worth disabling as a bench baseline.
+    /// Ignored: every probe starts at `now`. Kept so that perfbench's
+    /// mirror, its only reader, compiles unchanged.
     pub monotone_cursor: bool,
 }
 
@@ -126,13 +121,8 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// least-demanding failure seen so far is skipped without a probe.
 /// Sound because usage only grows within a round, so dominance means
 /// "fits now" for the pruned job would imply its dominatee fit at probe
-/// time — contradiction. `tests/backfill_props.rs` checks both pruning
-/// and the cursor against the plain walk.
-///
-/// While the budget lasts, the same dominance powers the
-/// [`BackfillConfig::monotone_cursor`]: a dominated entry's probe
-/// starts at the representative's computed start rather than `now`,
-/// skipping the profile prefix both probes would reject identically.
+/// time — contradiction. `tests/backfill_props.rs` checks pruning
+/// against the plain walk.
 ///
 /// After each start the walk moves its end back past the trailing
 /// entries that [`ReservationTracker::may_start_now`] rules out, and
@@ -155,12 +145,11 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
     let mut backfill_count = 0usize;
     let mut next_possible = SimTime::FAR_FUTURE;
     let mut pruned = 0u64;
-    // Least-demanding job seen failing to start now: the pruning/cursor
-    // representative, and its computed start. Never itself a pruned job,
-    // so its computed start bounds every pruned job's from below and
-    // `next_possible` stays a true minimum.
+    // Least-demanding job seen failing to start now: the pruning
+    // representative. Never itself a pruned job, so its computed start
+    // bounds every pruned job's from below and `next_possible` stays a
+    // true minimum.
     let mut min_failed: Option<&SchedJob> = None;
-    let mut min_failed_start = SimTime::FAR_FUTURE;
     // Entries at or past `cut` cannot start now. It stays at the queue's
     // end until the first start, then only moves back: free capacity at
     // `now` only falls, so an entry ruled out stays ruled out.
@@ -179,20 +168,7 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
                 }
             }
         }
-        // Monotone cursor: a job at least as demanding as the failed
-        // representative cannot start before the representative's
-        // computed start — begin the search there.
-        let from = match min_failed {
-            Some(failed)
-                if cfg.monotone_cursor
-                    && min_failed_start > now
-                    && tracker.demands_at_least(job, failed) =>
-            {
-                min_failed_start
-            }
-            _ => now,
-        };
-        let t = tracker.earliest_start(job, from);
+        let t = tracker.earliest_start(job, now);
         if t == now {
             outcome.start_now.push(job.id);
             tracker.reserve(job, now);
@@ -203,10 +179,7 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
             next_possible = next_possible.min(t);
             match min_failed {
                 Some(f) if !tracker.demands_at_least(f, job) => {}
-                _ => {
-                    min_failed = Some(job);
-                    min_failed_start = t;
-                }
+                _ => min_failed = Some(job),
             }
             if backfill_count >= cfg.max_reservations {
                 outcome.skipped.push(job.id);

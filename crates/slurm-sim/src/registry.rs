@@ -7,15 +7,15 @@
 
 use crate::policy::{RunningView, SchedJob};
 use iosched_simkit::ids::JobId;
-use iosched_simkit::time::{SimDuration, SimTime};
+use iosched_simkit::time::SimTime;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
 
 thread_local! {
-    /// Mutations applied to the two policy-keyed pending indexes on this
-    /// thread (inserts + removes; the FIFO set predates the indexes and
+    /// Mutations applied to the policy-keyed pending index on this
+    /// thread (inserts + removes; the FIFO set predates the index and
     /// is not counted). Deterministic: a pure function of the workload's
     /// submit/start history.
     static INDEX_OPS: Cell<u64> = const { Cell::new(0) };
@@ -46,15 +46,8 @@ pub enum PriorityPolicy {
     /// Administrative priority (higher first), ties FIFO — Slurm's
     /// multifactor-priority shape.
     Priority,
-    /// Shortest requested limit first, ties FIFO — an SJF-style policy
-    /// useful for backfill studies.
-    ShortestLimitFirst,
 }
-iosched_simkit::impl_json_enum!(PriorityPolicy {
-    Fifo,
-    Priority,
-    ShortestLimitFirst
-});
+iosched_simkit::impl_json_enum!(PriorityPolicy { Fifo, Priority });
 
 /// Lifecycle state of a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,18 +91,18 @@ struct Entry {
 /// per event-loop iteration; `running` is ordered by id, the order every
 /// running-set consumer wants.
 ///
-/// Alongside the FIFO set, two **policy-keyed ordered indexes** mirror
-/// the pending membership under the non-FIFO sort keys —
-/// `(Reverse(priority), submit, id)` and `(limit, submit, id)` — updated
-/// in `O(log n)` at the only two pending-membership transitions
-/// ([`Self::submit`] and [`Self::mark_started`]). Queue preparation
-/// under any policy is then an ordered walk over the matching index
-/// (a true top-k for depth-limited queries) instead of a per-round
-/// collect-and-sort. Every sort key ends in the unique job id, so each
-/// index is a total order and the walk reproduces the sorted output
-/// exactly; the test module keeps the sort as the oracle the walks are
-/// property-pinned against, and the reference engine in
-/// `iosched-reference` queues by sorting too.
+/// Alongside the FIFO set, one **policy-keyed ordered index** mirrors
+/// the pending membership under the `Priority` sort key
+/// `(Reverse(priority), submit, id)`, updated in `O(log n)` at the only
+/// two pending-membership transitions ([`Self::submit`] and
+/// [`Self::mark_started`]). Queue preparation under either policy is
+/// then an ordered walk over the matching set (a true top-k for
+/// depth-limited queries) instead of a per-round collect-and-sort.
+/// Every sort key ends in the unique job id, so each set is a total
+/// order and the walk reproduces the sorted output exactly; the test
+/// module keeps the sort as the oracle the walks are property-pinned
+/// against, and the reference engine in `iosched-reference` queues by
+/// sorting too.
 #[derive(Clone, Debug, Default)]
 pub struct JobRegistry {
     /// The slab: `None` marks a free slot, listed in `free`.
@@ -122,8 +115,6 @@ pub struct JobRegistry {
     pending: BTreeSet<(SimTime, JobId, usize)>,
     /// Pending membership under the `Priority` policy's sort key.
     pending_prio: BTreeSet<(Reverse<i64>, SimTime, JobId, usize)>,
-    /// Pending membership under the `ShortestLimitFirst` sort key.
-    pending_limit: BTreeSet<(SimDuration, SimTime, JobId, usize)>,
     /// Jobs currently `Running`, in id order.
     running: BTreeSet<(JobId, usize)>,
     /// Count of `Completed` + `TimedOut` jobs.
@@ -160,7 +151,6 @@ impl JobRegistry {
         let id = meta.id;
         let submit = meta.submit;
         let priority = meta.priority;
-        let limit = meta.limit;
         let slot = self.free.pop().unwrap_or(self.slots.len());
         let prev = self.slot_of.insert(id, slot);
         assert!(prev.is_none(), "duplicate submission of {id}");
@@ -176,8 +166,7 @@ impl JobRegistry {
         self.pending.insert((submit, id, slot));
         self.pending_prio
             .insert((Reverse(priority), submit, id, slot));
-        self.pending_limit.insert((limit, submit, id, slot));
-        INDEX_OPS.with(|c| c.set(c.get() + 2));
+        INDEX_OPS.with(|c| c.set(c.get() + 1));
     }
 
     /// Number of unretired jobs (any state).
@@ -208,7 +197,6 @@ impl JobRegistry {
         e.state = JobState::Running { started: t };
         let submit = e.meta.submit;
         let priority = e.meta.priority;
-        let limit = e.meta.limit;
         assert!(
             self.pending.remove(&(submit, id, slot)),
             "{id} missing from pending set"
@@ -218,11 +206,7 @@ impl JobRegistry {
                 .remove(&(Reverse(priority), submit, id, slot)),
             "{id} missing from priority index"
         );
-        assert!(
-            self.pending_limit.remove(&(limit, submit, id, slot)),
-            "{id} missing from limit index"
-        );
-        INDEX_OPS.with(|c| c.set(c.get() + 2));
+        INDEX_OPS.with(|c| c.set(c.get() + 1));
         self.running.insert((id, slot));
     }
 
@@ -257,7 +241,7 @@ impl JobRegistry {
     /// job table. The reusable buffer keeps the steady-state scheduling
     /// pass allocation-free; `usize::MAX` asks for the whole wait queue.
     ///
-    /// Every policy walks its ordered pending index in key order and
+    /// Either policy walks its ordered pending set in key order and
     /// stops after `limit` eligible jobs: `O(limit)` index entries
     /// examined plus whatever ineligible entries (future submits,
     /// unmet dependencies) are interleaved ahead of the k-th eligible
@@ -312,10 +296,10 @@ impl JobRegistry {
             taken >= limit
         };
         if limit > 0 {
-            // For FIFO the index's leading key is `submit`, so the
+            // For FIFO the set's leading key is `submit`, so the
             // eligible-by-time entries are exactly a prefix range; the
-            // non-FIFO keys interleave future submits and the walk skips
-            // them. Dependency-blocked jobs are skipped under any policy.
+            // priority key interleaves future submits and the walk skips
+            // them. Dependency-blocked jobs are skipped under either policy.
             match policy {
                 PriorityPolicy::Fifo => {
                     for &(submit, _, slot) in
@@ -328,13 +312,6 @@ impl JobRegistry {
                 }
                 PriorityPolicy::Priority => {
                     for &(_, submit, _, slot) in &self.pending_prio {
-                        if visit(submit, slot) {
-                            break;
-                        }
-                    }
-                }
-                PriorityPolicy::ShortestLimitFirst => {
-                    for &(_, submit, _, slot) in &self.pending_limit {
                         if visit(submit, slot) {
                             break;
                         }
@@ -453,6 +430,7 @@ impl JobRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosched_simkit::time::SimDuration;
 
     impl JobRegistry {
         /// Reference queue preparation: collect the eligible set and sort
@@ -479,9 +457,6 @@ mod tests {
                 PriorityPolicy::Fifo => {} // already (submit, id)-ordered
                 PriorityPolicy::Priority => out
                     .sort_unstable_by_key(|id| (Reverse(meta(id).priority), meta(id).submit, *id)),
-                PriorityPolicy::ShortestLimitFirst => {
-                    out.sort_unstable_by_key(|id| (meta(id).limit, meta(id).submit, *id))
-                }
             }
         }
     }
@@ -572,12 +547,11 @@ mod tests {
         };
         assert_eq!(ids(PriorityPolicy::Fifo), vec![1, 2, 3]);
         assert_eq!(ids(PriorityPolicy::Priority), vec![3, 1, 2]);
-        assert_eq!(ids(PriorityPolicy::ShortestLimitFirst), vec![2, 3, 1]);
     }
 
     #[test]
     fn limited_walk_skips_ineligible_entries_without_consuming_depth() {
-        // Under the non-FIFO indexes, ineligible entries (future submits,
+        // Under the priority index, ineligible entries (future submits,
         // unmet dependencies) interleave with eligible ones in key order;
         // a depth-limited walk must skip them without counting them
         // toward the limit — the top-k is over *eligible* jobs.
@@ -596,26 +570,6 @@ mod tests {
         let mut got = Vec::new();
         reg.wait_queue_ids_limited_into(SimTime::ZERO, PriorityPolicy::Priority, 1, &mut got);
         assert_eq!(got, vec![JobId(3)]);
-
-        // Same shape under ShortestLimitFirst: the shortest job is in the
-        // future, the next-shortest is blocked.
-        let mut reg = JobRegistry::new();
-        let mut future = job(1, 50);
-        future.limit = SimDuration::from_secs(1);
-        let mut blocked = job(2, 0);
-        blocked.limit = SimDuration::from_secs(2);
-        let blocked = blocked.with_after(vec![JobId(9)]);
-        reg.submit(future);
-        reg.submit(blocked);
-        reg.submit(job(3, 0)); // limit 100
-        let mut got = Vec::new();
-        reg.wait_queue_ids_limited_into(
-            SimTime::ZERO,
-            PriorityPolicy::ShortestLimitFirst,
-            1,
-            &mut got,
-        );
-        assert_eq!(got, vec![JobId(3)]);
     }
 
     #[test]
@@ -632,11 +586,7 @@ mod tests {
         reg.mark_started(JobId(4), SimTime::from_secs(3));
         reg.mark_started(JobId(11), SimTime::from_secs(3));
         let now = SimTime::from_secs(2);
-        for policy in [
-            PriorityPolicy::Fifo,
-            PriorityPolicy::Priority,
-            PriorityPolicy::ShortestLimitFirst,
-        ] {
+        for policy in [PriorityPolicy::Fifo, PriorityPolicy::Priority] {
             for limit in [0usize, 1, 3, 7, 100] {
                 let mut expect = Vec::new();
                 reg.wait_queue_ids_sorted_into(now, policy, &mut expect);
@@ -820,7 +770,6 @@ mod tests {
             for &policy in &[
                 PriorityPolicy::Fifo,
                 PriorityPolicy::Priority,
-                PriorityPolicy::ShortestLimitFirst,
             ] {
                 let mut full = queue(&reg, now, policy);
                 full.truncate(limit as usize);
@@ -870,10 +819,10 @@ mod tests {
             );
         }
 
-        /// Under randomized submit/start/complete/kill churn, every
-        /// policy-keyed ordered index reproduces the sort oracle exactly
-        /// — full walks and depth-limited top-k alike. Priorities,
-        /// limits and submit times are drawn from tiny ranges so ties on
+        /// Under randomized submit/start/complete/kill churn, both
+        /// ordered pending sets reproduce the sort oracle exactly — full
+        /// walks and depth-limited top-k alike. Priorities, limits and
+        /// submit times are drawn from tiny ranges so ties on
         /// every key component (including equal-submit-time ties) are
         /// the common case, not the exception.
         fn ordered_indexes_match_sort_oracle_under_churn(
@@ -905,7 +854,7 @@ mod tests {
                 let t = SimTime::from_secs(clock);
                 if kind == 3 {
                     // Late submission, possibly tying an existing
-                    // (priority, submit) or (limit, submit) pair.
+                    // (priority, submit) pair.
                     reg.submit(mk(next_id, prio, lim, clock % 7));
                     next_id += 1;
                     continue;
@@ -923,7 +872,6 @@ mod tests {
             for &policy in &[
                 PriorityPolicy::Fifo,
                 PriorityPolicy::Priority,
-                PriorityPolicy::ShortestLimitFirst,
             ] {
                 let mut expect = Vec::new();
                 reg.wait_queue_ids_sorted_into(now, policy, &mut expect);
@@ -1046,7 +994,6 @@ mod tests {
                 for policy in [
                     PriorityPolicy::Fifo,
                     PriorityPolicy::Priority,
-                    PriorityPolicy::ShortestLimitFirst,
                 ] {
                     reg.wait_queue_ids_sorted_into(now, policy, &mut oracle);
                     for depth in [limit as usize, usize::MAX] {

@@ -219,42 +219,6 @@ props! {
         });
         prop_assert_eq!(pruned, unpruned, "pruned walk diverged");
     }
-
-    /// The monotone queue-walk cursor never changes a round's outcome:
-    /// starting a dominated job's fixpoint at the failed representative's
-    /// computed start decides identically to searching from `now`, across
-    /// reservation budgets (unbounded budgets exercise the cursor on
-    /// every delayed job; bounded ones mix it with fits-now pruning).
-    /// Like the pruning prop, this is the cursor's oracle comparison, and
-    /// CI runs it in release too.
-    fn monotone_cursor_matches_from_now(
-        queue_spec in prop::vec((1usize..8, 10u64..500), 1..40),
-        running_spec in prop::vec((1usize..8, 10u64..500), 0..4),
-        total_nodes in 8usize..20,
-        backfill_max in prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
-    ) {
-        let (queue, running_jobs) = build_workload(&queue_spec, &running_spec, total_nodes);
-        let queue_refs: Vec<&SchedJob> = queue.iter().collect();
-        let views: Vec<RunningView<'_>> = running_jobs
-            .iter()
-            .map(|(j, s)| RunningView { job: j, started: *s })
-            .collect();
-        let [with_cursor, without] = [true, false].map(|cursor| {
-            backfill_pass(
-                &mut NodePolicy::default(),
-                &views,
-                &queue_refs,
-                SimTime::from_secs(200),
-                total_nodes,
-                &BackfillConfig {
-                    max_reservations: backfill_max,
-                    monotone_cursor: cursor,
-                    ..BackfillConfig::default()
-                },
-            )
-        });
-        prop_assert_eq!(with_cursor, without, "monotone cursor diverged");
-    }
 }
 
 /// Shared queue/running-set builder for the outcome-equivalence props:

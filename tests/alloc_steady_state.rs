@@ -147,14 +147,10 @@ where
     let mut round = |policy: &mut P, book: &mut EstimateBook| {
         let mut queue = recycle(std::mem::take(&mut queue_buf));
         let mut running = recycle(std::mem::take(&mut running_buf));
-        // Queue preparation must be allocation-free under *every*
-        // policy: the ordered-index walks (full and depth-limited)
-        // reuse the same recycled buffer.
-        for policy in [
-            PriorityPolicy::Priority,
-            PriorityPolicy::ShortestLimitFirst,
-            PriorityPolicy::Fifo,
-        ] {
+        // Queue preparation must be allocation-free under either
+        // policy: the ordered walks (full and depth-limited) reuse the
+        // same recycled buffer.
+        for policy in [PriorityPolicy::Priority, PriorityPolicy::Fifo] {
             registry.wait_queue_into(now, policy, 500, &mut queue);
             registry.wait_queue_into(now, policy, usize::MAX, &mut queue);
         }

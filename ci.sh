@@ -124,16 +124,17 @@ fi
 step "release build (offline)"
 cargo build --workspace --release --offline
 
-step "figure gate: fig3, fig5 and fig6 regenerate byte-identical"
+step "figure gate: fig3, fig4, fig5 and fig6 regenerate byte-identical"
 # The figures' CSVs and the fig6 record log are the determinism contract
 # (EXPERIMENTS.md, "Regenerating results"): only a deliberate model
 # change may move them. fig6 replays its committed record log unless
 # the log is moved aside, so it is regenerated from scratch on one worker.
 mv results/fig6/records.jsonl "$FIG6_STASH"/
 cargo run --release --offline -q -p iosched-experiments --bin fig3 >/dev/null
+cargo run --release --offline -q -p iosched-experiments --bin fig4 >/dev/null
 cargo run --release --offline -q -p iosched-experiments --bin fig5 >/dev/null
 CAMPAIGN_THREADS=1 cargo run --release --offline -q -p iosched-experiments --bin fig6 >/dev/null
-git diff --exit-code --stat results/fig3 results/fig5 results/fig6
+git diff --exit-code --stat results/fig3 results/fig4 results/fig5 results/fig6
 
 step "tests (offline)"
 cargo test -q --workspace --offline
@@ -197,10 +198,10 @@ cargo bench --offline -p iosched-bench --bench fig6_campaign
 bench_diff --gate 2.0 "$BASELINE_DIR/BENCH_fig6_campaign.json" results/bench/BENCH_fig6_campaign.json
 
 step "bench smoke (emits results/bench/BENCH_*.json)"
-for suite in fig3_workload1 fig4_throughput fig5_workload2 fig6_campaign scale campaign sched; do
+for suite in fig6_campaign scale campaign sched; do
     cargo bench --offline -p iosched-bench --bench "$suite" -- --smoke
 done
-for suite in micro fig3_workload1 fig4_throughput fig5_workload2 fig6_campaign scale campaign sched; do
+for suite in micro fig6_campaign scale campaign sched; do
     test -s "results/bench/BENCH_${suite}.json" || {
         echo "missing bench output BENCH_${suite}.json" >&2
         exit 1

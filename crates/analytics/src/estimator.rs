@@ -12,20 +12,12 @@ pub struct JobEstimate {
     /// Estimated runtime.
     pub runtime: SimDuration,
 }
-iosched_simkit::impl_json_struct!(JobEstimate {
-    throughput_bps,
-    runtime
-});
 
 #[derive(Clone, Debug)]
 struct State {
     throughput_bps: f64,
     runtime_secs: f64,
 }
-iosched_simkit::impl_json_struct!(State {
-    throughput_bps,
-    runtime_secs
-});
 
 /// Exponentially-decaying weighted average of historical usage, keyed by
 /// interned job name ("similar jobs"). A new observation contributes
@@ -43,7 +35,6 @@ pub struct JobEstimator {
     alpha: f64,
     table: Vec<Option<State>>,
 }
-iosched_simkit::impl_json_struct!(JobEstimator { alpha, table });
 
 impl JobEstimator {
     /// `alpha ∈ (0, 1]` is the weight of the newest observation.
@@ -97,11 +88,6 @@ impl JobEstimator {
                 throughput_bps: s.throughput_bps,
                 runtime: SimDuration::from_secs_f64(s.runtime_secs),
             })
-    }
-
-    /// Forget everything (an "untrained" estimator).
-    pub fn clear(&mut self) {
-        self.table.clear();
     }
 }
 
@@ -159,14 +145,6 @@ mod tests {
         assert_eq!(e.estimate(Sym(3)), None);
         assert_eq!(e.estimate(Sym(99)), None);
         assert!(e.estimate(Sym(5)).is_some());
-    }
-
-    #[test]
-    fn clear_forgets() {
-        let mut e = JobEstimator::new(0.5);
-        e.observe(W8, 100.0, SimDuration::from_secs(40));
-        e.clear();
-        assert_eq!(e.estimate(W8), None);
     }
 
     #[test]

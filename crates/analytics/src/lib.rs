@@ -17,12 +17,10 @@
 //! job's sampled I/O volume from the daemon, derives the job's average
 //! throughput and runtime, and folds them into the estimate for that job
 //! name. The paper notes that fancier predictors plug in seamlessly; the
-//! estimator here is deliberately the paper's simple one.
+//! estimator here is the paper's simple one, and the only one.
 
 pub mod estimator;
-pub mod predictor;
 pub mod service;
 
 pub use estimator::{JobEstimate, JobEstimator};
-pub use predictor::{Predictor, PredictorKind, WindowedQuantilePredictor};
 pub use service::AnalyticsService;

@@ -1,7 +1,6 @@
 //! The analytics service facade the scheduler talks to.
 
-use crate::estimator::JobEstimate;
-use crate::predictor::{Predictor, PredictorKind};
+use crate::estimator::{JobEstimate, JobEstimator};
 use iosched_ldms::daemon::HORIZON;
 use iosched_ldms::LdmsDaemon;
 use iosched_simkit::sym::{Sym, SymbolTable};
@@ -16,12 +15,11 @@ const _: () = assert!(
     "the daemon's horizon must cover the load window"
 );
 
-/// Service configuration.
+/// Service configuration. It has no settings: the estimates are the
+/// paper's decaying average at α = 0.5
+/// ([`JobEstimator::with_default_decay`]).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AnalyticsConfig {
-    /// Which predictor backs the job-requirement estimates.
-    pub predictor: PredictorKind,
-}
+pub struct AnalyticsConfig;
 
 /// The analytical services module: job-requirement prediction plus the
 /// measured-current-load query (paper Fig. 2, right-hand box).
@@ -31,15 +29,15 @@ pub struct AnalyticsConfig {
 /// symbol lookup is an array index, with no string allocation or
 /// comparison.
 pub struct AnalyticsService {
-    predictor: Box<dyn Predictor + Send>,
+    estimator: JobEstimator,
     symbols: SymbolTable,
 }
 
 impl AnalyticsService {
     /// Fresh ("untrained") service.
-    pub fn new(cfg: AnalyticsConfig) -> Self {
+    pub fn new(_cfg: AnalyticsConfig) -> Self {
         AnalyticsService {
-            predictor: cfg.predictor.build(),
+            estimator: JobEstimator::with_default_decay(),
             symbols: SymbolTable::new(),
         }
     }
@@ -59,7 +57,7 @@ impl AnalyticsService {
     /// estimate.
     pub fn job_estimate_sym(&self, name: Sym, requested_limit: SimDuration) -> JobEstimate {
         let predicted = if name.is_some() {
-            self.predictor.predict(name)
+            self.estimator.estimate(name)
         } else {
             None
         };
@@ -93,20 +91,20 @@ impl AnalyticsService {
         }
         let bytes = daemon.job_bytes(job_id, ended);
         let throughput = bytes / runtime.as_secs_f64();
-        self.predictor.observe(name, throughput, runtime);
+        self.estimator.observe(name, throughput, runtime);
     }
 
     /// Pre-train the estimator with a known observation — the paper's
     /// "pre-trained by running jobs in isolation" setup.
     pub fn pretrain(&mut self, name: &str, throughput_bps: f64, runtime: SimDuration) {
         let sym = self.symbols.intern(name);
-        self.predictor.observe(sym, throughput_bps, runtime);
+        self.estimator.observe(sym, throughput_bps, runtime);
     }
 
-    /// Direct access to the predictor: per-name predictions without a
+    /// Direct access to the estimator: per-name predictions without a
     /// cold-start fallback (the engine's estimate book), diagnostics, tests.
-    pub fn predictor(&self) -> &dyn Predictor {
-        self.predictor.as_ref()
+    pub fn estimator(&self) -> &JobEstimator {
+        &self.estimator
     }
 }
 
@@ -115,7 +113,7 @@ mod tests {
     use super::*;
 
     fn untrained() -> AnalyticsService {
-        AnalyticsService::new(AnalyticsConfig::default())
+        AnalyticsService::new(AnalyticsConfig)
     }
 
     #[test]
@@ -128,7 +126,7 @@ mod tests {
         };
         let sym = svc.intern("w8");
         assert_eq!(svc.job_estimate_sym(sym, limit), cold);
-        assert_eq!(svc.predictor().predict(sym), None);
+        assert_eq!(svc.estimator().estimate(sym), None);
         assert_eq!(svc.job_estimate_sym(Sym::NONE, limit), cold);
     }
 
@@ -171,7 +169,7 @@ mod tests {
         let mut svc = untrained();
         let sym = svc.intern("w8");
         svc.on_job_complete_sym(&daemon, 1, sym, SimTime::ZERO, SimTime::ZERO);
-        assert_eq!(svc.predictor().predict(sym), None);
+        assert_eq!(svc.estimator().estimate(sym), None);
     }
 
     #[test]

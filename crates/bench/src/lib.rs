@@ -7,9 +7,10 @@
 //!
 //! * `micro` — the scheduler hot path: reservation profiles, the
 //!   max-min fair solver, a backfill pass, the estimator, the event queue;
-//! * `fig3_workload1`, `fig4_throughput`, `fig5_workload2`,
-//!   `fig6_campaign` — scaled-down versions of the paper's figures
-//!   (the full-size runs are the `iosched-experiments` binaries);
+//! * `fig6_campaign` — a scaled-down Fig. 6 campaign whose per-label
+//!   event counts are gated (the figures themselves are the
+//!   `iosched-experiments` binaries, which the CI figure gate
+//!   regenerates byte-identical);
 //! * `scale` — streaming SWF replays on machines 1×–667× the testbed;
 //! * `campaign` — the campaign pool at 1/2/4/8 workers;
 //! * `sched` — single deep-queue backfill rounds and queue preparation.

@@ -282,16 +282,7 @@ impl ClusterSim {
             let mut notified = std::mem::take(&mut self.notified_scratch);
             self.fs.take_notified_into(&mut notified);
             for &(ct, _, tag) in &notified {
-                let job = JobId(tag.0);
-                if let Some(rj) = self.running.get_mut(&job) {
-                    if let Activity::Writing { outstanding } = &mut rj.activity {
-                        *outstanding = outstanding.saturating_sub(1);
-                        if *outstanding == 0 {
-                            transitioned = true;
-                            self.finish_phase(ct, job, done);
-                        }
-                    }
-                }
+                transitioned |= self.thread_done(ct, JobId(tag.0), done);
             }
             self.notified_scratch = notified;
 
@@ -303,16 +294,7 @@ impl ClusterSim {
                 if s.notify_remaining > 0.0 {
                     continue;
                 }
-                let job = JobId(s.tag.0);
-                if let Some(rj) = self.running.get_mut(&job) {
-                    if let Activity::Writing { outstanding } = &mut rj.activity {
-                        *outstanding = outstanding.saturating_sub(1);
-                        if *outstanding == 0 {
-                            transitioned = true;
-                            self.finish_phase(*ct, job, done);
-                        }
-                    }
-                }
+                transitioned |= self.thread_done(*ct, JobId(s.tag.0), done);
             }
             self.completed_scratch = completed;
 
@@ -352,6 +334,23 @@ impl ClusterSim {
         // Completion order: by time, JobId breaking ties so same-instant
         // completions are deterministic regardless of harvest order.
         done.sort_unstable_by_key(|c| (c.at, c.job));
+    }
+
+    /// One of `job`'s writer threads finished at `at`: count it off, and
+    /// when it was the last, finish the write phase. Returns whether the
+    /// phase finished; a job that is gone or not writing is left alone.
+    fn thread_done(&mut self, at: SimTime, job: JobId, done: &mut Vec<JobCompletion>) -> bool {
+        let Some(Activity::Writing { outstanding }) =
+            self.running.get_mut(&job).map(|rj| &mut rj.activity)
+        else {
+            return false;
+        };
+        *outstanding = outstanding.saturating_sub(1);
+        if *outstanding > 0 {
+            return false;
+        }
+        self.finish_phase(at, job, done);
+        true
     }
 
     /// Move to the next pending phase, or complete the job.

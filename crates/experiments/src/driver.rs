@@ -80,7 +80,9 @@ pub struct ExperimentConfig {
     /// identical to the previous one. Kept so that perfbench's mirror,
     /// its only reader, compiles unchanged.
     pub elide_rounds: bool,
-    /// Analytics configuration (the predictor).
+    /// Analytics configuration. It has no settings; kept so that
+    /// perfbench's mirror, which passes it to `AnalyticsService::new`,
+    /// compiles unchanged.
     pub analytics: AnalyticsConfig,
 }
 
@@ -103,7 +105,7 @@ impl ExperimentConfig {
             priority_policy: PriorityPolicy::Fifo,
             burst_buffer_per_node_bytes: 0.0,
             elide_rounds: true,
-            analytics: AnalyticsConfig::default(),
+            analytics: AnalyticsConfig,
         }
     }
 
@@ -460,24 +462,20 @@ mod tests {
         assert_eq!(res.jobs.len(), 20);
     }
 
-    /// Two names that repeat, under a predictor whose estimate moves with
-    /// every completion: each completion changes its name's prediction
-    /// while jobs of that name are queued, running or not yet admitted.
+    /// Two names that repeat, under the untrained decaying average, whose
+    /// estimate moves with every completion: each completion changes its
+    /// name's prediction while jobs of that name are queued, running or
+    /// not yet admitted.
     /// The full-window replay matches the batch run (makespan, passes,
     /// iterations, every job's wait through its maximum and mean); a
     /// bounded window admits jobs after their name's prediction moved.
     #[test]
-    fn windowed_quantile_name_updates_reach_every_resident_job() {
+    fn untrained_name_updates_reach_every_resident_job() {
         use crate::streaming::{run_streaming, StreamingOptions};
-        use iosched_analytics::PredictorKind;
         let mut cfg = quick_cfg(SchedulerKind::Adaptive {
             limit_bps: gibps(20.0),
             two_group: true,
         });
-        cfg.analytics.predictor = PredictorKind::WindowedQuantile {
-            window: 3,
-            quantile: 0.5,
-        };
         cfg.pretrained = false;
         let workload = tiny_workload();
         let batch = run_experiment(&cfg, &workload);

@@ -146,7 +146,7 @@ impl PolicyImpl {
         measured_bps: f64,
     ) -> bool {
         match self {
-            // Node/license profiles are built from started/limit pairs;
+            // Node profiles are built from started/limit pairs;
             // reservation ends past `now` only move for overrunning jobs,
             // which the `next_limit_expiry` guard excludes.
             PolicyImpl::Default(_) => true,
@@ -273,7 +273,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             // name's prediction, so this write matters at the name's first
             // admission, which picks up pretraining; later ones rewrite it.
             self.book
-                .set_name_estimate(sym, self.analytics.predictor().predict(sym));
+                .set_name_estimate(sym, self.analytics.estimator().estimate(sym));
             self.book.insert_named(sub.id, sym, meta.limit);
             self.registry.submit(meta);
             self.resident.insert(sub.id, sub.exec);
@@ -304,7 +304,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             // The completion changed this name's prediction, which every
             // resident job of the name reads through the book.
             self.book
-                .set_name_estimate(sym, self.analytics.predictor().predict(sym));
+                .set_name_estimate(sym, self.analytics.estimator().estimate(sym));
         }
         self.daemon.forget(id.0);
         rec.finish(meta, started, ended, timed_out);

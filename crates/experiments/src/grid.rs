@@ -16,6 +16,7 @@
 use crate::driver::{ExperimentConfig, SchedulerKind};
 use iosched_cluster::ExecSpec;
 use iosched_core::check_limit_bps;
+use iosched_simkit::json::EXACT_INT_BOUND;
 use iosched_simkit::time::SimDuration;
 use iosched_simkit::units::{gib, gibps, to_gibps};
 use iosched_workloads::{
@@ -586,6 +587,11 @@ impl CampaignGrid {
         if self.seeds.is_empty() {
             return Err("grid has no seeds".into());
         }
+        // A larger seed would be written to the campaign log as a number
+        // that reads back as a different seed.
+        if let Some(s) = self.seeds.iter().find(|&&s| s >= EXACT_INT_BOUND) {
+            return Err(format!("seeds must be below 2^53, got {s}"));
+        }
         if self.workloads.is_empty() {
             return Err("grid has no workloads".into());
         }
@@ -850,6 +856,12 @@ mod tests {
         g.base.nodes = MAX_NODES + 1;
         let err = g.validate().unwrap_err();
         assert!(err.contains("nodes must be at most 10005"), "{err}");
+        let mut g = sample();
+        g.seeds = vec![EXACT_INT_BOUND - 1];
+        assert_eq!(g.validate(), Ok(()));
+        g.seeds.push(EXACT_INT_BOUND);
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("seeds must be below 2^53"), "{err}");
         let mut g = sample();
         g.base.sched_period_secs = MAX_SYNTH_SPAN_SECS as u64;
         assert_eq!(g.validate(), Ok(()));

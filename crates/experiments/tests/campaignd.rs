@@ -208,14 +208,12 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
     }
     // Machines past the largest one the program runs (x667, 10 005
     // nodes), whose per-node and per-OST state and ticks grow with them,
-    // and a backfill period whose milliseconds overflow a `u64` (it wrapped
-    // to a 0.384 s period in release and panicked in debug). That period
-    // is past the integers the JSON writer emits exactly, so it is
-    // spliced into the line as text.
+    // and a backfill period past the longest trace span a grid admits
+    // (1e6 s), spliced into the line as text.
     for (machine_scale, nodes, sched_period_secs, field) in [
         (668, 0, "0", "machine_scale"),
         (1, 10_006, "0", "nodes"),
-        (1, 10, "18446744073709551", "sched_period_secs"),
+        (1, 10, "1000001", "sched_period_secs"),
     ] {
         let mut grid = one_task_grid();
         grid.base.machine_scale = machine_scale;
@@ -238,6 +236,51 @@ fn bad_workload_parameters_are_rejected_and_the_loop_continues() {
         assert_eq!(kinds, ["error", "record", "done"], "{field}: {text}");
         assert!(text.contains(&format!("{field} must be at most")), "{text}");
     }
+}
+
+/// Integers at or past 2^53 would run as a neighbouring value (2^53 + 1
+/// parses as 2^53), so they are answered by an error line: a seed, and a
+/// backfill period whose milliseconds overflow a `u64` (it once wrapped
+/// to a 0.384 s period in release and panicked in debug). A seed just
+/// below 2^53 runs and is echoed exactly.
+#[test]
+fn integers_from_2_pow_53_are_rejected_and_2_pow_53_minus_1_is_exact() {
+    let valid = one_task_grid().to_json().to_json_string();
+    for (from, to) in [
+        ("\"seeds\":[7]", "\"seeds\":[9007199254740993]"),
+        ("\"seeds\":[7]", "\"seeds\":[9007199254740992]"),
+        (
+            "\"sched_period_secs\":0",
+            "\"sched_period_secs\":18446744073709551",
+        ),
+    ] {
+        assert!(valid.contains(from), "{valid}");
+        let input = format!("{}\n{valid}\n", valid.replace(from, to));
+        let out = campaignd(&["--threads", "1"], &input);
+        assert!(out.status.success(), "{to}: {out:?}");
+        let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|l| kind(&parse(l).expect("every line is JSON")).to_string())
+            .collect();
+        assert_eq!(kinds, ["error", "record", "done"], "{to}: {text}");
+        assert!(text.contains("not below 2^53"), "{text}");
+    }
+
+    let mut grid = one_task_grid();
+    grid.seeds = vec![(1 << 53) - 1];
+    let out = campaignd(
+        &["--threads", "1"],
+        &format!("{}\n", grid.to_json().to_json_string()),
+    );
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let kinds: Vec<String> = text
+        .lines()
+        .map(|l| kind(&parse(l).expect("every line is JSON")).to_string())
+        .collect();
+    assert_eq!(kinds, ["record", "done"], "{text}");
+    assert!(text.contains("\"seed\":9007199254740991,"), "{text}");
 }
 
 #[test]

@@ -95,9 +95,9 @@ impl IoAwareCore {
     /// `now`, so their usage (and the unaccounted term) can only fall over
     /// `[now, ∞)`, and the pass's reservations only add usage; a job that
     /// does not fit now against the running set alone never fits now in
-    /// the pass. Gates the tracker does not check here (license pools,
-    /// adaptive's AT column) only refuse more jobs, so leaving them out
-    /// keeps the certificate sound. O(running + queue) scalar work.
+    /// the pass. The gate the tracker does not check here (adaptive's AT
+    /// column) only refuses more jobs, so leaving it out keeps the
+    /// certificate sound. O(running + queue) scalar work.
     pub(crate) fn no_start_certified(
         &self,
         book: &EstimateBook,
@@ -235,8 +235,7 @@ fn free_lt_at(
 }
 
 /// `r_j` clamped to the limit: an estimate above `R_limit` would make the
-/// job permanently unschedulable, which Slurm's license semantics also
-/// avoid (demand is capped at pool size).
+/// job permanently unschedulable.
 pub(crate) fn effective_r(book: &EstimateBook, job: &SchedJob, limit_bps: f64) -> f64 {
     book.r(job.id).min(limit_bps)
 }
@@ -264,7 +263,7 @@ pub fn check_limit_bps(limit_bps: f64) -> Result<(), String> {
 }
 
 /// Tracker produced by [`IoAwarePolicy`]: Slurm's node tracker, whose
-/// profile carries the Lustre-throughput column after the node columns,
+/// profile carries the Lustre-throughput column after the node column,
 /// borrowed from policy-owned scratch.
 pub struct IoAwareTracker<'a> {
     nodes: NodeTracker<'a>,
@@ -352,7 +351,7 @@ impl ReservationTracker for IoAwareTracker<'_> {
         self.reserve_at(job, start, None);
     }
 
-    /// Node/limit/license dominance plus at least as much estimated
+    /// Node/limit dominance plus at least as much estimated
     /// bandwidth. Sound for pruning: every mid-round reservation adds
     /// nonnegative usage to both the node and LT columns.
     fn demands_at_least(&self, probe: &SchedJob, failed: &SchedJob) -> bool {

@@ -1,6 +1,6 @@
 //! Property tests of the post-start cut: on random rounds the backfill
 //! pass starts exactly the jobs the full walk ([`reference_pass`]) starts,
-//! under the node policy (with a license pool), io-aware, and two-group
+//! under the node policy, io-aware, and two-group
 //! and naïve adaptive, at EASY, finite and unbounded `BackfillMax`. When
 //! nothing starts the pass is the full walk, so its whole outcome, its
 //! earliest future start and its pruning count match too; when something
@@ -9,8 +9,8 @@
 //! The rounds reach the corners the free-at-`now` counters have to count
 //! exactly: overrunning running jobs, estimates missing or above the
 //! limit, non-integral limits, measured load above the running jobs'
-//! estimates, license pools the running set exhausts, and zero-length
-//! limits, whose starts take nothing at `now`.
+//! estimates, and zero-length limits, whose starts take nothing at
+//! `now`.
 
 mod common;
 
@@ -24,9 +24,6 @@ use iosched_slurm::policy::NodePolicy;
 use iosched_slurm::{
     backfill_pass_into, BackfillConfig, RunningView, SchedJob, SchedulingOutcome, SchedulingPolicy,
 };
-
-/// Size of the license pool the node policy tracks.
-const LICENSES: f64 = 6.0;
 
 /// Run the pass and the full walk on the same inputs and compare them.
 fn check<P: SchedulingPolicy>(
@@ -78,23 +75,19 @@ props! {
         running in prop::vec((job_spec(), 0u64..600), 0..8),
         queue in prop::vec(job_spec(), 1..16),
         (limit, measured) in ((3.0f64..16.0, 0u64..2), (0u64..3, 0.0f64..1.0)),
-        (spare_nodes, licenses, zero_limit) in (0usize..8, prop::vec(0u64..4, 24..25), 0usize..24),
+        (spare_nodes, zero_limit) in (0usize..8, 0usize..24),
         backfill_max in prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
     ) {
         let mut round = Round::new(&running, &queue, limit, measured, spare_nodes);
-        // License demands for the node policy (the other policies ignore
-        // them), and one job, running or queued, with a zero-length limit.
-        for (i, job) in round
+        // One job, running or queued, with a zero-length limit.
+        if let Some(job) = round
             .running
             .iter_mut()
             .map(|(j, _)| j)
             .chain(round.queue.iter_mut())
-            .enumerate()
+            .nth(zero_limit)
         {
-            job.licenses.set("lustre", licenses[i] as f64);
-            if i == zero_limit {
-                job.limit = SimDuration::ZERO;
-            }
+            job.limit = SimDuration::ZERO;
         }
         let views = round.views();
         let refs: Vec<&SchedJob> = round.queue.iter().collect();
@@ -104,9 +97,7 @@ props! {
         };
         let n = round.total_nodes;
 
-        let mut node = NodePolicy::default();
-        node.license_totals.insert("lustre".into(), LICENSES);
-        check("node", &mut node, &views, &refs, n, &cfg)?;
+        check("node", &mut NodePolicy::default(), &views, &refs, n, &cfg)?;
 
         let mut io = IoAwarePolicy::new(IoAwareConfig { limit_bps: round.limit });
         io.begin_round(round.book.clone());

@@ -4,16 +4,16 @@
 //! profile in one forward scan, give every `earliest_start` answer and
 //! the whole backfill pass — starts, reservations, skips, earliest future
 //! start and pruning count — that Algorithms 4 and 7's alternating
-//! single-resource probes give. Covered: the node policy with 0–2
-//! license pools, io-aware, and two-group and naïve adaptive, at EASY,
+//! single-resource probes give. Covered: the node policy (one column),
+//! io-aware (two) and two-group and naïve adaptive (three), at EASY,
 //! finite and unbounded `BackfillMax`.
 //!
 //! The rounds reach the corners where the two could part: jobs of 0
-//! nodes, 0 B/s or 0 of a license pool, an LT that unaccounted measured
-//! load holds over its capacity, negative AT amounts, zero-group and
-//! regular jobs, jobs wider than the machine or a license pool (whose
-//! probes never fit and return `FAR_FUTURE`, and whose reservations then
-//! sit there), and probes that start after `now`.
+//! nodes or 0 B/s, an LT that unaccounted measured load holds over its
+//! capacity, negative AT amounts, zero-group and regular jobs, jobs wider
+//! than the machine (whose probes never fit and return `FAR_FUTURE`, and
+//! whose reservations then sit there), and probes that start after
+//! `now`.
 
 mod common;
 
@@ -28,9 +28,6 @@ use iosched_slurm::{
     backfill_pass_into, BackfillConfig, ReservationTracker, RunningView, SchedJob,
     SchedulingOutcome, SchedulingPolicy,
 };
-
-/// License pools the node policy may track, with their totals.
-const POOLS: [(&str, f64); 2] = [("lustre", 6.0), ("scratch", 2.5)];
 
 /// The two policies on the same round.
 struct Pair<'r, P> {
@@ -98,28 +95,22 @@ props! {
         running in prop::vec((job_spec(), 0u64..600), 0..8),
         queue in prop::vec(job_spec(), 1..16),
         (limit, measured) in ((3.0f64..16.0, 0u64..2), (0u64..3, 0.0f64..1.0)),
-        (spare_nodes, pools, zero_nodes) in (0usize..8, 0usize..3, 0usize..24),
-        (licenses, cursor, backfill_max) in (
-            prop::vec((0u64..5, 0u64..4), 24..25),
+        (spare_nodes, zero_nodes) in (0usize..8, 0usize..24),
+        (cursor, backfill_max) in (
             prop::vec(0u64..800, 1..6),
             prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
         ),
     ) {
         let mut round = Round::new(&running, &queue, limit, measured, spare_nodes);
-        // License demands (0 included, and above a pool's total), and
-        // one job, running or queued, of 0 nodes.
-        for (i, job) in round
+        // One job, running or queued, of 0 nodes.
+        if let Some(job) = round
             .running
             .iter_mut()
             .map(|(j, _)| j)
             .chain(round.queue.iter_mut())
-            .enumerate()
+            .nth(zero_nodes)
         {
-            job.licenses.set(POOLS[0].0, licenses[i].0 as f64);
-            job.licenses.set(POOLS[1].0, licenses[i].1 as f64 * 0.75);
-            if i == zero_nodes {
-                job.nodes = 0;
-            }
+            job.nodes = 0;
         }
         // Half the probes start at `now`, the rest up to 400 s later.
         let cursor: Vec<u64> = cursor.iter().map(|&c| c.saturating_sub(400)).collect();
@@ -131,17 +122,10 @@ props! {
         let refs: Vec<&SchedJob> = round.queue.iter().collect();
         let (views, refs, total_nodes) = (&views[..], &refs[..], round.total_nodes);
 
-        let node = || {
-            let mut p = NodePolicy::default();
-            for &(name, total) in &POOLS[..pools] {
-                p.license_totals.insert(name.into(), total);
-            }
-            p
-        };
         let mut pair = Pair {
             label: "node",
-            policy: node(),
-            oracle: FixpointPolicy::node(node()),
+            policy: NodePolicy::default(),
+            oracle: FixpointPolicy::node(NodePolicy::default()),
             views,
             queue: refs,
             total_nodes,

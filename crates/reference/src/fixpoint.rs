@@ -17,7 +17,6 @@
 
 use iosched_core::{AdaptivePolicy, EstimateBook, IoAwarePolicy, TwoGroupParams};
 use iosched_simkit::time::{SimDuration, SimTime};
-use iosched_slurm::licenses::LicensePools;
 use iosched_slurm::{
     quanta_down, quanta_up, NodePolicy, ReservationTracker, ResourceProfile, RunningView, SchedJob,
     SchedulingPolicy,
@@ -79,39 +78,23 @@ impl At {
     }
 }
 
-/// One round's per-resource trackers: nodes, one per license pool, and
-/// the LT and AT when the policy has them.
+/// One round's per-resource trackers: nodes, and the LT and AT when the
+/// policy has them.
 struct Trackers {
     nodes: Single,
-    licenses: Vec<(String, Single)>,
     lt: Option<Lt>,
     at: Option<At>,
 }
 
 impl Trackers {
-    /// Stock Slurm's trackers: nodes and one per license pool, seeded
-    /// with the running set.
-    fn node(
-        license_totals: &LicensePools,
-        running: &[RunningView<'_>],
-        now: SimTime,
-        total_nodes: usize,
-    ) -> Self {
+    /// Stock Slurm's tracker: nodes, seeded with the running set.
+    fn node(running: &[RunningView<'_>], now: SimTime, total_nodes: usize) -> Self {
         let mut nodes = Single::new(total_nodes as i64);
-        let mut licenses: Vec<(String, Single)> = license_totals
-            .iter()
-            .map(|(name, &total)| (name.clone(), Single::new(quanta_down(total))))
-            .collect();
         for rv in running {
-            let end = rv.reservation_end(now);
-            nodes.reserve(rv.job.nodes as i64, rv.started, end);
-            for (name, single) in &mut licenses {
-                single.reserve(quanta_up(rv.job.licenses.get(name)), rv.started, end);
-            }
+            nodes.reserve(rv.job.nodes as i64, rv.started, rv.reservation_end(now));
         }
         Trackers {
             nodes,
-            licenses,
             lt: None,
             at: None,
         }
@@ -126,7 +109,7 @@ impl Trackers {
         now: SimTime,
         total_nodes: usize,
     ) -> Self {
-        let mut trackers = Trackers::node(&LicensePools::new(), running, now, total_nodes);
+        let mut trackers = Trackers::node(running, now, total_nodes);
         let mut lt = Lt {
             single: Single::new(quanta_down(limit_bps)),
             book: book.clone(),
@@ -178,38 +161,20 @@ impl Trackers {
         trackers
     }
 
-    /// Stock Slurm's node tracker: nodes, then every license pool the job
-    /// asks for, until a whole pass leaves the start unchanged. A resource
-    /// that never fits ends the search at `FAR_FUTURE`, as in Algorithm
-    /// 4; probing on from there could land on a reservation parked at
-    /// `FAR_FUTURE` and answer a time past it for a job that never fits.
-    fn node_start(&self, job: &SchedJob, t_min: SimTime) -> SimTime {
-        let mut t = t_min;
-        loop {
-            let start = t;
-            t = self.nodes.fit(t, job.limit, job.nodes as i64);
-            for (name, single) in &self.licenses {
-                let amount = quanta_up(job.licenses.get(name));
-                if amount > 0 && t != SimTime::FAR_FUTURE {
-                    t = single.fit(t, job.limit, amount);
-                }
-            }
-            if t == start || t == SimTime::FAR_FUTURE {
-                return t;
-            }
-        }
-    }
-
     /// Algorithm 4: alternate between the node tracker and the LT until
-    /// the start is a fixpoint.
+    /// the start is a fixpoint. A resource that never fits ends the
+    /// search at `FAR_FUTURE`; probing on from there could land on a
+    /// reservation parked at `FAR_FUTURE` and answer a time past it for
+    /// a job that never fits.
     fn rt_start(&self, job: &SchedJob, t_min: SimTime) -> SimTime {
+        let node_start = |t| self.nodes.fit(t, job.limit, job.nodes as i64);
         let Some(lt) = &self.lt else {
-            return self.node_start(job, t_min);
+            return node_start(t_min);
         };
         let demand = lt.demand(job);
         let mut t = t_min;
         loop {
-            let t_nt = self.node_start(job, t);
+            let t_nt = node_start(t);
             if t_nt == SimTime::FAR_FUTURE {
                 return t_nt;
             }
@@ -251,9 +216,6 @@ impl Trackers {
     fn reserve(&mut self, job: &SchedJob, start: SimTime) {
         let end = start + job.limit;
         self.nodes.reserve(job.nodes as i64, start, end);
-        for (name, single) in &mut self.licenses {
-            single.reserve(quanta_up(job.licenses.get(name)), start, end);
-        }
         if let Some(lt) = &mut self.lt {
             let demand = lt.demand(job);
             lt.single.reserve(demand, start, end);
@@ -280,12 +242,12 @@ pub struct FixpointPolicy<P> {
 }
 
 impl FixpointPolicy<NodePolicy> {
-    /// Stock Slurm: nodes and the policy's license pools.
+    /// Stock Slurm: nodes only.
     pub fn node(inner: NodePolicy) -> Self {
         FixpointPolicy {
             inner,
-            build: Box::new(|p, running, _, now, total_nodes| {
-                Trackers::node(&p.license_totals, running, now, total_nodes)
+            build: Box::new(|_, running, _, now, total_nodes| {
+                Trackers::node(running, now, total_nodes)
             }),
         }
     }

@@ -11,15 +11,14 @@
 //! `rounds_certified`, which count the skipped work, may differ.
 //!
 //! The generator covers every scheduler (naïve adaptive and packing
-//! included), both queue orders, small queue depths and
-//! reservation budgets, limit enforcement on and off with jobs that
-//! overrun their limits, `afterok` chains, burst buffers, noisy and
-//! noiseless file systems, both predictors, pretrained and untrained
-//! runs, and streaming windows smaller than the trace. A third property
-//! packs the node policy's time-invariant rounds around overrunning
-//! jobs, where round elision's guards decide.
+//! included), both queue orders, small queue depths and reservation
+//! budgets, limit enforcement on and off with jobs that overrun their
+//! limits, `afterok` chains, burst buffers, noisy and noiseless file
+//! systems, pretrained and untrained runs, and streaming windows smaller
+//! than the trace. A third property packs the node policy's
+//! time-invariant rounds around overrunning jobs, where round elision's
+//! guards decide.
 
-use iosched_analytics::PredictorKind;
 use iosched_cluster::{ExecSpec, Phase};
 use iosched_experiments::{
     run_experiment, run_streaming, ExperimentConfig, ExperimentResult, SchedulerKind,
@@ -161,12 +160,6 @@ impl Strategy for Scenarios {
         cfg.qos_fraction = pick(rng, &[0.0, 0.5, 1.0]);
         if rng.index(4) == 0 {
             cfg.burst_buffer_per_node_bytes = gib(pick(rng, &[1.0, 4.0, 20.0]));
-        }
-        if rng.index(3) == 0 {
-            cfg.analytics.predictor = PredictorKind::WindowedQuantile {
-                window: 3,
-                quantile: 0.5,
-            };
         }
 
         let names = 1 + rng.index(4);

@@ -10,8 +10,11 @@
 //!   pairs, not a map), so serialized output is byte-stable across runs —
 //!   a requirement for the determinism CI gate, which diffs emitted
 //!   metric files.
-//! * Numbers are `f64`. Integers round-trip exactly up to 2^53, far above
-//!   any id, count or millisecond timestamp the simulators produce.
+//! * Numbers are `f64`, which hold every integer below
+//!   [`EXACT_INT_BOUND`] (2^53) in magnitude exactly, far above any id,
+//!   count or millisecond timestamp the simulators produce. Integer
+//!   conversions refuse the rest in both directions: a larger integer
+//!   would silently stand for a neighbour (2^53 + 1 parses as 2^53).
 //! * Derive-free impls: [`impl_json_struct!`](crate::impl_json_struct),
 //!   [`impl_json_enum!`](crate::impl_json_enum) and
 //!   [`impl_json_newtype!`](crate::impl_json_newtype) generate the trait
@@ -508,14 +511,18 @@ impl FromJson for f64 {
     }
 }
 
+/// Integers are exact as JSON numbers (`f64`) below this magnitude,
+/// 2^53. It is excluded too: 2^53 + 1 parses to it.
+pub const EXACT_INT_BOUND: u64 = 1 << 53;
+
 macro_rules! impl_json_int {
     ($($ty:ty),+) => {
         $(
             impl ToJson for $ty {
                 fn to_json(&self) -> Value {
-                    debug_assert!(
-                        (*self as i128).unsigned_abs() <= (1u128 << 53),
-                        "integer exceeds f64-exact range"
+                    assert!(
+                        (*self as i128).unsigned_abs() < u128::from(EXACT_INT_BOUND),
+                        "integer {self} is not below 2^53 in magnitude, so JSON cannot hold it exactly"
                     );
                     Value::Num(*self as f64)
                 }
@@ -525,6 +532,11 @@ macro_rules! impl_json_int {
                     let n = v.as_f64().ok_or_else(|| "expected a number".to_string())?;
                     if n.fract() != 0.0 {
                         return Err(format!("expected an integer, got {n}"));
+                    }
+                    if n.abs() >= EXACT_INT_BOUND as f64 {
+                        return Err(format!(
+                            "integer {n} is not below 2^53 in magnitude, so it may stand for a neighbour"
+                        ));
                     }
                     if n < <$ty>::MIN as f64 || n > <$ty>::MAX as f64 {
                         return Err(format!(
@@ -881,6 +893,30 @@ mod tests {
         assert!(u64::from_json(&Value::Num(-1.0)).is_err());
         assert!(u16::from_json(&Value::Num(70000.0)).is_err());
         assert_eq!(i64::from_json(&Value::Num(-3.0)).unwrap(), -3);
+        // Integers are exact below 2^53 in magnitude, and only there:
+        // 2^53 + 1 parses to 2^53, so 2^53 is refused as well.
+        let below = EXACT_INT_BOUND - 1;
+        assert_eq!(
+            u64::from_json(&parse(&below.to_string()).unwrap()),
+            Ok(below)
+        );
+        assert_eq!(
+            i64::from_json(&Value::Num(-(below as f64))),
+            Ok(-(below as i64))
+        );
+        assert_eq!(below.to_json(), Value::Num(below as f64));
+        for past in [
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740992",
+            "1e300",
+        ] {
+            let v = parse(past).unwrap();
+            assert!(
+                u64::from_json(&v).is_err() && i64::from_json(&v).is_err(),
+                "{past}"
+            );
+        }
         assert_eq!(Option::<f64>::from_json(&Value::Null).unwrap(), None);
         assert_eq!(
             Vec::<u64>::from_json(&parse("[1,2,3]").unwrap()).unwrap(),
@@ -891,6 +927,12 @@ mod tests {
         assert_eq!(m["b"], 2.0);
         let t: (u64, f64) = FromJson::from_json(&parse("[3,4.5]").unwrap()).unwrap();
         assert_eq!(t, (3, 4.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "not below 2^53")]
+    fn integers_from_2_pow_53_are_not_written() {
+        EXACT_INT_BOUND.to_json();
     }
 
     struct Demo {

@@ -6,9 +6,6 @@
 //! * job metadata and lifecycle bookkeeping ([`registry`]);
 //! * the piecewise-constant **reservation profile** behind Slurm's
 //!   resource reservation tracker ([`profile`]);
-//! * countable cluster-wide **licenses** with reservation tracking, the
-//!   Slurm 22.05 feature the paper discusses as the stock way to model a
-//!   file-system resource ([`licenses`]);
 //! * the **backfill scheduler** — Algorithm 1 of the paper, including the
 //!   `BackfillMax` knob that interpolates between EASY backfill
 //!   (`BackfillMax = 1`) and Slurm's default full reservation tracking
@@ -16,12 +13,10 @@
 //! * the plugin seam ([`policy`]): scheduling policies supply
 //!   `InitializeReservationTracker` / `EarliestStartTime` /
 //!   `ReserveResources`, exactly the three procedures the paper's
-//!   Algorithms 2–7 override. The stock node-only policy (plus optional
-//!   licenses) lives here; the I/O-aware and workload-adaptive policies
-//!   live in `iosched-core`.
+//!   Algorithms 2–7 override. The stock node-only policy lives here;
+//!   the I/O-aware and workload-adaptive policies live in `iosched-core`.
 
 pub mod backfill;
-pub mod licenses;
 pub mod policy;
 pub mod profile;
 pub mod registry;
@@ -30,7 +25,6 @@ pub use backfill::{
     backfill_pass, backfill_pass_into, BackfillConfig, PassStats, SchedulingOutcome,
 };
 pub use iosched_simkit::ids::JobId;
-pub use licenses::LicenseRequirements;
 pub use policy::{
     free_nodes_at, NodePolicy, ReservationTracker, RunningView, SchedJob, SchedulingPolicy,
 };

@@ -8,8 +8,7 @@
 //! a fresh [`ReservationTracker`] each scheduling round, and Algorithm 1
 //! ([`crate::backfill::backfill_pass`]) drives the tracker.
 
-use crate::licenses::LicenseRequirements;
-use crate::profile::{quanta_down, quanta_up, ResourceProfile, NO_THRESHOLD};
+use crate::profile::ResourceProfile;
 use iosched_simkit::ids::JobId;
 use iosched_simkit::sym::Sym;
 use iosched_simkit::time::{SimDuration, SimTime};
@@ -42,23 +41,10 @@ pub struct SchedJob {
     /// Dependencies (Slurm `--dependency=afterok:...`): this job is not
     /// eligible until every listed job has finished.
     pub after: Vec<JobId>,
-    /// License demands (stock Slurm countable resources; usually empty).
-    pub licenses: LicenseRequirements,
 }
-iosched_simkit::impl_json_struct!(SchedJob {
-    id,
-    name,
-    name_sym,
-    nodes,
-    limit,
-    submit,
-    priority,
-    after,
-    licenses,
-});
 
 impl SchedJob {
-    /// Convenience constructor for license-free jobs.
+    /// A job of priority 0 with no dependencies and no interned name.
     pub fn new(
         id: JobId,
         name: impl Into<String>,
@@ -75,7 +61,6 @@ impl SchedJob {
             submit,
             priority: 0,
             after: Vec::new(),
-            licenses: LicenseRequirements::default(),
         }
     }
 
@@ -169,9 +154,8 @@ pub trait ReservationTracker {
 /// scheduling round (`InitializeReservationTracker`).
 ///
 /// The tracker is a *generic associated type* borrowing from the policy:
-/// policies own pooled scratch (profiles, license tables) that trackers
-/// mutate in place, so a steady-state scheduling round performs no heap
-/// allocation. Exactly one tracker can exist per policy at a time — the
+/// policies own pooled scratch (profiles) that trackers mutate in place,
+/// so a steady-state scheduling round performs no heap allocation. Exactly one tracker can exist per policy at a time — the
 /// same discipline Slurm's backfill plugin imposes per scheduling round.
 pub trait SchedulingPolicy {
     /// Tracker type produced each round, borrowing the policy's scratch.
@@ -190,30 +174,27 @@ pub trait SchedulingPolicy {
     ) -> Self::Tracker<'a>;
 }
 
-/// Stock Slurm behaviour: nodes are the only tracked resource (licenses
-/// too, when jobs request them). Owns the profile its trackers borrow,
-/// reused (not reallocated) across rounds: column 0 holds the nodes, then
-/// one column per license pool in `license_totals` order, then whatever
-/// columns a policy layered on top adds
-/// ([`NodePolicy::init_tracker_with`]).
+/// Most columns a tracker's profile carries: the nodes, then the
+/// Lustre-throughput (LT) and adjusted-throughput (AT) columns a policy
+/// layered on top may add ([`NodePolicy::init_tracker_with`]).
+const MAX_COLS: usize = 3;
+
+/// Stock Slurm behaviour: nodes are the only tracked resource. Owns the
+/// profile its trackers borrow, reused (not reallocated) across rounds:
+/// column 0 holds the nodes, then whatever columns a policy layered on
+/// top adds ([`NodePolicy::init_tracker_with`]).
 #[derive(Clone, Debug, Default)]
 pub struct NodePolicy {
-    /// Cluster-wide license pools (name → total count). Empty by default.
-    pub license_totals: crate::licenses::LicensePools,
     profile: ResourceProfile,
-    /// One probe's thresholds or one reserve's amounts, per column.
-    row: Vec<i64>,
 }
 
-/// Tracker built by [`NodePolicy`]: its profile, with a node column, one
-/// column per license pool, and any layered columns after them,
-/// borrowed from the policy's pooled scratch.
+/// Tracker built by [`NodePolicy`]: its profile, with a node column and
+/// any layered columns after it, borrowed from the policy's pooled
+/// scratch.
 pub struct NodeTracker<'a> {
     profile: &'a mut ResourceProfile,
-    licenses: &'a crate::licenses::LicensePools,
     /// The cluster size `N`: the node column's capacity.
     total_nodes: i64,
-    row: &'a mut Vec<i64>,
     /// The round's time.
     now: SimTime,
     /// Nodes free at `now`: the node column's headroom there, kept exact
@@ -237,11 +218,11 @@ pub fn free_nodes_at(running: &[RunningView<'_>], now: SimTime, total_nodes: usi
 }
 
 impl NodePolicy {
-    /// Build the round's tracker with `extra_cols` more columns after the
-    /// node and license columns. `stage_extra(profile, first)` stages the
-    /// running set's usage of those columns, `first` being the index of
-    /// the first of them; the profile then commits every column at once.
-    /// The layered policy passes its columns' thresholds and
+    /// Build the round's tracker with `extra_cols` (at most two) more
+    /// columns after the node column. `stage_extra(profile, first)`
+    /// stages the running set's usage of those columns, `first` being the
+    /// index of the first of them; the profile then commits every column
+    /// at once. The layered policy passes its columns' thresholds and
     /// amounts to [`NodeTracker::earliest_start_with`] and
     /// [`NodeTracker::reserve_with`].
     pub fn init_tracker_with<'a>(
@@ -252,29 +233,22 @@ impl NodePolicy {
         extra_cols: usize,
         stage_extra: impl FnOnce(&mut ResourceProfile, usize),
     ) -> NodeTracker<'a> {
-        let NodePolicy {
-            license_totals,
-            profile,
-            row,
-        } = self;
-        let own = 1 + license_totals.len();
-        profile.reset(own + extra_cols);
+        assert!(
+            extra_cols < MAX_COLS,
+            "a tracker has at most {MAX_COLS} columns"
+        );
+        let profile = &mut self.profile;
+        profile.reset(1 + extra_cols);
         // Batched build: stage every running-set delta of every column,
         // then sort and merge once.
         for rv in running {
-            let end = rv.reservation_end(now);
-            profile.stage(0, rv.job.nodes as i64, rv.started, end);
-            for (c, name) in license_totals.keys().enumerate() {
-                profile.stage(1 + c, quanta_up(rv.job.licenses.get(name)), rv.started, end);
-            }
+            profile.stage(0, rv.job.nodes as i64, rv.started, rv.reservation_end(now));
         }
-        stage_extra(profile, own);
+        stage_extra(profile, 1);
         profile.commit_staged();
         NodeTracker {
             profile,
-            licenses: license_totals,
             total_nodes: total_nodes as i64,
-            row,
             now,
             free_nodes_now: free_nodes_at(running, now, total_nodes),
         }
@@ -299,25 +273,13 @@ impl NodeTracker<'_> {
     /// [`ReservationTracker::earliest_start`] with `extra` thresholds
     /// for the layered columns: one forward scan that checks every
     /// column at each entry. The node column gates every job, even one
-    /// of 0 nodes; a license pool the job takes none of gates nothing.
-    pub fn earliest_start_with(
-        &mut self,
-        job: &SchedJob,
-        t_min: SimTime,
-        extra: &[i64],
-    ) -> SimTime {
-        self.row.clear();
-        self.row.push(self.total_nodes - job.nodes as i64);
-        for (name, &total) in self.licenses {
-            let amount = quanta_up(job.licenses.get(name));
-            self.row.push(if amount > 0 {
-                quanta_down(total) - amount
-            } else {
-                NO_THRESHOLD
-            });
-        }
-        self.row.extend_from_slice(extra);
-        self.profile.earliest_at_most(t_min, job.limit, self.row)
+    /// of 0 nodes.
+    pub fn earliest_start_with(&self, job: &SchedJob, t_min: SimTime, extra: &[i64]) -> SimTime {
+        let mut row = [0; MAX_COLS];
+        row[0] = self.total_nodes - job.nodes as i64;
+        row[1..=extra.len()].copy_from_slice(extra);
+        self.profile
+            .earliest_at_most(t_min, job.limit, &row[..=extra.len()])
     }
 
     /// [`ReservationTracker::reserve`] with `extra` amounts for the
@@ -328,13 +290,10 @@ impl NodeTracker<'_> {
         if start == self.now && end > start {
             self.free_nodes_now -= job.nodes as i64;
         }
-        self.row.clear();
-        self.row.push(job.nodes as i64);
-        for name in self.licenses.keys() {
-            self.row.push(quanta_up(job.licenses.get(name)));
-        }
-        self.row.extend_from_slice(extra);
-        self.profile.reserve(self.row, start, end);
+        let mut row = [0; MAX_COLS];
+        row[0] = job.nodes as i64;
+        row[1..=extra.len()].copy_from_slice(extra);
+        self.profile.reserve(&row[..=extra.len()], start, end);
     }
 }
 
@@ -347,22 +306,15 @@ impl ReservationTracker for NodeTracker<'_> {
         self.reserve_with(job, start, &[]);
     }
 
-    /// `probe` needs at least as many nodes, at least as long a window,
-    /// and at least as much of every tracked license pool as `failed` —
-    /// so any window admitting `probe` admits `failed`, in this state and
-    /// (since node/license reservations are nonnegative) every later one
-    /// this round.
+    /// `probe` needs at least as many nodes and at least as long a window
+    /// as `failed` — so any window admitting `probe` admits `failed`, in
+    /// this state and (since node reservations are nonnegative) every
+    /// later one this round.
     fn demands_at_least(&self, probe: &SchedJob, failed: &SchedJob) -> bool {
-        probe.nodes >= failed.nodes
-            && probe.limit >= failed.limit
-            && self
-                .licenses
-                .keys()
-                .all(|name| probe.licenses.get(name) >= failed.licenses.get(name))
+        probe.nodes >= failed.nodes && probe.limit >= failed.limit
     }
 
-    /// The job's nodes against the nodes free at `now`; license pools
-    /// are left out, which only answers `true` more often.
+    /// The job's nodes against the nodes free at `now`.
     fn may_start_now(&self, job: &SchedJob) -> bool {
         job.nodes as i64 <= self.free_nodes_now
     }
@@ -417,41 +369,5 @@ mod tests {
         let c = job(3, 4, 10);
         // c (4 nodes) fits alongside either.
         assert_eq!(tracker.earliest_start(&c, SimTime::ZERO), SimTime::ZERO);
-    }
-
-    #[test]
-    fn license_tracking_limits_starts() {
-        let mut policy = NodePolicy::default();
-        policy.license_totals.insert("lustre".into(), 10.0);
-        let mut la = job(1, 1, 100);
-        la.licenses.set("lustre", 8.0);
-        let mut lb = job(2, 1, 100);
-        lb.licenses.set("lustre", 5.0);
-        let mut tracker = policy.init_tracker(&[], &[], SimTime::ZERO, 15);
-        tracker.reserve(&la, SimTime::ZERO);
-        // Nodes are plentiful but the license pool forces a delay.
-        assert_eq!(
-            tracker.earliest_start(&lb, SimTime::ZERO),
-            SimTime::from_secs(100)
-        );
-    }
-
-    #[test]
-    fn running_jobs_consume_licenses_too() {
-        let mut policy = NodePolicy::default();
-        policy.license_totals.insert("lustre".into(), 10.0);
-        let mut r = job(1, 1, 60);
-        r.licenses.set("lustre", 10.0);
-        let running = [RunningView {
-            job: &r,
-            started: SimTime::ZERO,
-        }];
-        let mut tracker = policy.init_tracker(&running, &[], SimTime::ZERO, 15);
-        let mut q = job(2, 1, 30);
-        q.licenses.set("lustre", 1.0);
-        assert_eq!(
-            tracker.earliest_start(&q, SimTime::ZERO),
-            SimTime::from_secs(60)
-        );
     }
 }

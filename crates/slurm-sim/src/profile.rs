@@ -2,10 +2,10 @@
 //!
 //! A [`ResourceProfile`] is the data structure behind every reservation
 //! tracker in the system. It holds one usage column per resource the
-//! tracker gates on — Slurm's nodes (`NT`) and license pools, the
-//! I/O-aware Lustre-throughput tracker (`LT`, paper Algorithm 2) and the
-//! adjusted throughput tracker of the workload-adaptive scheduler (`AT`,
-//! paper Algorithm 5) — each a step function of time over one shared time
+//! tracker gates on — Slurm's nodes (`NT`), the I/O-aware
+//! Lustre-throughput tracker (`LT`, paper Algorithm 2) and the adjusted
+//! throughput tracker of the workload-adaptive scheduler (`AT`, paper
+//! Algorithm 5) — each a step function of time over one shared time
 //! column, and answers the two queries backfill needs:
 //!
 //! * [`ResourceProfile::reserve`] — add one amount per column over
@@ -17,7 +17,7 @@
 //!
 //! # Quanta and the rounding rule
 //!
-//! Amounts are exact `i64` quanta — 1 node, 1 license, 1 B/s — so every
+//! Amounts are exact `i64` quanta — 1 node, 1 B/s — so every
 //! sum is exact and independent of the order writes arrive in. Amounts
 //! may be negative (the workload-adaptive AT tracker reserves
 //! `r_j − n_j·r̄_zero`, which is negative for low-I/O running jobs), and

@@ -1,8 +1,8 @@
 //! Use the Slurm-like substrate on its own: one scheduling round over a
 //! hand-built queue, comparing full reservation tracking
 //! (`BackfillMax = ∞`, Slurm's default) against EASY backfill
-//! (`BackfillMax = 1`), plus a license-constrained job — all of Section
-//! II-A of the paper, without any I/O model.
+//! (`BackfillMax = 1`) — Section II-A of the paper, without any I/O
+//! model.
 //!
 //! Run: `cargo run --release --example backfill_playground`
 
@@ -79,28 +79,6 @@ fn main() {
     );
     show("BackfillMax = 1 (EASY backfill)", &out);
 
-    // Licenses: the stock Slurm mechanism the paper contrasts with —
-    // a "lustre" pool of 10, consumed by user-declared demands.
-    let mut policy = NodePolicy::default();
-    policy.license_totals.insert("lustre".into(), 10.0);
-    let mut la = job(10, 1, 300);
-    la.licenses.set("lustre", 7.0);
-    let mut lb = job(11, 1, 300);
-    lb.licenses.set("lustre", 7.0);
-    let lq = [&la, &lb];
-    let out = backfill_pass(
-        &mut policy,
-        &[],
-        &lq,
-        SimTime::ZERO,
-        16,
-        &BackfillConfig::default(),
-    );
-    show(
-        "license pool 'lustre' = 10, two jobs demanding 7 each",
-        &out,
-    );
-
-    println!("the I/O-aware scheduler (iosched-core) replaces the user-declared license");
-    println!("demands with estimates from monitoring data — no user input required.");
+    println!("the I/O-aware scheduler (iosched-core) adds Lustre throughput to the nodes");
+    println!("tracked here, estimated from monitoring data — no user input required.");
 }

@@ -218,9 +218,10 @@ fn main() {
     let mut fs = loaded_fs(80); // 15 × 80 = 1200 streams
     let t0 = fs.now();
     suite.bench("fs_recompute_1200_streams", || {
-        // A batch start over no nodes at the current time adds no stream
-        // and solves once: a pure rate recompute over all active streams.
-        fs.start_read_on_nodes(t0, StreamTag(0), &[], 1, 1.0);
+        // A push over no nodes at the current time adds no stream but
+        // owes a solve: a pure rate recompute over all active streams.
+        fs.push_read_on_nodes(t0, StreamTag(0), &[], 1, 1.0);
+        fs.solve_rates();
         black_box(fs.total_throughput_bps());
     });
     suite.bench("fs_next_change_1200_streams", || {
@@ -449,6 +450,18 @@ fn main() {
     }
     suite.bench("cluster_next_event_1k_jobs/calendar", || {
         black_box(big.next_event_time());
+    });
+
+    // One scheduling round's starts at one instant: a dozen write×8
+    // jobs on the testbed, pushed under one rate solve.
+    let round: Vec<(ClusterJobId, ExecSpec)> = (0..12u64)
+        .map(|j| (ClusterJobId(j), ExecSpec::write_xn(8, gib(10.0))))
+        .collect();
+    suite.bench("cluster_start_round/batched", || {
+        let mut c = ClusterSim::new(15, LustreConfig::stria(), SimRng::from_seed(7));
+        c.start_jobs(SimTime::ZERO, round.iter().map(|(id, spec)| (*id, spec)))
+            .expect("enough nodes");
+        black_box(c.next_event_time());
     });
 
     suite.bench("event_queue_push_pop_10k", || {

@@ -134,14 +134,38 @@ impl ClusterSim {
     }
 
     /// Start a job at time `t` (must be ≥ `now`, and ≤ the next event so
-    /// no transition is skipped). Returns `Err` if not enough nodes are
-    /// free or the spec is invalid.
+    /// no transition is skipped): [`Self::start_jobs`] of one job.
     pub fn start_job(&mut self, t: SimTime, job: JobId, spec: &ExecSpec) -> Result<(), String> {
+        self.start_jobs(t, [(job, spec)])
+    }
+
+    /// Start `jobs` in order at time `t` (as [`Self::start_job`]) under
+    /// one rate solve: advance to `t` once, push every job's streams,
+    /// then solve. The rates, events and completions equal those of
+    /// starting the jobs one by one, bit for bit: OST placement and noise
+    /// refreshes happen at push time, and a solve draws nothing. Returns
+    /// `Err` at the first job that finds too few free nodes or an invalid
+    /// spec; the jobs before it are started.
+    pub fn start_jobs<'a>(
+        &mut self,
+        t: SimTime,
+        jobs: impl IntoIterator<Item = (JobId, &'a ExecSpec)>,
+    ) -> Result<(), String> {
+        self.advance_internal(t);
+        let started = jobs
+            .into_iter()
+            .try_for_each(|(job, spec)| self.push_job(t, job, spec));
+        self.fs.solve_rates();
+        started
+    }
+
+    /// Allocate `job`'s nodes and begin its first phase, leaving the
+    /// rate solve owed.
+    fn push_job(&mut self, t: SimTime, job: JobId, spec: &ExecSpec) -> Result<(), String> {
         spec.validate()?;
         if self.running.contains_key(&job) {
             return Err(format!("job {job:?} already running"));
         }
-        self.advance_internal(t);
         let nodes = self
             .nodes
             .alloc(spec.nodes)
@@ -187,9 +211,9 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Start `phase` on the file system. An associated fn (not `&mut
-    /// self`) so callers holding a `RunningJob` borrow can pass the
-    /// job's own node list without cloning it.
+    /// Start `phase` on the file system, leaving any rate solve owed. An
+    /// associated fn (not `&mut self`) so callers holding a `RunningJob`
+    /// borrow can pass the job's own node list without cloning it.
     fn begin_phase(
         fs: &mut LustreSim,
         burst_buffer_per_node_bytes: f64,
@@ -207,12 +231,12 @@ impl ClusterSim {
                 // Burst buffer: each thread is released once its
                 // remaining volume fits in its share of the node's
                 // buffer; the stream itself keeps draining to the OSTs.
-                // The batched start places every node's streams under a
-                // single rate solve (the fs clock may sit a hair past
-                // `t` due to millisecond quantisation of a completion we
-                // just harvested; never move it backwards).
+                // The streams are pushed without a solve; the caller
+                // solves once (the fs clock may sit a hair past `t` due
+                // to millisecond quantisation of a completion we just
+                // harvested; never move it backwards).
                 let release = burst_buffer_per_node_bytes / threads_per_node as f64;
-                let outstanding = fs.start_write_buffered_on_nodes(
+                let outstanding = fs.push_write_on_nodes(
                     t.max(fs.now()),
                     StreamTag(job.0),
                     nodes,
@@ -226,7 +250,7 @@ impl ClusterSim {
                 threads_per_node,
                 bytes_per_thread,
             } => {
-                let outstanding = fs.start_read_on_nodes(
+                let outstanding = fs.push_read_on_nodes(
                     t.max(fs.now()),
                     StreamTag(job.0),
                     nodes,
@@ -371,6 +395,7 @@ impl ClusterSim {
                 &rj.nodes,
                 &phase,
             );
+            self.fs.solve_rates();
             if let Activity::TimedUntil(due) = activity {
                 self.calendar.push(due, job);
             }

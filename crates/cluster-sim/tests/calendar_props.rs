@@ -1,14 +1,15 @@
 //! Properties of the event-calendar core: one `advance_to(T)` jump must
 //! be equivalent to stepping event-by-event via `next_event_time`, and
 //! same-instant completions must come back in deterministic `(at, JobId)`
-//! order regardless of which harvest path produced them.
+//! order regardless of which harvest path produced them; and one batched
+//! `start_jobs` must equal starting the same jobs one by one.
 
 use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion, JobId, Phase};
 use iosched_lustre::LustreConfig;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::gib;
-use iosched_simkit::{prop, prop_assert_eq, prop_oneof, props};
+use iosched_simkit::{prop, prop_assert, prop_assert_eq, prop_oneof, props};
 use prop::Strategy;
 
 fn cluster() -> ClusterSim {
@@ -152,4 +153,69 @@ props! {
             stepped.fs().active_stream_count()
         );
     }
+
+    /// `start_jobs` over a round of jobs leaves the rates (every snapshot
+    /// value), `next_event_time` and every later completion bit-identical
+    /// to one `start_job` per job, on the noisy testbed with fatigue,
+    /// burst buffers on or off, and earlier jobs already running.
+    fn start_jobs_matches_one_start_per_job(
+        earlier in prop::vec(arb_job(), 0..4),
+        round in prop::vec(arb_job(), 1..8),
+        at_ms in 0u64..30_000,
+        seed in 0u64..1_000,
+        buffered in 0u16..2,
+    ) {
+        let build = || {
+            let mut c = ClusterSim::new(15, LustreConfig::stria(), SimRng::from_seed(seed));
+            c.set_burst_buffer(gib(0.5) * buffered as f64);
+            start_all(&mut c, &earlier);
+            c.advance_to(SimTime::from_millis(at_ms));
+            c
+        };
+        let (mut one, mut batch) = (build(), build());
+        let t = one.now();
+        // The round's jobs that fit in the free nodes, as a pass picks them.
+        let mut free = one.free_nodes();
+        let jobs: Vec<(JobId, ExecSpec)> = round
+            .iter()
+            .filter_map(spec_of)
+            .filter(|s| {
+                let fits = s.nodes <= free;
+                if fits {
+                    free -= s.nodes;
+                }
+                fits
+            })
+            .enumerate()
+            .map(|(i, s)| (JobId(100 + i as u64), s))
+            .collect();
+        for (id, spec) in &jobs {
+            one.start_job(t, *id, spec).expect("fits");
+        }
+        batch
+            .start_jobs(t, jobs.iter().map(|(id, spec)| (*id, spec)))
+            .expect("fits");
+        let mut steps = 0;
+        loop {
+            prop_assert_eq!(snap_bits(&one), snap_bits(&batch));
+            prop_assert_eq!(one.next_event_time(), batch.next_event_time());
+            let Some(t) = one.next_event_time() else { break };
+            prop_assert_eq!(one.advance_to(t), batch.advance_to(t));
+            steps += 1;
+            prop_assert!(steps < 100_000, "no convergence");
+        }
+    }
+}
+
+/// Every value of the file system's snapshot, floats as bits.
+fn snap_bits(c: &ClusterSim) -> (u64, u64, u64, usize, Vec<(u64, u64)>) {
+    let s = c.fs().snapshot();
+    let tags = s.per_tag_bps.iter().map(|&(t, r)| (t.0, r.to_bits()));
+    (
+        s.total_bps.to_bits(),
+        s.write_bps.to_bits(),
+        s.read_bps.to_bits(),
+        s.active_streams,
+        tags.collect(),
+    )
 }

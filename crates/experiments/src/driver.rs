@@ -384,6 +384,67 @@ mod tests {
     }
 
     #[test]
+    fn reused_scratch_matches_fresh_scratch() {
+        // Campaign workers push every task through one scratch. Runs of
+        // two machines and seeds, alternating, must equal runs on fresh
+        // scratch, traces included. The snapshot kept between sample
+        // ticks must not outlive its run: the burst-buffered job below
+        // finishes before the second tick, while its drain still runs,
+        // so its run ends holding a non-empty snapshot under the key
+        // (generation 0) that the next run's first sample is taken at.
+        let bits = |r: &ExperimentResult| {
+            let trace = |t: &iosched_simkit::series::TimeSeries| {
+                let points = t.points().iter().map(|&(t, v)| (t, v.to_bits()));
+                points.collect::<Vec<_>>()
+            };
+            (
+                r.jobs
+                    .iter()
+                    .map(|j| (j.id, j.start, j.end, j.timed_out))
+                    .collect::<Vec<_>>(),
+                r.makespan_secs.to_bits(),
+                [
+                    &r.throughput_trace,
+                    &r.nodes_trace,
+                    &r.fatigue_trace,
+                    &r.streams_trace,
+                ]
+                .map(trace),
+                (r.sched_passes, r.loop_iterations),
+            )
+        };
+        let mut buffered = quick_cfg(SchedulerKind::DefaultBackfill);
+        buffered.burst_buffer_per_node_bytes = gib(3.6);
+        let one_write = WorkloadBuilder::new()
+            .batch(
+                1,
+                "write_x4",
+                ExecSpec::write_xn(4, gib(1.0)),
+                SimDuration::from_secs(600),
+            )
+            .build();
+        let testbed = ExperimentConfig::paper(
+            SchedulerKind::IoAware {
+                limit_bps: gibps(3.0),
+            },
+            11,
+        );
+        let w = tiny_workload();
+        let mut scratch = RunScratch::default();
+        for (i, (cfg, w)) in [(&buffered, &one_write), (&testbed, &w)]
+            .repeat(2)
+            .into_iter()
+            .enumerate()
+        {
+            let reused = run_experiment_with_scratch(cfg, w, &mut scratch);
+            assert!(
+                bits(&reused) == bits(&run_experiment(cfg, w)),
+                "run {i} on reused scratch differs from fresh scratch"
+            );
+        }
+    }
+
+    #[test]
     fn traces_never_extend_past_the_makespan() {
         // Write jobs finish at fractional times between sample ticks; the
         // final trace point must be stamped at the completion time, not

@@ -208,6 +208,9 @@ pub(crate) struct RunTotals {
 pub struct RunScratch {
     completions: Vec<JobCompletion>,
     snap: FsSnapshot,
+    /// The file system's `rates_generation` that `snap` was filled at;
+    /// `None` at the start of every run, whose file system is new.
+    snap_gen: Option<u64>,
     per_job: Vec<(u64, f64)>,
     /// The round's queue and running views. They borrow the registry,
     /// which changes between rounds, so they are kept empty here and
@@ -225,6 +228,12 @@ struct Engine<'c, I> {
     /// True once the source has run dry.
     exhausted: bool,
     admitted: u64,
+    /// The earliest admitted submission after the clock, or an instant
+    /// at or before it when stale, or `FAR_FUTURE` when none: re-read
+    /// from the registry only when the clock reaches it. Exact, because
+    /// a job cannot leave the pending set before its submit time, and an
+    /// admission lowers it to the new submit time.
+    next_arrival: SimTime,
     last_submit: SimTime,
     first_submit: Option<SimTime>,
     last_end: SimTime,
@@ -261,6 +270,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             );
             self.last_submit = sub.submit;
             self.first_submit.get_or_insert(sub.submit);
+            self.next_arrival = self.next_arrival.min(sub.submit);
             let sym = self.analytics.intern(&sub.name);
             let meta = SchedJob::new(sub.id, sub.name, sub.exec.nodes, sub.limit, sub.submit)
                 .with_priority(sub.priority)
@@ -360,24 +370,31 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
 
         while !(self.exhausted && self.registry.all_completed()) {
             totals.loop_iterations += 1;
+            // The bound's division is paid only past its fixed allowance.
             assert!(
-                totals.loop_iterations
-                    < iteration_bound(
-                        self.admitted,
-                        now.saturating_since(first_submit),
-                        cfg.sample_period
-                    ),
+                totals.loop_iterations < ITERATION_ALLOWANCE
+                    || totals.loop_iterations
+                        < iteration_bound(
+                            self.admitted,
+                            now.saturating_since(first_submit),
+                            cfg.sample_period
+                        ),
                 "event loop failed to converge (time {now})"
             );
             totals.peak_resident_jobs = totals.peak_resident_jobs.max(self.resident.len());
 
             // Next event: cluster activity, sampling or scheduling tick, an
             // admitted future submission; never backwards.
-            let mut t_next = next_sched.min(self.daemon.next_sample_at());
-            if let Some(t) = self.cluster.next_event_time() {
-                t_next = t_next.min(t);
+            if self.next_arrival <= now {
+                self.next_arrival = self
+                    .registry
+                    .next_submission_after(now)
+                    .unwrap_or(SimTime::FAR_FUTURE);
             }
-            if let Some(t) = self.registry.next_submission_after(now) {
+            let mut t_next = next_sched
+                .min(self.daemon.next_sample_at())
+                .min(self.next_arrival);
+            if let Some(t) = self.cluster.next_event_time() {
                 t_next = t_next.min(t);
             }
             if cfg.enforce_limits {
@@ -413,9 +430,15 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 }
             }
 
-            // 2. Monitoring sample.
+            // 2. Monitoring sample. The snapshot is kept while the file
+            // system's rates and streams stand still.
             if now >= self.daemon.next_sample_at() {
-                self.cluster.fs().snapshot_into(&mut s.snap);
+                let fs = self.cluster.fs();
+                let generation = fs.rates_generation();
+                if s.snap_gen != Some(generation) {
+                    fs.snapshot_into(&mut s.snap);
+                    s.snap_gen = Some(generation);
+                }
                 s.per_job.clear();
                 s.per_job
                     .extend(s.snap.per_tag_bps.iter().map(|&(tag, bps)| (tag.0, bps)));
@@ -514,10 +537,14 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             if !executed {
                 continue;
             }
+            let resident = &self.resident;
+            self.cluster
+                .start_jobs(
+                    now,
+                    s.outcome.start_now.iter().map(|&id| (id, &resident[&id])),
+                )
+                .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
             for &id in &s.outcome.start_now {
-                self.cluster
-                    .start_job(now, id, &self.resident[&id])
-                    .unwrap_or_else(|e| panic!("scheduler overcommitted: {e}"));
                 self.registry.mark_started(id, now);
             }
         }
@@ -540,8 +567,11 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
 /// still trips it.
 fn iteration_bound(admitted: u64, elapsed: SimDuration, sample_period: SimDuration) -> u64 {
     let ticks = elapsed.as_millis() / sample_period.as_millis().max(1);
-    50_000_000 + 500 * admitted + 2 * ticks
+    ITERATION_ALLOWANCE + 500 * admitted + 2 * ticks
 }
+
+/// The fixed part of [`iteration_bound`], below which no run can trip it.
+const ITERATION_ALLOWANCE: u64 = 50_000_000;
 
 /// Run `source` to completion under `cfg`, reporting to `rec`.
 ///
@@ -555,6 +585,7 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
     rec: &mut impl Recorder,
 ) -> RunTotals {
     assert!(source.window > 0, "admission window must be positive");
+    scratch.snap_gen = None;
     let rng = SimRng::from_seed(cfg.seed).fork(1);
     let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), rng);
     cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
@@ -576,6 +607,7 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
         window: source.window,
         exhausted: false,
         admitted: 0,
+        next_arrival: SimTime::FAR_FUTURE,
         last_submit: SimTime::ZERO,
         first_submit: None,
         last_end: SimTime::ZERO,

@@ -160,6 +160,12 @@ pub struct LustreSim {
     warm: WarmSolver,
     /// Scratch slab indices of streams harvested this step.
     done_scratch: Vec<u32>,
+    /// Bumped by every change to the stream set or to any rate (push,
+    /// remove, solve); see [`LustreSim::rates_generation`].
+    rates_gen: u64,
+    /// Streams were pushed since the last solve: the rates are stale
+    /// until [`LustreSim::solve_rates`].
+    solve_owed: bool,
 }
 
 impl LustreSim {
@@ -208,6 +214,8 @@ impl LustreSim {
             bytes_written_total: 0.0,
             warm: WarmSolver::new(),
             done_scratch: Vec::new(),
+            rates_gen: 0,
+            solve_owed: false,
         }
     }
 
@@ -219,6 +227,14 @@ impl LustreSim {
     /// The configuration in use.
     pub fn config(&self) -> &LustreConfig {
         &self.cfg
+    }
+
+    /// A counter that changes whenever the stream set or any rate does
+    /// (0 for a new model): equal generations of one model mean equal
+    /// [`Self::snapshot_into`] output, so a sampler may keep its last
+    /// snapshot while the generation stands.
+    pub fn rates_generation(&self) -> u64 {
+        self.rates_gen
     }
 
     /// Begin `n_threads` write streams from `node`, each writing
@@ -234,7 +250,7 @@ impl LustreSim {
         bytes_per_thread: f64,
     ) -> Vec<StreamId> {
         let first = self.next_stream_id;
-        let n = self.start_transfer_on_nodes(
+        let n = self.push_transfer_on_nodes(
             t,
             tag,
             &[node],
@@ -243,18 +259,20 @@ impl LustreSim {
             Direction::Write,
             0.0,
         );
+        self.solve_rates();
         (first..first + n as u64).map(StreamId).collect()
     }
 
     /// Begin `n_threads` write streams from each node of `nodes` (placed
-    /// as in [`Self::start_write`]), then solve rates once for the whole
-    /// batch; returns how many streams were started (ids are assigned
-    /// sequentially). Each thread is *released* — a notification is
-    /// emitted, harvested via [`Self::take_notified`] — once its
-    /// remaining volume fits in `release_bytes_per_thread`; the stream
-    /// keeps draining to the OSTs afterwards. `release ≥ volume` releases
-    /// immediately, 0 never.
-    pub fn start_write_buffered_on_nodes(
+    /// as in [`Self::start_write`]) without solving: the caller solves
+    /// once for all its pushes with [`Self::solve_rates`], before any
+    /// rate is read or time advances. Returns how many streams were
+    /// started (ids are assigned sequentially). Each thread is *released*
+    /// — a notification is emitted, harvested via
+    /// [`Self::take_notified`] — once its remaining volume fits in
+    /// `release_bytes_per_thread`; the stream keeps draining to the OSTs
+    /// afterwards. `release ≥ volume` releases immediately, 0 never.
+    pub fn push_write_on_nodes(
         &mut self,
         t: SimTime,
         tag: StreamTag,
@@ -267,7 +285,7 @@ impl LustreSim {
             release_bytes_per_thread >= 0.0,
             "release threshold must be non-negative"
         );
-        self.start_transfer_on_nodes(
+        self.push_transfer_on_nodes(
             t,
             tag,
             nodes,
@@ -280,8 +298,8 @@ impl LustreSim {
 
     /// Begin `n_threads` read streams from each node of `nodes` (same
     /// placement and sharing rules as writes; direction is carried for
-    /// metrics), solving once for the batch.
-    pub fn start_read_on_nodes(
+    /// metrics) without solving, as [`Self::push_write_on_nodes`].
+    pub fn push_read_on_nodes(
         &mut self,
         t: SimTime,
         tag: StreamTag,
@@ -289,7 +307,7 @@ impl LustreSim {
         n_threads: usize,
         bytes_per_thread: f64,
     ) -> usize {
-        self.start_transfer_on_nodes(
+        self.push_transfer_on_nodes(
             t,
             tag,
             nodes,
@@ -300,12 +318,12 @@ impl LustreSim {
         )
     }
 
-    /// The one stream-start path: advance to `t`, push every node's
-    /// streams, then a single rate solve — O(nodes × threads + one
-    /// solve), where a solve per node dominated wide-job starts on the
-    /// 10k-node machine.
+    /// The one stream-start path: advance to `t` and push every node's
+    /// streams, owing one rate solve for the lot — O(nodes × threads),
+    /// where a solve per node dominated wide-job starts on the 10k-node
+    /// machine, and a solve per job a round's starts.
     #[allow(clippy::too_many_arguments)]
-    fn start_transfer_on_nodes(
+    fn push_transfer_on_nodes(
         &mut self,
         t: SimTime,
         tag: StreamTag,
@@ -327,8 +345,19 @@ impl LustreSim {
                 release_bytes,
             );
         }
-        self.recompute_rates();
+        self.solve_owed = true;
         nodes.len() * n_threads
+    }
+
+    /// Solve the rates if a push since the last solve left one owed
+    /// (otherwise a no-op). One solve after many pushes gives the rates
+    /// that a solve after each push would end with, bit for bit:
+    /// placement and noise refreshes happen at push time, and a solve
+    /// draws nothing.
+    pub fn solve_rates(&mut self) {
+        if self.solve_owed {
+            self.recompute_rates();
+        }
     }
 
     /// Place and register `n_threads` streams from `node` without
@@ -378,6 +407,7 @@ impl LustreSim {
             self.warm
                 .add_flow(&[node as u32, (node_slots + ost) as u32, fabric_con]);
             self.stream_ids.push(id);
+            self.rates_gen += 1;
             self.streams.push(StreamState {
                 tag,
                 node,
@@ -400,6 +430,7 @@ impl LustreSim {
         self.ost_occ_dec(s.ost);
         self.node_occ[s.node] -= 1;
         self.warm.remove_flow_swap(idx as u32);
+        self.rates_gen += 1;
         (id, s)
     }
 
@@ -495,6 +526,10 @@ impl LustreSim {
     /// completion times.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "time cannot go backwards");
+        debug_assert!(
+            t == self.now || !self.solve_owed,
+            "time advanced while a solve is owed"
+        );
         while self.now < t {
             let step_end = t.min(self.next_noise_at);
             self.integrate_until(step_end);
@@ -618,6 +653,7 @@ impl LustreSim {
     /// and no epoch tick is pending, returns a bounded re-poll time
     /// instead of `FAR_FUTURE` so the host loop cannot wedge.
     pub fn next_change_time(&self) -> Option<SimTime> {
+        self.debug_assert_solved();
         if self.streams.is_empty() {
             return None;
         }
@@ -663,6 +699,8 @@ impl LustreSim {
     /// therefore change between solves — and runs the fill. No
     /// membership rebuild, no adjacency build, no allocations.
     fn recompute_rates(&mut self) {
+        self.solve_owed = false;
+        self.rates_gen += 1;
         let n = self.streams.len();
         if n == 0 {
             self.next_event_at = SimTime::FAR_FUTURE;
@@ -817,6 +855,7 @@ impl LustreSim {
 
     /// Aggregate allocated rate right now, bytes/s.
     pub fn total_throughput_bps(&self) -> f64 {
+        self.debug_assert_solved();
         self.streams
             .iter()
             .map(|s| s.rate_bps)
@@ -834,6 +873,12 @@ impl LustreSim {
         self.bytes_written_total
     }
 
+    /// Rates are read: no solve may be owed.
+    #[inline]
+    fn debug_assert_solved(&self) {
+        debug_assert!(!self.solve_owed, "rates read while a solve is owed");
+    }
+
     /// Snapshot of current load for the monitoring substrate.
     pub fn snapshot(&self) -> FsSnapshot {
         let mut snap = FsSnapshot::default();
@@ -845,6 +890,7 @@ impl LustreSim {
     /// A sampler that keeps one `FsSnapshot` across ticks performs no
     /// allocations here once the vectors have grown to working size.
     pub fn snapshot_into(&self, out: &mut FsSnapshot) {
+        self.debug_assert_solved();
         out.total_bps = 0.0;
         out.write_bps = 0.0;
         out.read_bps = 0.0;
@@ -1145,7 +1191,8 @@ mod tests {
         let cfg = quiet_cfg();
         let mut fs = sim(cfg);
         // 10 GiB per thread, 8 GiB buffered: release when 8 GiB remain.
-        fs.start_write_buffered_on_nodes(SimTime::ZERO, StreamTag(1), &[0], 1, gib(10.0), gib(8.0));
+        fs.push_write_on_nodes(SimTime::ZERO, StreamTag(1), &[0], 1, gib(10.0), gib(8.0));
+        fs.solve_rates();
         // Nothing released yet.
         assert!(fs.take_notified().is_empty());
         // After ~2 GiB at 0.45 GiB/s ≈ 4.5 s, the release fires.
@@ -1179,7 +1226,8 @@ mod tests {
     #[test]
     fn fully_buffered_write_releases_immediately() {
         let mut fs = sim(quiet_cfg());
-        fs.start_write_buffered_on_nodes(SimTime::ZERO, StreamTag(2), &[0], 4, gib(1.0), gib(5.0));
+        fs.push_write_on_nodes(SimTime::ZERO, StreamTag(2), &[0], 4, gib(1.0), gib(5.0));
+        fs.solve_rates();
         let notes = fs.take_notified();
         assert_eq!(notes.len(), 4);
         assert!(notes.iter().all(|&(t, _, _)| t == SimTime::ZERO));
@@ -1195,7 +1243,8 @@ mod tests {
         cfg.interference_gamma = 0.0;
         let mut fs = sim(cfg.clone());
         fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
-        fs.start_read_on_nodes(SimTime::ZERO, StreamTag(2), &[1], 1, gib(10.0));
+        fs.push_read_on_nodes(SimTime::ZERO, StreamTag(2), &[1], 1, gib(10.0));
+        fs.solve_rates();
         // One OST shared fairly between a reader and a writer.
         let snap = fs.snapshot();
         assert!((snap.write_bps - cfg.ost_bandwidth_bps / 2.0).abs() < 1.0);
@@ -1206,7 +1255,8 @@ mod tests {
     #[test]
     fn read_streams_complete_and_are_harvested() {
         let mut fs = sim(quiet_cfg());
-        fs.start_read_on_nodes(SimTime::ZERO, StreamTag(9), &[0], 4, gib(1.0));
+        fs.push_read_on_nodes(SimTime::ZERO, StreamTag(9), &[0], 4, gib(1.0));
+        fs.solve_rates();
         let mut done = 0;
         while let Some(t) = fs.next_change_time() {
             fs.advance_to(t);
@@ -1306,18 +1356,13 @@ mod tests {
             1 => {
                 *tags += 1;
                 let release = bytes * rng.uniform_range(0.0, 1.2);
-                fs.start_write_buffered_on_nodes(
-                    t,
-                    StreamTag(*tags),
-                    &nodes,
-                    threads,
-                    bytes,
-                    release,
-                );
+                fs.push_write_on_nodes(t, StreamTag(*tags), &nodes, threads, bytes, release);
+                fs.solve_rates();
             }
             2 => {
                 *tags += 1;
-                fs.start_read_on_nodes(t, StreamTag(*tags), &nodes, threads, bytes);
+                fs.push_read_on_nodes(t, StreamTag(*tags), &nodes, threads, bytes);
+                fs.solve_rates();
             }
             3 | 4 => {
                 // Up to 25 s: often across one or two noise epochs.
@@ -1413,8 +1458,64 @@ mod tests {
         assert_eq!(digests, EXPECT, "{digests:#x?}");
     }
 
+    /// Every value a snapshot holds, floats as bits.
+    type SnapBits = (u64, u64, u64, usize, Vec<(StreamTag, u64)>);
+
+    fn snap_bits(fs: &LustreSim) -> SnapBits {
+        let s = fs.snapshot();
+        let tags = s.per_tag_bps.iter().map(|&(t, r)| (t, r.to_bits()));
+        (
+            s.total_bps.to_bits(),
+            s.write_bps.to_bits(),
+            s.read_bps.to_bits(),
+            s.active_streams,
+            tags.collect(),
+        )
+    }
+
     props! {
         #![cases(64)]
+        /// The snapshot key: after every operation of a random sequence
+        /// (`random_op`'s starts, buffered writes, reads, advances across
+        /// noise epochs and cancels, plus sub-second ticks, cancels of a
+        /// live job, and stalls at zero OST capacity and their release),
+        /// an unchanged `rates_generation` means a bit-identical snapshot.
+        fn prop_unchanged_generation_means_identical_snapshot(seed in 0u64..u64::MAX) {
+            let mut rng = SimRng::from_seed(seed);
+            let mut fs = LustreSim::new(LustreConfig::stria(), rng.fork(1));
+            let bandwidth = fs.cfg.ost_bandwidth_bps;
+            let mut tags = 0u64;
+            let mut kept = (fs.rates_generation(), snap_bits(&fs));
+            for op in 0..160 {
+                match rng.index(5) {
+                    0 | 1 => random_op(&mut fs, &mut rng, &mut tags),
+                    2 => {
+                        fs.advance_to(fs.now() + SimDuration::from_millis(1 + rng.index(1_000) as u64));
+                        fs.take_completed();
+                        fs.take_notified();
+                    }
+                    3 if !fs.streams.is_empty() => {
+                        let tag = fs.streams[rng.index(fs.streams.len())].tag;
+                        fs.cancel_tag(fs.now(), tag);
+                    }
+                    _ => {
+                        fs.cfg.ost_bandwidth_bps =
+                            if fs.cfg.ost_bandwidth_bps == 0.0 { bandwidth } else { 0.0 };
+                        fs.recompute_rates();
+                    }
+                }
+                let now = (fs.rates_generation(), snap_bits(&fs));
+                prop_assert!(
+                    now.0 != kept.0 || now.1 == kept.1,
+                    "op {op}: generation {} kept, snapshot {:?} became {:?}",
+                    now.0,
+                    kept.1,
+                    now.1
+                );
+                kept = now;
+            }
+        }
+
         /// The warm solve agrees with the reference encoding after every
         /// operation of a random sequence (writes, buffered writes, reads,
         /// advances across noise epochs, cancels, node-slot growth), in

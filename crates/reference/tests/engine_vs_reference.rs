@@ -14,10 +14,10 @@
 //! included), both queue orders, small queue depths and reservation
 //! budgets, limit enforcement on and off with jobs that overrun their
 //! limits, `afterok` chains, burst buffers, noisy and noiseless file
-//! systems, pretrained and untrained runs, and streaming windows smaller
-//! than the trace. A third property packs the node policy's
-//! time-invariant rounds around overrunning jobs, where round elision's
-//! guards decide.
+//! systems, pretrained and untrained runs, streaming windows smaller
+//! than the trace, and sparse traces admitted whole at t = 0. A further
+//! property packs the node policy's time-invariant rounds around
+//! overrunning jobs, where round elision's guards decide.
 
 use iosched_cluster::{ExecSpec, Phase};
 use iosched_experiments::{
@@ -251,6 +251,64 @@ impl Strategy for NodeRounds {
     }
 }
 
+/// The shape of `testbed_stream`: the whole trace admitted at t = 0 (a
+/// window no smaller than the trace), arrivals spaced wider than the
+/// scheduling period, and runs of jobs submitted at one instant. Most
+/// loop iterations are then sample ticks between arrivals, through which
+/// the engine keeps its cached next arrival.
+struct SparseArrivals;
+
+impl Strategy for SparseArrivals {
+    type Value = Scenario;
+
+    fn generate(&self, rng: &mut SimRng) -> Scenario {
+        let scheduler = pick(
+            rng,
+            &[
+                SchedulerKind::DefaultBackfill,
+                SchedulerKind::Adaptive {
+                    limit_bps: gibps(20.0),
+                    two_group: true,
+                },
+            ],
+        );
+        let mut cfg = ExperimentConfig::paper(scheduler, rng.next_u64() % 10_000);
+        cfg.nodes = 2 + rng.index(14);
+        if rng.index(2) == 0 {
+            cfg.fs = LustreConfig::stria().noiseless();
+        }
+        cfg.sched_period = secs(rng, 1, 20);
+        cfg.pretrained = false;
+        let names = 1 + rng.index(3);
+        let shapes: Vec<ExecSpec> = (0..names).map(|_| shape(rng, cfg.nodes)).collect();
+        let jobs = 3 + rng.index(18);
+        let mut submit = SimTime::ZERO + secs(rng, 0, 30);
+        let workload = (0..jobs)
+            .map(|i| {
+                if i > 0 && rng.index(4) != 0 {
+                    submit +=
+                        cfg.sched_period + SimDuration::from_millis(1 + rng.index(90_000) as u64);
+                }
+                let kind = rng.index(names);
+                JobSubmission {
+                    id: JobId(i as u64 + 1),
+                    name: format!("type{kind}"),
+                    exec: scaled(&shapes[kind], rng.uniform_range(0.5, 1.5)),
+                    limit: secs(rng, 20, 400),
+                    submit,
+                    priority: 0,
+                    after: Vec::new(),
+                }
+            })
+            .collect();
+        Scenario {
+            cfg,
+            workload,
+            window: jobs + rng.index(3),
+        }
+    }
+}
+
 fn trace_bits(t: &TimeSeries) -> Vec<(SimTime, u64)> {
     t.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
 }
@@ -332,6 +390,22 @@ props! {
         let got = run_streaming(&s.cfg, s.workload.iter().cloned(), &opts);
         let want = reference::run_streaming(&s.cfg, s.workload.iter().cloned(), s.window);
         same_streaming(&got, &want)?;
+    }
+
+    /// Sparse arrivals of a trace admitted whole at t = 0 stream and
+    /// replay as the reference's, which asks the job table for the next
+    /// arrival every iteration.
+    fn sparse_arrivals_match_the_reference(s in SparseArrivals) {
+        let opts = StreamingOptions {
+            window: s.window,
+            ..StreamingOptions::default()
+        };
+        let got = run_streaming(&s.cfg, s.workload.iter().cloned(), &opts);
+        let want = reference::run_streaming(&s.cfg, s.workload.iter().cloned(), s.window);
+        same_streaming(&got, &want)?;
+        let got = run_experiment(&s.cfg, &s.workload);
+        let want = reference::run_experiment(&s.cfg, &s.workload);
+        same_batch(&got, &want)?;
     }
 }
 

@@ -151,7 +151,10 @@ step "property suites in release"
 # one, the
 # no-start certificate properties compare it
 # against backfill passes, and the lustre-sim properties compare the
-# rate solve against max_min_fair, and the ldms-sim property compares the
+# rate solve against the test-code reference solver, the
+# SWF reader/writer properties (iosched-workloads) and the JSON parser
+# and property harness tests (iosched-simkit) run without overflow
+# checks, and the ldms-sim property compares the
 # daemon's running integrals and load window bitwise with a model that
 # keeps every sample, the cluster-sim property compares the event
 # calendar with a scan over the running jobs, and the iosched-reference
@@ -160,7 +163,12 @@ step "property suites in release"
 # identical results, so they also check the release arithmetic (no
 # overflow checks) and the release engine, which carries no oracle.
 cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre \
-    -p iosched-ldms -p iosched-analytics -p iosched-reference -p iosched-cluster
+    -p iosched-ldms -p iosched-analytics -p iosched-reference -p iosched-cluster \
+    -p iosched-workloads -p iosched-simkit
+# Metamorphic relations between runs (unbounded io-aware equals default
+# backfill; cutting a trace at T moves no start before T). The cut
+# relation's 72 runs are release-only: the debug tests step skips them.
+cargo test --release -q --offline -p iosched-experiments --test relations
 # Certified rounds (skipped by the no-start certificate) must reproduce
 # fingerprints pinned with every pass executed, in release too.
 cargo test --release -q --offline -p iosched-experiments --test certified_rounds

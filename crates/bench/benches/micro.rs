@@ -1,12 +1,12 @@
 //! Microbenchmarks of the core data structures on the scheduler's hot
-//! path: reservation profiles, the max-min fair solver, a full backfill
+//! path: reservation profiles, the warm max-min fair solver, a full backfill
 //! pass, the estimator, and the event queue.
 
 use iosched_analytics::JobEstimator;
 use iosched_cluster::{ClusterSim, ExecSpec, JobId as ClusterJobId};
 use iosched_core::twogroup::{two_group_split, SplitJob, SplitScratch};
 use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
-use iosched_lustre::solver::{max_min_fair, Constraint, WarmSolver};
+use iosched_lustre::solver::WarmSolver;
 use iosched_lustre::{FsSnapshot, LustreConfig, LustreSim, StreamTag};
 use iosched_simkit::bench::BenchSuite;
 use iosched_simkit::ids::JobId;
@@ -21,39 +21,6 @@ use iosched_slurm::{
     SchedulingOutcome,
 };
 use std::hint::black_box;
-
-/// The large-fleet constraint system `LustreSim` builds: `n` streams over
-/// `nodes` compute nodes × `osts` volumes, per-stream caps as singleton
-/// constraints (the reference-solver encoding), plus node, OST and fabric
-/// caps.
-fn fleet_constraints(n: usize, nodes: usize, osts: usize) -> Vec<Constraint> {
-    let mut constraints: Vec<Constraint> = (0..n)
-        .map(|i| Constraint {
-            capacity: 0.45,
-            members: vec![i],
-        })
-        .collect();
-    for node in 0..nodes {
-        constraints.push(Constraint {
-            capacity: 5.0,
-            members: (0..n).filter(|i| i % nodes == node).collect(),
-        });
-    }
-    for ost in 0..osts {
-        let members: Vec<usize> = (0..n).filter(|i| i % osts == ost).collect();
-        if !members.is_empty() {
-            constraints.push(Constraint {
-                capacity: 0.9,
-                members,
-            });
-        }
-    }
-    constraints.push(Constraint {
-        capacity: 22.0,
-        members: (0..n).collect(),
-    });
-    constraints
-}
 
 /// A file system carrying `streams_per_node × 15` active streams (stria
 /// topology: 15 nodes × 56 OSTs), volumes large enough that nothing
@@ -155,40 +122,6 @@ fn main() {
         black_box(p.earliest_at_most(SimTime::ZERO, SimDuration::from_secs(100), &[100 - 60]));
     });
 
-    // 120 streams over 56 OSTs + node/fabric constraints — the workload's
-    // worst-case rate solve.
-    let n = 120;
-    let mut constraints: Vec<Constraint> = (0..n)
-        .map(|i| Constraint {
-            capacity: 0.45,
-            members: vec![i],
-        })
-        .collect();
-    for ost in 0..56 {
-        let members: Vec<usize> = (0..n).filter(|i| i % 56 == ost).collect();
-        if !members.is_empty() {
-            constraints.push(Constraint {
-                capacity: 0.9,
-                members,
-            });
-        }
-    }
-    constraints.push(Constraint {
-        capacity: 22.0,
-        members: (0..n).collect(),
-    });
-    suite.bench("max_min_fair_120_streams", || {
-        black_box(max_min_fair(n, &constraints));
-    });
-
-    // Large-fleet cases: ≥1k streams across 15 nodes × 56 OSTs — the
-    // regime production-scale SWF traces put the fluid model in.
-    let n_large = 1200;
-    let large = fleet_constraints(n_large, 15, 56);
-    suite.bench("max_min_fair_1200_streams/reference", || {
-        black_box(max_min_fair(n_large, &large));
-    });
-
     // The production solver on single-stream churn: one leave + one
     // join on the same 1200-flow system, solving after each — the file
     // system's per-event pattern.
@@ -205,7 +138,7 @@ fn main() {
         warm.set_con_cap(nodes15 + o, 0.9);
     }
     warm.set_con_cap(n_cons - 1, 22.0);
-    for i in 0..n_large {
+    for i in 0..1200 {
         warm.add_flow(&[(i % nodes15) as u32, (nodes15 + i % osts) as u32, fabric]);
     }
     suite.bench("solver_churn_1200_streams/warm_repair", || {
@@ -220,15 +153,12 @@ fn main() {
     suite.bench("fs_recompute_1200_streams", || {
         // A push over no nodes at the current time adds no stream but
         // owes a solve: a pure rate recompute over all active streams.
-        fs.push_read_on_nodes(t0, StreamTag(0), &[], 1, 1.0);
+        fs.push_write_on_nodes(t0, StreamTag(0), &[], 1, 1.0, 0.0);
         fs.solve_rates();
         black_box(fs.total_throughput_bps());
     });
     suite.bench("fs_next_change_1200_streams", || {
         black_box(fs.next_change_time());
-    });
-    suite.bench("fs_snapshot_1200_streams", || {
-        black_box(fs.snapshot().total_bps);
     });
     let mut snap_buf = FsSnapshot::default();
     suite.bench("fs_snapshot_into_1200_streams", || {

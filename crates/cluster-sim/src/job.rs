@@ -18,36 +18,13 @@ pub enum Phase {
         threads_per_node: usize,
         bytes_per_thread: f64,
     },
-    /// Parallel read: same sharing and placement rules as [`Phase::Write`]
-    /// (reads and writes share OST bandwidth in the fluid model).
-    Read {
-        threads_per_node: usize,
-        bytes_per_thread: f64,
-    },
 }
-iosched_simkit::impl_json_enum!(Phase {
-    Sleep(duration),
-    Compute(duration),
-    Write { threads_per_node, bytes_per_thread },
-    Read { threads_per_node, bytes_per_thread },
-});
 
 impl Phase {
     /// Total bytes this phase writes per allocated node.
     pub fn bytes_per_node(&self) -> f64 {
         match self {
             Phase::Write {
-                threads_per_node,
-                bytes_per_thread,
-            } => *threads_per_node as f64 * bytes_per_thread,
-            _ => 0.0,
-        }
-    }
-
-    /// Total bytes this phase reads per allocated node.
-    pub fn read_bytes_per_node(&self) -> f64 {
-        match self {
-            Phase::Read {
                 threads_per_node,
                 bytes_per_thread,
             } => *threads_per_node as f64 * bytes_per_thread,
@@ -65,7 +42,6 @@ pub struct ExecSpec {
     /// Phases executed back to back.
     pub phases: Vec<Phase>,
 }
-iosched_simkit::impl_json_struct!(ExecSpec { nodes, phases });
 
 impl ExecSpec {
     /// A pure sleep job of the given duration on one node.
@@ -88,36 +64,9 @@ impl ExecSpec {
         }
     }
 
-    /// A single-node parallel read job ("read×N").
-    pub fn read_xn(threads: usize, bytes_per_thread: f64) -> Self {
-        ExecSpec {
-            nodes: 1,
-            phases: vec![Phase::Read {
-                threads_per_node: threads,
-                bytes_per_thread,
-            }],
-        }
-    }
-
     /// Total bytes the job writes across all nodes and phases.
     pub fn total_write_bytes(&self) -> f64 {
         self.nodes as f64 * self.phases.iter().map(|p| p.bytes_per_node()).sum::<f64>()
-    }
-
-    /// Total bytes the job reads across all nodes and phases.
-    pub fn total_read_bytes(&self) -> f64 {
-        self.nodes as f64
-            * self
-                .phases
-                .iter()
-                .map(|p| p.read_bytes_per_node())
-                .sum::<f64>()
-    }
-
-    /// Total bytes the job moves through the file system (reads+writes) —
-    /// what the bandwidth-type resource accounting sees.
-    pub fn total_io_bytes(&self) -> f64 {
-        self.total_write_bytes() + self.total_read_bytes()
     }
 
     /// Validate invariants.
@@ -132,17 +81,15 @@ impl ExecSpec {
             if let Phase::Write {
                 threads_per_node,
                 bytes_per_thread,
-            }
-            | Phase::Read {
-                threads_per_node,
-                bytes_per_thread,
-            } = p
+            } = *p
             {
-                if *threads_per_node == 0 {
-                    return Err("I/O phase needs at least one thread".into());
+                if threads_per_node == 0 {
+                    return Err("write phase needs at least one thread".into());
                 }
-                if *bytes_per_thread <= 0.0 {
-                    return Err("I/O phase needs positive volume".into());
+                if !(bytes_per_thread > 0.0 && bytes_per_thread.is_finite()) {
+                    return Err(format!(
+                        "write phase needs a positive finite volume, got {bytes_per_thread}"
+                    ));
                 }
             }
         }
@@ -185,6 +132,16 @@ mod tests {
         };
         assert_eq!(spec.total_write_bytes(), gib(4.0 * (2.0 + 3.0)));
         spec.validate().unwrap();
+    }
+
+    #[test]
+    fn nan_volume_rejected() {
+        assert!(ExecSpec::write_xn(1, f64::NAN).validate().is_err());
+    }
+
+    #[test]
+    fn infinite_volume_rejected() {
+        assert!(ExecSpec::write_xn(1, f64::INFINITY).validate().is_err());
     }
 
     #[test]

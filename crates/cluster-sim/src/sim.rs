@@ -6,12 +6,12 @@
 //! ```text
 //! loop {
 //!     let t = cluster.next_event_time()  (plus any host events);
-//!     completions = cluster.advance_to(t);
+//!     cluster.advance_to_into(t, &mut completions);
 //!     ... react (schedule more jobs via start_job) ...
 //! }
 //! ```
 //!
-//! `advance_to` must not skip past `next_event_time`; phase transitions are
+//! `advance_to_into` must not skip past `next_event_time`; phase transitions are
 //! processed at event granularity so a write phase that ends at `t` starts
 //! its successor phase at `t`.
 
@@ -246,19 +246,6 @@ impl ClusterSim {
                 );
                 Activity::Writing { outstanding }
             }
-            Phase::Read {
-                threads_per_node,
-                bytes_per_thread,
-            } => {
-                let outstanding = fs.push_read_on_nodes(
-                    t.max(fs.now()),
-                    StreamTag(job.0),
-                    nodes,
-                    threads_per_node,
-                    bytes_per_thread,
-                );
-                Activity::Writing { outstanding }
-            }
         }
     }
 
@@ -275,18 +262,7 @@ impl ClusterSim {
     }
 
     /// Advance the cluster to `t`, processing phase transitions and
-    /// returning the jobs that completed (in completion order).
-    ///
-    /// Convenience wrapper over [`Self::advance_to_into`]; hot callers
-    /// should hold their own buffer and call that directly.
-    pub fn advance_to(&mut self, t: SimTime) -> Vec<JobCompletion> {
-        let mut done = Vec::new();
-        self.advance_to_into(t, &mut done);
-        done
-    }
-
-    /// Advance the cluster to `t`, harvesting completed jobs into the
-    /// caller-owned `done` buffer (cleared first, then filled in
+    /// harvesting completed jobs into the caller-owned `done` buffer (cleared first, then filled in
     /// `(at, job)` order). Reusing `done` across calls makes the whole
     /// advance/harvest path allocation-free in steady state.
     pub fn advance_to_into(&mut self, t: SimTime, done: &mut Vec<JobCompletion>) {
@@ -416,6 +392,13 @@ mod tests {
     use iosched_simkit::time::SimDuration;
     use iosched_simkit::units::gib;
 
+    /// The jobs that completed by `t`, in completion order.
+    fn advance(c: &mut ClusterSim, t: SimTime) -> Vec<JobCompletion> {
+        let mut done = Vec::new();
+        c.advance_to_into(t, &mut done);
+        done
+    }
+
     fn cluster() -> ClusterSim {
         ClusterSim::new(
             15,
@@ -429,7 +412,7 @@ mod tests {
         let mut all = Vec::new();
         let mut guard = 0;
         while let Some(t) = c.next_event_time() {
-            all.extend(c.advance_to(t));
+            all.extend(advance(c, t));
             guard += 1;
             assert!(guard < 100_000, "no convergence");
         }
@@ -528,7 +511,7 @@ mod tests {
         };
         c.start_job(SimTime::ZERO, JobId(1), &spec).unwrap();
         // During compute: no fs traffic.
-        let mid = c.advance_to(SimTime::from_secs(50));
+        let mid = advance(&mut c, SimTime::from_secs(50));
         assert!(mid.is_empty());
         assert_eq!(c.fs().active_stream_count(), 0);
         let done = run_to_idle(&mut c);
@@ -563,7 +546,7 @@ mod tests {
         c.set_burst_buffer(gib(100.0));
         c.start_job(SimTime::ZERO, JobId(1), &ExecSpec::write_xn(8, gib(10.0)))
             .unwrap();
-        let done = c.advance_to(SimTime::from_secs(1));
+        let done = advance(&mut c, SimTime::from_secs(1));
         assert_eq!(done.len(), 1, "fully buffered write completes instantly");
         assert_eq!(c.busy_nodes(), 0);
         // The orphan drain is still running.
@@ -584,7 +567,7 @@ mod tests {
                 .unwrap();
             let mut end = SimTime::ZERO;
             while let Some(t) = c.next_event_time() {
-                if let Some(d) = c.advance_to(t).first() {
+                if let Some(d) = advance(&mut c, t).first() {
                     end = d.at;
                     break;
                 }
@@ -617,7 +600,7 @@ mod tests {
             // the OSTs.
             c.start_job(SimTime::ZERO, JobId(1), &ExecSpec::write_xn(8, gib(10.0)))
                 .unwrap();
-            c.advance_to(SimTime::from_millis(1));
+            advance(&mut c, SimTime::from_millis(1));
             c.set_burst_buffer(0.0); // job 2 is unbuffered
             c.start_job(
                 SimTime::from_millis(1),
@@ -627,7 +610,7 @@ mod tests {
             .unwrap();
             let mut end = 0.0;
             while let Some(t) = c.next_event_time() {
-                for d in c.advance_to(t) {
+                for d in advance(&mut c, t) {
                     if d.job == JobId(2) {
                         end = d.at.as_secs_f64();
                     }
@@ -645,44 +628,12 @@ mod tests {
     }
 
     #[test]
-    fn read_job_completes_like_a_write_job() {
+    fn start_job_rejects_nan_volume() {
         let mut c = cluster();
-        c.start_job(SimTime::ZERO, JobId(1), &ExecSpec::read_xn(4, gib(2.0)))
-            .unwrap();
-        assert_eq!(c.fs().active_stream_count(), 4);
-        let snap = c.fs().snapshot();
-        assert_eq!(snap.write_bps, 0.0);
-        assert!(snap.read_bps > 0.0);
-        let done = run_to_idle(&mut c);
-        assert_eq!(done.len(), 1);
+        let spec = ExecSpec::write_xn(2, f64::NAN);
+        assert!(c.start_job(SimTime::ZERO, JobId(1), &spec).is_err());
         assert_eq!(c.busy_nodes(), 0);
-    }
-
-    #[test]
-    fn mixed_read_write_phases_chain() {
-        let mut c = cluster();
-        let spec = ExecSpec {
-            nodes: 1,
-            phases: vec![
-                Phase::Read {
-                    threads_per_node: 2,
-                    bytes_per_thread: gib(0.9),
-                },
-                Phase::Compute(SimDuration::from_secs(10)),
-                Phase::Write {
-                    threads_per_node: 2,
-                    bytes_per_thread: gib(0.9),
-                },
-            ],
-        };
-        assert_eq!(spec.total_read_bytes(), gib(1.8));
-        assert_eq!(spec.total_write_bytes(), gib(1.8));
-        assert_eq!(spec.total_io_bytes(), gib(3.6));
-        c.start_job(SimTime::ZERO, JobId(1), &spec).unwrap();
-        let done = run_to_idle(&mut c);
-        assert_eq!(done.len(), 1);
-        // read (≥2s) + compute (10s) + write (≥2s)
-        assert!(done[0].at.as_secs_f64() > 13.0);
+        assert_eq!(c.fs().active_stream_count(), 0);
     }
 
     #[test]
@@ -763,7 +714,7 @@ mod tests {
                     }
                     2 => {
                         now += SimDuration::from_millis(secs * 700);
-                        c.advance_to(now);
+                        advance(&mut c, now);
                     }
                     _ => {
                         let _ = c.cancel_job(now, JobId(job));
@@ -784,7 +735,7 @@ mod tests {
         let mut c = cluster();
         c.start_job(SimTime::ZERO, JobId(1), &ExecSpec::write_xn(8, gib(10.0)))
             .unwrap();
-        c.advance_to(SimTime::from_secs(5));
+        advance(&mut c, SimTime::from_secs(5));
         c.start_job(
             SimTime::from_secs(5),
             JobId(2),

@@ -1,16 +1,23 @@
-//! Properties of the event-calendar core: one `advance_to(T)` jump must
+//! Properties of the event-calendar core: one `advance_to_into(T)` jump must
 //! be equivalent to stepping event-by-event via `next_event_time`, and
 //! same-instant completions must come back in deterministic `(at, JobId)`
 //! order regardless of which harvest path produced them; and one batched
 //! `start_jobs` must equal starting the same jobs one by one.
 
 use iosched_cluster::{ClusterSim, ExecSpec, JobCompletion, JobId, Phase};
-use iosched_lustre::LustreConfig;
+use iosched_lustre::{FsSnapshot, LustreConfig};
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::units::gib;
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, prop_oneof, props};
 use prop::Strategy;
+
+/// The jobs that completed by `t`, in completion order.
+fn advance(c: &mut ClusterSim, t: SimTime) -> Vec<JobCompletion> {
+    let mut done = Vec::new();
+    c.advance_to_into(t, &mut done);
+    done
+}
 
 fn cluster() -> ClusterSim {
     ClusterSim::new(
@@ -37,7 +44,7 @@ fn same_instant_completions_sort_by_job_id() {
         &ExecSpec::sleep(SimDuration::from_secs(2)),
     )
     .unwrap();
-    let done = c.advance_to(SimTime::from_secs(2));
+    let done = advance(&mut c, SimTime::from_secs(2));
     assert_eq!(done.len(), 2, "both jobs should finish: {done:?}");
     assert_eq!(
         done[0].at, done[1].at,
@@ -55,18 +62,14 @@ fn same_instant_completions_sort_by_job_id() {
 #[derive(Clone, Debug)]
 struct ArbJob {
     nodes: usize,
-    first_io: Option<(bool, usize, f64)>, // (is_write, threads, gib per thread)
-    timed: Vec<(bool, u64)>,              // (is_sleep, seconds)
+    first_io: Option<(usize, f64)>, // (threads, gib per thread)
+    timed: Vec<(bool, u64)>,        // (is_sleep, seconds)
 }
 
 fn arb_job() -> impl Strategy<Value = ArbJob> {
     let io = prop_oneof![
         prop::Just(None),
-        (0u16..2, 1usize..4, 1u32..30).prop_map(|(w, th, tenths)| Some((
-            w == 1,
-            th,
-            tenths as f64 / 10.0
-        ))),
+        (1usize..4, 1u32..30).prop_map(|(th, tenths)| Some((th, tenths as f64 / 10.0))),
     ];
     (1usize..3, io, prop::vec((0u16..2, 1u64..90), 0..3)).prop_map(|(nodes, first_io, timed)| {
         ArbJob {
@@ -79,19 +82,11 @@ fn arb_job() -> impl Strategy<Value = ArbJob> {
 
 fn spec_of(j: &ArbJob) -> Option<ExecSpec> {
     let mut phases = Vec::new();
-    if let Some((is_write, threads, g)) = j.first_io {
-        let p = if is_write {
-            Phase::Write {
-                threads_per_node: threads,
-                bytes_per_thread: gib(g),
-            }
-        } else {
-            Phase::Read {
-                threads_per_node: threads,
-                bytes_per_thread: gib(g),
-            }
-        };
-        phases.push(p);
+    if let Some((threads, g)) = j.first_io {
+        phases.push(Phase::Write {
+            threads_per_node: threads,
+            bytes_per_thread: gib(g),
+        });
     }
     for &(is_sleep, secs) in &j.timed {
         let d = SimDuration::from_secs(secs);
@@ -124,14 +119,14 @@ fn start_all(c: &mut ClusterSim, jobs: &[ArbJob]) {
 props! {
     #![cases(48)]
 
-    /// One `advance_to(T)` jump reaches exactly the state produced by
+    /// One `advance_to_into(T)` jump reaches exactly the state produced by
     /// stepping through every `next_event_time` up to `T`.
     fn single_jump_matches_stepped(jobs in prop::vec(arb_job(), 1..8), horizon_s in 1u64..200) {
         let horizon = SimTime::from_secs(horizon_s);
 
         let mut jumped = cluster();
         start_all(&mut jumped, &jobs);
-        let done_jump = jumped.advance_to(horizon);
+        let done_jump = advance(&mut jumped, horizon);
 
         let mut stepped = cluster();
         start_all(&mut stepped, &jobs);
@@ -140,9 +135,9 @@ props! {
             if t >= horizon {
                 break;
             }
-            done_step.extend(stepped.advance_to(t));
+            done_step.extend(advance(&mut stepped, t));
         }
-        done_step.extend(stepped.advance_to(horizon));
+        done_step.extend(advance(&mut stepped, horizon));
         done_step.sort_unstable_by_key(|c| (c.at, c.job));
 
         prop_assert_eq!(&done_jump, &done_step);
@@ -169,7 +164,7 @@ props! {
             let mut c = ClusterSim::new(15, LustreConfig::stria(), SimRng::from_seed(seed));
             c.set_burst_buffer(gib(0.5) * buffered as f64);
             start_all(&mut c, &earlier);
-            c.advance_to(SimTime::from_millis(at_ms));
+            advance(&mut c, SimTime::from_millis(at_ms));
             c
         };
         let (mut one, mut batch) = (build(), build());
@@ -200,7 +195,7 @@ props! {
             prop_assert_eq!(snap_bits(&one), snap_bits(&batch));
             prop_assert_eq!(one.next_event_time(), batch.next_event_time());
             let Some(t) = one.next_event_time() else { break };
-            prop_assert_eq!(one.advance_to(t), batch.advance_to(t));
+            prop_assert_eq!(advance(&mut one, t), advance(&mut batch, t));
             steps += 1;
             prop_assert!(steps < 100_000, "no convergence");
         }
@@ -208,14 +203,9 @@ props! {
 }
 
 /// Every value of the file system's snapshot, floats as bits.
-fn snap_bits(c: &ClusterSim) -> (u64, u64, u64, usize, Vec<(u64, u64)>) {
-    let s = c.fs().snapshot();
+fn snap_bits(c: &ClusterSim) -> (u64, Vec<(u64, u64)>) {
+    let mut s = FsSnapshot::default();
+    c.fs().snapshot_into(&mut s);
     let tags = s.per_tag_bps.iter().map(|&(t, r)| (t.0, r.to_bits()));
-    (
-        s.total_bps.to_bits(),
-        s.write_bps.to_bits(),
-        s.read_bps.to_bits(),
-        s.active_streams,
-        tags.collect(),
-    )
+    (s.total_bps.to_bits(), tags.collect())
 }

@@ -123,7 +123,7 @@ impl ExperimentConfig {
 }
 
 /// Per-job outcome record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobRecord {
     pub id: JobId,
     pub name: String,
@@ -133,14 +133,6 @@ pub struct JobRecord {
     /// True if the job was killed at its runtime limit.
     pub timed_out: bool,
 }
-iosched_simkit::impl_json_struct!(JobRecord {
-    id,
-    name,
-    submit,
-    start,
-    end,
-    timed_out,
-});
 
 impl JobRecord {
     /// Wait time `Q_j`.

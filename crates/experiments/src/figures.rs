@@ -5,12 +5,9 @@
 //! compact ASCII rendition with the headline numbers.
 
 use crate::driver::ExperimentResult;
-use crate::metrics::{per_class_metrics, scheduling_metrics};
-use iosched_simkit::json::Value;
 use iosched_simkit::stats::BoxStats;
 use iosched_simkit::time::SimTime;
 use iosched_simkit::units::to_gibps;
-use iosched_simkit::ToJson;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -77,22 +74,6 @@ pub fn boxplot_csv(rows: &[(usize, BoxStats)]) -> String {
         .expect("string write");
     }
     out
-}
-
-/// JSON summary of one experiment run: the headline makespan, overall and
-/// per-class scheduling metrics, and the per-job records. This is the
-/// machine-readable counterpart of [`print_panel`]; harness binaries write
-/// it next to the CSVs so downstream tooling gets one self-describing
-/// document per run.
-pub fn summary_json(res: &ExperimentResult) -> Value {
-    Value::Object(vec![
-        ("label".into(), Value::Str(res.label.clone())),
-        ("makespan_secs".into(), Value::Num(res.makespan_secs)),
-        ("sched_passes".into(), res.sched_passes.to_json()),
-        ("metrics".into(), scheduling_metrics(&res.jobs).to_json()),
-        ("per_class".into(), per_class_metrics(res).to_json()),
-        ("jobs".into(), res.jobs.to_json()),
-    ])
 }
 
 /// Write a file, creating parent directories.
@@ -215,24 +196,6 @@ mod tests {
         let b = BoxStats::from_samples(&[gibps(1.0), gibps(2.0), gibps(3.0)]).unwrap();
         let csv = boxplot_csv(&[(5, b)]);
         assert!(csv.contains("5,1.000,1.500,2.000,2.500,3.000"));
-    }
-
-    #[test]
-    fn summary_json_round_trips() {
-        let res = fake_result();
-        let text = summary_json(&res).to_json_pretty();
-        let parsed = iosched_simkit::json::parse(&text).unwrap();
-        assert_eq!(parsed.get("label").and_then(Value::as_str), Some("test"));
-        assert_eq!(
-            parsed.get("makespan_secs").and_then(Value::as_f64),
-            Some(10.0)
-        );
-        let jobs = parsed.get("jobs").and_then(Value::as_array).unwrap();
-        let job: JobRecord = iosched_simkit::json::FromJson::from_json(&jobs[0]).unwrap();
-        assert_eq!(job.id, JobId(1));
-        assert_eq!(job.name, "w");
-        // Overall metrics present for a non-empty job list.
-        assert!(parsed.get("metrics").and_then(|m| m.get("jobs")).is_some());
     }
 
     #[test]

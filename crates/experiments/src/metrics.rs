@@ -27,15 +27,6 @@ pub struct SchedulingMetrics {
     /// Jobs killed at their limit.
     pub timed_out: usize,
 }
-iosched_simkit::impl_json_struct!(SchedulingMetrics {
-    jobs,
-    mean_wait_secs,
-    median_wait_secs,
-    max_wait_secs,
-    mean_runtime_secs,
-    mean_bounded_slowdown,
-    timed_out,
-});
 
 /// Compute metrics over a slice of job records; `None` if empty.
 pub fn scheduling_metrics(jobs: &[JobRecord]) -> Option<SchedulingMetrics> {

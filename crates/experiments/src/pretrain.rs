@@ -32,6 +32,7 @@ pub fn pretrain_isolated_with_bb(
 ) -> Vec<(String, f64, SimDuration)> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
+    let mut done = Vec::new();
     for sub in workload {
         if !seen.insert(sub.name.clone()) {
             continue;
@@ -47,7 +48,8 @@ pub fn pretrain_isolated_with_bb(
         let mut end = SimTime::ZERO;
         let mut guard = 0;
         while let Some(t) = cluster.next_event_time() {
-            if let Some(c) = cluster.advance_to(t).first() {
+            cluster.advance_to_into(t, &mut done);
+            if let Some(c) = done.first() {
                 end = c.at;
                 break;
             }
@@ -57,7 +59,7 @@ pub fn pretrain_isolated_with_bb(
         let runtime = end.saturating_since(SimTime::ZERO);
         let secs = runtime.as_secs_f64();
         let throughput = if secs > 0.0 {
-            sub.exec.total_io_bytes() / secs
+            sub.exec.total_write_bytes() / secs
         } else {
             0.0
         };

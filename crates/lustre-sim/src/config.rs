@@ -23,10 +23,6 @@ pub enum NoiseMode {
     /// up.
     Indexed,
 }
-iosched_simkit::impl_json_enum!(NoiseMode {
-    Sequential,
-    Indexed
-});
 
 /// Parameters of the Lustre-like file-system model.
 ///
@@ -72,7 +68,8 @@ pub struct LustreConfig {
     pub fatigue_tau_up: SimDuration,
     /// Time constant for recovery once pressure subsides.
     pub fatigue_tau_down: SimDuration,
-    /// An OST is "pressured" while serving at least this many streams.
+    /// An OST is "pressured" while serving at least this many streams
+    /// (≥ 1: an idle OST always recovers).
     pub fatigue_threshold: usize,
     /// New streams pick the least-loaded of this many uniformly sampled
     /// OSTs ("power of d choices"). 1 reproduces blind uniform placement;
@@ -80,22 +77,6 @@ pub struct LustreConfig {
     /// single OSTs from accumulating unbounded stream pile-ups.
     pub ost_candidates: usize,
 }
-iosched_simkit::impl_json_struct!(LustreConfig {
-    n_ost,
-    ost_bandwidth_bps,
-    interference_gamma,
-    stream_cap_bps,
-    node_cap_bps,
-    fabric_cap_bps,
-    noise_sigma,
-    noise_mode,
-    noise_epoch,
-    fatigue_phi,
-    fatigue_tau_up,
-    fatigue_tau_down,
-    fatigue_threshold,
-    ost_candidates,
-});
 
 impl LustreConfig {
     /// Calibrated model of Stria's Lustre instance.
@@ -168,11 +149,13 @@ impl LustreConfig {
                 return Err(format!("{name} must be positive and finite, got {v}"));
             }
         }
-        if self.interference_gamma < 0.0 {
-            return Err("interference_gamma must be non-negative".into());
-        }
-        if self.noise_sigma < 0.0 {
-            return Err("noise_sigma must be non-negative".into());
+        for (name, v) in [
+            ("interference_gamma", self.interference_gamma),
+            ("noise_sigma", self.noise_sigma),
+        ] {
+            if !(v >= 0.0 && v.is_finite()) {
+                return Err(format!("{name} must be non-negative and finite, got {v}"));
+            }
         }
         if (self.noise_sigma > 0.0 || self.fatigue_phi > 0.0) && self.noise_epoch.is_zero() {
             return Err("noise_epoch must be positive when noise or fatigue is enabled".into());
@@ -184,6 +167,9 @@ impl LustreConfig {
             && (self.fatigue_tau_up.is_zero() || self.fatigue_tau_down.is_zero())
         {
             return Err("fatigue time constants must be positive".into());
+        }
+        if self.fatigue_threshold < 1 {
+            return Err("fatigue_threshold must be at least 1".into());
         }
         if self.ost_candidates == 0 {
             return Err("ost_candidates must be at least 1".into());
@@ -229,6 +215,33 @@ mod tests {
         let mut c = LustreConfig::stria();
         c.fabric_cap_bps = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn zero_fatigue_threshold_rejected() {
+        let mut c = LustreConfig::stria();
+        c.fatigue_threshold = 0;
+        assert!(c.validate().is_err());
+        c.fatigue_threshold = 1;
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_interference_gamma_rejected() {
+        for gamma in [f64::NAN, f64::INFINITY] {
+            let mut c = LustreConfig::stria();
+            c.interference_gamma = gamma;
+            assert!(c.validate().is_err(), "gamma {gamma} accepted");
+        }
+    }
+
+    #[test]
+    fn non_finite_noise_sigma_rejected() {
+        for sigma in [f64::NAN, f64::INFINITY] {
+            let mut c = LustreConfig::stria();
+            c.noise_sigma = sigma;
+            assert!(c.validate().is_err(), "sigma {sigma} accepted");
+        }
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub mod stream;
 
 pub use config::{LustreConfig, NoiseMode};
 pub use fs::{FsSnapshot, LustreSim};
-pub use stream::{Direction, StreamId, StreamState, StreamTag};
+pub use stream::{StreamId, StreamState, StreamTag};

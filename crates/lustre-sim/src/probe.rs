@@ -92,6 +92,7 @@ pub fn steady_state_samples(
     let end = SimTime::ZERO + probe.warmup + probe.window;
     let mut samples = Vec::new();
     let mut next_sample = SimTime::ZERO + probe.warmup;
+    let mut done = Vec::new();
 
     loop {
         let fs_next = fs.next_change_time().unwrap_or(SimTime::FAR_FUTURE);
@@ -101,8 +102,9 @@ pub fn steady_state_samples(
         }
         fs.advance_to(t);
         // Restart finished threads to keep offered load constant.
-        for (done_t, _, s) in fs.take_completed() {
-            fs.start_write(done_t.max(t), s.tag, s.node, 1, probe.bytes_per_thread);
+        fs.take_completed_into(&mut done);
+        for (done_t, _, s) in &done {
+            fs.start_write((*done_t).max(t), s.tag, s.node, 1, probe.bytes_per_thread);
         }
         if t == next_sample {
             samples.push(fs.total_throughput_bps());

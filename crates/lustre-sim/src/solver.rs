@@ -10,127 +10,14 @@
 //! * [`WarmSolver`] — the solver [`crate::LustreSim`] runs. It keeps the
 //!   constraint system alive across solves and repairs it in O(degree)
 //!   per flow join/leave; a steady-state solve allocates nothing.
-//! * [`max_min_fair`] — the simple reference: O(rounds × flows ×
+//! * The reference fill, in test code only: O(rounds × flows ×
 //!   constraints) with linear member scans, allocating freely. It is the
 //!   test oracle for [`WarmSolver`] and for `LustreSim`'s constraint
-//!   encoding, and the baseline of the solver micro-benchmarks.
-
-/// A capacity constraint over a set of flows (indices into the flow list).
-#[derive(Clone, Debug)]
-pub struct Constraint {
-    /// Total capacity shared by the member flows (≥ 0).
-    pub capacity: f64,
-    /// Indices of the flows subject to this constraint. Duplicates are
-    /// tolerated and count once.
-    pub members: Vec<usize>,
-}
+//!   encoding.
 
 /// Relative saturation tolerance: a constraint is considered saturated
 /// once its residual falls to `EPS · max(capacity, 1)`.
 const EPS: f64 = 1e-9;
-
-/// Compute the max-min fair rates for `n_flows` flows under `constraints`
-/// (reference implementation — see [`WarmSolver`] for the fast path).
-///
-/// A flow covered by no finite constraint is *released*: it freezes at the
-/// level reached when no constraint applies to the remaining flows any
-/// more. Duplicate members within one constraint are deduplicated on
-/// entry. Returns one rate per flow.
-pub fn max_min_fair(n_flows: usize, constraints: &[Constraint]) -> Vec<f64> {
-    let mut rate = vec![0.0_f64; n_flows];
-    if n_flows == 0 {
-        return rate;
-    }
-
-    // Dedup members on entry: a flow listed twice in one constraint must
-    // count once toward both capacity consumption and the unfrozen count,
-    // otherwise the residual math is skewed (the count would start at 2
-    // but be decremented once at freeze time).
-    let members: Vec<Vec<usize>> = constraints
-        .iter()
-        .map(|c| {
-            let mut m = c.members.clone();
-            m.sort_unstable();
-            m.dedup();
-            m
-        })
-        .collect();
-
-    let mut frozen = vec![false; n_flows];
-    // Per-constraint bookkeeping: remaining capacity after frozen members,
-    // and number of unfrozen members.
-    let mut residual: Vec<f64> = constraints.iter().map(|c| c.capacity.max(0.0)).collect();
-    let mut unfrozen_count: Vec<usize> = members.iter().map(|m| m.len()).collect();
-
-    let mut level = 0.0_f64;
-    let mut remaining_flows = n_flows;
-
-    while remaining_flows > 0 {
-        // The next level at which some constraint saturates:
-        // cap_c = Σ_frozen r + level'·u_c  ⇒  level' = level + residual_c/u_c
-        // where residual_c already accounts for frozen members and the
-        // *current* level consumed by unfrozen members.
-        let mut next_level = f64::INFINITY;
-        for (ci, _) in constraints.iter().enumerate() {
-            if unfrozen_count[ci] == 0 {
-                continue;
-            }
-            let candidate = level + residual[ci] / unfrozen_count[ci] as f64;
-            if candidate < next_level {
-                next_level = candidate;
-            }
-        }
-        if !next_level.is_finite() {
-            // No finite constraint applies to the remaining flows; release
-            // them at the current level.
-            for f in 0..n_flows {
-                if !frozen[f] {
-                    rate[f] = level;
-                }
-            }
-            break;
-        }
-
-        let delta = (next_level - level).max(0.0);
-        // Consume capacity for the uniform raise.
-        for (ci, _) in constraints.iter().enumerate() {
-            residual[ci] -= delta * unfrozen_count[ci] as f64;
-        }
-        level = next_level;
-
-        // Freeze members of all (numerically) saturated constraints.
-        let mut to_freeze: Vec<usize> = Vec::new();
-        for (ci, c) in constraints.iter().enumerate() {
-            if unfrozen_count[ci] > 0 && residual[ci] <= EPS * c.capacity.max(1.0) {
-                for &m in &members[ci] {
-                    if !frozen[m] {
-                        to_freeze.push(m);
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            !to_freeze.is_empty(),
-            "progressive filling must freeze at least one flow per round"
-        );
-        to_freeze.sort_unstable();
-        to_freeze.dedup();
-        for f in to_freeze {
-            frozen[f] = true;
-            rate[f] = level;
-            remaining_flows -= 1;
-            // Remove this flow from every constraint's unfrozen set; its
-            // consumption at `level` is already reflected in `residual`.
-            for (ci, m) in members.iter().enumerate() {
-                if m.contains(&f) {
-                    unfrozen_count[ci] -= 1;
-                }
-            }
-        }
-    }
-
-    rate
-}
 
 /// Warm-start progressive-filling solver: a *persistent* constraint
 /// system repaired incrementally on flow churn.
@@ -155,7 +42,7 @@ pub fn max_min_fair(n_flows: usize, constraints: &[Constraint]) -> Vec<f64> {
 /// over per-constraint candidates, the residual update is per-constraint,
 /// and the freeze set is sorted before use — so runs are deterministic.
 ///
-/// [`max_min_fair`] with the uniform cap encoded as one singleton
+/// The test-code reference fill with the uniform cap encoded as one singleton
 /// constraint per flow is the oracle: the property suite below compares
 /// the rates after every solve of a random churn sequence, to a relative
 /// tolerance of `1e-9` (the saturation tolerance; the two fills round
@@ -425,6 +312,121 @@ impl WarmSolver {
 
         &self.rate
     }
+}
+
+#[cfg(test)]
+/// A capacity constraint over a set of flows (indices into the flow list).
+#[derive(Clone, Debug)]
+pub struct Constraint {
+    /// Total capacity shared by the member flows (≥ 0).
+    pub capacity: f64,
+    /// Indices of the flows subject to this constraint. Duplicates are
+    /// tolerated and count once.
+    pub members: Vec<usize>,
+}
+
+#[cfg(test)]
+/// Compute the max-min fair rates for `n_flows` flows under `constraints`
+/// (the reference; [`WarmSolver`] is the fast path).
+///
+/// A flow covered by no finite constraint is *released*: it freezes at the
+/// level reached when no constraint applies to the remaining flows any
+/// more. Duplicate members within one constraint are deduplicated on
+/// entry. Returns one rate per flow.
+pub fn max_min_fair(n_flows: usize, constraints: &[Constraint]) -> Vec<f64> {
+    let mut rate = vec![0.0_f64; n_flows];
+    if n_flows == 0 {
+        return rate;
+    }
+
+    // Dedup members on entry: a flow listed twice in one constraint must
+    // count once toward both capacity consumption and the unfrozen count,
+    // otherwise the residual math is skewed (the count would start at 2
+    // but be decremented once at freeze time).
+    let members: Vec<Vec<usize>> = constraints
+        .iter()
+        .map(|c| {
+            let mut m = c.members.clone();
+            m.sort_unstable();
+            m.dedup();
+            m
+        })
+        .collect();
+
+    let mut frozen = vec![false; n_flows];
+    // Per-constraint bookkeeping: remaining capacity after frozen members,
+    // and number of unfrozen members.
+    let mut residual: Vec<f64> = constraints.iter().map(|c| c.capacity.max(0.0)).collect();
+    let mut unfrozen_count: Vec<usize> = members.iter().map(|m| m.len()).collect();
+
+    let mut level = 0.0_f64;
+    let mut remaining_flows = n_flows;
+
+    while remaining_flows > 0 {
+        // The next level at which some constraint saturates:
+        // cap_c = Σ_frozen r + level'·u_c  ⇒  level' = level + residual_c/u_c
+        // where residual_c already accounts for frozen members and the
+        // *current* level consumed by unfrozen members.
+        let mut next_level = f64::INFINITY;
+        for (ci, _) in constraints.iter().enumerate() {
+            if unfrozen_count[ci] == 0 {
+                continue;
+            }
+            let candidate = level + residual[ci] / unfrozen_count[ci] as f64;
+            if candidate < next_level {
+                next_level = candidate;
+            }
+        }
+        if !next_level.is_finite() {
+            // No finite constraint applies to the remaining flows; release
+            // them at the current level.
+            for f in 0..n_flows {
+                if !frozen[f] {
+                    rate[f] = level;
+                }
+            }
+            break;
+        }
+
+        let delta = (next_level - level).max(0.0);
+        // Consume capacity for the uniform raise.
+        for (ci, _) in constraints.iter().enumerate() {
+            residual[ci] -= delta * unfrozen_count[ci] as f64;
+        }
+        level = next_level;
+
+        // Freeze members of all (numerically) saturated constraints.
+        let mut to_freeze: Vec<usize> = Vec::new();
+        for (ci, c) in constraints.iter().enumerate() {
+            if unfrozen_count[ci] > 0 && residual[ci] <= EPS * c.capacity.max(1.0) {
+                for &m in &members[ci] {
+                    if !frozen[m] {
+                        to_freeze.push(m);
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            !to_freeze.is_empty(),
+            "progressive filling must freeze at least one flow per round"
+        );
+        to_freeze.sort_unstable();
+        to_freeze.dedup();
+        for f in to_freeze {
+            frozen[f] = true;
+            rate[f] = level;
+            remaining_flows -= 1;
+            // Remove this flow from every constraint's unfrozen set; its
+            // consumption at `level` is already reflected in `residual`.
+            for (ci, m) in members.iter().enumerate() {
+                if m.contains(&f) {
+                    unfrozen_count[ci] -= 1;
+                }
+            }
+        }
+    }
+
+    rate
 }
 
 #[cfg(test)]

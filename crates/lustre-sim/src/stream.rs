@@ -4,25 +4,12 @@
 /// [`crate::LustreSim`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamId(pub u64);
-iosched_simkit::impl_json_newtype!(StreamId, u64);
 
 /// Opaque owner tag attached to a stream. The cluster simulator stores the
 /// job identifier here so per-job throughput can be aggregated without the
 /// file-system model knowing about jobs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamTag(pub u64);
-iosched_simkit::impl_json_newtype!(StreamTag, u64);
-
-/// Transfer direction of a stream. Reads and writes share the same OST,
-/// node and fabric bandwidth in this model (Lustre OSS servers serve both
-/// from the same disks and links); the direction is carried for metrics
-/// and for workloads that distinguish producer and consumer jobs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Direction {
-    Write,
-    Read,
-}
-iosched_simkit::impl_json_enum!(Direction { Write, Read });
 
 /// Internal state of an active stream.
 #[derive(Clone, Debug)]
@@ -34,8 +21,6 @@ pub struct StreamState {
     /// Index of the OST this stream targets (fixed for the stream's
     /// lifetime, like a file on a single volume).
     pub ost: usize,
-    /// Transfer direction.
-    pub dir: Direction,
     /// Bytes still to be transferred.
     pub remaining_bytes: f64,
     /// Current allocated rate, bytes/s (recomputed on every change event).

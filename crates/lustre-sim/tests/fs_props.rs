@@ -49,6 +49,7 @@ props! {
         let mut offered = 0.0_f64;
         let mut next_tag = 0u64;
         let mut last_now = SimTime::ZERO;
+        let mut done = Vec::new();
 
         for op in ops {
             match op {
@@ -61,7 +62,7 @@ props! {
                 Op::Advance { ms } => {
                     let t = SimTime::from_millis(fs.now().as_millis() + ms as u64);
                     fs.advance_to(t);
-                    fs.take_completed();
+                    fs.take_completed_into(&mut done);
                 }
                 Op::Cancel { tag } => {
                     fs.cancel_tag(fs.now(), StreamTag(tag));
@@ -92,6 +93,7 @@ props! {
             let mut fs = LustreSim::new(LustreConfig::stria(), SimRng::from_seed(seed));
             let mut tag = 0u64;
             let mut completions = 0u64;
+            let mut done = Vec::new();
             for op in ops {
                 match *op {
                     Op::Start { node, threads, mib } => {
@@ -107,7 +109,8 @@ props! {
                     Op::Advance { ms } => {
                         let t = SimTime::from_millis(fs.now().as_millis() + ms as u64);
                         fs.advance_to(t);
-                        completions += fs.take_completed().len() as u64;
+                        fs.take_completed_into(&mut done);
+                        completions += done.len() as u64;
                     }
                     Op::Cancel { tag } => {
                         fs.cancel_tag(fs.now(), StreamTag(tag));
@@ -133,9 +136,10 @@ fn full_drain_writes_everything() {
             fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 4, bytes);
         }
         let mut guard = 0;
+        let mut done = Vec::new();
         while let Some(t) = fs.next_change_time() {
             fs.advance_to(t);
-            fs.take_completed();
+            fs.take_completed_into(&mut done);
             guard += 1;
             assert!(guard < 1_000_000, "no convergence");
         }

@@ -282,6 +282,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             ..BackfillConfig::default()
         };
         let mut snap = FsSnapshot::default();
+        let mut completions = Vec::new();
 
         while !(self.exhausted && self.resident == 0) {
             totals.loop_iterations += 1;
@@ -314,7 +315,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             }
             let t = t_next.max(now);
 
-            let completions = self.cluster.advance_to(t);
+            self.cluster.advance_to_into(t, &mut completions);
             let mut finished_any = !completions.is_empty();
             for c in &completions {
                 self.finish(c.job, c.at, false, rec);

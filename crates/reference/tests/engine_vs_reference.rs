@@ -70,26 +70,15 @@ fn shape(rng: &mut SimRng, max_nodes: usize) -> ExecSpec {
         max_nodes.min(2)
     };
     let nodes = 1 + rng.index(widest);
-    let io = |rng: &mut SimRng, write: bool| {
-        let threads_per_node = 1 + rng.index(8);
-        let bytes_per_thread = gib(rng.uniform_range(0.1, 3.0));
-        if write {
-            Phase::Write {
-                threads_per_node,
-                bytes_per_thread,
-            }
-        } else {
-            Phase::Read {
-                threads_per_node,
-                bytes_per_thread,
-            }
-        }
+    let write = |rng: &mut SimRng| Phase::Write {
+        threads_per_node: 1 + rng.index(8),
+        bytes_per_thread: gib(rng.uniform_range(0.1, 3.0)),
     };
     let phases = match rng.index(6) {
         0 | 5 => vec![Phase::Sleep(secs(rng, 5, 200))],
-        1 | 2 => vec![io(rng, true)],
-        3 => vec![Phase::Compute(secs(rng, 5, 60)), io(rng, true)],
-        _ => vec![io(rng, false), Phase::Compute(secs(rng, 5, 60))],
+        1 | 2 => vec![write(rng)],
+        3 => vec![Phase::Compute(secs(rng, 5, 60)), write(rng)],
+        _ => vec![write(rng), Phase::Compute(secs(rng, 5, 60))],
     };
     ExecSpec { nodes, phases }
 }
@@ -107,13 +96,6 @@ fn scaled(spec: &ExecSpec, f: f64) -> ExecSpec {
                 threads_per_node,
                 bytes_per_thread,
             } => Phase::Write {
-                threads_per_node,
-                bytes_per_thread: bytes_per_thread * f,
-            },
-            Phase::Read {
-                threads_per_node,
-                bytes_per_thread,
-            } => Phase::Read {
                 threads_per_node,
                 bytes_per_thread: bytes_per_thread * f,
             },

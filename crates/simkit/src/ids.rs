@@ -9,7 +9,6 @@ use std::fmt;
 /// Cluster-wide job identifier, assigned at submission.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct JobId(pub u64);
-crate::impl_json_newtype!(JobId, u64);
 
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -15,13 +15,11 @@
 //!   count or millisecond timestamp the simulators produce. Integer
 //!   conversions refuse the rest in both directions: a larger integer
 //!   would silently stand for a neighbour (2^53 + 1 parses as 2^53).
-//! * Derive-free impls: [`impl_json_struct!`](crate::impl_json_struct),
-//!   [`impl_json_enum!`](crate::impl_json_enum) and
-//!   [`impl_json_newtype!`](crate::impl_json_newtype) generate the trait
+//! * Derive-free impls: [`impl_json_struct!`](crate::impl_json_struct)
+//!   and [`impl_json_enum!`](crate::impl_json_enum) generate the trait
 //!   impls from a field list at the definition site (where private fields
 //!   are visible).
 
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// A JSON value.
@@ -607,61 +605,9 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for VecDeque<T> {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(T::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for VecDeque<T> {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        Vec::<T>::from_json(v).map(VecDeque::from)
-    }
-}
-
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(T::to_json).collect())
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        match v {
-            Value::Object(pairs) => pairs
-                .iter()
-                .map(|(k, v)| {
-                    V::from_json(v)
-                        .map(|v| (k.clone(), v))
-                        .map_err(|e| format!("key `{k}`: {e}"))
-                })
-                .collect(),
-            _ => Err("expected an object".to_string()),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        match v.as_array() {
-            Some([a, b]) => Ok((
-                A::from_json(a).map_err(|e| format!("[0]: {e}"))?,
-                B::from_json(b).map_err(|e| format!("[1]: {e}"))?,
-            )),
-            _ => Err("expected a 2-element array".to_string()),
-        }
     }
 }
 
@@ -695,26 +641,6 @@ macro_rules! impl_json_struct {
                 ::std::result::Result::Ok($ty {
                     $( $field: $crate::json::field(v, stringify!($field))? ),+
                 })
-            }
-        }
-    };
-}
-
-/// Implement [`ToJson`]/[`FromJson`] for a single-field tuple struct
-/// (`struct JobId(u64)`), serialized transparently as the inner value.
-#[macro_export]
-macro_rules! impl_json_newtype {
-    ($ty:ident, $inner:ty) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Value {
-                $crate::json::ToJson::to_json(&self.0)
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(
-                v: &$crate::json::Value,
-            ) -> ::std::result::Result<Self, ::std::string::String> {
-                ::std::result::Result::Ok($ty(<$inner as $crate::json::FromJson>::from_json(v)?))
             }
         }
     };
@@ -922,11 +848,6 @@ mod tests {
             Vec::<u64>::from_json(&parse("[1,2,3]").unwrap()).unwrap(),
             vec![1, 2, 3]
         );
-        let m: BTreeMap<String, f64> =
-            FromJson::from_json(&parse(r#"{"a":1,"b":2}"#).unwrap()).unwrap();
-        assert_eq!(m["b"], 2.0);
-        let t: (u64, f64) = FromJson::from_json(&parse("[3,4.5]").unwrap()).unwrap();
-        assert_eq!(t, (3, 4.5));
     }
 
     #[test]
@@ -949,10 +870,6 @@ mod tests {
         Struct { a: f64, b: bool },
     }
     impl_json_enum!(Kind { Unit, Tuple(value), Struct { a, b } });
-
-    #[derive(Debug, PartialEq)]
-    struct Wrap(u64);
-    impl_json_newtype!(Wrap, u64);
 
     #[test]
     fn struct_macro_roundtrip() {
@@ -984,15 +901,8 @@ mod tests {
     }
 
     #[test]
-    fn newtype_macro_roundtrip() {
-        assert_eq!(Wrap(5).to_json().to_json_string(), "5");
-        assert_eq!(Wrap::from_json(&Value::Num(5.0)).unwrap(), Wrap(5));
-    }
-
-    #[test]
     fn from_str_parses_and_converts() {
-        let w: Wrap = from_str("41").unwrap();
-        assert_eq!(w, Wrap(41));
-        assert!(from_str::<Wrap>("4a").is_err());
+        assert_eq!(from_str::<u64>("41"), Ok(41));
+        assert!(from_str::<u64>("4a").is_err());
     }
 }

@@ -12,7 +12,6 @@ use crate::time::SimTime;
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
-crate::impl_json_struct!(TimeSeries { points });
 
 impl TimeSeries {
     /// Create an empty series.

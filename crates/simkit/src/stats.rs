@@ -13,7 +13,6 @@ pub struct OnlineStats {
     min: f64,
     max: f64,
 }
-crate::impl_json_struct!(OnlineStats { n, mean, min, max });
 
 impl OnlineStats {
     /// Create an empty accumulator.
@@ -101,14 +100,6 @@ pub struct BoxStats {
     /// Number of samples summarised.
     pub count: usize,
 }
-crate::impl_json_struct!(BoxStats {
-    min,
-    q1,
-    median,
-    q3,
-    max,
-    count
-});
 
 impl BoxStats {
     /// Compute the summary of a non-empty sample; `None` if empty.

@@ -12,12 +12,10 @@ use std::ops::{Add, AddAssign, Sub};
 /// A point in simulated time (milliseconds since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
-crate::impl_json_newtype!(SimTime, u64);
 
 /// A span of simulated time (milliseconds).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
-crate::impl_json_newtype!(SimDuration, u64);
 
 impl SimTime {
     /// The start of the simulation.

@@ -93,9 +93,9 @@ pub struct RunningView<'a> {
 
 /// Grace period a running job that has exceeded its requested limit is
 /// still assumed to occupy its resources. Slurm kills such jobs at the
-/// limit; this substrate does not enforce kills, so trackers must keep
-/// overrunning jobs reserved or the scheduler would double-book their
-/// nodes.
+/// limit; this substrate does not kill them unless the driver's
+/// `enforce_limits` is set, so trackers must keep overrunning jobs
+/// reserved or the scheduler would double-book their nodes.
 pub const OVERRUN_GRACE: SimDuration = SimDuration::from_secs(60);
 
 impl RunningView<'_> {

@@ -47,7 +47,6 @@ pub enum PriorityPolicy {
     /// multifactor-priority shape.
     Priority,
 }
-iosched_simkit::impl_json_enum!(PriorityPolicy { Fifo, Priority });
 
 /// Lifecycle state of a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

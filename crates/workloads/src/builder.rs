@@ -24,15 +24,6 @@ pub struct JobSubmission {
     /// eligible.
     pub after: Vec<JobId>,
 }
-iosched_simkit::impl_json_struct!(JobSubmission {
-    id,
-    name,
-    exec,
-    limit,
-    submit,
-    priority,
-    after,
-});
 
 /// Fluent builder producing a flat, FIFO-ordered submission list.
 ///

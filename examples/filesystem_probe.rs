@@ -37,10 +37,11 @@ fn main() {
         "t(s)", "GiB/s", "streams", "fatigue"
     );
     let mut t = 0u64;
+    let mut done = Vec::new();
     while fs.active_stream_count() > 0 && t < 1800 {
         t += 30;
         fs.advance_to(SimTime::from_secs(t));
-        fs.take_completed();
+        fs.take_completed_into(&mut done);
         let fat = fs.ost_fatigue();
         println!(
             "{:6} {:9.2} {:9} {:9.2}",

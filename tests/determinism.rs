@@ -2,9 +2,11 @@
 //! and component RNG streams are isolated from one another.
 
 use hpc_iosched::cluster::ExecSpec;
-use hpc_iosched::experiments::figures::summary_json;
-use hpc_iosched::experiments::{run_experiment, ExperimentConfig, SchedulerKind};
-use hpc_iosched::simkit::time::SimDuration;
+use hpc_iosched::experiments::{
+    run_experiment, ExperimentConfig, ExperimentResult, JobRecord, SchedulerKind,
+};
+use hpc_iosched::simkit::series::TimeSeries;
+use hpc_iosched::simkit::time::{SimDuration, SimTime};
 use hpc_iosched::simkit::units::{gib, gibps};
 use hpc_iosched::workloads::{workload_1, JobSubmission, PaperParams, WorkloadBuilder};
 
@@ -59,18 +61,44 @@ fn identical_seeds_produce_bitwise_identical_schedules() {
     }
 }
 
+/// A trace's points, values as bits.
+fn trace_bits(ts: &TimeSeries) -> Vec<(SimTime, u64)> {
+    ts.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+}
+
+/// Everything a run reports, floats as bits.
+type RunBits = (u64, Vec<JobRecord>, [Vec<(SimTime, u64)>; 4], [u64; 4]);
+
+fn run_bits(r: &ExperimentResult) -> RunBits {
+    (
+        r.makespan_secs.to_bits(),
+        r.jobs.clone(),
+        [
+            trace_bits(&r.throughput_trace),
+            trace_bits(&r.nodes_trace),
+            trace_bits(&r.fatigue_trace),
+            trace_bits(&r.streams_trace),
+        ],
+        [
+            r.sched_passes,
+            r.rounds_elided,
+            r.rounds_certified,
+            r.loop_iterations,
+        ],
+    )
+}
+
 /// The CI determinism gate: two *full* Workload 1 simulations (all 720
 /// jobs, paper-size volumes) with the same seed must produce bit-identical
-/// metric output — compared as the serialized JSON summary, so any drift
-/// in makespan, per-job times, scheduling metrics or serialization itself
-/// fails the gate. Ignored by default (several seconds even in release);
-/// `ci.sh` runs it explicitly with `--include-ignored`.
+/// output — the makespan, every job record, every trace point and the
+/// pass and loop counters. Ignored by default (several seconds even in
+/// release); `ci.sh` runs it explicitly with `--include-ignored`.
 #[test]
 #[ignore = "full-size run; executed by ci.sh in release mode"]
 fn full_workload_1_two_runs_bit_identical() {
     let w = workload_1(&PaperParams::default());
-    let run = || summary_json(&run_experiment(&cfg(77), &w)).to_json_string();
-    assert_eq!(run(), run());
+    let run = || run_bits(&run_experiment(&cfg(77), &w));
+    assert!(run() == run(), "two runs with one seed differ");
 }
 
 #[test]

@@ -121,6 +121,17 @@ if grep -En 'serde|rand|proptest|criterion|crossbeam' crates/*/Cargo.toml Cargo.
     exit 1
 fi
 
+step "report: non-test production lines"
+# Report only, never a gate: the lines before the first `#[cfg(test)]`
+# of every `crates/*/src` file outside the test-only `reference` and
+# `bench` crates, plus `examples/`. Simplicity changes quote this count.
+prod_lines=0
+while IFS= read -r f; do
+    n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
+    prod_lines=$((prod_lines + n))
+done < <(find crates/*/src examples -name '*.rs' | grep -v -e '^crates/reference/' -e '^crates/bench/' | sort)
+echo "non-test production lines: $prod_lines"
+
 step "release build (offline)"
 cargo build --workspace --release --offline
 
@@ -140,33 +151,35 @@ step "tests (offline)"
 cargo test -q --workspace --offline
 
 step "property suites in release"
-# The profile and policy properties compare against their test-code
-# models under cfg(test) (the two-group split and the adaptive round's
-# fused target pass against the comparison-sort split and the separate
-# target walk in iosched-core's twogroup.rs and adaptive.rs, bit for
-# bit), the joint-scan trackers compare every earliest start and whole
-# backfill passes against the per-resource fixpoint of Algorithms 4 and
-# 7 (iosched_reference::fixpoint, in iosched-core's fixpoint_props), the
-# backfill properties compare the fits-now-pruned walk with the unpruned
-# one, the
-# no-start certificate properties compare it
-# against backfill passes, and the lustre-sim properties compare the
-# rate solve against the test-code reference solver, the
-# SWF reader/writer properties (iosched-workloads) and the JSON parser
-# and property harness tests (iosched-simkit) run without overflow
-# checks, and the ldms-sim property compares the
-# daemon's running integrals and load window bitwise with a model that
-# keeps every sample, the cluster-sim property compares the event
-# calendar with a scan over the running jobs, and the iosched-reference
-# suite replays random workloads through the engine and the reference
-# engine (every pass run, nothing elided or certified) and requires
-# identical results, so they also check the release arithmetic (no
-# overflow checks) and the release engine, which carries no oracle.
+# These suites run without overflow checks, so they check the release
+# arithmetic too, and the release engine, which carries no oracle:
+# - profile and policy properties (iosched-slurm, iosched-core) against
+#   their test-code models under cfg(test): the two-group split and the
+#   adaptive round's fused target pass against the comparison-sort split
+#   and the separate target walk (twogroup.rs, adaptive.rs), bit for bit;
+# - the joint-scan trackers (iosched-core's fixpoint_props): every
+#   earliest start and whole backfill passes against the per-resource
+#   fixpoint of Algorithms 4 and 7 (iosched_reference::fixpoint);
+# - the backfill properties: the fits-now-pruned walk against the
+#   unpruned one;
+# - the no-start certificate properties, against backfill passes;
+# - the lustre-sim properties: the rate solve against the test-code
+#   reference solver;
+# - the SWF reader/writer properties (iosched-workloads) and the JSON
+#   parser and property harness tests (iosched-simkit);
+# - the ldms-sim property: the daemon's running integrals and load
+#   window, bitwise, against a model that keeps every sample;
+# - the cluster-sim property: the event calendar against a scan over the
+#   running jobs;
+# - the iosched-reference suite: random workloads through the engine and
+#   the reference engine (every pass run, nothing elided or certified),
+#   whose results must be identical.
 cargo test --release -q --offline -p iosched-slurm -p iosched-core -p iosched-lustre \
     -p iosched-ldms -p iosched-analytics -p iosched-reference -p iosched-cluster \
     -p iosched-workloads -p iosched-simkit
 # Metamorphic relations between runs (unbounded io-aware equals default
-# backfill; cutting a trace at T moves no start before T). The cut
+# backfill; cutting a trace at T moves no start before T; on I/O-free
+# traces io-aware and adaptive equal default backfill). The cut
 # relation's 72 runs are release-only: the debug tests step skips them.
 cargo test --release -q --offline -p iosched-experiments --test relations
 # Certified rounds (skipped by the no-start certificate) must reproduce

@@ -58,8 +58,8 @@ pub struct ClusterSim {
     now: SimTime,
     /// Deadline calendar: exactly one entry per running timed
     /// (sleep/compute) phase, keyed by its end instant. Entries are
-    /// consumed when the phase fires and removed eagerly on job cancel,
-    /// so the earliest calendar entry is always live and
+    /// consumed when the phase fires, so the earliest calendar entry is
+    /// always live and
     /// [`Self::next_event_time`] is an O(1) peek instead of an
     /// O(running-jobs) scan.
     calendar: EventQueue<JobId>,
@@ -128,11 +128,6 @@ impl ClusterSim {
         &self.fs
     }
 
-    /// Jobs currently executing.
-    pub fn running_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.running.keys().copied()
-    }
-
     /// Start a job at time `t` (must be ≥ `now`, and ≤ the next event so
     /// no transition is skipped): [`Self::start_jobs`] of one job.
     pub fn start_job(&mut self, t: SimTime, job: JobId, spec: &ExecSpec) -> Result<(), String> {
@@ -191,23 +186,6 @@ impl ClusterSim {
                 activity,
             },
         );
-        Ok(())
-    }
-
-    /// Cancel a running job, releasing nodes and aborting its streams.
-    pub fn cancel_job(&mut self, t: SimTime, job: JobId) -> Result<(), String> {
-        self.advance_internal(t);
-        let rj = self
-            .running
-            .remove(&job)
-            .ok_or_else(|| format!("{job:?} is not running"))?;
-        if matches!(rj.activity, Activity::TimedUntil(_)) {
-            // Drop the job's deadline eagerly so the calendar never holds
-            // stale entries and `peek_time` stays exact.
-            self.calendar.retain(|_, &j| j != job);
-        }
-        self.fs.cancel_tag(t, StreamTag(job.0));
-        self.nodes.release(&rj.nodes);
         Ok(())
     }
 
@@ -637,18 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_releases_everything() {
-        let mut c = cluster();
-        c.start_job(SimTime::ZERO, JobId(1), &ExecSpec::write_xn(8, gib(10.0)))
-            .unwrap();
-        c.cancel_job(SimTime::from_secs(1), JobId(1)).unwrap();
-        assert_eq!(c.busy_nodes(), 0);
-        assert_eq!(c.fs().active_stream_count(), 0);
-        assert!(c.cancel_job(SimTime::from_secs(1), JobId(1)).is_err());
-        assert!(c.next_event_time().is_none());
-    }
-
-    #[test]
     fn determinism_across_identical_runs() {
         let run = || {
             let mut c = cluster();
@@ -698,9 +664,8 @@ mod tests {
     iosched_simkit::props! {
         #![cases(64)]
 
-        /// The calendar peek equals the scan after every start, advance
-        /// and cancel of a random sequence — stale calendar entries left
-        /// by cancels and phase changes included.
+        /// The calendar peek equals the scan after every start and
+        /// advance of a random sequence — phase changes included.
         fn calendar_matches_scan(
             ops in iosched_simkit::prop::vec((0u64..4, 0u64..8, 1u64..90), 1..48),
         ) {
@@ -712,12 +677,9 @@ mod tests {
                         // Node exhaustion and duplicates are fine: skip them.
                         let _ = c.start_job(now, JobId(job), &arb_spec(op + secs, secs));
                     }
-                    2 => {
+                    _ => {
                         now += SimDuration::from_millis(secs * 700);
                         advance(&mut c, now);
-                    }
-                    _ => {
-                        let _ = c.cancel_job(now, JobId(job));
                     }
                 }
                 iosched_simkit::prop_assert_eq!(

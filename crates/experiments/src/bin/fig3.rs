@@ -11,8 +11,8 @@
 //!
 //! Usage: `cargo run --release -p iosched-experiments --bin fig3 [seed]`
 
-use iosched_experiments::driver::{run_experiment, ExperimentConfig, SchedulerKind};
-use iosched_experiments::figures::{jobs_csv, print_panel, traces_csv, write_output};
+use iosched_experiments::driver::SchedulerKind;
+use iosched_experiments::figures::run_trace_panels;
 use iosched_simkit::units::gibps;
 use iosched_workloads::{workload_1, PaperParams};
 use std::path::PathBuf;
@@ -25,7 +25,7 @@ fn main() {
     let workload = workload_1(&PaperParams::default());
     let out_dir = PathBuf::from("results/fig3");
 
-    let panels: Vec<(&str, SchedulerKind, bool)> = vec![
+    let panels = [
         ("a_default", SchedulerKind::DefaultBackfill, true),
         (
             "b_ioaware20",
@@ -60,37 +60,7 @@ fn main() {
     ];
 
     println!("Fig. 3 — Workload 1 (720 jobs: 8 waves x [30 write_x8 + 60 sleep]), seed {seed}\n");
-    let mut baseline = None;
-    for (tag, kind, pretrained) in panels {
-        let mut cfg = ExperimentConfig::paper(kind, seed);
-        cfg.pretrained = pretrained;
-        let res = run_experiment(&cfg, &workload);
-        write_output(
-            &out_dir.join(format!("{tag}_traces.csv")),
-            &traces_csv(&res, 10),
-        )
-        .expect("write traces");
-        write_output(&out_dir.join(format!("{tag}_jobs.csv")), &jobs_csv(&res))
-            .expect("write jobs");
-
-        let title = format!(
-            "Fig 3({}) {}{}",
-            &tag[..1],
-            res.label,
-            if pretrained { "" } else { " (untrained)" }
-        );
-        print_panel(&title, &res);
-        match baseline {
-            None => {
-                baseline = Some(res.makespan_secs);
-                println!("  (baseline)\n");
-            }
-            Some(base) => {
-                let delta = 100.0 * (base - res.makespan_secs) / base;
-                println!("  improvement over default: {delta:+.1}%\n");
-            }
-        }
-    }
+    run_trace_panels(3, &workload, seed, &out_dir, &panels, |_| {});
     println!("paper reference: (b) ~10%, (c) ~20%, (d) ~26%, (e) ~25% improvement");
     println!("CSV data in {}", out_dir.display());
 }

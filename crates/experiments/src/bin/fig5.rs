@@ -11,8 +11,8 @@
 //!
 //! Usage: `cargo run --release -p iosched-experiments --bin fig5 [seed]`
 
-use iosched_experiments::driver::{run_experiment, ExperimentConfig, SchedulerKind};
-use iosched_experiments::figures::{jobs_csv, node_buckets, print_panel, traces_csv, write_output};
+use iosched_experiments::driver::SchedulerKind;
+use iosched_experiments::figures::{node_buckets, run_trace_panels};
 use iosched_simkit::units::gibps;
 use iosched_workloads::{workload_2, PaperParams};
 use std::path::PathBuf;
@@ -25,19 +25,21 @@ fn main() {
     let workload = workload_2(&PaperParams::default());
     let out_dir = PathBuf::from("results/fig5");
 
-    let panels: Vec<(&str, SchedulerKind)> = vec![
-        ("a_default", SchedulerKind::DefaultBackfill),
+    let panels = [
+        ("a_default", SchedulerKind::DefaultBackfill, true),
         (
             "b_ioaware20",
             SchedulerKind::IoAware {
                 limit_bps: gibps(20.0),
             },
+            true,
         ),
         (
             "c_ioaware15",
             SchedulerKind::IoAware {
                 limit_bps: gibps(15.0),
             },
+            true,
         ),
         (
             "d_adaptive20",
@@ -45,6 +47,7 @@ fn main() {
                 limit_bps: gibps(20.0),
                 two_group: true,
             },
+            true,
         ),
         (
             "e_adaptive15",
@@ -52,40 +55,18 @@ fn main() {
                 limit_bps: gibps(15.0),
                 two_group: true,
             },
+            true,
         ),
     ];
 
     println!("Fig. 5 — Workload 2 (1550 jobs: 5 waves x [30 w8, 30 w6, 30 w4, 70 w2, 120 w1, 30 sleep]), seed {seed}\n");
-    let mut baseline = None;
-    for (tag, kind) in panels {
-        let cfg = ExperimentConfig::paper(kind, seed);
-        let res = run_experiment(&cfg, &workload);
-        write_output(
-            &out_dir.join(format!("{tag}_traces.csv")),
-            &traces_csv(&res, 10),
-        )
-        .expect("write traces");
-        write_output(&out_dir.join(format!("{tag}_jobs.csv")), &jobs_csv(&res))
-            .expect("write jobs");
-
-        let title = format!("Fig 5({}) {}", &tag[..1], res.label);
-        print_panel(&title, &res);
+    run_trace_panels(5, &workload, seed, &out_dir, &panels, |res| {
         // Idle-node indicator over the second half of the run (the
         // phenomenon the paper highlights for panel (c)).
-        let buckets = node_buckets(&res, 20);
+        let buckets = node_buckets(res, 20);
         let second_half_nodes: f64 = buckets[10..].iter().sum::<f64>() / 10.0;
         println!("  mean busy nodes (2nd half): {second_half_nodes:.1} / 15");
-        match baseline {
-            None => {
-                baseline = Some(res.makespan_secs);
-                println!("  (baseline)\n");
-            }
-            Some(base) => {
-                let delta = 100.0 * (base - res.makespan_secs) / base;
-                println!("  improvement over default: {delta:+.1}%\n");
-            }
-        }
-    }
+    });
     println!("paper reference (medians over repeats): (b) ~4%, (c) ~7%, (d) ~12%, (e) ~ io-aware-15 + 3%");
     println!("CSV data in {}", out_dir.display());
 }

@@ -3,9 +3,8 @@
 //! Every run goes through [`run`]. Each iteration advances the
 //! **cluster** to the next event, retires finished jobs (completions feed
 //! the **analytics**, whose new prediction for the job's name is one write
-//! to the estimate book, read by every resident job of that name), kills
-//! jobs at their limit under `enforce_limits`, admits jobs
-//! into freed window slots, takes the **monitoring** sample when due, and
+//! to the estimate book, read by every resident job of that name), admits
+//! jobs into freed window slots, takes the **monitoring** sample when due, and
 //! runs the **backfill** pass periodically or after completions. Two
 //! kinds of round skip the pass: an *elided* round is provably identical
 //! to the previous one, and a *certified* round is one that cannot seed
@@ -23,11 +22,11 @@
 //!
 //! A [`JobSource`] is an iterator admitted under a window; a [`Recorder`]
 //! keeps full records and traces or O(1) aggregates, reading a finished
-//! job's metadata from the registry before it is retired. A finished job
-//! leaves the resident table at once, and the registry too unless a
-//! resident job still names it in `after`: then it stays visible to
-//! `dependencies_met` until its last dependent finishes, so dependencies
-//! work whenever they are admitted no later than their dependents.
+//! job's metadata from the registry before it is retired. A job is
+//! pending, running or completed: it runs until its work is done (a job
+//! past its limit keeps running, and its reservation is extended by
+//! `OVERRUN_GRACE` each round), and leaves the resident table and the
+//! registry the moment it completes.
 
 use crate::driver::{ExperimentConfig, SchedulerKind};
 use iosched_analytics::service::AnalyticsService;
@@ -183,9 +182,8 @@ pub(crate) struct JobSource<'w, I> {
 pub(crate) trait Recorder {
     /// A monitoring sample was taken at `now`.
     fn sample(&mut self, _now: SimTime, _snap: &FsSnapshot, _cluster: &ClusterSim) {}
-    /// A job finished at `ended`: ran to completion, or was killed at its
-    /// limit (`timed_out`).
-    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime, timed_out: bool);
+    /// A job completed at `ended`.
+    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime);
     /// The loop ended at `now`, the last job's end.
     fn end(&mut self, _now: SimTime, _cluster: &ClusterSim, _snap: &mut FsSnapshot) {}
 }
@@ -245,12 +243,6 @@ struct Engine<'c, I> {
     registry: JobRegistry,
     /// Execution specs of the resident jobs (admitted, not yet finished).
     resident: BTreeMap<JobId, ExecSpec>,
-    /// Jobs named in some resident job's `after`, with their dependent
-    /// counts: retired from the registry when their last dependent is.
-    held: BTreeMap<JobId, u32>,
-    /// The finishing job's `after`, copied out of the registry while its
-    /// dependencies are released.
-    deps: Vec<JobId>,
     /// The persistent estimate book (Algorithm 2, line 1, incremental).
     book: EstimateBook,
 }
@@ -264,6 +256,11 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 return;
             };
             assert!(
+                sub.after.is_empty(),
+                "job dependencies are not supported: {} names jobs in `after`",
+                sub.id
+            );
+            assert!(
                 sub.submit >= self.last_submit,
                 "submissions must arrive in submit order ({})",
                 sub.id
@@ -274,11 +271,7 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             let sym = self.analytics.intern(&sub.name);
             let meta = SchedJob::new(sub.id, sub.name, sub.exec.nodes, sub.limit, sub.submit)
                 .with_priority(sub.priority)
-                .with_after(sub.after)
                 .with_name_sym(sym);
-            for &dep in &meta.after {
-                *self.held.entry(dep).or_default() += 1;
-            }
             // Only pretraining and completions (see `finish`) change a
             // name's prediction, so this write matters at the name's first
             // admission, which picks up pretraining; later ones rewrite it.
@@ -291,47 +284,25 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         }
     }
 
-    /// Finish a running job at `ended`: completed, or killed at its limit
-    /// (`timed_out`), and retire it.
-    fn finish(&mut self, id: JobId, ended: SimTime, timed_out: bool, rec: &mut impl Recorder) {
+    /// Complete a running job at `ended` and retire it.
+    fn finish(&mut self, id: JobId, ended: SimTime, rec: &mut impl Recorder) {
         let Some(JobState::Running { started }) = self.registry.state(id) else {
             unreachable!("finishing {id}, which is not running")
         };
-        if timed_out {
-            self.registry.mark_timed_out(id, ended);
-        } else {
-            self.registry.mark_completed(id, ended);
-        }
+        self.registry.mark_completed(id, ended);
         self.resident.remove(&id).expect("finished job is resident");
         self.book.remove(id);
         let meta = self.registry.meta(id).expect("finished job is registered");
-        // Killed jobs produce no estimator observation: their measured
-        // volume is truncated and would bias r̂/d̂.
-        if !timed_out {
-            let sym = meta.name_sym;
-            self.analytics
-                .on_job_complete_sym(&self.daemon, id.0, sym, started, ended);
-            // The completion changed this name's prediction, which every
-            // resident job of the name reads through the book.
-            self.book
-                .set_name_estimate(sym, self.analytics.estimator().estimate(sym));
-        }
+        let sym = meta.name_sym;
+        self.analytics
+            .on_job_complete_sym(&self.daemon, id.0, sym, started, ended);
+        // The completion changed this name's prediction, which every
+        // resident job of the name reads through the book.
+        self.book
+            .set_name_estimate(sym, self.analytics.estimator().estimate(sym));
         self.daemon.forget(id.0);
-        rec.finish(meta, started, ended, timed_out);
-        self.deps.clear();
-        self.deps.extend_from_slice(&meta.after);
-        for dep in &self.deps {
-            let n = self.held.get_mut(dep).expect("dependency is held");
-            *n -= 1;
-            if *n == 0 {
-                self.held.remove(dep);
-                // A dependent can only have started after `dep` finished.
-                self.registry.retire(*dep);
-            }
-        }
-        if !self.held.contains_key(&id) {
-            self.registry.retire(id);
-        }
+        rec.finish(meta, started, ended);
+        self.registry.retire(id);
         self.last_end = self.last_end.max(ended);
     }
 
@@ -397,31 +368,15 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             if let Some(t) = self.cluster.next_event_time() {
                 t_next = t_next.min(t);
             }
-            if cfg.enforce_limits {
-                if let Some(t) = self.registry.next_limit_expiry() {
-                    t_next = t_next.min(t);
-                }
-            }
             let t = t_next.max(now);
 
-            // 1. Advance the cluster and retire what finished; under
-            // `enforce_limits`, kill running jobs that hit `L_j`.
+            // 1. Advance the cluster and retire what finished.
             self.cluster.advance_to_into(t, &mut s.completions);
-            let mut finished_any = !s.completions.is_empty();
             for c in s.completions.iter() {
-                self.finish(c.job, c.at, false, rec);
+                self.finish(c.job, c.at, rec);
             }
             now = t;
-            if cfg.enforce_limits {
-                for (id, _) in self.registry.overrunning(now) {
-                    self.cluster
-                        .cancel_job(now, id)
-                        .expect("overrunning job is running");
-                    self.finish(id, now, true, rec);
-                    finished_any = true;
-                }
-            }
-            if finished_any {
+            if !s.completions.is_empty() {
                 sched_requested = true;
                 round_dirty = true;
                 // Freed window slots admit the next slice of the source.
@@ -576,7 +531,8 @@ const ITERATION_ALLOWANCE: u64 = 50_000_000;
 /// Run `source` to completion under `cfg`, reporting to `rec`.
 ///
 /// # Panics
-/// On a zero window, on out-of-order submissions, and when the loop
+/// On a zero window, on `enforce_limits`, on a submission with a
+/// non-empty `after`, on out-of-order submissions, and when the loop
 /// fails to converge.
 pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
     cfg: &ExperimentConfig,
@@ -585,6 +541,10 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
     rec: &mut impl Recorder,
 ) -> RunTotals {
     assert!(source.window > 0, "admission window must be positive");
+    assert!(
+        !cfg.enforce_limits,
+        "limit enforcement is not supported: `enforce_limits` must be false"
+    );
     scratch.snap_gen = None;
     let rng = SimRng::from_seed(cfg.seed).fork(1);
     let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), rng);
@@ -617,8 +577,6 @@ pub(crate) fn run<I: Iterator<Item = JobSubmission>>(
         policy: PolicyImpl::new(cfg.scheduler, cfg.qos_fraction),
         registry: JobRegistry::new(),
         resident: BTreeMap::new(),
-        held: BTreeMap::new(),
-        deps: Vec::new(),
         book: EstimateBook::new(),
     }
     .run(scratch, rec)

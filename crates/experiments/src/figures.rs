@@ -4,10 +4,11 @@
 //! figure plots (so any plotting tool can regenerate it) and prints a
 //! compact ASCII rendition with the headline numbers.
 
-use crate::driver::ExperimentResult;
+use crate::driver::{run_experiment, ExperimentConfig, ExperimentResult, SchedulerKind};
 use iosched_simkit::stats::BoxStats;
 use iosched_simkit::time::SimTime;
 use iosched_simkit::units::to_gibps;
+use iosched_workloads::JobSubmission;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -128,13 +129,57 @@ pub fn node_buckets(res: &ExperimentResult, buckets: usize) -> Vec<f64> {
 }
 
 /// Print one Fig-3/Fig-5-style panel to stdout.
-pub fn print_panel(title: &str, res: &ExperimentResult) {
+fn print_panel(title: &str, res: &ExperimentResult) {
     let thr = throughput_buckets(res, 72);
     let nod = node_buckets(res, 72);
     println!("── {title} ──");
     println!("  makespan: {:.0} s", res.makespan_secs);
     println!("  Lustre GiB/s  {}", sparkline(&thr));
     println!("  busy nodes    {}", sparkline(&nod));
+}
+
+/// Run the panels of trace figure `fig` (Fig. 3 or Fig. 5) on `workload`
+/// at `seed`. For each `(tag, scheduler, pretrained)` panel: write
+/// `<tag>_traces.csv` and `<tag>_jobs.csv` under `out_dir`, print the
+/// panel under its letter (the tag's first character), let `after_panel`
+/// print its own lines, then print the makespan improvement over the
+/// first panel, the default-backfill baseline.
+pub fn run_trace_panels(
+    fig: u8,
+    workload: &[JobSubmission],
+    seed: u64,
+    out_dir: &Path,
+    panels: &[(&str, SchedulerKind, bool)],
+    after_panel: impl Fn(&ExperimentResult),
+) {
+    let mut baseline = None;
+    for &(tag, kind, pretrained) in panels {
+        let mut cfg = ExperimentConfig::paper(kind, seed);
+        cfg.pretrained = pretrained;
+        let res = run_experiment(&cfg, workload);
+        write_output(
+            &out_dir.join(format!("{tag}_traces.csv")),
+            &traces_csv(&res, 10),
+        )
+        .expect("write traces");
+        write_output(&out_dir.join(format!("{tag}_jobs.csv")), &jobs_csv(&res))
+            .expect("write jobs");
+
+        let untrained = if pretrained { "" } else { " (untrained)" };
+        let title = format!("Fig {fig}({}) {}{untrained}", &tag[..1], res.label);
+        print_panel(&title, &res);
+        after_panel(&res);
+        match baseline {
+            None => {
+                baseline = Some(res.makespan_secs);
+                println!("  (baseline)\n");
+            }
+            Some(base) => {
+                let delta = 100.0 * (base - res.makespan_secs) / base;
+                println!("  improvement over default: {delta:+.1}%\n");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -164,7 +209,6 @@ mod tests {
                 submit: SimTime::ZERO,
                 start: SimTime::from_secs(1),
                 end: SimTime::from_secs(5),
-                timed_out: false,
             }],
             sched_passes: 3,
             rounds_elided: 0,

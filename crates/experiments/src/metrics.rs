@@ -24,8 +24,6 @@ pub struct SchedulingMetrics {
     pub mean_runtime_secs: f64,
     /// Mean bounded slowdown: `max(1, (wait + run) / max(run, τ))`.
     pub mean_bounded_slowdown: f64,
-    /// Jobs killed at their limit.
-    pub timed_out: usize,
 }
 
 /// Compute metrics over a slice of job records; `None` if empty.
@@ -37,7 +35,6 @@ pub fn scheduling_metrics(jobs: &[JobRecord]) -> Option<SchedulingMetrics> {
     let mut run = OnlineStats::new();
     let mut bsld = OnlineStats::new();
     let mut waits = Vec::with_capacity(jobs.len());
-    let mut timed_out = 0;
     for j in jobs {
         let w = j.wait().as_secs_f64();
         let r = j.runtime().as_secs_f64();
@@ -45,9 +42,6 @@ pub fn scheduling_metrics(jobs: &[JobRecord]) -> Option<SchedulingMetrics> {
         run.push(r);
         waits.push(w);
         bsld.push(((w + r) / r.max(BSLD_TAU_SECS)).max(1.0));
-        if j.timed_out {
-            timed_out += 1;
-        }
     }
     Some(SchedulingMetrics {
         jobs: jobs.len(),
@@ -56,7 +50,6 @@ pub fn scheduling_metrics(jobs: &[JobRecord]) -> Option<SchedulingMetrics> {
         max_wait_secs: wait.max(),
         mean_runtime_secs: run.mean(),
         mean_bounded_slowdown: bsld.mean(),
-        timed_out,
     })
 }
 
@@ -86,7 +79,6 @@ mod tests {
             submit: SimTime::from_secs(submit),
             start: SimTime::from_secs(start),
             end: SimTime::from_secs(end),
-            timed_out: false,
         }
     }
 
@@ -109,7 +101,6 @@ mod tests {
         assert_eq!(m.mean_runtime_secs, 75.0);
         // bsld: (10+100)/100 = 1.1; (30+50)/50 = 1.6 → mean 1.35
         assert!((m.mean_bounded_slowdown - 1.35).abs() < 1e-9);
-        assert_eq!(m.timed_out, 0);
     }
 
     #[test]

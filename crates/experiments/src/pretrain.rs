@@ -12,18 +12,11 @@ use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_workloads::JobSubmission;
 use std::collections::BTreeSet;
 
-/// Run one representative of each job name in isolation; returns
-/// `(name, average throughput bytes/s, runtime)` observations.
-pub fn pretrain_isolated(
-    fs: &LustreConfig,
-    workload: &[JobSubmission],
-    seed: u64,
-) -> Vec<(String, f64, SimDuration)> {
-    pretrain_isolated_with_bb(fs, workload, seed, 0.0)
-}
-
-/// [`pretrain_isolated`] on a cluster with per-node burst buffers, so the
-/// isolated observations match the production configuration.
+/// Run one representative of each job name in isolation, on a cluster
+/// with `burst_buffer_per_node_bytes` of burst buffer per node (0 for
+/// none) so the isolated observations match the production
+/// configuration; returns `(name, average throughput bytes/s, runtime)`
+/// observations.
 pub fn pretrain_isolated_with_bb(
     fs: &LustreConfig,
     workload: &[JobSubmission],
@@ -78,7 +71,7 @@ mod tests {
     #[test]
     fn pretrains_each_name_once() {
         let w = workload_1(&PaperParams::default());
-        let obs = pretrain_isolated(&LustreConfig::stria().noiseless(), &w, 1);
+        let obs = pretrain_isolated_with_bb(&LustreConfig::stria().noiseless(), &w, 1, 0.0);
         assert_eq!(obs.len(), 2); // write_x8, sleep
         let write = obs.iter().find(|(n, _, _)| n == "write_x8").unwrap();
         let sleep = obs.iter().find(|(n, _, _)| n == "sleep").unwrap();
@@ -111,7 +104,7 @@ mod tests {
             priority: 0,
             after: Vec::new(),
         }];
-        let obs = pretrain_isolated(&LustreConfig::stria().noiseless(), &w, 1);
+        let obs = pretrain_isolated_with_bb(&LustreConfig::stria().noiseless(), &w, 1, 0.0);
         assert_eq!(obs.len(), 1);
         assert!(obs[0].1 > 0.0);
     }

@@ -44,7 +44,7 @@ impl Default for StreamingOptions {
 pub struct StreamingResult {
     /// Scheduler label (for reports).
     pub label: String,
-    /// Jobs that ran to completion (or were killed at their limit).
+    /// Jobs that ran to completion.
     pub jobs_completed: u64,
     /// First submission → last completion, seconds.
     pub makespan_secs: f64,
@@ -69,13 +69,14 @@ pub struct StreamingResult {
     pub peak_resident_jobs: usize,
 }
 
-/// Replay `submissions` (non-decreasing submit times, no dependencies)
+/// Replay `submissions` (non-decreasing submit times, empty `after`)
 /// under `cfg`, admitting at most `opts.window` jobs at a time.
 ///
 /// # Panics
 /// Panics if `cfg.pretrained` is set (pretraining needs the whole trace
-/// up front — the opposite of streaming), if `opts.window` is zero, or if
-/// a submission carries dependencies or out-of-order submit times.
+/// up front — the opposite of streaming), and on the inputs every run
+/// refuses: a zero window, `enforce_limits`, and a submission with a
+/// non-empty `after` or an out-of-order submit time.
 pub fn run_streaming(
     cfg: &ExperimentConfig,
     submissions: impl IntoIterator<Item = JobSubmission>,
@@ -85,20 +86,12 @@ pub fn run_streaming(
         !cfg.pretrained,
         "streaming replay cannot pretrain: pretraining scans the whole trace"
     );
-    // A dependency on a job that already retired would dangle forever.
-    let jobs = submissions.into_iter().inspect(|sub| {
-        assert!(
-            sub.after.is_empty(),
-            "streaming replay does not support dependencies ({})",
-            sub.id
-        );
-    });
     let mut result = StreamingResult {
         label: cfg.scheduler.label(),
         ..StreamingResult::default()
     };
     let source = JobSource {
-        jobs,
+        jobs: submissions.into_iter(),
         window: opts.window,
         pretrain_on: None,
     };
@@ -117,7 +110,7 @@ pub fn run_streaming(
 /// The aggregate recorder. `mean_wait_secs` holds the sum of waits until
 /// [`run_streaming`] divides it at the end.
 impl Recorder for StreamingResult {
-    fn finish(&mut self, job: &SchedJob, started: SimTime, _ended: SimTime, _timed_out: bool) {
+    fn finish(&mut self, job: &SchedJob, started: SimTime, _ended: SimTime) {
         self.jobs_completed += 1;
         let wait = started.saturating_since(job.submit).as_secs_f64();
         self.mean_wait_secs += wait;
@@ -160,9 +153,9 @@ mod tests {
         cfg
     }
 
-    /// With a window covering the whole trace, the two recorders see the same run: identical makespan, pass count
-    /// and iteration count, and aggregates equal to the batch records —
-    /// with and without limit kills.
+    /// With a window covering the whole trace, the two recorders see the
+    /// same run: identical makespan, pass count and iteration count, and
+    /// aggregates equal to the batch records.
     #[test]
     fn full_window_matches_run_experiment() {
         let io_aware = SchedulerKind::IoAware {
@@ -172,25 +165,10 @@ mod tests {
             limit_bps: gibps(15.0),
             two_group: true,
         };
-        for (kind, enforce_limits) in [
-            (SchedulerKind::DefaultBackfill, false),
-            (adaptive, false),
-            (io_aware, false),
-            (SchedulerKind::DefaultBackfill, true),
-            (io_aware, true),
-        ] {
-            let mut cfg = quick_cfg(kind);
-            let mut workload = synth_workload(80, 3);
-            if enforce_limits {
-                // Every fourth job asks for far less than it runs.
-                cfg.enforce_limits = true;
-                for sub in workload.iter_mut().step_by(4) {
-                    sub.limit = SimDuration::from_secs(30);
-                }
-            }
+        for kind in [SchedulerKind::DefaultBackfill, adaptive, io_aware] {
+            let cfg = quick_cfg(kind);
+            let workload = synth_workload(80, 3);
             let batch = run_experiment(&cfg, &workload);
-            let killed = batch.jobs.iter().filter(|j| j.timed_out).count();
-            assert_eq!(killed > 0, enforce_limits, "{kind:?}: {killed} killed");
             let opts = StreamingOptions {
                 window: workload.len(),
                 ..StreamingOptions::default()
@@ -289,24 +267,26 @@ mod tests {
         let _ = run_streaming(&cfg, synth_workload(5, 1), &StreamingOptions::default());
     }
 
+    /// A one-job trace whose job lists `after` as its dependencies.
+    fn one_job(after: Vec<iosched_simkit::ids::JobId>) -> Vec<JobSubmission> {
+        let mut w = synth_workload(1, 1);
+        w[0].after = after;
+        w
+    }
+
     #[test]
-    fn limit_enforcement_kills_and_retires() {
+    #[should_panic(expected = "job dependencies are not supported")]
+    fn dependencies_are_rejected() {
+        let cfg = quick_cfg(SchedulerKind::DefaultBackfill);
+        let w = one_job(vec![iosched_simkit::ids::JobId(99)]);
+        let _ = run_streaming(&cfg, w, &StreamingOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "limit enforcement is not supported")]
+    fn limit_enforcement_is_rejected() {
         let mut cfg = quick_cfg(SchedulerKind::DefaultBackfill);
         cfg.enforce_limits = true;
-        // Synthetic requested times always exceed run times, so force a
-        // hand-built overrun: one sleep job with a limit below its run.
-        use iosched_cluster::ExecSpec;
-        let sub = JobSubmission {
-            id: iosched_simkit::ids::JobId(1),
-            name: "overrun".to_string(),
-            exec: ExecSpec::sleep(SimDuration::from_secs(300)),
-            limit: SimDuration::from_secs(60),
-            submit: SimTime::ZERO,
-            priority: 0,
-            after: Vec::new(),
-        };
-        let res = run_streaming(&cfg, [sub], &StreamingOptions::default());
-        assert_eq!(res.jobs_completed, 1);
-        assert!(res.makespan_secs < 100.0, "{}", res.makespan_secs);
+        let _ = run_streaming(&cfg, one_job(Vec::new()), &StreamingOptions::default());
     }
 }

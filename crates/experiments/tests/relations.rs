@@ -9,8 +9,13 @@
 //! * Non-anticipation: no scheduler looks ahead, so cutting a trace at
 //!   `T` (dropping every job submitted at or after `T`) leaves every
 //!   start before `T` unchanged.
+//! * I/O-free traces are scheduled by nodes alone: when no job writes,
+//!   every throughput estimate r̂ is 0 (Algorithm 2), so the long-term
+//!   demand is 0, the adaptive target R̃ is 0 and every job falls in the
+//!   zero group (Algorithms 5–7); io-aware and both adaptive variants
+//!   then give exactly `DefaultBackfill`'s records.
 //!
-//! Both run in release in `ci.sh`'s property step.
+//! All run in release in `ci.sh`'s property step.
 
 use iosched_cluster::Phase;
 use iosched_experiments::driver::{run_experiment, ExperimentConfig, SchedulerKind};
@@ -28,7 +33,8 @@ use iosched_workloads::{
 /// exceed the 15 and 20 GiB/s limits. The load keeps a queue of minutes
 /// (backfill has choices to make) while nodes still free up between
 /// submissions (a job that became visible early could start early).
-fn synth_trace(seed: u64) -> Vec<JobSubmission> {
+/// `io_fraction` of each job's runtime is a trailing write phase.
+fn synth_trace(seed: u64, io_fraction: f64) -> Vec<JobSubmission> {
     let cfg = SynthConfig {
         max_procs: 2,
         mean_interarrival_secs: 100.0,
@@ -36,7 +42,7 @@ fn synth_trace(seed: u64) -> Vec<JobSubmission> {
         ..SynthConfig::sized_for(15, 400, seed)
     };
     let swf = SwfOptions {
-        io_fraction: 0.2,
+        io_fraction,
         io_rate_per_node_bps: gibps(0.2),
         ..SwfOptions::default()
     };
@@ -76,7 +82,7 @@ fn unbounded_io_aware_is_default_backfill() {
     let workloads = [
         ("W1", workload_1(&params)),
         ("W2", workload_2(&params)),
-        ("synth", synth_trace(7)),
+        ("synth", synth_trace(7, 0.2)),
     ];
     for (name, jobs) in &workloads {
         for pretrained in [true, false] {
@@ -96,11 +102,75 @@ fn unbounded_io_aware_is_default_backfill() {
     }
 }
 
+/// `jobs` with every write phase replaced by a 120 s sleep.
+fn io_free(mut jobs: Vec<JobSubmission>) -> Vec<JobSubmission> {
+    for phase in jobs.iter_mut().flat_map(|job| &mut job.exec.phases) {
+        if let Phase::Write { .. } = phase {
+            *phase = Phase::Sleep(SimDuration::from_secs(120));
+        }
+    }
+    jobs
+}
+
+#[test]
+fn io_free_traces_schedule_as_default_backfill() {
+    let params = PaperParams::default();
+    let workloads = [
+        ("W1", io_free(workload_1(&params))),
+        ("W2", io_free(workload_2(&params))),
+        ("synth 7", synth_trace(7, 0.0)),
+        ("synth 42", synth_trace(42, 0.0)),
+    ];
+    let kinds = [
+        SchedulerKind::IoAware {
+            limit_bps: gibps(15.0),
+        },
+        SchedulerKind::IoAware {
+            limit_bps: gibps(1.0),
+        },
+        SchedulerKind::Adaptive {
+            limit_bps: gibps(20.0),
+            two_group: true,
+        },
+        SchedulerKind::Adaptive {
+            limit_bps: gibps(1.0),
+            two_group: false,
+        },
+    ];
+    for (name, jobs) in &workloads {
+        assert!(
+            jobs.iter().all(|j| j.exec.total_write_bytes() == 0.0),
+            "{name} writes"
+        );
+        for seed in [42, 1000] {
+            for pretrained in [true, false] {
+                let default = run(SchedulerKind::DefaultBackfill, seed, pretrained, jobs);
+                assert_eq!(default.jobs.len(), jobs.len(), "{name}: jobs lost");
+                for kind in kinds {
+                    let other = run(kind, seed, pretrained, jobs);
+                    assert!(
+                        other.jobs == default.jobs,
+                        "{name}, seed {seed}, pretrained {pretrained}: {} records differ \
+                         from default backfill's",
+                        other.label
+                    );
+                    assert_eq!(
+                        other.makespan_secs.to_bits(),
+                        default.makespan_secs.to_bits(),
+                        "{name}, seed {seed}, pretrained {pretrained}: {}",
+                        other.label
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The synthetic trace is a fair test of both relations: jobs queue, and
 /// a finite limit changes the schedule.
 #[test]
 fn synth_trace_queues_jobs_and_binds_the_limit() {
-    let jobs = synth_trace(7);
+    let jobs = synth_trace(7, 0.2);
     assert!(jobs.len() > 350, "{} jobs", jobs.len());
     let default = run(SchedulerKind::DefaultBackfill, 42, true, &jobs);
     let waited = default
@@ -144,7 +214,7 @@ fn cutting_a_trace_moves_no_earlier_start() {
         },
     ];
     for seed in [7, 42, 1000] {
-        let jobs = synth_trace(seed);
+        let jobs = synth_trace(seed, 0.2);
         for kind in kinds {
             for pretrained in [true, false] {
                 let full = run(kind, seed, pretrained, &jobs);

@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn zero_runtime_estimate_falls_back_to_limit() {
-        // A degenerate d̂ = 0 (e.g. a job that was killed instantly) must
+        // A degenerate d̂ = 0 (e.g. a job that completed instantly) must
         // not produce zero-length reservations: the runtime falls back.
         let mut book = EstimateBook::new();
         book.insert(

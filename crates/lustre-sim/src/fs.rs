@@ -437,25 +437,6 @@ impl LustreSim {
         out.append(&mut self.notified);
     }
 
-    /// Abort all streams belonging to `tag` (job cancelled). Advances to
-    /// `t` first. Returns how many streams were dropped.
-    pub fn cancel_tag(&mut self, t: SimTime, tag: StreamTag) -> usize {
-        self.advance_to(t);
-        let mut dropped = 0usize;
-        let mut idx = self.streams.len();
-        while idx > 0 {
-            idx -= 1;
-            if self.streams[idx].tag == tag {
-                self.remove_stream(idx);
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            self.recompute_rates();
-        }
-        dropped
-    }
-
     /// Integrate stream progress up to `t`, stepping across noise epochs.
     /// Completed streams move to the harvest buffer with their exact
     /// completion times.
@@ -829,6 +810,20 @@ mod tests {
         fn ost_occupancy(&self) -> Vec<usize> {
             self.ost_occ.iter().map(|&c| c as usize).collect()
         }
+
+        /// Advance to `t`, drop every stream of `tag` unfinished and
+        /// re-solve: the scripted mid-epoch removals of
+        /// `stria_noise_and_fatigue_rates_are_pinned`, whose digests were
+        /// recorded with them.
+        fn remove_tag(&mut self, t: SimTime, tag: StreamTag) {
+            self.advance_to(t);
+            for idx in (0..self.streams.len()).rev() {
+                if self.streams[idx].tag == tag {
+                    self.remove_stream(idx);
+                }
+            }
+            self.recompute_rates();
+        }
     }
 
     /// Every completed stream harvested so far.
@@ -1039,17 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tag_removes_streams() {
-        let mut fs = sim(quiet_cfg());
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 4, gib(10.0));
-        fs.start_write(SimTime::ZERO, StreamTag(2), 1, 4, gib(10.0));
-        assert_eq!(fs.cancel_tag(SimTime::from_secs(1), StreamTag(1)), 4);
-        assert_eq!(fs.active_stream_count(), 4);
-        let tags: Vec<StreamTag> = snap(&fs).per_tag_bps.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tags, [StreamTag(2)]);
-    }
-
-    #[test]
     fn snapshot_aggregates_match() {
         let mut fs = sim(quiet_cfg());
         fs.start_write(SimTime::ZERO, StreamTag(1), 0, 4, gib(10.0));
@@ -1255,7 +1239,13 @@ mod tests {
                 releases(fs);
             }
             _ => {
-                fs.cancel_tag(t, StreamTag(1 + rng.index(*tags as usize + 1) as u64));
+                // A short write (under 64 MiB per thread): it completes
+                // within the next advance, leaving from the middle of the
+                // slab.
+                *tags += 1;
+                let short = bytes / 96.0;
+                fs.push_write_on_nodes(t, StreamTag(*tags), &nodes, threads, short, 0.0);
+                fs.solve_rates();
             }
         }
     }
@@ -1308,7 +1298,7 @@ mod tests {
                 }
                 13 => {
                     let before = fs.ost_occupancy();
-                    fs.cancel_tag(start, StreamTag(2));
+                    fs.remove_tag(start, StreamTag(2));
                     let freed: Vec<usize> = (0..before.len())
                         .filter(|&o| before[o] > 0 && fs.ost_occupancy()[o] == 0)
                         .collect();
@@ -1318,7 +1308,7 @@ mod tests {
                 }
                 32 => {
                     for tag in 1..=4 {
-                        fs.cancel_tag(start, StreamTag(tag));
+                        fs.remove_tag(start, StreamTag(tag));
                     }
                 }
                 54 => {
@@ -1354,10 +1344,11 @@ mod tests {
     props! {
         #![cases(64)]
         /// The snapshot key: after every operation of a random sequence
-        /// (`random_op`'s starts, buffered writes, advances across
-        /// noise epochs and cancels, plus sub-second ticks, cancels of a
-        /// live job, and stalls at zero OST capacity and their release),
-        /// an unchanged `rates_generation` means a bit-identical snapshot.
+        /// (`random_op`'s starts, buffered and short writes and advances
+        /// across noise epochs, plus sub-second ticks, advances to the
+        /// exact instant of the next change, and stalls at zero OST
+        /// capacity and their release), an unchanged `rates_generation`
+        /// means a bit-identical snapshot.
         fn prop_unchanged_generation_means_identical_snapshot(seed in 0u64..u64::MAX) {
             let mut rng = SimRng::from_seed(seed);
             let mut fs = LustreSim::new(LustreConfig::stria(), rng.fork(1));
@@ -1373,8 +1364,10 @@ mod tests {
                         releases(&mut fs);
                     }
                     3 if !fs.streams.is_empty() => {
-                        let tag = fs.streams[rng.index(fs.streams.len())].tag;
-                        fs.cancel_tag(fs.now(), tag);
+                        let t = fs.next_change_time().expect("streams are active");
+                        fs.advance_to(t);
+                        harvest(&mut fs);
+                        releases(&mut fs);
                     }
                     _ => {
                         fs.cfg.ost_bandwidth_bps =
@@ -1396,7 +1389,7 @@ mod tests {
 
         /// The warm solve agrees with the reference encoding after every
         /// operation of a random sequence (writes, buffered writes,
-        /// advances across noise epochs, cancels, node-slot growth), in
+        /// short writes, advances across noise epochs, node-slot growth), in
         /// both noise modes and with a fatigue
         /// threshold of 1, 2 or 3. The rates are compared right after a
         /// re-solve, since fatigue moves OST capacities between solves.

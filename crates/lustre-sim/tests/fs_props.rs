@@ -20,8 +20,14 @@ enum Op {
     },
     /// Advance by this many milliseconds.
     Advance { ms: u32 },
-    /// Cancel everything a tag owns.
-    Cancel { tag: u64 },
+    /// Start a short write of (threads, mib_per_thread) from a node: it
+    /// completes within milliseconds, so the next advance removes its
+    /// streams from the middle of the slab.
+    Short {
+        node: usize,
+        threads: usize,
+        mib: u16,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -32,7 +38,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
             mib
         }),
         (1u32..60_000).prop_map(|ms| Op::Advance { ms }),
-        (0u64..12).prop_map(|tag| Op::Cancel { tag }),
+        (0usize..8, 1usize..6, 1u16..8).prop_map(|(node, threads, mib)| Op::Short {
+            node,
+            threads,
+            mib
+        }),
     ]
 }
 
@@ -53,7 +63,7 @@ props! {
 
         for op in ops {
             match op {
-                Op::Start { node, threads, mib } => {
+                Op::Start { node, threads, mib } | Op::Short { node, threads, mib } => {
                     let bytes = mib as f64 * MIB;
                     offered += bytes * threads as f64;
                     fs.start_write(fs.now(), StreamTag(next_tag), node, threads, bytes);
@@ -63,9 +73,6 @@ props! {
                     let t = SimTime::from_millis(fs.now().as_millis() + ms as u64);
                     fs.advance_to(t);
                     fs.take_completed_into(&mut done);
-                }
-                Op::Cancel { tag } => {
-                    fs.cancel_tag(fs.now(), StreamTag(tag));
                 }
             }
             // Time is monotone.
@@ -96,7 +103,7 @@ props! {
             let mut done = Vec::new();
             for op in ops {
                 match *op {
-                    Op::Start { node, threads, mib } => {
+                    Op::Start { node, threads, mib } | Op::Short { node, threads, mib } => {
                         fs.start_write(
                             fs.now(),
                             StreamTag(tag),
@@ -112,9 +119,6 @@ props! {
                         fs.take_completed_into(&mut done);
                         completions += done.len() as u64;
                     }
-                    Op::Cancel { tag } => {
-                        fs.cancel_tag(fs.now(), StreamTag(tag));
-                    }
                 }
             }
             (completions, fs.bytes_written_total() as u64)
@@ -124,7 +128,7 @@ props! {
 }
 
 /// Full-drain conservation: everything offered is eventually written,
-/// exactly (deterministic seeds, no cancellation).
+/// exactly (deterministic seeds).
 #[test]
 fn full_drain_writes_everything() {
     for seed in [1u64, 7, 42] {

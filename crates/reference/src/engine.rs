@@ -49,22 +49,17 @@ struct Entry {
     state: JobState,
 }
 
-/// The pending jobs submitted at or before `now` whose dependencies have
-/// all finished, sorted under `policy` and cut to the first `depth`.
-/// Every sort key ends in the unique job id, so the order is total.
+/// The pending jobs submitted at or before `now`, sorted under `policy`
+/// and cut to the first `depth`. Every sort key ends in the unique job
+/// id, so the order is total.
 fn sorted_wait_queue<'a>(
     jobs: impl Iterator<Item = (&'a SchedJob, JobState)>,
-    finished: impl Fn(JobId) -> bool,
     now: SimTime,
     policy: PriorityPolicy,
     depth: usize,
 ) -> Vec<&'a SchedJob> {
     let mut queue: Vec<&SchedJob> = jobs
-        .filter(|(job, state)| {
-            *state == JobState::Pending
-                && job.submit <= now
-                && job.after.iter().all(|&dep| finished(dep))
-        })
+        .filter(|(job, state)| *state == JobState::Pending && job.submit <= now)
         .map(|(job, _)| job)
         .collect();
     match policy {
@@ -132,7 +127,7 @@ impl Policy {
 /// What a run keeps: the full records and traces, or the aggregates.
 trait Record {
     fn sample(&mut self, _now: SimTime, _snap: &FsSnapshot, _cluster: &ClusterSim) {}
-    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime, timed_out: bool);
+    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime);
     fn end(&mut self, _now: SimTime, _cluster: &ClusterSim) {}
 }
 
@@ -147,14 +142,13 @@ impl Record for ExperimentResult {
             .push(now, cluster.fs().active_stream_count() as f64);
     }
 
-    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime, timed_out: bool) {
+    fn finish(&mut self, job: &SchedJob, started: SimTime, ended: SimTime) {
         self.jobs.push(JobRecord {
             id: job.id,
             name: job.name.clone(),
             submit: job.submit,
             start: started,
             end: ended,
-            timed_out,
         });
     }
 
@@ -169,7 +163,7 @@ impl Record for ExperimentResult {
 }
 
 impl Record for StreamingResult {
-    fn finish(&mut self, job: &SchedJob, started: SimTime, _ended: SimTime, _timed_out: bool) {
+    fn finish(&mut self, job: &SchedJob, started: SimTime, _ended: SimTime) {
         self.jobs_completed += 1;
         let wait = started.saturating_since(job.submit).as_secs_f64();
         self.mean_wait_secs += wait;
@@ -222,13 +216,13 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
                 self.exhausted = true;
                 return;
             };
+            assert!(sub.after.is_empty(), "job dependencies are not supported");
             assert!(sub.submit >= self.last_submit, "submissions out of order");
             self.last_submit = sub.submit;
             self.first_submit.get_or_insert(sub.submit);
             let sym = self.analytics.intern(&sub.name);
             let meta = SchedJob::new(sub.id, sub.name, sub.exec.nodes, sub.limit, sub.submit)
                 .with_priority(sub.priority)
-                .with_after(sub.after)
                 .with_name_sym(sym);
             let entry = Entry {
                 meta,
@@ -240,27 +234,16 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         }
     }
 
-    fn finish(&mut self, id: JobId, ended: SimTime, timed_out: bool, rec: &mut impl Record) {
+    fn finish(&mut self, id: JobId, ended: SimTime, rec: &mut impl Record) {
         let entry = self.jobs.get_mut(&id).expect("finished job is known");
         let JobState::Running { started } = entry.state else {
             panic!("finishing {id}, which is not running")
         };
-        entry.state = if timed_out {
-            JobState::TimedOut { started, ended }
-        } else {
-            JobState::Completed { started, ended }
-        };
-        if !timed_out {
-            self.analytics.on_job_complete_sym(
-                &self.daemon,
-                id.0,
-                entry.meta.name_sym,
-                started,
-                ended,
-            );
-        }
+        entry.state = JobState::Completed { started, ended };
+        self.analytics
+            .on_job_complete_sym(&self.daemon, id.0, entry.meta.name_sym, started, ended);
         self.daemon.forget(id.0);
-        rec.finish(&entry.meta, started, ended, timed_out);
+        rec.finish(&entry.meta, started, ended);
         self.resident -= 1;
         self.last_end = self.last_end.max(ended);
     }
@@ -305,36 +288,14 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             if let Some(t) = next_submit {
                 t_next = t_next.min(t);
             }
-            if cfg.enforce_limits {
-                if let Some(t) = running(&self.jobs)
-                    .map(|rv| rv.started + rv.job.limit)
-                    .min()
-                {
-                    t_next = t_next.min(t);
-                }
-            }
             let t = t_next.max(now);
 
             self.cluster.advance_to_into(t, &mut completions);
-            let mut finished_any = !completions.is_empty();
             for c in &completions {
-                self.finish(c.job, c.at, false, rec);
+                self.finish(c.job, c.at, rec);
             }
             now = t;
-            if cfg.enforce_limits {
-                let overrun: Vec<JobId> = running(&self.jobs)
-                    .filter(|rv| rv.started + rv.job.limit <= now)
-                    .map(|rv| rv.job.id)
-                    .collect();
-                for id in overrun {
-                    self.cluster
-                        .cancel_job(now, id)
-                        .expect("overrunning job is running");
-                    self.finish(id, now, true, rec);
-                    finished_any = true;
-                }
-            }
-            if finished_any {
+            if !completions.is_empty() {
                 sched_requested = true;
                 if !self.exhausted {
                     self.admit();
@@ -371,16 +332,8 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
             last_sched = Some(now);
             next_sched = now + cfg.sched_period;
 
-            let jobs = &self.jobs;
-            let finished = |dep: JobId| {
-                matches!(
-                    jobs.get(&dep).map(|e| e.state),
-                    Some(JobState::Completed { .. } | JobState::TimedOut { .. })
-                )
-            };
             let queue = sorted_wait_queue(
-                jobs.values().map(|e| (&e.meta, e.state)),
-                finished,
+                self.jobs.values().map(|e| (&e.meta, e.state)),
                 now,
                 cfg.priority_policy,
                 cfg.max_queue_depth,
@@ -427,6 +380,7 @@ fn run<I: Iterator<Item = JobSubmission>>(
     rec: &mut impl Record,
 ) -> Totals {
     assert!(window > 0, "admission window must be positive");
+    assert!(!cfg.enforce_limits, "limit enforcement is not supported");
     let rng = SimRng::from_seed(cfg.seed).fork(1);
     let mut cluster = ClusterSim::new(cfg.nodes, cfg.fs.clone(), rng);
     cluster.set_burst_buffer(cfg.burst_buffer_per_node_bytes);
@@ -484,7 +438,7 @@ pub fn run_experiment(cfg: &ExperimentConfig, workload: &[JobSubmission]) -> Exp
 }
 
 /// The reference run of `iosched_experiments::run_streaming`:
-/// `submissions` (submit order, no dependencies, untrained) admitted
+/// `submissions` (submit order, empty `after`, untrained) admitted
 /// while fewer than `window` jobs are resident, keeping the aggregates.
 /// `rounds_elided` and `rounds_certified` are always zero.
 pub fn run_streaming(
@@ -497,10 +451,7 @@ pub fn run_streaming(
         label: cfg.scheduler.label(),
         ..StreamingResult::default()
     };
-    let jobs = submissions.into_iter().inspect(|sub| {
-        assert!(sub.after.is_empty(), "streaming replay has no dependencies");
-    });
-    let totals = run(cfg, jobs, window, None, &mut result);
+    let totals = run(cfg, submissions.into_iter(), window, None, &mut result);
     result.makespan_secs = totals.makespan_secs;
     result.sched_passes = totals.sched_passes;
     result.loop_iterations = totals.loop_iterations;

@@ -6,14 +6,14 @@
 //! full backfill walk (no pruning, no post-start cut) in every round,
 //! with no round elided or certified. On random small workloads
 //! [`run_experiment`] and [`run_streaming`] must reproduce it bit for
-//! bit: every job's start, end and kill, the makespan, the pass
+//! bit: every job's start and end, the makespan, the pass
 //! and iteration counts, and the sampled traces. Only `rounds_elided` and
 //! `rounds_certified`, which count the skipped work, may differ.
 //!
 //! The generator covers every scheduler (naïve adaptive and packing
 //! included), both queue orders, small queue depths and reservation
-//! budgets, limit enforcement on and off with jobs that overrun their
-//! limits, `afterok` chains, burst buffers, noisy and noiseless file
+//! budgets, jobs that overrun their limits, burst buffers, noisy and
+//! noiseless file
 //! systems, pretrained and untrained runs, streaming windows smaller
 //! than the trace, and sparse traces admitted whole at t = 0. A further
 //! property packs the node policy's time-invariant rounds around
@@ -45,8 +45,8 @@ struct Scenario {
     window: usize,
 }
 
-/// Random [`Scenario`]s. `streaming` ones are untrained and have no
-/// dependencies, as `run_streaming` requires.
+/// Random [`Scenario`]s. `streaming` ones are untrained, as
+/// `run_streaming` requires.
 struct Scenarios {
     streaming: bool,
 }
@@ -137,7 +137,6 @@ impl Strategy for Scenarios {
         cfg.max_queue_depth = pick(rng, &[1, 2, 3, 500]);
         cfg.backfill_max = pick(rng, &[0, 1, 2, usize::MAX]);
         cfg.priority_policy = pick(rng, &[PriorityPolicy::Fifo, PriorityPolicy::Priority]);
-        cfg.enforce_limits = rng.index(3) == 0;
         cfg.pretrained = !self.streaming && rng.index(2) == 0;
         cfg.qos_fraction = pick(rng, &[0.0, 0.5, 1.0]);
         if rng.index(4) == 0 {
@@ -166,10 +165,6 @@ impl Strategy for Scenarios {
                     ((limit.as_millis() as f64) * pick(rng, &[0.2, 0.6, 1.0, 2.0])) as u64,
                 )
             };
-            let mut after = Vec::new();
-            if !self.streaming && i > 0 && rng.index(5) == 0 {
-                after.push(JobId(1 + rng.index(i) as u64));
-            }
             workload.push(JobSubmission {
                 id: JobId(i as u64 + 1),
                 name: format!("type{kind}"),
@@ -177,7 +172,7 @@ impl Strategy for Scenarios {
                 limit,
                 submit,
                 priority: rng.index(4) as i64,
-                after,
+                after: Vec::new(),
             });
         }
         let window = if self.streaming {
@@ -194,7 +189,7 @@ impl Strategy for Scenarios {
 }
 
 /// Dense sleep-only workloads under the node policy, with limits drawn
-/// apart from runtimes so about half the jobs overrun (enforcement off):
+/// apart from runtimes so about half the jobs overrun:
 /// the time-invariant rounds that round elision skips most, with the
 /// overrunning jobs whose moving reservation ends its guards must see.
 struct NodeRounds;
@@ -300,7 +295,7 @@ fn same_batch(got: &ExperimentResult, want: &ExperimentResult) -> Result<(), Str
     let jobs = |r: &ExperimentResult| {
         r.jobs
             .iter()
-            .map(|j| (j.id, j.start, j.end, j.timed_out))
+            .map(|j| (j.id, j.start, j.end))
             .collect::<Vec<_>>()
     };
     prop_assert_eq!(jobs(got), jobs(want), "per-job records differ");
@@ -450,13 +445,13 @@ fn round_elision_is_outcome_neutral_across_policies() {
     }
 }
 
-/// A 1-node sleep of 300 s with a 60 s limit (enforcement off) overruns
+/// A 1-node sleep of 300 s with a 60 s limit overruns
 /// from t = 60 on; its reservation end then tracks `now`, so no round of
 /// the overrun window may be elided (the `next_limit_expiry` guard). The
 /// run matches the reference, which elides nothing; the control run
 /// (limit 400 s, no overrun) elides the bulk of the same window.
 #[test]
-fn overrunning_jobs_block_round_elision() {
+fn overrun_jobs_block_round_elision() {
     let mk = |limit_s: u64| {
         WorkloadBuilder::new()
             .batch(

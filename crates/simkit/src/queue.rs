@@ -93,16 +93,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
-
-    /// Keep only the events for which `f(time, &event)` returns true.
-    ///
-    /// Used by hosts that index live state with the queue (e.g. a
-    /// deadline calendar): removing the entries of a cancelled owner
-    /// eagerly keeps [`Self::peek_time`] exact, with no tombstones to
-    /// skip on pop.
-    pub fn retain(&mut self, mut f: impl FnMut(SimTime, &E) -> bool) {
-        self.heap.retain(|e| f(e.time, &e.event));
-    }
 }
 
 #[cfg(test)]
@@ -144,20 +134,6 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn retain_drops_matching_entries_and_keeps_order() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(SimTime::from_secs(i), i);
-        }
-        q.retain(|_, &e| e % 2 == 0);
-        assert_eq!(q.len(), 5);
-        for i in [0u64, 2, 4, 6, 8] {
-            assert_eq!(q.pop(), Some((SimTime::from_secs(i), i)));
-        }
-        assert!(q.is_empty());
     }
 
     props! {

@@ -38,13 +38,10 @@ pub struct SchedJob {
     /// Administrative priority (higher schedules earlier under
     /// [`crate::registry::PriorityPolicy::Priority`]; ties break FIFO).
     pub priority: i64,
-    /// Dependencies (Slurm `--dependency=afterok:...`): this job is not
-    /// eligible until every listed job has finished.
-    pub after: Vec<JobId>,
 }
 
 impl SchedJob {
-    /// A job of priority 0 with no dependencies and no interned name.
+    /// A job of priority 0 with no interned name.
     pub fn new(
         id: JobId,
         name: impl Into<String>,
@@ -60,7 +57,6 @@ impl SchedJob {
             limit,
             submit,
             priority: 0,
-            after: Vec::new(),
         }
     }
 
@@ -75,12 +71,6 @@ impl SchedJob {
         self.name_sym = sym;
         self
     }
-
-    /// Builder-style dependency setter (`afterok` semantics).
-    pub fn with_after(mut self, after: Vec<JobId>) -> Self {
-        self.after = after;
-        self
-    }
 }
 
 /// A job currently executing, as seen by the scheduler.
@@ -93,9 +83,9 @@ pub struct RunningView<'a> {
 
 /// Grace period a running job that has exceeded its requested limit is
 /// still assumed to occupy its resources. Slurm kills such jobs at the
-/// limit; this substrate does not kill them unless the driver's
-/// `enforce_limits` is set, so trackers must keep overrunning jobs
-/// reserved or the scheduler would double-book their nodes.
+/// limit; this substrate never kills them, so trackers must keep
+/// overrunning jobs reserved or the scheduler would double-book their
+/// nodes.
 pub const OVERRUN_GRACE: SimDuration = SimDuration::from_secs(60);
 
 impl RunningView<'_> {

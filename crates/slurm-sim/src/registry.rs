@@ -55,10 +55,8 @@ pub enum JobState {
     Pending,
     /// Executing since `started`.
     Running { started: SimTime },
-    /// Finished normally.
+    /// Ran to completion.
     Completed { started: SimTime, ended: SimTime },
-    /// Killed at its runtime limit (Slurm `TIMEOUT`).
-    TimedOut { started: SimTime, ended: SimTime },
 }
 
 /// One unretired job: its metadata and state, in its slab slot.
@@ -74,13 +72,12 @@ struct Entry {
 /// length is bounded by the peak number of unretired jobs, not by the
 /// largest `JobId`, and an entry keeps its slot until it is retired. An
 /// id→slot map serves the per-event calls ([`Self::submit`],
-/// `mark_*`, [`Self::state`], [`Self::meta`], [`Self::retire`], and
-/// [`Self::dependencies_met`] for jobs with a non-empty `after`).
+/// `mark_*`, [`Self::state`], [`Self::meta`], [`Self::retire`]).
 ///
 /// Besides the table, the registry maintains incremental pending/running
 /// state sets and a finished counter so the per-pass queries
 /// ([`Self::wait_queue_into`], [`Self::running_into`], `all_completed`,
-/// `overrunning`, `next_limit_expiry`) touch only the jobs in the
+/// `next_limit_expiry`) touch only the jobs in the
 /// relevant state instead of scanning the whole table. Every set entry
 /// carries its job's slot after the unique id, so these queries read
 /// metadata in O(1) without a map lookup; the slot never decides an
@@ -116,7 +113,7 @@ pub struct JobRegistry {
     pending_prio: BTreeSet<(Reverse<i64>, SimTime, JobId, usize)>,
     /// Jobs currently `Running`, in id order.
     running: BTreeSet<(JobId, usize)>,
-    /// Count of `Completed` + `TimedOut` jobs.
+    /// Count of `Completed` jobs.
     finished: usize,
 }
 
@@ -211,20 +208,10 @@ impl JobRegistry {
 
     /// Transition a running job to completed at `t`.
     pub fn mark_completed(&mut self, id: JobId, t: SimTime) {
-        self.mark_finished(id, |started| JobState::Completed { started, ended: t });
-    }
-
-    /// Transition a running job to timed-out (killed at its limit) at `t`.
-    pub fn mark_timed_out(&mut self, id: JobId, t: SimTime) {
-        self.mark_finished(id, |started| JobState::TimedOut { started, ended: t });
-    }
-
-    /// Move a running job to the finished state `end(started)`.
-    fn mark_finished(&mut self, id: JobId, end: impl FnOnce(SimTime) -> JobState) {
         let slot = self.slot(id);
         let e = self.slots[slot].as_mut().expect("indexed slot is occupied");
         match e.state {
-            JobState::Running { started } => e.state = end(started),
+            JobState::Running { started } => e.state = JobState::Completed { started, ended: t },
             other => panic!("{id} is not running (state {other:?})"),
         }
         assert!(
@@ -234,21 +221,20 @@ impl JobRegistry {
         self.finished += 1;
     }
 
-    /// The first `limit` pending jobs submitted at or before `now` with
-    /// dependencies met, ordered by `policy`, into a caller-owned buffer
+    /// The first `limit` pending jobs submitted at or before `now`,
+    /// ordered by `policy`, into a caller-owned buffer
     /// (cleared first) — a true top-k, handed out as references into the
     /// job table. The reusable buffer keeps the steady-state scheduling
     /// pass allocation-free; `usize::MAX` asks for the whole wait queue.
     ///
     /// Either policy walks its ordered pending set in key order and
     /// stops after `limit` eligible jobs: `O(limit)` index entries
-    /// examined plus whatever ineligible entries (future submits,
-    /// unmet dependencies) are interleaved ahead of the k-th eligible
-    /// one — in the steady deep-queue state (streaming replay with a
-    /// full admission window, where nearly every resident job is
-    /// eligible) that is `O(limit)` total. Each entry's metadata is read
-    /// through the slot its index key carries; the only by-id lookups are
-    /// the dependencies of jobs with a non-empty `after`.
+    /// examined plus whatever future submits the priority index
+    /// interleaves ahead of the k-th eligible one — in the steady
+    /// deep-queue state (streaming replay with a full admission window,
+    /// where nearly every resident job is eligible) that is `O(limit)`
+    /// total. Each entry's metadata is read through the slot its index
+    /// key carries, with no by-id lookup.
     pub fn wait_queue_into<'a>(
         &'a self,
         now: SimTime,
@@ -287,9 +273,8 @@ impl JobRegistry {
         // True once `limit` jobs have been emitted.
         let mut visit = |submit: SimTime, slot: usize| {
             steps += 1;
-            let job = &self.entry(slot).meta;
-            if submit <= now && self.dependencies_met(job) {
-                emit(job);
+            if submit <= now {
+                emit(&self.entry(slot).meta);
                 taken += 1;
             }
             taken >= limit
@@ -298,7 +283,7 @@ impl JobRegistry {
             // For FIFO the set's leading key is `submit`, so the
             // eligible-by-time entries are exactly a prefix range; the
             // priority key interleaves future submits and the walk skips
-            // them. Dependency-blocked jobs are skipped under either policy.
+            // them.
             match policy {
                 PriorityPolicy::Fifo => {
                     for &(submit, _, slot) in
@@ -319,18 +304,6 @@ impl JobRegistry {
             }
         }
         WALK_STEPS.with(|c| c.set(c.get() + steps));
-    }
-
-    /// True when every dependency of `job` has finished (`afterok`
-    /// semantics: completed or timed out). Unknown job ids never satisfy
-    /// — a dangling dependency holds the job forever, as in Slurm.
-    pub fn dependencies_met(&self, job: &SchedJob) -> bool {
-        job.after.iter().all(|&dep| {
-            matches!(
-                self.state(dep),
-                Some(JobState::Completed { .. }) | Some(JobState::TimedOut { .. })
-            )
-        })
     }
 
     /// The running jobs in id order, read through their slots.
@@ -375,7 +348,7 @@ impl JobRegistry {
             .map(|&(submit, _, _)| submit)
     }
 
-    /// True when every job has finished (completed or timed out).
+    /// True when every job has completed.
     pub fn all_completed(&self) -> bool {
         self.finished == self.slot_of.len()
     }
@@ -384,38 +357,23 @@ impl JobRegistry {
     ///
     /// Event-driven drivers evict jobs as they finish so the table stays
     /// bounded by the admission window instead of growing with the trace;
-    /// the freed slot is reused by the next submission. Only
-    /// `Completed`/`TimedOut` jobs may be retired — a retired id is gone
-    /// without a trace, so a dependency on it would dangle forever
-    /// (drivers must keep a job until no unfinished job names it in
-    /// `after`).
+    /// the freed slot is reused by the next submission. Only `Completed`
+    /// jobs may be retired.
     ///
     /// # Panics
-    /// Panics if the job is unknown or not finished.
+    /// Panics if the job is unknown or not completed.
     pub fn retire(&mut self, id: JobId) -> JobState {
         let slot = self.slot(id);
         let state = self.entry(slot).state;
         assert!(
-            matches!(
-                state,
-                JobState::Completed { .. } | JobState::TimedOut { .. }
-            ),
-            "{id} is not finished (state {state:?})"
+            matches!(state, JobState::Completed { .. }),
+            "{id} is not completed (state {state:?})"
         );
         self.slot_of.remove(&id);
         self.slots[slot] = None;
         self.free.push(slot);
         self.finished -= 1;
         state
-    }
-
-    /// Running jobs whose limit expires at or before `t`, with their
-    /// start times (candidates for limit enforcement), in id order.
-    pub fn overrunning(&self, t: SimTime) -> Vec<(JobId, SimTime)> {
-        self.running_iter()
-            .filter(|rv| rv.started + rv.job.limit <= t)
-            .map(|rv| (rv.job.id, rv.started))
-            .collect()
     }
 
     /// Earliest future limit expiry among running jobs.
@@ -448,7 +406,6 @@ mod tests {
             out.extend(
                 self.pending
                     .range(..=(now, JobId(u64::MAX), usize::MAX))
-                    .filter(|&&(_, _, slot)| self.dependencies_met(&self.entry(slot).meta))
                     .map(|&(_, id, _)| id),
             );
             let meta = |id: &JobId| &self.entry(self.slot(*id)).meta;
@@ -550,20 +507,19 @@ mod tests {
 
     #[test]
     fn limited_walk_skips_ineligible_entries_without_consuming_depth() {
-        // Under the priority index, ineligible entries (future submits,
-        // unmet dependencies) interleave with eligible ones in key order;
-        // a depth-limited walk must skip them without counting them
-        // toward the limit — the top-k is over *eligible* jobs.
+        // Under the priority index, future submits interleave with
+        // eligible jobs in key order; a depth-limited walk must skip them
+        // without counting them toward the limit — the top-k is over
+        // *eligible* jobs.
         let mut reg = JobRegistry::new();
         let mut future = job(1, 50); // highest priority but not yet submitted
         future.priority = 100;
-        let mut blocked = job(2, 0); // next priority but dependency-blocked
-        blocked.priority = 50;
-        let blocked = blocked.with_after(vec![JobId(9)]);
+        let mut later = job(2, 40); // next priority, also in the future
+        later.priority = 50;
         let mut ready = job(3, 0);
         ready.priority = 1;
         reg.submit(future);
-        reg.submit(blocked);
+        reg.submit(later);
         reg.submit(ready);
 
         let mut got = Vec::new();
@@ -611,57 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn dependencies_gate_queue_eligibility() {
+    fn next_limit_expiry_tracks_running_jobs() {
         let mut reg = JobRegistry::new();
         reg.submit(job(1, 0));
-        reg.submit(job(2, 0).with_after(vec![JobId(1)]));
-        reg.submit(job(3, 0).with_after(vec![JobId(1), JobId(2)]));
-        let ids = |reg: &JobRegistry| {
-            queue(reg, SimTime::ZERO, PriorityPolicy::Fifo)
-                .iter()
-                .map(|id| id.0)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(ids(&reg), vec![1]);
-        reg.mark_started(JobId(1), SimTime::ZERO);
-        assert_eq!(ids(&reg), Vec::<u64>::new());
-        reg.mark_completed(JobId(1), SimTime::from_secs(10));
-        assert_eq!(ids(&reg), vec![2]);
-        // Timed-out dependencies also satisfy (afterany-style leniency,
-        // matching this substrate's single dependency kind).
-        reg.mark_started(JobId(2), SimTime::from_secs(10));
-        reg.mark_timed_out(JobId(2), SimTime::from_secs(20));
-        assert_eq!(ids(&reg), vec![3]);
-    }
-
-    #[test]
-    fn dangling_dependency_never_satisfies() {
-        let mut reg = JobRegistry::new();
-        reg.submit(job(1, 0).with_after(vec![JobId(99)]));
-        assert!(queue(&reg, SimTime::from_secs(1000), PriorityPolicy::Fifo).is_empty());
-    }
-
-    #[test]
-    fn timed_out_jobs_count_as_finished() {
-        let mut reg = JobRegistry::new();
-        reg.submit(job(1, 0));
+        assert_eq!(reg.next_limit_expiry(), None);
         reg.mark_started(JobId(1), SimTime::from_secs(10));
         // Limit is 100 s → expiry at 110.
         assert_eq!(reg.next_limit_expiry(), Some(SimTime::from_secs(110)));
-        assert!(reg.overrunning(SimTime::from_secs(109)).is_empty());
-        assert_eq!(
-            reg.overrunning(SimTime::from_secs(110)),
-            vec![(JobId(1), SimTime::from_secs(10))]
-        );
-        reg.mark_timed_out(JobId(1), SimTime::from_secs(110));
-        assert!(reg.all_completed());
-        assert_eq!(
-            reg.state(JobId(1)),
-            Some(JobState::TimedOut {
-                started: SimTime::from_secs(10),
-                ended: SimTime::from_secs(110)
-            })
-        );
+        reg.mark_completed(JobId(1), SimTime::from_secs(50));
         assert_eq!(reg.next_limit_expiry(), None);
     }
 
@@ -680,7 +593,7 @@ mod tests {
         // The remaining pending job keeps the registry un-completed.
         assert!(!reg.all_completed());
         reg.mark_started(JobId(2), SimTime::from_secs(20));
-        reg.mark_timed_out(JobId(2), SimTime::from_secs(120));
+        reg.mark_completed(JobId(2), SimTime::from_secs(120));
         assert!(reg.all_completed());
         reg.retire(JobId(2));
         // Fully drained: empty registry counts as all-completed.
@@ -695,14 +608,6 @@ mod tests {
         reg.submit(job(1, 0));
         reg.mark_started(JobId(1), SimTime::ZERO);
         reg.retire(JobId(1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn timing_out_a_pending_job_panics() {
-        let mut reg = JobRegistry::new();
-        reg.submit(job(1, 0));
-        reg.mark_timed_out(JobId(1), SimTime::from_secs(1));
     }
 
     #[test]
@@ -730,7 +635,7 @@ mod tests {
         /// agree with a full state scan after any lifecycle history.
         fn incremental_state_sets_match_full_scan(
             submits in prop::vec(0u64..20, 1..20),
-            ops in prop::vec((0u64..3, 0u64..32), 0..48),
+            ops in prop::vec((0u64..2, 0u64..32), 0..48),
             probe in 0u64..40,
             limit in 0u64..6,
         ) {
@@ -747,7 +652,6 @@ mod tests {
                 match (kind, reg.state(id)) {
                     (0, Some(JobState::Pending)) => reg.mark_started(id, t),
                     (1, Some(JobState::Running { .. })) => reg.mark_completed(id, t),
-                    (2, Some(JobState::Running { .. })) => reg.mark_timed_out(id, t),
                     _ => {}
                 }
             }
@@ -793,10 +697,7 @@ mod tests {
             // Scalar queries.
             prop_assert_eq!(
                 reg.all_completed(),
-                all().all(|id| matches!(
-                    reg.state(id),
-                    Some(JobState::Completed { .. }) | Some(JobState::TimedOut { .. })
-                ))
+                all().all(|id| matches!(reg.state(id), Some(JobState::Completed { .. })))
             );
             prop_assert_eq!(
                 reg.next_submission_after(now),
@@ -818,7 +719,7 @@ mod tests {
             );
         }
 
-        /// Under randomized submit/start/complete/kill churn, both
+        /// Under randomized submit/start/complete churn, both
         /// ordered pending sets reproduce the sort oracle exactly — full
         /// walks and depth-limited top-k alike. Priorities, limits and
         /// submit times are drawn from tiny ranges so ties on
@@ -826,7 +727,7 @@ mod tests {
         /// the common case, not the exception.
         fn ordered_indexes_match_sort_oracle_under_churn(
             seeds in prop::vec((0i64..3, 1u64..4, 0u64..5), 1..16),
-            ops in prop::vec((0u64..4, 0u64..32, 0i64..3, 1u64..4), 0..48),
+            ops in prop::vec((0u64..3, 0u64..32, 0i64..3, 1u64..4), 0..48),
             probe in 0u64..40,
             limit in 0u64..8,
         ) {
@@ -834,11 +735,6 @@ mod tests {
                 let mut j = job(id, sub);
                 j.priority = prio;
                 j.limit = SimDuration::from_secs(lim * 20);
-                // A sprinkle of dependencies so walks must skip
-                // dependency-blocked entries mid-index.
-                if id % 5 == 4 {
-                    j = j.with_after(vec![JobId(id / 2)]);
-                }
                 j
             };
             let mut reg = JobRegistry::new();
@@ -851,7 +747,7 @@ mod tests {
             for &(kind, pick, prio, lim) in &ops {
                 clock += 1;
                 let t = SimTime::from_secs(clock);
-                if kind == 3 {
+                if kind == 2 {
                     // Late submission, possibly tying an existing
                     // (priority, submit) pair.
                     reg.submit(mk(next_id, prio, lim, clock % 7));
@@ -862,7 +758,6 @@ mod tests {
                 match (kind, reg.state(id)) {
                     (0, Some(JobState::Pending)) => reg.mark_started(id, t),
                     (1, Some(JobState::Running { .. })) => reg.mark_completed(id, t),
-                    (2, Some(JobState::Running { .. })) => reg.mark_timed_out(id, t),
                     _ => {}
                 }
             }
@@ -884,9 +779,8 @@ mod tests {
             }
         }
 
-        /// Slab churn: random submits (some future-dated, some with
-        /// dependencies, live or dangling), starts, completions,
-        /// timeouts and retirements, so slots are freed and reused.
+        /// Slab churn: random submits (some future-dated), starts,
+        /// completions and retirements, so slots are freed and reused.
         /// After every operation, under every policy and depth, the
         /// `&SchedJob` walk returns the sort oracle truncated and takes
         /// as many steps as the id walk; `running_into` agrees with
@@ -925,11 +819,6 @@ mod tests {
                         let mut j = job(next_id, clock + (pick % 3) * 10);
                         j.priority = prio;
                         j.limit = SimDuration::from_secs(lim * 20);
-                        if kind == 2 && next_id > 0 {
-                            // A dependency on an earlier job, which may be
-                            // pending, running, finished or retired.
-                            j = j.with_after(vec![JobId(pick % next_id)]);
-                        }
                         shadow.insert(j.id, (j.clone(), JobState::Pending));
                         reg.submit(j);
                         next_id += 1;
@@ -946,21 +835,13 @@ mod tests {
                             let JobState::Running { started } = shadow[&id].1 else {
                                 unreachable!()
                             };
-                            let end = if kind == 4 {
-                                reg.mark_completed(id, t);
-                                JobState::Completed { started, ended: t }
-                            } else {
-                                reg.mark_timed_out(id, t);
-                                JobState::TimedOut { started, ended: t }
-                            };
-                            shadow.get_mut(&id).unwrap().1 = end;
+                            reg.mark_completed(id, t);
+                            shadow.get_mut(&id).unwrap().1 =
+                                JobState::Completed { started, ended: t };
                         }
                     }
                     _ => {
-                        let finished = |s: &JobState| {
-                            matches!(s, JobState::Completed { .. } | JobState::TimedOut { .. })
-                        };
-                        if let Some(id) = nth(finished) {
+                        if let Some(id) = nth(|s| matches!(s, JobState::Completed { .. })) {
                             prop_assert_eq!(reg.retire(id), shadow[&id].1);
                             shadow.remove(&id);
                             prop_assert!(reg.meta(id).is_none() && reg.state(id).is_none());
@@ -979,8 +860,8 @@ mod tests {
                     prop_assert!(got.is_some(), "{id} lost its entry");
                     let got = got.unwrap();
                     prop_assert_eq!(
-                        (got.id, got.submit, got.priority, got.limit, &got.after),
-                        (meta.id, meta.submit, meta.priority, meta.limit, &meta.after)
+                        (got.id, got.submit, got.priority, got.limit),
+                        (meta.id, meta.submit, meta.priority, meta.limit)
                     );
                     prop_assert_eq!(reg.state(id), Some(*state));
                 }

@@ -30,15 +30,6 @@ pub fn poisson_arrivals(jobs: &mut [JobSubmission], rate_per_sec: f64, rng: &mut
     }
 }
 
-/// Submit the workload in bursts of `burst` jobs every `period` (a camp
-/// of users hitting `sbatch` at the top of the hour).
-pub fn bursty_arrivals(jobs: &mut [JobSubmission], burst: usize, period: SimDuration) {
-    assert!(burst > 0, "burst size must be positive");
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.submit = SimTime::ZERO + period.mul_f64((i / burst) as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,14 +70,6 @@ mod tests {
         // Mean inter-arrival ≈ 10 s at rate 0.1/s.
         let span = a.last().unwrap().submit.as_secs_f64();
         assert!(span > 200.0 && span < 1200.0, "span {span}");
-    }
-
-    #[test]
-    fn bursts_share_submit_times() {
-        let mut w = jobs(7);
-        bursty_arrivals(&mut w, 3, SimDuration::from_secs(100));
-        let times: Vec<u64> = w.iter().map(|j| j.submit.as_millis() / 1000).collect();
-        assert_eq!(times, vec![0, 0, 0, 100, 100, 100, 200]);
     }
 
     #[test]

@@ -20,8 +20,9 @@ pub struct JobSubmission {
     /// Administrative priority (0 by default; only meaningful when the
     /// driver orders the queue by priority).
     pub priority: i64,
-    /// Dependencies (`afterok`): ids that must finish before this job is
-    /// eligible.
+    /// Must be empty: no job waits on another, and the engine refuses a
+    /// non-empty list. Kept for perfbench's mirror of the event loop,
+    /// which reads it, until ROADMAP item 1b deletes the mirror.
     pub after: Vec<JobId>,
 }
 
@@ -37,8 +38,6 @@ pub struct WorkloadBuilder {
     clock: SimTime,
     next_id: u64,
     priority: i64,
-    after: Vec<JobId>,
-    last_batch: Vec<JobId>,
 }
 
 impl WorkloadBuilder {
@@ -59,44 +58,21 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Make subsequent batches depend (`afterok`) on the given jobs.
-    pub fn after(mut self, ids: Vec<JobId>) -> Self {
-        self.after = ids;
-        self
-    }
-
-    /// Make subsequent batches depend on every job of the immediately
-    /// preceding batch (workflow chains: preprocess → simulate → archive).
-    pub fn after_previous(mut self) -> Self {
-        self.after = self.last_batch.clone();
-        self
-    }
-
-    /// Clear dependencies for subsequent batches.
-    pub fn independent(mut self) -> Self {
-        self.after.clear();
-        self
-    }
-
     /// Append `count` identical jobs.
     pub fn batch(mut self, count: usize, name: &str, exec: ExecSpec, limit: SimDuration) -> Self {
         exec.validate().expect("invalid exec spec in workload");
-        let mut batch_ids = Vec::with_capacity(count);
         for _ in 0..count {
-            let id = JobId(self.next_id);
-            batch_ids.push(id);
             self.jobs.push(JobSubmission {
-                id,
+                id: JobId(self.next_id),
                 name: name.to_string(),
                 exec: exec.clone(),
                 limit,
                 submit: self.clock,
                 priority: self.priority,
-                after: self.after.clone(),
+                after: Vec::new(),
             });
             self.next_id += 1;
         }
-        self.last_batch = batch_ids;
         self
     }
 

@@ -18,7 +18,7 @@ pub mod paper;
 pub mod swf;
 pub mod synth;
 
-pub use arrivals::{bursty_arrivals, poisson_arrivals, uniform_arrivals};
+pub use arrivals::{poisson_arrivals, uniform_arrivals};
 pub use builder::{JobSubmission, WorkloadBuilder};
 pub use paper::{sleep_job, workload_1, workload_2, write_xn_job, PaperParams};
 pub use swf::{open_swf, parse_swf, SwfError, SwfOptions, SwfReader, SwfRecord};

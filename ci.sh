@@ -160,8 +160,10 @@ step "property suites in release"
 # - the joint-scan trackers (iosched-core's fixpoint_props): every
 #   earliest start and whole backfill passes against the per-resource
 #   fixpoint of Algorithms 4 and 7 (iosched_reference::fixpoint);
-# - the backfill properties: the fits-now-pruned walk against the
-#   unpruned one;
+# - the backfill properties: the fits-now-pruned pass against the
+#   unpruned full walk, iosched_reference::reference_pass with
+#   prune = false, and each plan's peak, read by the reference
+#   max_over helper (iosched_reference::max_over), against capacity;
 # - the no-start certificate properties, against backfill passes;
 # - the lustre-sim properties: the rate solve against the test-code
 #   reference solver;

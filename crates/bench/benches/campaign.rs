@@ -19,7 +19,7 @@
 //! with fewer than 4 cores, where the pool cannot physically speed up.
 
 use iosched_experiments::{
-    run_grid, CampaignGrid, CampaignOptions, CampaignRecord, PolicyFamily, WorkloadSpec,
+    run_grid_streaming, CampaignGrid, CampaignOptions, CampaignRecord, PolicyFamily, WorkloadSpec,
 };
 use iosched_simkit::bench::BenchSuite;
 use iosched_simkit::json::ToJson;
@@ -79,7 +79,7 @@ fn main() {
     // Reference run at one worker: the determinism baseline, the gated
     // counters, and the denominator of every speedup.
     let start = std::time::Instant::now();
-    let reference = run_grid(&grid, CampaignOptions { threads: Some(1) });
+    let reference = run_grid_streaming(&grid, CampaignOptions { threads: Some(1) }, |_| {});
     let t1 = start.elapsed().as_secs_f64();
     let reference_json = records_json(&reference);
     let events: u64 = reference.iter().map(|r| r.loop_iterations).sum();
@@ -95,11 +95,12 @@ fn main() {
     if !suite.is_smoke() {
         for workers in [2usize, 4, 8] {
             let start = std::time::Instant::now();
-            let records = run_grid(
+            let records = run_grid_streaming(
                 &grid,
                 CampaignOptions {
                     threads: Some(workers),
                 },
+                |_| {},
             );
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(
@@ -121,7 +122,7 @@ fn main() {
         }
     } else {
         // Smoke still proves determinism across worker counts, cheaply.
-        let records = run_grid(&grid, CampaignOptions { threads: Some(4) });
+        let records = run_grid_streaming(&grid, CampaignOptions { threads: Some(4) }, |_| {});
         assert_eq!(
             records_json(&records),
             reference_json,
@@ -146,7 +147,7 @@ fn main() {
         },
     );
     suite.bench("run_grid_single_task", || {
-        black_box(run_grid(&single, CampaignOptions { threads: Some(1) }).len());
+        black_box(run_grid_streaming(&single, CampaignOptions { threads: Some(1) }, |_| {}).len());
     });
 
     if gate_speedup {

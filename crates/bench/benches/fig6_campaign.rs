@@ -2,9 +2,9 @@
 //! Workload-2 wave, printing median improvements (the figure's headline
 //! rows) and benchmarking one campaign run per scheduler. Each scheduler
 //! configuration is a single-scheduler [`CampaignGrid`] (three seeds, one
-//! `Wave` workload) executed by `run_grid`.
+//! `Wave` workload) executed by `run_grid_streaming`.
 
-use iosched_experiments::campaign::{run_grid, CampaignOptions};
+use iosched_experiments::campaign::{run_grid_streaming, CampaignOptions};
 use iosched_experiments::grid::{CampaignGrid, CampaignRecord, PolicyFamily, WorkloadSpec};
 use iosched_simkit::bench::BenchSuite;
 use iosched_simkit::stats::median;
@@ -45,7 +45,7 @@ fn main() {
     if !suite.is_smoke() {
         let mut base = None;
         for grid in &configs {
-            let records = run_grid(grid, opts);
+            let records = run_grid_streaming(grid, opts, |_| {});
             let label = &records[0].label;
             let med = median_makespan_secs(&records);
             match base {
@@ -64,13 +64,17 @@ fn main() {
     for grid in &configs {
         let label = grid.schedulers()[0].label();
         suite.bench(&label, || {
-            black_box(median_makespan_secs(&run_grid(grid, opts)));
+            black_box(median_makespan_secs(&run_grid_streaming(
+                grid,
+                opts,
+                |_| {},
+            )));
         });
         // Deterministic event-loop iteration count (gated by `bench_diff
         // --gate`: an event blowup fails CI even when wall-time noise
         // hides it), plus report-only events/sec from one timed campaign.
         let start = std::time::Instant::now();
-        let records = run_grid(grid, opts);
+        let records = run_grid_streaming(grid, opts, |_| {});
         let elapsed = start.elapsed().as_secs_f64();
         let events = records.iter().map(|r| r.loop_iterations).sum::<u64>() as f64;
         suite.counter(&format!("events/{label}"), events);

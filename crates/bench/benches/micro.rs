@@ -29,14 +29,16 @@ fn loaded_fs(streams_per_node: usize) -> LustreSim {
     let cfg = LustreConfig::stria().noiseless();
     let mut fs = LustreSim::new(cfg, SimRng::from_seed(99));
     for node in 0..15 {
-        fs.start_write(
+        fs.push_write_on_nodes(
             SimTime::ZERO,
             StreamTag(node as u64),
-            node,
+            &[node],
             streams_per_node,
             gib(1000.0),
+            0.0,
         );
     }
+    fs.solve_rates();
     fs
 }
 
@@ -170,7 +172,8 @@ fn main() {
     // epochs every 10 s over 56 OSTs, fatigue stepped every second.
     suite.bench("lustre_idle_ticks_56_ost/stria", || {
         let mut fs = LustreSim::new(LustreConfig::stria(), SimRng::from_seed(7));
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(1e5));
+        fs.push_write_on_nodes(SimTime::ZERO, StreamTag(1), &[0], 1, gib(1e5), 0.0);
+        fs.solve_rates();
         for sec in 1..=10_000 {
             fs.advance_to(SimTime::from_secs(sec));
         }

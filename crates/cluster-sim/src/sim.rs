@@ -287,14 +287,14 @@ impl ClusterSim {
                 let mut due = std::mem::take(&mut self.due_scratch);
                 while self.calendar.peek_time() == Some(at) {
                     let (_, job) = self.calendar.pop().expect("peeked entry");
-                    let live = matches!(
-                        self.running.get(&job).map(|rj| &rj.activity),
-                        Some(Activity::TimedUntil(d)) if *d == at
+                    debug_assert!(
+                        matches!(
+                            self.running.get(&job).map(|rj| &rj.activity),
+                            Some(Activity::TimedUntil(d)) if *d == at
+                        ),
+                        "stale calendar entry for {job:?}"
                     );
-                    debug_assert!(live, "stale calendar entry for {job:?}");
-                    if live {
-                        due.push(job);
-                    }
+                    due.push(job);
                 }
                 due.sort_unstable();
                 for &job in &due {

@@ -16,28 +16,11 @@
 //! (default 5 seeds per configuration; the paper repeats each
 //! configuration a comparable number of times).
 
-use iosched_experiments::figures::write_output;
-use iosched_experiments::{
-    run_grid_resumable, CampaignGrid, CampaignOptions, PolicyFamily, WorkloadSpec,
-};
+use iosched_experiments::figures::{fig6_grid, write_output};
+use iosched_experiments::{run_grid_resumable, CampaignOptions};
 use iosched_simkit::stats::median;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-/// The Fig. 6 grid: [default, io-aware-20, io-aware-15, adaptive-20,
-/// adaptive-15] × seeds on Workload 2 (shared with `summary`).
-pub fn fig6_grid(n_seeds: usize) -> CampaignGrid {
-    CampaignGrid::new(
-        vec![
-            PolicyFamily::Default,
-            PolicyFamily::IoAware,
-            PolicyFamily::Adaptive,
-        ],
-        vec![20.0, 15.0],
-        (0..n_seeds as u64).map(|i| 1000 + i * 17).collect(),
-        WorkloadSpec::Workload2,
-    )
-}
 
 fn main() {
     let n_seeds: usize = std::env::args()

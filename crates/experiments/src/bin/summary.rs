@@ -15,7 +15,7 @@
 //! (seeds only affect the Workload 2 medians; Workload 1 uses the
 //! representative seed of Fig. 3).
 
-use iosched_experiments::figures::write_output;
+use iosched_experiments::figures::{fig6_grid, write_output};
 use iosched_experiments::{
     run_grid_resumable, CampaignGrid, CampaignOptions, CampaignRecord, GridBase, PolicyFamily,
     WorkloadSpec,
@@ -80,13 +80,12 @@ fn main() {
     // ── Workload 1 (representative seed 42, Fig. 3) ──
     // One grid covers every pretrained panel; the untrained ablation
     // (Fig. 3e) differs in base config, so it is its own tiny grid.
-    let policies = vec![
-        PolicyFamily::Default,
-        PolicyFamily::IoAware,
-        PolicyFamily::Adaptive,
-    ];
     let w1_grid = CampaignGrid::new(
-        policies.clone(),
+        vec![
+            PolicyFamily::Default,
+            PolicyFamily::IoAware,
+            PolicyFamily::Adaptive,
+        ],
         vec![20.0, 15.0],
         vec![42],
         WorkloadSpec::Workload1,
@@ -134,12 +133,7 @@ fn main() {
     });
 
     // ── Workload 2 (multi-seed medians, Fig. 6) ──
-    let w2_grid = CampaignGrid::new(
-        policies,
-        vec![20.0, 15.0],
-        (0..n_seeds as u64).map(|i| 1000 + i * 17).collect(),
-        WorkloadSpec::Workload2,
-    );
+    let w2_grid = fig6_grid(n_seeds);
     let fig6_log = PathBuf::from("results/fig6/records.jsonl");
     let w2 = match reuse_from_log(&fig6_log, &w2_grid) {
         Some(records) => {

@@ -102,12 +102,9 @@ fn run_grid_pending(
 }
 
 /// Run every task of the grid; records come back in task-index order.
-pub fn run_grid(grid: &CampaignGrid, opts: CampaignOptions) -> Vec<CampaignRecord> {
-    run_grid_streaming(grid, opts, |_| {})
-}
-
-/// [`run_grid`] with a completion-order callback per finished task (what
-/// `campaignd` uses to stream records as they finish).
+/// `on_record` sees each record as its task finishes, in completion
+/// order (what `campaignd` uses to stream records); pass `|_| {}` when
+/// only the merged output matters.
 pub fn run_grid_streaming(
     grid: &CampaignGrid,
     opts: CampaignOptions,
@@ -147,7 +144,7 @@ pub fn load_record_log(path: &Path, grid: &CampaignGrid) -> Option<Vec<CampaignR
 /// completed task appends one compact record line. A rerun with a
 /// matching spec replays the log and executes only the missing indices;
 /// a missing or mismatched log is rewritten and the grid runs fresh.
-/// Merged output is identical to [`run_grid`] either way.
+/// Merged output is identical to [`run_grid_streaming`] either way.
 pub fn run_grid_resumable(
     grid: &CampaignGrid,
     opts: CampaignOptions,
@@ -344,7 +341,7 @@ mod tests {
         );
         grid.base.nodes = 10;
         assert!(!grid.base.noiseless);
-        let records = run_grid(&grid, CampaignOptions { threads: Some(2) });
+        let records = run_grid_streaming(&grid, CampaignOptions { threads: Some(2) }, |_| {});
         let makespans: Vec<f64> = records.iter().map(|r| r.makespan_secs).collect();
         assert_eq!(makespans.len(), 5);
         assert!(makespans.iter().all(|&m| m > 0.0));
@@ -358,7 +355,7 @@ mod tests {
     fn every_grid_record_matches_a_direct_run_of_its_task() {
         let grid = tiny_grid();
         let workload = grid.workloads[0].materialize();
-        let records = run_grid(&grid, CampaignOptions { threads: Some(2) });
+        let records = run_grid_streaming(&grid, CampaignOptions { threads: Some(2) }, |_| {});
         let tasks = grid.tasks();
         assert_eq!(records.len(), tasks.len());
         for (task, rec) in tasks.iter().zip(&records) {
@@ -377,8 +374,8 @@ mod tests {
     #[test]
     fn merged_records_are_bit_identical_across_worker_counts() {
         let grid = tiny_grid();
-        let one = run_grid(&grid, CampaignOptions { threads: Some(1) });
-        let four = run_grid(&grid, CampaignOptions { threads: Some(4) });
+        let one = run_grid_streaming(&grid, CampaignOptions { threads: Some(1) }, |_| {});
+        let four = run_grid_streaming(&grid, CampaignOptions { threads: Some(4) }, |_| {});
         assert_eq!(one.len(), grid.task_count());
         assert_eq!(records_json(&one), records_json(&four));
     }
@@ -386,7 +383,7 @@ mod tests {
     #[test]
     fn records_carry_grid_indices_and_metrics() {
         let grid = tiny_grid();
-        let records = run_grid(&grid, CampaignOptions { threads: Some(2) });
+        let records = run_grid_streaming(&grid, CampaignOptions { threads: Some(2) }, |_| {});
         for (i, rec) in records.iter().enumerate() {
             assert_eq!(rec.index, i);
             assert!(rec.makespan_secs > 0.0);
@@ -400,7 +397,7 @@ mod tests {
     #[test]
     fn resume_from_partial_log_matches_fresh_run() {
         let grid = tiny_grid();
-        let fresh = run_grid(&grid, CampaignOptions { threads: Some(1) });
+        let fresh = run_grid_streaming(&grid, CampaignOptions { threads: Some(1) }, |_| {});
 
         let dir = std::env::temp_dir().join("iosched-campaign-resume-test");
         fs::create_dir_all(&dir).unwrap();

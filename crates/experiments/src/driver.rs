@@ -268,7 +268,16 @@ mod tests {
     use iosched_simkit::units::{gib, gibps};
     use iosched_slurm::policy::NodePolicy;
     use iosched_slurm::BackfillConfig;
-    use iosched_workloads::{uniform_arrivals, JobSubmission, WorkloadBuilder};
+    use iosched_workloads::{JobSubmission, WorkloadBuilder};
+
+    /// Jobs arrive one after another with fixed spacing, in id order.
+    fn uniform_arrivals(jobs: &mut [JobSubmission], gap: SimDuration) {
+        let mut t = SimTime::ZERO;
+        for job in jobs.iter_mut() {
+            job.submit = t;
+            t += gap;
+        }
+    }
 
     fn tiny_workload() -> Vec<JobSubmission> {
         // 2 waves of 4 write×4 + 6 short sleeps on a small volume: quick.

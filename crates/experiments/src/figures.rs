@@ -5,6 +5,7 @@
 //! compact ASCII rendition with the headline numbers.
 
 use crate::driver::{run_experiment, ExperimentConfig, ExperimentResult, SchedulerKind};
+use crate::grid::{CampaignGrid, PolicyFamily, WorkloadSpec};
 use iosched_simkit::stats::BoxStats;
 use iosched_simkit::time::SimTime;
 use iosched_simkit::units::to_gibps;
@@ -180,6 +181,23 @@ pub fn run_trace_panels(
             }
         }
     }
+}
+
+/// The Fig. 6 grid: [default, io-aware-20, io-aware-15, adaptive-20,
+/// adaptive-15] × `n_seeds` seeds (1000, 1017, …) on Workload 2. The
+/// `fig6` binary runs it; `summary` takes its Workload 2 medians from the
+/// same grid, reusing `fig6`'s record log when that covers it.
+pub fn fig6_grid(n_seeds: usize) -> CampaignGrid {
+    CampaignGrid::new(
+        vec![
+            PolicyFamily::Default,
+            PolicyFamily::IoAware,
+            PolicyFamily::Adaptive,
+        ],
+        vec![20.0, 15.0],
+        (0..n_seeds as u64).map(|i| 1000 + i * 17).collect(),
+        WorkloadSpec::Workload2,
+    )
 }
 
 #[cfg(test)]

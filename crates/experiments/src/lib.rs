@@ -32,7 +32,7 @@ pub mod pool;
 pub mod pretrain;
 pub mod streaming;
 
-pub use campaign::{run_grid, run_grid_resumable, serve_campaigns, CampaignOptions};
+pub use campaign::{run_grid_resumable, run_grid_streaming, serve_campaigns, CampaignOptions};
 pub use driver::{
     run_experiment, run_experiment_with_scratch, ExperimentConfig, ExperimentResult, JobRecord,
     RunScratch, SchedulerKind,

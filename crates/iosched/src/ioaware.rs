@@ -421,7 +421,7 @@ mod tests {
         // 1 of 10 quanta is left free now, so the walk ends after the
         // third start; the full walk reserves the fourth job for later.
         assert!(out.reservations.is_empty(), "{out:?}");
-        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
+        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg, true);
         assert_eq!(full.start_now, out.start_now);
         assert_eq!(full.reservations, vec![(JobId(4), SimTime::from_secs(100))]);
     }
@@ -523,7 +523,7 @@ mod tests {
         // The first job takes the whole limit, so the walk ends there;
         // the full walk reserves the second after it.
         assert!(out.reservations.is_empty(), "{out:?}");
-        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg);
+        let (full, _) = reference_pass(&mut p, &[], &refs, SimTime::ZERO, 100, &cfg, true);
         assert_eq!(full.start_now, out.start_now);
         assert_eq!(full.reservations, vec![(JobId(2), SimTime::from_secs(100))]);
     }

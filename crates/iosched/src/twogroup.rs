@@ -203,17 +203,6 @@ pub struct TwoGroupParams {
     pub split: TwoGroupSplit,
 }
 
-impl TwoGroupParams {
-    /// Adjusted requirement `r_j′` of a job (Eq. 5).
-    pub fn adjusted_r(&self, r_bps: f64, nodes: usize) -> f64 {
-        if self.split.is_zero(r_bps, nodes) {
-            0.0
-        } else {
-            r_bps - nodes as f64 * self.split.r_zero_bar
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -387,21 +376,6 @@ pub(crate) mod tests {
         assert!(!s.is_zero(0.1, 1));
     }
 
-    #[test]
-    fn adjusted_requirements_eq5() {
-        let params = TwoGroupParams {
-            r_tilde_bps: 10.0,
-            r_tilde_prime_bps: 8.0,
-            split: TwoGroupSplit {
-                r_star: 1.0,
-                r_zero_bar: 0.5,
-            },
-        };
-        assert_eq!(params.adjusted_r(0.5, 1), 0.0); // zero job
-        assert_eq!(params.adjusted_r(5.0, 1), 4.5); // regular, minus r̄_zero
-        assert_eq!(params.adjusted_r(5.0, 2), 4.0); // scales with nodes
-    }
-
     /// Queues for the oracle property: `rows` in queue order.
     ///
     /// * `palette` holds the loads of up to 8 ρ classes: kind 0 is +0.0,
@@ -503,14 +477,11 @@ pub(crate) mod tests {
             }
             // r̄_zero is an average of ρ ≤ r*.
             prop_assert!(s.r_zero_bar <= s.r_star + 1e-9);
-            // Adjusted regular requirements are non-negative.
-            let params = TwoGroupParams {
-                r_tilde_bps: 0.0,
-                r_tilde_prime_bps: 0.0,
-                split: s,
-            };
+            // Adjusted regular requirements (Eq. 5) are non-negative.
             for &(_, r, n, _) in &rows {
-                prop_assert!(params.adjusted_r(r, n) >= -1e-9);
+                if !s.is_zero(r, n) {
+                    prop_assert!(r - n as f64 * s.r_zero_bar >= -1e-9);
+                }
             }
         }
     }

@@ -3,13 +3,16 @@
 //! invariants of Algorithms 2–7.
 
 use iosched_analytics::JobEstimate;
-use iosched_core::{AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy};
-use iosched_reference::reference_pass;
+use iosched_core::{
+    AdaptiveConfig, AdaptivePolicy, EstimateBook, IoAwareConfig, IoAwarePolicy, TwoGroupParams,
+};
+use iosched_reference::{check_against_reference, max_over, reference_pass};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, props};
 use iosched_slurm::{
-    backfill_pass, quanta_down, quanta_up, BackfillConfig, ResourceProfile, RunningView, SchedJob,
+    backfill_pass, backfill_pass_into, quanta_down, quanta_up, BackfillConfig, ResourceProfile,
+    RunningView, SchedJob, SchedulingOutcome, SchedulingPolicy,
 };
 
 fn build_queue(spec: &[(usize, u64, f64, u64)]) -> (Vec<SchedJob>, EstimateBook) {
@@ -36,6 +39,53 @@ fn build_queue(spec: &[(usize, u64, f64, u64)]) -> (Vec<SchedJob>, EstimateBook)
         })
         .collect();
     (queue, book)
+}
+
+/// Adjusted requirement `r_j′` of a job (paper Eq. 5) in floating point:
+/// 0 for a zero-group job, else `r_j − n_j·r̄_zero`.
+fn adjusted_r(params: &TwoGroupParams, r_bps: f64, nodes: usize) -> f64 {
+    if params.split.is_zero(r_bps, nodes) {
+        0.0
+    } else {
+        r_bps - nodes as f64 * params.split.r_zero_bar
+    }
+}
+
+/// The pass against the unpruned full walk ([`reference_pass`] with
+/// `prune = false`) on the same round, by [`check_against_reference`]'s
+/// rule.
+fn matches_unpruned<P: SchedulingPolicy>(
+    label: &str,
+    policy: &mut P,
+    running: &[RunningView<'_>],
+    queue: &[&SchedJob],
+    total_nodes: usize,
+    backfill_max: usize,
+) -> Result<(), String> {
+    let cfg = BackfillConfig {
+        max_reservations: backfill_max,
+        ..BackfillConfig::default()
+    };
+    let mut out = SchedulingOutcome::default();
+    let stats = backfill_pass_into(
+        policy,
+        running,
+        queue,
+        SimTime::ZERO,
+        total_nodes,
+        &cfg,
+        &mut out,
+    );
+    let (full, full_stats) = reference_pass(
+        policy,
+        running,
+        queue,
+        SimTime::ZERO,
+        total_nodes,
+        &cfg,
+        false,
+    );
+    check_against_reference(&out, &stats, &full, &full_stats).map_err(|e| format!("{label}: {e}"))
 }
 
 /// A limit that is not a whole number of quanta (B/s) still admits a job
@@ -79,7 +129,7 @@ props! {
         policy.begin_round(book.clone());
         let cfg = BackfillConfig::default();
         let out = backfill_pass(&mut policy, &[], &refs, SimTime::ZERO, 100, &cfg);
-        let (full, _) = reference_pass(&mut policy, &[], &refs, SimTime::ZERO, 100, &cfg);
+        let (full, _) = reference_pass(&mut policy, &[], &refs, SimTime::ZERO, 100, &cfg, true);
         prop_assert_eq!(&out.start_now, &full.start_now);
 
         // Rebuild the bandwidth plan through the rounding rule the policy
@@ -99,7 +149,7 @@ props! {
                 let j = by_id(id);
                 lt.reserve(&[demand(id)], at, at + j.limit);
             }
-            let max = lt.max_over(0, SimTime::ZERO, SimTime::from_secs(10_000));
+            let max = max_over(&lt, 0, SimTime::ZERO, SimTime::from_secs(10_000));
             prop_assert!(max <= cap, "bandwidth plan exceeds limit: {max} > {cap}");
             // Nothing is skipped with an unbounded budget.
             prop_assert!(plan.skipped.is_empty());
@@ -153,7 +203,6 @@ props! {
         limit in 5.0f64..25.0,
         qos in 0.1f64..0.9,
     ) {
-        use iosched_slurm::SchedulingPolicy;
         let (queue, book) = build_queue(&spec);
         let refs: Vec<&SchedJob> = queue.iter().collect();
         let mut policy = AdaptivePolicy::new(AdaptiveConfig {
@@ -172,7 +221,7 @@ props! {
         );
         prop_assert!(params.split.r_zero_bar <= params.split.r_star + 1e-9);
         for j in &queue {
-            let adj = params.adjusted_r(book.r(j.id), j.nodes);
+            let adj = adjusted_r(params, book.r(j.id), j.nodes);
             prop_assert!(adj >= -1e-9, "negative adjusted requirement: {adj}");
         }
         // Eq. (2): zero group carries at least the QoS share of node-time.
@@ -200,7 +249,6 @@ props! {
         limit in 8.0f64..20.0,
     ) {
         use iosched_slurm::ReservationTracker;
-        use iosched_slurm::SchedulingPolicy;
         let (queue, book) = build_queue(&spec);
         let refs: Vec<&SchedJob> = queue.iter().collect();
         let mut policy = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
@@ -222,8 +270,7 @@ props! {
     /// A deep adaptive round walks the same pruned and unpruned. With
     /// 100+ running jobs ending at distinct instants, the node, LT and AT
     /// profiles each hold a few hundred entries and regular jobs probe
-    /// the AT gate; the pruned walk must reserve and start exactly what
-    /// the unpruned one does.
+    /// the AT gate; the pass must agree with the unpruned full walk.
     fn adaptive_deep_round_prunes_without_changing_the_walk(
         running_r in prop::vec(0.0f64..2.0e9, 100..140),
         spec in prop::vec(
@@ -257,32 +304,15 @@ props! {
         let refs: Vec<&SchedJob> = queue.iter().collect();
         let total_nodes = running.len() + 8;
 
-        let mut outcomes = Vec::new();
-        for prune in [true, false] {
-            let cfg = BackfillConfig {
-                max_reservations: backfill_max,
-                prune_fits_now: prune,
-                ..BackfillConfig::default()
-            };
-            let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-            ad.begin_round(book.clone());
-            outcomes.push(backfill_pass(
-                &mut ad,
-                &running,
-                &refs,
-                SimTime::ZERO,
-                total_nodes,
-                &cfg,
-            ));
-        }
-        prop_assert_eq!(&outcomes[0], &outcomes[1], "adaptive pruned walk diverged");
+        let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+        ad.begin_round(book);
+        matches_unpruned("adaptive", &mut ad, &running, &refs, total_nodes, backfill_max)?;
     }
 
     /// Fits-now pruning is outcome-neutral for the I/O-aware and
-    /// adaptive trackers too: under tight reservation budgets the pruned
-    /// and unpruned walks agree decision-for-decision for arbitrary
-    /// queues and estimate books (the release-mode oracle comparison —
-    /// `prune_fits_now = false` IS the unpruned walk).
+    /// adaptive trackers too: under tight reservation budgets the pass
+    /// agrees with the unpruned full walk for arbitrary queues and
+    /// estimate books (the release-mode oracle comparison).
     fn policy_pruned_walk_matches_unpruned(
         spec in prop::vec(
             (1usize..4, 50u64..500, 0.0f64..12.0, 10u64..400),
@@ -296,38 +326,11 @@ props! {
         let (queue, mut book) = build_queue(&spec);
         book.measured_total_bps = measured;
         let refs: Vec<&SchedJob> = queue.iter().collect();
-        let mut pruned_io = None;
-        let mut pruned_ad = None;
-        for prune in [true, false] {
-            let cfg = BackfillConfig {
-                max_reservations: backfill_max,
-                prune_fits_now: prune,
-                ..BackfillConfig::default()
-            };
-            let mut io = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
-            io.begin_round(book.clone());
-            let out_io =
-                backfill_pass(&mut io, &[], &refs, SimTime::ZERO, total_nodes, &cfg);
-            let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
-            ad.begin_round(book.clone());
-            let out_ad =
-                backfill_pass(&mut ad, &[], &refs, SimTime::ZERO, total_nodes, &cfg);
-            if prune {
-                // First iteration: stash; second compares.
-                pruned_io = Some(out_io);
-                pruned_ad = Some(out_ad);
-            } else {
-                prop_assert_eq!(
-                    pruned_io.take().unwrap(),
-                    out_io,
-                    "io-aware pruned walk diverged"
-                );
-                prop_assert_eq!(
-                    pruned_ad.take().unwrap(),
-                    out_ad,
-                    "adaptive pruned walk diverged"
-                );
-            }
-        }
+        let mut io = IoAwarePolicy::new(IoAwareConfig { limit_bps: limit });
+        io.begin_round(book.clone());
+        matches_unpruned("io-aware", &mut io, &[], &refs, total_nodes, backfill_max)?;
+        let mut ad = AdaptivePolicy::new(AdaptiveConfig::paper(limit));
+        ad.begin_round(book);
+        matches_unpruned("adaptive", &mut ad, &[], &refs, total_nodes, backfill_max)?;
     }
 }

@@ -231,26 +231,10 @@ impl LustreSim {
         self.rates_gen
     }
 
-    /// Begin `n_threads` write streams from `node`, each writing
-    /// `bytes_per_thread` to a randomly chosen OST (the paper's workload
-    /// writes each thread's file to a randomly chosen Lustre volume).
-    /// Advances the model to `t` first.
-    pub fn start_write(
-        &mut self,
-        t: SimTime,
-        tag: StreamTag,
-        node: usize,
-        n_threads: usize,
-        bytes_per_thread: f64,
-    ) -> Vec<StreamId> {
-        let first = self.next_stream_id;
-        let n = self.push_write_on_nodes(t, tag, &[node], n_threads, bytes_per_thread, 0.0);
-        self.solve_rates();
-        (first..first + n as u64).map(StreamId).collect()
-    }
-
-    /// Begin `n_threads` write streams from each node of `nodes` (placed
-    /// as in [`Self::start_write`]) without solving: the caller solves
+    /// Begin `n_threads` write streams from each node of `nodes`, each
+    /// writing `bytes_per_thread` to a randomly chosen OST (the paper's
+    /// workload writes each thread's file to a randomly chosen Lustre
+    /// volume), without solving: the caller solves
     /// once for all its pushes with [`Self::solve_rates`], before any
     /// rate is read or time advances. Returns how many streams were
     /// started (ids are assigned sequentially). Each thread is *released*
@@ -805,6 +789,20 @@ mod tests {
         LustreSim::new(cfg, SimRng::from_seed(1234))
     }
 
+    /// Start `n_threads` streams from `node` and solve, as one job start
+    /// on one node does.
+    fn start_write(
+        fs: &mut LustreSim,
+        t: SimTime,
+        tag: StreamTag,
+        node: usize,
+        n_threads: usize,
+        bytes_per_thread: f64,
+    ) {
+        fs.push_write_on_nodes(t, tag, &[node], n_threads, bytes_per_thread, 0.0);
+        fs.solve_rates();
+    }
+
     impl LustreSim {
         /// Number of active streams per OST.
         fn ost_occupancy(&self) -> Vec<usize> {
@@ -857,7 +855,7 @@ mod tests {
             let mut fs = LustreSim::new(cfg.clone(), SimRng::from_seed(seed));
             // Enough threads that OST capacity (the noisy quantity) binds
             // rather than the per-stream cap.
-            fs.start_write(SimTime::ZERO, StreamTag(1), 0, 48, gib(400.0));
+            start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 48, gib(400.0));
             let mut rates = Vec::new();
             // Step across several 10 s noise epochs.
             for s in 1..=6 {
@@ -878,7 +876,7 @@ mod tests {
         let cfg = quiet_cfg();
         let expected = cfg.stream_cap_bps.min(cfg.ost_bandwidth_bps);
         let mut fs = sim(cfg);
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
         assert!((fs.total_throughput_bps() - expected).abs() < 1.0);
     }
 
@@ -887,7 +885,7 @@ mod tests {
         let cfg = quiet_cfg();
         let mut fs = sim(cfg.clone());
         let bytes = gib(1.0);
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, bytes);
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 1, bytes);
         let rate = cfg.stream_cap_bps.min(cfg.ost_bandwidth_bps);
         let expect_secs = bytes / rate;
         let t = fs.next_change_time().unwrap();
@@ -905,7 +903,7 @@ mod tests {
         cfg.node_cap_bps = gibps(2.0);
         cfg.stream_cap_bps = gibps(1.0);
         let mut fs = sim(cfg);
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 8, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 8, gib(10.0));
         let total = fs.total_throughput_bps();
         assert!(total <= gibps(2.0) + 1.0, "node cap violated: {total}");
     }
@@ -917,7 +915,14 @@ mod tests {
         cfg.node_cap_bps = gibps(100.0);
         let mut fs = sim(cfg);
         for node in 0..15 {
-            fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 8, gib(10.0));
+            start_write(
+                &mut fs,
+                SimTime::ZERO,
+                StreamTag(node as u64),
+                node,
+                8,
+                gib(10.0),
+            );
         }
         assert!(fs.total_throughput_bps() <= gibps(5.0) + 1.0);
     }
@@ -930,7 +935,14 @@ mod tests {
         for k in [1usize, 2, 4, 8, 15] {
             let mut fs = sim(quiet_cfg());
             for node in 0..k {
-                fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 8, gib(10.0));
+                start_write(
+                    &mut fs,
+                    SimTime::ZERO,
+                    StreamTag(node as u64),
+                    node,
+                    8,
+                    gib(10.0),
+                );
             }
             totals.push(fs.total_throughput_bps());
         }
@@ -951,11 +963,11 @@ mod tests {
         cfg.interference_gamma = 1.0;
         cfg.stream_cap_bps = cfg.ost_bandwidth_bps; // cap must not mask it
         let mut fs = sim(cfg.clone());
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
         let solo = fs.total_throughput_bps();
         let mut fs = sim(cfg);
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
-        fs.start_write(SimTime::ZERO, StreamTag(2), 1, 1, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(2), 1, 1, gib(10.0));
         let duo = fs.total_throughput_bps();
         assert!(
             duo < solo,
@@ -968,7 +980,14 @@ mod tests {
         let mut fs = sim(quiet_cfg());
         let total = gib(10.0) * 8.0 * 3.0;
         for node in 0..3 {
-            fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 8, gib(10.0));
+            start_write(
+                &mut fs,
+                SimTime::ZERO,
+                StreamTag(node as u64),
+                node,
+                8,
+                gib(10.0),
+            );
         }
         // Drive to completion.
         let mut guard = 0;
@@ -995,7 +1014,14 @@ mod tests {
         let run = |k: usize| -> f64 {
             let mut fs = sim(quiet_cfg());
             for node in 0..k {
-                fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 8, gib(10.0));
+                start_write(
+                    &mut fs,
+                    SimTime::ZERO,
+                    StreamTag(node as u64),
+                    node,
+                    8,
+                    gib(10.0),
+                );
             }
             let mut last = SimTime::ZERO;
             while let Some(t) = fs.next_change_time() {
@@ -1021,7 +1047,7 @@ mod tests {
         let mut a = LustreSim::new(cfg.clone(), SimRng::from_seed(7));
         let mut b = LustreSim::new(cfg, SimRng::from_seed(7));
         for fsim in [&mut a, &mut b] {
-            fsim.start_write(SimTime::ZERO, StreamTag(1), 0, 8, gib(100.0));
+            start_write(fsim, SimTime::ZERO, StreamTag(1), 0, 8, gib(100.0));
         }
         let t = SimTime::from_secs(35);
         a.advance_to(t);
@@ -1036,8 +1062,8 @@ mod tests {
     #[test]
     fn snapshot_aggregates_match() {
         let mut fs = sim(quiet_cfg());
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 4, gib(10.0));
-        fs.start_write(SimTime::ZERO, StreamTag(2), 1, 4, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 4, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(2), 1, 4, gib(10.0));
         let snap = snap(&fs);
         let per_tag: f64 = snap.per_tag_bps.iter().map(|&(_, v)| v).sum();
         assert!((snap.total_bps - per_tag).abs() < 1e-6);
@@ -1061,7 +1087,7 @@ mod tests {
         cfg.n_ost = 1;
         let bandwidth = cfg.ost_bandwidth_bps;
         let mut fs = sim(cfg);
-        fs.start_write(SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
+        start_write(&mut fs, SimTime::ZERO, StreamTag(1), 0, 1, gib(10.0));
         fs.advance_to(SimTime::from_secs(1));
         fs.cfg.ost_bandwidth_bps = 0.0;
         fs.recompute_rates();
@@ -1224,7 +1250,7 @@ mod tests {
         match rng.index(6) {
             0 => {
                 *tags += 1;
-                fs.start_write(t, StreamTag(*tags), nodes[0], threads, bytes);
+                start_write(fs, t, StreamTag(*tags), nodes[0], threads, bytes);
             }
             1 | 2 => {
                 *tags += 1;
@@ -1290,11 +1316,11 @@ mod tests {
             let start = ms(sec * 1000 - 500);
             match sec {
                 4 => {
-                    fs.start_write(start, StreamTag(1), 0, 8, gib(40.0));
-                    fs.start_write(ms(3_700), StreamTag(2), 1, 8, gib(60.0));
+                    start_write(&mut fs, start, StreamTag(1), 0, 8, gib(40.0));
+                    start_write(&mut fs, ms(3_700), StreamTag(2), 1, 8, gib(60.0));
                 }
                 8 => {
-                    fs.start_write(start, StreamTag(3), 2, 12, gib(80.0));
+                    start_write(&mut fs, start, StreamTag(3), 2, 12, gib(80.0));
                 }
                 13 => {
                     let before = fs.ost_occupancy();
@@ -1302,7 +1328,7 @@ mod tests {
                     let freed: Vec<usize> = (0..before.len())
                         .filter(|&o| before[o] > 0 && fs.ost_occupancy()[o] == 0)
                         .collect();
-                    fs.start_write(ms(12_800), StreamTag(4), 3, 16, gib(50.0));
+                    start_write(&mut fs, ms(12_800), StreamTag(4), 3, 16, gib(50.0));
                     let after = fs.ost_occupancy();
                     freed_then_reoccupied = freed.iter().filter(|&&o| after[o] > 0).count();
                 }
@@ -1312,10 +1338,10 @@ mod tests {
                     }
                 }
                 54 => {
-                    fs.start_write(start, StreamTag(5), 4, 12, gib(30.0));
+                    start_write(&mut fs, start, StreamTag(5), 4, 12, gib(30.0));
                 }
                 63 => {
-                    fs.start_write(start, StreamTag(6), 5, 6, gib(20.0));
+                    start_write(&mut fs, start, StreamTag(6), 5, 6, gib(20.0));
                 }
                 _ => {}
             }

@@ -79,15 +79,12 @@ pub fn steady_state_samples(
     let mut fs = LustreSim::new(cfg.clone(), SimRng::from_seed(seed));
     // One "job" per node; track per-node live thread counts so finished
     // threads restart immediately (continuous offered load).
+    let (threads, bytes) = (probe.threads_per_job, probe.bytes_per_thread);
     for node in 0..k {
-        fs.start_write(
-            SimTime::ZERO,
-            StreamTag(node as u64),
-            node,
-            probe.threads_per_job,
-            probe.bytes_per_thread,
-        );
+        let tag = StreamTag(node as u64);
+        fs.push_write_on_nodes(SimTime::ZERO, tag, &[node], threads, bytes, 0.0);
     }
+    fs.solve_rates();
 
     let end = SimTime::ZERO + probe.warmup + probe.window;
     let mut samples = Vec::new();
@@ -103,9 +100,10 @@ pub fn steady_state_samples(
         fs.advance_to(t);
         // Restart finished threads to keep offered load constant.
         fs.take_completed_into(&mut done);
-        for (done_t, _, s) in &done {
-            fs.start_write((*done_t).max(t), s.tag, s.node, 1, probe.bytes_per_thread);
+        for (_, _, s) in &done {
+            fs.push_write_on_nodes(t, s.tag, &[s.node], 1, bytes, 0.0);
         }
+        fs.solve_rates();
         if t == next_sample {
             samples.push(fs.total_throughput_bps());
             next_sample += probe.sample_every;
@@ -201,14 +199,16 @@ mod tests {
             let mut fs = LustreSim::new(cfg, SimRng::from_seed(5));
             // Big enough volume that nothing completes in the window.
             for node in 0..2 {
-                fs.start_write(
+                fs.push_write_on_nodes(
                     SimTime::ZERO,
                     StreamTag(node as u64),
-                    node,
+                    &[node],
                     8,
                     gib(10_000.0),
+                    0.0,
                 );
             }
+            fs.solve_rates();
             (1..=100)
                 .map(|s| {
                     fs.advance_to(SimTime::from_secs(s));

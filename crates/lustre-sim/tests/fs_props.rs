@@ -9,6 +9,20 @@ use iosched_simkit::units::{gib, MIB};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, prop_oneof, props};
 use prop::Strategy;
 
+/// Start `n_threads` streams from `node` and solve, as one job start on
+/// one node does.
+fn start_write(
+    fs: &mut LustreSim,
+    t: SimTime,
+    tag: StreamTag,
+    node: usize,
+    n_threads: usize,
+    bytes_per_thread: f64,
+) {
+    fs.push_write_on_nodes(t, tag, &[node], n_threads, bytes_per_thread, 0.0);
+    fs.solve_rates();
+}
+
 /// A randomised op sequence for the model.
 #[derive(Clone, Debug)]
 enum Op {
@@ -66,7 +80,8 @@ props! {
                 Op::Start { node, threads, mib } | Op::Short { node, threads, mib } => {
                     let bytes = mib as f64 * MIB;
                     offered += bytes * threads as f64;
-                    fs.start_write(fs.now(), StreamTag(next_tag), node, threads, bytes);
+                    let now = fs.now();
+                    start_write(&mut fs, now, StreamTag(next_tag), node, threads, bytes);
                     next_tag += 1;
                 }
                 Op::Advance { ms } => {
@@ -104,8 +119,9 @@ props! {
             for op in ops {
                 match *op {
                     Op::Start { node, threads, mib } | Op::Short { node, threads, mib } => {
-                        fs.start_write(
-                            fs.now(),
+                        let now = fs.now();
+                        start_write(&mut fs,
+                            now,
                             StreamTag(tag),
                             node,
                             threads,
@@ -137,7 +153,14 @@ fn full_drain_writes_everything() {
         for node in 0..10 {
             let bytes = gib(0.5 + node as f64 * 0.25);
             offered += bytes * 4.0;
-            fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 4, bytes);
+            start_write(
+                &mut fs,
+                SimTime::ZERO,
+                StreamTag(node as u64),
+                node,
+                4,
+                bytes,
+            );
         }
         let mut guard = 0;
         let mut done = Vec::new();

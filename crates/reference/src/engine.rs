@@ -110,14 +110,14 @@ impl Policy {
         bf: &BackfillConfig,
     ) -> SchedulingOutcome {
         match self {
-            Policy::Default(p) => reference_pass(p, running, queue, now, total_nodes, bf).0,
+            Policy::Default(p) => reference_pass(p, running, queue, now, total_nodes, bf, false).0,
             Policy::IoAware(p) => {
                 p.begin_round(book);
-                reference_pass(p, running, queue, now, total_nodes, bf).0
+                reference_pass(p, running, queue, now, total_nodes, bf, false).0
             }
             Policy::Adaptive(p) => {
                 p.begin_round(book);
-                reference_pass(p, running, queue, now, total_nodes, bf).0
+                reference_pass(p, running, queue, now, total_nodes, bf, false).0
             }
             Policy::Packing(cfg) => packing_pass(&book, running, queue, now, total_nodes, cfg),
         }
@@ -261,7 +261,6 @@ impl<I: Iterator<Item = JobSubmission>> Engine<'_, I> {
         let mut now = SimTime::ZERO;
         let bf = BackfillConfig {
             max_reservations: cfg.backfill_max,
-            prune_fits_now: false,
             ..BackfillConfig::default()
         };
         let mut snap = FsSnapshot::default();

@@ -52,7 +52,7 @@ struct Scenarios {
 }
 
 fn pick<T: Copy>(rng: &mut SimRng, items: &[T]) -> T {
-    *rng.choose(items)
+    items[rng.index(items.len())]
 }
 
 fn secs(rng: &mut SimRng, lo: u64, hi: u64) -> SimDuration {

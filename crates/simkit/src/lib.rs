@@ -2,14 +2,14 @@
 //! `hpc-iosched` workspace.
 //!
 //! The toolkit deliberately stays away from a framework-style "process"
-//! abstraction: simulations in this workspace own a typed event enum and a
-//! plain loop over an [`EventQueue`]. What `simkit` provides are the
-//! building blocks that have to be correct and deterministic everywhere:
+//! abstraction: the engine is a plain loop to the earliest change time
+//! its simulators report. What `simkit` provides are the building blocks
+//! that have to be correct and deterministic everywhere:
 //!
 //! * [`SimTime`] / [`SimDuration`] — millisecond-resolution simulated time
 //!   with checked, saturating arithmetic (no floating-point clock drift);
 //! * [`EventQueue`] — a stable priority queue: events at equal timestamps
-//!   pop in insertion order, which keeps runs bit-for-bit reproducible;
+//!   pop in insertion order (cluster-sim's phase-deadline calendar);
 //! * [`SimRng`] — a seedable, forkable random source with the handful of
 //!   distributions the simulators need (uniform, normal, log-normal,
 //!   exponential);

@@ -146,11 +146,6 @@ impl SimRng {
         let u = 1.0 - self.uniform();
         -u.ln() / lambda
     }
-
-    /// Choose a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
 }
 
 #[cfg(test)]
@@ -323,15 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn index_and_choose_cover_range() {
+    fn index_covers_range() {
         let mut r = SimRng::from_seed(19);
         let mut seen = [false; 5];
         for _ in 0..200 {
             seen[r.index(5)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        let items = [1, 2, 3];
-        assert!(items.contains(r.choose(&items)));
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Multiply by a non-negative scalar, rounding to milliseconds.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
@@ -222,13 +217,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn duration_scaling() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

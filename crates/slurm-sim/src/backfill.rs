@@ -28,12 +28,9 @@ pub struct BackfillConfig {
     /// Maximum number of future reservations recorded per round
     /// (`BackfillMax`). Slurm's default configuration is unbounded.
     pub max_reservations: usize,
-    /// Once the reservation budget is exhausted, skip the
-    /// `earliest_start` probe for queue entries that
-    /// [`ReservationTracker::demands_at_least`] a job that already failed
-    /// to start now — they provably cannot start either, and skipping is
-    /// all the budget allows. Outcome-neutral (property-tested against
-    /// the unpruned walk); only worth disabling as a bench baseline.
+    /// Ignored: the pass always prunes fits-now probes (see
+    /// [`backfill_pass_into`]). Kept so that perfbench's mirror, its
+    /// only reader, compiles unchanged.
     pub prune_fits_now: bool,
     /// Ignored: every probe starts at `now`. Kept so that perfbench's
     /// mirror, its only reader, compiles unchanged.
@@ -114,15 +111,15 @@ pub fn backfill_pass<P: SchedulingPolicy>(
 /// first. Reusing one outcome across rounds keeps the steady-state
 /// scheduling pass allocation-free.
 ///
-/// The queue walk prunes provably-futile `earliest_start` probes when
-/// [`BackfillConfig::prune_fits_now`] is set: once the reservation budget
-/// is exhausted a failed job is only recorded as skipped, so any later
-/// entry that [`ReservationTracker::demands_at_least`] the
-/// least-demanding failure seen so far is skipped without a probe.
-/// Sound because usage only grows within a round, so dominance means
-/// "fits now" for the pruned job would imply its dominatee fit at probe
-/// time — contradiction. `tests/backfill_props.rs` checks pruning
-/// against the plain walk.
+/// The queue walk prunes provably-futile `earliest_start` probes: once
+/// the reservation budget is exhausted a failed job is only recorded as
+/// skipped, so any later entry that
+/// [`ReservationTracker::demands_at_least`] the least-demanding failure
+/// seen so far is skipped without a probe. Sound because usage only
+/// grows within a round, so dominance means "fits now" for the pruned
+/// job would imply its dominatee fit at probe time — contradiction.
+/// `tests/backfill_props.rs` checks pruning against the unpruned
+/// `iosched_reference::reference_pass`.
 ///
 /// After each start the walk moves its end back past the trailing
 /// entries that [`ReservationTracker::may_start_now`] rules out, and
@@ -159,7 +156,7 @@ pub fn backfill_pass_into<P: SchedulingPolicy>(
         if i >= cut {
             break;
         }
-        if cfg.prune_fits_now && backfill_count >= cfg.max_reservations {
+        if backfill_count >= cfg.max_reservations {
             if let Some(failed) = min_failed {
                 if tracker.demands_at_least(job, failed) {
                     outcome.skipped.push(job.id);

@@ -252,21 +252,6 @@ impl ResourceProfile {
         }
     }
 
-    /// Column `col`'s maximum reserved amount over `[start, end)`;
-    /// `usage_at(col, start)` if there are no breakpoints inside the
-    /// window. Returns 0 for empty windows.
-    pub fn max_over(&self, col: usize, start: SimTime, end: SimTime) -> i64 {
-        debug_assert!(!self.has_staged(), "commit_staged before querying");
-        if end <= start {
-            return 0;
-        }
-        let i = self.after(start);
-        let j = i + self.times[i..].partition_point(|&bt| bt < end);
-        self.usage[col][i..j]
-            .iter()
-            .fold(self.usage_at(col, start), |max, &u| max.max(u))
-    }
-
     /// Earliest `t ≥ from` such that every column `c` stays at or below
     /// `thresholds[c]` throughout `[t, t + dur)`. A column whose threshold
     /// is [`NO_THRESHOLD`] never holds a window back.
@@ -503,6 +488,20 @@ mod tests {
         p
     }
 
+    /// Column `col`'s maximum reserved amount over `[start, end)`;
+    /// `usage_at(col, start)` if there are no breakpoints inside the
+    /// window. Returns 0 for empty windows.
+    fn max_over(p: &ResourceProfile, col: usize, start: SimTime, end: SimTime) -> i64 {
+        if end <= start {
+            return 0;
+        }
+        let i = p.after(start);
+        let j = i + p.times[i..].partition_point(|&bt| bt < end);
+        p.usage[col][i..j]
+            .iter()
+            .fold(p.usage_at(col, start), |max, &u| max.max(u))
+    }
+
     /// Earliest start of an `amount` against `capacity` on a one-column
     /// profile.
     fn fit(
@@ -643,11 +642,11 @@ mod tests {
     #[test]
     fn max_over_windows() {
         let p = one(&[(4, 10, 20), (3, 15, 25)]);
-        assert_eq!(p.max_over(0, t(0), t(10)), 0);
-        assert_eq!(p.max_over(0, t(0), t(16)), 7);
-        assert_eq!(p.max_over(0, t(12), t(14)), 4);
-        assert_eq!(p.max_over(0, t(21), t(30)), 3);
-        assert_eq!(p.max_over(0, t(5), t(5)), 0);
+        assert_eq!(max_over(&p, 0, t(0), t(10)), 0);
+        assert_eq!(max_over(&p, 0, t(0), t(16)), 7);
+        assert_eq!(max_over(&p, 0, t(12), t(14)), 4);
+        assert_eq!(max_over(&p, 0, t(21), t(30)), 3);
+        assert_eq!(max_over(&p, 0, t(5), t(5)), 0);
     }
 
     #[test]
@@ -875,14 +874,14 @@ mod tests {
             prop_assert_eq!(got, Models::of(&resv).earliest_at_most(t(from), d(dur), &[cap - amount]));
             if got != SimTime::FAR_FUTURE {
                 // It fits at `got`.
-                prop_assert!(p.max_over(0, got, got + d(dur)) <= cap - amount);
+                prop_assert!(max_over(&p, 0, got, got + d(dur)) <= cap - amount);
                 // No earlier candidate among {from} ∪ breakpoints fits.
                 let mut candidates = vec![t(from)];
                 candidates.extend(p.steps().iter().map(|(bt, _)| *bt));
                 for c in candidates {
                     if c >= t(from) && c < got {
                         prop_assert!(
-                            p.max_over(0, c, c + d(dur)) > cap - amount,
+                            max_over(&p, 0, c, c + d(dur)) > cap - amount,
                             "earlier candidate {c} fits but earliest_at_most returned {got}"
                         );
                     }
@@ -907,7 +906,7 @@ mod tests {
             prop_assert_eq!(p.usage_at(0, t(probe)), naive);
             let model = &Models::of(&resv).0[0];
             prop_assert_eq!(
-                p.max_over(0, t(probe), t(probe + 10)),
+                max_over(&p, 0, t(probe), t(probe + 10)),
                 model.max_over(t(probe), t(probe + 10))
             );
         }
@@ -1027,7 +1026,7 @@ mod tests {
                         .collect();
                     for (c, m) in model.0.iter().enumerate() {
                         prop_assert_eq!(p.usage_at(c, f), m.usage_at(f), "usage_at({c}, {f})");
-                        prop_assert_eq!(p.max_over(c, f, f + du), m.max_over(f, f + du));
+                        prop_assert_eq!(max_over(&p, c, f, f + du), m.max_over(f, f + du));
                     }
                     prop_assert_eq!(
                         p.earliest_at_most(f, du, &thr),

@@ -2,13 +2,16 @@
 //! and running sets, one scheduling round never violates the resource
 //! invariants.
 
-use iosched_reference::reference_pass;
+use iosched_reference::{check_against_reference, max_over, reference_pass};
 use iosched_simkit::ids::JobId;
 use iosched_simkit::prop::Just;
 use iosched_simkit::time::{SimDuration, SimTime};
 use iosched_simkit::{prop, prop_assert, prop_assert_eq, prop_oneof, props};
 use iosched_slurm::policy::NodePolicy;
-use iosched_slurm::{backfill_pass, BackfillConfig, ResourceProfile, RunningView, SchedJob};
+use iosched_slurm::{
+    backfill_pass, backfill_pass_into, BackfillConfig, ResourceProfile, RunningView, SchedJob,
+    SchedulingOutcome,
+};
 
 props! {
     #![cases(64)]
@@ -68,7 +71,7 @@ props! {
         };
         let mut policy = NodePolicy::default();
         let out = backfill_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg);
-        let (full, _) = reference_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg);
+        let (full, _) = reference_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg, true);
         prop_assert_eq!(&out.start_now, &full.start_now);
 
         let by_id = |id: JobId| queue.iter().find(|j| j.id == id).unwrap();
@@ -91,7 +94,7 @@ props! {
                 prop_assert!(at > now, "reservation must be in the future");
                 profile.reserve(&[j.nodes as i64], at, at + j.limit);
             }
-            let max = profile.max_over(0, SimTime::ZERO, SimTime::from_secs(10_000));
+            let max = max_over(&profile, 0, SimTime::ZERO, SimTime::from_secs(10_000));
             prop_assert!(
                 max <= total_nodes as i64,
                 "plan oversubscribes: {max} > {total_nodes}"
@@ -186,11 +189,11 @@ props! {
         prop_assert_eq!(unbounded, bounded, "budget = queue.len() diverged");
     }
 
-    /// Fits-now pruning never changes a round's outcome: the pruned and
-    /// unpruned walks agree decision-for-decision on randomized deep
-    /// queues under tight reservation budgets. This is pruning's oracle
-    /// comparison — `prune_fits_now = false` IS the unpruned walk — and
-    /// CI runs it in release too.
+    /// Fits-now pruning never changes a round's outcome: on randomized
+    /// deep queues under tight reservation budgets, the pass agrees with
+    /// the unpruned full walk ([`reference_pass`] with `prune = false`)
+    /// by [`check_against_reference`]'s rule. This is pruning's oracle
+    /// comparison, and CI runs it in release too.
     fn pruned_walk_matches_unpruned(
         queue_spec in prop::vec((1usize..8, 10u64..500), 1..40),
         running_spec in prop::vec((1usize..8, 10u64..500), 0..4),
@@ -203,21 +206,25 @@ props! {
             .iter()
             .map(|(j, s)| RunningView { job: j, started: *s })
             .collect();
-        let [pruned, unpruned] = [true, false].map(|prune| {
-            backfill_pass(
-                &mut NodePolicy::default(),
-                &views,
-                &queue_refs,
-                SimTime::from_secs(200),
-                total_nodes,
-                &BackfillConfig {
-                    max_reservations: backfill_max,
-                    prune_fits_now: prune,
-                    ..BackfillConfig::default()
-                },
-            )
-        });
-        prop_assert_eq!(pruned, unpruned, "pruned walk diverged");
+        let now = SimTime::from_secs(200);
+        let cfg = BackfillConfig {
+            max_reservations: backfill_max,
+            ..BackfillConfig::default()
+        };
+        let mut policy = NodePolicy::default();
+        let mut out = SchedulingOutcome::default();
+        let stats = backfill_pass_into(
+            &mut policy,
+            &views,
+            &queue_refs,
+            now,
+            total_nodes,
+            &cfg,
+            &mut out,
+        );
+        let (full, full_stats) =
+            reference_pass(&mut policy, &views, &queue_refs, now, total_nodes, &cfg, false);
+        check_against_reference(&out, &stats, &full, &full_stats)?;
     }
 }
 

@@ -10,15 +10,6 @@ use crate::builder::JobSubmission;
 use iosched_simkit::rng::SimRng;
 use iosched_simkit::time::{SimDuration, SimTime};
 
-/// Jobs arrive one after another with fixed spacing, in id order.
-pub fn uniform_arrivals(jobs: &mut [JobSubmission], gap: SimDuration) {
-    let mut t = SimTime::ZERO;
-    for job in jobs.iter_mut() {
-        job.submit = t;
-        t += gap;
-    }
-}
-
 /// Poisson arrivals with the given mean rate (jobs per second), in id
 /// order; inter-arrival gaps are exponential draws from `rng`.
 pub fn poisson_arrivals(jobs: &mut [JobSubmission], rate_per_sec: f64, rng: &mut SimRng) {
@@ -45,14 +36,6 @@ mod tests {
                 SimDuration::from_secs(20),
             )
             .build()
-    }
-
-    #[test]
-    fn uniform_spacing() {
-        let mut w = jobs(4);
-        uniform_arrivals(&mut w, SimDuration::from_secs(30));
-        let times: Vec<u64> = w.iter().map(|j| j.submit.as_millis() / 1000).collect();
-        assert_eq!(times, vec![0, 30, 60, 90]);
     }
 
     #[test]

@@ -33,13 +33,14 @@ pub struct SwfOptions {
     /// Processors per node of the traced machine (SWF counts CPUs).
     pub cpus_per_node: usize,
     /// Cap on nodes per job (jobs needing more are clamped; keeps small
-    /// test clusters usable with big-machine traces).
+    /// test clusters usable with big-machine traces). At least 1.
     pub max_nodes: usize,
     /// Fraction of each job's runtime converted into a trailing write
     /// phase (0.0 = pure compute).
     pub io_fraction: f64,
     /// Write rate per node assumed when materialising the I/O phase,
-    /// bytes/s (determines the phase's volume).
+    /// bytes/s (determines the phase's volume). Must be positive and
+    /// finite when `io_fraction` is above 0.
     pub io_rate_per_node_bps: f64,
     /// Skip jobs whose status/run time mark them as cancelled (< 0 run
     /// time or zero processors).
@@ -161,12 +162,22 @@ impl std::fmt::Display for SwfError {
 
 impl std::error::Error for SwfError {}
 
-/// Validate the option invariants shared by every entry point.
+/// Validate the option invariants shared by every entry point, once per
+/// reader: options that pass build a runnable job from every valid
+/// record.
 fn check_opts(opts: &SwfOptions) -> Result<(), SwfError> {
+    let rate = opts.io_rate_per_node_bps;
     let message = if opts.cpus_per_node < 1 {
         "cpus_per_node must be at least 1".to_string()
+    } else if opts.max_nodes < 1 {
+        "max_nodes must be at least 1".to_string()
     } else if !(0.0..=1.0).contains(&opts.io_fraction) {
         format!("io_fraction must be in [0, 1], got {}", opts.io_fraction)
+    } else if opts.io_fraction > 0.0 && !(rate > 0.0 && rate.is_finite()) {
+        // A write phase needs a volume: without one, the I/O share of
+        // the runtime would be dropped, and a job whose share rounds up
+        // to the whole runtime would have no phase at all.
+        format!("io_rate_per_node_bps must be positive and finite when io_fraction > 0, got {rate}")
     } else {
         return Ok(());
     };
@@ -176,9 +187,8 @@ fn check_opts(opts: &SwfOptions) -> Result<(), SwfError> {
 /// Parse one trace line. `Ok(None)` means the line carries no job
 /// (comment, blank, or an invalid record under
 /// [`SwfOptions::skip_invalid`]); `Err` is a malformed line or a strict
-/// invalid record, stamped with `line_no` (1-based). Shared by
-/// [`parse_swf`] and [`SwfReader`] so the batch and streaming paths
-/// cannot drift.
+/// invalid record, stamped with `line_no` (1-based). [`SwfReader`]'s
+/// per-line step, and through it [`parse_swf`]'s.
 fn parse_swf_line(
     raw: &str,
     line_no: usize,
@@ -232,21 +242,14 @@ fn parse_swf_line(
 /// Parse SWF text into submissions. Comment (`;`) and blank lines are
 /// skipped; invalid jobs are skipped or rejected per
 /// [`SwfOptions::skip_invalid`]; malformed lines are fatal or skipped
-/// per [`SwfOptions::skip_malformed`]. For traces too large to hold in
-/// memory, use the line-at-a-time [`SwfReader`] instead — both run the
-/// same per-line parser.
+/// per [`SwfOptions::skip_malformed`]; invalid options are an error
+/// either way. This collects a [`SwfReader`] over `text`; for traces too
+/// large to hold in memory, use the reader itself.
 pub fn parse_swf(text: &str, opts: &SwfOptions) -> Result<Vec<JobSubmission>, SwfError> {
     check_opts(opts)?;
-    let mut jobs = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        match parse_swf_line(raw, idx + 1, opts) {
-            Ok(Some(job)) => jobs.push(job),
-            Ok(None) => {}
-            Err(_) if opts.skip_malformed => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(jobs)
+    SwfReader::new(text.as_bytes(), opts.clone())
+        .filter(|item| !(opts.skip_malformed && item.is_err()))
+        .collect()
 }
 
 /// Streaming SWF reader: a line-at-a-time
@@ -471,18 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn io_fraction_without_rate_stays_pure_compute() {
-        let opts = SwfOptions {
-            io_fraction: 0.5,
-            io_rate_per_node_bps: 0.0,
-            ..SwfOptions::default()
-        };
-        let jobs = parse_swf("1 0 0 100 2 -1 -1 2 200 -1 1 1 1 1 1 -1 -1 -1", &opts).unwrap();
-        assert_eq!(jobs[0].exec.phases.len(), 1);
-        assert!(matches!(jobs[0].exec.phases[0], Phase::Compute(_)));
-    }
-
-    #[test]
     fn record_round_trips_through_its_own_line() {
         let rec = SwfRecord {
             job_no: 42,
@@ -506,7 +497,13 @@ mod tests {
     fn reader_round_trips_against_parse_swf_on_sample() {
         // The streaming reader over the sample trace must produce
         // exactly what the batch parser produces, under every option
-        // combination the batch parser accepts cleanly.
+        // combination the batch parser accepts cleanly, with LF or CRLF
+        // line endings and with or without a final newline.
+        let texts = [
+            SAMPLE.to_string(),
+            SAMPLE.replace('\n', "\r\n"),
+            SAMPLE.trim_end().to_string(),
+        ];
         for opts in [
             SwfOptions::default(),
             SwfOptions {
@@ -520,19 +517,34 @@ mod tests {
                 ..SwfOptions::default()
             },
         ] {
-            let batch = parse_swf(SAMPLE, &opts).unwrap();
-            let streamed: Vec<_> = SwfReader::new(std::io::Cursor::new(SAMPLE), opts.clone())
-                .map(|r| r.unwrap())
-                .collect();
-            assert_eq!(streamed.len(), batch.len());
-            for (s, b) in streamed.iter().zip(&batch) {
-                assert_eq!(s.id, b.id);
-                assert_eq!(s.name, b.name);
-                assert_eq!(s.submit, b.submit);
-                assert_eq!(s.limit, b.limit);
-                assert_eq!(s.exec.nodes, b.exec.nodes);
-                assert_eq!(s.exec.phases, b.exec.phases);
+            let fields = |jobs: &[JobSubmission]| -> Vec<_> {
+                jobs.iter()
+                    .map(|j| (j.id, j.name.clone(), j.submit, j.limit, j.exec.clone()))
+                    .collect()
+            };
+            let baseline = fields(&parse_swf(SAMPLE, &opts).unwrap());
+            assert_eq!(baseline.len(), 2);
+            for text in &texts {
+                let batch = parse_swf(text, &opts).unwrap();
+                let streamed: Vec<_> =
+                    SwfReader::new(std::io::Cursor::new(text.as_str()), opts.clone())
+                        .map(|r| r.unwrap())
+                        .collect();
+                assert_eq!(fields(&streamed), fields(&batch));
+                assert_eq!(fields(&batch), baseline);
             }
+        }
+        // Invalid options stay an error under `skip_malformed`: the
+        // reader yields it as its only item, and parse_swf returns it.
+        for (opts, _) in bad_opts() {
+            let opts = SwfOptions {
+                skip_malformed: true,
+                ..opts
+            };
+            let batch_err = parse_swf(SAMPLE, &opts).unwrap_err();
+            let items: Vec<_> = SwfReader::new(std::io::Cursor::new(SAMPLE), opts).collect();
+            assert_eq!(items.len(), 1);
+            assert_eq!(items[0].as_ref().unwrap_err(), &batch_err);
         }
     }
 
@@ -630,11 +642,30 @@ garbage line
             io_fraction,
             ..SwfOptions::default()
         };
+        let io = |io_fraction, io_rate_per_node_bps| SwfOptions {
+            io_fraction,
+            io_rate_per_node_bps,
+            ..SwfOptions::default()
+        };
         vec![
             (with(0, 0.0), "cpus_per_node"),
             (with(1, -0.1), "io_fraction"),
             (with(1, 1.5), "io_fraction"),
             (with(1, f64::NAN), "io_fraction"),
+            (
+                SwfOptions {
+                    max_nodes: 0,
+                    ..SwfOptions::default()
+                },
+                "max_nodes",
+            ),
+            // The default rate, 0: the I/O share would be dropped, and at
+            // io_fraction 1 every job would have no phase at all.
+            (io(0.2, 0.0), "io_rate_per_node_bps"),
+            (io(1.0, 0.0), "io_rate_per_node_bps"),
+            (io(0.2, f64::NAN), "io_rate_per_node_bps"),
+            (io(0.2, f64::INFINITY), "io_rate_per_node_bps"),
+            (io(0.2, -1.0), "io_rate_per_node_bps"),
         ]
     }
 
@@ -645,11 +676,20 @@ garbage line
             assert_eq!(err.line, 0, "{opts:?}");
             assert!(err.message.contains(what), "{opts:?}: {err}");
         }
+        // The edges: all of the runtime as I/O at a real rate, and no
+        // I/O at any rate.
         let edge = SwfOptions {
             io_fraction: 1.0,
+            io_rate_per_node_bps: gibps(1.0),
             ..SwfOptions::default()
         };
-        assert!(parse_swf(SAMPLE, &edge).is_ok());
+        let jobs = parse_swf(SAMPLE, &edge).unwrap();
+        assert!(jobs.iter().all(|j| j.exec.validate().is_ok()));
+        let no_io = SwfOptions {
+            io_rate_per_node_bps: f64::NAN,
+            ..SwfOptions::default()
+        };
+        assert!(parse_swf(SAMPLE, &no_io).is_ok());
     }
 
     /// A source whose every read panics.

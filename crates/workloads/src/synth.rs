@@ -152,24 +152,22 @@ impl Iterator for SynthTrace {
     }
 }
 
-/// Render a record stream as SWF text (with a minimal comment header),
-/// e.g. to hand a generated trace to an external tool or to round-trip
-/// it through [`crate::swf::parse_swf`] in tests.
-pub fn to_swf_text(records: impl IntoIterator<Item = SwfRecord>) -> String {
-    let mut out = String::from("; synthetic SWF trace (iosched-workloads generator)\n");
-    for rec in records {
-        out.push_str(&rec.to_line());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::swf::parse_swf;
     use iosched_simkit::units::gibps;
     use iosched_simkit::{prop_assert, prop_assert_eq, props};
+
+    /// Render a record stream as SWF text with a minimal comment header.
+    fn to_swf_text(records: impl IntoIterator<Item = SwfRecord>) -> String {
+        let mut out = String::from("; synthetic SWF trace (iosched-workloads generator)\n");
+        for rec in records {
+            out.push_str(&rec.to_line());
+            out.push('\n');
+        }
+        out
+    }
 
     #[test]
     fn generator_is_deterministic_and_sized() {

@@ -30,8 +30,10 @@ fn main() {
     println!("\none 15-job write burst, second by second (every 30 s):\n");
     let mut fs = LustreSim::new(cfg, SimRng::from_seed(5));
     for node in 0..15 {
-        fs.start_write(SimTime::ZERO, StreamTag(node as u64), node, 8, gib(10.0));
+        let tag = StreamTag(node as u64);
+        fs.push_write_on_nodes(SimTime::ZERO, tag, &[node], 8, gib(10.0), 0.0);
     }
+    fs.solve_rates();
     println!(
         "{:>6} {:>9} {:>9} {:>9}",
         "t(s)", "GiB/s", "streams", "fatigue"
